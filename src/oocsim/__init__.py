@@ -6,8 +6,8 @@ decentralized adaptive tracker with an internal model drives each uncertain
 second-order plant onto its reference despite persistent disturbances.
 """
 
-from .coordinator import (CoordinatorGains, CoordinatorState, coordinator_derivative,
-                          coordinator_only_run, select_gains)
+from .coordinator import (CoordinatorGains, coordinator_only_run, coordinator_rhs,
+                          select_gains)
 from .costs import (CostFunction, composite, convexity_bounds, exp_sum,
                     global_optimum, quadratic)
 from .digraph import (Digraph, SpectralData, is_strongly_connected, laplacian,
@@ -16,13 +16,13 @@ from .errors import (BracketNotFound, DegenerateRoots, Diverged, InvalidSpectrum
                      NonConvexDetected, NotHurwitz, NotStronglyConnected, OocError,
                      SchemaError, SingularSystem, SingularT, Unsupported, XiUnderflow)
 from .integrate import rk4_step
-from .plant import (Exosystem, Plant, damping_spring, exosystem_derivative,
-                    feedforward_truth, plant_derivative, rotation_exosystem, vdp_like)
+from .plant import (Exosystem, Plant, damping_spring, feedforward_truth, plant_drift,
+                    rotation_exosystem, vdp_like)
 from .scenario import parse_scenario
 from .sim import (InitPolicy, Scenario, Trajectory, VerificationReport, ablate_compare,
                   assemble, metrics, run, sweep, verify)
-from .tracker import (FeedforwardTruth, InternalModelSpec, TrackerParams, TrackerState,
-                      companion_pair, control, phi_gamma, psi_true, solve_sylvester,
-                      tracker_derivative, vartheta)
+from .tracker import (FeedforwardTruth, InternalModelSpec, StackedInternalModel,
+                      TrackerParams, companion_pair, phi_gamma, psi_true, solve_sylvester,
+                      tracker_rhs)
 
 __version__ = "0.1.0"

@@ -14,17 +14,20 @@ Exit codes: 0 success, 1 check failure or runtime error, 2 usage/schema error.
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import costs as costs_mod
-from .coordinator import coordinator_only_run, select_gains
+from .coordinator import coordinator_only_run
 from .digraph import is_strongly_connected, spectral_data
 from .errors import OocError, SchemaError
 from .scenario import parse_scenario
-from .sim import Scenario, Trajectory, ablate_compare, assemble, metrics, run, sweep, verify
+from .sim import (Trajectory, ablate_compare, assemble, initial_state, metrics, run, sweep,
+                  verify)
 
 _FMT = "%.17g"  # round-trip exact for 64-bit floats
 
@@ -33,43 +36,31 @@ def _fmt(x):
     return _FMT % x
 
 
+def _write_csv(path, columns):
+    """Write (name, 1-D array) columns as a CSV with a header row."""
+    names = [name for name, _ in columns]
+    data = np.column_stack([col for _, col in columns])
+    np.savetxt(path, data, fmt=_FMT, delimiter=",", header=",".join(names), comments="")
+
+
+def _per_agent(name, block):
+    """Columns name_1 .. name_n of an (m, n) block."""
+    return [(f"{name}_{i}", block[:, i - 1]) for i in range(1, block.shape[1] + 1)]
+
+
 def write_trajectory(traj: Trajectory, path, gamma):
     """Write the trajectory CSV: t, per-agent blocks, then shared columns."""
     if traj.times.size == 0:
         raise ValueError("refusing to write an empty trajectory")
-    n = traj.layout.n
-    s_dims = traj.layout.s_dims
-    header = ["t"]
-    for i in range(1, n + 1):
-        header += [f"y_{i}", f"x2_{i}", f"yr_{i}", f"z_{i}", f"xii_{i}",
-                   f"theta_{i}", f"k_{i}"]
-        header += [f"psi_{i}_{j}" for j in range(1, s_dims[i - 1] + 1)]
-    header += [f"v_{j}" for j in range(1, traj.layout.nv + 1)]
-    header += ["rho_z", "exo_norm"]
-
-    y = traj.y
-    x2 = traj.x2
-    yr = traj.yr
-    z = traj.z
-    xii = traj.xi_diag
-    theta = traj.theta(gamma)
-    k = traj.k
-    v = traj.v
-    rho_z = traj.rho_z
-    exo_norm = traj.exo_norm
-    psi_cols = [traj.psi_rows(i) for i in range(n)]
-
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for m in range(len(traj.times)):
-            row = [_fmt(traj.times[m])]
-            for i in range(n):
-                row += [_fmt(y[m, i]), _fmt(x2[m, i]), _fmt(yr[m, i]), _fmt(z[m, i]),
-                        _fmt(xii[m, i]), _fmt(theta[m, i]), _fmt(k[m, i])]
-                row += [_fmt(p) for p in psi_cols[i][m]]
-            row += [_fmt(val) for val in v[m]]
-            row += [_fmt(rho_z[m]), _fmt(exo_norm[m])]
-            fh.write(",".join(row) + "\n")
+    blocks = [("y", traj.y), ("x2", traj.x2), ("yr", traj.yr), ("z", traj.z),
+              ("xii", traj.xi_diag), ("theta", traj.theta(gamma)), ("k", traj.k)]
+    columns = [("t", traj.times)]
+    for i in range(traj.layout.n):
+        columns += [(f"{name}_{i + 1}", block[:, i]) for name, block in blocks]
+        columns += _per_agent(f"psi_{i + 1}", traj.psi_rows(i))
+    columns += _per_agent("v", traj.v)
+    columns += [("rho_z", traj.rho_z), ("exo_norm", traj.exo_norm)]
+    _write_csv(path, columns)
 
 
 def _write_json(payload, path):
@@ -100,33 +91,22 @@ def _cmd_sim(args):
 def _cmd_coordinator(args):
     sc = parse_scenario(args.scenario)
     out = _out_dir(args)
-    spectral = spectral_data(sc.graph)
-    gains = sc.gains
-    if gains is None:
-        bounds = costs_mod.convexity_bounds(sc.costs, interval=sc.domain_hint)
-        gains = select_gains(bounds, spectral.rho_min, spectral.lambda2)
-    rng = np.random.default_rng([sc.seed, 1])
-    y0 = rng.uniform(*sc.init.yr_range, size=sc.graph.n)
+    system = assemble(sc)
+    y0 = initial_state(sc, system.layout)[system.layout.slices["yr"]]
+    gains = system.gains
     traj = coordinator_only_run(sc.graph, sc.costs, gains, y0,
                                 sc.horizon, sc.step, sc.record_every)
     s_star = costs_mod.global_optimum(sc.costs)
     n = sc.graph.n
-    header = (["t"] + [f"yr_{i}" for i in range(1, n + 1)]
-              + [f"z_{i}" for i in range(1, n + 1)]
-              + [f"xii_{i}" for i in range(1, n + 1)] + ["rho_z"])
+    rho = system.spectral.rho
     xii = traj.xi[:, np.arange(n), np.arange(n)]
-    rho_z = traj.z @ spectral.rho
-    with open(out / "coordinator.csv", "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for m in range(len(traj.times)):
-            row = ([_fmt(traj.times[m])] + [_fmt(x) for x in traj.y_r[m]]
-                   + [_fmt(x) for x in traj.z[m]] + [_fmt(x) for x in xii[m]]
-                   + [_fmt(rho_z[m])])
-            fh.write(",".join(row) + "\n")
+    _write_csv(out / "coordinator.csv",
+               [("t", traj.times)] + _per_agent("yr", traj.y_r) + _per_agent("z", traj.z)
+               + _per_agent("xii", xii) + [("rho_z", traj.z @ rho)])
     summary = {
         "s_star": s_star,
         "final_reference_error": float(np.abs(traj.y_r[-1] - s_star).max()),
-        "xi_error": float(np.abs(xii[-1] - spectral.rho).max()),
+        "xi_error": float(np.abs(xii[-1] - rho).max()),
         "gains": {"beta1": gains.beta1, "beta2": gains.beta2, "delta": gains.delta},
     }
     _write_json(summary, out / "coordinator_metrics.json")
@@ -181,13 +161,24 @@ def _cmd_sweep(args):
     out = _out_dir(args)
     try:
         values = [float(v) for v in args.values.split(",")]
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError
     except ValueError:
-        raise SchemaError(f"--values: expected comma-separated numbers, got {args.values!r}")
+        raise SchemaError(f"--values: expected comma-separated finite numbers, "
+                          f"got {args.values!r}") from None
     attr = args.attr
     if attr not in {"horizon", "step", "seed"}:
         raise SchemaError(f"--attr: unsupported sweep field {attr!r}")
     if attr == "seed":
+        if not all(v.is_integer() and v >= 0 for v in values):
+            raise SchemaError(f"--values: seeds must be nonnegative integers, "
+                              f"got {args.values!r}")
         values = [int(v) for v in values]
+    for val in values:
+        try:
+            replace(sc, **{attr: val})
+        except ValueError as exc:
+            raise SchemaError(f"--values: {attr}={val}: {exc}") from None
     results = sweep(sc, attr, values)
     payload = [{"value": val, "report": rep.to_dict()} for val, rep in results]
     _write_json(payload, out / "sweep.json")

@@ -17,7 +17,6 @@ import numpy as np
 from .costs import ConvexityBounds, build_gradient
 from .digraph import Digraph, laplacian
 from .errors import InvalidSpectrum, XiUnderflow
-from .integrate import rk4_step
 
 XI_FLOOR = 1e-9
 
@@ -61,39 +60,22 @@ def check_gain_inequalities(gains, bounds, rho_min, lambda2):
     return m1, m2, m3
 
 
-@dataclass
-class CoordinatorState:
-    """y_r, z (n,) and xi (n, n) with row i holding agent i's auxiliary vector."""
+def coordinator_rhs(t, yr, z, xi, big_l, grad_vec, gains: CoordinatorGains):
+    """(yr', z', xi') of all agents; xi is (n, n) with row i holding agent i's vector.
 
-    y_r: np.ndarray
-    z: np.ndarray
-    xi: np.ndarray
-
-    @staticmethod
-    def initial(y0):
-        y0 = np.asarray(y0, dtype=float)
-        n = y0.size
-        return CoordinatorState(y_r=y0.copy(), z=np.zeros(n), xi=np.eye(n))
-
-
-def coordinator_derivative(state: CoordinatorState, g: Digraph, cost_list,
-                           gains: CoordinatorGains) -> CoordinatorState:
-    """Time derivative of the coordinator state (pure function)."""
-    big_l = laplacian(g)
-    grad_vec = build_gradient(cost_list)
-    dy, dz, dxi = _coordinator_rhs(state.y_r, state.z, state.xi, big_l, grad_vec, gains)
-    return CoordinatorState(y_r=dy, z=dz, xi=dxi)
-
-
-def _coordinator_rhs(y_r, z, xi, big_l, grad_vec, gains):
-    xi_diag = np.diagonal(xi)
-    if np.any(xi_diag < XI_FLOOR):
-        raise XiUnderflow(f"min xi_i^i = {xi_diag.min():.3e} below floor {XI_FLOOR}")
-    ly = big_l @ y_r
-    dy = -grad_vec(y_r) / xi_diag - gains.beta1 * ly - gains.beta2 * z
+    Raises XiUnderflow, naming the 1-based agent with the smallest xi_i^i and
+    the time t, when that component drops below XI_FLOOR.
+    """
+    xi_diag = xi.diagonal()
+    if xi_diag.min() < XI_FLOOR:
+        i = int(xi_diag.argmin())
+        raise XiUnderflow(f"agent {i + 1}: xi_i^i = {xi_diag[i]:.3e} below floor "
+                          f"{XI_FLOOR:g} at t={t:.6g}", t=t)
+    ly = big_l @ yr
+    dyr = -grad_vec(yr) / xi_diag - gains.beta1 * ly - gains.beta2 * z
     dz = gains.beta1 * ly
     dxi = -big_l @ xi
-    return dy, dz, dxi
+    return dyr, dz, dxi
 
 
 @dataclass
@@ -107,30 +89,21 @@ class CoordinatorTrajectory:
 def coordinator_only_run(g: Digraph, cost_list, gains: CoordinatorGains, y0,
                          horizon, step, record_every=100) -> CoordinatorTrajectory:
     """Integrate only the coordinator layer with RK4 and a decimated record."""
+    from .sim import integrate  # sim imports this module
+
     big_l = laplacian(g)
     grad_vec = build_gradient(cost_list)
     n = g.n
-    y0 = np.asarray(y0, dtype=float)
 
     def f(t, s):
-        y_r, z, xi = s[:n], s[n:2 * n], s[2 * n:].reshape(n, n)
-        dy, dz, dxi = _coordinator_rhs(y_r, z, xi, big_l, grad_vec, gains)
-        return np.concatenate([dy, dz, dxi.ravel()])
+        dyr, dz, dxi = coordinator_rhs(t, s[:n], s[n:2 * n], s[2 * n:].reshape(n, n),
+                                       big_l, grad_vec, gains)
+        return np.concatenate([dyr, dz, dxi.ravel()])
 
-    state = np.concatenate([y0, np.zeros(n), np.eye(n).ravel()])
-    n_steps = int(round(horizon / step))
-    times = [0.0]
-    samples = [state.copy()]
-    t = 0.0
-    for k in range(1, n_steps + 1):
-        state = rk4_step(f, t, state, step)
-        t = k * step
-        if k % record_every == 0:
-            times.append(t)
-            samples.append(state.copy())
-    arr = np.array(samples)
+    state = np.concatenate([np.asarray(y0, dtype=float), np.zeros(n), np.eye(n).ravel()])
+    times, arr = integrate(f, state, step, int(round(horizon / step)), record_every)
     return CoordinatorTrajectory(
-        times=np.array(times),
+        times=times,
         y_r=arr[:, :n],
         z=arr[:, n:2 * n],
         xi=arr[:, 2 * n:].reshape(-1, n, n),

@@ -7,7 +7,7 @@ independent of any gradient-flow code path.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -133,10 +133,6 @@ class ConvexityBounds:
     def __post_init__(self):
         if not (0 < self.varpi <= self.iota_bar):
             raise ValueError("require 0 < varpi <= iota_bar")
-
-
-def grad(c: CostFunction, s: float) -> float:
-    return c.grad_fn(s)
 
 
 def check_gradient(c: CostFunction, s: float, h=1e-6) -> float:

@@ -6,14 +6,11 @@ matrix Lbar = (R L + L^T R)/2 with R = diag(rho) is positive semidefinite and
 its second-smallest eigenvalue lambda2 measures connectivity strength.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotStronglyConnected
-
-_XI_EPS = 1e-9
-
 
 @dataclass(frozen=True)
 class Digraph:

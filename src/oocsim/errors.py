@@ -25,7 +25,15 @@ class InvalidSpectrum(OocError):
     """Gain selection needs lambda2 > 0 and rho_min > 0."""
 
 
-class XiUnderflow(OocError):
+class _TimedError(OocError):
+    """A failure at simulation time t (None when unknown)."""
+
+    def __init__(self, message, t=None):
+        super().__init__(message)
+        self.t = t
+
+
+class XiUnderflow(_TimedError):
     """A xi self-component dropped below the positivity floor."""
 
 
@@ -49,9 +57,5 @@ class Unsupported(OocError):
     """Operation not available for this plant kind."""
 
 
-class Diverged(OocError):
+class Diverged(_TimedError):
     """Integration produced a non-finite state."""
-
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t

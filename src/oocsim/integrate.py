@@ -13,6 +13,6 @@ def rk4_step(f, t, y, h):
         k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
         k4 = f(t + h, y + h * k3)
         out = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise Diverged(f"non-finite state after step at t={t:.6g}", t=t)
     return out

@@ -12,8 +12,9 @@ through by m keeps the physical equation intact while making the control
 gain positive, as the problem setup requires.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -32,41 +33,63 @@ class Plant:
             raise ValueError("control gain b must be positive")
 
 
+def _vdp_drift(mu1, a_w, x1, x2, v, t):
+    return -x1 * x2 + mu1 * x2 * (1.0 - x1 * x1) + a_w * v[0]
+
+
+def _spring_drift(m, k1, k2, mu1, mu2, a_w, x1, x2, v, t):
+    d = a_w * (v[1] * (1.0 - v[0] * v[0]))
+    return -(k1 * x1 + k2 * x1 ** 3 + mu1 * x2 + mu2 * x2 ** 3 + d) / m
+
+
+# kind -> (drift formula, the parameters it takes before x1, x2, v, t)
+_DRIFTS = {
+    "vdp_like": (_vdp_drift, ("mu1", "a_w")),
+    "damping_spring": (_spring_drift, ("m", "k1", "k2", "mu1", "mu2", "a_w")),
+}
+
+
+def _bind_drift(kind, params):
+    formula, names = _DRIFTS[kind]
+    return partial(formula, *[params[name] for name in names])
+
+
 def vdp_like(mu1, mu2, b, amplitude) -> Plant:
     """First worked example: van-der-Pol-like drift plus sinusoidal disturbance Aw v1."""
-    a_w = mu2 * amplitude
-
-    def f(x1, x2, v, t):
-        return -x1 * x2 + mu1 * x2 * (1.0 - x1 * x1) + a_w * v[0]
-
-    return Plant(kind="vdp_like",
-                 params={"mu1": mu1, "mu2": mu2, "b": b, "amplitude": amplitude,
-                         "a_w": a_w},
-                 b=b, f=f)
+    params = {"mu1": mu1, "mu2": mu2, "b": b, "amplitude": amplitude,
+              "a_w": mu2 * amplitude}
+    return Plant(kind="vdp_like", params=params, b=b, f=_bind_drift("vdp_like", params))
 
 
 def damping_spring(m, k1, k2, mu1, mu2, a_w) -> Plant:
     """Second worked example, normalized by the mass (b = 1/m)."""
     if m <= 0:
         raise ValueError("mass must be positive")
-
-    def f(x1, x2, v, t):
-        d = a_w * v[1] * (1.0 - v[0] * v[0])
-        return -(k1 * x1 + k2 * x1 ** 3 + mu1 * x2 + mu2 * x2 ** 3 + d) / m
-
-    return Plant(kind="damping_spring",
-                 params={"m": m, "k1": k1, "k2": k2, "mu1": mu1, "mu2": mu2, "a_w": a_w},
-                 b=1.0 / m, f=f)
+    params = {"m": m, "k1": k1, "k2": k2, "mu1": mu1, "mu2": mu2, "a_w": a_w}
+    return Plant(kind="damping_spring", params=params, b=1.0 / m,
+                 f=_bind_drift("damping_spring", params))
 
 
 def custom(f, b) -> Plant:
     return Plant(kind="custom", params={}, b=b, f=f)
 
 
-def plant_derivative(p: Plant, x, v, u, t=0.0):
-    """(x1', x2') = (x2, f(x1, x2, v, t) + b u)."""
-    x1, x2 = x
-    return np.array([x2, p.f(x1, x2, v, t) + p.b * u])
+def plant_drift(plants):
+    """Stacked drift f(x1, x2, v, t) -> (n,) of an agent set.
+
+    A set of one built-in kind evaluates that kind's formula on parameter
+    arrays; mixed or custom sets call each plant's own f.
+    """
+    kind = plants[0].kind
+    if kind in _DRIFTS and all(p.kind == kind for p in plants):
+        names = _DRIFTS[kind][1]
+        return _bind_drift(kind, {k: np.array([p.params[k] for p in plants]) for k in names})
+    fns = [p.f for p in plants]
+
+    def drift(x1, x2, v, t):
+        return np.array([f(a, b, v, t) for f, a, b in zip(fns, x1, x2)])
+
+    return drift
 
 
 def feedforward_truth(p: Plant, s_star, v) -> float:
@@ -115,7 +138,3 @@ def rotation_exosystem(sigma, v0=None) -> Exosystem:
     if v0 is None:
         v0 = np.array([0.0, 1.0])
     return Exosystem(S=s, v0=np.asarray(v0, dtype=float))
-
-
-def exosystem_derivative(e: Exosystem, v):
-    return e.S @ v

@@ -9,6 +9,7 @@ the single seed.
 
 import json
 import logging
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 from . import costs as costs_mod
 from . import plant as plant_mod
 from .coordinator import CoordinatorGains
-from .errors import SchemaError
+from .errors import OocError, SchemaError
 from .sim import DEFAULT_TOLERANCES, InitPolicy, Scenario
 from .tracker import InternalModelSpec, TrackerParams
 
@@ -43,16 +44,21 @@ def _check_keys(section, context, allowed):
 def _number(value, context, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{context}: expected a number, got {value!r}")
-    if positive and value <= 0:
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(f"{context}: expected a finite number, got {value!r}")
+    if positive and number <= 0:
         raise SchemaError(f"{context}: must be positive, got {value}")
-    return float(value)
+    return number
 
 
 def _pair(value, context):
-    if (not isinstance(value, list) or len(value) != 2
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in value)):
+    if not isinstance(value, list) or len(value) != 2:
         raise SchemaError(f"{context}: expected [low, high]")
-    return (float(value[0]), float(value[1]))
+    return (_number(value[0], context), _number(value[1], context))
 
 
 def _parse_graph(section):
@@ -163,6 +169,8 @@ def _parse_exosystem(section):
             raise SchemaError("exosystem: sigma is only valid with kind 'rotation'")
         try:
             s = np.array(s, dtype=float)
+            if not np.isfinite(s).all():
+                raise SchemaError("exosystem.S: expected finite numbers")
             if v0 is None:
                 raise SchemaError("exosystem.v0: required for kind 'matrix'")
             return plant_mod.Exosystem(S=s, v0=v0)
@@ -188,10 +196,11 @@ def _parse_gains(section):
 def _parse_tracker(section, n):
     _check_keys(section, "tracker",
                 {"gamma", "rho", "internal_model", "frequencies", "check_psi"})
+    rho = section.get("rho", "quartic_plus_one")
+    if rho != "quartic_plus_one":
+        raise SchemaError(f"tracker.rho: the only shape is 'quartic_plus_one', got {rho!r}")
     try:
-        params = TrackerParams(
-            gamma=_number(section.get("gamma", 2.0), "tracker.gamma"),
-            rho_name=section.get("rho", "quartic_plus_one"))
+        params = TrackerParams(gamma=_number(section.get("gamma", 2.0), "tracker.gamma"))
     except ValueError as exc:
         raise SchemaError(f"tracker: {exc}") from None
 
@@ -211,7 +220,7 @@ def _parse_tracker(section, n):
         try:
             im_specs.append(InternalModelSpec.from_coeffs(
                 [_number(c, f"{context}.coeffs") for c in coeffs]))
-        except Exception as exc:
+        except (ValueError, OocError) as exc:
             raise SchemaError(f"{context}: {exc}") from None
 
     frequencies = section.get("frequencies")

@@ -14,12 +14,12 @@ from typing import Optional
 import numpy as np
 
 from . import costs as costs_mod
-from .coordinator import XI_FLOOR, CoordinatorGains, select_gains
+from .coordinator import CoordinatorGains, coordinator_rhs, select_gains
 from .digraph import Digraph, SpectralData, spectral_data
-from .errors import Diverged, NotStronglyConnected, XiUnderflow
+from .errors import Diverged, XiUnderflow
 from .integrate import rk4_step
-from .plant import Exosystem, Plant, feedforward_truth
-from .tracker import FeedforwardTruth, InternalModelSpec, TrackerParams
+from .plant import Exosystem, feedforward_truth, plant_drift
+from .tracker import FeedforwardTruth, StackedInternalModel, TrackerParams, tracker_rhs
 
 DEFAULT_TOLERANCES = {
     "final_output_error": 5e-2,
@@ -70,10 +70,19 @@ class Scenario:
             raise ValueError("costs, plants and im_specs must have one entry per agent")
         if self.step <= 0:
             raise ValueError("step must be positive")
+        if not (math.isfinite(self.horizon) and math.isfinite(self.step)):
+            raise ValueError("horizon and step must be finite")
         if self.horizon < 10 * self.step:
             raise ValueError("horizon must be at least 10 steps")
+        if abs(self.n_steps * self.step - self.horizon) > 1e-9 * self.horizon:
+            raise ValueError(f"horizon {self.horizon} is not a whole number of "
+                             f"steps of {self.step}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+
+    @property
+    def n_steps(self):
+        return int(round(self.horizon / self.step))
 
     def tolerance(self, key):
         return self.tolerances.get(key, DEFAULT_TOLERANCES[key])
@@ -101,39 +110,6 @@ class StateLayout:
         object.__setattr__(self, "dim", off)
         object.__setattr__(self, "total_s", total_s)
 
-    def view(self, y, key):
-        return y[self.slices[key]]
-
-
-def _plant_batch(plants):
-    """Vectorized drift f(x1, x2, v) -> (n,) and gain array for the agent set."""
-    b_arr = np.array([p.b for p in plants])
-    kinds = {p.kind for p in plants}
-    if kinds == {"vdp_like"}:
-        mu1 = np.array([p.params["mu1"] for p in plants])
-        a_w = np.array([p.params["a_w"] for p in plants])
-
-        def f_batch(x1, x2, v, t):
-            return -x1 * x2 + mu1 * x2 * (1.0 - x1 * x1) + a_w * v[0]
-    elif kinds == {"damping_spring"}:
-        m = np.array([p.params["m"] for p in plants])
-        k1 = np.array([p.params["k1"] for p in plants])
-        k2 = np.array([p.params["k2"] for p in plants])
-        mu1 = np.array([p.params["mu1"] for p in plants])
-        mu2 = np.array([p.params["mu2"] for p in plants])
-        a_w = np.array([p.params["a_w"] for p in plants])
-
-        def f_batch(x1, x2, v, t):
-            d = a_w * (v[1] * (1.0 - v[0] * v[0]))
-            return -(k1 * x1 + k2 * x1 ** 3 + mu1 * x2 + mu2 * x2 ** 3 + d) / m
-    else:
-        fns = [p.f for p in plants]
-
-        def f_batch(x1, x2, v, t):
-            return np.array([f(a, b, v, t) for f, a, b in zip(fns, x1, x2)])
-
-    return f_batch, b_arr
-
 
 @dataclass
 class System:
@@ -160,22 +136,12 @@ def assemble(sc: Scenario) -> System:
 
     big_l = spectral.laplacian
     grad_vec = costs_mod.build_gradient(sc.costs)
-    f_batch, b_arr = _plant_batch(sc.plants)
-    s_dims = tuple(im.s_dim for im in sc.im_specs)
-    layout = StateLayout(n=n, s_dims=s_dims, nv=sc.exo.dim)
-
-    import scipy.linalg as sla
-    m_blk = sla.block_diag(*[im.M for im in sc.im_specs])
-    n_blk = np.concatenate([im.N_vec for im in sc.im_specs])
-    seg_starts = np.cumsum((0,) + s_dims)[:-1]
-    seg_index = np.repeat(np.arange(n), s_dims)
+    drift = plant_drift(sc.plants)
+    b = np.array([p.b for p in sc.plants])
+    im = None if sc.ablate_internal_model else StackedInternalModel.stack(sc.im_specs)
+    layout = StateLayout(n=n, s_dims=tuple(spec.s_dim for spec in sc.im_specs), nv=sc.exo.dim)
     s_exo = sc.exo.S
     gamma = sc.tracker.gamma
-    b1, b2 = gains.beta1, gains.beta2
-    ablate = sc.ablate_internal_model
-    quartic = sc.tracker.rho_name == "quartic_plus_one"
-    rho_fn = sc.tracker.rho
-    diag_idx = np.arange(n) * (n + 1)
     sl = layout.slices
     sl_yr, sl_z, sl_xi = sl["yr"], sl["z"], sl["xi"]
     sl_x, sl_eta, sl_k = sl["x"], sl["eta"], sl["k"]
@@ -183,47 +149,19 @@ def assemble(sc: Scenario) -> System:
 
     def derivative(t, y):
         yr = y[sl_yr]
-        z = y[sl_z]
-        xi = y[sl_xi]
         x = y[sl_x].reshape(n, 2)
-        eta = y[sl_eta]
-        k = y[sl_k]
-        psi = y[sl_psi]
-        v = y[sl_v]
-
-        xi_diag = xi[diag_idx]
-        if np.any(xi_diag < XI_FLOOR):
-            raise XiUnderflow(f"min xi_i^i = {xi_diag.min():.3e} at t={t:.6g}")
-
-        ly = big_l @ yr
         x1 = x[:, 0]
         x2 = x[:, 1]
-        theta = x2 + gamma * (x1 - yr)
-        if quartic:
-            rho_t = theta ** 4 + 1.0
-        else:
-            rho_t = np.array([rho_fn(tt) for tt in theta])
-
-        if ablate:
-            u = -k * rho_t * theta
-        else:
-            psi_eta = np.add.reduceat(psi * eta, seg_starts)
-            u = -k * rho_t * theta + psi_eta
-
+        v = y[sl_v]
         out = np.empty(layout.dim)
-        out[sl_yr] = -grad_vec(yr) / xi_diag - b1 * ly - b2 * z
-        out[sl_z] = b1 * ly
-        out[sl_xi] = (-big_l @ xi.reshape(n, n)).ravel()
+        out[sl_yr], out[sl_z], dxi = coordinator_rhs(
+            t, yr, y[sl_z], y[sl_xi].reshape(n, n), big_l, grad_vec, gains)
+        out[sl_xi] = dxi.ravel()
+        u, (out[sl_eta], out[sl_k], out[sl_psi]) = tracker_rhs(
+            x1, x2, yr, y[sl_eta], y[sl_k], y[sl_psi], gamma, im)
         dx = out[sl_x].reshape(n, 2)
         dx[:, 0] = x2
-        dx[:, 1] = f_batch(x1, x2, v, t) + b_arr * u
-        if ablate:
-            out[sl_eta] = 0.0
-            out[sl_psi] = 0.0
-        else:
-            out[sl_eta] = m_blk @ eta + n_blk * u[seg_index]
-            out[sl_psi] = -eta * theta[seg_index]
-        out[sl_k] = rho_t * theta ** 2
+        dx[:, 1] = drift(x1, x2, v, t) + b * u
         out[sl_v] = s_exo @ v
         return out
 
@@ -323,30 +261,32 @@ class Trajectory:
         return self._block("psi")[:, start:start + self.layout.s_dims[agent]]
 
 
+def integrate(f, y0, h, n_steps, record_every):
+    """RK4 over n_steps steps of h from t = 0; returns (times, samples).
+
+    The samples are the initial state and every record_every-th state after it.
+    """
+    y = y0
+    times = [0.0]
+    samples = [y.copy()]
+    for kstep in range(1, n_steps + 1):
+        y = rk4_step(f, (kstep - 1) * h, y, h)
+        if kstep % record_every == 0:
+            times.append(kstep * h)
+            samples.append(y.copy())
+    return np.array(times), np.array(samples)
+
+
 def run(sc: Scenario, system: Optional[System] = None) -> Trajectory:
     """Integrate the closed loop from t = 0 to the horizon at the fixed step."""
     if system is None:
         system = assemble(sc)
-    layout = system.layout
-    y = initial_state(sc, layout)
-    f = system.derivative
-    h = sc.step
-    n_steps = int(round(sc.horizon / h))
-    rec = sc.record_every
-    times = [0.0]
-    samples = [y.copy()]
-    t = 0.0
+    y0 = initial_state(sc, system.layout)
     try:
-        for kstep in range(1, n_steps + 1):
-            y = rk4_step(f, t, y, h)
-            t = kstep * h
-            if kstep % rec == 0:
-                times.append(t)
-                samples.append(y.copy())
-    except Diverged as exc:
-        raise Diverged(f"{sc.name}: {exc}", t=exc.t) from None
-    return Trajectory(times=np.array(times), raw=np.array(samples), layout=layout,
-                      rho=system.spectral.rho)
+        times, raw = integrate(system.derivative, y0, sc.step, sc.n_steps, sc.record_every)
+    except (Diverged, XiUnderflow) as exc:
+        raise type(exc)(f"{sc.name}: {exc}", t=exc.t) from None
+    return Trajectory(times=times, raw=raw, layout=system.layout, rho=system.spectral.rho)
 
 
 def metrics(traj: Trajectory, s_star, settle_tol=0.02) -> dict:

@@ -6,9 +6,7 @@ feedforward row Psi are verification-only artifacts kept in a separate
 truth structure that the control loop never reads.
 """
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -151,51 +149,47 @@ class FeedforwardTruth:
             residual=sylvester_residual(t, im.M, im.N_vec, phi, gamma))
 
 
-def quartic_plus_one(theta):
-    return theta ** 4 + 1.0
-
-
-RHO_SHAPES = {"quartic_plus_one": quartic_plus_one}
-
-
 @dataclass(frozen=True)
 class TrackerParams:
     gamma: float = 2.0
-    rho_name: str = "quartic_plus_one"
 
     def __post_init__(self):
         if self.gamma < 1.5:
             raise ValueError("gamma must be >= 1.5")
-        if self.rho_name not in RHO_SHAPES:
-            raise ValueError(f"unknown rho shape {self.rho_name!r}")
-
-    @property
-    def rho(self) -> Callable:
-        return RHO_SHAPES[self.rho_name]
 
 
-@dataclass
-class TrackerState:
-    eta: np.ndarray      # (s,)
-    k_gain: float
-    psi_hat: np.ndarray  # (s,)
+@dataclass(frozen=True)
+class StackedInternalModel:
+    """All agents' internal models as one block-diagonal system over the stacked eta."""
+
+    M: np.ndarray       # block_diag(M_1, ..., M_n)
+    N: np.ndarray       # N_1, ..., N_n concatenated
+    starts: np.ndarray  # offset of agent i's block in eta
+    owner: np.ndarray   # agent index of each entry of eta
+
+    @staticmethod
+    def stack(im_specs):
+        s_dims = [im.s_dim for im in im_specs]
+        return StackedInternalModel(
+            M=scipy.linalg.block_diag(*[im.M for im in im_specs]),
+            N=np.concatenate([im.N_vec for im in im_specs]),
+            starts=np.cumsum([0] + s_dims[:-1]),
+            owner=np.repeat(np.arange(len(s_dims)), s_dims))
 
 
-def vartheta(x, y_r, gamma):
-    """Filtered tracking error x2 + gamma (x1 - yr)."""
-    return x[1] + gamma * (x[0] - y_r)
+def tracker_rhs(x1, x2, yr, eta, k, psi, gamma, im: StackedInternalModel):
+    """Control u and (eta', k', psi_hat') of all agents.
 
-
-def control(ts: TrackerState, theta, params: TrackerParams):
-    """u = -k rho(theta) theta + psi_hat . eta."""
-    return -ts.k_gain * params.rho(theta) * theta + float(ts.psi_hat @ ts.eta)
-
-
-def tracker_derivative(ts: TrackerState, theta, u, params: TrackerParams,
-                       im: InternalModelSpec) -> TrackerState:
-    """(eta', k', psi_hat') = (M eta + N u, rho(theta) theta^2, -eta theta)."""
-    return TrackerState(
-        eta=im.M @ ts.eta + im.N_vec * u,
-        k_gain=params.rho(theta) * theta ** 2,
-        psi_hat=-ts.eta * theta,
-    )
+    theta = x2 + gamma (x1 - yr) and rho(theta) = theta^4 + 1 give
+    u = -k rho(theta) theta + psi_hat_i . eta_i, eta' = M eta + N u,
+    k' = rho(theta) theta^2 and psi_hat' = -eta theta.  With im=None the
+    internal model is ablated: u drops psi_hat . eta, and eta' = psi_hat' = 0.0.
+    """
+    theta = x2 + gamma * (x1 - yr)
+    rho = theta ** 4 + 1.0
+    u = -k * rho * theta
+    dk = rho * theta ** 2
+    if im is None:
+        return u, (0.0, dk, 0.0)
+    u = u + np.add.reduceat(psi * eta, im.starts)
+    return u, (im.M @ eta + im.N * u[im.owner], dk, -eta * theta[im.owner])

@@ -132,11 +132,23 @@ def test_sweep_command(tmp_path, tiny_path):
                          "--attr", "gamma", "--values", "1"]) == 2
     assert cmd_dispatch(["sweep", "--scenario", str(tiny_path), "--out", str(out),
                          "--attr", "seed", "--values", "x"]) == 2
+    assert cmd_dispatch(["sweep", "--scenario", str(tiny_path), "--out", str(out),
+                         "--attr", "seed", "--values", "1.5"]) == 2
+    assert cmd_dispatch(["sweep", "--scenario", str(tiny_path), "--out", str(out),
+                         "--attr", "step", "--values", "0.003"]) == 2  # 5 s is not whole steps
 
 
-def test_usage_errors(tmp_path, capsys):
+def test_usage_errors(tmp_path, tiny_path, capsys):
     assert cmd_dispatch(["sim", "--scenario", "example1"]) == 2  # missing --out
     assert cmd_dispatch(["nonsense"]) == 2
     assert cmd_dispatch(["sim", "--scenario", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path)]) == 2  # missing file -> schema error
     capsys.readouterr()
+    text = tiny_path.read_text()
+    for good, bad, field in (('"horizon": 5.0', '"horizon": Infinity', "sim.horizon"),
+                             ('"a": 0.5', '"a": NaN', "costs[0].a")):
+        assert good in text
+        path = tmp_path / "nonfinite.json"
+        path.write_text(text.replace(good, bad))  # JSON extensions Python accepts
+        assert cmd_dispatch(["sim", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+        assert f"{field}: expected a finite number" in capsys.readouterr().err

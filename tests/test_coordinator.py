@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from oocsim import costs
-from oocsim.coordinator import (CoordinatorGains, CoordinatorState,
-                                check_gain_inequalities, coordinator_derivative,
-                                coordinator_only_run, select_gains)
+from oocsim.coordinator import (CoordinatorGains, check_gain_inequalities,
+                                coordinator_only_run, coordinator_rhs, select_gains)
 from oocsim.costs import ConvexityBounds
 from oocsim.digraph import Digraph, left_eigenvector, laplacian
 from oocsim.errors import InvalidSpectrum, XiUnderflow
@@ -41,15 +40,22 @@ def single_agent():
     return Digraph(n=1, weights=np.zeros((1, 1)))
 
 
+def rhs_at(g, cost_list, gains, yr, z=None, xi=None, t=0.0):
+    """coordinator_rhs at one state; z defaults to 0 and xi to the identity."""
+    n = g.n
+    z = np.zeros(n) if z is None else z
+    xi = np.eye(n) if xi is None else xi
+    return coordinator_rhs(t, yr, z, xi, laplacian(g), costs.build_gradient(cost_list), gains)
+
+
 def test_derivative_single_agent_gradient_flow():
     g = single_agent()
     c = [costs.quadratic(1.0, 5.0)]
-    state = CoordinatorState.initial(np.array([0.0]))
     gains = CoordinatorGains(beta1=1.0, beta2=1.0, delta=1.0)
-    d = coordinator_derivative(state, g, c, gains)
-    assert abs(d.y_r[0] - (-c[0].grad(0.0))) < 1e-15
-    assert d.z[0] == 0.0
-    assert np.all(d.xi == 0.0)
+    dyr, dz, dxi = rhs_at(g, c, gains, np.array([0.0]))
+    assert abs(dyr[0] - (-c[0].grad(0.0))) < 1e-15
+    assert dz[0] == 0.0
+    assert np.all(dxi == 0.0)
 
 
 def test_derivative_zero_at_equilibrium(fig3_graph):
@@ -62,29 +68,29 @@ def test_derivative_zero_at_equilibrium(fig3_graph):
     grads = np.array([c.grad(s_star) for c in cost_list])
     z_bar = -grads / rho / gains.beta2
     assert abs(rho @ z_bar) < 1e-12
-    state = CoordinatorState(y_r=y_bar, z=z_bar, xi=np.outer(np.ones(5), rho))
-    d = coordinator_derivative(state, fig3_graph, cost_list, gains)
-    assert np.abs(d.y_r).max() < 1e-12
-    assert np.abs(d.z).max() < 1e-12
-    assert np.abs(d.xi).max() < 1e-12
+    dyr, dz, dxi = rhs_at(fig3_graph, cost_list, gains, y_bar, z_bar,
+                          np.outer(np.ones(5), rho))
+    assert np.abs(dyr).max() < 1e-12
+    assert np.abs(dz).max() < 1e-12
+    assert np.abs(dxi).max() < 1e-12
 
 
 def test_derivative_zero_disagreement():
     g = Digraph.from_edges(2, [(1, 2, 1.0), (2, 1, 1.0)])
     cost_list = [costs.quadratic(0.3, 2.0), costs.quadratic(0.4, 2.0)]
-    state = CoordinatorState.initial(np.array([2.0, 2.0]))
     gains = CoordinatorGains(beta1=5.0, beta2=1.0, delta=1.0)
-    d = coordinator_derivative(state, g, cost_list, gains)
-    assert np.abs(d.y_r).max() < 1e-15
+    dyr, _, _ = rhs_at(g, cost_list, gains, np.array([2.0, 2.0]))
+    assert np.abs(dyr).max() < 1e-15
 
 
 def test_xi_underflow_raises(fig3_graph):
     cost_list = [costs.quadratic(0.1, float(i)) for i in range(1, 6)]
-    state = CoordinatorState.initial(np.zeros(5))
-    state.xi[2, 2] = 1e-12
+    xi = np.eye(5)
+    xi[2, 2] = 1e-12
     gains = CoordinatorGains(beta1=1.0, beta2=1.0, delta=1.0)
-    with pytest.raises(XiUnderflow):
-        coordinator_derivative(state, fig3_graph, cost_list, gains)
+    with pytest.raises(XiUnderflow, match=r"agent 3\b.*t=1\.25") as info:
+        rhs_at(fig3_graph, cost_list, gains, np.zeros(5), xi=xi, t=1.25)
+    assert info.value.t == 1.25
 
 
 def test_single_agent_run_converges():

@@ -7,28 +7,49 @@ from hypothesis import strategies as st
 
 from oocsim.errors import Unsupported
 from oocsim.integrate import rk4_step
-from oocsim.plant import (Exosystem, custom, damping_spring, exosystem_derivative,
-                          feedforward_truth, plant_derivative, rotation_exosystem,
-                          vdp_like)
+from oocsim.plant import (Exosystem, custom, damping_spring, feedforward_truth,
+                          plant_drift, rotation_exosystem, vdp_like)
+
+
+def drift_at(p, x, v):
+    """Stacked drift of the one-plant set at the state x = (x1, x2)."""
+    return plant_drift([p])(np.array([x[0]]), np.array([x[1]]), v, 0.0)[0]
 
 
 def test_vdp_origin_zero_phase():
     p = vdp_like(mu1=1.0, mu2=1.0, b=1.0, amplitude=10.0)
-    d = plant_derivative(p, np.array([0.0, 0.0]), np.array([0.0, 10.0]), 0.0)
-    assert np.array_equal(d, [0.0, 0.0])
+    assert drift_at(p, (0.0, 0.0), np.array([0.0, 10.0])) == 0.0
 
 
 def test_vdp_hand_value():
     p = vdp_like(mu1=1.0, mu2=1.0, b=1.0, amplitude=10.0)
-    d = plant_derivative(p, np.array([0.0, 1.0]), np.array([0.0, 0.0]), 0.0)
-    assert np.array_equal(d, [1.0, 1.0])
+    assert drift_at(p, (0.0, 1.0), np.array([0.0, 0.0])) == 1.0
 
 
 def test_damping_spring_hand_value():
     p = damping_spring(m=1.1, k1=2.2, k2=2.9, mu1=3.8, mu2=4.7, a_w=100.0)
-    d = plant_derivative(p, np.array([1.0, 0.0]), np.zeros(2), 0.0)
-    assert d[0] == 0.0
-    assert abs(d[1] - (-(2.2 + 2.9) / 1.1)) < 1e-12
+    assert abs(drift_at(p, (1.0, 0.0), np.zeros(2)) - (-(2.2 + 2.9) / 1.1)) < 1e-12
+
+
+def test_mixed_kind_set_matches_each_plant():
+    rng = np.random.default_rng(4)
+    plants = [vdp_like(1.0, 0.5, 1.2, 3.0),
+              damping_spring(m=1.1, k1=2.2, k2=2.9, mu1=3.8, mu2=4.7, a_w=100.0),
+              vdp_like(2.0, 1.5, 0.8, 1.0),
+              damping_spring(m=1.3, k1=2.6, k2=2.7, mu1=3.4, mu2=4.1, a_w=100.0)]
+    drift = plant_drift(plants)
+    for _ in range(20):
+        x1, x2 = rng.uniform(-2, 2, size=(2, 4))
+        v = rng.uniform(-2, 2, size=2)
+        got = drift(x1, x2, v, 0.0)
+        assert got.shape == (4,)
+        own = [p.f(a, b, v, 0.0) for p, a, b in zip(plants, x1, x2)]
+        assert got.tolist() == own
+        # and the stacked formula of each kind, within round-off
+        for kind in ("vdp_like", "damping_spring"):
+            idx = [i for i, p in enumerate(plants) if p.kind == kind]
+            alone = plant_drift([plants[i] for i in idx])(x1[idx], x2[idx], v, 0.0)
+            np.testing.assert_allclose(got[idx], alone, rtol=1e-12, atol=1e-12)
 
 
 def test_gain_positive_enforced():
@@ -40,8 +61,8 @@ def test_gain_positive_enforced():
 
 def test_exosystem_hand_values():
     e = rotation_exosystem(0.8, np.array([0.0, 10.0]))
-    assert np.array_equal(exosystem_derivative(e, np.array([0.0, 10.0])), [8.0, 0.0])
-    assert np.array_equal(exosystem_derivative(e, np.zeros(2)), [0.0, 0.0])
+    assert np.array_equal(e.S @ np.array([0.0, 10.0]), [8.0, 0.0])
+    assert np.array_equal(e.S @ np.zeros(2), [0.0, 0.0])
     e2 = rotation_exosystem(1.0)
     assert e2.is_conservative()
 
@@ -98,10 +119,14 @@ def test_energy_conservation_and_disturbance_identity():
 
 
 def test_nominal_origin_invariance():
-    p = vdp_like(mu1=1.0, mu2=1.0, b=1.0, amplitude=0.0)
+    drift = plant_drift([vdp_like(mu1=1.0, mu2=1.0, b=1.0, amplitude=0.0)])
+
+    def f(t, y):  # u = 0
+        return np.array([y[1], drift(y[:1], y[1:], np.zeros(2), t)[0]])
+
     x = np.zeros(2)
     for k in range(1000):
-        x = rk4_step(lambda t, y: plant_derivative(p, y, np.zeros(2), 0.0), k * 1e-3, x, 1e-3)
+        x = rk4_step(f, k * 1e-3, x, 1e-3)
     assert np.array_equal(x, np.zeros(2))
 
 

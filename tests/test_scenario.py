@@ -161,6 +161,9 @@ def test_exosystem_kind_exclusive_fields():
                         "v0": [1.0, 0.0]}
     sc = scenario_from_dict(doc)
     assert sc.exo.is_conservative()
+    doc["exosystem"]["S"][0][1] = float("nan")
+    with pytest.raises(SchemaError, match="exosystem.S"):
+        scenario_from_dict(doc)
 
 
 def test_check_psi_requires_frequencies():
@@ -177,6 +180,15 @@ def test_gains_parsing():
     assert (sc.gains.beta1, sc.gains.beta2, sc.gains.delta) == (5.0, 1.0, 1.0)
     doc["coordinator"] = {"gains": {"beta1": -5.0, "beta2": 1.0}}
     with pytest.raises(SchemaError, match="beta1"):
+        scenario_from_dict(doc)
+
+
+def test_tracker_rho_has_one_shape():
+    doc = minimal_doc()
+    doc["tracker"]["rho"] = "quartic_plus_one"
+    assert scenario_from_dict(doc).tracker.gamma == 2.0
+    doc["tracker"]["rho"] = "nope"
+    with pytest.raises(SchemaError, match="tracker.rho"):
         scenario_from_dict(doc)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from oocsim import costs
 from oocsim.digraph import Digraph
-from oocsim.errors import Diverged, NotStronglyConnected
+from oocsim.errors import Diverged, NotStronglyConnected, XiUnderflow
 from oocsim.plant import rotation_exosystem, vdp_like
 from oocsim.scenario import parse_scenario
 from oocsim.sim import (InitPolicy, Scenario, StateLayout, Trajectory, assemble,
@@ -66,6 +66,8 @@ def test_scenario_invariants():
         tiny_scenario(horizon=1e-3)
     with pytest.raises(ValueError):
         tiny_scenario(record_every=0)
+    with pytest.raises(ValueError, match="whole number of steps"):
+        tiny_scenario(horizon=2.0005)
 
 
 def test_run_sample_count():
@@ -119,6 +121,11 @@ def test_divergence_is_an_error():
     sc = tiny_scenario(step=0.8, horizon=40.0)
     with pytest.raises(Diverged):
         run(sc)
+    # h * weight = 2.5 drives xi_i^i to 1 - 1.25 < 0 in the second RK4 stage
+    sc = tiny_scenario(step=2.5, horizon=25.0, name="tiny")
+    with pytest.raises(XiUnderflow, match=r"^tiny: agent [123]: .* at t=1\.25$") as info:
+        run(sc)
+    assert info.value.t == 1.25
 
 
 def test_metrics_constant_at_optimum():

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oocsim.errors import DegenerateRoots, NotHurwitz, SingularSystem
-from oocsim.tracker import (FeedforwardTruth, InternalModelSpec, TrackerParams,
-                            TrackerState, companion_pair, control, phi_gamma,
-                            psi_true, solve_sylvester, sylvester_residual,
-                            tracker_derivative, vartheta)
+from oocsim.tracker import (FeedforwardTruth, InternalModelSpec, StackedInternalModel,
+                            TrackerParams, companion_pair, phi_gamma, psi_true,
+                            solve_sylvester, sylvester_residual, tracker_rhs)
 
 
 def test_companion_pair_order_two():
@@ -101,41 +100,45 @@ def test_sylvester_residual_random_instances(s_half, seed):
     assert sylvester_residual(t, m, n_vec, phi, gamma) < 1e-10
 
 
+def stacked(n, coeffs=(2.0, 3.0)):
+    return StackedInternalModel.stack([InternalModelSpec.from_coeffs(list(coeffs))] * n)
+
+
 def test_vartheta_hand_values():
-    assert vartheta(np.array([3.0, 0.0]), 3.0, 2.0) == 0.0
-    assert vartheta(np.array([0.0, 1.0]), 0.0, 2.0) == 1.0
-    assert vartheta(np.array([1.0, -2.0]), 0.0, 2.0) == 0.0
+    # theta = x2 + gamma (x1 - yr) shows in psi_hat' = -eta theta with eta = 1
+    _, (_, _, dpsi) = tracker_rhs(np.array([3.0, 0.0, 1.0]), np.array([0.0, 1.0, -2.0]),
+                                  np.array([3.0, 0.0, 0.0]), np.ones(6), np.zeros(3),
+                                  np.zeros(6), 2.0, stacked(3))
+    assert np.array_equal(-dpsi, [0.0, 0.0, 1.0, 1.0, 0.0, 0.0])
 
 
 def test_control_hand_values():
-    params = TrackerParams()
-    ts = TrackerState(eta=np.zeros(2), k_gain=0.0, psi_hat=np.zeros(2))
-    assert control(ts, 0.0, params) == 0.0
-    ts = TrackerState(eta=np.zeros(2), k_gain=1.0, psi_hat=np.zeros(2))
-    assert control(ts, 1.0, params) == -2.0
-    ts = TrackerState(eta=np.array([3.0, 4.0]), k_gain=2.0, psi_hat=np.array([1.0, 1.0]))
-    assert control(ts, -1.0, params) == 11.0  # 2*2*1 + 7
+    # agents: (k, theta) = (0, 0), (1, 1), (2, -1) with psi_hat . eta = 0, 0, 7
+    u, _ = tracker_rhs(np.zeros(3), np.array([0.0, 1.0, -1.0]), np.zeros(3),
+                       np.array([0.0, 0.0, 0.0, 0.0, 3.0, 4.0]), np.array([0.0, 1.0, 2.0]),
+                       np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0]), 2.0, stacked(3))
+    assert np.array_equal(u, [0.0, -2.0, 11.0])  # 11 = 2*2*1 + 7
 
 
 def test_tracker_derivative_hand_values():
     im = InternalModelSpec.from_coeffs([2.0, 3.0])
-    params = TrackerParams()
-    ts = TrackerState(eta=np.array([1.0, 0.0]), k_gain=1.0, psi_hat=np.zeros(2))
-    d = tracker_derivative(ts, 0.0, 5.0, params, im)
-    assert d.k_gain == 0.0
-    assert np.array_equal(d.psi_hat, [0.0, 0.0])
-    assert np.array_equal(d.eta, im.M @ ts.eta + im.N_vec * 5.0)
-    d0 = tracker_derivative(TrackerState(np.zeros(2), 0.0, np.zeros(2)), 2.0, 0.0,
-                            params, im)
-    assert np.array_equal(d0.eta, np.zeros(2))
-    assert d0.k_gain == 68.0  # (2^4+1) * 2^2
+    # theta = 0 and psi_hat . eta = 5 give u = 5
+    u, (deta, dk, dpsi) = tracker_rhs(np.zeros(1), np.zeros(1), np.zeros(1),
+                                      np.array([1.0, 0.0]), np.ones(1),
+                                      np.array([5.0, 0.0]), 2.0, stacked(1))
+    assert u[0] == 5.0
+    assert dk[0] == 0.0
+    assert np.array_equal(dpsi, [0.0, 0.0])
+    assert np.array_equal(deta, im.M @ np.array([1.0, 0.0]) + im.N_vec * 5.0)
+    _, (deta0, dk0, _) = tracker_rhs(np.zeros(1), np.array([2.0]), np.zeros(1),
+                                     np.zeros(2), np.zeros(1), np.zeros(2), 2.0, stacked(1))
+    assert np.array_equal(deta0, np.zeros(2))
+    assert dk0[0] == 68.0  # (2^4+1) * 2^2
 
 
 def test_tracker_params_bounds():
     with pytest.raises(ValueError):
         TrackerParams(gamma=1.0)
-    with pytest.raises(ValueError):
-        TrackerParams(rho_name="nope")
 
 
 def test_feedforward_truth_structure():
