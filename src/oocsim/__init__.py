@@ -12,9 +12,10 @@ from .costs import (CostFunction, composite, convexity_bounds, exp_sum,
                     global_optimum, quadratic)
 from .digraph import (Digraph, SpectralData, is_strongly_connected, laplacian,
                       lambda2, left_eigenvector, spectral_data)
-from .errors import (BracketNotFound, DegenerateRoots, Diverged, InvalidSpectrum,
-                     NonConvexDetected, NotHurwitz, NotStronglyConnected, OocError,
-                     SchemaError, SingularSystem, SingularT, Unsupported, XiUnderflow)
+from .errors import (BracketNotFound, DegenerateRoots, Diverged, GradientNotVectorized,
+                     InvalidSpectrum, NonConvexDetected, NotHurwitz, NotStronglyConnected,
+                     OocError, SchemaError, SingularSystem, SingularT, Unsupported,
+                     XiUnderflow)
 from .integrate import rk4_step
 from .plant import (Exosystem, Plant, damping_spring, feedforward_truth, plant_drift,
                     rotation_exosystem, vdp_like)

@@ -8,28 +8,44 @@ independent of any gradient-flow code path.
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BracketNotFound, NonConvexDetected
+from .errors import BracketNotFound, GradientNotVectorized, NonConvexDetected
 
 DEFAULT_DOMAIN = (-10.0, 10.0)
 
 
 @dataclass(frozen=True)
 class CostFunction:
+    """A scalar cost with its gradient.
+
+    grad_array_fn is the gradient on a whole grid of points; when it is None,
+    grad_fn itself must accept arrays.
+    """
+
     kind: str
     params: dict
     value_fn: Callable[[float], float]
     grad_fn: Callable[[float], float]
     domain_hint: tuple = DEFAULT_DOMAIN
+    grad_array_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def value(self, s):
         return self.value_fn(s)
 
     def grad(self, s):
         return self.grad_fn(s)
+
+
+def _bind_grad(formula, *params):
+    """(scalar, array) forms of a gradient formula written once over a math namespace.
+
+    The scalar form uses `math`, which is cheaper than numpy on Python floats.
+    """
+    return partial(formula, math, *params), partial(formula, np, *params)
 
 
 def quadratic(a, b, domain_hint=DEFAULT_DOMAIN) -> CostFunction:
@@ -45,14 +61,20 @@ def quadratic(a, b, domain_hint=DEFAULT_DOMAIN) -> CostFunction:
     )
 
 
+def _exp_sum_grad(xp, c1, k1, c2, k2, s):
+    return c1 * k1 * xp.exp(k1 * s) + c2 * k2 * xp.exp(k2 * s)
+
+
 def exp_sum(c1, k1, c2, k2, domain_hint=DEFAULT_DOMAIN) -> CostFunction:
     """c(s) = c1 e^{k1 s} + c2 e^{k2 s}."""
+    grad, grad_array = _bind_grad(_exp_sum_grad, c1, k1, c2, k2)
     return CostFunction(
         kind="exp_sum",
         params={"c1": c1, "k1": k1, "c2": c2, "k2": k2},
         value_fn=lambda s: c1 * math.exp(k1 * s) + c2 * math.exp(k2 * s),
-        grad_fn=lambda s: c1 * k1 * math.exp(k1 * s) + c2 * k2 * math.exp(k2 * s),
+        grad_fn=grad,
         domain_hint=domain_hint,
+        grad_array_fn=grad_array,
     )
 
 
@@ -62,31 +84,31 @@ def _f1_val(s):
     return 0.25 * math.exp(-0.2 * s) + 0.5 * math.exp(0.5 * s)
 
 
-def _f1_grad(s):
-    return -0.05 * math.exp(-0.2 * s) + 0.25 * math.exp(0.5 * s)
+def _f1_grad(xp, s):
+    return -0.05 * xp.exp(-0.2 * s) + 0.25 * xp.exp(0.5 * s)
 
 
 def _f2_val(s):
     return 0.5 * (s - 2.0) ** 2 + math.exp(0.1 * s)
 
 
-def _f2_grad(s):
-    return (s - 2.0) + 0.1 * math.exp(0.1 * s)
+def _f2_grad(xp, s):
+    return (s - 2.0) + 0.1 * xp.exp(0.1 * s)
 
 
 def _f3_val(s):
     return 0.2 * s * math.log(1.0 + s * s) + s * s
 
 
-def _f3_grad(s):
-    return 0.2 * math.log(1.0 + s * s) + 0.4 * s * s / (1.0 + s * s) + 2.0 * s
+def _f3_grad(xp, s):
+    return 0.2 * xp.log(1.0 + s * s) + 0.4 * s * s / (1.0 + s * s) + 2.0 * s
 
 
 def _f4_val(s):
     return 0.4 * s / math.sqrt(1.0 + s * s) + 0.5 * s * s
 
 
-def _f4_grad(s):
+def _f4_grad(xp, s):
     return 0.4 * (1.0 + s * s) ** -1.5 + s
 
 
@@ -94,12 +116,12 @@ def _f5_val(s):
     return 0.6 * s * s * (math.log(s * s + 0.5) + 1.0) + 0.3 * s * s / math.sqrt(s * s + 5.0)
 
 
-def _f5_grad(s):
+def _f5_grad(xp, s):
     q = s * s + 5.0
     return (
-        1.2 * s * (math.log(s * s + 0.5) + 1.0)
+        1.2 * s * (xp.log(s * s + 0.5) + 1.0)
         + 1.2 * s ** 3 / (s * s + 0.5)
-        + 0.6 * s / math.sqrt(q)
+        + 0.6 * s / xp.sqrt(q)
         - 0.3 * s ** 3 * q ** -1.5
     )
 
@@ -116,11 +138,12 @@ _COMPOSITES = {
 def composite(name, domain_hint=(-5.0, 5.0)) -> CostFunction:
     """One of the five named composite costs (ex2_f1 .. ex2_f5)."""
     try:
-        val, grad = _COMPOSITES[name]
+        val, formula = _COMPOSITES[name]
     except KeyError:
         raise ValueError(f"unknown composite cost {name!r}") from None
+    grad, grad_array = _bind_grad(formula)
     return CostFunction(kind=name, params={}, value_fn=val, grad_fn=grad,
-                        domain_hint=domain_hint)
+                        domain_hint=domain_hint, grad_array_fn=grad_array)
 
 
 @dataclass(frozen=True)
@@ -175,8 +198,26 @@ def global_optimum(cost_list, tol=1e-10, max_expand=200) -> float:
     return s_star
 
 
+def _grid_gradient(c: CostFunction, grid: np.ndarray) -> np.ndarray:
+    """The gradient of c at every grid point, in one array call."""
+    fn = c.grad_fn if c.grad_array_fn is None else c.grad_array_fn
+    try:
+        g = np.asarray(fn(grid), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise GradientNotVectorized(
+            f"cost {c.kind}: gradient rejects an array argument ({exc}); give "
+            "grad_array_fn or make grad_fn array-safe") from None
+    if g.shape != grid.shape:
+        raise GradientNotVectorized(
+            f"cost {c.kind}: gradient of a {grid.shape} grid has shape {g.shape}")
+    return g
+
+
 def convexity_bounds(cost_list, interval=None, step=1e-3, min_points=2001) -> ConvexityBounds:
-    """Grid estimate of curvature bounds via central differences of the gradient."""
+    """Grid estimate of curvature bounds via central differences of the gradient.
+
+    Each cost's gradient is evaluated once on the whole grid (see _grid_gradient).
+    """
     if interval is None:
         lo = min(c.domain_hint[0] for c in cost_list)
         hi = max(c.domain_hint[1] for c in cost_list)
@@ -188,7 +229,7 @@ def convexity_bounds(cost_list, interval=None, step=1e-3, min_points=2001) -> Co
     varpi = math.inf
     iota_bar = 0.0
     for c in cost_list:
-        g = np.array([c.grad_fn(s) for s in grid])
+        g = _grid_gradient(c, grid)
         second = (g[2:] - g[:-2]) / (2.0 * h)
         if np.any(second < 1e-9):
             raise NonConvexDetected(
@@ -202,7 +243,7 @@ def build_gradient(cost_list):
     """Vectorized aggregate gradient yr -> array of per-agent gradients.
 
     All-quadratic cost sets get a closed-form vector path; mixed sets fall
-    back to a per-agent loop over the scalar closures.
+    back to a per-agent loop over the scalar closures, fed Python floats.
     """
     if all(c.kind == "quadratic" for c in cost_list):
         a = np.array([2.0 * c.params["a"] for c in cost_list])
@@ -216,6 +257,6 @@ def build_gradient(cost_list):
     fns = [c.grad_fn for c in cost_list]
 
     def grad_vec(yr):
-        return np.array([f(s) for f, s in zip(fns, yr)])
+        return np.array([f(s) for f, s in zip(fns, yr.tolist())])
 
     return grad_vec

@@ -106,18 +106,14 @@ def is_strongly_connected(g: Digraph) -> bool:
     return n_sccs == 1
 
 
-def left_eigenvector(g: Digraph) -> np.ndarray:
-    """Positive rho with rho^T L = 0 and sum(rho) = 1, by a direct dense solve.
-
-    Solves the augmented overdetermined system {L^T rho = 0, 1^T rho = 1}
-    in the least-squares sense; for a strongly connected graph the solution
-    is exact and unique.
-    """
+def _require_strongly_connected(g: Digraph, what):
     if not is_strongly_connected(g):
-        raise NotStronglyConnected("left eigenvector requires a strongly connected digraph")
-    big_l = laplacian(g)
-    aug = np.vstack([big_l.T, np.ones(g.n)])
-    rhs = np.zeros(g.n + 1)
+        raise NotStronglyConnected(f"{what} requires a strongly connected digraph")
+
+
+def _left_eigenvector(big_l):
+    aug = np.vstack([big_l.T, np.ones(big_l.shape[0])])
+    rhs = np.zeros(big_l.shape[0] + 1)
     rhs[-1] = 1.0
     rho, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
     if np.any(rho <= 0):
@@ -125,22 +121,34 @@ def left_eigenvector(g: Digraph) -> np.ndarray:
     return rho
 
 
-def lambda2(g: Digraph, rho: np.ndarray) -> float:
-    """Second-smallest eigenvalue of Lbar = (R L + L^T R)/2 with R = diag(rho)."""
-    if not is_strongly_connected(g):
-        raise NotStronglyConnected("lambda2 requires a strongly connected digraph")
-    big_l = laplacian(g)
+def _lambda2(big_l, rho):
     r = np.diag(rho)
     lbar = 0.5 * (r @ big_l + big_l.T @ r)
     eigs = np.linalg.eigvalsh(lbar)
     return float(eigs[1])
 
 
+def left_eigenvector(g: Digraph) -> np.ndarray:
+    """Positive rho with rho^T L = 0 and sum(rho) = 1, by a direct dense solve.
+
+    Solves the augmented overdetermined system {L^T rho = 0, 1^T rho = 1}
+    in the least-squares sense; for a strongly connected graph the solution
+    is exact and unique.
+    """
+    _require_strongly_connected(g, "left eigenvector")
+    return _left_eigenvector(laplacian(g))
+
+
+def lambda2(g: Digraph, rho: np.ndarray) -> float:
+    """Second-smallest eigenvalue of Lbar = (R L + L^T R)/2 with R = diag(rho)."""
+    _require_strongly_connected(g, "lambda2")
+    return _lambda2(laplacian(g), rho)
+
+
 def spectral_data(g: Digraph) -> SpectralData:
-    rho = left_eigenvector(g)
-    return SpectralData(
-        laplacian=laplacian(g),
-        rho=rho,
-        rho_min=float(rho.min()),
-        lambda2=lambda2(g, rho),
-    )
+    """L, rho and lambda2 from one Laplacian and one connectivity check."""
+    _require_strongly_connected(g, "left eigenvector")
+    big_l = laplacian(g)
+    rho = _left_eigenvector(big_l)
+    return SpectralData(laplacian=big_l, rho=rho, rho_min=float(rho.min()),
+                        lambda2=_lambda2(big_l, rho))

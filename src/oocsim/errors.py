@@ -21,6 +21,10 @@ class NonConvexDetected(OocError):
     """Numerical curvature scan found a non-positive second derivative."""
 
 
+class GradientNotVectorized(OocError):
+    """A cost gradient failed on the array of grid points the curvature scan passes it."""
+
+
 class InvalidSpectrum(OocError):
     """Gain selection needs lambda2 > 0 and rho_min > 0."""
 

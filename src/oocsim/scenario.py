@@ -193,6 +193,17 @@ def _parse_gains(section):
     return CoordinatorGains(beta1=beta1, beta2=beta2, delta=delta)
 
 
+def _parse_internal_model(entry, context):
+    _check_keys(entry, context, {"coeffs"})
+    coeffs = _require(entry, "coeffs", context)
+    if not isinstance(coeffs, list) or not coeffs:
+        raise SchemaError(f"{context}.coeffs: expected a nonempty list")
+    try:
+        return InternalModelSpec.from_coeffs([_number(c, f"{context}.coeffs") for c in coeffs])
+    except (ValueError, OocError) as exc:
+        raise SchemaError(f"{context}: {exc}") from None
+
+
 def _parse_tracker(section, n):
     _check_keys(section, "tracker",
                 {"gamma", "rho", "internal_model", "frequencies", "check_psi"})
@@ -206,22 +217,14 @@ def _parse_tracker(section, n):
 
     im = _require(section, "internal_model", "tracker")
     if isinstance(im, dict):
-        im = [im] * n
-    if not isinstance(im, list) or len(im) != n:
+        # one frozen spec serves every agent
+        im_specs = [_parse_internal_model(im, "tracker.internal_model[0]")] * n
+    elif isinstance(im, list) and len(im) == n:
+        im_specs = [_parse_internal_model(entry, f"tracker.internal_model[{idx}]")
+                    for idx, entry in enumerate(im)]
+    else:
         raise SchemaError("tracker.internal_model: expected one spec (shared) or "
                           f"a list of {n}")
-    im_specs = []
-    for idx, entry in enumerate(im):
-        context = f"tracker.internal_model[{idx}]"
-        _check_keys(entry, context, {"coeffs"})
-        coeffs = _require(entry, "coeffs", context)
-        if not isinstance(coeffs, list) or not coeffs:
-            raise SchemaError(f"{context}.coeffs: expected a nonempty list")
-        try:
-            im_specs.append(InternalModelSpec.from_coeffs(
-                [_number(c, f"{context}.coeffs") for c in coeffs]))
-        except (ValueError, OocError) as exc:
-            raise SchemaError(f"{context}: {exc}") from None
 
     frequencies = section.get("frequencies")
     if frequencies is not None:

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oocsim import costs
-from oocsim.errors import NonConvexDetected
+from oocsim.errors import GradientNotVectorized, NonConvexDetected
+from oocsim.scenario import parse_scenario
 
 ALL_VARIANTS = (
     [costs.quadratic(0.1, float(i)) for i in range(1, 6)]
@@ -68,6 +69,63 @@ def test_nonconvex_detected():
         costs.convexity_bounds([concave])
 
 
+def test_gradient_that_rejects_arrays_is_named():
+    scalar_only = costs.CostFunction(kind="scalar_only", params={},
+                                     value_fn=lambda s: math.exp(s),
+                                     grad_fn=lambda s: math.exp(s))
+    with pytest.raises(GradientNotVectorized, match="scalar_only"):
+        costs.convexity_bounds([scalar_only])
+
+
+def pointwise_bounds(cost_list, interval=None, step=1e-3, min_points=2001):
+    """Per-point oracle: the same grid as convexity_bounds, one scalar grad_fn call a point."""
+    if interval is None:
+        lo = min(c.domain_hint[0] for c in cost_list)
+        hi = max(c.domain_hint[1] for c in cost_list)
+    else:
+        lo, hi = interval
+    npts = max(min_points, int(math.ceil((hi - lo) / step)) + 1)
+    grid = np.linspace(lo, hi, npts)
+    h = grid[1] - grid[0]
+    seconds = []
+    for c in cost_list:
+        g = np.array([c.grad_fn(float(s)) for s in grid])
+        seconds.append((g[2:] - g[:-2]) / (2.0 * h))
+    return min(float(d.min()) for d in seconds), max(float(d.max()) for d in seconds)
+
+
+def ring_sized_quadratics(n=200):
+    rng = np.random.default_rng(5)
+    return [costs.quadratic(a, b) for a, b in
+            zip(rng.uniform(0.5, 8.0, size=n), rng.uniform(1.0, 5.0, size=n))]
+
+
+@pytest.mark.parametrize("cost_list", [parse_scenario("example1").costs,
+                                       ring_sized_quadratics()],
+                         ids=["example1", "ring200_sized"])
+def test_quadratic_bounds_equal_the_pointwise_oracle(cost_list):
+    b = costs.convexity_bounds(cost_list)
+    assert (b.varpi, b.iota_bar) == pointwise_bounds(cost_list)
+
+
+NON_QUADRATIC = [c for c in ALL_VARIANTS if c.kind != "quadratic"]
+
+
+@pytest.mark.parametrize("c", NON_QUADRATIC, ids=[c.kind for c in NON_QUADRATIC])
+def test_composite_bounds_match_the_pointwise_oracle(c):
+    b = costs.convexity_bounds([c])
+    varpi, iota_bar = pointwise_bounds([c])
+    assert b.varpi == pytest.approx(varpi, rel=1e-9, abs=0)
+    assert b.iota_bar == pytest.approx(iota_bar, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("c", NON_QUADRATIC, ids=[c.kind for c in NON_QUADRATIC])
+def test_array_gradient_matches_scalar_gradient(c):
+    grid = np.linspace(*c.domain_hint, 10001)
+    scalar = np.array([c.grad_fn(float(s)) for s in grid])
+    np.testing.assert_allclose(c.grad_array_fn(grid), scalar, rtol=0, atol=1e-12)
+
+
 def test_check_gradient_examples():
     assert costs.check_gradient(costs.quadratic(0.1, 3.0), 0.0) < 1e-8
     assert costs.check_gradient(costs.composite("ex2_f3"), 1.0) < 1e-6
@@ -110,3 +168,7 @@ def test_build_gradient_vector_paths():
     mixed = quads[:2] + [costs.composite("ex2_f4")]
     gv = costs.build_gradient(mixed)
     assert np.allclose(gv(yr), [c.grad(s) for c, s in zip(mixed, yr)])
+    composites = [costs.composite(f"ex2_f{i}") for i in range(1, 6)]
+    gv = costs.build_gradient(composites)
+    for yr in np.random.default_rng(2).uniform(-5.0, 5.0, size=(200, 5)):
+        assert np.array_equal(gv(yr), [c.grad(s) for c, s in zip(composites, yr)])

@@ -7,7 +7,7 @@ from oocsim import costs
 from oocsim.digraph import Digraph
 from oocsim.errors import Diverged, NotStronglyConnected, XiUnderflow
 from oocsim.plant import rotation_exosystem, vdp_like
-from oocsim.scenario import parse_scenario
+from oocsim.scenario import parse_scenario, scenario_from_dict
 from oocsim.sim import (InitPolicy, Scenario, StateLayout, Trajectory, assemble,
                         initial_state, metrics, run, verify)
 from oocsim.tracker import InternalModelSpec, TrackerParams
@@ -57,6 +57,46 @@ def test_assemble_rejects_disconnected():
         sc, graph=g, costs=sc.costs[:2], plants=sc.plants[:2], im_specs=sc.im_specs[:2])
     with pytest.raises(NotStronglyConnected):
         assemble(bad)
+
+
+def ring_doc(n, internal_model):
+    """n-agent directed ring with quadratic costs and fixed gains."""
+    return {
+        "seed": 4,
+        "graph": {"n": n, "edges": [[i, i % n + 1, 1.0] for i in range(1, n + 1)]},
+        "costs": [{"kind": "quadratic", "a": 0.5, "b": float(i % 5)} for i in range(n)],
+        "plants": [{"kind": "vdp_like", "mu1": 1.0, "mu2": 0.2, "b": 1.0,
+                    "amplitude": 1.0}] * n,
+        "exosystem": {"kind": "rotation", "sigma": 0.8, "v0": [0.0, 1.0]},
+        "coordinator": {"gains": {"beta1": 20.0, "beta2": 2.0}},
+        "tracker": {"internal_model": internal_model},
+    }
+
+
+def counting_costs(cost_list):
+    """The costs with each grad_fn wrapped to count its calls on a scalar."""
+    calls = [0]
+
+    def counted(fn):
+        def grad(s):
+            if np.ndim(s) == 0:
+                calls[0] += 1
+            return fn(s)
+        return grad
+
+    return [dataclasses.replace(c, grad_fn=counted(c.grad_fn)) for c in cost_list], calls
+
+
+def test_assemble_scans_curvature_without_scalar_gradient_calls(example2_scenario):
+    ring = scenario_from_dict(ring_doc(50, {"coeffs": [2.0, 3.0]}))
+    for sc in (example2_scenario, ring):
+        counted, calls = counting_costs(sc.costs)
+        assemble(dataclasses.replace(sc, costs=counted))
+        assert calls == [0]
+    # a shared internal_model spec is built once; a per-agent list is not
+    assert ring.im_specs[0] is ring.im_specs[-1]
+    per_agent = scenario_from_dict(ring_doc(50, [{"coeffs": [2.0, 3.0]}] * 50))
+    assert len({id(spec) for spec in per_agent.im_specs}) == 50
 
 
 def test_scenario_invariants():
