@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import ConvexityBounds, build_gradient
-from .digraph import Digraph, laplacian
+from .digraph import Digraph, _operator, laplacian
 from .errors import InvalidSpectrum, XiUnderflow
 
 XI_FLOOR = 1e-9
@@ -63,6 +63,9 @@ def check_gain_inequalities(gains, bounds, rho_min, lambda2):
 def coordinator_rhs(t, yr, z, xi, big_l, grad_vec, gains: CoordinatorGains):
     """(yr', z', xi') of all agents; xi is (n, n) with row i holding agent i's vector.
 
+    big_l is the Laplacian as an ndarray or, for a large sparse graph, as the
+    CSR array `digraph._operator` returns; both give ndarray products.
+
     Raises XiUnderflow, naming the 1-based agent with the smallest xi_i^i and
     the time t, when that component drops below XI_FLOOR.
     """
@@ -74,7 +77,7 @@ def coordinator_rhs(t, yr, z, xi, big_l, grad_vec, gains: CoordinatorGains):
     ly = big_l @ yr
     dyr = -grad_vec(yr) / xi_diag - gains.beta1 * ly - gains.beta2 * z
     dz = gains.beta1 * ly
-    dxi = -big_l @ xi
+    dxi = -(big_l @ xi)
     return dyr, dz, dxi
 
 
@@ -91,7 +94,7 @@ def coordinator_only_run(g: Digraph, cost_list, gains: CoordinatorGains, y0,
     """Integrate only the coordinator layer with RK4 and a decimated record."""
     from .sim import integrate  # sim imports this module
 
-    big_l = laplacian(g)
+    big_l = _operator(laplacian(g))
     grad_vec = build_gradient(cost_list)
     n = g.n
 

@@ -57,6 +57,25 @@ def laplacian(g: Digraph) -> np.ndarray:
     return np.diag(g.weights.sum(axis=1)) - g.weights
 
 
+# A matrix the RHS multiplies by at every RK4 stage is held as CSR when it has
+# at least this many rows and at most this share of nonzero entries.
+_CSR_MIN_ROWS = 64
+_CSR_MAX_DENSITY = 0.1
+
+
+def _operator(a: np.ndarray):
+    """`a` as a scipy.sparse CSR array when it is large and sparse, else `a` itself.
+
+    `_operator(a) @ x` is an ndarray either way.  CSR sums only the nonzeros,
+    in its own order, so it can differ from the dense product in the last bits.
+    scipy.sparse is imported here only, so dense systems never load it.
+    """
+    if a.shape[0] < _CSR_MIN_ROWS or np.count_nonzero(a) > _CSR_MAX_DENSITY * a.size:
+        return a
+    import scipy.sparse
+    return scipy.sparse.csr_array(a)
+
+
 def is_strongly_connected(g: Digraph) -> bool:
     """True iff the digraph forms a single strongly connected component (Tarjan)."""
     n = g.n

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import costs as costs_mod
 from .coordinator import CoordinatorGains, coordinator_rhs, select_gains
-from .digraph import Digraph, SpectralData, spectral_data
+from .digraph import Digraph, SpectralData, _operator, spectral_data
 from .errors import Diverged, XiUnderflow
 from .integrate import rk4_step
 from .plant import Exosystem, feedforward_truth, plant_drift
@@ -134,7 +134,7 @@ def assemble(sc: Scenario) -> System:
     else:
         gains = select_gains(bounds, spectral.rho_min, spectral.lambda2)
 
-    big_l = spectral.laplacian
+    big_l = _operator(spectral.laplacian)
     grad_vec = costs_mod.build_gradient(sc.costs)
     drift = plant_drift(sc.plants)
     b = np.array([p.b for p in sc.plants])
@@ -390,7 +390,11 @@ def verify(sc: Scenario, traj: Trajectory) -> VerificationReport:
     psi_error = None
     ff_error = None
     if sc.frequencies:
-        truths = [FeedforwardTruth.build(im, sc.frequencies) for im in sc.im_specs]
+        # specs hold ndarrays and do not hash by value; agents that share one
+        # spec object share its truth
+        distinct = {id(im): im for im in sc.im_specs}
+        built = {key: FeedforwardTruth.build(im, sc.frequencies) for key, im in distinct.items()}
+        truths = [built[id(im)] for im in sc.im_specs]
         sylvester_residuals = [t.residual for t in truths]
         if sc.check_psi:
             psi_error = max(

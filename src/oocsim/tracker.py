@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .digraph import _operator
 from .errors import DegenerateRoots, NotHurwitz, SingularSystem, SingularT
 
 _HURWITZ_MARGIN = -1e-9
@@ -162,7 +163,7 @@ class TrackerParams:
 class StackedInternalModel:
     """All agents' internal models as one block-diagonal system over the stacked eta."""
 
-    M: np.ndarray       # block_diag(M_1, ..., M_n)
+    M: object           # block_diag(M_1, ..., M_n), CSR when large and sparse
     N: np.ndarray       # N_1, ..., N_n concatenated
     starts: np.ndarray  # offset of agent i's block in eta
     owner: np.ndarray   # agent index of each entry of eta
@@ -170,10 +171,16 @@ class StackedInternalModel:
     @staticmethod
     def stack(im_specs):
         s_dims = [im.s_dim for im in im_specs]
+        starts = np.cumsum([0] + s_dims[:-1])
+        # one slice per agent: scipy.linalg.block_diag takes about 20x as long
+        # for 200 blocks of 2x2
+        m = np.zeros((sum(s_dims), sum(s_dims)))
+        for im, start in zip(im_specs, starts.tolist()):
+            m[start:start + im.s_dim, start:start + im.s_dim] = im.M
         return StackedInternalModel(
-            M=scipy.linalg.block_diag(*[im.M for im in im_specs]),
+            M=_operator(m),
             N=np.concatenate([im.N_vec for im in im_specs]),
-            starts=np.cumsum([0] + s_dims[:-1]),
+            starts=starts,
             owner=np.repeat(np.arange(len(s_dims)), s_dims))
 
 

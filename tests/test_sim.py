@@ -1,16 +1,24 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import oocsim
 from oocsim import costs
-from oocsim.digraph import Digraph
+from oocsim.coordinator import coordinator_rhs
+from oocsim.digraph import Digraph, _operator, laplacian, spectral_data
 from oocsim.errors import Diverged, NotStronglyConnected, XiUnderflow
-from oocsim.plant import rotation_exosystem, vdp_like
+from oocsim.plant import plant_drift, rotation_exosystem, vdp_like
 from oocsim.scenario import parse_scenario, scenario_from_dict
 from oocsim.sim import (InitPolicy, Scenario, StateLayout, Trajectory, assemble,
                         initial_state, metrics, run, verify)
-from oocsim.tracker import InternalModelSpec, TrackerParams
+from oocsim.tracker import (FeedforwardTruth, InternalModelSpec, StackedInternalModel,
+                            TrackerParams, tracker_rhs)
 
 
 def short(sc, horizon=2.0):
@@ -59,11 +67,17 @@ def test_assemble_rejects_disconnected():
         assemble(bad)
 
 
-def ring_doc(n, internal_model):
-    """n-agent directed ring with quadratic costs and fixed gains."""
+def ring_doc(n, internal_model, chords=0):
+    """n-agent directed ring plus `chords` seeded unit chords, quadratic costs, fixed gains."""
+    edges = {(i, i % n + 1) for i in range(1, n + 1)}
+    rng = np.random.default_rng(n)
+    while len(edges) < n + chords:
+        src, dst = (int(v) for v in rng.integers(1, n + 1, size=2))
+        if src != dst:
+            edges.add((src, dst))
     return {
         "seed": 4,
-        "graph": {"n": n, "edges": [[i, i % n + 1, 1.0] for i in range(1, n + 1)]},
+        "graph": {"n": n, "edges": [[src, dst, 1.0] for src, dst in sorted(edges)]},
         "costs": [{"kind": "quadratic", "a": 0.5, "b": float(i % 5)} for i in range(n)],
         "plants": [{"kind": "vdp_like", "mu1": 1.0, "mu2": 0.2, "b": 1.0,
                     "amplitude": 1.0}] * n,
@@ -202,3 +216,107 @@ def test_verify_report_fields():
     assert rep.psi_error is None  # check_psi off for the tiny scenario
     d = rep.to_dict(sc)
     assert "checks" in d and isinstance(d["passed"], bool)
+
+
+def sparse_ring(n=100, chords=60):
+    """A ring with chords and one shared s = 2 internal model: both operators are CSR."""
+    doc = ring_doc(n, {"coeffs": [2.0, 3.0]}, chords=chords)
+    doc["init"] = {"x_range": [-0.5, 0.5], "yr_range": [-1.0, 1.0]}
+    return scenario_from_dict(doc)
+
+
+def test_operator_is_csr_only_for_large_sparse_matrices(example1_scenario, example2_scenario):
+    for sc in (example1_scenario, example2_scenario):
+        assert type(_operator(spectral_data(sc.graph).laplacian)) is np.ndarray
+        assert type(StackedInternalModel.stack(sc.im_specs).M) is np.ndarray
+    ring = sparse_ring()
+    assert _operator(laplacian(ring.graph)).format == "csr"
+    assert StackedInternalModel.stack(ring.im_specs).M.format == "csr"
+    # too few rows: a 63-agent ring stays dense, a 64-agent ring does not
+    assert type(_operator(laplacian(sparse_ring(63, 0).graph))) is np.ndarray
+    assert _operator(laplacian(sparse_ring(64, 0).graph)).format == "csr"
+    # too full: the complete graph on 64 nodes
+    complete = Digraph(n=64, weights=np.ones((64, 64)) - np.eye(64))
+    assert type(_operator(laplacian(complete))) is np.ndarray
+
+
+def dense_derivative(sc, system):
+    """The closed-loop derivative composed from the layer RHS with dense L and M."""
+    n = sc.graph.n
+    big_l = system.spectral.laplacian
+    im = dataclasses.replace(StackedInternalModel.stack(sc.im_specs),
+                             M=scipy.linalg.block_diag(*[spec.M for spec in sc.im_specs]))
+    grad_vec = costs.build_gradient(sc.costs)
+    drift = plant_drift(sc.plants)
+    b = np.array([p.b for p in sc.plants])
+    sl = system.layout.slices
+
+    def f(t, y):
+        yr, x, v = y[sl["yr"]], y[sl["x"]].reshape(n, 2), y[sl["v"]]
+        out = np.empty_like(y)
+        out[sl["yr"]], out[sl["z"]], dxi = coordinator_rhs(
+            t, yr, y[sl["z"]], y[sl["xi"]].reshape(n, n), big_l, grad_vec, system.gains)
+        out[sl["xi"]] = dxi.ravel()
+        u, (out[sl["eta"]], out[sl["k"]], out[sl["psi"]]) = tracker_rhs(
+            x[:, 0], x[:, 1], yr, y[sl["eta"]], y[sl["k"]], y[sl["psi"]],
+            sc.tracker.gamma, im)
+        out[sl["x"]] = np.column_stack([x[:, 1], drift(x[:, 0], x[:, 1], v, t) + b * u]).ravel()
+        out[sl["v"]] = sc.exo.S @ v
+        return out
+
+    return f
+
+
+def test_sparse_derivative_matches_dense_oracle():
+    sc = sparse_ring()
+    system = assemble(sc)
+    rng = np.random.default_rng(7)
+    y = rng.uniform(-1.0, 1.0, system.layout.dim)
+    y[system.layout.slices["xi"]] = rng.uniform(0.1, 1.0, sc.graph.n ** 2)
+    got = system.derivative(0.3, y)
+    want = dense_derivative(sc, system)(0.3, y)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_sparse_run_keeps_invariants_and_reruns_bit_identical():
+    sc = dataclasses.replace(sparse_ring(), horizon=0.05, record_every=10)
+    first = run(sc)
+    rep = verify(sc, first)
+    assert rep.z_conservation_drift < 1e-8
+    assert rep.xi_rowsum_drift < 1e-9
+    assert np.array_equal(first.raw, run(sc).raw)
+
+
+def test_dense_systems_never_import_scipy_sparse():
+    # the lazy import keeps small workloads' peak memory where it was
+    code = ("import dataclasses, sys\n"
+            "from oocsim.scenario import parse_scenario\n"
+            "from oocsim.sim import run\n"
+            "run(dataclasses.replace(parse_scenario('example1'), horizon=0.05))\n"
+            "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse was imported'\n")
+    src = str(Path(oocsim.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_builds_one_truth_per_distinct_spec(monkeypatch):
+    sc = tiny_scenario(horizon=0.1, check_psi=True)
+    shared = dataclasses.replace(sc, im_specs=[sc.im_specs[0]] * 3)
+    builds = []
+    build = FeedforwardTruth.build
+
+    def counted(im, frequencies):
+        builds.append(id(im))
+        return build(im, frequencies)
+
+    monkeypatch.setattr(FeedforwardTruth, "build", staticmethod(counted))
+    separate_report = verify(sc, run(sc)).to_dict(sc)
+    assert len(builds) == 3
+    builds.clear()
+    shared_report = verify(shared, run(shared)).to_dict(shared)
+    assert len(builds) == 1
+    # equal specs give equal values, shared or not
+    assert shared_report == separate_report

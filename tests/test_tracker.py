@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,6 +103,15 @@ def test_sylvester_residual_random_instances(s_half, seed):
 
 def stacked(n, coeffs=(2.0, 3.0)):
     return StackedInternalModel.stack([InternalModelSpec.from_coeffs(list(coeffs))] * n)
+
+
+def test_stack_of_mixed_orders_is_block_diagonal():
+    specs = [InternalModelSpec.from_coeffs(c)
+             for c in ([2.0, 3.0], [1.0, 4.0, 6.0, 4.0], [5.0], [2.0, 3.0])]
+    im = StackedInternalModel.stack(specs)
+    assert np.array_equal(im.M, scipy.linalg.block_diag(*[spec.M for spec in specs]))
+    assert im.starts.tolist() == [0, 2, 6, 7]
+    assert im.owner.tolist() == [0, 0, 1, 1, 1, 1, 2, 3, 3]
 
 
 def test_vartheta_hand_values():
