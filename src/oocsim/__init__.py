@@ -10,8 +10,7 @@ from .coordinator import (CoordinatorGains, coordinator_only_run, coordinator_rh
                           select_gains)
 from .costs import (CostFunction, composite, convexity_bounds, exp_sum,
                     global_optimum, quadratic)
-from .digraph import (Digraph, SpectralData, is_strongly_connected, laplacian,
-                      lambda2, left_eigenvector, spectral_data)
+from .digraph import Digraph, SpectralData, is_strongly_connected, laplacian, spectral_data
 from .errors import (BracketNotFound, DegenerateRoots, Diverged, GradientNotVectorized,
                      InvalidSpectrum, NonConvexDetected, NotHurwitz, NotStronglyConnected,
                      OocError, SchemaError, SingularSystem, SingularT, Unsupported,

@@ -77,97 +77,42 @@ def _operator(a: np.ndarray):
 
 
 def is_strongly_connected(g: Digraph) -> bool:
-    """True iff the digraph forms a single strongly connected component (Tarjan)."""
-    n = g.n
-    adj = [np.nonzero(g.weights[:, j])[0] for j in range(n)]  # out-neighbors of j
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    counter = 0
-    n_sccs = 0
+    """True iff node 0 reaches every node and every node reaches node 0.
 
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        # iterative Tarjan: (node, iterator position) frames
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(adj[v])):
-                u = int(adj[v][k])
-                if index[u] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((u, 0))
-                    advanced = True
-                    break
-                if on_stack[u]:
-                    low[v] = min(low[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                n_sccs += 1
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    if u == v:
-                        break
-    return n_sccs == 1
+    A forward and a backward reachability sweep over `weights > 0`; each
+    level of a sweep ORs the columns of the nodes it reached last.
+    """
+    adj = g.weights > 0  # adj[i, j]: edge j -> i
+    for step in (adj, adj.T):
+        seen = np.zeros(g.n, dtype=bool)
+        seen[0] = True
+        frontier = seen
+        while frontier.any():
+            frontier = step[:, frontier].any(axis=1) & ~seen
+            seen |= frontier
+        if not seen.all():
+            return False
+    return True
 
 
-def _require_strongly_connected(g: Digraph, what):
+def spectral_data(g: Digraph) -> SpectralData:
+    """L, rho, rho_min and lambda2 from one Laplacian and one connectivity check.
+
+    rho solves the augmented overdetermined system {L^T rho = 0, 1^T rho = 1}
+    in the least-squares sense; for a strongly connected graph the solution is
+    exact, unique and positive.  lambda2 is the second-smallest eigenvalue of
+    Lbar = (R L + L^T R)/2 with R = diag(rho).
+    """
     if not is_strongly_connected(g):
-        raise NotStronglyConnected(f"{what} requires a strongly connected digraph")
-
-
-def _left_eigenvector(big_l):
-    aug = np.vstack([big_l.T, np.ones(big_l.shape[0])])
-    rhs = np.zeros(big_l.shape[0] + 1)
+        raise NotStronglyConnected("left eigenvector requires a strongly connected digraph")
+    big_l = laplacian(g)
+    aug = np.vstack([big_l.T, np.ones(g.n)])
+    rhs = np.zeros(g.n + 1)
     rhs[-1] = 1.0
     rho, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
     if np.any(rho <= 0):
         raise NotStronglyConnected("left eigenvector is not positive")
-    return rho
-
-
-def _lambda2(big_l, rho):
     r = np.diag(rho)
     lbar = 0.5 * (r @ big_l + big_l.T @ r)
-    eigs = np.linalg.eigvalsh(lbar)
-    return float(eigs[1])
-
-
-def left_eigenvector(g: Digraph) -> np.ndarray:
-    """Positive rho with rho^T L = 0 and sum(rho) = 1, by a direct dense solve.
-
-    Solves the augmented overdetermined system {L^T rho = 0, 1^T rho = 1}
-    in the least-squares sense; for a strongly connected graph the solution
-    is exact and unique.
-    """
-    _require_strongly_connected(g, "left eigenvector")
-    return _left_eigenvector(laplacian(g))
-
-
-def lambda2(g: Digraph, rho: np.ndarray) -> float:
-    """Second-smallest eigenvalue of Lbar = (R L + L^T R)/2 with R = diag(rho)."""
-    _require_strongly_connected(g, "lambda2")
-    return _lambda2(laplacian(g), rho)
-
-
-def spectral_data(g: Digraph) -> SpectralData:
-    """L, rho and lambda2 from one Laplacian and one connectivity check."""
-    _require_strongly_connected(g, "left eigenvector")
-    big_l = laplacian(g)
-    rho = _left_eigenvector(big_l)
     return SpectralData(laplacian=big_l, rho=rho, rho_min=float(rho.min()),
-                        lambda2=_lambda2(big_l, rho))
+                        lambda2=float(np.linalg.eigvalsh(lbar)[1]))

@@ -8,7 +8,7 @@ vector and advanced with classical RK4 at a fixed step for determinism.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -120,7 +120,6 @@ class System:
     spectral: SpectralData
     gains: CoordinatorGains
     derivative: callable
-    bounds: object
 
 
 def assemble(sc: Scenario) -> System:
@@ -128,6 +127,7 @@ def assemble(sc: Scenario) -> System:
     g = sc.graph
     n = g.n
     spectral = spectral_data(g)  # raises NotStronglyConnected
+    # also the NonConvexDetected check, so it runs when the gains are fixed too
     bounds = costs_mod.convexity_bounds(sc.costs, interval=sc.domain_hint)
     if sc.gains is not None:
         gains = sc.gains
@@ -166,7 +166,7 @@ def assemble(sc: Scenario) -> System:
         return out
 
     return System(scenario=sc, layout=layout, spectral=spectral, gains=gains,
-                  derivative=derivative, bounds=bounds)
+                  derivative=derivative)
 
 
 def initial_state(sc: Scenario, layout: StateLayout) -> np.ndarray:
@@ -266,15 +266,16 @@ def integrate(f, y0, h, n_steps, record_every):
 
     The samples are the initial state and every record_every-th state after it.
     """
+    times = np.zeros(n_steps // record_every + 1)
+    samples = np.empty((times.size, y0.size))
+    samples[0] = y0
     y = y0
-    times = [0.0]
-    samples = [y.copy()]
     for kstep in range(1, n_steps + 1):
         y = rk4_step(f, (kstep - 1) * h, y, h)
         if kstep % record_every == 0:
-            times.append(kstep * h)
-            samples.append(y.copy())
-    return np.array(times), np.array(samples)
+            times[kstep // record_every] = kstep * h
+            samples[kstep // record_every] = y
+    return times, samples
 
 
 def run(sc: Scenario, system: Optional[System] = None) -> Trajectory:
@@ -294,22 +295,14 @@ def metrics(traj: Trajectory, s_star, settle_tol=0.02) -> dict:
     if traj.times.size == 0:
         raise ValueError("empty trajectory")
     err = np.abs(traj.y - s_star)            # (m, n)
-    final_err = err[-1]
-    settling = []
-    for i in range(traj.layout.n):
-        inside = err[:, i] < settle_tol
-        # first recorded time after which the error never leaves the band
-        idx = None
-        for j in range(len(inside) - 1, -1, -1):
-            if not inside[j]:
-                idx = j + 1
-                break
-        if idx is None:
-            idx = 0
-        settling.append(float(traj.times[idx]) if idx < len(inside) else math.inf)
+    outside = ~(err < settle_tol)            # NaN counts as outside
+    # settling index: one past the last sample outside the band, 0 if none is;
+    # one past the final sample means the agent never settles
+    last_out = len(outside) - 1 - np.argmax(outside[::-1], axis=0)
+    idx = np.where(outside.any(axis=0), last_out + 1, 0)
     return {
-        "final_error": final_err.tolist(),
-        "settling_time": settling,
+        "final_error": err[-1].tolist(),
+        "settling_time": np.append(traj.times, math.inf)[idx].tolist(),
         "max_gain": traj.k.max(axis=0).tolist(),
         "final_gain": traj.k[-1].tolist(),
     }
@@ -329,24 +322,23 @@ class VerificationReport:
     k_monotone: bool
 
     def checks(self, sc: Scenario) -> dict:
+        """Each measured value against its tolerance, in DEFAULT_TOLERANCES order.
+
+        A value that is None was not measured and has no check.  The Sylvester
+        check takes the worst agent's residual; k_monotone comes last and
+        passes when it is True.
+        """
         out = {}
-
-        def add(name, value, tol, smaller_is_better=True):
-            ok = bool(value <= tol) if smaller_is_better else bool(value)
-            out[name] = {"value": value, "tolerance": tol, "pass": ok}
-
-        add("final_output_error", self.final_output_error, sc.tolerance("final_output_error"))
-        add("xi_error", self.xi_error, sc.tolerance("xi_error"))
-        add("z_conservation_drift", self.z_conservation_drift,
-            sc.tolerance("z_conservation_drift"))
-        add("xi_rowsum_drift", self.xi_rowsum_drift, sc.tolerance("xi_rowsum_drift"))
-        if self.exo_energy_drift is not None:
-            add("exo_energy_drift", self.exo_energy_drift, sc.tolerance("exo_energy_drift"))
-        if self.sylvester_residuals is not None:
-            add("sylvester_residual", max(self.sylvester_residuals),
-                sc.tolerance("sylvester_residual"))
-        if self.psi_error is not None:
-            add("psi_error", self.psi_error, sc.tolerance("psi_error"))
+        for name in DEFAULT_TOLERANCES:
+            if name != "sylvester_residual":
+                value = getattr(self, name)
+            elif self.sylvester_residuals is not None:
+                value = max(self.sylvester_residuals)
+            else:
+                value = None
+            if value is not None:
+                tol = sc.tolerance(name)
+                out[name] = {"value": value, "tolerance": tol, "pass": bool(value <= tol)}
         out["k_monotone"] = {"value": self.k_monotone, "tolerance": True,
                              "pass": bool(self.k_monotone)}
         return out
@@ -355,18 +347,7 @@ class VerificationReport:
         return all(c["pass"] for c in self.checks(sc).values())
 
     def to_dict(self, sc: Optional[Scenario] = None) -> dict:
-        d = {
-            "s_star": self.s_star,
-            "final_output_error": self.final_output_error,
-            "xi_error": self.xi_error,
-            "z_conservation_drift": self.z_conservation_drift,
-            "xi_rowsum_drift": self.xi_rowsum_drift,
-            "exo_energy_drift": self.exo_energy_drift,
-            "sylvester_residuals": self.sylvester_residuals,
-            "psi_error": self.psi_error,
-            "ff_reproduction_error": self.ff_reproduction_error,
-            "k_monotone": self.k_monotone,
-        }
+        d = asdict(self)
         if sc is not None:
             d["checks"] = self.checks(sc)
             d["passed"] = self.passed(sc)
@@ -426,17 +407,16 @@ def _feedforward_reproduction_error(sc, traj, truths, s_star):
     """
     worst = 0.0
     s_mat = sc.exo.S
-    for i, (p, truth) in enumerate(zip(sc.plants, truths)):
-        s_dim = sc.im_specs[i].s_dim
-        powers = [np.linalg.matrix_power(s_mat, j) for j in range(s_dim)]
-        for row in traj.v[:: max(1, len(traj.v) // 50)]:
-            tau = np.array([feedforward_truth(p, s_star, pw @ row) for pw in powers])
-            # constant part of u* only belongs in the 0th derivative
-            u_star = tau[0]
-            const = feedforward_truth(p, s_star, np.zeros_like(row))
-            tau[1:] -= const
-            rebuilt = float(truth.Psi @ (truth.T @ tau))
-            worst = max(worst, abs(rebuilt - u_star))
+    v = traj.v[:: max(1, len(traj.v) // 50)].T  # (nv, sampled rows)
+    for p, truth, im in zip(sc.plants, truths, sc.im_specs):
+        # tau[j] is the j-th derivative of u* at every sampled row
+        tau = np.array([feedforward_truth(p, s_star, np.linalg.matrix_power(s_mat, j) @ v)
+                        for j in range(im.s_dim)])
+        u_star = tau[0]
+        # constant part of u* only belongs in the 0th derivative
+        tau[1:] -= feedforward_truth(p, s_star, np.zeros(len(s_mat)))
+        rebuilt = truth.Psi @ (truth.T @ tau)
+        worst = max(worst, float(np.abs(rebuilt - u_star).max()))
     return worst
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from oocsim import costs
 from oocsim.coordinator import CoordinatorGains, coordinator_only_run
-from oocsim.digraph import left_eigenvector
+from oocsim.digraph import spectral_data
 from oocsim.integrate import rk4_step
 from oocsim.sim import run
 from oocsim.tracker import (companion_pair, phi_gamma, solve_sylvester,
@@ -45,7 +45,7 @@ def test_criterion_1_coordinator_convergence(coordinator_run):
 
 def test_criterion_2_xi_correction(coordinator_run, fig3_graph):
     traj, _ = coordinator_run
-    rho = left_eigenvector(fig3_graph)
+    rho = spectral_data(fig3_graph).rho
     xii = traj.xi[-1, np.arange(5), np.arange(5)]
     err = np.abs(xii - rho).max()
     ok = report("criterion 2", err < 1e-8, f"max|xi_ii(100) - rho_i| = {err:.3e}")

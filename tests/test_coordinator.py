@@ -5,7 +5,7 @@ from oocsim import costs
 from oocsim.coordinator import (CoordinatorGains, check_gain_inequalities,
                                 coordinator_only_run, coordinator_rhs, select_gains)
 from oocsim.costs import ConvexityBounds
-from oocsim.digraph import Digraph, left_eigenvector, laplacian
+from oocsim.digraph import Digraph, laplacian, spectral_data
 from oocsim.errors import InvalidSpectrum, XiUnderflow
 
 
@@ -60,7 +60,7 @@ def test_derivative_single_agent_gradient_flow():
 
 def test_derivative_zero_at_equilibrium(fig3_graph):
     cost_list = [costs.quadratic(0.1, float(i)) for i in range(1, 6)]
-    rho = left_eigenvector(fig3_graph)
+    rho = spectral_data(fig3_graph).rho
     gains = CoordinatorGains(beta1=20.0, beta2=2.0, delta=1.0)
     s_star = 3.0
     y_bar = np.full(5, s_star)
@@ -112,7 +112,7 @@ def test_run_sample_count_and_times(fig3_graph):
 def test_conservation_short_run(fig3_graph):
     cost_list = [costs.quadratic(0.1, float(i)) for i in range(1, 6)]
     gains = CoordinatorGains(beta1=20.0, beta2=2.0, delta=1.0)
-    rho = left_eigenvector(fig3_graph)
+    rho = spectral_data(fig3_graph).rho
     traj = coordinator_only_run(fig3_graph, cost_list, gains,
                                 np.array([-3.0, 1.0, 4.0, 0.5, -1.0]),
                                 horizon=5.0, step=1e-3)

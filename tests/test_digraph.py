@@ -3,9 +3,9 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
-from oocsim.digraph import (Digraph, is_strongly_connected, lambda2, laplacian,
-                            left_eigenvector, spectral_data)
+from oocsim.digraph import Digraph, is_strongly_connected, laplacian, spectral_data
 from oocsim.errors import NotStronglyConnected
 
 
@@ -46,12 +46,12 @@ def test_strong_connectivity_cases(fig3_graph):
 
 def test_left_eigenvector_balanced():
     for n in (3, 4):
-        rho = left_eigenvector(cycle(n))
+        rho = spectral_data(cycle(n)).rho
         assert np.allclose(rho, np.full(n, 1.0 / n), atol=1e-12)
 
 
 def test_left_eigenvector_fig3(fig3_graph):
-    rho = left_eigenvector(fig3_graph)
+    rho = spectral_data(fig3_graph).rho
     big_l = laplacian(fig3_graph)
     assert np.abs(rho @ big_l).max() < 1e-12
     assert abs(rho.sum() - 1.0) < 1e-12
@@ -66,20 +66,17 @@ def test_left_eigenvector_fig3(fig3_graph):
 
 def test_left_eigenvector_requires_strong_connectivity():
     with pytest.raises(NotStronglyConnected):
-        left_eigenvector(Digraph.from_edges(2, [(1, 2, 1.0)]))
+        spectral_data(Digraph.from_edges(2, [(1, 2, 1.0)]))
 
 
 def test_lambda2_complete_graph():
     edges = [(i, j, 1.0) for i in range(1, 4) for j in range(1, 4) if i != j]
-    g = Digraph.from_edges(3, edges)
-    rho = left_eigenvector(g)
-    assert abs(lambda2(g, rho) - 1.0) < 1e-12
+    assert abs(spectral_data(Digraph.from_edges(3, edges)).lambda2 - 1.0) < 1e-12
 
 
 def test_lambda2_two_cycle():
     g = Digraph.from_edges(2, [(1, 2, 1.0), (2, 1, 1.0)])
-    rho = left_eigenvector(g)
-    assert abs(lambda2(g, rho) - 1.0) < 1e-12  # Lbar = L/2, spectrum {0, 2}/...
+    assert abs(spectral_data(g).lambda2 - 1.0) < 1e-12  # Lbar = L/2, spectrum {0, 2}/...
 
 
 def test_lambda2_fig3_positive(fig3_graph):
@@ -123,3 +120,25 @@ def test_spectral_invariants_random(g):
     assert np.all(sd.rho > 0)
     assert sd.lambda2 > 0
     assert np.allclose(sd.laplacian.sum(axis=1), 0.0, atol=1e-12)
+
+
+@st.composite
+def digraphs(draw):
+    """Random digraph on 1 to 12 nodes, strongly connected or not."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                  st.floats(min_value=0.1, max_value=5.0)),
+        max_size=3 * n))
+    w = np.zeros((n, n))
+    for i, j, wt in edges:
+        if i != j:
+            w[j, i] = wt
+    return Digraph(n=n, weights=w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(digraphs(), strongly_connected_digraphs()))
+def test_strong_connectivity_matches_csgraph_oracle(g):
+    n_components, _ = connected_components(g.weights, directed=True, connection="strong")
+    assert is_strongly_connected(g) == (n_components == 1)

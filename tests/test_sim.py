@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -10,13 +11,14 @@ import scipy.linalg
 
 import oocsim
 from oocsim import costs
-from oocsim.coordinator import coordinator_rhs
+from oocsim.coordinator import CoordinatorGains, coordinator_rhs
 from oocsim.digraph import Digraph, _operator, laplacian, spectral_data
-from oocsim.errors import Diverged, NotStronglyConnected, XiUnderflow
+from oocsim.errors import Diverged, NonConvexDetected, NotStronglyConnected, XiUnderflow
 from oocsim.plant import plant_drift, rotation_exosystem, vdp_like
 from oocsim.scenario import parse_scenario, scenario_from_dict
-from oocsim.sim import (InitPolicy, Scenario, StateLayout, Trajectory, assemble,
-                        initial_state, metrics, run, verify)
+from oocsim.integrate import rk4_step
+from oocsim.sim import (DEFAULT_TOLERANCES, InitPolicy, Scenario, StateLayout, Trajectory,
+                        assemble, initial_state, integrate, metrics, run, verify)
 from oocsim.tracker import (FeedforwardTruth, InternalModelSpec, StackedInternalModel,
                             TrackerParams, tracker_rhs)
 
@@ -65,6 +67,17 @@ def test_assemble_rejects_disconnected():
         sc, graph=g, costs=sc.costs[:2], plants=sc.plants[:2], im_specs=sc.im_specs[:2])
     with pytest.raises(NotStronglyConnected):
         assemble(bad)
+
+
+def test_assemble_rejects_concave_cost_with_fixed_gains():
+    sc = tiny_scenario()
+    concave = costs.CostFunction(kind="concave", params={},
+                                 value_fn=lambda s: -s * s,
+                                 grad_fn=lambda s: -2.0 * s)
+    fixed = dataclasses.replace(sc, costs=[concave] + sc.costs[1:],
+                                gains=CoordinatorGains(beta1=10.0, beta2=2.0, delta=1.0))
+    with pytest.raises(NonConvexDetected):
+        assemble(fixed)
 
 
 def ring_doc(n, internal_model, chords=0):
@@ -132,6 +145,20 @@ def test_run_sample_count():
     assert np.all(np.isfinite(traj.raw))
 
 
+def test_integrate_records_every_kth_step():
+    def f(t, y):
+        return np.array([y[1], -y[0] + 0.1 * t])
+
+    h = 0.05
+    y0 = np.array([1.0, 0.5])
+    states = [y0]
+    for kstep in range(7):
+        states.append(rk4_step(f, kstep * h, states[-1], h))
+    times, samples = integrate(f, y0, h, 7, 3)
+    assert times.tolist() == [0.0, 3 * h, 6 * h]
+    assert np.array_equal(samples, np.array([states[0], states[3], states[6]]))
+
+
 def test_determinism_bit_identical():
     sc = tiny_scenario()
     t1 = run(sc)
@@ -195,6 +222,26 @@ def test_metrics_constant_at_optimum():
     assert out["settling_time"] == [0.0] * 3
 
 
+def test_metrics_settling_hand_values():
+    # columns: leaves and re-enters the band, never inside it, inside until
+    # the last sample, NaN in the middle (NaN counts as outside)
+    err = np.array([[0.5, 1.0, 0.0, 0.5],
+                    [0.01, 1.0, 0.0, 0.0],
+                    [0.03, 1.0, 0.0, np.nan],
+                    [0.01, 1.0, 0.0, 0.0],
+                    [0.0, 1.0, 0.0, 0.0],
+                    [0.0, 1.0, 0.05, 0.0]])
+    layout = StateLayout(n=4, s_dims=(2,) * 4, nv=2)
+    raw = np.zeros((6, layout.dim))
+    raw[:, layout.slices["x"]] = np.repeat(2.0 + err, 2, axis=1) * np.tile([1.0, 0.0], 4)
+    traj = Trajectory(times=np.arange(6) * 0.5, raw=raw, layout=layout,
+                      rho=np.full(4, 0.25))
+    out = metrics(traj, s_star=2.0)
+    assert out["settling_time"] == [1.5, math.inf, math.inf, 1.5]
+    wide = metrics(traj, s_star=2.0, settle_tol=2.0)
+    assert wide["settling_time"] == [0.0, 0.0, 0.0, 1.5]
+
+
 def test_metrics_finite_on_real_run():
     sc = tiny_scenario(horizon=5.0)
     traj = run(sc)
@@ -216,6 +263,19 @@ def test_verify_report_fields():
     assert rep.psi_error is None  # check_psi off for the tiny scenario
     d = rep.to_dict(sc)
     assert "checks" in d and isinstance(d["passed"], bool)
+    assert list(d)[:-2] == [f.name for f in dataclasses.fields(rep)]
+    # one check per measured tolerance key, in DEFAULT_TOLERANCES order
+    measured = [k for k in DEFAULT_TOLERANCES if k != "psi_error"]
+    assert list(d["checks"]) == measured + ["k_monotone"]
+    assert d["checks"]["sylvester_residual"]["value"] == max(rep.sylvester_residuals)
+    assert d["checks"]["k_monotone"] == {"value": True, "tolerance": True, "pass": True}
+    loose = dataclasses.replace(sc, tolerances={"xi_error": 123.0})
+    assert rep.checks(loose)["xi_error"] == {"value": rep.xi_error, "tolerance": 123.0,
+                                             "pass": True}
+    unmeasured = dataclasses.replace(rep, sylvester_residuals=None, exo_energy_drift=None)
+    assert list(unmeasured.checks(sc)) == ["final_output_error", "xi_error",
+                                           "z_conservation_drift", "xi_rowsum_drift",
+                                           "k_monotone"]
 
 
 def sparse_ring(n=100, chords=60):
