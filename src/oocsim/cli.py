@@ -97,9 +97,8 @@ def _cmd_coordinator(args):
     traj = coordinator_only_run(sc.graph, sc.costs, gains, y0,
                                 sc.horizon, sc.step, sc.record_every)
     s_star = costs_mod.global_optimum(sc.costs)
-    n = sc.graph.n
     rho = system.spectral.rho
-    xii = traj.xi[:, np.arange(n), np.arange(n)]
+    xii = traj.xi_diag
     _write_csv(out / "coordinator.csv",
                [("t", traj.times)] + _per_agent("yr", traj.y_r) + _per_agent("z", traj.z)
                + _per_agent("xii", xii) + [("rho_z", traj.z @ rho)])

@@ -8,9 +8,12 @@ Per agent i the coordinator runs
 
 The self-component xi_i^i stays positive and converges to rho_i, which
 cancels the graph imbalance without knowing the left eigenvector a priori.
+The xi rows are linear and read no other state, so `sim.LinearDriver`
+advances them outside the per-agent state; `coordinator_rhs` reads xi_i^i only.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -60,54 +63,51 @@ def check_gain_inequalities(gains, bounds, rho_min, lambda2):
     return m1, m2, m3
 
 
-def coordinator_rhs(t, yr, z, xi, big_l, grad_vec, gains: CoordinatorGains):
-    """(yr', z', xi') of all agents; xi is (n, n) with row i holding agent i's vector.
+def coordinator_rhs(t, c, w, big_l, grad_vec, gains: CoordinatorGains):
+    """(yr', z') of all agents, stacked like c = (yr, z), given w = (xi_diag, v).
 
-    big_l is the Laplacian as an ndarray or, for a large sparse graph, as the
-    CSR array `digraph._operator` returns; both give ndarray products.
+    xi_diag holds each agent's xi_i^i at time t; `sim.LinearDriver` advances
+    xi (and v, which this layer does not read).  big_l is the Laplacian as an
+    ndarray or, for a large sparse graph, as the CSR array
+    `digraph._operator` returns; both give ndarray products.
 
     Raises XiUnderflow, naming the 1-based agent with the smallest xi_i^i and
     the time t, when that component drops below XI_FLOOR.
     """
-    xi_diag = xi.diagonal()
+    n = len(c) // 2
+    yr, z = c[:n], c[n:]
+    xi_diag = w[0]
     if xi_diag.min() < XI_FLOOR:
         i = int(xi_diag.argmin())
         raise XiUnderflow(f"agent {i + 1}: xi_i^i = {xi_diag[i]:.3e} below floor "
                           f"{XI_FLOOR:g} at t={t:.6g}", t=t)
-    ly = big_l @ yr
-    dyr = -grad_vec(yr) / xi_diag - gains.beta1 * ly - gains.beta2 * z
-    dz = gains.beta1 * ly
-    dxi = -(big_l @ xi)
-    return dyr, dz, dxi
+    dz = gains.beta1 * (big_l @ yr)
+    return np.concatenate((-grad_vec(yr) / xi_diag - dz - gains.beta2 * z, dz))
 
 
 @dataclass
 class CoordinatorTrajectory:
     times: np.ndarray
-    y_r: np.ndarray   # (m, n)
-    z: np.ndarray     # (m, n)
-    xi: np.ndarray    # (m, n, n)
+    y_r: np.ndarray        # (m, n)
+    z: np.ndarray          # (m, n)
+    xi_diag: np.ndarray    # (m, n): xi_i^i
+    xi_rowsum: np.ndarray  # (m, n): sum_j xi_i^j, 1 for all t in exact arithmetic
 
 
 def coordinator_only_run(g: Digraph, cost_list, gains: CoordinatorGains, y0,
                          horizon, step, record_every=100) -> CoordinatorTrajectory:
-    """Integrate only the coordinator layer with RK4 and a decimated record."""
-    from .sim import integrate  # sim imports this module
+    """Integrate only the coordinator layer with RK4 and a decimated record.
 
-    big_l = _operator(laplacian(g))
-    grad_vec = build_gradient(cost_list)
-    n = g.n
+    The state is (yr, z); the xi/v driver, here without an exosystem, feeds
+    coordinator_rhs its xi_i^i at every RK4 stage.
+    """
+    from .sim import LinearDriver, integrate  # sim imports this module
 
-    def f(t, s):
-        dyr, dz, dxi = coordinator_rhs(t, s[:n], s[n:2 * n], s[2 * n:].reshape(n, n),
-                                       big_l, grad_vec, gains)
-        return np.concatenate([dyr, dz, dxi.ravel()])
-
-    state = np.concatenate([np.asarray(y0, dtype=float), np.zeros(n), np.eye(n).ravel()])
-    times, arr = integrate(f, state, step, int(round(horizon / step)), record_every)
-    return CoordinatorTrajectory(
-        times=times,
-        y_r=arr[:, :n],
-        z=arr[:, n:2 * n],
-        xi=arr[:, 2 * n:].reshape(-1, n, n),
-    )
+    big_l = laplacian(g)
+    rhs = partial(coordinator_rhs, big_l=_operator(big_l),
+                  grad_vec=build_gradient(cost_list), gains=gains)
+    driver = LinearDriver(LinearDriver.operator(big_l, np.zeros((0, 0))), np.zeros(0))
+    c0 = np.concatenate([np.asarray(y0, dtype=float), np.zeros(g.n)])
+    times, arr = integrate(rhs, c0, step, int(round(horizon / step)), record_every, driver)
+    return CoordinatorTrajectory(times=times, y_r=arr[:, :g.n], z=arr[:, g.n:],
+                                 xi_diag=driver.xi_diag, xi_rowsum=driver.xi_rowsum)

@@ -3,8 +3,11 @@
 The full closed loop couples, per agent: the optimal coordinator (references
 yr_i, duals z_i, correction rows xi_i), the second-order plant, the internal
 model eta_i with adaptive gain k_i and feedforward estimate psi_hat_i, plus
-one shared exosystem state v.  Everything is packed into a single flat state
-vector and advanced with classical RK4 at a fixed step for determinism.
+one shared exosystem state v.  The per-agent states yr, z, x1, x2, eta, k and
+psi_hat form one flat member state of 7n + 2 sum(s_i) entries.  xi and v are
+linear and read no other state, so one `LinearDriver` advances them and feeds
+the member derivative diag xi and v at each RK4 stage.  Both advance with
+classical RK4 at a fixed step, for determinism.
 """
 
 import math
@@ -90,20 +93,22 @@ class Scenario:
 
 @dataclass(frozen=True)
 class StateLayout:
-    """Slice offsets into the flat closed-loop state vector."""
+    """Slice offsets into the flat member state: yr, z, x1, x2, eta, k, psi_hat.
+
+    yr and z lead, so the first 2n entries are the coordinator's state.  xi
+    and v are not here: `LinearDriver` holds them.
+    """
 
     n: int
     s_dims: tuple
-    nv: int
 
     def __post_init__(self):
         n = self.n
         total_s = sum(self.s_dims)
         off = 0
         names = {}
-        for key, size in (("yr", n), ("z", n), ("xi", n * n), ("x", 2 * n),
-                          ("eta", total_s), ("k", n), ("psi", total_s),
-                          ("v", self.nv)):
+        for key, size in (("yr", n), ("z", n), ("x1", n), ("x2", n),
+                          ("eta", total_s), ("k", n), ("psi", total_s)):
             names[key] = slice(off, off + size)
             off += size
         object.__setattr__(self, "slices", names)
@@ -113,13 +118,91 @@ class StateLayout:
 
 @dataclass
 class System:
-    """Assembled closed loop: derivative closure plus resolved parameters."""
+    """Assembled closed loop: derivative closure plus resolved parameters.
+
+    derivative(t, y, w) takes the member state y and the stage input
+    w = (diag xi, v); linear_operator is the B of the xi/v driver.
+    """
 
     scenario: Scenario
     layout: StateLayout
     spectral: SpectralData
     gains: CoordinatorGains
     derivative: callable
+    linear_operator: object
+
+
+class LinearDriver:
+    """RK4 for xi' = -L xi, xi(0) = I, and v' = S v, v(0) = v0, as one linear state.
+
+    W = [[xi, 0], [0, v]] obeys W' = -B W with B = blockdiag(L, -S) and reads
+    no other state, so RK4 on W alone gives the same numbers as RK4 on the
+    whole closed loop.  Per step, `stages(h)` returns the four stage inputs
+    (diag xi, v): fixed views into W and three stage buffers, filled in
+    place.  The member step runs on them, then `finish` completes W's step,
+    summing ((K1 + 2 K2) + 2 K3) + K4 in RK4's order.  Each stage is
+    W - c (B W), which equals W + c (-B W) bit for bit because negation is
+    exact, so B W is never negated or copied.
+
+    `start(m)` allocates the (m, .) records xi_diag, xi_rowsum and v, and
+    `record(j)` fills row j from the current W.
+    """
+
+    def __init__(self, b, v0):
+        self.n = n = b.shape[0] - len(v0)
+        self.b = b
+        bufs = np.zeros((4, b.shape[0], n + 1))
+        self.w = bufs[0]
+        self._xi = self.w[:n, :n]
+        np.fill_diagonal(self._xi, 1.0)
+        self.w[n:, n] = v0
+        self._stages = bufs[1:]
+        self._acc = None
+        self.inputs = tuple((buf[:n, :n].diagonal(), buf[n:, n]) for buf in bufs)
+
+    @staticmethod
+    def operator(big_l, s_exo):
+        """B = blockdiag(L, -S), as `digraph._operator` holds it."""
+        n, nv = len(big_l), len(s_exo)
+        b = np.zeros((n + nv, n + nv))
+        b[:n, :n] = big_l
+        b[n:, n:] = -s_exo
+        return _operator(b)
+
+    def stages(self, h):
+        """Fill the stage buffers of the step of h from W; return the stage inputs."""
+        b, w = self.b, self.w
+        s2, s3, s4 = self._stages
+        acc = b @ w                              # K1 = -acc
+        np.subtract(w, np.multiply(acc, 0.5 * h, out=s2), out=s2)
+        p = b @ s2
+        np.subtract(w, np.multiply(p, 0.5 * h, out=s3), out=s3)
+        acc += np.multiply(p, 2.0, out=p)        # K1 + 2 K2 = -acc
+        p = b @ s3
+        np.subtract(w, np.multiply(p, h, out=s4), out=s4)
+        acc += np.multiply(p, 2.0, out=p)
+        self._acc = acc
+        return self.inputs
+
+    def finish(self, t, h):
+        """W += (h/6)(K1 + 2 K2 + 2 K3 + K4); raises Diverged on a non-finite W."""
+        acc = self._acc
+        acc += self.b @ self._stages[2]
+        acc *= h / 6.0
+        self.w -= acc
+        if not np.isfinite(self.w).all():
+            raise Diverged(f"xi/v driver: non-finite state after step at t={t:.6g}", t=t)
+
+    def start(self, m):
+        n = self.n
+        self.xi_diag = np.empty((m, n))
+        self.xi_rowsum = np.empty((m, n))
+        self.v = np.empty((m, self.w.shape[0] - n))
+        self.record(0)
+
+    def record(self, j):
+        self.xi_diag[j], self.v[j] = self.inputs[0]
+        self.xi_rowsum[j] = self._xi.sum(axis=1)
 
 
 def assemble(sc: Scenario) -> System:
@@ -139,62 +222,64 @@ def assemble(sc: Scenario) -> System:
     drift = plant_drift(sc.plants)
     b = np.array([p.b for p in sc.plants])
     im = None if sc.ablate_internal_model else StackedInternalModel.stack(sc.im_specs)
-    layout = StateLayout(n=n, s_dims=tuple(spec.s_dim for spec in sc.im_specs), nv=sc.exo.dim)
-    s_exo = sc.exo.S
+    layout = StateLayout(n=n, s_dims=tuple(spec.s_dim for spec in sc.im_specs))
     gamma = sc.tracker.gamma
     sl = layout.slices
-    sl_yr, sl_z, sl_xi = sl["yr"], sl["z"], sl["xi"]
-    sl_x, sl_eta, sl_k = sl["x"], sl["eta"], sl["k"]
-    sl_psi, sl_v = sl["psi"], sl["v"]
+    sl_yr, sl_x1, sl_x2 = sl["yr"], sl["x1"], sl["x2"]
+    sl_eta, sl_k, sl_psi = sl["eta"], sl["k"], sl["psi"]
+    n2 = 2 * n
+    w0 = (np.ones(n), sc.exo.v0)  # the stage input at t = 0
 
-    def derivative(t, y):
+    def derivative(t, y, w=w0):
         yr = y[sl_yr]
-        x = y[sl_x].reshape(n, 2)
-        x1 = x[:, 0]
-        x2 = x[:, 1]
-        v = y[sl_v]
-        out = np.empty(layout.dim)
-        out[sl_yr], out[sl_z], dxi = coordinator_rhs(
-            t, yr, y[sl_z], y[sl_xi].reshape(n, n), big_l, grad_vec, gains)
-        out[sl_xi] = dxi.ravel()
-        u, (out[sl_eta], out[sl_k], out[sl_psi]) = tracker_rhs(
-            x1, x2, yr, y[sl_eta], y[sl_k], y[sl_psi], gamma, im)
-        dx = out[sl_x].reshape(n, 2)
-        dx[:, 0] = x2
-        dx[:, 1] = drift(x1, x2, v, t) + b * u
-        out[sl_v] = s_exo @ v
-        return out
+        x1 = y[sl_x1]
+        x2 = y[sl_x2]
+        dc = coordinator_rhs(t, y[:n2], w, big_l, grad_vec, gains)
+        u, (deta, dk, dpsi) = tracker_rhs(x1, x2, yr, y[sl_eta], y[sl_k], y[sl_psi],
+                                          gamma, im)
+        return np.concatenate((dc, x2, drift(x1, x2, w[1], t) + b * u, deta, dk, dpsi))
 
     return System(scenario=sc, layout=layout, spectral=spectral, gains=gains,
-                  derivative=derivative)
+                  derivative=derivative,
+                  linear_operator=LinearDriver.operator(spectral.laplacian, sc.exo.S))
 
 
 def initial_state(sc: Scenario, layout: StateLayout) -> np.ndarray:
-    """Seeded initial conditions; z(0) = 0 and xi(0) = I are structural."""
+    """Seeded initial member state; z(0) = 0 is structural.
+
+    The plant draw is one (x1, x2) pair per agent in turn.  xi(0) = I and
+    v(0) = v0 belong to `LinearDriver`.
+    """
     rng = np.random.default_rng([sc.seed, 1])
     n = sc.graph.n
     y0 = np.zeros(layout.dim)
     y0[layout.slices["yr"]] = rng.uniform(*sc.init.yr_range, size=n)
-    y0[layout.slices["xi"]] = np.eye(n).ravel()
-    y0[layout.slices["x"]] = rng.uniform(*sc.init.x_range, size=2 * n)
+    x = rng.uniform(*sc.init.x_range, size=2 * n)
+    y0[layout.slices["x1"]] = x[0::2]
+    y0[layout.slices["x2"]] = x[1::2]
     if sc.init.eta_range is not None:
         y0[layout.slices["eta"]] = rng.uniform(*sc.init.eta_range, size=layout.total_s)
     if sc.init.k_range is not None:
         y0[layout.slices["k"]] = rng.uniform(*sc.init.k_range, size=n)
     if sc.init.psi_range is not None:
         y0[layout.slices["psi"]] = rng.uniform(*sc.init.psi_range, size=layout.total_s)
-    y0[layout.slices["v"]] = sc.exo.v0
     return y0
 
 
 @dataclass
 class Trajectory:
-    """Decimated record of the closed-loop state with derived diagnostics."""
+    """Decimated record of the closed-loop state with derived diagnostics.
+
+    raw holds the member states; the xi/v driver's records sit beside it.
+    """
 
     times: np.ndarray
-    raw: np.ndarray        # (m, dim)
+    raw: np.ndarray        # (m, layout.dim)
     layout: StateLayout
     rho: np.ndarray        # oracle left eigenvector used for diagnostics
+    xi_diag: np.ndarray    # (m, n): xi_i^i
+    xi_rowsum: np.ndarray  # (m, n): sum_j xi_i^j, 1 for all t in exact arithmetic
+    v: np.ndarray          # (m, nv)
 
     def _block(self, key):
         return self.raw[:, self.layout.slices[key]]
@@ -208,26 +293,12 @@ class Trajectory:
         return self._block("z")
 
     @property
-    def xi(self):
-        n = self.layout.n
-        return self._block("xi").reshape(-1, n, n)
-
-    @property
-    def xi_diag(self):
-        n = self.layout.n
-        return self._block("xi")[:, np.arange(n) * (n + 1)]
-
-    @property
-    def x(self):
-        return self._block("x").reshape(-1, self.layout.n, 2)
-
-    @property
     def y(self):
-        return self.x[:, :, 0]
+        return self._block("x1")
 
     @property
     def x2(self):
-        return self.x[:, :, 1]
+        return self._block("x2")
 
     @property
     def eta(self):
@@ -240,10 +311,6 @@ class Trajectory:
     @property
     def psi(self):
         return self._block("psi")
-
-    @property
-    def v(self):
-        return self._block("v")
 
     def theta(self, gamma):
         return self.x2 + gamma * (self.y - self.yr)
@@ -261,20 +328,35 @@ class Trajectory:
         return self._block("psi")[:, start:start + self.layout.s_dims[agent]]
 
 
-def integrate(f, y0, h, n_steps, record_every):
+def integrate(f, y0, h, n_steps, record_every, driver=None):
     """RK4 over n_steps steps of h from t = 0; returns (times, samples).
 
     The samples are the initial state and every record_every-th state after it.
+    With a `LinearDriver`, f is f(t, y, w): each step the driver's stages give
+    f its four stage inputs, and the driver records its own samples at the
+    same steps.
     """
     times = np.zeros(n_steps // record_every + 1)
-    samples = np.empty((times.size, y0.size))
+    samples = np.empty((times.size,) + y0.shape)
     samples[0] = y0
+    if driver is not None:
+        driver.start(times.size)
     y = y0
-    for kstep in range(1, n_steps + 1):
-        y = rk4_step(f, (kstep - 1) * h, y, h)
-        if kstep % record_every == 0:
-            times[kstep // record_every] = kstep * h
-            samples[kstep // record_every] = y
+    w = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kstep in range(1, n_steps + 1):
+            t = (kstep - 1) * h
+            if driver is not None:
+                w = driver.stages(h)
+            y = rk4_step(f, t, y, h, w)
+            if driver is not None:
+                driver.finish(t, h)
+            if kstep % record_every == 0:
+                j = kstep // record_every
+                times[j] = kstep * h
+                samples[j] = y
+                if driver is not None:
+                    driver.record(j)
     return times, samples
 
 
@@ -283,11 +365,14 @@ def run(sc: Scenario, system: Optional[System] = None) -> Trajectory:
     if system is None:
         system = assemble(sc)
     y0 = initial_state(sc, system.layout)
+    driver = LinearDriver(system.linear_operator, sc.exo.v0)
     try:
-        times, raw = integrate(system.derivative, y0, sc.step, sc.n_steps, sc.record_every)
+        times, raw = integrate(system.derivative, y0, sc.step, sc.n_steps, sc.record_every,
+                               driver)
     except (Diverged, XiUnderflow) as exc:
         raise type(exc)(f"{sc.name}: {exc}", t=exc.t) from None
-    return Trajectory(times=times, raw=raw, layout=system.layout, rho=system.spectral.rho)
+    return Trajectory(times=times, raw=raw, layout=system.layout, rho=system.spectral.rho,
+                      xi_diag=driver.xi_diag, xi_rowsum=driver.xi_rowsum, v=driver.v)
 
 
 def metrics(traj: Trajectory, s_star, settle_tol=0.02) -> dict:
@@ -361,7 +446,7 @@ def verify(sc: Scenario, traj: Trajectory) -> VerificationReport:
     final_output_error = float(np.abs(traj.y[-1] - s_star).max())
     xi_error = float(np.abs(traj.xi_diag[-1] - rho).max())
     z_drift = float(np.abs(traj.rho_z).max())
-    rowsum_drift = float(np.abs(traj.xi.sum(axis=2) - 1.0).max())
+    rowsum_drift = float(np.abs(traj.xi_rowsum - 1.0).max())
     exo_drift = None
     if sc.exo.is_conservative():
         norms = traj.exo_norm

@@ -190,13 +190,13 @@ def tracker_rhs(x1, x2, yr, eta, k, psi, gamma, im: StackedInternalModel):
     theta = x2 + gamma (x1 - yr) and rho(theta) = theta^4 + 1 give
     u = -k rho(theta) theta + psi_hat_i . eta_i, eta' = M eta + N u,
     k' = rho(theta) theta^2 and psi_hat' = -eta theta.  With im=None the
-    internal model is ablated: u drops psi_hat . eta, and eta' = psi_hat' = 0.0.
+    internal model is ablated: u drops psi_hat . eta, and eta' = psi_hat' = 0.
     """
     theta = x2 + gamma * (x1 - yr)
     rho = theta ** 4 + 1.0
     u = -k * rho * theta
     dk = rho * theta ** 2
     if im is None:
-        return u, (0.0, dk, 0.0)
+        return u, (np.zeros_like(eta), dk, np.zeros_like(psi))
     u = u + np.add.reduceat(psi * eta, im.starts)
     return u, (im.M @ eta + im.N * u[im.owner], dk, -eta * theta[im.owner])

@@ -46,8 +46,7 @@ def test_criterion_1_coordinator_convergence(coordinator_run):
 def test_criterion_2_xi_correction(coordinator_run, fig3_graph):
     traj, _ = coordinator_run
     rho = spectral_data(fig3_graph).rho
-    xii = traj.xi[-1, np.arange(5), np.arange(5)]
-    err = np.abs(xii - rho).max()
+    err = np.abs(traj.xi_diag[-1] - rho).max()
     ok = report("criterion 2", err < 1e-8, f"max|xi_ii(100) - rho_i| = {err:.3e}")
     assert ok
 
@@ -110,7 +109,8 @@ def test_criterion_6_example2(example2_run):
 
 def test_criterion_7_ablation(example2_ablation):
     sc, comparison, traj_with, traj_without = example2_ablation
-    bounded = np.isfinite(traj_without.raw).all()
+    bounded = all(np.isfinite(block).all() for block in (
+        traj_without.raw, traj_without.xi_diag, traj_without.xi_rowsum, traj_without.v))
     ratio = comparison["ratio"]
     ok = report("criterion 7", bounded and ratio >= 10.0,
                 f"bounded = {bounded}, error ratio without/with = {ratio:.1f}x")
@@ -120,7 +120,7 @@ def test_criterion_7_ablation(example2_ablation):
 def test_criterion_8_conservation(example1_run, fig3_graph):
     sc, traj = example1_run
     rho_z = np.abs(traj.rho_z).max()
-    rowsum = np.abs(traj.xi.sum(axis=2) - 1.0).max()
+    rowsum = np.abs(traj.xi_rowsum - 1.0).max()
     exo = np.abs(traj.exo_norm - traj.exo_norm[0]).max()
     ok = report("criterion 8", rho_z < 1e-8 and rowsum < 1e-9 and exo < 1e-8,
                 f"rho.z drift {rho_z:.3e}, xi row-sum drift {rowsum:.3e}, "
@@ -146,7 +146,9 @@ def test_criterion_9_numerics(example1_scenario):
              / np.linalg.norm(integrate(0.01) - exact))
 
     short = dataclasses.replace(example1_scenario, horizon=5.0)
-    identical = np.array_equal(run(short).raw, run(short).raw)
+    first, second = run(short), run(short)
+    identical = all(np.array_equal(getattr(first, name), getattr(second, name))
+                    for name in ("raw", "xi_diag", "xi_rowsum", "v"))
 
     ok = report("criterion 9", fd < 1e-6 and 12.0 <= ratio <= 20.0 and identical,
                 f"worst gradient FD error {fd:.3e}, RK4 halving ratio {ratio:.2f}, "

@@ -7,6 +7,7 @@ from oocsim.coordinator import (CoordinatorGains, check_gain_inequalities,
 from oocsim.costs import ConvexityBounds
 from oocsim.digraph import Digraph, laplacian, spectral_data
 from oocsim.errors import InvalidSpectrum, XiUnderflow
+from oocsim.sim import LinearDriver
 
 
 def test_select_gains_closed_form_small():
@@ -41,11 +42,18 @@ def single_agent():
 
 
 def rhs_at(g, cost_list, gains, yr, z=None, xi=None, t=0.0):
-    """coordinator_rhs at one state; z defaults to 0 and xi to the identity."""
+    """(yr', z', xi') at one state; z defaults to 0 and xi to the identity.
+
+    yr' and z' come from coordinator_rhs, which reads diag xi; xi' = -B xi
+    comes from the operator the xi/v driver advances xi with.
+    """
     n = g.n
     z = np.zeros(n) if z is None else z
     xi = np.eye(n) if xi is None else xi
-    return coordinator_rhs(t, yr, z, xi, laplacian(g), costs.build_gradient(cost_list), gains)
+    big_l = laplacian(g)
+    dc = coordinator_rhs(t, np.concatenate([yr, z]), (xi.diagonal(), np.zeros(0)), big_l,
+                         costs.build_gradient(cost_list), gains)
+    return dc[:n], dc[n:], -(LinearDriver.operator(big_l, np.zeros((0, 0))) @ xi)
 
 
 def test_derivative_single_agent_gradient_flow():
@@ -117,7 +125,7 @@ def test_conservation_short_run(fig3_graph):
                                 np.array([-3.0, 1.0, 4.0, 0.5, -1.0]),
                                 horizon=5.0, step=1e-3)
     assert np.abs(traj.z @ rho).max() < 1e-10
-    assert np.abs(traj.xi.sum(axis=2) - 1.0).max() < 1e-10
+    assert np.abs(traj.xi_rowsum - 1.0).max() < 1e-10
 
 
 def test_exponential_rate_evidence(fig3_graph):

@@ -14,17 +14,25 @@ from oocsim import costs
 from oocsim.coordinator import CoordinatorGains, coordinator_rhs
 from oocsim.digraph import Digraph, _operator, laplacian, spectral_data
 from oocsim.errors import Diverged, NonConvexDetected, NotStronglyConnected, XiUnderflow
-from oocsim.plant import plant_drift, rotation_exosystem, vdp_like
+from oocsim.plant import Exosystem, custom, plant_drift, rotation_exosystem, vdp_like
 from oocsim.scenario import parse_scenario, scenario_from_dict
 from oocsim.integrate import rk4_step
-from oocsim.sim import (DEFAULT_TOLERANCES, InitPolicy, Scenario, StateLayout, Trajectory,
-                        assemble, initial_state, integrate, metrics, run, verify)
+from oocsim.sim import (DEFAULT_TOLERANCES, InitPolicy, LinearDriver, Scenario, StateLayout,
+                        Trajectory, assemble, initial_state, integrate, metrics, run, verify)
 from oocsim.tracker import (FeedforwardTruth, InternalModelSpec, StackedInternalModel,
                             TrackerParams, tracker_rhs)
 
 
+# the member states and the xi/v driver's records of a Trajectory
+RECORDS = ("raw", "xi_diag", "xi_rowsum", "v")
+
+
 def short(sc, horizon=2.0):
     return dataclasses.replace(sc, horizon=horizon)
+
+
+def same_records(a, b):
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in RECORDS)
 
 
 def tiny_scenario(**overrides):
@@ -52,7 +60,8 @@ def test_assemble_example1_shape(example1_scenario):
     system = assemble(example1_scenario)
     assert system.layout.n == 5
     assert system.layout.s_dims == (2,) * 5
-    assert system.layout.dim == 5 + 5 + 25 + 10 + 10 + 5 + 10 + 2
+    # yr, z, x1, x2, eta (s = 2 each), k, psi_hat; xi and v are the driver's
+    assert system.layout.dim == 5 + 5 + 5 + 5 + 10 + 5 + 10
 
 
 def test_assemble_example2_shape(example2_scenario):
@@ -142,7 +151,10 @@ def test_run_sample_count():
     traj = run(sc)
     assert len(traj.times) == int(2.0 / (1e-3 * 10)) + 1
     assert np.all(np.diff(traj.times) > 0)
-    assert np.all(np.isfinite(traj.raw))
+    for name in RECORDS:
+        block = getattr(traj, name)
+        assert block.shape[0] == len(traj.times)
+        assert np.all(np.isfinite(block))
 
 
 def test_integrate_records_every_kth_step():
@@ -163,7 +175,7 @@ def test_determinism_bit_identical():
     sc = tiny_scenario()
     t1 = run(sc)
     t2 = run(sc)
-    assert np.array_equal(t1.raw, t2.raw)
+    assert same_records(t1, t2)
     t3 = run(dataclasses.replace(sc, seed=12))
     assert not np.array_equal(t1.raw, t3.raw)
 
@@ -172,19 +184,30 @@ def test_initial_state_structure():
     sc = tiny_scenario()
     layout = assemble(sc).layout
     y0 = initial_state(sc, layout)
+    assert y0.shape == (layout.dim,)
     assert np.array_equal(y0[layout.slices["z"]], np.zeros(3))
-    assert np.array_equal(y0[layout.slices["xi"]].reshape(3, 3), np.eye(3))
     assert np.array_equal(y0[layout.slices["k"]], np.zeros(3))
-    assert np.array_equal(y0[layout.slices["v"]], sc.exo.v0)
-    x = y0[layout.slices["x"]]
-    assert np.all((x >= -2.0) & (x <= 2.0))
+    # the plant draw is one (x1, x2) pair per agent in turn, after yr
+    rng = np.random.default_rng([sc.seed, 1])
+    assert np.array_equal(y0[layout.slices["yr"]], rng.uniform(-1.0, 1.0, size=3))
+    x = rng.uniform(-0.5, 0.5, size=6)
+    assert np.array_equal(y0[layout.slices["x1"]], x[0::2])
+    assert np.array_equal(y0[layout.slices["x2"]], x[1::2])
+    # xi(0) = I and v(0) = v0 are the driver's, and the derivative's default input
+    system = assemble(sc)
+    driver = LinearDriver(system.linear_operator, sc.exo.v0)
+    assert np.array_equal(driver.w[:3, :3], np.eye(3))
+    xi_diag, v = driver.inputs[0]
+    assert np.array_equal(xi_diag, np.ones(3)) and np.array_equal(v, sc.exo.v0)
+    assert np.array_equal(system.derivative(0.0, y0),
+                          system.derivative(0.0, y0, driver.inputs[0]))
 
 
 def test_conservation_on_recorded_samples():
     sc = tiny_scenario(horizon=5.0)
     traj = run(sc)
     assert np.abs(traj.rho_z).max() < 1e-10
-    assert np.abs(traj.xi.sum(axis=2) - 1.0).max() < 1e-10
+    assert np.abs(traj.xi_rowsum - 1.0).max() < 1e-10
     assert np.all(np.diff(traj.k, axis=0) >= -1e-12)
 
 
@@ -209,14 +232,19 @@ def test_divergence_is_an_error():
     assert info.value.t == 1.25
 
 
+def member_trajectory(times, raw, layout):
+    """A Trajectory of given member states, with xi = I and v = 0 throughout."""
+    m, n = len(times), layout.n
+    return Trajectory(times=times, raw=raw, layout=layout, rho=np.full(n, 1 / n),
+                      xi_diag=np.ones((m, n)), xi_rowsum=np.ones((m, n)), v=np.zeros((m, 2)))
+
+
 def test_metrics_constant_at_optimum():
-    sc = tiny_scenario()
-    layout = StateLayout(n=3, s_dims=(2, 2, 2), nv=2)
+    layout = StateLayout(n=3, s_dims=(2, 2, 2))
     m = 11
     raw = np.zeros((m, layout.dim))
-    raw[:, layout.slices["x"]] = np.tile([2.0, 0.0], 3)  # x1 = s* = 2, x2 = 0
-    traj = Trajectory(times=np.linspace(0, 1, m), raw=raw, layout=layout,
-                      rho=np.full(3, 1 / 3))
+    raw[:, layout.slices["x1"]] = 2.0  # x1 = s* = 2, x2 = 0
+    traj = member_trajectory(np.linspace(0, 1, m), raw, layout)
     out = metrics(traj, s_star=2.0)
     assert out["final_error"] == [0.0] * 3
     assert out["settling_time"] == [0.0] * 3
@@ -231,11 +259,10 @@ def test_metrics_settling_hand_values():
                     [0.01, 1.0, 0.0, 0.0],
                     [0.0, 1.0, 0.0, 0.0],
                     [0.0, 1.0, 0.05, 0.0]])
-    layout = StateLayout(n=4, s_dims=(2,) * 4, nv=2)
+    layout = StateLayout(n=4, s_dims=(2,) * 4)
     raw = np.zeros((6, layout.dim))
-    raw[:, layout.slices["x"]] = np.repeat(2.0 + err, 2, axis=1) * np.tile([1.0, 0.0], 4)
-    traj = Trajectory(times=np.arange(6) * 0.5, raw=raw, layout=layout,
-                      rho=np.full(4, 0.25))
+    raw[:, layout.slices["x1"]] = 2.0 + err
+    traj = member_trajectory(np.arange(6) * 0.5, raw, layout)
     out = metrics(traj, s_star=2.0)
     assert out["settling_time"] == [1.5, math.inf, math.inf, 1.5]
     wide = metrics(traj, s_star=2.0, settle_tol=2.0)
@@ -301,8 +328,7 @@ def test_operator_is_csr_only_for_large_sparse_matrices(example1_scenario, examp
 
 
 def dense_derivative(sc, system):
-    """The closed-loop derivative composed from the layer RHS with dense L and M."""
-    n = sc.graph.n
+    """The member derivative composed from the layer RHS with dense L and M."""
     big_l = system.spectral.laplacian
     im = dataclasses.replace(StackedInternalModel.stack(sc.im_specs),
                              M=scipy.linalg.block_diag(*[spec.M for spec in sc.im_specs]))
@@ -311,17 +337,15 @@ def dense_derivative(sc, system):
     b = np.array([p.b for p in sc.plants])
     sl = system.layout.slices
 
-    def f(t, y):
-        yr, x, v = y[sl["yr"]], y[sl["x"]].reshape(n, 2), y[sl["v"]]
+    def f(t, y, w):
+        yr, x1, x2 = y[sl["yr"]], y[sl["x1"]], y[sl["x2"]]
         out = np.empty_like(y)
-        out[sl["yr"]], out[sl["z"]], dxi = coordinator_rhs(
-            t, yr, y[sl["z"]], y[sl["xi"]].reshape(n, n), big_l, grad_vec, system.gains)
-        out[sl["xi"]] = dxi.ravel()
+        out[:2 * len(yr)] = coordinator_rhs(t, y[:2 * len(yr)], w, big_l, grad_vec,
+                                            system.gains)
         u, (out[sl["eta"]], out[sl["k"]], out[sl["psi"]]) = tracker_rhs(
-            x[:, 0], x[:, 1], yr, y[sl["eta"]], y[sl["k"]], y[sl["psi"]],
-            sc.tracker.gamma, im)
-        out[sl["x"]] = np.column_stack([x[:, 1], drift(x[:, 0], x[:, 1], v, t) + b * u]).ravel()
-        out[sl["v"]] = sc.exo.S @ v
+            x1, x2, yr, y[sl["eta"]], y[sl["k"]], y[sl["psi"]], sc.tracker.gamma, im)
+        out[sl["x1"]] = x2
+        out[sl["x2"]] = drift(x1, x2, w[1], t) + b * u
         return out
 
     return f
@@ -332,9 +356,9 @@ def test_sparse_derivative_matches_dense_oracle():
     system = assemble(sc)
     rng = np.random.default_rng(7)
     y = rng.uniform(-1.0, 1.0, system.layout.dim)
-    y[system.layout.slices["xi"]] = rng.uniform(0.1, 1.0, sc.graph.n ** 2)
-    got = system.derivative(0.3, y)
-    want = dense_derivative(sc, system)(0.3, y)
+    w = (rng.uniform(0.1, 1.0, sc.graph.n), rng.uniform(-1.0, 1.0, sc.exo.dim))
+    got = system.derivative(0.3, y, w)
+    want = dense_derivative(sc, system)(0.3, y, w)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -344,7 +368,8 @@ def test_sparse_run_keeps_invariants_and_reruns_bit_identical():
     rep = verify(sc, first)
     assert rep.z_conservation_drift < 1e-8
     assert rep.xi_rowsum_drift < 1e-9
-    assert np.array_equal(first.raw, run(sc).raw)
+    assert np.abs(first.xi_rowsum - 1.0).max() < 1e-9
+    assert same_records(first, run(sc))
 
 
 def test_dense_systems_never_import_scipy_sparse():
@@ -380,3 +405,83 @@ def test_verify_builds_one_truth_per_distinct_spec(monkeypatch):
     assert len(builds) == 1
     # equal specs give equal values, shared or not
     assert shared_report == separate_report
+
+
+@pytest.mark.parametrize("preset", ["example1", "example2"])
+def test_driver_matches_xi_and_v_integrated_alone(preset, request):
+    sc = request.getfixturevalue(f"{preset}_scenario")
+    big_l, s_exo, h, n = spectral_data(sc.graph).laplacian, sc.exo.S, sc.step, sc.graph.n
+    driver = LinearDriver(LinearDriver.operator(big_l, s_exo), sc.exo.v0)
+    # the stage inputs of the first step are RK4's stage values of xi and v
+    stage2 = (np.eye(n) + (0.5 * h) * -(big_l @ np.eye(n)),
+              sc.exo.v0 + (0.5 * h) * (s_exo @ sc.exo.v0))
+    inputs = driver.stages(h)
+    assert np.array_equal(inputs[1][0], stage2[0].diagonal())
+    assert np.array_equal(inputs[1][1], stage2[1])
+    driver = LinearDriver(driver.b, sc.exo.v0)
+    integrate(lambda t, y, w: np.zeros(1), np.zeros(1), h, 500, 100, driver)
+    _, xi = integrate(lambda t, x: -(big_l @ x), np.eye(n), h, 500, 100)
+    _, v = integrate(lambda t, v: s_exo @ v, sc.exo.v0, h, 500, 100)
+    assert np.array_equal(driver.w[:n, :n], xi[-1])
+    assert np.array_equal(driver.w[n:, n], v[-1])
+    # the records at every sample
+    assert np.array_equal(driver.xi_diag, xi.diagonal(axis1=1, axis2=2))
+    assert np.array_equal(driver.xi_rowsum, xi.sum(axis=2))
+    assert np.array_equal(driver.v, v)
+
+
+def test_csr_driver_matches_dense_driver():
+    sc = sparse_ring()
+    big_l = laplacian(sc.graph)
+    sparse = LinearDriver(LinearDriver.operator(big_l, sc.exo.S), sc.exo.v0)
+    dense = LinearDriver(scipy.linalg.block_diag(big_l, -sc.exo.S), sc.exo.v0)
+    assert sparse.b.format == "csr" and type(dense.b) is np.ndarray
+    for kstep in range(500):
+        got, want = sparse.stages(sc.step), dense.stages(sc.step)
+        for (xi_got, v_got), (xi_want, v_want) in zip(got, want):
+            assert np.abs(xi_got - xi_want).max() <= 1e-12
+            assert np.abs(v_got - v_want).max() <= 1e-12
+        sparse.finish(kstep * sc.step, sc.step)
+        dense.finish(kstep * sc.step, sc.step)
+    assert np.abs(sparse.w - dense.w).max() <= 1e-12
+
+
+def test_driver_divergence_names_the_driver_and_time():
+    g = Digraph.from_edges(2, [(1, 2, 1e200), (2, 1, 1e200)])
+    driver = LinearDriver(LinearDriver.operator(laplacian(g), np.zeros((0, 0))), np.zeros(0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        driver.stages(0.1)
+        with pytest.raises(Diverged, match=r"^xi/v driver: .* at t=0\.5$") as info:
+            driver.finish(0.5, 0.1)
+    assert info.value.t == 0.5
+    # run names the scenario; these plants do not read v, so the driver fails first
+    plants = [custom(lambda x1, x2, v, t: -x1 - x2, 1.0)] * 3
+    exo = Exosystem(S=np.array([[1e300, 0.0], [0.0, 0.0]]), v0=np.array([1.0, 0.0]))
+    sc = tiny_scenario(plants=plants, exo=exo, frequencies=None, name="blowup")
+    with pytest.raises(Diverged, match=r"^blowup: xi/v driver: .* at t=0$") as info:
+        run(sc)
+    assert info.value.t == 0.0
+
+
+def test_unstable_xi_step_names_scenario_and_time():
+    # h max|lambda(L)| = 1e-3 * 2000 * sqrt(3) = 3.46, past RK4's stability bound
+    # on this spectrum (about 2.8 on the negative real axis)
+    g = Digraph.from_edges(3, [(1, 2, 2000.0), (2, 3, 2000.0), (3, 1, 2000.0)])
+    sc = tiny_scenario(graph=g, gains=CoordinatorGains(beta1=1.0, beta2=1.0, delta=1.0),
+                       name="stiff")
+    assert sc.step * np.abs(np.linalg.eigvals(laplacian(g))).max() > 3.4
+    with pytest.raises((Diverged, XiUnderflow), match=r"^stiff: .*at t=") as info:
+        run(sc)
+    assert 0.0 <= info.value.t < sc.horizon
+    assert str(info.value).endswith(f"at t={info.value.t:.6g}")
+
+
+def test_ring200_records_no_n_squared_array():
+    sc = dataclasses.replace(sparse_ring(200, 200), horizon=0.02, record_every=5)
+    n, total_s, nv = 200, 400, 2
+    traj = run(sc)
+    arrays = [value for value in vars(traj).values() if isinstance(value, np.ndarray)]
+    assert all(n * n not in a.shape and a[0].size <= 5 * n + 2 * total_s for a in arrays)
+    # per sample: yr, z, x1, x2, k, diag xi and xi row sums (n each), eta and psi_hat, v
+    assert sum(getattr(traj, name).shape[1] for name in RECORDS) == 7 * n + 2 * total_s + nv
+    assert traj.raw.shape == (5, 5 * n + 2 * total_s)
