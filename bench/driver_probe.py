@@ -1,0 +1,93 @@
+"""Time the xi/v driver step and the member derivative of each benchmark workload.
+
+    python3 bench/driver_probe.py --checkout PATH --blocks 15 --calls 100
+
+For each workload of `benchmark/workloads.py` on the checkout at PATH (default:
+the checkout holding this script), it assembles the workload's scenario (the
+sweep's first member), advances a `LinearDriver` by 100 steps and then
+prints the µs per driver step (`stages` plus `finish`) and the µs per member
+derivative call, each the min over `--blocks` blocks of `--calls` calls.
+`benchmark/run.py`'s per-layer metrics cannot see the driver: it runs between
+the traced `rk4_step` calls.  Like `benchmark/run.py`, it fixes one BLAS
+thread before numpy loads.  The last line of standard output is one JSON
+object holding every number.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import json
+import sys
+import time
+from dataclasses import replace
+from pathlib import Path
+
+perf = time.perf_counter
+WARMUP_STEPS = 100
+
+
+def min_block_us(fn, blocks, calls):
+    """Min over blocks of the mean µs per call of `calls` calls of fn()."""
+    best = float("inf")
+    for _ in range(blocks):
+        t0 = perf()
+        for _ in range(calls):
+            fn()
+        best = min(best, (perf() - t0) / calls * 1e6)
+    return best
+
+
+def probe(sim_mod, scenario_from_dict, wl, blocks, calls):
+    sc = scenario_from_dict(wl.doc)
+    if wl.member_seeds:
+        sc = replace(sc, seed=wl.member_seeds[0])
+    system = sim_mod.assemble(sc)
+    driver = sim_mod.LinearDriver(system.linear_operator, sc.exo.v0)
+    h = sc.step
+    for _ in range(WARMUP_STEPS):
+        driver.stages(h)
+        driver.finish(0.0, h)
+
+    def driver_step():
+        driver.stages(h)
+        driver.finish(0.0, h)
+
+    y0 = sim_mod.initial_state(sc, system.layout)
+    w = driver.inputs[1]
+    return {"n": sc.graph.n,
+            "driver_step_us": min_block_us(driver_step, blocks, calls),
+            "derivative_us": min_block_us(lambda: system.derivative(0.5 * h, y0, w),
+                                          blocks, calls)}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--checkout", default=str(Path(__file__).resolve().parent.parent))
+    parser.add_argument("--seed", type=int, default=1, help="workload seed")
+    parser.add_argument("--blocks", type=int, default=15)
+    parser.add_argument("--calls", type=int, default=100)
+    args = parser.parse_args(argv)
+
+    root = Path(args.checkout).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "benchmark")]
+    from oocsim import sim as sim_mod
+    from oocsim.scenario import scenario_from_dict
+    from workloads import GENERATORS
+
+    out = {"checkout": str(root), "seed": args.seed, "blocks": args.blocks,
+           "calls": args.calls, "workloads": {}}
+    for name, generate in GENERATORS.items():
+        res = probe(sim_mod, scenario_from_dict, generate(args.seed), args.blocks,
+                    args.calls)
+        out["workloads"][name] = res
+        print(f"{name}: n {res['n']}, driver step {res['driver_step_us']:.1f} us, "
+              f"derivative call {res['derivative_us']:.1f} us", flush=True)
+    print(json.dumps(out))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,7 +7,12 @@ one shared exosystem state v.  The per-agent states yr, z, x1, x2, eta, k and
 psi_hat form one flat member state of 7n + 2 sum(s_i) entries.  xi and v are
 linear and read no other state, so one `LinearDriver` advances them and feeds
 the member derivative diag xi and v at each RK4 stage.  Both advance with
-classical RK4 at a fixed step, for determinism.
+classical RK4 at a fixed step, for determinism.  The driver applies RK4's
+step polynomial of -hB in Horner form (four products, four adds) and
+recombines the Horner iterates into the exact stage values
+Y2 = 2 T4 - W, Y3 = 3 T3 - 2 T4 and Y4 = W - 6 T3 + 6 T2, but only at the
+entries the member derivative reads; stage 1 is W itself, a fixed view.
+xi and v therefore equal classic stage-by-stage RK4 up to last-bit rounding.
 """
 
 import math
@@ -136,29 +141,56 @@ class LinearDriver:
     """RK4 for xi' = -L xi, xi(0) = I, and v' = S v, v(0) = v0, as one linear state.
 
     W = [[xi, 0], [0, v]] obeys W' = -B W with B = blockdiag(L, -S) and reads
-    no other state, so RK4 on W alone gives the same numbers as RK4 on the
-    whole closed loop.  Per step, `stages(h)` returns the four stage inputs
-    (diag xi, v): fixed views into W and three stage buffers, filled in
-    place.  The member step runs on them, then `finish` completes W's step,
-    summing ((K1 + 2 K2) + 2 K3) + K4 in RK4's order.  Each stage is
-    W - c (B W), which equals W + c (-B W) bit for bit because negation is
-    exact, so B W is never negated or copied.
+    no other state, so RK4 on W alone is RK4 on the whole closed loop.
 
-    `start(m)` allocates the (m, .) records xi_diag, xi_rowsum and v, and
-    `record(j)` fills row j from the current W.
+    For this linear W, RK4's step is the polynomial
+    I - hB + (hB)^2/2 - (hB)^3/6 + (hB)^4/24, applied here in Horner form with
+    A_k = -(h/k) B, built once per step size (CSR stays CSR, dense stays
+    dense): `stages(h)` computes T4 = W + A4 W, T3 = W + A3 T4 and
+    T2 = W + A2 T3 into three buffers, and `finish` does W += A1 T2.  That is
+    four products and four adds per step.  RK4's stage values are exact
+    linear combinations of these iterates:
+
+        Y2 = 2 T4 - W,    Y3 = 3 T3 - 2 T4,    Y4 = W - 6 T3 + 6 T2.
+
+    The member derivative reads only diag xi and v of each stage, so stages 2
+    to 4 get theirs from one (3, 4) product over those entries of W, T4, T3
+    and T2; the n^2 stage values themselves are never formed.  Stage 1 is W
+    itself, so its input is a fixed view into W, valid from construction.
+    The numbers equal classic RK4's up to rounding in the last bits.
+
+    `inputs` holds the four stage inputs (diag xi, v) as fixed views, filled
+    in place by each `stages` call.  `start(m)` allocates the (m, .) records
+    xi_diag, xi_rowsum and v, and `record(j)` fills row j from the current W.
+    The buffers take B's dtype (at least float), so a B of exact fractions
+    runs the same steps in exact arithmetic.
     """
+
+    # rows: Y2, Y3, Y4; columns: W, T4, T3, T2
+    _RECOMBINE = ((-1, 2, 0, 0), (0, -2, 3, 0), (1, 0, -6, 6))
 
     def __init__(self, b, v0):
         self.n = n = b.shape[0] - len(v0)
         self.b = b
-        bufs = np.zeros((4, b.shape[0], n + 1))
+        dtype = np.result_type(b.dtype, float)
+        bufs = np.zeros((4, b.shape[0], n + 1), dtype=dtype)
         self.w = bufs[0]
         self._xi = self.w[:n, :n]
-        np.fill_diagonal(self._xi, 1.0)
+        np.fill_diagonal(self._xi, 1)
         self.w[n:, n] = v0
-        self._stages = bufs[1:]
-        self._acc = None
-        self.inputs = tuple((buf[:n, :n].diagonal(), buf[n:, n]) for buf in bufs)
+        self._horner = bufs[1:]  # T4, T3, T2
+        self._h = None
+        self._ops = None         # A1, A2, A3, A4 for the step self._h
+        # flat offsets of diag xi and of the v column in one buffer
+        cols = n + 1
+        self._probe = np.concatenate((np.arange(n) * (cols + 1),
+                                      np.arange(n, b.shape[0]) * cols + n))
+        self._flat = bufs.reshape(4, -1)
+        self._probed = np.empty((4, self._probe.size), dtype=dtype)
+        self._recombine = np.array(self._RECOMBINE, dtype=dtype)
+        self._stage_inputs = np.empty((3, self._probe.size), dtype=dtype)
+        self.inputs = ((self._xi.diagonal(), self.w[n:, n]),) + tuple(
+            (row[:n], row[n:]) for row in self._stage_inputs)
 
     @staticmethod
     def operator(big_l, s_exo):
@@ -170,27 +202,25 @@ class LinearDriver:
         return _operator(b)
 
     def stages(self, h):
-        """Fill the stage buffers of the step of h from W; return the stage inputs."""
-        b, w = self.b, self.w
-        s2, s3, s4 = self._stages
-        acc = b @ w                              # K1 = -acc
-        np.subtract(w, np.multiply(acc, 0.5 * h, out=s2), out=s2)
-        p = b @ s2
-        np.subtract(w, np.multiply(p, 0.5 * h, out=s3), out=s3)
-        acc += np.multiply(p, 2.0, out=p)        # K1 + 2 K2 = -acc
-        p = b @ s3
-        np.subtract(w, np.multiply(p, h, out=s4), out=s4)
-        acc += np.multiply(p, 2.0, out=p)
-        self._acc = acc
+        """Compute T4, T3 and T2 for the step of h from W; return the stage inputs."""
+        if h != self._h:
+            self._ops = tuple(-(h / k) * self.b for k in (1, 2, 3, 4))
+            self._h = h
+        w = self.w
+        prev = w
+        for op, t in zip(self._ops[:0:-1], self._horner):
+            np.add(w, op @ prev, out=t)
+            prev = t
+        np.take(self._flat, self._probe, axis=1, out=self._probed)
+        np.matmul(self._recombine, self._probed, out=self._stage_inputs)
         return self.inputs
 
     def finish(self, t, h):
-        """W += (h/6)(K1 + 2 K2 + 2 K3 + K4); raises Diverged on a non-finite W."""
-        acc = self._acc
-        acc += self.b @ self._stages[2]
-        acc *= h / 6.0
-        self.w -= acc
-        if not np.isfinite(self.w).all():
+        """W += A1 T2, completing the step of h; raises Diverged on a non-finite W."""
+        w = self.w
+        w += self._ops[0] @ self._horner[2]
+        # astype is a no-op on a float W and converts an exact one
+        if not np.isfinite(w.astype(float, copy=False)).all():
             raise Diverged(f"xi/v driver: non-finite state after step at t={t:.6g}", t=t)
 
     def start(self, m):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -412,22 +413,61 @@ def test_driver_matches_xi_and_v_integrated_alone(preset, request):
     sc = request.getfixturevalue(f"{preset}_scenario")
     big_l, s_exo, h, n = spectral_data(sc.graph).laplacian, sc.exo.S, sc.step, sc.graph.n
     driver = LinearDriver(LinearDriver.operator(big_l, s_exo), sc.exo.v0)
-    # the stage inputs of the first step are RK4's stage values of xi and v
-    stage2 = (np.eye(n) + (0.5 * h) * -(big_l @ np.eye(n)),
-              sc.exo.v0 + (0.5 * h) * (s_exo @ sc.exo.v0))
-    inputs = driver.stages(h)
-    assert np.array_equal(inputs[1][0], stage2[0].diagonal())
-    assert np.array_equal(inputs[1][1], stage2[1])
-    driver = LinearDriver(driver.b, sc.exo.v0)
-    integrate(lambda t, y, w: np.zeros(1), np.zeros(1), h, 500, 100, driver)
-    _, xi = integrate(lambda t, x: -(big_l @ x), np.eye(n), h, 500, 100)
-    _, v = integrate(lambda t, v: s_exo @ v, sc.exo.v0, h, 500, 100)
-    assert np.array_equal(driver.w[:n, :n], xi[-1])
-    assert np.array_equal(driver.w[n:, n], v[-1])
-    # the records at every sample
-    assert np.array_equal(driver.xi_diag, xi.diagonal(axis1=1, axis2=2))
-    assert np.array_equal(driver.xi_rowsum, xi.sum(axis=2))
-    assert np.array_equal(driver.v, v)
+    inputs = []
+
+    def member(t, y, w):
+        inputs.append((w[0].copy(), w[1].copy()))
+        return np.zeros(1)
+
+    integrate(member, np.zeros(1), h, 500, 100, driver)
+    # classic RK4 on xi and on v alone, keeping every stage value
+    xi_stages, v_stages = [], []
+    _, xi = integrate(lambda t, x: xi_stages.append(x) or -(big_l @ x), np.eye(n), h, 500, 100)
+    _, v = integrate(lambda t, v: v_stages.append(v) or s_exo @ v, sc.exo.v0, h, 500, 100)
+    # Horner form rounds differently in the last bits (measured <= 1.4e-15 of
+    # the block's largest entry); a wrong coefficient is off by about h
+    xi_tol = 1e-14 * np.abs(xi).max()
+    v_tol = 1e-14 * np.abs(v).max()
+    assert np.abs(driver.w[:n, :n] - xi[-1]).max() <= xi_tol
+    assert np.abs(driver.w[n:, n] - v[-1]).max() <= v_tol
+    assert np.abs(driver.xi_diag - xi.diagonal(axis1=1, axis2=2)).max() <= xi_tol
+    assert np.abs(driver.xi_rowsum - xi.sum(axis=2)).max() <= xi_tol
+    assert np.abs(driver.v - v).max() <= v_tol
+    assert len(inputs) == len(xi_stages) == len(v_stages) == 4 * 500
+    for (xi_got, v_got), xi_want, v_want in zip(inputs, xi_stages, v_stages):
+        assert np.abs(xi_got - xi_want.diagonal()).max() <= xi_tol
+        assert np.abs(v_got - v_want).max() <= v_tol
+
+
+def test_driver_horner_steps_are_classic_rk4_in_exact_arithmetic():
+    # a weight-unbalanced 3-agent digraph and a 2-D rotation exosystem, in fractions
+    g = Digraph.from_edges(3, [(1, 2, 2.0), (2, 3, 1.0), (3, 1, 3.0), (1, 3, 1.0)])
+    sigma = Fraction(4, 5)
+    s_exo = np.array([[0, 1], [-sigma * sigma, 0]], dtype=object)
+    b = np.zeros((5, 5), dtype=object)
+    b[:3, :3] = [[Fraction(x) for x in row] for row in laplacian(g)]
+    b[3:, 3:] = -s_exo
+    v0 = np.array([Fraction(0), Fraction(1)], dtype=object)
+    h = Fraction(1, 1000)
+    driver = LinearDriver(b, v0)
+    w = driver.w.copy()
+    assert w.dtype == object and w[0, 0] == 1 and w[3, 3] == 0 and w[4, 3] == 1
+    for kstep in range(2):
+        k1 = -(b @ w)
+        y2 = w + (h / 2) * k1
+        k2 = -(b @ y2)
+        y3 = w + (h / 2) * k2
+        k3 = -(b @ y3)
+        y4 = w + h * k3
+        k4 = -(b @ y4)
+        inputs = driver.stages(h)
+        for (xi_diag, v), y in zip(inputs, (w, y2, y3, y4)):
+            assert list(xi_diag) == list(y[:3, :3].diagonal())
+            assert list(v) == list(y[3:, 3])
+        driver.finish(kstep * h, h)
+        w = w + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        assert (driver.w == w).all()
+        assert all(type(x) is Fraction for x in driver.w.ravel())
 
 
 def test_csr_driver_matches_dense_driver():
