@@ -7,6 +7,10 @@ the checkout holding this script), it assembles the workload's scenario (the
 sweep's first member), advances a `LinearDriver` by 100 steps and then
 prints the µs per driver step (`stages` plus `finish`) and the µs per member
 derivative call, each the min over `--blocks` blocks of `--calls` calls.
+It builds the driver as `LinearDriver(L, S, v0, h)` and steps it with
+`stages()` and `finish(t)`, so it probes checkouts from the change that
+introduced that constructor on.  Older checkouts, where `assemble` built B
+and every step passed h, need the older copy of this script.
 `benchmark/run.py`'s per-layer metrics cannot see the driver: it runs between
 the traced `rk4_step` calls.  Like `benchmark/run.py`, it fixes one BLAS
 thread before numpy loads.  The last line of standard output is one JSON
@@ -45,15 +49,15 @@ def probe(sim_mod, scenario_from_dict, wl, blocks, calls):
     if wl.member_seeds:
         sc = replace(sc, seed=wl.member_seeds[0])
     system = sim_mod.assemble(sc)
-    driver = sim_mod.LinearDriver(system.linear_operator, sc.exo.v0)
     h = sc.step
+    driver = sim_mod.LinearDriver(system.spectral.laplacian, sc.exo.S, sc.exo.v0, h)
     for _ in range(WARMUP_STEPS):
-        driver.stages(h)
-        driver.finish(0.0, h)
+        driver.stages()
+        driver.finish(0.0)
 
     def driver_step():
-        driver.stages(h)
-        driver.finish(0.0, h)
+        driver.stages()
+        driver.finish(0.0)
 
     y0 = sim_mod.initial_state(sc, system.layout)
     w = driver.inputs[1]

@@ -106,7 +106,7 @@ def coordinator_only_run(g: Digraph, cost_list, gains: CoordinatorGains, y0,
     big_l = laplacian(g)
     rhs = partial(coordinator_rhs, big_l=_operator(big_l),
                   grad_vec=build_gradient(cost_list), gains=gains)
-    driver = LinearDriver(LinearDriver.operator(big_l, np.zeros((0, 0))), np.zeros(0))
+    driver = LinearDriver(big_l, np.zeros((0, 0)), np.zeros(0), step)
     c0 = np.concatenate([np.asarray(y0, dtype=float), np.zeros(g.n)])
     times, arr = integrate(rhs, c0, step, int(round(horizon / step)), record_every, driver)
     return CoordinatorTrajectory(times=times, y_r=arr[:, :g.n], z=arr[:, g.n:],

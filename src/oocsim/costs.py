@@ -213,17 +213,20 @@ def _grid_gradient(c: CostFunction, grid: np.ndarray) -> np.ndarray:
     return g
 
 
-def convexity_bounds(cost_list, interval=None, step=1e-3, min_points=2001) -> ConvexityBounds:
+# The curvature scan's grid spacing is at most this, with at least this many points.
+_SCAN_STEP = 1e-3
+_SCAN_MIN_POINTS = 2001
+
+
+def convexity_bounds(cost_list) -> ConvexityBounds:
     """Grid estimate of curvature bounds via central differences of the gradient.
 
-    Each cost's gradient is evaluated once on the whole grid (see _grid_gradient).
+    The grid spans the union of the costs' domain hints.  Each cost's
+    gradient is evaluated once on the whole grid (see _grid_gradient).
     """
-    if interval is None:
-        lo = min(c.domain_hint[0] for c in cost_list)
-        hi = max(c.domain_hint[1] for c in cost_list)
-    else:
-        lo, hi = interval
-    npts = max(min_points, int(math.ceil((hi - lo) / step)) + 1)
+    lo = min(c.domain_hint[0] for c in cost_list)
+    hi = max(c.domain_hint[1] for c in cost_list)
+    npts = max(_SCAN_MIN_POINTS, int(math.ceil((hi - lo) / _SCAN_STEP)) + 1)
     grid = np.linspace(lo, hi, npts)
     h = grid[1] - grid[0]
     varpi = math.inf

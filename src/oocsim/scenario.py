@@ -70,12 +70,17 @@ def _parse_graph(section):
     if not isinstance(edges, list):
         raise SchemaError("graph.edges: expected a list of [from, to, weight]")
     triples = []
+    first_index = {}  # (from, to) -> index of the edge that set it
     for idx, e in enumerate(edges):
         if not isinstance(e, list) or len(e) != 3:
             raise SchemaError(f"graph.edges[{idx}]: expected [from, to, weight]")
         src, dst, wt = e
         if not isinstance(src, int) or not isinstance(dst, int):
             raise SchemaError(f"graph.edges[{idx}]: node ids must be integers")
+        first = first_index.setdefault((src, dst), idx)
+        if first != idx:
+            raise SchemaError(f"graph.edges[{idx}]: edge ({src}, {dst}) repeats "
+                              f"graph.edges[{first}]")
         wt = _number(wt, f"graph.edges[{idx}].weight")
         if wt <= 0:
             raise SchemaError(f"graph.edges[{idx}]: edge ({src}, {dst}) has "
@@ -309,8 +314,7 @@ def scenario_from_dict(doc, name_hint="scenario") -> Scenario:
                       tracker=tracker, im_specs=im_specs, seed=seed, gains=gains,
                       frequencies=frequencies, check_psi=check_psi, init=init,
                       horizon=horizon, step=step, record_every=record_every,
-                      ablate_internal_model=ablate, tolerances=tolerances,
-                      domain_hint=domain_hint, name=name)
+                      ablate_internal_model=ablate, tolerances=tolerances, name=name)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
     if gains is None:

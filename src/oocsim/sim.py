@@ -6,10 +6,12 @@ model eta_i with adaptive gain k_i and feedforward estimate psi_hat_i, plus
 one shared exosystem state v.  The per-agent states yr, z, x1, x2, eta, k and
 psi_hat form one flat member state of 7n + 2 sum(s_i) entries.  xi and v are
 linear and read no other state, so one `LinearDriver` advances them and feeds
-the member derivative diag xi and v at each RK4 stage.  Both advance with
-classical RK4 at a fixed step, for determinism.  The driver applies RK4's
-step polynomial of -hB in Horner form (four products, four adds) and
-recombines the Horner iterates into the exact stage values
+the member derivative diag xi and v at each RK4 stage.  `assemble` builds only
+the member derivative; `run` builds the driver in one call from L, S, v0 and
+the step, and the driver builds its operator B = blockdiag(L, -S).  Both
+advance with classical RK4 at a fixed step, for determinism.  The driver
+applies RK4's step polynomial of -hB in Horner form (four products, four
+adds) and recombines the Horner iterates into the exact stage values
 Y2 = 2 T4 - W, Y3 = 3 T3 - 2 T4 and Y4 = W - 6 T3 + 6 T2, but only at the
 entries the member derivative reads; stage 1 is W itself, a fixed view.
 xi and v therefore equal classic stage-by-stage RK4 up to last-bit rounding.
@@ -69,7 +71,6 @@ class Scenario:
     record_every: int = 100
     ablate_internal_model: bool = False
     tolerances: dict = field(default_factory=dict)
-    domain_hint: Optional[tuple] = None
     name: str = "scenario"
 
     def __post_init__(self):
@@ -126,15 +127,13 @@ class System:
     """Assembled closed loop: derivative closure plus resolved parameters.
 
     derivative(t, y, w) takes the member state y and the stage input
-    w = (diag xi, v); linear_operator is the B of the xi/v driver.
+    w = (diag xi, v).
     """
 
-    scenario: Scenario
     layout: StateLayout
     spectral: SpectralData
     gains: CoordinatorGains
     derivative: callable
-    linear_operator: object
 
 
 class LinearDriver:
@@ -143,13 +142,14 @@ class LinearDriver:
     W = [[xi, 0], [0, v]] obeys W' = -B W with B = blockdiag(L, -S) and reads
     no other state, so RK4 on W alone is RK4 on the whole closed loop.
 
-    For this linear W, RK4's step is the polynomial
-    I - hB + (hB)^2/2 - (hB)^3/6 + (hB)^4/24, applied here in Horner form with
-    A_k = -(h/k) B, built once per step size (CSR stays CSR, dense stays
-    dense): `stages(h)` computes T4 = W + A4 W, T3 = W + A3 T4 and
-    T2 = W + A2 T3 into three buffers, and `finish` does W += A1 T2.  That is
-    four products and four adds per step.  RK4's stage values are exact
-    linear combinations of these iterates:
+    The constructor builds B through `digraph._operator` (CSR when large and
+    sparse, else dense).  For this linear W, RK4's step of h is the
+    polynomial I - hB + (hB)^2/2 - (hB)^3/6 + (hB)^4/24, applied here in
+    Horner form with A_k = -(h/k) B, built once at construction: `stages()`
+    computes T4 = W + A4 W, T3 = W + A3 T4 and T2 = W + A2 T3 into three
+    buffers, and `finish(t)` does W += A1 T2.  That is four products and four
+    adds per step.  RK4's stage values are exact linear combinations of these
+    iterates:
 
         Y2 = 2 T4 - W,    Y3 = 3 T3 - 2 T4,    Y4 = W - 6 T3 + 6 T2.
 
@@ -162,29 +162,32 @@ class LinearDriver:
     `inputs` holds the four stage inputs (diag xi, v) as fixed views, filled
     in place by each `stages` call.  `start(m)` allocates the (m, .) records
     xi_diag, xi_rowsum and v, and `record(j)` fills row j from the current W.
-    The buffers take B's dtype (at least float), so a B of exact fractions
-    runs the same steps in exact arithmetic.
+    B and the buffers take the dtype of L and S (at least float), so L, S
+    and h of exact fractions run the same steps in exact arithmetic.
     """
 
     # rows: Y2, Y3, Y4; columns: W, T4, T3, T2
     _RECOMBINE = ((-1, 2, 0, 0), (0, -2, 3, 0), (1, 0, -6, 6))
 
-    def __init__(self, b, v0):
-        self.n = n = b.shape[0] - len(v0)
-        self.b = b
-        dtype = np.result_type(b.dtype, float)
-        bufs = np.zeros((4, b.shape[0], n + 1), dtype=dtype)
+    def __init__(self, big_l, s_exo, v0, h):
+        self.n = n = len(big_l)
+        dim = n + len(v0)
+        dtype = np.result_type(big_l.dtype, s_exo.dtype, float)
+        b = np.zeros((dim, dim), dtype=dtype)
+        b[:n, :n] = big_l
+        b[n:, n:] = -s_exo
+        self.b = _operator(b)
+        self._ops = tuple(-(h / k) * self.b for k in (1, 2, 3, 4))  # A1 .. A4
+        bufs = np.zeros((4, dim, n + 1), dtype=dtype)
         self.w = bufs[0]
         self._xi = self.w[:n, :n]
         np.fill_diagonal(self._xi, 1)
         self.w[n:, n] = v0
         self._horner = bufs[1:]  # T4, T3, T2
-        self._h = None
-        self._ops = None         # A1, A2, A3, A4 for the step self._h
         # flat offsets of diag xi and of the v column in one buffer
         cols = n + 1
         self._probe = np.concatenate((np.arange(n) * (cols + 1),
-                                      np.arange(n, b.shape[0]) * cols + n))
+                                      np.arange(n, dim) * cols + n))
         self._flat = bufs.reshape(4, -1)
         self._probed = np.empty((4, self._probe.size), dtype=dtype)
         self._recombine = np.array(self._RECOMBINE, dtype=dtype)
@@ -192,20 +195,8 @@ class LinearDriver:
         self.inputs = ((self._xi.diagonal(), self.w[n:, n]),) + tuple(
             (row[:n], row[n:]) for row in self._stage_inputs)
 
-    @staticmethod
-    def operator(big_l, s_exo):
-        """B = blockdiag(L, -S), as `digraph._operator` holds it."""
-        n, nv = len(big_l), len(s_exo)
-        b = np.zeros((n + nv, n + nv))
-        b[:n, :n] = big_l
-        b[n:, n:] = -s_exo
-        return _operator(b)
-
-    def stages(self, h):
-        """Compute T4, T3 and T2 for the step of h from W; return the stage inputs."""
-        if h != self._h:
-            self._ops = tuple(-(h / k) * self.b for k in (1, 2, 3, 4))
-            self._h = h
+    def stages(self):
+        """Compute T4, T3 and T2 from W; return the four stage inputs."""
         w = self.w
         prev = w
         for op, t in zip(self._ops[:0:-1], self._horner):
@@ -215,8 +206,8 @@ class LinearDriver:
         np.matmul(self._recombine, self._probed, out=self._stage_inputs)
         return self.inputs
 
-    def finish(self, t, h):
-        """W += A1 T2, completing the step of h; raises Diverged on a non-finite W."""
+    def finish(self, t):
+        """W += A1 T2, completing the step from t; raises Diverged on a non-finite W."""
         w = self.w
         w += self._ops[0] @ self._horner[2]
         # astype is a no-op on a float W and converts an exact one
@@ -241,7 +232,7 @@ def assemble(sc: Scenario) -> System:
     n = g.n
     spectral = spectral_data(g)  # raises NotStronglyConnected
     # also the NonConvexDetected check, so it runs when the gains are fixed too
-    bounds = costs_mod.convexity_bounds(sc.costs, interval=sc.domain_hint)
+    bounds = costs_mod.convexity_bounds(sc.costs)
     if sc.gains is not None:
         gains = sc.gains
     else:
@@ -269,9 +260,7 @@ def assemble(sc: Scenario) -> System:
                                           gamma, im)
         return np.concatenate((dc, x2, drift(x1, x2, w[1], t) + b * u, deta, dk, dpsi))
 
-    return System(scenario=sc, layout=layout, spectral=spectral, gains=gains,
-                  derivative=derivative,
-                  linear_operator=LinearDriver.operator(spectral.laplacian, sc.exo.S))
+    return System(layout=layout, spectral=spectral, gains=gains, derivative=derivative)
 
 
 def initial_state(sc: Scenario, layout: StateLayout) -> np.ndarray:
@@ -362,9 +351,9 @@ def integrate(f, y0, h, n_steps, record_every, driver=None):
     """RK4 over n_steps steps of h from t = 0; returns (times, samples).
 
     The samples are the initial state and every record_every-th state after it.
-    With a `LinearDriver`, f is f(t, y, w): each step the driver's stages give
-    f its four stage inputs, and the driver records its own samples at the
-    same steps.
+    With a `LinearDriver`, built for the same h, f is f(t, y, w): each step
+    the driver's stages give f its four stage inputs, and the driver records
+    its own samples at the same steps.
     """
     times = np.zeros(n_steps // record_every + 1)
     samples = np.empty((times.size,) + y0.shape)
@@ -377,10 +366,10 @@ def integrate(f, y0, h, n_steps, record_every, driver=None):
         for kstep in range(1, n_steps + 1):
             t = (kstep - 1) * h
             if driver is not None:
-                w = driver.stages(h)
+                w = driver.stages()
             y = rk4_step(f, t, y, h, w)
             if driver is not None:
-                driver.finish(t, h)
+                driver.finish(t)
             if kstep % record_every == 0:
                 j = kstep // record_every
                 times[j] = kstep * h
@@ -395,7 +384,7 @@ def run(sc: Scenario, system: Optional[System] = None) -> Trajectory:
     if system is None:
         system = assemble(sc)
     y0 = initial_state(sc, system.layout)
-    driver = LinearDriver(system.linear_operator, sc.exo.v0)
+    driver = LinearDriver(system.spectral.laplacian, sc.exo.S, sc.exo.v0, sc.step)
     try:
         times, raw = integrate(system.derivative, y0, sc.step, sc.n_steps, sc.record_every,
                                driver)

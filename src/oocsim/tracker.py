@@ -130,10 +130,8 @@ class InternalModelSpec:
 
 @dataclass(frozen=True)
 class FeedforwardTruth:
-    """Verification-only: exosystem modes, Sylvester solution and true Psi row."""
+    """Verification-only: Sylvester solution, true Psi row and its residual."""
 
-    Phi: np.ndarray
-    Gamma: np.ndarray
     T: np.ndarray
     Psi: np.ndarray
     residual: float
@@ -146,7 +144,7 @@ class FeedforwardTruth:
                 f"mode count gives order {phi.shape[0]}, internal model has {im.s_dim}")
         t = solve_sylvester(im.M, im.N_vec, phi, gamma)
         return FeedforwardTruth(
-            Phi=phi, Gamma=gamma, T=t, Psi=psi_true(t, gamma),
+            T=t, Psi=psi_true(t, gamma),
             residual=sylvester_residual(t, im.M, im.N_vec, phi, gamma))
 
 

@@ -1,12 +1,13 @@
 import csv
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from oocsim.cli import cmd_dispatch, write_trajectory
-from oocsim.scenario import parse_scenario
-from oocsim.sim import run
+from oocsim.scenario import parse_scenario, scenario_from_dict
+from oocsim.sim import assemble, initial_state, run
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +153,33 @@ def test_usage_errors(tmp_path, tiny_path, capsys):
         path.write_text(text.replace(good, bad))  # JSON extensions Python accepts
         assert cmd_dispatch(["sim", "--scenario", str(path), "--out", str(tmp_path)]) == 2
         assert f"{field}: expected a finite number" in capsys.readouterr().err
+    # a second weight for a pair the list already has would overwrite the first
+    doc = json.loads(resources.files("oocsim").joinpath("presets/example1.json").read_text())
+    edges = doc["graph"]["edges"]
+    edges.append(edges[0][:2] + [7.5])
+    path = tmp_path / "duplicate.json"
+    path.write_text(json.dumps(doc))
+    assert cmd_dispatch(["sim", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"graph.edges[{len(edges) - 1}]" in err and "graph.edges[0]" in err
+
+
+def test_init_ranges_are_drawn_after_yr_and_x(tmp_path, tiny_path, capsys):
+    doc = json.loads(tiny_path.read_text())
+    doc["init"].update(eta_range=[-3.0, -2.0], k_range=[0.5, 1.5], psi_range=[4.0, 6.0])
+    sc = scenario_from_dict(doc)
+    layout = assemble(sc).layout
+    y0 = initial_state(sc, layout)
+    # eta, k and psi_hat follow yr and the (x1, x2) pairs on the same stream
+    rng = np.random.default_rng([sc.seed, 1])
+    assert np.array_equal(y0[layout.slices["yr"]], rng.uniform(-1.0, 1.0, size=2))
+    rng.uniform(-0.5, 0.5, size=4)
+    assert np.array_equal(y0[layout.slices["eta"]], rng.uniform(-3.0, -2.0, size=4))
+    assert np.array_equal(y0[layout.slices["k"]], rng.uniform(0.5, 1.5, size=2))
+    assert np.array_equal(y0[layout.slices["psi"]], rng.uniform(4.0, 6.0, size=4))
+    assert np.array_equal(y0[layout.slices["z"]], np.zeros(2))
+    doc["init"]["k_range"] = [1.0]
+    path = tmp_path / "bad_k_range.json"
+    path.write_text(json.dumps(doc))
+    assert cmd_dispatch(["sim", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert "init.k_range" in capsys.readouterr().err

@@ -53,7 +53,8 @@ def rhs_at(g, cost_list, gains, yr, z=None, xi=None, t=0.0):
     big_l = laplacian(g)
     dc = coordinator_rhs(t, np.concatenate([yr, z]), (xi.diagonal(), np.zeros(0)), big_l,
                          costs.build_gradient(cost_list), gains)
-    return dc[:n], dc[n:], -(LinearDriver.operator(big_l, np.zeros((0, 0))) @ xi)
+    driver = LinearDriver(big_l, np.zeros((0, 0)), np.zeros(0), 1e-3)
+    return dc[:n], dc[n:], -(driver.b @ xi)
 
 
 def test_derivative_single_agent_gradient_flow():

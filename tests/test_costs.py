@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -56,8 +57,8 @@ def test_convexity_bounds_mixed_quadratics():
 
 
 def test_convexity_bounds_composites():
-    cs = [costs.composite(f"ex2_f{i}") for i in range(1, 6)]
-    b = costs.convexity_bounds(cs, interval=(-5.0, 5.0))
+    cs = [costs.composite(f"ex2_f{i}", domain_hint=(-5.0, 5.0)) for i in range(1, 6)]
+    b = costs.convexity_bounds(cs)
     assert 0 < b.varpi <= b.iota_bar
 
 
@@ -77,13 +78,10 @@ def test_gradient_that_rejects_arrays_is_named():
         costs.convexity_bounds([scalar_only])
 
 
-def pointwise_bounds(cost_list, interval=None, step=1e-3, min_points=2001):
+def pointwise_bounds(cost_list, step=1e-3, min_points=2001):
     """Per-point oracle: the same grid as convexity_bounds, one scalar grad_fn call a point."""
-    if interval is None:
-        lo = min(c.domain_hint[0] for c in cost_list)
-        hi = max(c.domain_hint[1] for c in cost_list)
-    else:
-        lo, hi = interval
+    lo = min(c.domain_hint[0] for c in cost_list)
+    hi = max(c.domain_hint[1] for c in cost_list)
     npts = max(min_points, int(math.ceil((hi - lo) / step)) + 1)
     grid = np.linspace(lo, hi, npts)
     h = grid[1] - grid[0]
@@ -152,7 +150,7 @@ def test_aggregate_gradient_monotone(s1, s2):
 @given(st.sampled_from(ALL_VARIANTS),
        st.floats(min_value=-4.5, max_value=4.5), st.floats(min_value=-4.5, max_value=4.5))
 def test_strong_convexity_and_lipschitz_inequalities(c, x, y):
-    b = costs.convexity_bounds([c], interval=(-5.0, 5.0))
+    b = costs.convexity_bounds([dataclasses.replace(c, domain_hint=(-5.0, 5.0))])
     dg = c.grad(x) - c.grad(y)
     dx = x - y
     slack = 1e-6 * max(1.0, abs(dx))

@@ -70,7 +70,8 @@ def test_example2_preset_fields():
     assert sc.exo.S[0, 1] == 1.0
     assert all(spec.s_dim == 4 for spec in sc.im_specs)
     assert sc.frequencies is None and not sc.check_psi
-    assert sc.domain_hint == (-5.0, 5.0)
+    # the document's domain_hint is every cost's, and so the curvature scan's interval
+    assert all(c.domain_hint == (-5.0, 5.0) for c in sc.costs)
 
 
 def test_minimal_doc_parses():

@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 import oocsim
-from oocsim import costs
+from oocsim import costs, digraph
 from oocsim.coordinator import CoordinatorGains, coordinator_rhs
 from oocsim.digraph import Digraph, _operator, laplacian, spectral_data
 from oocsim.errors import Diverged, NonConvexDetected, NotStronglyConnected, XiUnderflow
@@ -196,7 +196,7 @@ def test_initial_state_structure():
     assert np.array_equal(y0[layout.slices["x2"]], x[1::2])
     # xi(0) = I and v(0) = v0 are the driver's, and the derivative's default input
     system = assemble(sc)
-    driver = LinearDriver(system.linear_operator, sc.exo.v0)
+    driver = LinearDriver(system.spectral.laplacian, sc.exo.S, sc.exo.v0, sc.step)
     assert np.array_equal(driver.w[:3, :3], np.eye(3))
     xi_diag, v = driver.inputs[0]
     assert np.array_equal(xi_diag, np.ones(3)) and np.array_equal(v, sc.exo.v0)
@@ -412,7 +412,7 @@ def test_verify_builds_one_truth_per_distinct_spec(monkeypatch):
 def test_driver_matches_xi_and_v_integrated_alone(preset, request):
     sc = request.getfixturevalue(f"{preset}_scenario")
     big_l, s_exo, h, n = spectral_data(sc.graph).laplacian, sc.exo.S, sc.step, sc.graph.n
-    driver = LinearDriver(LinearDriver.operator(big_l, s_exo), sc.exo.v0)
+    driver = LinearDriver(big_l, s_exo, sc.exo.v0, h)
     inputs = []
 
     def member(t, y, w):
@@ -443,13 +443,14 @@ def test_driver_horner_steps_are_classic_rk4_in_exact_arithmetic():
     # a weight-unbalanced 3-agent digraph and a 2-D rotation exosystem, in fractions
     g = Digraph.from_edges(3, [(1, 2, 2.0), (2, 3, 1.0), (3, 1, 3.0), (1, 3, 1.0)])
     sigma = Fraction(4, 5)
-    s_exo = np.array([[0, 1], [-sigma * sigma, 0]], dtype=object)
+    big_l = np.array([[Fraction(x) for x in row] for row in laplacian(g)], dtype=object)
+    s_exo = np.array([[Fraction(0), Fraction(1)], [-sigma * sigma, Fraction(0)]], dtype=object)
     b = np.zeros((5, 5), dtype=object)
-    b[:3, :3] = [[Fraction(x) for x in row] for row in laplacian(g)]
+    b[:3, :3] = big_l
     b[3:, 3:] = -s_exo
     v0 = np.array([Fraction(0), Fraction(1)], dtype=object)
     h = Fraction(1, 1000)
-    driver = LinearDriver(b, v0)
+    driver = LinearDriver(big_l, s_exo, v0, h)
     w = driver.w.copy()
     assert w.dtype == object and w[0, 0] == 1 and w[3, 3] == 0 and w[4, 3] == 1
     for kstep in range(2):
@@ -460,39 +461,41 @@ def test_driver_horner_steps_are_classic_rk4_in_exact_arithmetic():
         k3 = -(b @ y3)
         y4 = w + h * k3
         k4 = -(b @ y4)
-        inputs = driver.stages(h)
+        inputs = driver.stages()
         for (xi_diag, v), y in zip(inputs, (w, y2, y3, y4)):
             assert list(xi_diag) == list(y[:3, :3].diagonal())
             assert list(v) == list(y[3:, 3])
-        driver.finish(kstep * h, h)
+        driver.finish(kstep * h)
         w = w + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         assert (driver.w == w).all()
         assert all(type(x) is Fraction for x in driver.w.ravel())
 
 
-def test_csr_driver_matches_dense_driver():
+def test_csr_driver_matches_dense_driver(monkeypatch):
     sc = sparse_ring()
     big_l = laplacian(sc.graph)
-    sparse = LinearDriver(LinearDriver.operator(big_l, sc.exo.S), sc.exo.v0)
-    dense = LinearDriver(scipy.linalg.block_diag(big_l, -sc.exo.S), sc.exo.v0)
+    sparse = LinearDriver(big_l, sc.exo.S, sc.exo.v0, sc.step)
+    monkeypatch.setattr(digraph, "_CSR_MIN_ROWS", 10 ** 9)  # every operator dense
+    dense = LinearDriver(big_l, sc.exo.S, sc.exo.v0, sc.step)
     assert sparse.b.format == "csr" and type(dense.b) is np.ndarray
+    assert np.array_equal(dense.b, scipy.linalg.block_diag(big_l, -sc.exo.S))
     for kstep in range(500):
-        got, want = sparse.stages(sc.step), dense.stages(sc.step)
+        got, want = sparse.stages(), dense.stages()
         for (xi_got, v_got), (xi_want, v_want) in zip(got, want):
             assert np.abs(xi_got - xi_want).max() <= 1e-12
             assert np.abs(v_got - v_want).max() <= 1e-12
-        sparse.finish(kstep * sc.step, sc.step)
-        dense.finish(kstep * sc.step, sc.step)
+        sparse.finish(kstep * sc.step)
+        dense.finish(kstep * sc.step)
     assert np.abs(sparse.w - dense.w).max() <= 1e-12
 
 
 def test_driver_divergence_names_the_driver_and_time():
     g = Digraph.from_edges(2, [(1, 2, 1e200), (2, 1, 1e200)])
-    driver = LinearDriver(LinearDriver.operator(laplacian(g), np.zeros((0, 0))), np.zeros(0))
+    driver = LinearDriver(laplacian(g), np.zeros((0, 0)), np.zeros(0), 0.1)
     with np.errstate(over="ignore", invalid="ignore"):
-        driver.stages(0.1)
+        driver.stages()
         with pytest.raises(Diverged, match=r"^xi/v driver: .* at t=0\.5$") as info:
-            driver.finish(0.5, 0.1)
+            driver.finish(0.5)
     assert info.value.t == 0.5
     # run names the scenario; these plants do not read v, so the driver fails first
     plants = [custom(lambda x1, x2, v, t: -x1 - x2, 1.0)] * 3
