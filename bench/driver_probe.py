@@ -1,12 +1,15 @@
-"""Time the xi/v driver step and the member derivative of each benchmark workload.
+"""Time the xi/v driver step and the member RK4 step of each benchmark workload.
 
     python3 bench/driver_probe.py --checkout PATH --blocks 15 --calls 100
 
 For each workload of `benchmark/workloads.py` on the checkout at PATH (default:
 the checkout holding this script), it assembles the workload's scenario (the
 sweep's first member), advances a `LinearDriver` by 100 steps and then
-prints the µs per driver step (`stages` plus `finish`) and the µs per member
-derivative call, each the min over `--blocks` blocks of `--calls` calls.
+prints the µs per driver step (`stages` plus `finish`), the µs per member
+derivative call and the µs per member RK4 step (`rk4_step` with its four
+derivative calls, fed the driver's four stage inputs), each the min over
+`--blocks` blocks of `--calls` calls, and the driver's share of a whole step,
+driver / (driver + member RK4 step).
 It builds the driver as `LinearDriver(L, S, v0, h)` and steps it with
 `stages()` and `finish(t)`, so it probes checkouts from the change that
 introduced that constructor on.  Older checkouts, where `assemble` built B
@@ -44,7 +47,7 @@ def min_block_us(fn, blocks, calls):
     return best
 
 
-def probe(sim_mod, scenario_from_dict, wl, blocks, calls):
+def probe(sim_mod, rk4_step, scenario_from_dict, wl, blocks, calls):
     sc = scenario_from_dict(wl.doc)
     if wl.member_seeds:
         sc = replace(sc, seed=wl.member_seeds[0])
@@ -60,11 +63,16 @@ def probe(sim_mod, scenario_from_dict, wl, blocks, calls):
         driver.finish(0.0)
 
     y0 = sim_mod.initial_state(sc, system.layout)
-    w = driver.inputs[1]
+    w = driver.inputs
+    driver_us = min_block_us(driver_step, blocks, calls)
+    member_us = min_block_us(lambda: rk4_step(system.derivative, 0.0, y0, h, w),
+                             blocks, calls)
     return {"n": sc.graph.n,
-            "driver_step_us": min_block_us(driver_step, blocks, calls),
-            "derivative_us": min_block_us(lambda: system.derivative(0.5 * h, y0, w),
-                                          blocks, calls)}
+            "driver_step_us": driver_us,
+            "derivative_us": min_block_us(lambda: system.derivative(0.5 * h, y0, w[1]),
+                                          blocks, calls),
+            "member_step_us": member_us,
+            "driver_share": driver_us / (driver_us + member_us)}
 
 
 def main(argv=None):
@@ -78,17 +86,20 @@ def main(argv=None):
     root = Path(args.checkout).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "benchmark")]
     from oocsim import sim as sim_mod
+    from oocsim.integrate import rk4_step
     from oocsim.scenario import scenario_from_dict
     from workloads import GENERATORS
 
     out = {"checkout": str(root), "seed": args.seed, "blocks": args.blocks,
            "calls": args.calls, "workloads": {}}
     for name, generate in GENERATORS.items():
-        res = probe(sim_mod, scenario_from_dict, generate(args.seed), args.blocks,
-                    args.calls)
+        res = probe(sim_mod, rk4_step, scenario_from_dict, generate(args.seed),
+                    args.blocks, args.calls)
         out["workloads"][name] = res
         print(f"{name}: n {res['n']}, driver step {res['driver_step_us']:.1f} us, "
-              f"derivative call {res['derivative_us']:.1f} us", flush=True)
+              f"derivative call {res['derivative_us']:.1f} us, member RK4 step "
+              f"{res['member_step_us']:.1f} us, driver share {res['driver_share']:.2f}",
+              flush=True)
     print(json.dumps(out))
     return 0
 

@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from .costs import ConvexityBounds, build_gradient
-from .digraph import Digraph, _operator, laplacian
+from .digraph import Digraph, _operator, _product, laplacian
 from .errors import InvalidSpectrum, XiUnderflow
 
 XI_FLOOR = 1e-9
@@ -69,7 +69,7 @@ def coordinator_rhs(t, c, w, big_l, grad_vec, gains: CoordinatorGains):
     xi_diag holds each agent's xi_i^i at time t; `sim.LinearDriver` advances
     xi (and v, which this layer does not read).  big_l is the Laplacian as an
     ndarray or, for a large sparse graph, as the CSR array
-    `digraph._operator` returns; both give ndarray products.
+    `digraph._operator` returns; `digraph._product` applies either.
 
     Raises XiUnderflow, naming the 1-based agent with the smallest xi_i^i and
     the time t, when that component drops below XI_FLOOR.
@@ -81,7 +81,7 @@ def coordinator_rhs(t, c, w, big_l, grad_vec, gains: CoordinatorGains):
         i = int(xi_diag.argmin())
         raise XiUnderflow(f"agent {i + 1}: xi_i^i = {xi_diag[i]:.3e} below floor "
                           f"{XI_FLOOR:g} at t={t:.6g}", t=t)
-    dz = gains.beta1 * (big_l @ yr)
+    dz = gains.beta1 * _product(big_l, yr)
     return np.concatenate((-grad_vec(yr) / xi_diag - dz - gains.beta2 * z, dz))
 
 

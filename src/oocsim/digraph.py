@@ -62,18 +62,83 @@ def laplacian(g: Digraph) -> np.ndarray:
 _CSR_MIN_ROWS = 64
 _CSR_MAX_DENSITY = 0.1
 
+# scipy's private CSR kernels, bound by `_operator` when it makes the first
+# CSR array, so a CSR operator always finds them
+_sparsetools = None
+_FLOAT64 = np.dtype(np.float64)  # comparing to a dtype is faster than to a type
+
 
 def _operator(a: np.ndarray):
     """`a` as a scipy.sparse CSR array when it is large and sparse, else `a` itself.
 
-    `_operator(a) @ x` is an ndarray either way.  CSR sums only the nonzeros,
-    in its own order, so it can differ from the dense product in the last bits.
-    scipy.sparse is imported here only, so dense systems never load it.
+    Operators on the step path are applied with `_add_product` and `_product`,
+    not `@`.  For a dense operator those run the same numpy calls as `@`.  For
+    CSR they call scipy's private accumulating kernels
+    `scipy.sparse._sparsetools.csr_matvec` and `csr_matvecs` (Y += A X)
+    directly, on the caller's buffers: `@` allocates and zero-fills its
+    result and runs a few µs of Python checks and dispatch per call, and
+    adding a base to it then needs a second full pass.  The kernels check
+    nothing and silently work on a hidden copy of a non-contiguous or wrongly
+    typed output, so every call first checks that the operator, x and the
+    output are float64, that x and the output are C-contiguous and of the
+    operator's shapes, and that they do not overlap; it raises ValueError
+    otherwise.  CSR sums only the nonzeros, in its own order, so it can
+    differ from the dense product in the last bits.  scipy.sparse is
+    imported here only, so dense systems never load it.
     """
+    global _sparsetools
     if a.shape[0] < _CSR_MIN_ROWS or np.count_nonzero(a) > _CSR_MAX_DENSITY * a.size:
         return a
     import scipy.sparse
+    from scipy.sparse import _sparsetools
     return scipy.sparse.csr_array(a)
+
+
+def _kernel(op, x, base, out):
+    """out = base + op @ x for a CSR op through scipy's kernel; returns out.
+
+    Checks the operator, x and out before it writes anything; base is then
+    copied into out unless it is out, and the kernel adds the product.
+    """
+    rows, cols = op.shape
+    if x.ndim > 2 or x.shape[:1] != (cols,) or out.shape != (rows,) + x.shape[1:]:
+        raise ValueError(f"operator {op.shape} cannot map x {x.shape} into out {out.shape}")
+    if op.dtype != _FLOAT64 or x.dtype != _FLOAT64 or out.dtype != _FLOAT64:
+        raise ValueError(f"operator, x and out must be float64, "
+                         f"got {op.dtype}, {x.dtype} and {out.dtype}")
+    if not (x.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValueError(f"x and out must be C-contiguous, "
+                         f"got strides {x.strides} and {out.strides}")
+    if base is not out:
+        np.copyto(out, base)
+    if x.ndim == 1:
+        _sparsetools.csr_matvec(rows, cols, op.indptr, op.indices, op.data, x, out)
+    else:
+        _sparsetools.csr_matvecs(rows, cols, x.shape[1], op.indptr, op.indices, op.data,
+                                 x.ravel(), out.ravel())
+    return out
+
+
+def _add_product(op, x, base, out):
+    """out = base + op @ x for an `_operator` op; returns out.
+
+    Dense: np.add(base, op @ x, out=out).  CSR: base goes into out (no copy
+    when out is base) and the kernel adds the product to it in place; out
+    must not overlap x, which the kernel reads while it writes out.
+    """
+    if isinstance(op, np.ndarray):
+        return np.add(base, op @ x, out=out)
+    if np.may_share_memory(x, out):
+        raise ValueError("out must not overlap x")
+    return _kernel(op, x, base, out)
+
+
+def _product(op, x):
+    """op @ x for an `_operator` op and a vector x, as a new ndarray."""
+    if isinstance(op, np.ndarray):
+        return op @ x
+    out = np.zeros(op.shape[0])
+    return _kernel(op, x, out, out)
 
 
 def is_strongly_connected(g: Digraph) -> bool:

@@ -41,6 +41,11 @@ def _check_keys(section, context, allowed):
         raise SchemaError(f"{context}: unknown key(s) {sorted(unknown)}")
 
 
+def _is_int(value):
+    """True for a JSON integer; JSON true and false load as bool, an int subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _number(value, context, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{context}: expected a number, got {value!r}")
@@ -64,7 +69,7 @@ def _pair(value, context):
 def _parse_graph(section):
     _check_keys(section, "graph", {"n", "edges"})
     n = _require(section, "n", "graph")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise SchemaError(f"graph.n: expected a positive integer, got {n!r}")
     edges = _require(section, "edges", "graph")
     if not isinstance(edges, list):
@@ -75,7 +80,7 @@ def _parse_graph(section):
         if not isinstance(e, list) or len(e) != 3:
             raise SchemaError(f"graph.edges[{idx}]: expected [from, to, weight]")
         src, dst, wt = e
-        if not isinstance(src, int) or not isinstance(dst, int):
+        if not (_is_int(src) and _is_int(dst)):
             raise SchemaError(f"graph.edges[{idx}]: node ids must be integers")
         first = first_index.setdefault((src, dst), idx)
         if first != idx:
@@ -259,7 +264,7 @@ def _parse_sim(section):
     horizon = _number(section.get("horizon", 100.0), "sim.horizon", positive=True)
     step = _number(section.get("step", 1e-3), "sim.step", positive=True)
     record_every = section.get("record_every", 100)
-    if not isinstance(record_every, int) or record_every < 1:
+    if not _is_int(record_every) or record_every < 1:
         raise SchemaError("sim.record_every: expected a positive integer")
     ablate = section.get("ablate_internal_model", False)
     if not isinstance(ablate, bool):
@@ -275,7 +280,7 @@ def scenario_from_dict(doc, name_hint="scenario") -> Scenario:
     _check_keys(doc, "scenario", _TOP_KEYS)
     name = doc.get("name", name_hint)
     seed = _require(doc, "seed", "scenario")
-    if isinstance(seed, bool) or not isinstance(seed, int) or not (0 <= seed < 2 ** 64):
+    if not _is_int(seed) or not (0 <= seed < 2 ** 64):
         raise SchemaError("seed: expected a 64-bit unsigned integer")
 
     graph = _parse_graph(_require(doc, "graph", "scenario"))

@@ -10,8 +10,9 @@ the member derivative diag xi and v at each RK4 stage.  `assemble` builds only
 the member derivative; `run` builds the driver in one call from L, S, v0 and
 the step, and the driver builds its operator B = blockdiag(L, -S).  Both
 advance with classical RK4 at a fixed step, for determinism.  The driver
-applies RK4's step polynomial of -hB in Horner form (four products, four
-adds) and recombines the Horner iterates into the exact stage values
+applies RK4's step polynomial of -hB in Horner form (four products, each
+accumulated into a preallocated buffer that already holds W when B is CSR)
+and recombines the Horner iterates into the exact stage values
 Y2 = 2 T4 - W, Y3 = 3 T3 - 2 T4 and Y4 = W - 6 T3 + 6 T2, but only at the
 entries the member derivative reads; stage 1 is W itself, a fixed view.
 xi and v therefore equal classic stage-by-stage RK4 up to last-bit rounding.
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import costs as costs_mod
 from .coordinator import CoordinatorGains, coordinator_rhs, select_gains
-from .digraph import Digraph, SpectralData, _operator, spectral_data
+from .digraph import Digraph, SpectralData, _add_product, _operator, spectral_data
 from .errors import Diverged, XiUnderflow
 from .integrate import rk4_step
 from .plant import Exosystem, feedforward_truth, plant_drift
@@ -147,9 +148,12 @@ class LinearDriver:
     polynomial I - hB + (hB)^2/2 - (hB)^3/6 + (hB)^4/24, applied here in
     Horner form with A_k = -(h/k) B, built once at construction: `stages()`
     computes T4 = W + A4 W, T3 = W + A3 T4 and T2 = W + A2 T3 into three
-    buffers, and `finish(t)` does W += A1 T2.  That is four products and four
-    adds per step.  RK4's stage values are exact linear combinations of these
-    iterates:
+    buffers, and `finish(t)` does W += A1 T2, all through
+    `digraph._add_product`.  For a CSR B each iterate is copy then
+    accumulate: W is copied into T_k and scipy's kernel adds A_k T_{k+1} to
+    it in place, so no product array is made (a dense B runs
+    np.add(W, A_k @ T, out=T_k)).  RK4's stage values are exact linear
+    combinations of these iterates:
 
         Y2 = 2 T4 - W,    Y3 = 3 T3 - 2 T4,    Y4 = W - 6 T3 + 6 T2.
 
@@ -177,13 +181,15 @@ class LinearDriver:
         b[:n, :n] = big_l
         b[n:, n:] = -s_exo
         self.b = _operator(b)
-        self._ops = tuple(-(h / k) * self.b for k in (1, 2, 3, 4))  # A1 .. A4
+        a1, a2, a3, a4 = (-(h / k) * self.b for k in (1, 2, 3, 4))
         bufs = np.zeros((4, dim, n + 1), dtype=dtype)
-        self.w = bufs[0]
+        self.w, t4, t3, t2 = bufs
         self._xi = self.w[:n, :n]
         np.fill_diagonal(self._xi, 1)
         self.w[n:, n] = v0
-        self._horner = bufs[1:]  # T4, T3, T2
+        # (A_k, T_{k+1}, T_k): T_k = W + A_k T_{k+1}, with T5 = W
+        self._horner = ((a4, self.w, t4), (a3, t4, t3), (a2, t3, t2))
+        self._last = (a1, t2)
         # flat offsets of diag xi and of the v column in one buffer
         cols = n + 1
         self._probe = np.concatenate((np.arange(n) * (cols + 1),
@@ -192,16 +198,15 @@ class LinearDriver:
         self._probed = np.empty((4, self._probe.size), dtype=dtype)
         self._recombine = np.array(self._RECOMBINE, dtype=dtype)
         self._stage_inputs = np.empty((3, self._probe.size), dtype=dtype)
+        self._finite = np.empty(self.w.shape, dtype=bool)
         self.inputs = ((self._xi.diagonal(), self.w[n:, n]),) + tuple(
             (row[:n], row[n:]) for row in self._stage_inputs)
 
     def stages(self):
         """Compute T4, T3 and T2 from W; return the four stage inputs."""
         w = self.w
-        prev = w
-        for op, t in zip(self._ops[:0:-1], self._horner):
-            np.add(w, op @ prev, out=t)
-            prev = t
+        for op, x, out in self._horner:
+            _add_product(op, x, w, out)
         np.take(self._flat, self._probe, axis=1, out=self._probed)
         np.matmul(self._recombine, self._probed, out=self._stage_inputs)
         return self.inputs
@@ -209,9 +214,10 @@ class LinearDriver:
     def finish(self, t):
         """W += A1 T2, completing the step from t; raises Diverged on a non-finite W."""
         w = self.w
-        w += self._ops[0] @ self._horner[2]
-        # astype is a no-op on a float W and converts an exact one
-        if not np.isfinite(w.astype(float, copy=False)).all():
+        _add_product(*self._last, w, w)
+        # into a preallocated buffer, so no W-sized temporary; astype is a
+        # no-op on a float W and converts an exact one
+        if not np.isfinite(w.astype(float, copy=False), out=self._finite).all():
             raise Diverged(f"xi/v driver: non-finite state after step at t={t:.6g}", t=t)
 
     def start(self, m):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .digraph import _operator
+from .digraph import _operator, _product
 from .errors import DegenerateRoots, NotHurwitz, SingularSystem, SingularT
 
 _HURWITZ_MARGIN = -1e-9
@@ -199,4 +199,4 @@ def tracker_rhs(x1, x2, yr, eta, k, psi, gamma, im: StackedInternalModel):
     if im is None:
         return u, (np.zeros_like(eta), dk, np.zeros_like(psi))
     u = u + np.add.reduceat(psi * eta, im.starts)
-    return u, (im.M @ eta + im.N * u[im.owner], dk, -eta * theta[im.owner])
+    return u, (_product(im.M, eta) + im.N * u[im.owner], dk, -eta * theta[im.owner])

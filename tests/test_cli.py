@@ -164,6 +164,20 @@ def test_usage_errors(tmp_path, tiny_path, capsys):
     assert f"graph.edges[{len(edges) - 1}]" in err and "graph.edges[0]" in err
 
 
+@pytest.mark.parametrize("good, bad, message", [
+    ('"n": 2', '"n": true', "graph.n: expected a positive integer"),
+    ('[[1, 2, 1.0]', '[[true, 2, 1.0]', "graph.edges[0]: node ids must be integers"),
+    ('"record_every": 100', '"record_every": true', "sim.record_every: expected a positive"),
+], ids=["graph.n", "graph.edges", "sim.record_every"])
+def test_boolean_integer_fields_exit_2(tmp_path, tiny_path, capsys, good, bad, message):
+    text = tiny_path.read_text()
+    assert good in text
+    path = tmp_path / "boolean.json"
+    path.write_text(text.replace(good, bad))
+    assert cmd_dispatch(["sim", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_init_ranges_are_drawn_after_yr_and_x(tmp_path, tiny_path, capsys):
     doc = json.loads(tiny_path.read_text())
     doc["init"].update(eta_range=[-3.0, -2.0], k_range=[0.5, 1.5], psi_range=[4.0, 6.0])

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse._sparsetools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from oocsim.digraph import Digraph, is_strongly_connected, laplacian, spectral_data
+from oocsim import digraph
+from oocsim.digraph import (Digraph, _add_product, _operator, _product, is_strongly_connected,
+                            laplacian, spectral_data)
 from oocsim.errors import NotStronglyConnected
 
 
@@ -142,3 +145,87 @@ def digraphs(draw):
 def test_strong_connectivity_matches_csgraph_oracle(g):
     n_components, _ = connected_components(g.weights, directed=True, connection="strong")
     assert is_strongly_connected(g) == (n_components == 1)
+
+
+def sparse_operator(index_dtype=np.int32, n=80, seed=0):
+    """`_operator` of a random n x n matrix with about 5% nonzeros, so CSR."""
+    rng = np.random.default_rng(seed)
+    a = np.where(rng.random((n, n)) < 0.05, rng.uniform(-2.0, 2.0, (n, n)), 0.0)
+    op = _operator(a)
+    assert op.format == "csr"
+    op.indices = op.indices.astype(index_dtype)
+    op.indptr = op.indptr.astype(index_dtype)
+    return a, op
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("x_shape", [(80,), (80, 7)], ids=["vector", "matrix"])
+def test_csr_kernel_matches_dense_product(index_dtype, x_shape):
+    a, op = sparse_operator(index_dtype)
+    assert op.indices.dtype == op.indptr.dtype == index_dtype
+    assert digraph._sparsetools is scipy.sparse._sparsetools  # no fallback path
+    rng = np.random.default_rng(1)
+    x = rng.uniform(-1.0, 1.0, x_shape)
+    base = rng.uniform(-1.0, 1.0, x_shape)
+    want = base + a @ x
+    tol = 1e-14 * np.abs(want).max()
+    out = np.empty(x_shape)
+    assert _add_product(op, x, base, out) is out
+    assert np.abs(out - want).max() <= tol
+    in_place = base.copy()
+    assert _add_product(op, x, in_place, in_place) is in_place  # out is base: no copy
+    assert np.abs(in_place - want).max() <= tol
+    if len(x_shape) == 1:
+        assert np.abs(_product(op, x) - a @ x).max() <= 1e-14 * np.abs(a @ x).max()
+
+
+def test_dense_operator_runs_the_plain_numpy_calls():
+    rng = np.random.default_rng(2)
+    a = rng.uniform(-1.0, 1.0, (6, 6))
+    assert _operator(a) is a
+    x, base = rng.uniform(-1.0, 1.0, (6, 3)), rng.uniform(-1.0, 1.0, (6, 3))
+    out = np.empty((6, 3))
+    assert _add_product(a, x, base, out) is out
+    assert np.array_equal(out, np.add(base, a @ x))
+    v = rng.uniform(-1.0, 1.0, 6)
+    assert np.array_equal(_product(a, v), a @ v)
+
+
+def test_csr_kernel_refuses_inputs_it_would_mishandle():
+    _, op = sparse_operator()
+    x, base = np.ones((80, 4)), np.zeros((80, 4))
+    wide = np.zeros((80, 8))
+    shape, dtype, layout = "cannot map", "must be float64", "C-contiguous"
+    bad_calls = {  # name: (x, base, out, the guard's message)
+        "x of the wrong length": (np.ones((81, 4)), base, np.zeros((80, 4)), shape),
+        "out of the wrong length": (x, np.zeros((79, 4)), np.zeros((79, 4)), shape),
+        "out of the wrong width": (x, np.zeros((80, 5)), np.zeros((80, 5)), shape),
+        "x of three dimensions": (np.ones((80, 4, 1)), base, np.zeros((80, 4, 1)), shape),
+        "float32 x": (x.astype(np.float32), base, np.zeros((80, 4)), dtype),
+        "float32 out": (x, base, np.zeros((80, 4), dtype=np.float32), dtype),
+        "non-contiguous x": (np.ones((80, 8))[:, ::2], base, np.zeros((80, 4)), layout),
+        "non-contiguous out": (x, base, wide[:, ::2], layout),
+        "out overlapping x": (x, base, x, "overlap"),
+    }
+    for name, (xx, bb, out, message) in bad_calls.items():
+        before = out.copy()
+        with pytest.raises(ValueError, match=message):
+            _add_product(op, xx, bb, out)
+        assert np.array_equal(out, before), f"{name}: out written before the refusal"
+    for xx, message in ((np.ones(81), shape), (np.ones(160)[::2], layout),
+                        (np.ones(80, dtype=np.float32), dtype)):
+        with pytest.raises(ValueError, match=message):
+            _product(op, xx)
+    with pytest.raises(ValueError, match=dtype):
+        _product(op.astype(np.float32), np.ones(80))
+
+
+def test_csr_kernel_writes_into_the_callers_buffer():
+    a, op = sparse_operator()
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, (80, 3))
+    bufs = np.zeros((3, 80, 3))
+    out = bufs[1]  # a contiguous view, like the driver's Horner buffers
+    result = _add_product(op, x, x, out)
+    assert result is out and np.shares_memory(result, bufs)
+    assert np.abs(bufs[1] - (x + a @ x)).max() <= 1e-14 * np.abs(x + a @ x).max()
+    assert not bufs[0].any() and not bufs[2].any()

@@ -141,6 +141,28 @@ def test_bad_seed_rejected():
             scenario_from_dict(doc)
 
 
+def test_graph_n_boolean_rejected():
+    doc = minimal_doc()
+    doc["graph"]["n"] = True
+    with pytest.raises(SchemaError, match=r"^graph\.n: expected a positive integer"):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("edge", [[True, 2, 1.0], [2, False, 1.0]])
+def test_edge_node_boolean_rejected(edge):
+    doc = minimal_doc()
+    doc["graph"]["edges"][1] = edge
+    with pytest.raises(SchemaError, match=r"^graph\.edges\[1\]: node ids must be integers"):
+        scenario_from_dict(doc)
+
+
+def test_record_every_boolean_rejected():
+    doc = minimal_doc()
+    doc["sim"] = {"record_every": True}
+    with pytest.raises(SchemaError, match=r"^sim\.record_every: expected a positive integer"):
+        scenario_from_dict(doc)
+
+
 def test_length_mismatches():
     doc = minimal_doc()
     doc["costs"] = doc["costs"][:1]

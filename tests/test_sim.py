@@ -506,6 +506,28 @@ def test_driver_divergence_names_the_driver_and_time():
     assert info.value.t == 0.0
 
 
+@pytest.mark.parametrize("csr", [True, False], ids=["csr", "dense"])
+def test_driver_finish_raises_on_any_non_finite_entry(csr, monkeypatch):
+    if not csr:
+        monkeypatch.setattr(digraph, "_CSR_MIN_ROWS", 10 ** 9)  # every operator dense
+    sc = sparse_ring()
+    n = sc.graph.n
+    # a NaN at an off-diagonal xi entry, then an inf in v, each set between
+    # stages and finish so that W holds it at that one entry only
+    for row, col, value, t in ((0, 1, math.nan, 0.25), (n + 1, n, math.inf, 0.5)):
+        driver = LinearDriver(laplacian(sc.graph), sc.exo.S, sc.exo.v0, sc.step)
+        assert (type(driver.b) is not np.ndarray) == csr
+        driver.stages()
+        driver.finish(0.0)  # finite: no error
+        driver.stages()
+        driver.w[row, col] = value
+        with pytest.raises(Diverged, match=rf"^xi/v driver: non-finite state after "
+                                           rf"step at t={t}$") as info:
+            driver.finish(t)
+        assert info.value.t == t
+        assert np.isfinite(np.delete(driver.w.ravel(), row * (n + 1) + col)).all()
+
+
 def test_unstable_xi_step_names_scenario_and_time():
     # h max|lambda(L)| = 1e-3 * 2000 * sqrt(3) = 3.46, past RK4's stability bound
     # on this spectrum (about 2.8 on the negative real axis)
