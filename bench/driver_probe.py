@@ -1,20 +1,25 @@
-"""Time the xi/v driver step and the member RK4 step of each benchmark workload.
+"""Time the xi/v source that `run` picks and the member RK4 step of each benchmark workload.
 
     python3 bench/driver_probe.py --checkout PATH --blocks 15 --calls 100
 
 For each workload of `benchmark/workloads.py` on the checkout at PATH (default:
 the checkout holding this script), it assembles the workload's scenario (the
-sweep's first member), advances a `LinearDriver` by 100 steps and then
-prints the µs per driver step (`stages` plus `finish`), the µs per member
-derivative call and the µs per member RK4 step (`rk4_step` with its four
-derivative calls, fed the driver's four stage inputs), each the min over
-`--blocks` blocks of `--calls` calls, and the driver's share of a whole step,
-driver / (driver + member RK4 step).
-It builds the driver as `LinearDriver(L, S, v0, h)` and steps it with
-`stages()` and `finish(t)`, so it probes checkouts from the change that
-introduced that constructor on.  Older checkouts, where `assemble` built B
-and every step passed h, need the older copy of this script.
-`benchmark/run.py`'s per-layer metrics cannot see the driver: it runs between
+sweep's first member) and builds the xi/v source the way `run` does, with
+`sim.xi_v_source(L, S, v0, h)`: the modal source, or the Horner
+`LinearDriver` for a defective or ill-conditioned L or S.  It prints which
+source was chosen and its construction time (eig and inverse of -L and S for
+the modal source; the min over `--blocks` builds), then advances it by 100
+steps and prints the µs per source step (`stages` plus `finish`), the µs per
+member derivative call and the µs per member RK4 step (`rk4_step` with its
+four derivative calls, fed the source's four stage inputs), each the min over
+`--blocks` blocks of `--calls` calls, and the source's share of a whole step,
+source / (source + member RK4 step).
+`run` builds the source, so its construction lands in the benchmark's
+`steps_per_s` (the integrate phase), not in `setup_s`.  A checkout without
+`xi_v_source` gets `LinearDriver(L, S, v0, h)`, stepped by `stages()` and
+`finish(t)`; older checkouts, where `assemble` built B and every step passed
+h, need the older copy of this script.
+`benchmark/run.py`'s per-layer metrics cannot see the source: it runs between
 the traced `rk4_step` calls.  Like `benchmark/run.py`, it fixes one BLAS
 thread before numpy loads.  The last line of standard output is one JSON
 object holding every number.
@@ -53,7 +58,10 @@ def probe(sim_mod, rk4_step, scenario_from_dict, wl, blocks, calls):
         sc = replace(sc, seed=wl.member_seeds[0])
     system = sim_mod.assemble(sc)
     h = sc.step
-    driver = sim_mod.LinearDriver(system.spectral.laplacian, sc.exo.S, sc.exo.v0, h)
+    build = getattr(sim_mod, "xi_v_source", sim_mod.LinearDriver)
+    args = (system.spectral.laplacian, sc.exo.S, sc.exo.v0, h)
+    driver = build(*args)
+    build_ms = min_block_us(lambda: build(*args), blocks, 1) / 1e3
     for _ in range(WARMUP_STEPS):
         driver.stages()
         driver.finish(0.0)
@@ -68,6 +76,8 @@ def probe(sim_mod, rk4_step, scenario_from_dict, wl, blocks, calls):
     member_us = min_block_us(lambda: rk4_step(system.derivative, 0.0, y0, h, w),
                              blocks, calls)
     return {"n": sc.graph.n,
+            "source": type(driver).__name__,
+            "build_ms": build_ms,
             "driver_step_us": driver_us,
             "derivative_us": min_block_us(lambda: system.derivative(0.5 * h, y0, w[1]),
                                           blocks, calls),
@@ -96,9 +106,10 @@ def main(argv=None):
         res = probe(sim_mod, rk4_step, scenario_from_dict, generate(args.seed),
                     args.blocks, args.calls)
         out["workloads"][name] = res
-        print(f"{name}: n {res['n']}, driver step {res['driver_step_us']:.1f} us, "
+        print(f"{name}: n {res['n']}, {res['source']} built in {res['build_ms']:.2f} ms, "
+              f"source step {res['driver_step_us']:.1f} us, "
               f"derivative call {res['derivative_us']:.1f} us, member RK4 step "
-              f"{res['member_step_us']:.1f} us, driver share {res['driver_share']:.2f}",
+              f"{res['member_step_us']:.1f} us, source share {res['driver_share']:.2f}",
               flush=True)
     print(json.dumps(out))
     return 0

@@ -8,8 +8,10 @@ Per agent i the coordinator runs
 
 The self-component xi_i^i stays positive and converges to rho_i, which
 cancels the graph imbalance without knowing the left eigenvector a priori.
-The xi rows are linear and read no other state, so `sim.LinearDriver`
-advances them outside the per-agent state; `coordinator_rhs` reads xi_i^i only.
+The xi rows are linear and read no other state, so the xi/v source of `sim`
+(`sim.xi_v_source`: RK4 per eigenmode of -L, or the Horner `sim.LinearDriver`
+when L is defective) advances them outside the per-agent state;
+`coordinator_rhs` reads xi_i^i only.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from .costs import ConvexityBounds, build_gradient
-from .digraph import Digraph, _operator, _product, laplacian
+from .digraph import Digraph, _matvec, _operator, laplacian
 from .errors import InvalidSpectrum, XiUnderflow
 
 XI_FLOOR = 1e-9
@@ -63,13 +65,13 @@ def check_gain_inequalities(gains, bounds, rho_min, lambda2):
     return m1, m2, m3
 
 
-def coordinator_rhs(t, c, w, big_l, grad_vec, gains: CoordinatorGains):
+def coordinator_rhs(t, c, w, l_matvec, grad_vec, gains: CoordinatorGains):
     """(yr', z') of all agents, stacked like c = (yr, z), given w = (xi_diag, v).
 
-    xi_diag holds each agent's xi_i^i at time t; `sim.LinearDriver` advances
-    xi (and v, which this layer does not read).  big_l is the Laplacian as an
-    ndarray or, for a large sparse graph, as the CSR array
-    `digraph._operator` returns; `digraph._product` applies either.
+    xi_diag holds each agent's xi_i^i at time t; the xi/v source of `sim`
+    advances xi (and v, which this layer does not read).  l_matvec is
+    x -> L x, from `digraph._matvec` of the Laplacian's `digraph._operator`
+    (an ndarray, or a CSR array for a large sparse graph).
 
     Raises XiUnderflow, naming the 1-based agent with the smallest xi_i^i and
     the time t, when that component drops below XI_FLOOR.
@@ -81,7 +83,7 @@ def coordinator_rhs(t, c, w, big_l, grad_vec, gains: CoordinatorGains):
         i = int(xi_diag.argmin())
         raise XiUnderflow(f"agent {i + 1}: xi_i^i = {xi_diag[i]:.3e} below floor "
                           f"{XI_FLOOR:g} at t={t:.6g}", t=t)
-    dz = gains.beta1 * _product(big_l, yr)
+    dz = gains.beta1 * l_matvec(yr)
     return np.concatenate((-grad_vec(yr) / xi_diag - dz - gains.beta2 * z, dz))
 
 
@@ -98,15 +100,15 @@ def coordinator_only_run(g: Digraph, cost_list, gains: CoordinatorGains, y0,
                          horizon, step, record_every=100) -> CoordinatorTrajectory:
     """Integrate only the coordinator layer with RK4 and a decimated record.
 
-    The state is (yr, z); the xi/v driver, here without an exosystem, feeds
+    The state is (yr, z); the xi/v source, here without an exosystem, feeds
     coordinator_rhs its xi_i^i at every RK4 stage.
     """
-    from .sim import LinearDriver, integrate  # sim imports this module
+    from .sim import integrate, xi_v_source  # sim imports this module
 
     big_l = laplacian(g)
-    rhs = partial(coordinator_rhs, big_l=_operator(big_l),
+    rhs = partial(coordinator_rhs, l_matvec=_matvec(_operator(big_l)),
                   grad_vec=build_gradient(cost_list), gains=gains)
-    driver = LinearDriver(big_l, np.zeros((0, 0)), np.zeros(0), step)
+    driver = xi_v_source(big_l, np.zeros((0, 0)), np.zeros(0), step)
     c0 = np.concatenate([np.asarray(y0, dtype=float), np.zeros(g.n)])
     times, arr = integrate(rhs, c0, step, int(round(horizon / step)), record_every, driver)
     return CoordinatorTrajectory(times=times, y_r=arr[:, :g.n], z=arr[:, g.n:],

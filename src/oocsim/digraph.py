@@ -7,6 +7,7 @@ its second-smallest eigenvalue lambda2 measures connectivity strength.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -71,7 +72,7 @@ _FLOAT64 = np.dtype(np.float64)  # comparing to a dtype is faster than to a type
 def _operator(a: np.ndarray):
     """`a` as a scipy.sparse CSR array when it is large and sparse, else `a` itself.
 
-    Operators on the step path are applied with `_add_product` and `_product`,
+    Operators on the step path are applied with `_add_product` and `_matvec`,
     not `@`.  For a dense operator those run the same numpy calls as `@`.  For
     CSR they call scipy's private accumulating kernels
     `scipy.sparse._sparsetools.csr_matvec` and `csr_matvecs` (Y += A X)
@@ -133,10 +134,19 @@ def _add_product(op, x, base, out):
     return _kernel(op, x, base, out)
 
 
-def _product(op, x):
-    """op @ x for an `_operator` op and a vector x, as a new ndarray."""
+def _matvec(op):
+    """The function x -> op @ x for an `_operator` op and a vector x, as a new ndarray.
+
+    The dense or CSR path is chosen here, once, so the products of the step
+    path pay no dispatch: dense gives op's own `@`, CSR the guarded kernel
+    on a zeroed output.
+    """
     if isinstance(op, np.ndarray):
-        return op @ x
+        return op.__matmul__
+    return partial(_csr_matvec, op)
+
+
+def _csr_matvec(op, x):
     out = np.zeros(op.shape[0])
     return _kernel(op, x, out, out)
 

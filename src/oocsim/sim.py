@@ -5,17 +5,20 @@ yr_i, duals z_i, correction rows xi_i), the second-order plant, the internal
 model eta_i with adaptive gain k_i and feedforward estimate psi_hat_i, plus
 one shared exosystem state v.  The per-agent states yr, z, x1, x2, eta, k and
 psi_hat form one flat member state of 7n + 2 sum(s_i) entries.  xi and v are
-linear and read no other state, so one `LinearDriver` advances them and feeds
-the member derivative diag xi and v at each RK4 stage.  `assemble` builds only
-the member derivative; `run` builds the driver in one call from L, S, v0 and
-the step, and the driver builds its operator B = blockdiag(L, -S).  Both
-advance with classical RK4 at a fixed step, for determinism.  The driver
-applies RK4's step polynomial of -hB in Horner form (four products, each
-accumulated into a preallocated buffer that already holds W when B is CSR)
-and recombines the Horner iterates into the exact stage values
-Y2 = 2 T4 - W, Y3 = 3 T3 - 2 T4 and Y4 = W - 6 T3 + 6 T2, but only at the
-entries the member derivative reads; stage 1 is W itself, a fixed view.
-xi and v therefore equal classic stage-by-stage RK4 up to last-bit rounding.
+linear and read no other state, so a xi/v source advances them and feeds the
+member derivative diag xi and v at each RK4 stage.  `assemble` builds only
+the member derivative; `run` builds the source in one call,
+`xi_v_source(L, S, v0, h)`.  Both advance with classical RK4 at a fixed step,
+for determinism, and the source's numbers are classic RK4's on xi and v alone
+up to rounding in the last bits.
+
+The source is `ModalSource` unless L or S is defective or nearly so: from
+the eigenmodes of -L and S it computes RK4's own stage values per mode,
+e_k = R(h lambda)^k = exp(k log R(h lambda)) times RK4's stage polynomials,
+and reads diag xi and v off them with one small real product per block.
+Otherwise it is the Horner `LinearDriver`, which applies RK4's step
+polynomial to W = blockdiag(xi, v) in Horner form and recombines the Horner
+iterates into the stage values at the entries the member derivative reads.
 """
 
 import math
@@ -26,7 +29,7 @@ import numpy as np
 
 from . import costs as costs_mod
 from .coordinator import CoordinatorGains, coordinator_rhs, select_gains
-from .digraph import Digraph, SpectralData, _add_product, _operator, spectral_data
+from .digraph import Digraph, SpectralData, _add_product, _matvec, _operator, spectral_data
 from .errors import Diverged, XiUnderflow
 from .integrate import rk4_step
 from .plant import Exosystem, feedforward_truth, plant_drift
@@ -103,7 +106,7 @@ class StateLayout:
     """Slice offsets into the flat member state: yr, z, x1, x2, eta, k, psi_hat.
 
     yr and z lead, so the first 2n entries are the coordinator's state.  xi
-    and v are not here: `LinearDriver` holds them.
+    and v are not here: the xi/v source of `run` holds them.
     """
 
     n: int
@@ -139,6 +142,11 @@ class System:
 
 class LinearDriver:
     """RK4 for xi' = -L xi, xi(0) = I, and v' = S v, v(0) = v0, as one linear state.
+
+    The fallback xi/v source: `xi_v_source` picks it when -L or S has no
+    well-conditioned eigenvectors (`_eigenmodes`), for which `ModalSource`
+    would lose accuracy; the tests also build it directly.  It works for any
+    L and S, exact ones included.
 
     W = [[xi, 0], [0, v]] obeys W' = -B W with B = blockdiag(L, -S) and reads
     no other state, so RK4 on W alone is RK4 on the whole closed loop.
@@ -232,6 +240,183 @@ class LinearDriver:
         self.xi_rowsum[j] = self._xi.sum(axis=1)
 
 
+# RK4 grows every mode with |z| = |h lambda| past this radius (|R(z)| >= 1.118
+# on |z| = 3), so its log R(z) needs no care there; inside it the tail series
+# of _log_step_factor has converged to the last bit after this many terms.
+_LOG_SERIES_RADIUS = 3.0
+_LOG_TAIL_TERMS = 40
+# The modal source takes eigenvectors V only with kappa_1(V) = |V|_1 |V^-1|_1
+# up to this bound.  Its stage inputs and xi row sums err by up to about
+# 2e-16 kappa_1(V) (CHANGES.md holds the measured table), so up to 2e-11
+# here, against 1e-9 for the row sums and 1e-10 for the benchmark's reference
+# check; a defective Laplacian reads 1e8 and more, ring200's 3e3 to 5e3.
+_MODAL_MAX_COND = 1e5
+
+
+def rk4_stage_factors(z):
+    """RK4's stages 2 to 4 and its step for w' = lambda w, from w = 1, with z = h lambda.
+
+    Returns (1 + z/2, 1 + z/2 + z^2/4, 1 + z + z^2/2 + z^3/4) and
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24; stage 1 is w itself.  z may be a
+    number or an array, and exact numbers stay exact.
+    """
+    z2 = z * z
+    return ((1 + z / 2, 1 + z / 2 + z2 / 4, 1 + z + z2 / 2 + z2 * z / 4),
+            1 + z + z2 / 2 + z2 * z / 6 + z2 * z2 / 24)
+
+
+def _log_step_factor(z):
+    """log R(z) for a complex array z, to a few eps of max(|z|, |log R(z)|).
+
+    R(z) = e^z (1 + d) with d = -e^{-z} sum_{j >= 5} z^j / j!, the tail summed
+    as a series, so log R(z) = z + log(1 + d).  Rounding R(z) itself to a
+    double would err by eps in log R(z), and k steps by k eps.  numpy's complex
+    log1p is no help: np.log1p(1e-15 + 0j) gives 1.11e-15.  So
+    log|1 + d| = log1p(2 Re d + |d|^2) / 2 where d is small, log|1 + d| where
+    it is not (near a root of R), and arg(1 + d) = atan2(Im d, 1 + Re d).
+    Past _LOG_SERIES_RADIUS, log R(z) is taken directly.
+    """
+    z = np.asarray(z, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        term = z ** 5 / 120
+        tail = term.copy()
+        for j in range(6, 6 + _LOG_TAIL_TERMS):
+            term = term * z / j
+            tail += term
+        d = -np.exp(-z) * tail
+        re1 = 1 + d.real
+        log_abs = np.where(np.abs(d) < 0.5,
+                           0.5 * np.log1p(2 * d.real + d.real ** 2 + d.imag ** 2),
+                           np.log(np.hypot(re1, d.imag)))
+        ell = z + (log_abs + 1j * np.arctan2(d.imag, re1))
+        far = np.abs(z) > _LOG_SERIES_RADIUS
+        ell[far] = np.log(rk4_stage_factors(z[far])[1])
+    return ell
+
+
+def _eigenmodes(a):
+    """Eigenmodes (lambda, V, W) of a real square a = V diag(lambda) V^-1, W = V^-1.
+
+    A real matrix's complex eigenvalues come in conjugate pairs with conjugate
+    vectors, so only the modes with Im lambda >= 0 are returned: V's columns
+    and W's rows of those, all complex.  None when eig fails, V is singular
+    or kappa_1(V) = |V|_1 |V^-1|_1 exceeds _MODAL_MAX_COND (a defective or
+    nearly defective a); NaN fails the bound too.
+    """
+    try:
+        lam, vecs = np.linalg.eig(a)
+        inv = np.linalg.inv(vecs)
+    except np.linalg.LinAlgError:
+        return None
+    norm1 = [np.abs(m).sum(axis=0).max(initial=0.0) for m in (vecs, inv)]
+    if not norm1[0] * norm1[1] <= _MODAL_MAX_COND:
+        return None
+    keep = lam.imag >= 0
+    return (lam[keep].astype(complex, copy=False), vecs[:, keep].astype(complex, copy=False),
+            inv[keep].astype(complex, copy=False))
+
+
+def _real_readout(lam, g):
+    """The real (2 m, r) matrix R with x.view(float) @ R = Re(G x) summed over pairs.
+
+    G (r x m) maps values x of the modes `_eigenmodes` keeps to an output.  A
+    kept complex mode stands for its conjugate too, so it counts twice: R's
+    rows are w Re G and -w Im G of each mode in turn, w = 2 for a complex
+    mode and 1 for a real one.
+    """
+    a = g.T * np.where(lam.imag > 0, 2.0, 1.0)[:, None]
+    return np.stack((a.real, -a.imag), axis=1).reshape(2 * len(a), len(g))
+
+
+class ModalSource:
+    """RK4's own xi and v, each step read off the eigenmodes of -L and S.
+
+    xi' = -L xi, xi(0) = I and v' = S v, v(0) = v0 read no other state, so RK4
+    on them alone is RK4 on the whole closed loop, and RK4 on a linear system
+    acts on each eigenmode on its own: with -L = V Lambda V^-1 and
+    z = h lambda per mode, step k starts from e_k = R(z)^k and its stage
+    values are e_k times 1, 1 + z/2, 1 + z/2 + z^2/4 and 1 + z + z^2/2 + z^3/4
+    (`rk4_stage_factors`).  e_k is exp(k l), l = log R(z) from
+    `_log_step_factor`, so no rounding piles up over the steps.  The member
+    derivative reads diag xi, which is P e with P = V o V^-T, and v, which is
+    Q e with Q = U o (U^-1 v0) for S = U Sigma U^-1.  With one mode kept per
+    conjugate pair (`_real_readout`), one (4, 2 m) by (2 m, n) and one
+    (4, 2 m_v) by (2 m_v, nv) real product give all four stage inputs; xi and
+    v stay in separate products, so a non-finite v cannot reach xi.  The
+    record's xi row sums are V (e o V^-1 1).
+
+    The numbers equal classic RK4's up to rounding, about kappa(V) eps; they
+    differ from `LinearDriver`'s in the last bits.  Built by `xi_v_source`
+    from `_eigenmodes` of -L and of S, and used like `LinearDriver`:
+    `stages()`, then `finish(t)` once the member step from t is done, and
+    `start(m)` and `record(j)` for the records.  `stages()` raises Diverged,
+    with the step's start time, when a stage input is not finite.
+    """
+
+    def __init__(self, xi_modes, v_modes, v0, h):
+        (lam_x, vec_x, inv_x), (lam_v, vec_v, inv_v) = xi_modes, v_modes
+        self.n = n = len(vec_x)
+        self.h = h
+        self._k = 0
+        self._read_xi = _real_readout(lam_x, vec_x * inv_x.T)
+        self._read_rowsum = _real_readout(lam_x, vec_x * inv_x.sum(axis=1))
+        self._read_v = _real_readout(lam_v, vec_v * (inv_v @ v0))
+        z = h * np.concatenate((lam_x, lam_v))
+        self._ell = _log_step_factor(z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._factors = np.array((np.ones_like(z),) + rk4_stage_factors(z)[0])
+        self._modes = np.empty_like(self._factors)  # (4, m'): stage values per mode
+        split = 2 * len(lam_x)  # xi's columns of the modes' float view
+        floats = self._modes.view(float)
+        self._stage_inputs = np.empty((4, n + len(v0)))
+        # (mode values, read-out, stage inputs) of xi and of v
+        self._products = ((floats[:, :split], self._read_xi, self._stage_inputs[:, :n]),
+                          (floats[:, split:], self._read_v, self._stage_inputs[:, n:]))
+        self.inputs = tuple((row[:n], row[n:]) for row in self._stage_inputs)
+
+    def stages(self):
+        """The four stage inputs (diag xi, v) of the step from t = k h."""
+        np.multiply(self._factors, np.exp(self._k * self._ell), out=self._modes)
+        for x, read, out in self._products:
+            np.matmul(x, read, out=out)
+        if not np.isfinite(self._stage_inputs).all():
+            t = self._k * self.h
+            raise Diverged(f"xi/v driver: non-finite stage input at t={t:.6g}", t=t)
+        return self.inputs
+
+    def finish(self, t):
+        """The step from t is done; the next `stages` call serves the step after it."""
+        self._k += 1
+
+    def start(self, m):
+        """Allocate the (m, .) records xi_diag, xi_rowsum and v, and fill row 0."""
+        self.xi_diag = np.empty((m, self.n))
+        self.xi_rowsum = np.empty((m, self.n))
+        self.v = np.empty((m, self._read_v.shape[1]))
+        self.record(0)
+
+    def record(self, j):
+        """Fill record row j from e_k, k the steps finished so far."""
+        e = np.exp(self._k * self._ell).view(float)
+        split = len(self._read_xi)
+        self.xi_diag[j] = e[:split] @ self._read_xi
+        self.xi_rowsum[j] = e[:split] @ self._read_rowsum
+        self.v[j] = e[split:] @ self._read_v
+
+
+def xi_v_source(big_l, s_exo, v0, h):
+    """The source of xi and v for a run at step h: modal where it can be, else Horner.
+
+    `ModalSource` when both -L and S pass `_eigenmodes`' check, else
+    `LinearDriver` (a defective or ill-conditioned L or S).  Both give the
+    same RK4 numbers up to rounding.
+    """
+    xi_modes, v_modes = _eigenmodes(-big_l), _eigenmodes(s_exo)
+    if xi_modes is None or v_modes is None:
+        return LinearDriver(big_l, s_exo, v0, h)
+    return ModalSource(xi_modes, v_modes, v0, h)
+
+
 def assemble(sc: Scenario) -> System:
     """Build the single derivative function for the full coupled ODE."""
     g = sc.graph
@@ -244,7 +429,7 @@ def assemble(sc: Scenario) -> System:
     else:
         gains = select_gains(bounds, spectral.rho_min, spectral.lambda2)
 
-    big_l = _operator(spectral.laplacian)
+    l_matvec = _matvec(_operator(spectral.laplacian))
     grad_vec = costs_mod.build_gradient(sc.costs)
     drift = plant_drift(sc.plants)
     b = np.array([p.b for p in sc.plants])
@@ -261,7 +446,7 @@ def assemble(sc: Scenario) -> System:
         yr = y[sl_yr]
         x1 = y[sl_x1]
         x2 = y[sl_x2]
-        dc = coordinator_rhs(t, y[:n2], w, big_l, grad_vec, gains)
+        dc = coordinator_rhs(t, y[:n2], w, l_matvec, grad_vec, gains)
         u, (deta, dk, dpsi) = tracker_rhs(x1, x2, yr, y[sl_eta], y[sl_k], y[sl_psi],
                                           gamma, im)
         return np.concatenate((dc, x2, drift(x1, x2, w[1], t) + b * u, deta, dk, dpsi))
@@ -273,7 +458,7 @@ def initial_state(sc: Scenario, layout: StateLayout) -> np.ndarray:
     """Seeded initial member state; z(0) = 0 is structural.
 
     The plant draw is one (x1, x2) pair per agent in turn.  xi(0) = I and
-    v(0) = v0 belong to `LinearDriver`.
+    v(0) = v0 belong to the xi/v source.
     """
     rng = np.random.default_rng([sc.seed, 1])
     n = sc.graph.n
@@ -357,9 +542,9 @@ def integrate(f, y0, h, n_steps, record_every, driver=None):
     """RK4 over n_steps steps of h from t = 0; returns (times, samples).
 
     The samples are the initial state and every record_every-th state after it.
-    With a `LinearDriver`, built for the same h, f is f(t, y, w): each step
-    the driver's stages give f its four stage inputs, and the driver records
-    its own samples at the same steps.
+    With a xi/v source (`ModalSource` or `LinearDriver`) built for the same h,
+    f is f(t, y, w): each step the source's stages give f its four stage
+    inputs, and the source records its own samples at the same steps.
     """
     times = np.zeros(n_steps // record_every + 1)
     samples = np.empty((times.size,) + y0.shape)
@@ -390,7 +575,7 @@ def run(sc: Scenario, system: Optional[System] = None) -> Trajectory:
     if system is None:
         system = assemble(sc)
     y0 = initial_state(sc, system.layout)
-    driver = LinearDriver(system.spectral.laplacian, sc.exo.S, sc.exo.v0, sc.step)
+    driver = xi_v_source(system.spectral.laplacian, sc.exo.S, sc.exo.v0, sc.step)
     try:
         times, raw = integrate(system.derivative, y0, sc.step, sc.n_steps, sc.record_every,
                                driver)

@@ -6,12 +6,12 @@ feedforward row Psi are verification-only artifacts kept in a separate
 truth structure that the control loop never reads.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .digraph import _operator, _product
+from .digraph import _matvec, _operator
 from .errors import DegenerateRoots, NotHurwitz, SingularSystem, SingularT
 
 _HURWITZ_MARGIN = -1e-9
@@ -165,6 +165,10 @@ class StackedInternalModel:
     N: np.ndarray       # N_1, ..., N_n concatenated
     starts: np.ndarray  # offset of agent i's block in eta
     owner: np.ndarray   # agent index of each entry of eta
+    matvec: callable = field(init=False, repr=False, compare=False)  # eta -> M eta
+
+    def __post_init__(self):
+        object.__setattr__(self, "matvec", _matvec(self.M))
 
     @staticmethod
     def stack(im_specs):
@@ -199,4 +203,4 @@ def tracker_rhs(x1, x2, yr, eta, k, psi, gamma, im: StackedInternalModel):
     if im is None:
         return u, (np.zeros_like(eta), dk, np.zeros_like(psi))
     u = u + np.add.reduceat(psi * eta, im.starts)
-    return u, (_product(im.M, eta) + im.N * u[im.owner], dk, -eta * theta[im.owner])
+    return u, (im.matvec(eta) + im.N * u[im.owner], dk, -eta * theta[im.owner])

@@ -5,7 +5,7 @@ from oocsim import costs
 from oocsim.coordinator import (CoordinatorGains, check_gain_inequalities,
                                 coordinator_only_run, coordinator_rhs, select_gains)
 from oocsim.costs import ConvexityBounds
-from oocsim.digraph import Digraph, laplacian, spectral_data
+from oocsim.digraph import Digraph, _matvec, laplacian, spectral_data
 from oocsim.errors import InvalidSpectrum, XiUnderflow
 from oocsim.sim import LinearDriver
 
@@ -51,7 +51,7 @@ def rhs_at(g, cost_list, gains, yr, z=None, xi=None, t=0.0):
     z = np.zeros(n) if z is None else z
     xi = np.eye(n) if xi is None else xi
     big_l = laplacian(g)
-    dc = coordinator_rhs(t, np.concatenate([yr, z]), (xi.diagonal(), np.zeros(0)), big_l,
+    dc = coordinator_rhs(t, np.concatenate([yr, z]), (xi.diagonal(), np.zeros(0)), _matvec(big_l),
                          costs.build_gradient(cost_list), gains)
     driver = LinearDriver(big_l, np.zeros((0, 0)), np.zeros(0), 1e-3)
     return dc[:n], dc[n:], -(driver.b @ xi)

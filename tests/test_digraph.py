@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from oocsim import digraph
-from oocsim.digraph import (Digraph, _add_product, _operator, _product, is_strongly_connected,
+from oocsim.digraph import (Digraph, _add_product, _matvec, _operator, is_strongly_connected,
                             laplacian, spectral_data)
 from oocsim.errors import NotStronglyConnected
 
@@ -176,7 +176,7 @@ def test_csr_kernel_matches_dense_product(index_dtype, x_shape):
     assert _add_product(op, x, in_place, in_place) is in_place  # out is base: no copy
     assert np.abs(in_place - want).max() <= tol
     if len(x_shape) == 1:
-        assert np.abs(_product(op, x) - a @ x).max() <= 1e-14 * np.abs(a @ x).max()
+        assert np.abs(_matvec(op)(x) - a @ x).max() <= 1e-14 * np.abs(a @ x).max()
 
 
 def test_dense_operator_runs_the_plain_numpy_calls():
@@ -188,7 +188,7 @@ def test_dense_operator_runs_the_plain_numpy_calls():
     assert _add_product(a, x, base, out) is out
     assert np.array_equal(out, np.add(base, a @ x))
     v = rng.uniform(-1.0, 1.0, 6)
-    assert np.array_equal(_product(a, v), a @ v)
+    assert np.array_equal(_matvec(a)(v), a @ v)
 
 
 def test_csr_kernel_refuses_inputs_it_would_mishandle():
@@ -215,9 +215,9 @@ def test_csr_kernel_refuses_inputs_it_would_mishandle():
     for xx, message in ((np.ones(81), shape), (np.ones(160)[::2], layout),
                         (np.ones(80, dtype=np.float32), dtype)):
         with pytest.raises(ValueError, match=message):
-            _product(op, xx)
+            _matvec(op)(xx)
     with pytest.raises(ValueError, match=dtype):
-        _product(op.astype(np.float32), np.ones(80))
+        _matvec(op.astype(np.float32))(np.ones(80))
 
 
 def test_csr_kernel_writes_into_the_callers_buffer():

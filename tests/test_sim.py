@@ -11,19 +11,22 @@ import pytest
 import scipy.linalg
 
 import oocsim
-from oocsim import costs, digraph
+from oocsim import costs, digraph, sim
 from oocsim.coordinator import CoordinatorGains, coordinator_rhs
-from oocsim.digraph import Digraph, _operator, laplacian, spectral_data
+from oocsim.digraph import Digraph, _matvec, _operator, laplacian, spectral_data
 from oocsim.errors import Diverged, NonConvexDetected, NotStronglyConnected, XiUnderflow
 from oocsim.plant import Exosystem, custom, plant_drift, rotation_exosystem, vdp_like
 from oocsim.scenario import parse_scenario, scenario_from_dict
 from oocsim.integrate import rk4_step
-from oocsim.sim import (DEFAULT_TOLERANCES, InitPolicy, LinearDriver, Scenario, StateLayout,
-                        Trajectory, assemble, initial_state, integrate, metrics, run, verify)
+from oocsim.sim import (DEFAULT_TOLERANCES, InitPolicy, LinearDriver, ModalSource, Scenario,
+                        StateLayout, Trajectory, _eigenmodes, _log_step_factor, assemble,
+                        initial_state, integrate, metrics, rk4_stage_factors, run, verify,
+                        xi_v_source)
 from oocsim.tracker import (FeedforwardTruth, InternalModelSpec, StackedInternalModel,
                             TrackerParams, tracker_rhs)
 
 
+EPS = np.finfo(float).eps
 # the member states and the xi/v driver's records of a Trajectory
 RECORDS = ("raw", "xi_diag", "xi_rowsum", "v")
 
@@ -341,7 +344,7 @@ def dense_derivative(sc, system):
     def f(t, y, w):
         yr, x1, x2 = y[sl["yr"]], y[sl["x1"]], y[sl["x2"]]
         out = np.empty_like(y)
-        out[:2 * len(yr)] = coordinator_rhs(t, y[:2 * len(yr)], w, big_l, grad_vec,
+        out[:2 * len(yr)] = coordinator_rhs(t, y[:2 * len(yr)], w, _matvec(big_l), grad_vec,
                                             system.gains)
         u, (out[sl["eta"]], out[sl["k"]], out[sl["psi"]]) = tracker_rhs(
             x1, x2, yr, y[sl["eta"]], y[sl["k"]], y[sl["psi"]], sc.tracker.gamma, im)
@@ -408,11 +411,20 @@ def test_verify_builds_one_truth_per_distinct_spec(monkeypatch):
     assert shared_report == separate_report
 
 
+# both xi/v sources, built directly so that each is tested whatever xi_v_source picks
+SOURCES = {
+    "modal": lambda big_l, s_exo, v0, h: ModalSource(_eigenmodes(-big_l), _eigenmodes(s_exo),
+                                                     v0, h),
+    "horner": LinearDriver,
+}
+
+
+@pytest.mark.parametrize("source", SOURCES)
 @pytest.mark.parametrize("preset", ["example1", "example2"])
-def test_driver_matches_xi_and_v_integrated_alone(preset, request):
+def test_driver_matches_xi_and_v_integrated_alone(preset, source, request):
     sc = request.getfixturevalue(f"{preset}_scenario")
     big_l, s_exo, h, n = spectral_data(sc.graph).laplacian, sc.exo.S, sc.step, sc.graph.n
-    driver = LinearDriver(big_l, s_exo, sc.exo.v0, h)
+    driver = SOURCES[source](big_l, s_exo, sc.exo.v0, h)
     inputs = []
 
     def member(t, y, w):
@@ -424,12 +436,14 @@ def test_driver_matches_xi_and_v_integrated_alone(preset, request):
     xi_stages, v_stages = [], []
     _, xi = integrate(lambda t, x: xi_stages.append(x) or -(big_l @ x), np.eye(n), h, 500, 100)
     _, v = integrate(lambda t, v: v_stages.append(v) or s_exo @ v, sc.exo.v0, h, 500, 100)
-    # Horner form rounds differently in the last bits (measured <= 1.4e-15 of
-    # the block's largest entry); a wrong coefficient is off by about h
+    # Horner form and the modes round differently in the last bits (measured
+    # <= 1.4e-15 and <= 2.3e-15 of the block's largest entry); a wrong
+    # coefficient is off by about h
     xi_tol = 1e-14 * np.abs(xi).max()
     v_tol = 1e-14 * np.abs(v).max()
-    assert np.abs(driver.w[:n, :n] - xi[-1]).max() <= xi_tol
-    assert np.abs(driver.w[n:, n] - v[-1]).max() <= v_tol
+    if source == "horner":  # the modal source never forms xi itself
+        assert np.abs(driver.w[:n, :n] - xi[-1]).max() <= xi_tol
+        assert np.abs(driver.w[n:, n] - v[-1]).max() <= v_tol
     assert np.abs(driver.xi_diag - xi.diagonal(axis1=1, axis2=2)).max() <= xi_tol
     assert np.abs(driver.xi_rowsum - xi.sum(axis=2)).max() <= xi_tol
     assert np.abs(driver.v - v).max() <= v_tol
@@ -469,6 +483,114 @@ def test_driver_horner_steps_are_classic_rk4_in_exact_arithmetic():
         w = w + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         assert (driver.w == w).all()
         assert all(type(x) is Fraction for x in driver.w.ravel())
+
+
+def test_rk4_stage_factors_are_classic_rk4_in_exact_arithmetic():
+    # w' = lambda w from w = 1: the stage values and the step, in fractions
+    h = Fraction(1, 1000)
+    for lam in (Fraction(-3), Fraction(7, 2), Fraction(-2001, 7), Fraction(0)):
+        z = h * lam
+        y2 = 1 + h / 2 * (lam * 1)
+        y3 = 1 + h / 2 * (lam * y2)
+        y4 = 1 + h * (lam * y3)
+        step = 1 + h / 6 * (lam * 1 + 2 * lam * y2 + 2 * lam * y3 + lam * y4)
+        stages, r = rk4_stage_factors(z)
+        assert stages == (y2, y3, y4)
+        assert r == step == 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
+        assert all(type(x) is Fraction for x in stages + (r,))
+
+
+def test_log_step_factor_matches_fifty_digits():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    # |z| from 1e-6 to 2.8, on the real axis both ways, on the imaginary axis
+    # and off both, through the roots of R at |z| = 1.94 and 2.52
+    radii = np.geomspace(1e-6, 2.8, 60)
+    angles = np.linspace(0.0, np.pi, 13)
+    z = (radii[:, None] * np.exp(1j * angles)).ravel()
+    z = np.concatenate((z, z.conj(), [1.1e-6, -2.8, 2.8, 2.8j]))
+    got = _log_step_factor(z)
+    for zi, li in zip(z, got):
+        zm = mpmath.mpc(zi.real, zi.imag)
+        r = 1 + zm + zm ** 2 / 2 + zm ** 3 / 6 + zm ** 4 / 24
+        # z + log(e^-z R(z)): log R(z) on the branch whose exp(k l) is R(z)^k
+        want = zm + mpmath.log(mpmath.exp(-zm) * r)
+        # k steps multiply an error in l by k, so it is measured against the
+        # step's own size: |z|, or |l| where that is larger (measured <= 5.4
+        # eps on a 200 x 82 grid; log of R(z) rounded to a double errs by up
+        # to 9e5 eps)
+        scale = max(abs(want), abs(zm))
+        assert abs(mpmath.mpc(li.real, li.imag) - want) <= 8 * EPS * scale, zi
+    # past |z| = 3 every RK4 step grows, and log R(z) is taken directly
+    far = np.array([3.5 + 0j, -3.2 + 1j, 1e300 + 0j])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.all(np.exp(_log_step_factor(far).real[:2]) > 1)
+        assert not np.isfinite(_log_step_factor(far)[2])
+
+
+FIXED_GAINS = CoordinatorGains(beta1=1.0, beta2=1.0, delta=1.0)
+
+
+def weighted_three_cycle(last):
+    """Edges 1 -> 2 and 2 -> 3 of weight 1, 3 -> 1 of weight `last`.
+
+    Weight-unbalanced and strongly connected; L has eigenvalues 0 and the roots
+    of s^2 - (2 + last) s + (1 + 2 last), a double 3 (a Jordan block) at last = 4.
+    """
+    return Digraph.from_edges(3, [(1, 2, 1.0), (2, 3, 1.0), (3, 1, last)])
+
+
+def test_defective_laplacian_gets_the_horner_driver(monkeypatch):
+    sc = tiny_scenario(graph=weighted_three_cycle(4.0), horizon=5.0, gains=FIXED_GAINS)
+    big_l = laplacian(sc.graph)
+    assert _eigenmodes(-big_l) is None  # kappa_1(V) about 1e8
+    assert type(xi_v_source(big_l, sc.exo.S, sc.exo.v0, sc.step)) is LinearDriver
+    traj = run(sc)
+    rep = verify(sc, traj)
+    assert rep.z_conservation_drift < 1e-8
+    assert rep.xi_rowsum_drift < 1e-9
+    assert same_records(traj, run(sc))
+    # the modal source, let through, would break the row-sum bound there
+    monkeypatch.setattr(sim, "_MODAL_MAX_COND", math.inf)
+    assert type(xi_v_source(big_l, sc.exo.S, sc.exo.v0, sc.step)) is ModalSource
+    assert verify(sc, run(sc)).xi_rowsum_drift > 1e-9
+
+
+def test_diagonalizable_scenarios_get_the_modal_source(example1_scenario, example2_scenario):
+    ring = dataclasses.replace(sparse_ring(200, 60), horizon=0.02, record_every=5)
+    near = tiny_scenario(graph=weighted_three_cycle(4.001), horizon=0.5, gains=FIXED_GAINS)
+    for sc in (example1_scenario, example2_scenario, ring, near):
+        source = xi_v_source(laplacian(sc.graph), sc.exo.S, sc.exo.v0, sc.step)
+        assert type(source) is ModalSource
+    for sc in (ring, near):
+        traj = run(sc)
+        assert np.abs(traj.xi_rowsum - 1.0).max() < 1e-9
+        assert same_records(traj, run(sc))
+
+
+def test_modal_source_names_a_non_finite_v_and_keeps_xi_finite():
+    exo = np.array([[1e300, 0.0], [0.0, 0.0]])
+    source = xi_v_source(laplacian(weighted_three_cycle(1.0)), exo, np.array([1.0, 0.0]), 0.1)
+    assert type(source) is ModalSource
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(Diverged, match=r"^xi/v driver: non-finite stage input at t=0$"):
+            source.stages()
+    # xi and v are separate products, so the inf in v reaches no xi input
+    assert all(np.isfinite(xi).all() for xi, _ in source.inputs)
+
+
+def test_modal_source_matches_the_horner_driver_on_a_sparse_ring():
+    sc = sparse_ring(200, 60)
+    big_l = laplacian(sc.graph)
+    modal = xi_v_source(big_l, sc.exo.S, sc.exo.v0, sc.step)
+    horner = LinearDriver(big_l, sc.exo.S, sc.exo.v0, sc.step)
+    assert type(modal) is ModalSource
+    for kstep in range(300):
+        for (xi_got, v_got), (xi_want, v_want) in zip(modal.stages(), horner.stages()):
+            assert np.abs(xi_got - xi_want).max() <= 1e-12
+            assert np.abs(v_got - v_want).max() <= 1e-12
+        modal.finish(kstep * sc.step)
+        horner.finish(kstep * sc.step)
 
 
 def test_csr_driver_matches_dense_driver(monkeypatch):
