@@ -10,7 +10,7 @@ The self-component xi_i^i stays positive and converges to rho_i, which
 cancels the graph imbalance without knowing the left eigenvector a priori.
 The xi rows are linear and read no other state, so the xi/v source of `sim`
 (`sim.xi_v_source`: RK4 per eigenmode of -L, or the Horner `sim.LinearDriver`
-when L is defective) advances them outside the per-agent state;
+when L is defective or nearly so) advances them outside the per-agent state;
 `coordinator_rhs` reads xi_i^i only.
 """
 

@@ -437,7 +437,7 @@ def test_driver_matches_xi_and_v_integrated_alone(preset, source, request):
     _, xi = integrate(lambda t, x: xi_stages.append(x) or -(big_l @ x), np.eye(n), h, 500, 100)
     _, v = integrate(lambda t, v: v_stages.append(v) or s_exo @ v, sc.exo.v0, h, 500, 100)
     # Horner form and the modes round differently in the last bits (measured
-    # <= 1.4e-15 and <= 2.3e-15 of the block's largest entry); a wrong
+    # <= 1.4e-15 of the block's largest entry for either source); a wrong
     # coefficient is off by about h
     xi_tol = 1e-14 * np.abs(xi).max()
     v_tol = 1e-14 * np.abs(v).max()
