@@ -10,17 +10,18 @@ The self-component xi_i^i stays positive and converges to rho_i, which
 cancels the graph imbalance without knowing the left eigenvector a priori.
 The xi rows are linear and read no other state, so the xi/v source of `sim`
 (`sim.xi_v_source`: RK4 per eigenmode of -L, or the Horner `sim.LinearDriver`
-when L is defective or nearly so) advances them outside the per-agent state;
-`coordinator_rhs` reads xi_i^i only.
+when L is defective or nearly so) advances them outside the per-agent state.
+Everything in yr' and z' but the gradient term is linear in (yr, z):
+`coordinator_linear` gives those entries of the member derivative's operator,
+and `coordinator_nonlinear` adds -grad c_i(yr_i)/xi_i^i, reading xi_i^i only.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .costs import ConvexityBounds, build_gradient
-from .digraph import Digraph, _matvec, _operator, laplacian
+from .digraph import Digraph, _block_operator, _diagonal, _matvec, laplacian
 from .errors import InvalidSpectrum, XiUnderflow
 
 XI_FLOOR = 1e-9
@@ -65,26 +66,33 @@ def check_gain_inequalities(gains, bounds, rho_min, lambda2):
     return m1, m2, m3
 
 
-def coordinator_rhs(t, c, w, l_matvec, grad_vec, gains: CoordinatorGains):
-    """(yr', z') of all agents, stacked like c = (yr, z), given w = (xi_diag, v).
+def coordinator_linear(big_l, gains: CoordinatorGains):
+    """The linear part of (yr', z') as COO parts (rows, cols, values) over c = (yr, z).
+
+    yr' holds -beta1 L yr - beta2 z and z' holds beta1 L yr.  yr and z lead the
+    member state too, so these are also its first 2n rows and columns.  The
+    entries come from L's nonzeros, so the operator built from them keeps L's
+    sparsity.
+    """
+    n = len(big_l)
+    rows, cols = np.nonzero(big_l)
+    weights = gains.beta1 * big_l[rows, cols]
+    return [(rows, cols, -weights), _diagonal(0, n, np.full(n, -gains.beta2)),
+            (rows + n, cols, weights)]
+
+
+def coordinator_nonlinear(t, d_yr, yr, xi_diag, grad_vec):
+    """yr' -= grad c(yr) / xi_i^i, in place on d_yr, which holds yr's linear part.
 
     xi_diag holds each agent's xi_i^i at time t; the xi/v source of `sim`
-    advances xi (and v, which this layer does not read).  l_matvec is
-    x -> L x, from `digraph._matvec` of the Laplacian's `digraph._operator`
-    (an ndarray, or a CSR array for a large sparse graph).
-
-    Raises XiUnderflow, naming the 1-based agent with the smallest xi_i^i and
-    the time t, when that component drops below XI_FLOOR.
+    advances xi.  Raises XiUnderflow, naming the 1-based agent with the
+    smallest xi_i^i and the time t, when that component drops below XI_FLOOR.
     """
-    n = len(c) // 2
-    yr, z = c[:n], c[n:]
-    xi_diag = w[0]
     if xi_diag.min() < XI_FLOOR:
         i = int(xi_diag.argmin())
         raise XiUnderflow(f"agent {i + 1}: xi_i^i = {xi_diag[i]:.3e} below floor "
                           f"{XI_FLOOR:g} at t={t:.6g}", t=t)
-    dz = gains.beta1 * l_matvec(yr)
-    return np.concatenate((-grad_vec(yr) / xi_diag - dz - gains.beta2 * z, dz))
+    d_yr -= grad_vec(yr) / xi_diag
 
 
 @dataclass
@@ -100,16 +108,24 @@ def coordinator_only_run(g: Digraph, cost_list, gains: CoordinatorGains, y0,
                          horizon, step, record_every=100) -> CoordinatorTrajectory:
     """Integrate only the coordinator layer with RK4 and a decimated record.
 
-    The state is (yr, z); the xi/v source, here without an exosystem, feeds
-    coordinator_rhs its xi_i^i at every RK4 stage.
+    The state is (yr, z); its derivative is one product with the operator of
+    `coordinator_linear` plus `coordinator_nonlinear`, which the xi/v source,
+    here without an exosystem, feeds its xi_i^i at every RK4 stage.
     """
     from .sim import integrate, xi_v_source  # sim imports this module
 
+    n = g.n
     big_l = laplacian(g)
-    rhs = partial(coordinator_rhs, l_matvec=_matvec(_operator(big_l)),
-                  grad_vec=build_gradient(cost_list), gains=gains)
+    matvec = _matvec(_block_operator((2 * n, 2 * n), coordinator_linear(big_l, gains)))
+    grad_vec = build_gradient(cost_list)
+
+    def rhs(t, c, w):
+        out = matvec(c)
+        coordinator_nonlinear(t, out[:n], c[:n], w[0], grad_vec)
+        return out
+
     driver = xi_v_source(big_l, np.zeros((0, 0)), np.zeros(0), step)
-    c0 = np.concatenate([np.asarray(y0, dtype=float), np.zeros(g.n)])
+    c0 = np.concatenate([np.asarray(y0, dtype=float), np.zeros(n)])
     times, arr = integrate(rhs, c0, step, int(round(horizon / step)), record_every, driver)
-    return CoordinatorTrajectory(times=times, y_r=arr[:, :g.n], z=arr[:, g.n:],
+    return CoordinatorTrajectory(times=times, y_r=arr[:, :n], z=arr[:, n:],
                                  xi_diag=driver.xi_diag, xi_rowsum=driver.xi_rowsum)

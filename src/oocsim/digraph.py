@@ -62,9 +62,14 @@ def laplacian(g: Digraph) -> np.ndarray:
 # at least this many rows and at most this share of nonzero entries.
 _CSR_MIN_ROWS = 64
 _CSR_MAX_DENSITY = 0.1
+# A `_block_operator` is not square, so its rule counts entries.  The dense
+# product falls behind the guarded CSR kernel (about 4 us a call) between 12,000
+# and 18,000 entries; both presets' member operators (2,250 and 4,550
+# entries) stay below, so dense systems never import scipy.sparse.
+_CSR_MIN_ENTRIES = 128 * 128
 
-# scipy's private CSR kernels, bound by `_operator` when it makes the first
-# CSR array, so a CSR operator always finds them
+# scipy's private CSR kernels, bound by `_csr` when it makes the first CSR
+# array, so a CSR operator always finds them
 _sparsetools = None
 _FLOAT64 = np.dtype(np.float64)  # comparing to a dtype is faster than to a type
 
@@ -85,14 +90,41 @@ def _operator(a: np.ndarray):
     operator's shapes, and that they do not overlap; it raises ValueError
     otherwise.  CSR sums only the nonzeros, in its own order, so it can
     differ from the dense product in the last bits.  scipy.sparse is
-    imported here only, so dense systems never load it.
+    imported in `_csr` only, so dense systems never load it.
     """
-    global _sparsetools
     if a.shape[0] < _CSR_MIN_ROWS or np.count_nonzero(a) > _CSR_MAX_DENSITY * a.size:
         return a
+    return _csr(a)
+
+
+def _csr(arg, shape=None):
+    """scipy.sparse.csr_array(arg, shape), binding the private kernels on first use."""
+    global _sparsetools
     import scipy.sparse
     from scipy.sparse import _sparsetools
-    return scipy.sparse.csr_array(a)
+    return scipy.sparse.csr_array(arg, shape=shape)
+
+
+def _diagonal(row, col, values):
+    """The COO part (rows, cols, values) of a diagonal block whose first entry is at (row, col)."""
+    idx = np.arange(len(values))
+    return idx + row, idx + col, values
+
+
+def _block_operator(shape, parts):
+    """One operator of `shape` from COO parts (rows, cols, values); entries that meet add.
+
+    With at least _CSR_MIN_ENTRIES entries, at most _CSR_MAX_DENSITY of them
+    given, it is a CSR array from one `csr_array` call on the stacked parts, so
+    it is never formed densely; else a dense ndarray.
+    """
+    rows, cols, values = (np.concatenate(x) for x in zip(*parts))
+    size = shape[0] * shape[1]
+    if size >= _CSR_MIN_ENTRIES and len(values) <= _CSR_MAX_DENSITY * size:
+        return _csr((values, (rows, cols)), shape)
+    a = np.zeros(shape)
+    np.add.at(a, (rows, cols), values)
+    return a
 
 
 def _kernel(op, x, base, out):

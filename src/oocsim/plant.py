@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from .digraph import _diagonal
 from .errors import Unsupported
 
 
@@ -90,6 +91,16 @@ def plant_drift(plants):
         return np.array([f(a, b, v, t) for f, a, b in zip(fns, x1, x2)])
 
     return drift
+
+
+def plant_linear(slices):
+    """The row x1' = x2 as COO parts (rows, cols, values) over the member state.
+
+    x2' = f(x1, x2, v, t) + b u is left to the drift of `plant_drift` and the
+    tracker's u.  slices maps "x1" and "x2" to their slices of the member state.
+    """
+    x1, x2 = slices["x1"], slices["x2"]
+    return [_diagonal(x1.start, x2.start, np.ones(x1.stop - x1.start))]
 
 
 def feedforward_truth(p: Plant, s_star, v) -> float:

@@ -4,13 +4,22 @@ The full closed loop couples, per agent: the optimal coordinator (references
 yr_i, duals z_i, correction rows xi_i), the second-order plant, the internal
 model eta_i with adaptive gain k_i and feedforward estimate psi_hat_i, plus
 one shared exosystem state v.  The per-agent states yr, z, x1, x2, eta, k and
-psi_hat form one flat member state of 7n + 2 sum(s_i) entries.  xi and v are
+psi_hat form one flat member state of 5n + 2 sum(s_i) entries.  xi and v are
 linear and read no other state, so a xi/v source advances them and feeds the
 member derivative diag xi and v at each RK4 stage.  `assemble` builds only
 the member derivative; `run` builds the source in one call,
 `xi_v_source(L, S, v0, h)`.  Both advance with classical RK4 at a fixed step,
 for determinism, and the source's numbers are classic RK4's on xi and v alone
 up to rounding in the last bits.
+
+A member derivative call is one operator product plus the nonlinear terms.
+`assemble` stacks every linear term, -beta1 L yr - beta2 z, beta1 L yr,
+x1' = x2 and M eta, and the n rows of theta = x2 + gamma (x1 - yr) into one
+(dim + n) x dim operator, from each layer's COO parts (`coordinator_linear`,
+`plant_linear`, `tracker_linear`).  Each call multiplies it by y into a new
+array, adds the nonlinear terms in place (`coordinator_nonlinear`: the xi
+floor check and -grad c(yr)/xi; `tracker_nonlinear`: u, k', psi_hat' and N u;
+the plant drift plus b u in x2'), and returns the first dim entries.
 
 The source is `ModalSource` unless L or S is defective or nearly so: from
 the eigenmodes of -L and S it computes RK4's own stage values per mode,
@@ -28,12 +37,15 @@ from typing import Optional
 import numpy as np
 
 from . import costs as costs_mod
-from .coordinator import CoordinatorGains, coordinator_rhs, select_gains
-from .digraph import Digraph, SpectralData, _add_product, _matvec, _operator, spectral_data
+from .coordinator import (CoordinatorGains, coordinator_linear, coordinator_nonlinear,
+                          select_gains)
+from .digraph import (Digraph, SpectralData, _add_product, _block_operator, _matvec, _operator,
+                      spectral_data)
 from .errors import Diverged, XiUnderflow
 from .integrate import rk4_step
-from .plant import Exosystem, feedforward_truth, plant_drift
-from .tracker import FeedforwardTruth, StackedInternalModel, TrackerParams, tracker_rhs
+from .plant import Exosystem, feedforward_truth, plant_drift, plant_linear
+from .tracker import (FeedforwardTruth, StackedInternalModel, TrackerParams, tracker_linear,
+                      tracker_nonlinear)
 
 DEFAULT_TOLERANCES = {
     "final_output_error": 5e-2,
@@ -131,13 +143,17 @@ class System:
     """Assembled closed loop: derivative closure plus resolved parameters.
 
     derivative(t, y, w) takes the member state y and the stage input
-    w = (diag xi, v).
+    w = (diag xi, v), and returns a new array.  operator is its linear part,
+    (dim + n) x dim: the first dim rows give every linear term of the member
+    derivative and the last n rows the filtered error theta.  It is a CSR
+    array when it is large and sparse (`digraph._block_operator`), else dense.
     """
 
     layout: StateLayout
     spectral: SpectralData
     gains: CoordinatorGains
     derivative: callable
+    operator: object
 
 
 class LinearDriver:
@@ -429,29 +445,31 @@ def assemble(sc: Scenario) -> System:
     else:
         gains = select_gains(bounds, spectral.rho_min, spectral.lambda2)
 
-    l_matvec = _matvec(_operator(spectral.laplacian))
     grad_vec = costs_mod.build_gradient(sc.costs)
     drift = plant_drift(sc.plants)
     b = np.array([p.b for p in sc.plants])
     im = None if sc.ablate_internal_model else StackedInternalModel.stack(sc.im_specs)
     layout = StateLayout(n=n, s_dims=tuple(spec.s_dim for spec in sc.im_specs))
-    gamma = sc.tracker.gamma
+    dim = layout.dim
     sl = layout.slices
-    sl_yr, sl_x1, sl_x2 = sl["yr"], sl["x1"], sl["x2"]
-    sl_eta, sl_k, sl_psi = sl["eta"], sl["k"], sl["psi"]
-    n2 = 2 * n
+    sl_x1, sl_x2, sl_eta, sl_k, sl_psi = sl["x1"], sl["x2"], sl["eta"], sl["k"], sl["psi"]
+    # rows: the member derivative's linear part, then theta's n rows
+    op = _block_operator((dim + n, dim),
+                         coordinator_linear(spectral.laplacian, gains) + plant_linear(sl)
+                         + tracker_linear(sl, dim, sc.tracker.gamma, im))
+    matvec = _matvec(op)
     w0 = (np.ones(n), sc.exo.v0)  # the stage input at t = 0
 
     def derivative(t, y, w=w0):
-        yr = y[sl_yr]
-        x1 = y[sl_x1]
-        x2 = y[sl_x2]
-        dc = coordinator_rhs(t, y[:n2], w, l_matvec, grad_vec, gains)
-        u, (deta, dk, dpsi) = tracker_rhs(x1, x2, yr, y[sl_eta], y[sl_k], y[sl_psi],
-                                          gamma, im)
-        return np.concatenate((dc, x2, drift(x1, x2, w[1], t) + b * u, deta, dk, dpsi))
+        out = matvec(y)
+        coordinator_nonlinear(t, out[:n], y[:n], w[0], grad_vec)
+        u = tracker_nonlinear(out[dim:], y[sl_eta], y[sl_k], y[sl_psi], im,
+                              out[sl_eta], out[sl_k], out[sl_psi])
+        out[sl_x2] = drift(y[sl_x1], y[sl_x2], w[1], t) + b * u
+        return out[:dim]
 
-    return System(layout=layout, spectral=spectral, gains=gains, derivative=derivative)
+    return System(layout=layout, spectral=spectral, gains=gains, derivative=derivative,
+                  operator=op)
 
 
 def initial_state(sc: Scenario, layout: StateLayout) -> np.ndarray:
@@ -542,6 +560,10 @@ def integrate(f, y0, h, n_steps, record_every, driver=None):
     """RK4 over n_steps steps of h from t = 0; returns (times, samples).
 
     The samples are the initial state and every record_every-th state after it.
+    Only those are kept: when n_steps is not a multiple of record_every, the
+    last steps are integrated but not recorded, so the record, and whatever is
+    read off its last row, ends at t = (n_steps // record_every) record_every h,
+    before the horizon (150 steps recorded every 100 end at t = 100 h).
     With a xi/v source (`ModalSource` or `LinearDriver`) built for the same h,
     f is f(t, y, w): each step the source's stages give f its four stage
     inputs, and the source records its own samples at the same steps.

@@ -6,12 +6,12 @@ feedforward row Psi are verification-only artifacts kept in a separate
 truth structure that the control loop never reads.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .digraph import _matvec, _operator
+from .digraph import _diagonal
 from .errors import DegenerateRoots, NotHurwitz, SingularSystem, SingularT
 
 _HURWITZ_MARGIN = -1e-9
@@ -161,46 +161,71 @@ class TrackerParams:
 class StackedInternalModel:
     """All agents' internal models as one block-diagonal system over the stacked eta."""
 
-    M: object           # block_diag(M_1, ..., M_n), CSR when large and sparse
+    M_entries: tuple    # block_diag(M_1, ..., M_n)'s nonzeros as COO (rows, cols, values)
     N: np.ndarray       # N_1, ..., N_n concatenated
     starts: np.ndarray  # offset of agent i's block in eta
     owner: np.ndarray   # agent index of each entry of eta
-    matvec: callable = field(init=False, repr=False, compare=False)  # eta -> M eta
-
-    def __post_init__(self):
-        object.__setattr__(self, "matvec", _matvec(self.M))
 
     @staticmethod
     def stack(im_specs):
         s_dims = [im.s_dim for im in im_specs]
         starts = np.cumsum([0] + s_dims[:-1])
-        # one slice per agent: scipy.linalg.block_diag takes about 20x as long
-        # for 200 blocks of 2x2
-        m = np.zeros((sum(s_dims), sum(s_dims)))
+        # one group of block offsets per distinct spec, so agents that share a
+        # spec cost one broadcast and not one call each
+        groups = {}
         for im, start in zip(im_specs, starts.tolist()):
-            m[start:start + im.s_dim, start:start + im.s_dim] = im.M
+            groups.setdefault(id(im), (im, []))[1].append(start)
+        parts = []
+        for im, offsets in groups.values():
+            rows, cols = np.nonzero(im.M)
+            offsets = np.array(offsets)[:, None]
+            parts.append(((offsets + rows).ravel(), (offsets + cols).ravel(),
+                          np.tile(im.M[rows, cols], len(offsets))))
         return StackedInternalModel(
-            M=_operator(m),
+            M_entries=tuple(np.concatenate(x) for x in zip(*parts)),
             N=np.concatenate([im.N_vec for im in im_specs]),
             starts=starts,
             owner=np.repeat(np.arange(len(s_dims)), s_dims))
 
 
-def tracker_rhs(x1, x2, yr, eta, k, psi, gamma, im: StackedInternalModel):
-    """Control u and (eta', k', psi_hat') of all agents.
+def tracker_linear(slices, theta_row, gamma, im: StackedInternalModel):
+    """The tracker's linear rows as COO parts (rows, cols, values) over the member state.
 
-    theta = x2 + gamma (x1 - yr) and rho(theta) = theta^4 + 1 give
-    u = -k rho(theta) theta + psi_hat_i . eta_i, eta' = M eta + N u,
-    k' = rho(theta) theta^2 and psi_hat' = -eta theta.  With im=None the
-    internal model is ablated: u drops psi_hat . eta, and eta' = psi_hat' = 0.
-    theta^4 is (theta^2)^2: `theta ** 4` calls libm pow, about 7x slower.
+    The n rows from theta_row give the filtered error theta = x2 + gamma x1 -
+    gamma yr, and eta's rows hold M eta; with im=None (the internal model
+    ablated) eta' has no linear part.  slices maps "yr", "x1", "x2" and "eta"
+    to their slices of the member state.
     """
-    theta = x2 + gamma * (x1 - yr)
+    n = slices["yr"].stop - slices["yr"].start
+    ones = np.ones(n)
+    parts = [_diagonal(theta_row, slices[key].start, ones * coef)
+             for key, coef in (("x2", 1.0), ("x1", gamma), ("yr", -gamma))]
+    if im is not None:
+        rows, cols, values = im.M_entries
+        eta = slices["eta"].start
+        parts.append((rows + eta, cols + eta, values))
+    return parts
+
+
+def tracker_nonlinear(theta, eta, k, psi, im, d_eta, d_k, d_psi):
+    """Control u of all agents; writes the nonlinear terms of eta', k' and psi_hat'.
+
+    theta = x2 + gamma (x1 - yr) comes from the operator's theta rows and
+    d_eta holds M eta from its M block (`tracker_linear`).  rho(theta) =
+    theta^4 + 1 gives u = -k rho(theta) theta + psi_hat_i . eta_i, then
+    d_eta += N u, d_k = rho(theta) theta^2 and d_psi = -eta theta.  With
+    im=None the internal model is ablated: u drops psi_hat . eta, and d_eta
+    and d_psi are left as they are.  theta^4 is (theta^2)^2: `theta ** 4`
+    calls libm pow, about 7x slower.
+    """
     theta2 = theta * theta
     rho = theta2 * theta2 + 1.0
+    np.multiply(rho, theta2, out=d_k)
     u = -k * rho * theta
-    dk = rho * theta2
     if im is None:
-        return u, (np.zeros_like(eta), dk, np.zeros_like(psi))
-    u = u + np.add.reduceat(psi * eta, im.starts)
-    return u, (im.matvec(eta) + im.N * u[im.owner], dk, -eta * theta[im.owner])
+        return u
+    u += np.add.reduceat(psi * eta, im.starts)
+    d_eta += im.N * u[im.owner]
+    np.multiply(eta, theta[im.owner], out=d_psi)
+    np.negative(d_psi, out=d_psi)
+    return u

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from oocsim import costs
-from oocsim.coordinator import (CoordinatorGains, check_gain_inequalities,
-                                coordinator_only_run, coordinator_rhs, select_gains)
+from oocsim.coordinator import (CoordinatorGains, check_gain_inequalities, coordinator_linear,
+                                coordinator_nonlinear, coordinator_only_run, select_gains)
 from oocsim.costs import ConvexityBounds
-from oocsim.digraph import Digraph, _matvec, laplacian, spectral_data
+from oocsim.digraph import Digraph, _block_operator, laplacian, spectral_data
 from oocsim.errors import InvalidSpectrum, XiUnderflow
 from oocsim.sim import LinearDriver
 
@@ -44,15 +44,17 @@ def single_agent():
 def rhs_at(g, cost_list, gains, yr, z=None, xi=None, t=0.0):
     """(yr', z', xi') at one state; z defaults to 0 and xi to the identity.
 
-    yr' and z' come from coordinator_rhs, which reads diag xi; xi' = -B xi
-    comes from the operator the xi/v driver advances xi with.
+    yr' and z' are the product with `coordinator_linear`'s operator plus
+    `coordinator_nonlinear`, which reads diag xi; xi' = -B xi comes from the
+    operator the xi/v driver advances xi with.
     """
     n = g.n
     z = np.zeros(n) if z is None else z
     xi = np.eye(n) if xi is None else xi
     big_l = laplacian(g)
-    dc = coordinator_rhs(t, np.concatenate([yr, z]), (xi.diagonal(), np.zeros(0)), _matvec(big_l),
-                         costs.build_gradient(cost_list), gains)
+    op = _block_operator((2 * n, 2 * n), coordinator_linear(big_l, gains))
+    dc = op @ np.concatenate([yr, z])
+    coordinator_nonlinear(t, dc[:n], yr, xi.diagonal(), costs.build_gradient(cost_list))
     driver = LinearDriver(big_l, np.zeros((0, 0)), np.zeros(0), 1e-3)
     return dc[:n], dc[n:], -(driver.b @ xi)
 

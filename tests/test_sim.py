@@ -12,18 +12,17 @@ import scipy.linalg
 
 import oocsim
 from oocsim import costs, digraph, sim
-from oocsim.coordinator import CoordinatorGains, coordinator_rhs
-from oocsim.digraph import Digraph, _matvec, _operator, laplacian, spectral_data
+from oocsim.coordinator import CoordinatorGains
+from oocsim.digraph import Digraph, _operator, laplacian, spectral_data
 from oocsim.errors import Diverged, NonConvexDetected, NotStronglyConnected, XiUnderflow
-from oocsim.plant import Exosystem, custom, plant_drift, rotation_exosystem, vdp_like
+from oocsim.plant import Exosystem, custom, rotation_exosystem, vdp_like
 from oocsim.scenario import parse_scenario, scenario_from_dict
 from oocsim.integrate import rk4_step
 from oocsim.sim import (DEFAULT_TOLERANCES, InitPolicy, LinearDriver, ModalSource, Scenario,
                         StateLayout, Trajectory, _eigenmodes, _log_step_factor, assemble,
                         initial_state, integrate, metrics, rk4_stage_factors, run, verify,
                         xi_v_source)
-from oocsim.tracker import (FeedforwardTruth, InternalModelSpec, StackedInternalModel,
-                            TrackerParams, tracker_rhs)
+from oocsim.tracker import FeedforwardTruth, InternalModelSpec, TrackerParams
 
 
 EPS = np.finfo(float).eps
@@ -319,10 +318,15 @@ def sparse_ring(n=100, chords=60):
 def test_operator_is_csr_only_for_large_sparse_matrices(example1_scenario, example2_scenario):
     for sc in (example1_scenario, example2_scenario):
         assert type(_operator(spectral_data(sc.graph).laplacian)) is np.ndarray
-        assert type(StackedInternalModel.stack(sc.im_specs).M) is np.ndarray
+        # example2's member operator has 70 rows at 1.8% fill, but only 4,550 entries
+        assert type(assemble(sc).operator) is np.ndarray
     ring = sparse_ring()
     assert _operator(laplacian(ring.graph)).format == "csr"
-    assert StackedInternalModel.stack(ring.im_specs).M.format == "csr"
+    assert assemble(ring).operator.format == "csr"
+    # a 40-agent ring with s = 4: L stays dense, the 560 x 520 member operator does not
+    mid = scenario_from_dict(ring_doc(40, {"coeffs": [10.0, 18.0, 15.0, 6.0]}, chords=40))
+    assert type(_operator(laplacian(mid.graph))) is np.ndarray
+    assert assemble(mid).operator.format == "csr"
     # too few rows: a 63-agent ring stays dense, a 64-agent ring does not
     assert type(_operator(laplacian(sparse_ring(63, 0).graph))) is np.ndarray
     assert _operator(laplacian(sparse_ring(64, 0).graph)).format == "csr"
@@ -331,39 +335,89 @@ def test_operator_is_csr_only_for_large_sparse_matrices(example1_scenario, examp
     assert type(_operator(laplacian(complete))) is np.ndarray
 
 
-def dense_derivative(sc, system):
-    """The member derivative composed from the layer RHS with dense L and M."""
-    big_l = system.spectral.laplacian
-    im = dataclasses.replace(StackedInternalModel.stack(sc.im_specs),
-                             M=scipy.linalg.block_diag(*[spec.M for spec in sc.im_specs]))
-    grad_vec = costs.build_gradient(sc.costs)
-    drift = plant_drift(sc.plants)
-    b = np.array([p.b for p in sc.plants])
-    sl = system.layout.slices
+def paper_derivative(sc, system, t, y, w):
+    """The member derivative agent by agent, written straight from the paper's equations."""
+    keys = ("yr", "z", "x1", "x2", "eta", "k", "psi")
+    sl, a, gains, gamma = system.layout.slices, sc.graph.weights, system.gains, sc.tracker.gamma
+    xi_diag, v = w
+    yr, z, x1, x2, eta, k, psi = (y[sl[key]] for key in keys)
+    out = np.zeros_like(y)
+    d_yr, d_z, d_x1, d_x2, d_eta, d_k, d_psi = (out[sl[key]] for key in keys)
+    start = 0
+    for i, (cost, plant, spec) in enumerate(zip(sc.costs, sc.plants, sc.im_specs)):
+        disagreement = sum(a[i, j] * (yr[i] - yr[j]) for j in range(sc.graph.n))
+        d_yr[i] = (-cost.grad(yr[i]) / xi_diag[i] - gains.beta1 * disagreement
+                   - gains.beta2 * z[i])
+        d_z[i] = gains.beta1 * disagreement
+        theta = x2[i] + gamma * (x1[i] - yr[i])
+        rho = theta ** 4 + 1.0
+        u = -k[i] * rho * theta
+        block = slice(start, start + spec.s_dim)
+        start += spec.s_dim
+        if not sc.ablate_internal_model:
+            u += psi[block] @ eta[block]
+            d_eta[block] = spec.M @ eta[block] + spec.N_vec * u
+            d_psi[block] = -eta[block] * theta
+        d_x1[i] = x2[i]
+        d_x2[i] = plant.f(x1[i], x2[i], v, t) + plant.b * u
+        d_k[i] = rho * theta ** 2
+    return out
 
-    def f(t, y, w):
-        yr, x1, x2 = y[sl["yr"]], y[sl["x1"]], y[sl["x2"]]
-        out = np.empty_like(y)
-        out[:2 * len(yr)] = coordinator_rhs(t, y[:2 * len(yr)], w, _matvec(big_l), grad_vec,
-                                            system.gains)
-        u, (out[sl["eta"]], out[sl["k"]], out[sl["psi"]]) = tracker_rhs(
-            x1, x2, yr, y[sl["eta"]], y[sl["k"]], y[sl["psi"]], sc.tracker.gamma, im)
-        out[sl["x1"]] = x2
-        out[sl["x2"]] = drift(x1, x2, w[1], t) + b * u
-        return out
 
-    return f
+def mixed_orders():
+    orders = ([2.0, 3.0], [1.0, 4.0, 6.0, 4.0], [5.0])
+    return tiny_scenario(im_specs=[InternalModelSpec.from_coeffs(c) for c in orders],
+                         frequencies=None)
 
 
-def test_sparse_derivative_matches_dense_oracle():
-    sc = sparse_ring()
+def custom_plants():
+    return tiny_scenario(plants=[custom(lambda x1, x2, v, t: -x1 - x2 ** 3 + v[1] * x1, 2.0)] * 3)
+
+
+@pytest.mark.parametrize("case", ["example1", "example2", "example2-ablated", "mixed-orders",
+                                  "custom-plant", "sparse-ring"])
+def test_derivative_matches_the_paper_agent_by_agent(case, request):
+    if case.startswith("example"):
+        sc = request.getfixturevalue(f"{case[:8]}_scenario")
+        sc = dataclasses.replace(sc, ablate_internal_model=case.endswith("ablated"))
+    else:
+        sc = {"mixed-orders": mixed_orders, "custom-plant": custom_plants,
+              "sparse-ring": sparse_ring}[case]()
     system = assemble(sc)
     rng = np.random.default_rng(7)
-    y = rng.uniform(-1.0, 1.0, system.layout.dim)
-    w = (rng.uniform(0.1, 1.0, sc.graph.n), rng.uniform(-1.0, 1.0, sc.exo.dim))
-    got = system.derivative(0.3, y, w)
-    want = dense_derivative(sc, system)(0.3, y, w)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    for _ in range(3):
+        y = rng.uniform(-1.0, 1.0, system.layout.dim)
+        w = (rng.uniform(0.1, 1.0, sc.graph.n), rng.uniform(-1.0, 1.0, sc.exo.dim))
+        got = system.derivative(0.3, y, w)
+        want = paper_derivative(sc, system, 0.3, y, w)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_tracing_call_contract(monkeypatch):
+    # benchmark/tracing.py wraps System.derivative and sim.rk4_step with
+    # positional-only counters and times derivative(t, y) with the default input
+    sc = tiny_scenario(horizon=0.05, record_every=5)
+    system = assemble(sc)
+    y0 = initial_state(sc, system.layout)
+    assert np.array_equal(system.derivative(0.0, y0),
+                          system.derivative(0.0, y0, (np.ones(3), sc.exo.v0)))
+    plain = run(sc, system)
+    calls = {"rhs": 0, "steps": 0}
+    derivative, step = system.derivative, sim.rk4_step
+
+    def counted_rhs(*args):
+        calls["rhs"] += 1
+        return derivative(*args)
+
+    def counted_step(*args):
+        calls["steps"] += 1
+        return step(*args)
+
+    system.derivative = counted_rhs
+    monkeypatch.setattr(sim, "rk4_step", counted_step)
+    assert same_records(run(sc, system), plain)
+    assert calls == {"rhs": 4 * sc.n_steps, "steps": sc.n_steps}
 
 
 def test_sparse_run_keeps_invariants_and_reruns_bit_identical():
@@ -381,7 +435,8 @@ def test_dense_systems_never_import_scipy_sparse():
     code = ("import dataclasses, sys\n"
             "from oocsim.scenario import parse_scenario\n"
             "from oocsim.sim import run\n"
-            "run(dataclasses.replace(parse_scenario('example1'), horizon=0.05))\n"
+            "for name in ('example1', 'example2'):\n"
+            "    run(dataclasses.replace(parse_scenario(name), horizon=0.05))\n"
             "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse was imported'\n")
     src = str(Path(oocsim.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

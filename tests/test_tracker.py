@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oocsim.errors import DegenerateRoots, NotHurwitz, SingularSystem
+from oocsim.digraph import _block_operator
 from oocsim.tracker import (FeedforwardTruth, InternalModelSpec, StackedInternalModel,
                             TrackerParams, companion_pair, phi_gamma, psi_true,
-                            solve_sylvester, sylvester_residual, tracker_rhs)
+                            solve_sylvester, sylvester_residual, tracker_linear,
+                            tracker_nonlinear)
 
 
 def test_companion_pair_order_two():
@@ -105,43 +107,63 @@ def stacked(n, coeffs=(2.0, 3.0)):
     return StackedInternalModel.stack([InternalModelSpec.from_coeffs(list(coeffs))] * n)
 
 
+def tracker_at(x1, x2, yr, eta, k, psi, gamma, im):
+    """u and (eta', k', psi_hat') of all agents from the tracker's own layer functions.
+
+    The state (yr, x1, x2, eta) times the operator of `tracker_linear` gives
+    theta and M eta; `tracker_nonlinear` adds the rest.
+    """
+    n, total_s = len(x1), len(eta)
+    slices = {"yr": slice(0, n), "x1": slice(n, 2 * n), "x2": slice(2 * n, 3 * n),
+              "eta": slice(3 * n, 3 * n + total_s)}
+    dim = 3 * n + total_s
+    op = _block_operator((dim + n, dim), tracker_linear(slices, dim, gamma, im))
+    out = op @ np.concatenate([yr, x1, x2, eta])
+    deta, dk, dpsi = out[slices["eta"]], np.zeros(n), np.zeros(total_s)
+    u = tracker_nonlinear(out[dim:], eta, k, psi, im, deta, dk, dpsi)
+    return u, (deta, dk, dpsi)
+
+
 def test_stack_of_mixed_orders_is_block_diagonal():
     specs = [InternalModelSpec.from_coeffs(c)
              for c in ([2.0, 3.0], [1.0, 4.0, 6.0, 4.0], [5.0], [2.0, 3.0])]
     im = StackedInternalModel.stack(specs)
-    assert np.array_equal(im.M, scipy.linalg.block_diag(*[spec.M for spec in specs]))
+    m = _block_operator((9, 9), [im.M_entries])
+    assert np.array_equal(m, scipy.linalg.block_diag(*[spec.M for spec in specs]))
+    # nonzeros only, so a CSR operator built from them keeps M's sparsity
+    assert np.count_nonzero(im.M_entries[2]) == len(im.M_entries[2]) == np.count_nonzero(m)
     assert im.starts.tolist() == [0, 2, 6, 7]
     assert im.owner.tolist() == [0, 0, 1, 1, 1, 1, 2, 3, 3]
 
 
 def test_vartheta_hand_values():
     # theta = x2 + gamma (x1 - yr) shows in psi_hat' = -eta theta with eta = 1
-    _, (_, _, dpsi) = tracker_rhs(np.array([3.0, 0.0, 1.0]), np.array([0.0, 1.0, -2.0]),
-                                  np.array([3.0, 0.0, 0.0]), np.ones(6), np.zeros(3),
-                                  np.zeros(6), 2.0, stacked(3))
+    _, (_, _, dpsi) = tracker_at(np.array([3.0, 0.0, 1.0]), np.array([0.0, 1.0, -2.0]),
+                                 np.array([3.0, 0.0, 0.0]), np.ones(6), np.zeros(3),
+                                 np.zeros(6), 2.0, stacked(3))
     assert np.array_equal(-dpsi, [0.0, 0.0, 1.0, 1.0, 0.0, 0.0])
 
 
 def test_control_hand_values():
     # agents: (k, theta) = (0, 0), (1, 1), (2, -1) with psi_hat . eta = 0, 0, 7
-    u, _ = tracker_rhs(np.zeros(3), np.array([0.0, 1.0, -1.0]), np.zeros(3),
-                       np.array([0.0, 0.0, 0.0, 0.0, 3.0, 4.0]), np.array([0.0, 1.0, 2.0]),
-                       np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0]), 2.0, stacked(3))
+    u, _ = tracker_at(np.zeros(3), np.array([0.0, 1.0, -1.0]), np.zeros(3),
+                      np.array([0.0, 0.0, 0.0, 0.0, 3.0, 4.0]), np.array([0.0, 1.0, 2.0]),
+                      np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0]), 2.0, stacked(3))
     assert np.array_equal(u, [0.0, -2.0, 11.0])  # 11 = 2*2*1 + 7
 
 
 def test_tracker_derivative_hand_values():
     im = InternalModelSpec.from_coeffs([2.0, 3.0])
     # theta = 0 and psi_hat . eta = 5 give u = 5
-    u, (deta, dk, dpsi) = tracker_rhs(np.zeros(1), np.zeros(1), np.zeros(1),
-                                      np.array([1.0, 0.0]), np.ones(1),
-                                      np.array([5.0, 0.0]), 2.0, stacked(1))
+    u, (deta, dk, dpsi) = tracker_at(np.zeros(1), np.zeros(1), np.zeros(1),
+                                     np.array([1.0, 0.0]), np.ones(1),
+                                     np.array([5.0, 0.0]), 2.0, stacked(1))
     assert u[0] == 5.0
     assert dk[0] == 0.0
     assert np.array_equal(dpsi, [0.0, 0.0])
     assert np.array_equal(deta, im.M @ np.array([1.0, 0.0]) + im.N_vec * 5.0)
-    _, (deta0, dk0, _) = tracker_rhs(np.zeros(1), np.array([2.0]), np.zeros(1),
-                                     np.zeros(2), np.zeros(1), np.zeros(2), 2.0, stacked(1))
+    _, (deta0, dk0, _) = tracker_at(np.zeros(1), np.array([2.0]), np.zeros(1),
+                                    np.zeros(2), np.zeros(1), np.zeros(2), 2.0, stacked(1))
     assert np.array_equal(deta0, np.zeros(2))
     assert dk0[0] == 68.0  # (2^4+1) * 2^2
 
