@@ -26,8 +26,8 @@ from .coordinator import coordinator_only_run
 from .digraph import is_strongly_connected, spectral_data
 from .errors import OocError, SchemaError
 from .scenario import parse_scenario
-from .sim import (Trajectory, ablate_compare, assemble, initial_state, metrics, run, sweep,
-                  verify)
+from .sim import (Trajectory, ablate_compare, assemble, initial_state, metrics,
+                  named_failures, run, sweep, verify)
 
 _FMT = "%.17g"  # round-trip exact for 64-bit floats
 
@@ -94,8 +94,9 @@ def _cmd_coordinator(args):
     system = assemble(sc)
     y0 = initial_state(sc, system.layout)[system.layout.slices["yr"]]
     gains = system.gains
-    traj = coordinator_only_run(sc.graph, sc.costs, gains, y0,
-                                sc.horizon, sc.step, sc.record_every)
+    with named_failures(sc.name):
+        traj = coordinator_only_run(sc.graph, sc.costs, gains, y0,
+                                    sc.horizon, sc.step, sc.record_every)
     s_star = costs_mod.global_optimum(sc.costs)
     rho = system.spectral.rho
     xii = traj.xi_diag

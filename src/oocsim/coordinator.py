@@ -14,6 +14,9 @@ when L is defective or nearly so) advances them outside the per-agent state.
 Everything in yr' and z' but the gradient term is linear in (yr, z):
 `coordinator_linear` gives those entries of the member derivative's operator,
 and `coordinator_nonlinear` adds -grad c_i(yr_i)/xi_i^i, reading xi_i^i only.
+The floor xi_i^i >= XI_FLOOR is a property of the xi trajectory alone, so the
+xi/v source checks it once per RK4 step over all four stage inputs
+(`check_xi_floor`), not the member derivative at each stage.
 """
 
 from dataclasses import dataclass
@@ -81,18 +84,32 @@ def coordinator_linear(big_l, gains: CoordinatorGains):
             (rows + n, cols, weights)]
 
 
-def coordinator_nonlinear(t, d_yr, yr, xi_diag, grad_vec):
+def coordinator_nonlinear(d_yr, yr, xi_diag, grad_vec):
     """yr' -= grad c(yr) / xi_i^i, in place on d_yr, which holds yr's linear part.
 
-    xi_diag holds each agent's xi_i^i at time t; the xi/v source of `sim`
-    advances xi.  Raises XiUnderflow, naming the 1-based agent with the
-    smallest xi_i^i and the time t, when that component drops below XI_FLOOR.
+    xi_diag holds each agent's xi_i^i at the stage; the xi/v source of `sim`
+    advances xi and has checked it against XI_FLOOR (`check_xi_floor`).
     """
-    if xi_diag.min() < XI_FLOOR:
-        i = int(xi_diag.argmin())
-        raise XiUnderflow(f"agent {i + 1}: xi_i^i = {xi_diag[i]:.3e} below floor "
-                          f"{XI_FLOOR:g} at t={t:.6g}", t=t)
     d_yr -= grad_vec(yr) / xi_diag
+
+
+def check_xi_floor(xi_stages, t, h):
+    """Raise XiUnderflow if xi_i^i < XI_FLOOR at a stage of the RK4 step from t.
+
+    xi_stages is the step's (4, n) block of diag xi, one row per stage at
+    t, t + h/2, t + h/2 and t + h.  One min over the block passes a step that
+    holds the floor; otherwise the error names the first stage in that order
+    that drops below it, the 1-based agent with the smallest xi_i^i there and
+    that stage's time.  A NaN passes: the finite checks report it.
+    """
+    if not xi_stages.min() < XI_FLOOR:
+        return
+    stage = int((xi_stages < XI_FLOOR).any(axis=1).argmax())
+    xi_diag = xi_stages[stage]
+    i = int(xi_diag.argmin())
+    t = (t, t + 0.5 * h, t + 0.5 * h, t + h)[stage]
+    raise XiUnderflow(f"agent {i + 1}: xi_i^i = {xi_diag[i]:.3e} below floor "
+                      f"{XI_FLOOR:g} at t={t:.6g}", t=t)
 
 
 @dataclass
@@ -110,7 +127,8 @@ def coordinator_only_run(g: Digraph, cost_list, gains: CoordinatorGains, y0,
 
     The state is (yr, z); its derivative is one product with the operator of
     `coordinator_linear` plus `coordinator_nonlinear`, which the xi/v source,
-    here without an exosystem, feeds its xi_i^i at every RK4 stage.
+    here without an exosystem, feeds its xi_i^i at every RK4 stage; the
+    source checks the xi floor once per step, as in `sim.run`.
     """
     from .sim import integrate, xi_v_source  # sim imports this module
 
@@ -121,7 +139,7 @@ def coordinator_only_run(g: Digraph, cost_list, gains: CoordinatorGains, y0,
 
     def rhs(t, c, w):
         out = matvec(c)
-        coordinator_nonlinear(t, out[:n], c[:n], w[0], grad_vec)
+        coordinator_nonlinear(out[:n], c[:n], w[0], grad_vec)
         return out
 
     driver = xi_v_source(big_l, np.zeros((0, 0)), np.zeros(0), step)

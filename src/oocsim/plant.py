@@ -10,6 +10,16 @@ Built-in plant kinds:
 The damping-spring equation is normalized by the mass up front: dividing
 through by m keeps the physical equation intact while making the control
 gain positive, as the problem setup requires.
+
+Each built-in drift is split into its terms linear in (x1, x2), mu1 x2 and
+-(k1 x1 + mu1 x2)/m, which `plant_linear` gives to the member operator, and
+its nonlinear remainder, written once per kind:
+
+  vdp_like        Aw v1 - x1 x2 (1 + mu1 x1)
+  damping_spring  -(k2 x1^3 + mu2 x2^3 + Aw v2 (1 - v1^2))/m
+
+`plant_drift` evaluates the remainder; `Plant.f` is the full drift, the
+linear terms plus the remainder.
 """
 
 from dataclasses import dataclass
@@ -34,32 +44,57 @@ class Plant:
             raise ValueError("control gain b must be positive")
 
 
-def _vdp_drift(mu1, a_w, x1, x2, v, t):
-    return -x1 * x2 + mu1 * x2 * (1.0 - x1 * x1) + a_w * v[0]
+def _vdp_remainder(mu1, a_w, x1, x2, v, t):
+    return a_w * v[0] - x1 * x2 * (1.0 + mu1 * x1)
 
 
-def _spring_drift(m, k1, k2, mu1, mu2, a_w, x1, x2, v, t):
-    d = a_w * (v[1] * (1.0 - v[0] * v[0]))
-    return -(k1 * x1 + k2 * x1 ** 3 + mu1 * x2 + mu2 * x2 ** 3 + d) / m
+def _spring_remainder(k2, mu2, a_w, x1, x2, v, t):
+    # bound constants -k2/m, -mu2/m and -a_w/m
+    return k2 * (x1 * x1 * x1) + mu2 * (x2 * x2 * x2) + a_w * (v[1] * (1.0 - v[0] * v[0]))
 
 
-# kind -> (drift formula, the parameters it takes before x1, x2, v, t)
-_DRIFTS = {
-    "vdp_like": (_vdp_drift, ("mu1", "a_w")),
-    "damping_spring": (_spring_drift, ("m", "k1", "k2", "mu1", "mu2", "a_w")),
+def _vdp_parts(params):
+    return (0.0, params["mu1"]), (params["mu1"], params["a_w"])
+
+
+def _spring_parts(params):
+    m = params["m"]
+    return ((-params["k1"] / m, -params["mu1"] / m),
+            tuple(-params[name] / m for name in ("k2", "mu2", "a_w")))
+
+
+# kind -> (nonlinear remainder, parameters -> (the drift's coefficients on x1
+# and x2, the remainder's bound constants))
+_KINDS = {
+    "vdp_like": (_vdp_remainder, _vdp_parts),
+    "damping_spring": (_spring_remainder, _spring_parts),
 }
 
 
-def _bind_drift(kind, params):
-    formula, names = _DRIFTS[kind]
-    return partial(formula, *[params[name] for name in names])
+def _drift(lin1, lin2, remainder, x1, x2, v, t):
+    return lin1 * x1 + lin2 * x2 + remainder(x1, x2, v, t)
+
+
+def _built_in_drift(kind, params):
+    """The full drift of a built-in kind: its linear terms plus its remainder."""
+    formula, parts = _KINDS[kind]
+    (lin1, lin2), constants = parts(params)
+    return partial(_drift, lin1, lin2, partial(formula, *constants))
+
+
+def _remainder(p: Plant):
+    """p's drift less its linear terms; a custom plant's f has none taken out."""
+    if p.kind not in _KINDS:
+        return p.f
+    formula, parts = _KINDS[p.kind]
+    return partial(formula, *parts(p.params)[1])
 
 
 def vdp_like(mu1, mu2, b, amplitude) -> Plant:
     """First worked example: van-der-Pol-like drift plus sinusoidal disturbance Aw v1."""
     params = {"mu1": mu1, "mu2": mu2, "b": b, "amplitude": amplitude,
               "a_w": mu2 * amplitude}
-    return Plant(kind="vdp_like", params=params, b=b, f=_bind_drift("vdp_like", params))
+    return Plant(kind="vdp_like", params=params, b=b, f=_built_in_drift("vdp_like", params))
 
 
 def damping_spring(m, k1, k2, mu1, mu2, a_w) -> Plant:
@@ -68,7 +103,7 @@ def damping_spring(m, k1, k2, mu1, mu2, a_w) -> Plant:
         raise ValueError("mass must be positive")
     params = {"m": m, "k1": k1, "k2": k2, "mu1": mu1, "mu2": mu2, "a_w": a_w}
     return Plant(kind="damping_spring", params=params, b=1.0 / m,
-                 f=_bind_drift("damping_spring", params))
+                 f=_built_in_drift("damping_spring", params))
 
 
 def custom(f, b) -> Plant:
@@ -76,16 +111,18 @@ def custom(f, b) -> Plant:
 
 
 def plant_drift(plants):
-    """Stacked drift f(x1, x2, v, t) -> (n,) of an agent set.
+    """Stacked nonlinear remainder f(x1, x2, v, t) -> (n,) of an agent set's drift.
 
-    A set of one built-in kind evaluates that kind's formula on parameter
-    arrays; mixed or custom sets call each plant's own f.
+    The drift's linear terms are not in it: `plant_linear` gives them.  A set
+    of one built-in kind evaluates that kind's remainder on arrays of its
+    bound constants; mixed or custom sets call each plant's own remainder.
     """
     kind = plants[0].kind
-    if kind in _DRIFTS and all(p.kind == kind for p in plants):
-        names = _DRIFTS[kind][1]
-        return _bind_drift(kind, {k: np.array([p.params[k] for p in plants]) for k in names})
-    fns = [p.f for p in plants]
+    if kind in _KINDS and all(p.kind == kind for p in plants):
+        formula, parts = _KINDS[kind]
+        constants = np.array([parts(p.params)[1] for p in plants]).T
+        return partial(formula, *constants)
+    fns = [_remainder(p) for p in plants]
 
     def drift(x1, x2, v, t):
         return np.array([f(a, b, v, t) for f, a, b in zip(fns, x1, x2)])
@@ -93,14 +130,23 @@ def plant_drift(plants):
     return drift
 
 
-def plant_linear(slices):
-    """The row x1' = x2 as COO parts (rows, cols, values) over the member state.
+def plant_linear(slices, plants):
+    """The plant's linear terms as COO parts (rows, cols, values) over the member state.
 
-    x2' = f(x1, x2, v, t) + b u is left to the drift of `plant_drift` and the
-    tracker's u.  slices maps "x1" and "x2" to their slices of the member state.
+    x1' = x2, and each built-in plant's drift terms that are linear in its own
+    (x1, x2): mu1 x2 for vdp_like, -(k1 x1 + mu1 x2)/m for damping_spring
+    (zero coefficients are left out).  The rest of x2' = f(x1, x2, v, t) + b u
+    is the remainder of `plant_drift` plus the tracker's b u.  slices maps "x1"
+    and "x2" to their slices of the member state.
     """
-    x1, x2 = slices["x1"], slices["x2"]
-    return [_diagonal(x1.start, x2.start, np.ones(x1.stop - x1.start))]
+    x1, x2 = slices["x1"].start, slices["x2"].start
+    coefs = np.array([_KINDS[p.kind][1](p.params)[0] if p.kind in _KINDS else (0.0, 0.0)
+                      for p in plants])
+    parts = [_diagonal(x1, x2, np.ones(len(plants)))]
+    for col, values in zip((x1, x2), coefs.T):
+        agents = np.flatnonzero(values)
+        parts.append((agents + x2, agents + col, values[agents]))
+    return parts
 
 
 def feedforward_truth(p: Plant, s_star, v) -> float:

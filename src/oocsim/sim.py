@@ -14,12 +14,15 @@ up to rounding in the last bits.
 
 A member derivative call is one operator product plus the nonlinear terms.
 `assemble` stacks every linear term, -beta1 L yr - beta2 z, beta1 L yr,
-x1' = x2 and M eta, and the n rows of theta = x2 + gamma (x1 - yr) into one
-(dim + n) x dim operator, from each layer's COO parts (`coordinator_linear`,
-`plant_linear`, `tracker_linear`).  Each call multiplies it by y into a new
-array, adds the nonlinear terms in place (`coordinator_nonlinear`: the xi
-floor check and -grad c(yr)/xi; `tracker_nonlinear`: u, k', psi_hat' and N u;
-the plant drift plus b u in x2'), and returns the first dim entries.
+x1' = x2, the plant drift's terms linear in (x1, x2) and M eta, the n rows of
+theta = x2 + gamma (x1 - yr), and one row of -theta per eta entry into one
+(dim + n + sum(s_i)) x dim operator, from each layer's COO parts
+(`coordinator_linear`, `plant_linear`, `tracker_linear`).  Each call
+multiplies it by y into a new array, adds the nonlinear terms in place
+(`coordinator_nonlinear`: -grad c(yr)/xi; `tracker_nonlinear`: u, k',
+psi_hat' = eta (-theta) and N u; the drift's nonlinear remainder plus b u in
+x2'), and returns the first dim entries.  The xi floor is not checked here:
+the source checks it once per step over its four stage inputs.
 
 The source is `ModalSource` unless L or S is defective or nearly so: from
 the eigenmodes of -L and S it computes RK4's own stage values per mode,
@@ -31,14 +34,15 @@ iterates into the stage values at the entries the member derivative reads.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from . import costs as costs_mod
-from .coordinator import (CoordinatorGains, coordinator_linear, coordinator_nonlinear,
-                          select_gains)
+from .coordinator import (CoordinatorGains, check_xi_floor, coordinator_linear,
+                          coordinator_nonlinear, select_gains)
 from .digraph import (Digraph, SpectralData, _add_product, _block_operator, _matvec, _operator,
                       spectral_data)
 from .errors import Diverged, XiUnderflow
@@ -144,9 +148,11 @@ class System:
 
     derivative(t, y, w) takes the member state y and the stage input
     w = (diag xi, v), and returns a new array.  operator is its linear part,
-    (dim + n) x dim: the first dim rows give every linear term of the member
-    derivative and the last n rows the filtered error theta.  It is a CSR
-    array when it is large and sparse (`digraph._block_operator`), else dense.
+    (dim + n + sum(s_i)) x dim: the first dim rows give every linear term of
+    the member derivative, the next n rows the filtered error theta and the
+    last sum(s_i) rows -theta of each eta entry's agent, which the ablated
+    model (dim + n rows) leaves out.  It is a CSR array when it is large and
+    sparse (`digraph._block_operator`), else dense.
     """
 
     layout: StateLayout
@@ -186,6 +192,8 @@ class LinearDriver:
     and T2; the n^2 stage values themselves are never formed.  Stage 1 is W
     itself, so its input is a fixed view into W, valid from construction.
     The numbers equal classic RK4's up to rounding in the last bits.
+    `stages()` checks the xi floor once over the step's four diag xi
+    (`coordinator.check_xi_floor`), at t = k h after k finished steps.
 
     `inputs` holds the four stage inputs (diag xi, v) as fixed views, filled
     in place by each `stages` call.  `start(m)` allocates the (m, .) records
@@ -199,6 +207,8 @@ class LinearDriver:
 
     def __init__(self, big_l, s_exo, v0, h):
         self.n = n = len(big_l)
+        self.h = h
+        self._k = 0  # steps finished
         dim = n + len(v0)
         dtype = np.result_type(big_l.dtype, s_exo.dtype, float)
         b = np.zeros((dim, dim), dtype=dtype)
@@ -219,25 +229,35 @@ class LinearDriver:
         self._probe = np.concatenate((np.arange(n) * (cols + 1),
                                       np.arange(n, dim) * cols + n))
         self._flat = bufs.reshape(4, -1)
-        self._probed = np.empty((4, self._probe.size), dtype=dtype)
+        # rows T2, T3, T4, W, Y2, Y3, Y4 at the probed entries: rows 3 down to 0
+        # are the Horner iterates in the order W, T4, T3, T2, rows 3 to 6 the
+        # four stage inputs, whose diag xi the floor check reads as one block
+        probed = np.empty((7, self._probe.size), dtype=dtype)
+        self._probed, self._stage_inputs = probed[3::-1], probed[4:]
+        self._xi_stages = probed[3:, :n]
         self._recombine = np.array(self._RECOMBINE, dtype=dtype)
-        self._stage_inputs = np.empty((3, self._probe.size), dtype=dtype)
         self._finite = np.empty(self.w.shape, dtype=bool)
         self.inputs = ((self._xi.diagonal(), self.w[n:, n]),) + tuple(
             (row[:n], row[n:]) for row in self._stage_inputs)
 
     def stages(self):
-        """Compute T4, T3 and T2 from W; return the four stage inputs."""
+        """Compute T4, T3 and T2 from W; return the four stage inputs.
+
+        Raises XiUnderflow (`coordinator.check_xi_floor`) when a stage's
+        xi_i^i drops below the floor.
+        """
         w = self.w
         for op, x, out in self._horner:
             _add_product(op, x, w, out)
         np.take(self._flat, self._probe, axis=1, out=self._probed)
         np.matmul(self._recombine, self._probed, out=self._stage_inputs)
+        check_xi_floor(self._xi_stages, self._k * self.h, self.h)
         return self.inputs
 
     def finish(self, t):
         """W += A1 T2, completing the step from t; raises Diverged on a non-finite W."""
         w = self.w
+        self._k += 1
         _add_product(*self._last, w, w)
         # into a preallocated buffer, so no W-sized temporary; astype is a
         # no-op on a float W and converts an exact one
@@ -366,7 +386,9 @@ class ModalSource:
     from `_eigenmodes` of -L and of S, and used like `LinearDriver`:
     `stages()`, then `finish(t)` once the member step from t is done, and
     `start(m)` and `record(j)` for the records.  `stages()` raises Diverged,
-    with the step's start time, when a stage input is not finite.
+    with the step's start time, when a stage input is not finite, and
+    XiUnderflow when a stage's xi_i^i drops below the floor
+    (`coordinator.check_xi_floor`, one check over the step's four diag xi).
     """
 
     def __init__(self, xi_modes, v_modes, v0, h):
@@ -385,6 +407,7 @@ class ModalSource:
         split = 2 * len(lam_x)  # xi's columns of the modes' float view
         floats = self._modes.view(float)
         self._stage_inputs = np.empty((4, n + len(v0)))
+        self._xi_stages = self._stage_inputs[:, :n]
         # (mode values, read-out, stage inputs) of xi and of v
         self._products = ((floats[:, :split], self._read_xi, self._stage_inputs[:, :n]),
                           (floats[:, split:], self._read_v, self._stage_inputs[:, n:]))
@@ -395,9 +418,10 @@ class ModalSource:
         np.multiply(self._factors, np.exp(self._k * self._ell), out=self._modes)
         for x, read, out in self._products:
             np.matmul(x, read, out=out)
+        t = self._k * self.h
         if not np.isfinite(self._stage_inputs).all():
-            t = self._k * self.h
             raise Diverged(f"xi/v driver: non-finite stage input at t={t:.6g}", t=t)
+        check_xi_floor(self._xi_stages, t, self.h)
         return self.inputs
 
     def finish(self, t):
@@ -453,19 +477,24 @@ def assemble(sc: Scenario) -> System:
     dim = layout.dim
     sl = layout.slices
     sl_x1, sl_x2, sl_eta, sl_k, sl_psi = sl["x1"], sl["x2"], sl["eta"], sl["k"], sl["psi"]
-    # rows: the member derivative's linear part, then theta's n rows
-    op = _block_operator((dim + n, dim),
-                         coordinator_linear(spectral.laplacian, gains) + plant_linear(sl)
+    # rows: the member derivative's linear part, theta's n rows, then -theta
+    # per eta entry unless the internal model is ablated
+    rows = dim + n + (0 if im is None else layout.total_s)
+    op = _block_operator((rows, dim),
+                         coordinator_linear(spectral.laplacian, gains)
+                         + plant_linear(sl, sc.plants)
                          + tracker_linear(sl, dim, sc.tracker.gamma, im))
     matvec = _matvec(op)
     w0 = (np.ones(n), sc.exo.v0)  # the stage input at t = 0
 
     def derivative(t, y, w=w0):
         out = matvec(y)
-        coordinator_nonlinear(t, out[:n], y[:n], w[0], grad_vec)
+        coordinator_nonlinear(out[:n], y[:n], w[0], grad_vec)
         u = tracker_nonlinear(out[dim:], y[sl_eta], y[sl_k], y[sl_psi], im,
                               out[sl_eta], out[sl_k], out[sl_psi])
-        out[sl_x2] = drift(y[sl_x1], y[sl_x2], w[1], t) + b * u
+        d_x2 = out[sl_x2]
+        d_x2 += drift(y[sl_x1], y[sl_x2], w[1], t)
+        d_x2 += b * u
         return out[:dim]
 
     return System(layout=layout, spectral=spectral, gains=gains, derivative=derivative,
@@ -592,17 +621,24 @@ def integrate(f, y0, h, n_steps, record_every, driver=None):
     return times, samples
 
 
+@contextmanager
+def named_failures(name):
+    """Re-raise a Diverged or XiUnderflow from inside with the scenario name in front."""
+    try:
+        yield
+    except (Diverged, XiUnderflow) as exc:
+        raise type(exc)(f"{name}: {exc}", t=exc.t) from None
+
+
 def run(sc: Scenario, system: Optional[System] = None) -> Trajectory:
     """Integrate the closed loop from t = 0 to the horizon at the fixed step."""
     if system is None:
         system = assemble(sc)
     y0 = initial_state(sc, system.layout)
     driver = xi_v_source(system.spectral.laplacian, sc.exo.S, sc.exo.v0, sc.step)
-    try:
+    with named_failures(sc.name):
         times, raw = integrate(system.derivative, y0, sc.step, sc.n_steps, sc.record_every,
                                driver)
-    except (Diverged, XiUnderflow) as exc:
-        raise type(exc)(f"{sc.name}: {exc}", t=exc.t) from None
     return Trajectory(times=times, raw=raw, layout=system.layout, rho=system.spectral.rho,
                       xi_diag=driver.xi_diag, xi_rowsum=driver.xi_rowsum, v=driver.v)
 

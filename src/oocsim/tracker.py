@@ -192,40 +192,50 @@ def tracker_linear(slices, theta_row, gamma, im: StackedInternalModel):
     """The tracker's linear rows as COO parts (rows, cols, values) over the member state.
 
     The n rows from theta_row give the filtered error theta = x2 + gamma x1 -
-    gamma yr, and eta's rows hold M eta; with im=None (the internal model
-    ablated) eta' has no linear part.  slices maps "yr", "x1", "x2" and "eta"
+    gamma yr, and the sum(s_i) rows after them -theta of the agent that owns
+    each eta entry, so psi_hat' = -eta theta is one multiply; eta's rows hold
+    M eta.  With im=None (the internal model ablated) eta' has no linear part
+    and the -theta rows are left out.  slices maps "yr", "x1", "x2" and "eta"
     to their slices of the member state.
     """
     n = slices["yr"].stop - slices["yr"].start
-    ones = np.ones(n)
-    parts = [_diagonal(theta_row, slices[key].start, ones * coef)
-             for key, coef in (("x2", 1.0), ("x1", gamma), ("yr", -gamma))]
+    terms = [(slices[key].start, coef) for key, coef in
+             (("x2", 1.0), ("x1", gamma), ("yr", -gamma))]
+    parts = [_diagonal(theta_row, col, np.full(n, coef)) for col, coef in terms]
     if im is not None:
         rows, cols, values = im.M_entries
         eta = slices["eta"].start
         parts.append((rows + eta, cols + eta, values))
+        entries = np.arange(len(im.owner)) + theta_row + n
+        parts += [(entries, im.owner + col, np.full(len(entries), -coef))
+                  for col, coef in terms]
     return parts
 
 
-def tracker_nonlinear(theta, eta, k, psi, im, d_eta, d_k, d_psi):
+def tracker_nonlinear(theta_rows, eta, k, psi, im, d_eta, d_k, d_psi):
     """Control u of all agents; writes the nonlinear terms of eta', k' and psi_hat'.
 
-    theta = x2 + gamma (x1 - yr) comes from the operator's theta rows and
-    d_eta holds M eta from its M block (`tracker_linear`).  rho(theta) =
-    theta^4 + 1 gives u = -k rho(theta) theta + psi_hat_i . eta_i, then
-    d_eta += N u, d_k = rho(theta) theta^2 and d_psi = -eta theta.  With
-    im=None the internal model is ablated: u drops psi_hat . eta, and d_eta
-    and d_psi are left as they are.  theta^4 is (theta^2)^2: `theta ** 4`
-    calls libm pow, about 7x slower.
+    theta_rows is the output of the operator's rows from `tracker_linear`:
+    theta = x2 + gamma (x1 - yr) of each agent, then -theta of each eta
+    entry's agent; d_eta holds M eta from its M block.  With rho(theta) =
+    theta^4 + 1 and q = rho(theta) theta: d_k = q theta, u = psi_hat_i .
+    eta_i - k q, d_eta += N u and d_psi = eta (-theta).  With im=None the
+    internal model is ablated: u drops psi_hat . eta, and d_eta and d_psi are
+    left as they are.  theta^4 is (theta^2)^2: `theta ** 4` calls libm pow,
+    about 7x slower.
     """
+    n = len(k)
+    theta = theta_rows[:n]
     theta2 = theta * theta
-    rho = theta2 * theta2 + 1.0
-    np.multiply(rho, theta2, out=d_k)
-    u = -k * rho * theta
+    q = theta2 * theta2
+    q += 1.0
+    q *= theta
+    np.multiply(q, theta, out=d_k)
+    q *= k
     if im is None:
-        return u
-    u += np.add.reduceat(psi * eta, im.starts)
+        return np.negative(q, out=q)
+    u = np.add.reduceat(psi * eta, im.starts)
+    u -= q
     d_eta += im.N * u[im.owner]
-    np.multiply(eta, theta[im.owner], out=d_psi)
-    np.negative(d_psi, out=d_psi)
+    np.multiply(eta, theta_rows[n:], out=d_psi)
     return u

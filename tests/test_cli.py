@@ -113,6 +113,22 @@ def test_coordinator_command(tmp_path, tiny_path, capsys):
     assert summary["xi_error"] < 1e-3
 
 
+def test_coordinator_failure_names_the_scenario(tmp_path, tiny_path, capsys):
+    # h = 2.5 drives xi_i^i to 1 - 1.25 < 0 in the second RK4 stage of the first step
+    doc = json.loads(tiny_path.read_text())
+    doc["name"] = "bigstep"
+    doc["sim"] = {"horizon": 25.0, "step": 2.5, "record_every": 1}
+    p = tmp_path / "bigstep.json"
+    p.write_text(json.dumps(doc))
+    messages = []
+    for command in ("coordinator", "sim"):
+        assert cmd_dispatch([command, "--scenario", str(p), "--out", str(tmp_path / command)]) == 1
+        messages.append(capsys.readouterr().err)
+    assert messages[0] == messages[1]
+    assert messages[0] == ("error: bigstep: agent 1: xi_i^i = -2.500e-01 below floor 1e-09 "
+                           "at t=1.25\n")
+
+
 def test_ablate_command(tmp_path, tiny_path, capsys):
     out = tmp_path / "a"
     assert cmd_dispatch(["ablate", "--scenario", str(tiny_path),

@@ -1,13 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
 from oocsim import costs
-from oocsim.coordinator import (CoordinatorGains, check_gain_inequalities, coordinator_linear,
-                                coordinator_nonlinear, coordinator_only_run, select_gains)
+from oocsim.coordinator import (CoordinatorGains, check_gain_inequalities, check_xi_floor,
+                                coordinator_linear, coordinator_nonlinear, coordinator_only_run,
+                                select_gains)
 from oocsim.costs import ConvexityBounds
 from oocsim.digraph import Digraph, _block_operator, laplacian, spectral_data
 from oocsim.errors import InvalidSpectrum, XiUnderflow
-from oocsim.sim import LinearDriver
+from oocsim.sim import LinearDriver, ModalSource, xi_v_source
 
 
 def test_select_gains_closed_form_small():
@@ -41,7 +44,7 @@ def single_agent():
     return Digraph(n=1, weights=np.zeros((1, 1)))
 
 
-def rhs_at(g, cost_list, gains, yr, z=None, xi=None, t=0.0):
+def rhs_at(g, cost_list, gains, yr, z=None, xi=None):
     """(yr', z', xi') at one state; z defaults to 0 and xi to the identity.
 
     yr' and z' are the product with `coordinator_linear`'s operator plus
@@ -54,7 +57,7 @@ def rhs_at(g, cost_list, gains, yr, z=None, xi=None, t=0.0):
     big_l = laplacian(g)
     op = _block_operator((2 * n, 2 * n), coordinator_linear(big_l, gains))
     dc = op @ np.concatenate([yr, z])
-    coordinator_nonlinear(t, dc[:n], yr, xi.diagonal(), costs.build_gradient(cost_list))
+    coordinator_nonlinear(dc[:n], yr, xi.diagonal(), costs.build_gradient(cost_list))
     driver = LinearDriver(big_l, np.zeros((0, 0)), np.zeros(0), 1e-3)
     return dc[:n], dc[n:], -(driver.b @ xi)
 
@@ -94,14 +97,44 @@ def test_derivative_zero_disagreement():
     assert np.abs(dyr).max() < 1e-15
 
 
-def test_xi_underflow_raises(fig3_graph):
-    cost_list = [costs.quadratic(0.1, float(i)) for i in range(1, 6)]
-    xi = np.eye(5)
-    xi[2, 2] = 1e-12
-    gains = CoordinatorGains(beta1=1.0, beta2=1.0, delta=1.0)
-    with pytest.raises(XiUnderflow, match=r"agent 3\b.*t=1\.25") as info:
-        rhs_at(fig3_graph, cost_list, gains, np.zeros(5), xi=xi, t=1.25)
-    assert info.value.t == 1.25
+def test_xi_underflow_raises():
+    # xi' = -L xi with L = diag(1, 2) and h = 0.5: per agent z = -0.5 and -1,
+    # and agent 2's xi_22 = R(-1)^k (1, 1/2, 3/4, 1/4) at the stages of step k,
+    # R(-1) = 3/8; 0.25 R^20 = 7.5e-10 is the first stage value below 1e-9
+    big_l, h = np.diag([1.0, 2.0]), 0.5
+    for source in (xi_v_source(big_l, np.zeros((0, 0)), np.zeros(0), h),
+                   LinearDriver(big_l, np.zeros((0, 0)), np.zeros(0), h)):
+        assert type(source) in (ModalSource, LinearDriver)
+        for k in range(20):
+            source.stages()
+            source.finish(k * h)
+        with pytest.raises(XiUnderflow, match=r"^agent 2: xi_i\^i = 7\.5\d\de-10 below floor "
+                                              r"1e-09 at t=10\.5$") as info:
+            source.stages()
+        assert info.value.t == 10.5  # stage 4 of the step from t = 20 h
+
+
+def test_xi_floor_names_the_first_underflowing_stage():
+    h = 0.2
+    xi = np.full((4, 3), 0.5)
+    xi[1, 2] = 2e-9    # stage 2: the smallest entry of the stages before 3, above the floor
+    xi[2, 1] = 1e-10   # stage 3 (t + h/2): agent 2 underflows
+    xi[2, 0] = 3e-10   # and agent 1 too, less deeply
+    xi[3, 0] = -1.0    # stage 4 (t + h) holds the smallest entry of the block
+    with pytest.raises(XiUnderflow, match=r"^agent 2: xi_i\^i = 1\.000e-10 below floor "
+                                          r"1e-09 at t=3\.1$") as info:
+        check_xi_floor(xi, 3.0, h)
+    assert info.value.t == 3.0 + 0.5 * h
+    # each stage in turn is the first to underflow, at its own time
+    for stage, t in enumerate(("3", "3.1", "3.1", "3.2")):
+        low = np.full((4, 3), 0.5)
+        low[stage:, 2] = 0.0
+        with pytest.raises(XiUnderflow, match=rf"^agent 3: .* at t={re.escape(t)}$") as info:
+            check_xi_floor(low, 3.0, h)
+        assert info.value.t == (3.0, 3.0 + 0.5 * h, 3.0 + 0.5 * h, 3.0 + h)[stage]
+    # the floor itself passes, and so does NaN: the finite checks report it
+    check_xi_floor(np.full((4, 3), 1e-9), 3.0, h)
+    check_xi_floor(np.array([[np.nan, 0.0, 1.0]] * 4), 3.0, h)
 
 
 def test_single_agent_run_converges():

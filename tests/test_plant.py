@@ -5,15 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oocsim.digraph import _block_operator
 from oocsim.errors import Unsupported
 from oocsim.integrate import rk4_step
 from oocsim.plant import (Exosystem, custom, damping_spring, feedforward_truth,
-                          plant_drift, rotation_exosystem, vdp_like)
+                          plant_drift, plant_linear, rotation_exosystem, vdp_like)
+
+
+def split_drift(plants, x1, x2, v):
+    """The stacked drift as the member derivative forms it: the drift entries of
+    `plant_linear` applied to (x1, x2), plus the remainder of `plant_drift`."""
+    n = len(plants)
+    op = _block_operator((2 * n, 2 * n),
+                         plant_linear({"x1": slice(0, n), "x2": slice(n, 2 * n)}, plants))
+    # rows 0..n-1 are x1' = x2, rows n..2n-1 the drift's linear terms
+    assert np.array_equal(op[:n], np.hstack([np.zeros((n, n)), np.eye(n)]))
+    return (op @ np.concatenate([x1, x2]))[n:] + plant_drift(plants)(x1, x2, v, 0.0)
 
 
 def drift_at(p, x, v):
-    """Stacked drift of the one-plant set at the state x = (x1, x2)."""
-    return plant_drift([p])(np.array([x[0]]), np.array([x[1]]), v, 0.0)[0]
+    """Drift of the one-plant set at the state x = (x1, x2)."""
+    return split_drift([p], np.array([x[0]]), np.array([x[1]]), v)[0]
 
 
 def test_vdp_origin_zero_phase():
@@ -31,6 +43,50 @@ def test_damping_spring_hand_value():
     assert abs(drift_at(p, (1.0, 0.0), np.zeros(2)) - (-(2.2 + 2.9) / 1.1)) < 1e-12
 
 
+def paper_drift(p, x1, x2, v):
+    """The drift straight from the plant equations in the module docstring."""
+    q = p.params
+    if p.kind == "vdp_like":
+        return -x1 * x2 + q["mu1"] * x2 * (1.0 - x1 ** 2) + q["a_w"] * v[0], [
+            x1 * x2, q["mu1"] * x2, q["mu1"] * x2 * x1 ** 2, q["a_w"] * v[0]]
+    terms = [q["k1"] * x1, q["k2"] * x1 ** 3, q["mu1"] * x2, q["mu2"] * x2 ** 3,
+             q["a_w"] * v[1] * (1.0 - v[0] ** 2)]
+    return -sum(terms) / q["m"], [t / q["m"] for t in terms]
+
+
+@pytest.mark.parametrize("kind", ["vdp_like", "damping_spring"])
+def test_linear_entries_plus_remainder_are_the_drift(kind):
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        if kind == "vdp_like":
+            p = vdp_like(*rng.uniform(0.1, 3.0, size=3), amplitude=rng.uniform(0.0, 10.0))
+        else:
+            p = damping_spring(*rng.uniform(0.1, 5.0, size=5), a_w=rng.uniform(0.0, 100.0))
+        x1, x2 = rng.uniform(-3.0, 3.0, size=(2, 4))
+        v = rng.uniform(-10.0, 10.0, size=2)
+        got = split_drift([p] * 4, x1, x2, v)
+        for i in range(4):
+            full = p.f(x1[i], x2[i], v, 0.0)
+            want, terms = paper_drift(p, x1[i], x2[i], v)
+            scale = max(np.abs(terms).max(), abs(full))
+            assert abs(got[i] - full) <= 1e-14 * scale
+            assert abs(full - want) <= 1e-14 * scale
+    # the linear entries sit on each agent's own x1 and x2 only
+    slices = {"x1": slice(0, 2), "x2": slice(2, 4)}
+    rows, cols, values = (np.concatenate(x) for x in zip(*plant_linear(slices, [p, p])[1:]))
+    assert sorted(zip(rows.tolist(), cols.tolist())) == (
+        [(2, 2), (3, 3)] if kind == "vdp_like" else [(2, 0), (2, 2), (3, 1), (3, 3)])
+
+
+def test_custom_plants_have_no_linear_entries():
+    p = custom(lambda x1, x2, v, t: 3.0 * x1 - x2 + v[0], b=1.0)
+    slices = {"x1": slice(0, 2), "x2": slice(2, 4)}
+    parts = plant_linear(slices, [p, p])
+    assert sum(len(values) for _, _, values in parts) == 2  # x1' = x2 only
+    x1, x2, v = np.array([1.0, 2.0]), np.array([0.5, -1.0]), np.array([0.25, 0.0])
+    assert plant_drift([p, p])(x1, x2, v, 0.0).tolist() == [2.75, 7.25]
+
+
 def test_mixed_kind_set_matches_each_plant():
     rng = np.random.default_rng(4)
     plants = [vdp_like(1.0, 0.5, 1.2, 3.0),
@@ -43,9 +99,11 @@ def test_mixed_kind_set_matches_each_plant():
         v = rng.uniform(-2, 2, size=2)
         got = drift(x1, x2, v, 0.0)
         assert got.shape == (4,)
+        # with the linear entries, each plant's own full drift, within round-off
         own = [p.f(a, b, v, 0.0) for p, a, b in zip(plants, x1, x2)]
-        assert got.tolist() == own
-        # and the stacked formula of each kind, within round-off
+        np.testing.assert_allclose(split_drift(plants, x1, x2, v), own, rtol=1e-13,
+                                   atol=1e-13)
+        # and the stacked remainder of each kind, within round-off
         for kind in ("vdp_like", "damping_spring"):
             idx = [i for i, p in enumerate(plants) if p.kind == kind]
             alone = plant_drift([plants[i] for i in idx])(x1[idx], x2[idx], v, 0.0)
@@ -119,10 +177,10 @@ def test_energy_conservation_and_disturbance_identity():
 
 
 def test_nominal_origin_invariance():
-    drift = plant_drift([vdp_like(mu1=1.0, mu2=1.0, b=1.0, amplitude=0.0)])
+    p = vdp_like(mu1=1.0, mu2=1.0, b=1.0, amplitude=0.0)
 
     def f(t, y):  # u = 0
-        return np.array([y[1], drift(y[:1], y[1:], np.zeros(2), t)[0]])
+        return np.array([y[1], split_drift([p], y[:1], y[1:], np.zeros(2))[0]])
 
     x = np.zeros(2)
     for k in range(1000):

@@ -15,7 +15,7 @@ from oocsim import costs, digraph, sim
 from oocsim.coordinator import CoordinatorGains
 from oocsim.digraph import Digraph, _operator, laplacian, spectral_data
 from oocsim.errors import Diverged, NonConvexDetected, NotStronglyConnected, XiUnderflow
-from oocsim.plant import Exosystem, custom, rotation_exosystem, vdp_like
+from oocsim.plant import Exosystem, custom, damping_spring, rotation_exosystem, vdp_like
 from oocsim.scenario import parse_scenario, scenario_from_dict
 from oocsim.integrate import rk4_step
 from oocsim.sim import (DEFAULT_TOLERANCES, InitPolicy, LinearDriver, ModalSource, Scenario,
@@ -318,12 +318,12 @@ def sparse_ring(n=100, chords=60):
 def test_operator_is_csr_only_for_large_sparse_matrices(example1_scenario, example2_scenario):
     for sc in (example1_scenario, example2_scenario):
         assert type(_operator(spectral_data(sc.graph).laplacian)) is np.ndarray
-        # example2's member operator has 70 rows at 1.8% fill, but only 4,550 entries
+        # example2's member operator has 90 rows at 2.6% fill, but only 5,850 entries
         assert type(assemble(sc).operator) is np.ndarray
     ring = sparse_ring()
     assert _operator(laplacian(ring.graph)).format == "csr"
     assert assemble(ring).operator.format == "csr"
-    # a 40-agent ring with s = 4: L stays dense, the 560 x 520 member operator does not
+    # a 40-agent ring with s = 4: L stays dense, the 720 x 520 member operator does not
     mid = scenario_from_dict(ring_doc(40, {"coeffs": [10.0, 18.0, 15.0, 6.0]}, chords=40))
     assert type(_operator(laplacian(mid.graph))) is np.ndarray
     assert assemble(mid).operator.format == "csr"
@@ -374,16 +374,26 @@ def custom_plants():
     return tiny_scenario(plants=[custom(lambda x1, x2, v, t: -x1 - x2 ** 3 + v[1] * x1, 2.0)] * 3)
 
 
+def mixed_kinds():
+    spring = damping_spring(m=1.1, k1=2.2, k2=2.9, mu1=3.8, mu2=4.7, a_w=100.0)
+    return tiny_scenario(plants=[vdp_like(1.0, 0.5, 1.2, 3.0), spring,
+                                 vdp_like(2.0, 1.5, 0.8, 1.0)])
+
+
 @pytest.mark.parametrize("case", ["example1", "example2", "example2-ablated", "mixed-orders",
-                                  "custom-plant", "sparse-ring"])
+                                  "custom-plant", "mixed-kinds", "sparse-ring"])
 def test_derivative_matches_the_paper_agent_by_agent(case, request):
     if case.startswith("example"):
         sc = request.getfixturevalue(f"{case[:8]}_scenario")
         sc = dataclasses.replace(sc, ablate_internal_model=case.endswith("ablated"))
     else:
         sc = {"mixed-orders": mixed_orders, "custom-plant": custom_plants,
-              "sparse-ring": sparse_ring}[case]()
+              "mixed-kinds": mixed_kinds, "sparse-ring": sparse_ring}[case]()
     system = assemble(sc)
+    # the member derivative's rows, theta's n rows and -theta per eta entry
+    layout = system.layout
+    eta_rows = 0 if sc.ablate_internal_model else layout.total_s
+    assert system.operator.shape == (layout.dim + layout.n + eta_rows, layout.dim)
     rng = np.random.default_rng(7)
     for _ in range(3):
         y = rng.uniform(-1.0, 1.0, system.layout.dim)

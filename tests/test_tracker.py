@@ -111,13 +111,13 @@ def tracker_at(x1, x2, yr, eta, k, psi, gamma, im):
     """u and (eta', k', psi_hat') of all agents from the tracker's own layer functions.
 
     The state (yr, x1, x2, eta) times the operator of `tracker_linear` gives
-    theta and M eta; `tracker_nonlinear` adds the rest.
+    theta, -theta per eta entry and M eta; `tracker_nonlinear` adds the rest.
     """
     n, total_s = len(x1), len(eta)
     slices = {"yr": slice(0, n), "x1": slice(n, 2 * n), "x2": slice(2 * n, 3 * n),
               "eta": slice(3 * n, 3 * n + total_s)}
     dim = 3 * n + total_s
-    op = _block_operator((dim + n, dim), tracker_linear(slices, dim, gamma, im))
+    op = _block_operator((dim + n + total_s, dim), tracker_linear(slices, dim, gamma, im))
     out = op @ np.concatenate([yr, x1, x2, eta])
     deta, dk, dpsi = out[slices["eta"]], np.zeros(n), np.zeros(total_s)
     u = tracker_nonlinear(out[dim:], eta, k, psi, im, deta, dk, dpsi)
