@@ -9,16 +9,19 @@ sweep's first member) and builds the xi/v source the way `run` does, with
 `LinearDriver` for a defective or ill-conditioned L or S.  It prints which
 source was chosen and its construction time (eig and inverse of -L and S for
 the modal source; the min over `--blocks` builds), then advances it by 100
-steps and prints the µs per source step (`stages` plus `finish`), the µs per
-member derivative call and the µs per member RK4 step (`rk4_step` with its
-four derivative calls, fed the source's four stage inputs), each the min over
+steps and prints the µs per source step (`stages()`, which returns a step's
+four stage inputs and moves the source to the step's end), the µs per member
+derivative call and the µs per member RK4 step (`rk4_step` with its four
+derivative calls, fed the tuple that `stages()` returned), each the min over
 `--blocks` blocks of `--calls` calls, and the source's share of a whole step,
 source / (source + member RK4 step).
 `run` builds the source, so its construction lands in the benchmark's
 `steps_per_s` (the integrate phase), not in `setup_s`.  A checkout without
-`xi_v_source` gets `LinearDriver(L, S, v0, h)`, stepped by `stages()` and
-`finish(t)`; older checkouts, where `assemble` built B and every step passed
-h, need the older copy of this script.
+`xi_v_source` gets `LinearDriver(L, S, v0, h)`.  A source that still ends
+its step with a separate `finish(t)` call gets `finish(0.0)` after each
+`stages()`, so a checkout from before the two-call source can be probed
+beside a later one; older checkouts, where `assemble` built B and every step
+passed h, need the older copy of this script.
 `benchmark/run.py`'s per-layer metrics cannot see the source: it runs between
 the traced `rk4_step` calls.  Like `benchmark/run.py`, it fixes one BLAS
 thread before numpy loads.  The last line of standard output is one JSON
@@ -62,16 +65,17 @@ def probe(sim_mod, rk4_step, scenario_from_dict, wl, blocks, calls):
     args = (system.spectral.laplacian, sc.exo.S, sc.exo.v0, h)
     driver = build(*args)
     build_ms = min_block_us(lambda: build(*args), blocks, 1) / 1e3
-    for _ in range(WARMUP_STEPS):
-        driver.stages()
-        driver.finish(0.0)
+    finish = getattr(driver, "finish", None)
 
     def driver_step():
-        driver.stages()
-        driver.finish(0.0)
+        w = driver.stages()
+        if finish is not None:
+            finish(0.0)
+        return w
 
+    for _ in range(WARMUP_STEPS):
+        w = driver_step()
     y0 = sim_mod.initial_state(sc, system.layout)
-    w = driver.inputs
     driver_us = min_block_us(driver_step, blocks, calls)
     member_us = min_block_us(lambda: rk4_step(system.derivative, 0.0, y0, h, w),
                              blocks, calls)

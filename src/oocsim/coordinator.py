@@ -128,7 +128,8 @@ def coordinator_only_run(g: Digraph, cost_list, gains: CoordinatorGains, y0,
     The state is (yr, z); its derivative is one product with the operator of
     `coordinator_linear` plus `coordinator_nonlinear`, which the xi/v source,
     here without an exosystem, feeds its xi_i^i at every RK4 stage; the
-    source checks the xi floor once per step, as in `sim.run`.
+    source checks the xi floor once per step, as in `sim.run`, and its
+    snapshots, which `sim.integrate` records, give xi_diag and xi_rowsum.
     """
     from .sim import integrate, xi_v_source  # sim imports this module
 
@@ -142,8 +143,9 @@ def coordinator_only_run(g: Digraph, cost_list, gains: CoordinatorGains, y0,
         coordinator_nonlinear(out[:n], c[:n], w[0], grad_vec)
         return out
 
-    driver = xi_v_source(big_l, np.zeros((0, 0)), np.zeros(0), step)
+    source = xi_v_source(big_l, np.zeros((0, 0)), np.zeros(0), step)
     c0 = np.concatenate([np.asarray(y0, dtype=float), np.zeros(n)])
-    times, arr = integrate(rhs, c0, step, int(round(horizon / step)), record_every, driver)
+    times, arr, (xi_diag, xi_rowsum, _) = integrate(
+        rhs, c0, step, int(round(horizon / step)), record_every, source)
     return CoordinatorTrajectory(times=times, y_r=arr[:, :n], z=arr[:, n:],
-                                 xi_diag=driver.xi_diag, xi_rowsum=driver.xi_rowsum)
+                                 xi_diag=xi_diag, xi_rowsum=xi_rowsum)

@@ -232,13 +232,17 @@ def convexity_bounds(cost_list) -> ConvexityBounds:
     varpi = math.inf
     iota_bar = 0.0
     for c in cost_list:
-        g = _grid_gradient(c, grid)
-        second = (g[2:] - g[:-2]) / (2.0 * h)
-        if np.any(second < 1e-9):
-            raise NonConvexDetected(
-                f"cost {c.kind} has curvature {second.min():.3e} on [{lo}, {hi}]")
-        varpi = min(varpi, float(second.min()))
-        iota_bar = max(iota_bar, float(second.max()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = _grid_gradient(c, grid)
+            second = (g[2:] - g[:-2]) / (2.0 * h)
+        # numpy's min and max return NaN when any entry is NaN
+        low, high = float(second.min()), float(second.max())
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise NonConvexDetected(f"cost {c.kind}: curvature is not finite on [{lo}, {hi}]")
+        if low < 1e-9:
+            raise NonConvexDetected(f"cost {c.kind} has curvature {low:.3e} on [{lo}, {hi}]")
+        varpi = min(varpi, low)
+        iota_bar = max(iota_bar, high)
     return ConvexityBounds(varpi=varpi, iota_bar=iota_bar)
 
 
@@ -247,6 +251,8 @@ def build_gradient(cost_list):
 
     All-quadratic cost sets get a closed-form vector path; mixed sets fall
     back to a per-agent loop over the scalar closures, fed Python floats.
+    When a closure overflows (`math.exp` raises OverflowError), every entry
+    is inf, so the RK4 step's finite check reports the divergence.
     """
     if all(c.kind == "quadratic" for c in cost_list):
         a = np.array([2.0 * c.params["a"] for c in cost_list])
@@ -260,6 +266,9 @@ def build_gradient(cost_list):
     fns = [c.grad_fn for c in cost_list]
 
     def grad_vec(yr):
-        return np.array([f(s) for f, s in zip(fns, yr.tolist())])
+        try:
+            return np.array([f(s) for f, s in zip(fns, yr.tolist())])
+        except OverflowError:
+            return np.full(len(fns), math.inf)
 
     return grad_vec

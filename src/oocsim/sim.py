@@ -10,7 +10,11 @@ member derivative diag xi and v at each RK4 stage.  `assemble` builds only
 the member derivative; `run` builds the source in one call,
 `xi_v_source(L, S, v0, h)`.  Both advance with classical RK4 at a fixed step,
 for determinism, and the source's numbers are classic RK4's on xi and v alone
-up to rounding in the last bits.
+up to rounding in the last bits.  Either source talks to the RK4 loop,
+`integrate`, through two calls: `stages()` returns the four stage inputs
+(diag xi, v) of the step from t = k h, as views that the next call
+overwrites, and moves the source to the end of that step; `snapshot()`
+returns (diag xi, xi row sums, v) at the current step, for the record.
 
 A member derivative call is one operator product plus the nonlinear terms.
 `assemble` stacks every linear term, -beta1 L yr - beta2 z, beta1 L yr,
@@ -178,8 +182,8 @@ class LinearDriver:
     polynomial I - hB + (hB)^2/2 - (hB)^3/6 + (hB)^4/24, applied here in
     Horner form with A_k = -(h/k) B, built once at construction: `stages()`
     computes T4 = W + A4 W, T3 = W + A3 T4 and T2 = W + A2 T3 into three
-    buffers, and `finish(t)` does W += A1 T2, all through
-    `digraph._add_product`.  For a CSR B each iterate is copy then
+    buffers, reads the stage inputs off them, and then does W += A1 T2, all
+    through `digraph._add_product`.  For a CSR B each iterate is copy then
     accumulate: W is copied into T_k and scipy's kernel adds A_k T_{k+1} to
     it in place, so no product array is made (a dense B runs
     np.add(W, A_k @ T, out=T_k)).  RK4's stage values are exact linear
@@ -187,26 +191,23 @@ class LinearDriver:
 
         Y2 = 2 T4 - W,    Y3 = 3 T3 - 2 T4,    Y4 = W - 6 T3 + 6 T2.
 
-    The member derivative reads only diag xi and v of each stage, so stages 2
-    to 4 get theirs from one (3, 4) product over those entries of W, T4, T3
-    and T2; the n^2 stage values themselves are never formed.  Stage 1 is W
-    itself, so its input is a fixed view into W, valid from construction.
-    The numbers equal classic RK4's up to rounding in the last bits.
-    `stages()` checks the xi floor once over the step's four diag xi
-    (`coordinator.check_xi_floor`), at t = k h after k finished steps.
-
-    `inputs` holds the four stage inputs (diag xi, v) as fixed views, filled
-    in place by each `stages` call.  `start(m)` allocates the (m, .) records
-    xi_diag, xi_rowsum and v, and `record(j)` fills row j from the current W.
-    B and the buffers take the dtype of L and S (at least float), so L, S
-    and h of exact fractions run the same steps in exact arithmetic.
+    The member derivative reads only diag xi and v of each stage, so one
+    `np.take` gathers those entries of W, T4, T3 and T2, and stages 2 to 4
+    get theirs from one (3, 4) product over them; the n^2 stage values
+    themselves are never formed.  Stage 1's input is the gathered W, so no
+    input is a view into W.  The numbers equal classic RK4's up to rounding
+    in the last bits.  `stages()` checks the xi floor once over the step's
+    four diag xi (`coordinator.check_xi_floor`) and, after its step, all of
+    W, both at the step's start t.  B and the buffers take the dtype of L
+    and S (at least float), so L, S and h of exact fractions run the same
+    steps in exact arithmetic.
     """
 
     # rows: Y2, Y3, Y4; columns: W, T4, T3, T2
     _RECOMBINE = ((-1, 2, 0, 0), (0, -2, 3, 0), (1, 0, -6, 6))
 
     def __init__(self, big_l, s_exo, v0, h):
-        self.n = n = len(big_l)
+        n = len(big_l)
         self.h = h
         self._k = 0  # steps finished
         dim = n + len(v0)
@@ -218,9 +219,9 @@ class LinearDriver:
         a1, a2, a3, a4 = (-(h / k) * self.b for k in (1, 2, 3, 4))
         bufs = np.zeros((4, dim, n + 1), dtype=dtype)
         self.w, t4, t3, t2 = bufs
-        self._xi = self.w[:n, :n]
+        self._xi, self._v = self.w[:n, :n], self.w[n:, n]
         np.fill_diagonal(self._xi, 1)
-        self.w[n:, n] = v0
+        self._v[:] = v0
         # (A_k, T_{k+1}, T_k): T_k = W + A_k T_{k+1}, with T5 = W
         self._horner = ((a4, self.w, t4), (a3, t4, t3), (a2, t3, t2))
         self._last = (a1, t2)
@@ -233,47 +234,37 @@ class LinearDriver:
         # are the Horner iterates in the order W, T4, T3, T2, rows 3 to 6 the
         # four stage inputs, whose diag xi the floor check reads as one block
         probed = np.empty((7, self._probe.size), dtype=dtype)
-        self._probed, self._stage_inputs = probed[3::-1], probed[4:]
+        self._probed, self._recombined = probed[3::-1], probed[4:]
         self._xi_stages = probed[3:, :n]
+        self._inputs = tuple((row[:n], row[n:]) for row in probed[3:])
         self._recombine = np.array(self._RECOMBINE, dtype=dtype)
         self._finite = np.empty(self.w.shape, dtype=bool)
-        self.inputs = ((self._xi.diagonal(), self.w[n:, n]),) + tuple(
-            (row[:n], row[n:]) for row in self._stage_inputs)
 
     def stages(self):
-        """Compute T4, T3 and T2 from W; return the four stage inputs.
+        """The four stage inputs (diag xi, v) of the step from t = k h; W moves to its end.
 
         Raises XiUnderflow (`coordinator.check_xi_floor`) when a stage's
-        xi_i^i drops below the floor.
+        xi_i^i drops below the floor, and Diverged when W is not finite
+        after the step, each with t.
         """
         w = self.w
+        t = self._k * self.h
         for op, x, out in self._horner:
             _add_product(op, x, w, out)
         np.take(self._flat, self._probe, axis=1, out=self._probed)
-        np.matmul(self._recombine, self._probed, out=self._stage_inputs)
-        check_xi_floor(self._xi_stages, self._k * self.h, self.h)
-        return self.inputs
-
-    def finish(self, t):
-        """W += A1 T2, completing the step from t; raises Diverged on a non-finite W."""
-        w = self.w
-        self._k += 1
+        np.matmul(self._recombine, self._probed, out=self._recombined)
+        check_xi_floor(self._xi_stages, t, self.h)
         _add_product(*self._last, w, w)
+        self._k += 1
         # into a preallocated buffer, so no W-sized temporary; astype is a
         # no-op on a float W and converts an exact one
         if not np.isfinite(w.astype(float, copy=False), out=self._finite).all():
             raise Diverged(f"xi/v driver: non-finite state after step at t={t:.6g}", t=t)
+        return self._inputs
 
-    def start(self, m):
-        n = self.n
-        self.xi_diag = np.empty((m, n))
-        self.xi_rowsum = np.empty((m, n))
-        self.v = np.empty((m, self.w.shape[0] - n))
-        self.record(0)
-
-    def record(self, j):
-        self.xi_diag[j], self.v[j] = self.inputs[0]
-        self.xi_rowsum[j] = self._xi.sum(axis=1)
+    def snapshot(self):
+        """(diag xi, xi row sums, v) of the current W; diag xi and v are views."""
+        return self._xi.diagonal(), self._xi.sum(axis=1), self._v
 
 
 # RK4 grows every mode with |z| = |h lambda| past this radius (|R(z)| >= 1.118
@@ -379,21 +370,19 @@ class ModalSource:
     conjugate pair (`_real_readout`), one (4, 2 m) by (2 m, n) and one
     (4, 2 m_v) by (2 m_v, nv) real product give all four stage inputs; xi and
     v stay in separate products, so a non-finite v cannot reach xi.  The
-    record's xi row sums are V (e o V^-1 1).
+    snapshot's xi row sums are V (e o V^-1 1).
 
     The numbers equal classic RK4's up to rounding, about kappa(V) eps; they
     differ from `LinearDriver`'s in the last bits.  Built by `xi_v_source`
-    from `_eigenmodes` of -L and of S, and used like `LinearDriver`:
-    `stages()`, then `finish(t)` once the member step from t is done, and
-    `start(m)` and `record(j)` for the records.  `stages()` raises Diverged,
-    with the step's start time, when a stage input is not finite, and
-    XiUnderflow when a stage's xi_i^i drops below the floor
-    (`coordinator.check_xi_floor`, one check over the step's four diag xi).
+    from `_eigenmodes` of -L and of S.  `stages()` raises Diverged, with the
+    step's start time, when a stage input is not finite, and XiUnderflow
+    when a stage's xi_i^i drops below the floor (`coordinator.check_xi_floor`,
+    one check over the step's four diag xi).
     """
 
     def __init__(self, xi_modes, v_modes, v0, h):
         (lam_x, vec_x, inv_x), (lam_v, vec_v, inv_v) = xi_modes, v_modes
-        self.n = n = len(vec_x)
+        n = len(vec_x)
         self.h = h
         self._k = 0
         self._read_xi = _real_readout(lam_x, vec_x * inv_x.T)
@@ -411,10 +400,10 @@ class ModalSource:
         # (mode values, read-out, stage inputs) of xi and of v
         self._products = ((floats[:, :split], self._read_xi, self._stage_inputs[:, :n]),
                           (floats[:, split:], self._read_v, self._stage_inputs[:, n:]))
-        self.inputs = tuple((row[:n], row[n:]) for row in self._stage_inputs)
+        self._inputs = tuple((row[:n], row[n:]) for row in self._stage_inputs)
 
     def stages(self):
-        """The four stage inputs (diag xi, v) of the step from t = k h."""
+        """The four stage inputs (diag xi, v) of the step from t = k h; k moves to k + 1."""
         np.multiply(self._factors, np.exp(self._k * self._ell), out=self._modes)
         for x, read, out in self._products:
             np.matmul(x, read, out=out)
@@ -422,26 +411,15 @@ class ModalSource:
         if not np.isfinite(self._stage_inputs).all():
             raise Diverged(f"xi/v driver: non-finite stage input at t={t:.6g}", t=t)
         check_xi_floor(self._xi_stages, t, self.h)
-        return self.inputs
-
-    def finish(self, t):
-        """The step from t is done; the next `stages` call serves the step after it."""
         self._k += 1
+        return self._inputs
 
-    def start(self, m):
-        """Allocate the (m, .) records xi_diag, xi_rowsum and v, and fill row 0."""
-        self.xi_diag = np.empty((m, self.n))
-        self.xi_rowsum = np.empty((m, self.n))
-        self.v = np.empty((m, self._read_v.shape[1]))
-        self.record(0)
-
-    def record(self, j):
-        """Fill record row j from e_k, k the steps finished so far."""
+    def snapshot(self):
+        """(diag xi, xi row sums, v) from e_k, k the steps finished so far."""
         e = np.exp(self._k * self._ell).view(float)
         split = len(self._read_xi)
-        self.xi_diag[j] = e[:split] @ self._read_xi
-        self.xi_rowsum[j] = e[:split] @ self._read_rowsum
-        self.v[j] = e[split:] @ self._read_v
+        return (e[:split] @ self._read_xi, e[:split] @ self._read_rowsum,
+                e[split:] @ self._read_v)
 
 
 def xi_v_source(big_l, s_exo, v0, h):
@@ -527,7 +505,7 @@ def initial_state(sc: Scenario, layout: StateLayout) -> np.ndarray:
 class Trajectory:
     """Decimated record of the closed-loop state with derived diagnostics.
 
-    raw holds the member states; the xi/v driver's records sit beside it.
+    raw holds the member states; the xi/v source's snapshots sit beside it.
     """
 
     times: np.ndarray
@@ -585,40 +563,32 @@ class Trajectory:
         return self._block("psi")[:, start:start + self.layout.s_dims[agent]]
 
 
-def integrate(f, y0, h, n_steps, record_every, driver=None):
-    """RK4 over n_steps steps of h from t = 0; returns (times, samples).
+def integrate(f, y0, h, n_steps, record_every, source):
+    """RK4 over n_steps steps of h from t = 0; returns (times, samples, (xi_diag, xi_rowsum, v)).
 
-    The samples are the initial state and every record_every-th state after it.
-    Only those are kept: when n_steps is not a multiple of record_every, the
-    last steps are integrated but not recorded, so the record, and whatever is
-    read off its last row, ends at t = (n_steps // record_every) record_every h,
-    before the horizon (150 steps recorded every 100 end at t = 100 h).
-    With a xi/v source (`ModalSource` or `LinearDriver`) built for the same h,
-    f is f(t, y, w): each step the source's stages give f its four stage
-    inputs, and the source records its own samples at the same steps.
+    f is f(t, y, w), and each step `source.stages()` gives it its four stage
+    inputs; source is a xi/v source built for h.  The samples are the
+    initial state and every record_every-th state after it, and the three
+    record blocks hold `source.snapshot()` at the same steps.  Only those are
+    kept: when n_steps is not a multiple of record_every, the last steps are
+    integrated but not recorded, so the record, and whatever is read off its
+    last row, ends at t = (n_steps // record_every) record_every h, before
+    the horizon (150 steps recorded every 100 end at t = 100 h).
     """
-    times = np.zeros(n_steps // record_every + 1)
-    samples = np.empty((times.size,) + y0.shape)
-    samples[0] = y0
-    if driver is not None:
-        driver.start(times.size)
+    m = n_steps // record_every + 1
+    first = (y0,) + source.snapshot()
+    blocks = [np.empty((m,) + np.shape(x)) for x in first]
+    for block, x in zip(blocks, first):
+        block[0] = x
     y = y0
-    w = None
     with np.errstate(over="ignore", invalid="ignore"):
         for kstep in range(1, n_steps + 1):
-            t = (kstep - 1) * h
-            if driver is not None:
-                w = driver.stages()
-            y = rk4_step(f, t, y, h, w)
-            if driver is not None:
-                driver.finish(t)
+            y = rk4_step(f, (kstep - 1) * h, y, h, source.stages())
             if kstep % record_every == 0:
-                j = kstep // record_every
-                times[j] = kstep * h
-                samples[j] = y
-                if driver is not None:
-                    driver.record(j)
-    return times, samples
+                for block, x in zip(blocks, (y,) + source.snapshot()):
+                    block[kstep // record_every] = x
+    samples, *records = blocks
+    return np.arange(m) * record_every * h, samples, tuple(records)
 
 
 @contextmanager
@@ -635,12 +605,12 @@ def run(sc: Scenario, system: Optional[System] = None) -> Trajectory:
     if system is None:
         system = assemble(sc)
     y0 = initial_state(sc, system.layout)
-    driver = xi_v_source(system.spectral.laplacian, sc.exo.S, sc.exo.v0, sc.step)
+    source = xi_v_source(system.spectral.laplacian, sc.exo.S, sc.exo.v0, sc.step)
     with named_failures(sc.name):
-        times, raw = integrate(system.derivative, y0, sc.step, sc.n_steps, sc.record_every,
-                               driver)
+        times, raw, (xi_diag, xi_rowsum, v) = integrate(
+            system.derivative, y0, sc.step, sc.n_steps, sc.record_every, source)
     return Trajectory(times=times, raw=raw, layout=system.layout, rho=system.spectral.rho,
-                      xi_diag=driver.xi_diag, xi_rowsum=driver.xi_rowsum, v=driver.v)
+                      xi_diag=xi_diag, xi_rowsum=xi_rowsum, v=v)
 
 
 def metrics(traj: Trajectory, s_star, settle_tol=0.02) -> dict:

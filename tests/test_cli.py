@@ -129,6 +129,18 @@ def test_coordinator_failure_names_the_scenario(tmp_path, tiny_path, capsys):
                            "at t=1.25\n")
 
 
+def test_overflowing_gradient_is_a_named_divergence(tmp_path, capsys):
+    # the scan of 60 e^{60 s} over [-10, 10] is finite, but the first RK4 step
+    # sends yr where math.exp overflows; that is a divergence, not a traceback
+    doc = json.loads(resources.files("oocsim").joinpath("presets/example1.json").read_text())
+    doc["name"] = "steep"
+    doc["costs"][0] = {"kind": "exp_sum", "c1": 1, "k1": 60, "c2": 1, "k2": -60}
+    p = tmp_path / "steep.json"
+    p.write_text(json.dumps(doc))
+    assert cmd_dispatch(["verify", "--scenario", str(p), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: steep: non-finite state after step at t=0\n"
+
+
 def test_ablate_command(tmp_path, tiny_path, capsys):
     out = tmp_path / "a"
     assert cmd_dispatch(["ablate", "--scenario", str(tiny_path),

@@ -105,9 +105,8 @@ def test_xi_underflow_raises():
     for source in (xi_v_source(big_l, np.zeros((0, 0)), np.zeros(0), h),
                    LinearDriver(big_l, np.zeros((0, 0)), np.zeros(0), h)):
         assert type(source) in (ModalSource, LinearDriver)
-        for k in range(20):
+        for _ in range(20):
             source.stages()
-            source.finish(k * h)
         with pytest.raises(XiUnderflow, match=r"^agent 2: xi_i\^i = 7\.5\d\de-10 below floor "
                                               r"1e-09 at t=10\.5$") as info:
             source.stages()

@@ -70,6 +70,23 @@ def test_nonconvex_detected():
         costs.convexity_bounds([concave])
 
 
+def test_non_finite_curvature_is_detected():
+    # 100 e^{100 s} overflows on [-10, 10], so the scan's second differences
+    # hold inf and NaN, which min, max and "< 1e-9" would let through, leaving
+    # the bounds of the other costs alone
+    cost_list = ([costs.exp_sum(1.0, 100.0, 1.0, -1.0)]
+                 + [costs.quadratic(0.1, float(i)) for i in range(2, 6)])
+    with pytest.raises(NonConvexDetected, match=r"^cost exp_sum: curvature is not finite"):
+        costs.convexity_bounds(cost_list)
+
+
+def test_overflowing_scalar_gradient_gives_inf():
+    grad_vec = costs.build_gradient([costs.exp_sum(1.0, 60.0, 1.0, -60.0),
+                                     costs.quadratic(0.1, 1.0)])
+    assert np.array_equal(grad_vec(np.array([0.0, 1.0])), [0.0, 0.0])
+    assert np.array_equal(grad_vec(np.array([20.0, 1.0])), [math.inf, math.inf])
+
+
 def test_gradient_that_rejects_arrays_is_named():
     scalar_only = costs.CostFunction(kind="scalar_only", params={},
                                      value_fn=lambda s: math.exp(s),

@@ -26,7 +26,7 @@ from oocsim.tracker import FeedforwardTruth, InternalModelSpec, TrackerParams
 
 
 EPS = np.finfo(float).eps
-# the member states and the xi/v driver's records of a Trajectory
+# the member states and the xi/v source's snapshots of a Trajectory
 RECORDS = ("raw", "xi_diag", "xi_rowsum", "v")
 
 
@@ -161,17 +161,23 @@ def test_run_sample_count():
 
 
 def test_integrate_records_every_kth_step():
-    def f(t, y):
-        return np.array([y[1], -y[0] + 0.1 * t])
+    def f(t, y, w):
+        return np.array([y[1], -y[0] + 0.1 * t + w[1][0]])
 
     h = 0.05
     y0 = np.array([1.0, 0.5])
-    states = [y0]
+    source_args = (laplacian(weighted_three_cycle(2.0)), np.array([[-1.0]]), np.array([0.5]), h)
+    # the same steps by hand, from a second source of the same build
+    twin = xi_v_source(*source_args)
+    states, snapshots = [y0], [tuple(x.copy() for x in twin.snapshot())]
     for kstep in range(7):
-        states.append(rk4_step(f, kstep * h, states[-1], h))
-    times, samples = integrate(f, y0, h, 7, 3)
+        states.append(rk4_step(f, kstep * h, states[-1], h, twin.stages()))
+        snapshots.append(tuple(x.copy() for x in twin.snapshot()))
+    times, samples, records = integrate(f, y0, h, 7, 3, xi_v_source(*source_args))
     assert times.tolist() == [0.0, 3 * h, 6 * h]
     assert np.array_equal(samples, np.array([states[0], states[3], states[6]]))
+    for block, want in zip(records, zip(*snapshots)):
+        assert np.array_equal(block, np.array([want[0], want[3], want[6]]))
 
 
 def test_determinism_bit_identical():
@@ -200,10 +206,12 @@ def test_initial_state_structure():
     system = assemble(sc)
     driver = LinearDriver(system.spectral.laplacian, sc.exo.S, sc.exo.v0, sc.step)
     assert np.array_equal(driver.w[:3, :3], np.eye(3))
-    xi_diag, v = driver.inputs[0]
+    xi_diag, xi_rowsum, v = driver.snapshot()
     assert np.array_equal(xi_diag, np.ones(3)) and np.array_equal(v, sc.exo.v0)
-    assert np.array_equal(system.derivative(0.0, y0),
-                          system.derivative(0.0, y0, driver.inputs[0]))
+    assert np.array_equal(xi_rowsum, np.ones(3))
+    first = driver.stages()[0]
+    assert np.array_equal(first[0], np.ones(3)) and np.array_equal(first[1], sc.exo.v0)
+    assert np.array_equal(system.derivative(0.0, y0), system.derivative(0.0, y0, first))
 
 
 def test_conservation_on_recorded_samples():
@@ -428,6 +436,24 @@ def test_tracing_call_contract(monkeypatch):
     monkeypatch.setattr(sim, "rk4_step", counted_step)
     assert same_records(run(sc, system), plain)
     assert calls == {"rhs": 4 * sc.n_steps, "steps": sc.n_steps}
+    # the loop talks to its xi/v source through two calls: stages() once per
+    # step and snapshot() once per record row, whichever source run builds
+    for build in SOURCES.values():
+        source_calls = {"stages": 0, "snapshot": 0}
+
+        def counted_source(*args, build=build):
+            source = build(*args)
+            for name in source_calls:
+                def counted(method=getattr(source, name), name=name):
+                    source_calls[name] += 1
+                    return method()
+                setattr(source, name, counted)
+            return source
+
+        monkeypatch.setattr(sim, "xi_v_source", counted_source)
+        traj = run(sc, system)
+        assert source_calls == {"stages": sc.n_steps, "snapshot": len(traj.times)}
+        assert len(traj.times) == sc.n_steps // sc.record_every + 1
 
 
 def test_sparse_run_keeps_invariants_and_reruns_bit_identical():
@@ -484,6 +510,20 @@ SOURCES = {
 }
 
 
+def rk4_alone(f, y0, h, n_steps, record_every):
+    """Classic RK4 on y' = f(y) alone: every record_every-th state and every stage value."""
+    stages = []
+
+    def g(t, y):
+        stages.append(y)
+        return f(y)
+
+    states = [y0]
+    for kstep in range(n_steps):
+        states.append(rk4_step(g, kstep * h, states[-1], h))
+    return np.array(states[::record_every]), stages
+
+
 @pytest.mark.parametrize("source", SOURCES)
 @pytest.mark.parametrize("preset", ["example1", "example2"])
 def test_driver_matches_xi_and_v_integrated_alone(preset, source, request):
@@ -496,11 +536,10 @@ def test_driver_matches_xi_and_v_integrated_alone(preset, source, request):
         inputs.append((w[0].copy(), w[1].copy()))
         return np.zeros(1)
 
-    integrate(member, np.zeros(1), h, 500, 100, driver)
+    _, _, (xi_diag, xi_rowsum, v_record) = integrate(member, np.zeros(1), h, 500, 100, driver)
     # classic RK4 on xi and on v alone, keeping every stage value
-    xi_stages, v_stages = [], []
-    _, xi = integrate(lambda t, x: xi_stages.append(x) or -(big_l @ x), np.eye(n), h, 500, 100)
-    _, v = integrate(lambda t, v: v_stages.append(v) or s_exo @ v, sc.exo.v0, h, 500, 100)
+    xi, xi_stages = rk4_alone(lambda x: -(big_l @ x), np.eye(n), h, 500, 100)
+    v, v_stages = rk4_alone(lambda v: s_exo @ v, sc.exo.v0, h, 500, 100)
     # Horner form and the modes round differently in the last bits (measured
     # <= 1.4e-15 of the block's largest entry for either source); a wrong
     # coefficient is off by about h
@@ -509,9 +548,9 @@ def test_driver_matches_xi_and_v_integrated_alone(preset, source, request):
     if source == "horner":  # the modal source never forms xi itself
         assert np.abs(driver.w[:n, :n] - xi[-1]).max() <= xi_tol
         assert np.abs(driver.w[n:, n] - v[-1]).max() <= v_tol
-    assert np.abs(driver.xi_diag - xi.diagonal(axis1=1, axis2=2)).max() <= xi_tol
-    assert np.abs(driver.xi_rowsum - xi.sum(axis=2)).max() <= xi_tol
-    assert np.abs(driver.v - v).max() <= v_tol
+    assert np.abs(xi_diag - xi.diagonal(axis1=1, axis2=2)).max() <= xi_tol
+    assert np.abs(xi_rowsum - xi.sum(axis=2)).max() <= xi_tol
+    assert np.abs(v_record - v).max() <= v_tol
     assert len(inputs) == len(xi_stages) == len(v_stages) == 4 * 500
     for (xi_got, v_got), xi_want, v_want in zip(inputs, xi_stages, v_stages):
         assert np.abs(xi_got - xi_want.diagonal()).max() <= xi_tol
@@ -544,7 +583,6 @@ def test_driver_horner_steps_are_classic_rk4_in_exact_arithmetic():
         for (xi_diag, v), y in zip(inputs, (w, y2, y3, y4)):
             assert list(xi_diag) == list(y[:3, :3].diagonal())
             assert list(v) == list(y[3:, 3])
-        driver.finish(kstep * h)
         w = w + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         assert (driver.w == w).all()
         assert all(type(x) is Fraction for x in driver.w.ravel())
@@ -641,7 +679,7 @@ def test_modal_source_names_a_non_finite_v_and_keeps_xi_finite():
         with pytest.raises(Diverged, match=r"^xi/v driver: non-finite stage input at t=0$"):
             source.stages()
     # xi and v are separate products, so the inf in v reaches no xi input
-    assert all(np.isfinite(xi).all() for xi, _ in source.inputs)
+    assert all(np.isfinite(xi).all() for xi, _ in source._inputs)
 
 
 def test_modal_source_matches_the_horner_driver_on_a_sparse_ring():
@@ -654,8 +692,6 @@ def test_modal_source_matches_the_horner_driver_on_a_sparse_ring():
         for (xi_got, v_got), (xi_want, v_want) in zip(modal.stages(), horner.stages()):
             assert np.abs(xi_got - xi_want).max() <= 1e-12
             assert np.abs(v_got - v_want).max() <= 1e-12
-        modal.finish(kstep * sc.step)
-        horner.finish(kstep * sc.step)
 
 
 def test_csr_driver_matches_dense_driver(monkeypatch):
@@ -671,19 +707,22 @@ def test_csr_driver_matches_dense_driver(monkeypatch):
         for (xi_got, v_got), (xi_want, v_want) in zip(got, want):
             assert np.abs(xi_got - xi_want).max() <= 1e-12
             assert np.abs(v_got - v_want).max() <= 1e-12
-        sparse.finish(kstep * sc.step)
-        dense.finish(kstep * sc.step)
     assert np.abs(sparse.w - dense.w).max() <= 1e-12
 
 
 def test_driver_divergence_names_the_driver_and_time():
-    g = Digraph.from_edges(2, [(1, 2, 1e200), (2, 1, 1e200)])
-    driver = LinearDriver(laplacian(g), np.zeros((0, 0)), np.zeros(0), 0.1)
+    # v' = 50 v at h = 0.1 grows by R(5) = 65.4 a step until W overflows
+    g = Digraph.from_edges(2, [(1, 2, 1.0), (2, 1, 1.0)])
+    h = 0.1
+    driver = LinearDriver(laplacian(g), np.array([[50.0]]), np.array([1.0]), h)
+    steps = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        driver.stages()
-        with pytest.raises(Diverged, match=r"^xi/v driver: .* at t=0\.5$") as info:
-            driver.finish(0.5)
-    assert info.value.t == 0.5
+        with pytest.raises(Diverged, match=r"^xi/v driver: non-finite state after step "
+                                           r"at t=[\d.]+$") as info:
+            for steps in range(200):  # R(5)^170 overflows
+                driver.stages()
+    assert steps > 100 and info.value.t == steps * h
+    assert str(info.value).endswith(f"at t={steps * h:.6g}")
     # run names the scenario; these plants do not read v, so the driver fails first
     plants = [custom(lambda x1, x2, v, t: -x1 - x2, 1.0)] * 3
     exo = Exosystem(S=np.array([[1e300, 0.0], [0.0, 0.0]]), v0=np.array([1.0, 0.0]))
@@ -695,24 +734,31 @@ def test_driver_divergence_names_the_driver_and_time():
 
 @pytest.mark.parametrize("csr", [True, False], ids=["csr", "dense"])
 def test_driver_finish_raises_on_any_non_finite_entry(csr, monkeypatch):
+    # the check at the end of each Horner step reads all of W, not only the
+    # entries the stage inputs are read from
     if not csr:
         monkeypatch.setattr(digraph, "_CSR_MIN_ROWS", 10 ** 9)  # every operator dense
-    sc = sparse_ring()
-    n = sc.graph.n
-    # a NaN at an off-diagonal xi entry, then an inf in v, each set between
-    # stages and finish so that W holds it at that one entry only
-    for row, col, value, t in ((0, 1, math.nan, 0.25), (n + 1, n, math.inf, 0.5)):
-        driver = LinearDriver(laplacian(sc.graph), sc.exo.S, sc.exo.v0, sc.step)
+    sc = sparse_ring(100, 0)  # a pure ring: B W reaches one neighbour per product
+    n, h = sc.graph.n, sc.step
+    # a NaN in xi half the ring away from its column's diagonal, which three
+    # Horner products cannot carry to any diag xi, then an inf outside both
+    # blocks of W, which no product carries anywhere else
+    for row, col, value in ((n // 2, 0, math.nan), (n + 1, 0, math.inf)):
+        driver = LinearDriver(laplacian(sc.graph), sc.exo.S, sc.exo.v0, h)
         assert (type(driver.b) is not np.ndarray) == csr
-        driver.stages()
-        driver.finish(0.0)  # finite: no error
-        driver.stages()
+        driver.stages()  # finite: no error
         driver.w[row, col] = value
-        with pytest.raises(Diverged, match=rf"^xi/v driver: non-finite state after "
-                                           rf"step at t={t}$") as info:
-            driver.finish(t)
-        assert info.value.t == t
-        assert np.isfinite(np.delete(driver.w.ravel(), row * (n + 1) + col)).all()
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(Diverged, match=rf"^xi/v driver: non-finite state after "
+                                              rf"step at t={h:g}$") as info:
+            driver.stages()
+        assert info.value.t == h
+        assert not np.isfinite(driver.w[row, col])
+        # CSR products skip B's zeros, so every stage input of the failing step
+        # was finite and only the check over all of W saw the entry; a dense
+        # product's 0 * NaN carries it down its whole column, diagonal included
+        finite_inputs = [np.isfinite(x).all() for stage in driver._inputs for x in stage]
+        assert all(finite_inputs) == csr
 
 
 def test_unstable_xi_step_names_scenario_and_time():
