@@ -1,14 +1,14 @@
-"""Time the xi/v source that `run` picks and the member RK4 step of each benchmark workload.
+"""Time the xi source that `run` picks and the member RK4 step of each benchmark workload.
 
     python3 bench/driver_probe.py --checkout PATH --blocks 15 --calls 100
 
 For each workload of `benchmark/workloads.py` on the checkout at PATH (default:
 the checkout holding this script), it assembles the workload's scenario (the
-sweep's first member) and builds the xi/v source the way `run` does, with
-`sim.xi_v_source(L, S, v0, h)`: the modal source, or the Horner
-`LinearDriver` for a defective or ill-conditioned L or S.  It prints which
-source was chosen and its construction time (eig and inverse of -L and S for
-the modal source; the min over `--blocks` builds), then advances it by 100
+sweep's first member) and builds the source the way `run` does, with
+`sim.xi_source(L, h)`: the modal source, or the Horner `LinearDriver` for a
+defective or ill-conditioned L.  It prints which source was chosen and its
+construction time (eig and inverse of -L for the modal source; the min over
+`--blocks` builds), then advances it by 100
 steps and prints the µs per source step (`stages()`, which returns a step's
 four stage inputs and moves the source to the step's end), the µs per member
 derivative call and the µs per member RK4 step (`rk4_step` with its four
@@ -16,12 +16,15 @@ derivative calls, fed the tuple that `stages()` returned), each the min over
 `--blocks` blocks of `--calls` calls, and the source's share of a whole step,
 source / (source + member RK4 step).
 `run` builds the source, so its construction lands in the benchmark's
-`steps_per_s` (the integrate phase), not in `setup_s`.  A checkout without
-`xi_v_source` gets `LinearDriver(L, S, v0, h)`.  A source that still ends
-its step with a separate `finish(t)` call gets `finish(0.0)` after each
-`stages()`, so a checkout from before the two-call source can be probed
-beside a later one; older checkouts, where `assemble` built B and every step
-passed h, need the older copy of this script.
+`steps_per_s` (the integrate phase), not in `setup_s`.  Checkouts where the
+source also advanced the exosystem v are probed beside later ones: one with
+`xi_v_source` gets `xi_v_source(L, S, v0, h)`, one without either gets
+`LinearDriver(L, S, v0, h)`, and their stage inputs are (diag xi, v) pairs
+instead of rows of diag xi, which the derivative takes either way.  A source
+that still ends its step with a separate `finish(t)` call gets `finish(0.0)`
+after each `stages()`, so a checkout from before the two-call source can be
+probed too; older checkouts, where `assemble` built B and every step passed
+h, need the older copy of this script.
 `benchmark/run.py`'s per-layer metrics cannot see the source: it runs between
 the traced `rk4_step` calls.  Like `benchmark/run.py`, it fixes one BLAS
 thread before numpy loads.  The last line of standard output is one JSON
@@ -61,8 +64,11 @@ def probe(sim_mod, rk4_step, scenario_from_dict, wl, blocks, calls):
         sc = replace(sc, seed=wl.member_seeds[0])
     system = sim_mod.assemble(sc)
     h = sc.step
-    build = getattr(sim_mod, "xi_v_source", sim_mod.LinearDriver)
-    args = (system.spectral.laplacian, sc.exo.S, sc.exo.v0, h)
+    if hasattr(sim_mod, "xi_source"):
+        build, args = sim_mod.xi_source, (system.spectral.laplacian, h)
+    else:
+        build = getattr(sim_mod, "xi_v_source", sim_mod.LinearDriver)
+        args = (system.spectral.laplacian, sc.exo.S, sc.exo.v0, h)
     driver = build(*args)
     build_ms = min_block_us(lambda: build(*args), blocks, 1) / 1e3
     finish = getattr(driver, "finish", None)

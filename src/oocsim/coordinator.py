@@ -8,14 +8,14 @@ Per agent i the coordinator runs
 
 The self-component xi_i^i stays positive and converges to rho_i, which
 cancels the graph imbalance without knowing the left eigenvector a priori.
-The xi rows are linear and read no other state, so the xi/v source of `sim`
-(`sim.xi_v_source`: RK4 per eigenmode of -L, or the Horner `sim.LinearDriver`
+The xi rows are linear and read no other state, so the xi source of `sim`
+(`sim.xi_source`: RK4 per eigenmode of -L, or the Horner `sim.LinearDriver`
 when L is defective or nearly so) advances them outside the per-agent state.
 Everything in yr' and z' but the gradient term is linear in (yr, z):
 `coordinator_linear` gives those entries of the member derivative's operator,
 and `coordinator_nonlinear` adds -grad c_i(yr_i)/xi_i^i, reading xi_i^i only.
 The floor xi_i^i >= XI_FLOOR is a property of the xi trajectory alone, so the
-xi/v source checks it once per RK4 step over all four stage inputs
+xi source checks it once per RK4 step over all four stage inputs
 (`check_xi_floor`), not the member derivative at each stage.
 """
 
@@ -87,7 +87,7 @@ def coordinator_linear(big_l, gains: CoordinatorGains):
 def coordinator_nonlinear(d_yr, yr, xi_diag, grad_vec):
     """yr' -= grad c(yr) / xi_i^i, in place on d_yr, which holds yr's linear part.
 
-    xi_diag holds each agent's xi_i^i at the stage; the xi/v source of `sim`
+    xi_diag holds each agent's xi_i^i at the stage; the xi source of `sim`
     advances xi and has checked it against XI_FLOOR (`check_xi_floor`).
     """
     d_yr -= grad_vec(yr) / xi_diag
@@ -126,12 +126,12 @@ def coordinator_only_run(g: Digraph, cost_list, gains: CoordinatorGains, y0,
     """Integrate only the coordinator layer with RK4 and a decimated record.
 
     The state is (yr, z); its derivative is one product with the operator of
-    `coordinator_linear` plus `coordinator_nonlinear`, which the xi/v source,
-    here without an exosystem, feeds its xi_i^i at every RK4 stage; the
-    source checks the xi floor once per step, as in `sim.run`, and its
-    snapshots, which `sim.integrate` records, give xi_diag and xi_rowsum.
+    `coordinator_linear` plus `coordinator_nonlinear`, which the xi source
+    feeds its xi_i^i at every RK4 stage; the source checks the xi floor once
+    per step, as in `sim.run`, and its snapshots, which `sim.integrate`
+    records, give xi_diag and xi_rowsum.
     """
-    from .sim import integrate, xi_v_source  # sim imports this module
+    from .sim import integrate, xi_source  # sim imports this module
 
     n = g.n
     big_l = laplacian(g)
@@ -140,12 +140,11 @@ def coordinator_only_run(g: Digraph, cost_list, gains: CoordinatorGains, y0,
 
     def rhs(t, c, w):
         out = matvec(c)
-        coordinator_nonlinear(out[:n], c[:n], w[0], grad_vec)
+        coordinator_nonlinear(out[:n], c[:n], w, grad_vec)
         return out
 
-    source = xi_v_source(big_l, np.zeros((0, 0)), np.zeros(0), step)
     c0 = np.concatenate([np.asarray(y0, dtype=float), np.zeros(n)])
-    times, arr, (xi_diag, xi_rowsum, _) = integrate(
-        rhs, c0, step, int(round(horizon / step)), record_every, source)
+    times, arr, (xi_diag, xi_rowsum) = integrate(
+        rhs, c0, step, int(round(horizon / step)), record_every, xi_source(big_l, step))
     return CoordinatorTrajectory(times=times, y_r=arr[:, :n], z=arr[:, n:],
                                  xi_diag=xi_diag, xi_rowsum=xi_rowsum)

@@ -64,7 +64,7 @@ _CSR_MIN_ROWS = 64
 _CSR_MAX_DENSITY = 0.1
 # A `_block_operator` is not square, so its rule counts entries.  The dense
 # product falls behind the guarded CSR kernel (about 4 us a call) between 12,000
-# and 18,000 entries; both presets' member operators (2,700 and 5,850
+# and 18,000 entries; both presets' member operators (2,914 and 6,164
 # entries) stay below, so dense systems never import scipy.sparse.
 _CSR_MIN_ENTRIES = 128 * 128
 

@@ -20,7 +20,7 @@ from . import plant as plant_mod
 from .coordinator import CoordinatorGains
 from .errors import OocError, SchemaError
 from .sim import DEFAULT_TOLERANCES, InitPolicy, Scenario
-from .tracker import InternalModelSpec, TrackerParams
+from .tracker import InternalModelSpec, TrackerParams, phi_gamma
 
 log = logging.getLogger(__name__)
 
@@ -63,7 +63,10 @@ def _number(value, context, positive=False):
 def _pair(value, context):
     if not isinstance(value, list) or len(value) != 2:
         raise SchemaError(f"{context}: expected [low, high]")
-    return (_number(value[0], context), _number(value[1], context))
+    low, high = _number(value[0], context), _number(value[1], context)
+    if low > high:
+        raise SchemaError(f"{context}: low {low} is above high {high}")
+    return low, high
 
 
 def _parse_graph(section):
@@ -172,7 +175,10 @@ def _parse_exosystem(section):
         sigma = _number(_require(section, "sigma", "exosystem"), "exosystem.sigma")
         if "S" in section:
             raise SchemaError("exosystem: S is only valid with kind 'matrix'")
-        return plant_mod.rotation_exosystem(sigma, v0)
+        try:
+            return plant_mod.rotation_exosystem(sigma, v0)
+        except ValueError as exc:  # a v0 of the wrong length
+            raise SchemaError(f"exosystem: {exc}") from None
     if kind == "matrix":
         s = _require(section, "S", "exosystem")
         if "sigma" in section:
@@ -241,6 +247,14 @@ def _parse_tracker(section, n):
         if not isinstance(frequencies, list):
             raise SchemaError("tracker.frequencies: expected a list of numbers")
         frequencies = [_number(w, "tracker.frequencies") for w in frequencies]
+        try:
+            order = len(phi_gamma(frequencies)[1])
+        except (ValueError, OocError) as exc:
+            raise SchemaError(f"tracker.frequencies: {exc}") from None
+        for idx, spec in enumerate(im_specs):
+            if spec.s_dim != order:
+                raise SchemaError(f"tracker.frequencies: {frequencies} give order {order}, "
+                                  f"tracker.internal_model[{idx}] has order {spec.s_dim}")
     check_psi = section.get("check_psi", False)
     if not isinstance(check_psi, bool):
         raise SchemaError("tracker.check_psi: expected a boolean")

@@ -4,37 +4,38 @@ The full closed loop couples, per agent: the optimal coordinator (references
 yr_i, duals z_i, correction rows xi_i), the second-order plant, the internal
 model eta_i with adaptive gain k_i and feedforward estimate psi_hat_i, plus
 one shared exosystem state v.  The per-agent states yr, z, x1, x2, eta, k and
-psi_hat form one flat member state of 5n + 2 sum(s_i) entries.  xi and v are
-linear and read no other state, so a xi/v source advances them and feeds the
-member derivative diag xi and v at each RK4 stage.  `assemble` builds only
-the member derivative; `run` builds the source in one call,
-`xi_v_source(L, S, v0, h)`.  Both advance with classical RK4 at a fixed step,
-for determinism, and the source's numbers are classic RK4's on xi and v alone
-up to rounding in the last bits.  Either source talks to the RK4 loop,
-`integrate`, through two calls: `stages()` returns the four stage inputs
-(diag xi, v) of the step from t = k h, as views that the next call
-overwrites, and moves the source to the end of that step; `snapshot()`
-returns (diag xi, xi row sums, v) at the current step, for the record.
+psi_hat and the nv entries of v form one flat member state of
+5n + 2 sum(s_i) + nv entries.  xi is n x n, linear and reads no other state,
+so a xi source advances it and feeds the member derivative diag xi at each
+RK4 stage.  `assemble` builds only the member derivative; `run` builds the
+source in one call, `xi_source(L, h)`.  Both advance with classical RK4 at a
+fixed step, for determinism, and the source's numbers are classic RK4's on xi
+alone up to rounding in the last bits.  Either source talks to the RK4 loop,
+`integrate`, through two calls: `stages()` returns the step's four stage
+inputs, diag xi at t = k h, t + h/2, t + h/2 and t + h, as the rows of one
+(4, n) block that the next call overwrites (row views made once, so a step
+unpacks them for free), and moves the source to the end of that step;
+`snapshot()` returns (diag xi, xi row sums) at the current step, for the
+record.
 
 A member derivative call is one operator product plus the nonlinear terms.
 `assemble` stacks every linear term, -beta1 L yr - beta2 z, beta1 L yr,
-x1' = x2, the plant drift's terms linear in (x1, x2) and M eta, the n rows of
-theta = x2 + gamma (x1 - yr), and one row of -theta per eta entry into one
-(dim + n + sum(s_i)) x dim operator, from each layer's COO parts
-(`coordinator_linear`, `plant_linear`, `tracker_linear`).  Each call
-multiplies it by y into a new array, adds the nonlinear terms in place
-(`coordinator_nonlinear`: -grad c(yr)/xi; `tracker_nonlinear`: u, k',
-psi_hat' = eta (-theta) and N u; the drift's nonlinear remainder plus b u in
-x2'), and returns the first dim entries.  The xi floor is not checked here:
+x1' = x2, the plant drift's terms linear in (x1, x2), M eta and v' = S v, the
+n rows of theta = x2 + gamma (x1 - yr), and one row of -theta per eta entry
+into one (dim + n + sum(s_i)) x dim operator, from each layer's COO parts
+(`coordinator_linear`, `plant_linear`, `tracker_linear`) and S's nonzeros.
+Each call multiplies it by y into a new array, adds the nonlinear terms in
+place (`coordinator_nonlinear`: -grad c(yr)/xi; `tracker_nonlinear`: u, k',
+psi_hat' = eta (-theta) and N u; the drift's nonlinear remainder, which reads
+v from y, plus b u in x2'), and returns the first dim entries.  The xi floor is not checked here:
 the source checks it once per step over its four stage inputs.
 
-The source is `ModalSource` unless L or S is defective or nearly so: from
-the eigenmodes of -L and S it computes RK4's own stage values per mode,
+The source is `ModalSource` unless L is defective or nearly so: from the
+eigenmodes of -L it computes RK4's own stage values per mode,
 e_k = R(h lambda)^k = exp(k log R(h lambda)) times RK4's stage polynomials,
-and reads diag xi and v off them with one small real product per block.
-Otherwise it is the Horner `LinearDriver`, which applies RK4's step
-polynomial to W = blockdiag(xi, v) in Horner form and recombines the Horner
-iterates into the stage values at the entries the member derivative reads.
+and reads diag xi off them with one small real product.  Otherwise it is the
+Horner `LinearDriver`, which applies RK4's step polynomial to xi in Horner
+form and recombines the Horner iterates' diagonals into the stage values.
 """
 
 import math
@@ -123,14 +124,16 @@ class Scenario:
 
 @dataclass(frozen=True)
 class StateLayout:
-    """Slice offsets into the flat member state: yr, z, x1, x2, eta, k, psi_hat.
+    """Slice offsets into the flat member state: yr, z, x1, x2, eta, k, psi_hat, v.
 
-    yr and z lead, so the first 2n entries are the coordinator's state.  xi
-    and v are not here: the xi/v source of `run` holds them.
+    yr and z lead, so the first 2n entries are the coordinator's state; the
+    exosystem's nv entries trail.  xi is not here: the xi source of `run`
+    holds it.
     """
 
     n: int
     s_dims: tuple
+    nv: int
 
     def __post_init__(self):
         n = self.n
@@ -138,7 +141,7 @@ class StateLayout:
         off = 0
         names = {}
         for key, size in (("yr", n), ("z", n), ("x1", n), ("x2", n),
-                          ("eta", total_s), ("k", n), ("psi", total_s)):
+                          ("eta", total_s), ("k", n), ("psi", total_s), ("v", self.nv)):
             names[key] = slice(off, off + size)
             off += size
         object.__setattr__(self, "slices", names)
@@ -151,7 +154,7 @@ class System:
     """Assembled closed loop: derivative closure plus resolved parameters.
 
     derivative(t, y, w) takes the member state y and the stage input
-    w = (diag xi, v), and returns a new array.  operator is its linear part,
+    w = diag xi, and returns a new array.  operator is its linear part,
     (dim + n + sum(s_i)) x dim: the first dim rows give every linear term of
     the member derivative, the next n rows the filtered error theta and the
     last sum(s_i) rows -theta of each eta entry's agent, which the ablated
@@ -167,18 +170,16 @@ class System:
 
 
 class LinearDriver:
-    """RK4 for xi' = -L xi, xi(0) = I, and v' = S v, v(0) = v0, as one linear state.
+    """RK4 for xi' = -L xi, xi(0) = I, on xi alone.
 
-    The fallback xi/v source: `xi_v_source` picks it when -L or S has no
+    The fallback xi source: `xi_source` picks it when -L has no
     well-conditioned eigenvectors (`_eigenmodes`), for which `ModalSource`
     would lose accuracy; the tests also build it directly.  It works for any
-    L and S, exact ones included.
+    L, exact ones included.  xi reads no other state, so RK4 on xi alone is
+    RK4 on the whole closed loop.
 
-    W = [[xi, 0], [0, v]] obeys W' = -B W with B = blockdiag(L, -S) and reads
-    no other state, so RK4 on W alone is RK4 on the whole closed loop.
-
-    The constructor builds B through `digraph._operator` (CSR when large and
-    sparse, else dense).  For this linear W, RK4's step of h is the
+    The constructor builds B = L through `digraph._operator` (CSR when large
+    and sparse, else dense).  For this linear W = xi, RK4's step of h is the
     polynomial I - hB + (hB)^2/2 - (hB)^3/6 + (hB)^4/24, applied here in
     Horner form with A_k = -(h/k) B, built once at construction: `stages()`
     computes T4 = W + A4 W, T3 = W + A3 T4 and T2 = W + A2 T3 into three
@@ -191,57 +192,42 @@ class LinearDriver:
 
         Y2 = 2 T4 - W,    Y3 = 3 T3 - 2 T4,    Y4 = W - 6 T3 + 6 T2.
 
-    The member derivative reads only diag xi and v of each stage, so one
-    `np.take` gathers those entries of W, T4, T3 and T2, and stages 2 to 4
-    get theirs from one (3, 4) product over them; the n^2 stage values
-    themselves are never formed.  Stage 1's input is the gathered W, so no
+    The member derivative reads only diag xi of each stage, so stages 2 to 4
+    get theirs from one (3, 4) product over the diagonals of W, T4, T3 and
+    T2, read through one view of the four buffers; the n^2 stage values
+    themselves are never formed.  Stage 1's input is a copy of diag W, so no
     input is a view into W.  The numbers equal classic RK4's up to rounding
     in the last bits.  `stages()` checks the xi floor once over the step's
     four diag xi (`coordinator.check_xi_floor`) and, after its step, all of
-    W, both at the step's start t.  B and the buffers take the dtype of L
-    and S (at least float), so L, S and h of exact fractions run the same
-    steps in exact arithmetic.
+    W, both at the step's start t.  B and the buffers take the dtype of L (at
+    least float), so L and h of exact fractions run the same steps in exact
+    arithmetic.
     """
 
     # rows: Y2, Y3, Y4; columns: W, T4, T3, T2
     _RECOMBINE = ((-1, 2, 0, 0), (0, -2, 3, 0), (1, 0, -6, 6))
 
-    def __init__(self, big_l, s_exo, v0, h):
+    def __init__(self, big_l, h):
         n = len(big_l)
         self.h = h
         self._k = 0  # steps finished
-        dim = n + len(v0)
-        dtype = np.result_type(big_l.dtype, s_exo.dtype, float)
-        b = np.zeros((dim, dim), dtype=dtype)
-        b[:n, :n] = big_l
-        b[n:, n:] = -s_exo
-        self.b = _operator(b)
+        dtype = np.result_type(big_l.dtype, float)
+        self.b = _operator(big_l)
         a1, a2, a3, a4 = (-(h / k) * self.b for k in (1, 2, 3, 4))
-        bufs = np.zeros((4, dim, n + 1), dtype=dtype)
+        bufs = np.zeros((4, n, n), dtype=dtype)
         self.w, t4, t3, t2 = bufs
-        self._xi, self._v = self.w[:n, :n], self.w[n:, n]
-        np.fill_diagonal(self._xi, 1)
-        self._v[:] = v0
+        np.fill_diagonal(self.w, 1)
         # (A_k, T_{k+1}, T_k): T_k = W + A_k T_{k+1}, with T5 = W
         self._horner = ((a4, self.w, t4), (a3, t4, t3), (a2, t3, t2))
         self._last = (a1, t2)
-        # flat offsets of diag xi and of the v column in one buffer
-        cols = n + 1
-        self._probe = np.concatenate((np.arange(n) * (cols + 1),
-                                      np.arange(n, dim) * cols + n))
-        self._flat = bufs.reshape(4, -1)
-        # rows T2, T3, T4, W, Y2, Y3, Y4 at the probed entries: rows 3 down to 0
-        # are the Horner iterates in the order W, T4, T3, T2, rows 3 to 6 the
-        # four stage inputs, whose diag xi the floor check reads as one block
-        probed = np.empty((7, self._probe.size), dtype=dtype)
-        self._probed, self._recombined = probed[3::-1], probed[4:]
-        self._xi_stages = probed[3:, :n]
-        self._inputs = tuple((row[:n], row[n:]) for row in probed[3:])
+        self._diagonals = bufs.diagonal(axis1=1, axis2=2)  # rows W, T4, T3, T2
+        self._inputs = np.empty((4, n), dtype=dtype)  # the stage inputs, one row each
+        self._rows = tuple(self._inputs)
         self._recombine = np.array(self._RECOMBINE, dtype=dtype)
         self._finite = np.empty(self.w.shape, dtype=bool)
 
     def stages(self):
-        """The four stage inputs (diag xi, v) of the step from t = k h; W moves to its end.
+        """The four diag xi of the step from t = k h, as rows of one block; W moves to its end.
 
         Raises XiUnderflow (`coordinator.check_xi_floor`) when a stage's
         xi_i^i drops below the floor, and Diverged when W is not finite
@@ -251,20 +237,20 @@ class LinearDriver:
         t = self._k * self.h
         for op, x, out in self._horner:
             _add_product(op, x, w, out)
-        np.take(self._flat, self._probe, axis=1, out=self._probed)
-        np.matmul(self._recombine, self._probed, out=self._recombined)
-        check_xi_floor(self._xi_stages, t, self.h)
+        self._inputs[0] = self._diagonals[0]
+        np.matmul(self._recombine, self._diagonals, out=self._inputs[1:])
+        check_xi_floor(self._inputs, t, self.h)
         _add_product(*self._last, w, w)
         self._k += 1
         # into a preallocated buffer, so no W-sized temporary; astype is a
         # no-op on a float W and converts an exact one
         if not np.isfinite(w.astype(float, copy=False), out=self._finite).all():
-            raise Diverged(f"xi/v driver: non-finite state after step at t={t:.6g}", t=t)
-        return self._inputs
+            raise Diverged(f"xi source: non-finite state after step at t={t:.6g}", t=t)
+        return self._rows
 
     def snapshot(self):
-        """(diag xi, xi row sums, v) of the current W; diag xi and v are views."""
-        return self._xi.diagonal(), self._xi.sum(axis=1), self._v
+        """(diag xi, xi row sums) of the current W; diag xi is a view."""
+        return self.w.diagonal(), self.w.sum(axis=1)
 
 
 # RK4 grows every mode with |z| = |h lambda| past this radius (|R(z)| >= 1.118
@@ -356,83 +342,68 @@ def _real_readout(lam, g):
 
 
 class ModalSource:
-    """RK4's own xi and v, each step read off the eigenmodes of -L and S.
+    """RK4's own xi, each step read off the eigenmodes of -L.
 
-    xi' = -L xi, xi(0) = I and v' = S v, v(0) = v0 read no other state, so RK4
-    on them alone is RK4 on the whole closed loop, and RK4 on a linear system
-    acts on each eigenmode on its own: with -L = V Lambda V^-1 and
-    z = h lambda per mode, step k starts from e_k = R(z)^k and its stage
-    values are e_k times 1, 1 + z/2, 1 + z/2 + z^2/4 and 1 + z + z^2/2 + z^3/4
-    (`rk4_stage_factors`).  e_k is exp(k l), l = log R(z) from
-    `_log_step_factor`, so no rounding piles up over the steps.  The member
-    derivative reads diag xi, which is P e with P = V o V^-T, and v, which is
-    Q e with Q = U o (U^-1 v0) for S = U Sigma U^-1.  With one mode kept per
-    conjugate pair (`_real_readout`), one (4, 2 m) by (2 m, n) and one
-    (4, 2 m_v) by (2 m_v, nv) real product give all four stage inputs; xi and
-    v stay in separate products, so a non-finite v cannot reach xi.  The
+    xi' = -L xi, xi(0) = I reads no other state, so RK4 on it alone is RK4 on
+    the whole closed loop, and RK4 on a linear system acts on each eigenmode
+    on its own: with -L = V Lambda V^-1 and z = h lambda per mode, step k
+    starts from e_k = R(z)^k and its stage values are e_k times 1, 1 + z/2,
+    1 + z/2 + z^2/4 and 1 + z + z^2/2 + z^3/4 (`rk4_stage_factors`).  e_k is
+    exp(k l), l = log R(z) from `_log_step_factor`, so no rounding piles up
+    over the steps.  The member derivative reads diag xi, which is P e with
+    P = V o V^-T; with one mode kept per conjugate pair (`_real_readout`), one
+    (4, 2 m) by (2 m, n) real product gives all four stage inputs.  The
     snapshot's xi row sums are V (e o V^-1 1).
 
     The numbers equal classic RK4's up to rounding, about kappa(V) eps; they
-    differ from `LinearDriver`'s in the last bits.  Built by `xi_v_source`
-    from `_eigenmodes` of -L and of S.  `stages()` raises Diverged, with the
-    step's start time, when a stage input is not finite, and XiUnderflow
-    when a stage's xi_i^i drops below the floor (`coordinator.check_xi_floor`,
-    one check over the step's four diag xi).
+    differ from `LinearDriver`'s in the last bits.  Built by `xi_source` from
+    `_eigenmodes` of -L.  `stages()` raises Diverged, with the step's start
+    time, when a stage input is not finite, and XiUnderflow when a stage's
+    xi_i^i drops below the floor (`coordinator.check_xi_floor`, one check
+    over the step's four diag xi).
     """
 
-    def __init__(self, xi_modes, v_modes, v0, h):
-        (lam_x, vec_x, inv_x), (lam_v, vec_v, inv_v) = xi_modes, v_modes
-        n = len(vec_x)
+    def __init__(self, modes, h):
+        lam, vecs, inv = modes
         self.h = h
         self._k = 0
-        self._read_xi = _real_readout(lam_x, vec_x * inv_x.T)
-        self._read_rowsum = _real_readout(lam_x, vec_x * inv_x.sum(axis=1))
-        self._read_v = _real_readout(lam_v, vec_v * (inv_v @ v0))
-        z = h * np.concatenate((lam_x, lam_v))
+        self._read_xi = _real_readout(lam, vecs * inv.T)
+        self._read_rowsum = _real_readout(lam, vecs * inv.sum(axis=1))
+        z = h * lam
         self._ell = _log_step_factor(z)
         with np.errstate(over="ignore", invalid="ignore"):
             self._factors = np.array((np.ones_like(z),) + rk4_stage_factors(z)[0])
-        self._modes = np.empty_like(self._factors)  # (4, m'): stage values per mode
-        split = 2 * len(lam_x)  # xi's columns of the modes' float view
-        floats = self._modes.view(float)
-        self._stage_inputs = np.empty((4, n + len(v0)))
-        self._xi_stages = self._stage_inputs[:, :n]
-        # (mode values, read-out, stage inputs) of xi and of v
-        self._products = ((floats[:, :split], self._read_xi, self._stage_inputs[:, :n]),
-                          (floats[:, split:], self._read_v, self._stage_inputs[:, n:]))
-        self._inputs = tuple((row[:n], row[n:]) for row in self._stage_inputs)
+        self._modes = np.empty_like(self._factors)  # (4, m): stage values per mode
+        self._floats = self._modes.view(float)
+        self._inputs = np.empty((4, len(vecs)))  # the stage inputs, one row each
+        self._rows = tuple(self._inputs)
 
     def stages(self):
-        """The four stage inputs (diag xi, v) of the step from t = k h; k moves to k + 1."""
+        """The four diag xi of the step from t = k h, as rows of one block; k moves to k + 1."""
         np.multiply(self._factors, np.exp(self._k * self._ell), out=self._modes)
-        for x, read, out in self._products:
-            np.matmul(x, read, out=out)
+        np.matmul(self._floats, self._read_xi, out=self._inputs)
         t = self._k * self.h
-        if not np.isfinite(self._stage_inputs).all():
-            raise Diverged(f"xi/v driver: non-finite stage input at t={t:.6g}", t=t)
-        check_xi_floor(self._xi_stages, t, self.h)
+        if not np.isfinite(self._inputs).all():
+            raise Diverged(f"xi source: non-finite stage input at t={t:.6g}", t=t)
+        check_xi_floor(self._inputs, t, self.h)
         self._k += 1
-        return self._inputs
+        return self._rows
 
     def snapshot(self):
-        """(diag xi, xi row sums, v) from e_k, k the steps finished so far."""
+        """(diag xi, xi row sums) from e_k, k the steps finished so far."""
         e = np.exp(self._k * self._ell).view(float)
-        split = len(self._read_xi)
-        return (e[:split] @ self._read_xi, e[:split] @ self._read_rowsum,
-                e[split:] @ self._read_v)
+        return e @ self._read_xi, e @ self._read_rowsum
 
 
-def xi_v_source(big_l, s_exo, v0, h):
-    """The source of xi and v for a run at step h: modal where it can be, else Horner.
+def xi_source(big_l, h):
+    """The source of xi for a run at step h: modal where it can be, else Horner.
 
-    `ModalSource` when both -L and S pass `_eigenmodes`' check, else
-    `LinearDriver` (a defective or ill-conditioned L or S).  Both give the
-    same RK4 numbers up to rounding.
+    `ModalSource` when -L passes `_eigenmodes`' check, else `LinearDriver`
+    (a defective or ill-conditioned L).  Both give the same RK4 numbers up to
+    rounding.
     """
-    xi_modes, v_modes = _eigenmodes(-big_l), _eigenmodes(s_exo)
-    if xi_modes is None or v_modes is None:
-        return LinearDriver(big_l, s_exo, v0, h)
-    return ModalSource(xi_modes, v_modes, v0, h)
+    modes = _eigenmodes(-big_l)
+    return LinearDriver(big_l, h) if modes is None else ModalSource(modes, h)
 
 
 def assemble(sc: Scenario) -> System:
@@ -451,27 +422,29 @@ def assemble(sc: Scenario) -> System:
     drift = plant_drift(sc.plants)
     b = np.array([p.b for p in sc.plants])
     im = None if sc.ablate_internal_model else StackedInternalModel.stack(sc.im_specs)
-    layout = StateLayout(n=n, s_dims=tuple(spec.s_dim for spec in sc.im_specs))
+    layout = StateLayout(n=n, s_dims=tuple(spec.s_dim for spec in sc.im_specs), nv=sc.exo.dim)
     dim = layout.dim
     sl = layout.slices
     sl_x1, sl_x2, sl_eta, sl_k, sl_psi = sl["x1"], sl["x2"], sl["eta"], sl["k"], sl["psi"]
+    sl_v = sl["v"]
+    v_rows, v_cols = np.nonzero(sc.exo.S)  # v' = S v
     # rows: the member derivative's linear part, theta's n rows, then -theta
     # per eta entry unless the internal model is ablated
     rows = dim + n + (0 if im is None else layout.total_s)
     op = _block_operator((rows, dim),
                          coordinator_linear(spectral.laplacian, gains)
                          + plant_linear(sl, sc.plants)
-                         + tracker_linear(sl, dim, sc.tracker.gamma, im))
+                         + tracker_linear(sl, dim, sc.tracker.gamma, im)
+                         + [(v_rows + sl_v.start, v_cols + sl_v.start, sc.exo.S[v_rows, v_cols])])
     matvec = _matvec(op)
-    w0 = (np.ones(n), sc.exo.v0)  # the stage input at t = 0
 
-    def derivative(t, y, w=w0):
+    def derivative(t, y, w=np.ones(n)):  # w: diag xi, by default that of xi(0) = I
         out = matvec(y)
-        coordinator_nonlinear(out[:n], y[:n], w[0], grad_vec)
+        coordinator_nonlinear(out[:n], y[:n], w, grad_vec)
         u = tracker_nonlinear(out[dim:], y[sl_eta], y[sl_k], y[sl_psi], im,
                               out[sl_eta], out[sl_k], out[sl_psi])
         d_x2 = out[sl_x2]
-        d_x2 += drift(y[sl_x1], y[sl_x2], w[1], t)
+        d_x2 += drift(y[sl_x1], y[sl_x2], y[sl_v], t)
         d_x2 += b * u
         return out[:dim]
 
@@ -482,8 +455,8 @@ def assemble(sc: Scenario) -> System:
 def initial_state(sc: Scenario, layout: StateLayout) -> np.ndarray:
     """Seeded initial member state; z(0) = 0 is structural.
 
-    The plant draw is one (x1, x2) pair per agent in turn.  xi(0) = I and
-    v(0) = v0 belong to the xi/v source.
+    The plant draw is one (x1, x2) pair per agent in turn; v(0) = v0.
+    xi(0) = I belongs to the xi source.
     """
     rng = np.random.default_rng([sc.seed, 1])
     n = sc.graph.n
@@ -498,6 +471,7 @@ def initial_state(sc: Scenario, layout: StateLayout) -> np.ndarray:
         y0[layout.slices["k"]] = rng.uniform(*sc.init.k_range, size=n)
     if sc.init.psi_range is not None:
         y0[layout.slices["psi"]] = rng.uniform(*sc.init.psi_range, size=layout.total_s)
+    y0[layout.slices["v"]] = sc.exo.v0
     return y0
 
 
@@ -505,7 +479,8 @@ def initial_state(sc: Scenario, layout: StateLayout) -> np.ndarray:
 class Trajectory:
     """Decimated record of the closed-loop state with derived diagnostics.
 
-    raw holds the member states; the xi/v source's snapshots sit beside it.
+    raw holds the member states, v included; the xi source's snapshots sit
+    beside it.
     """
 
     times: np.ndarray
@@ -514,7 +489,6 @@ class Trajectory:
     rho: np.ndarray        # oracle left eigenvector used for diagnostics
     xi_diag: np.ndarray    # (m, n): xi_i^i
     xi_rowsum: np.ndarray  # (m, n): sum_j xi_i^j, 1 for all t in exact arithmetic
-    v: np.ndarray          # (m, nv)
 
     def _block(self, key):
         return self.raw[:, self.layout.slices[key]]
@@ -547,6 +521,10 @@ class Trajectory:
     def psi(self):
         return self._block("psi")
 
+    @property
+    def v(self):
+        return self._block("v")
+
     def theta(self, gamma):
         return self.x2 + gamma * (self.y - self.yr)
 
@@ -564,12 +542,12 @@ class Trajectory:
 
 
 def integrate(f, y0, h, n_steps, record_every, source):
-    """RK4 over n_steps steps of h from t = 0; returns (times, samples, (xi_diag, xi_rowsum, v)).
+    """RK4 over n_steps steps of h from t = 0; returns (times, samples, (xi_diag, xi_rowsum)).
 
     f is f(t, y, w), and each step `source.stages()` gives it its four stage
-    inputs; source is a xi/v source built for h.  The samples are the
-    initial state and every record_every-th state after it, and the three
-    record blocks hold `source.snapshot()` at the same steps.  Only those are
+    inputs; source is a xi source built for h.  The samples are the initial
+    state and every record_every-th state after it, and the two record
+    blocks hold `source.snapshot()` at the same steps.  Only those are
     kept: when n_steps is not a multiple of record_every, the last steps are
     integrated but not recorded, so the record, and whatever is read off its
     last row, ends at t = (n_steps // record_every) record_every h, before
@@ -605,12 +583,12 @@ def run(sc: Scenario, system: Optional[System] = None) -> Trajectory:
     if system is None:
         system = assemble(sc)
     y0 = initial_state(sc, system.layout)
-    source = xi_v_source(system.spectral.laplacian, sc.exo.S, sc.exo.v0, sc.step)
+    source = xi_source(system.spectral.laplacian, sc.step)
     with named_failures(sc.name):
-        times, raw, (xi_diag, xi_rowsum, v) = integrate(
+        times, raw, (xi_diag, xi_rowsum) = integrate(
             system.derivative, y0, sc.step, sc.n_steps, sc.record_every, source)
     return Trajectory(times=times, raw=raw, layout=system.layout, rho=system.spectral.rho,
-                      xi_diag=xi_diag, xi_rowsum=xi_rowsum, v=v)
+                      xi_diag=xi_diag, xi_rowsum=xi_rowsum)
 
 
 def metrics(traj: Trajectory, s_star, settle_tol=0.02) -> dict:

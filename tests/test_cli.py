@@ -225,3 +225,21 @@ def test_init_ranges_are_drawn_after_yr_and_x(tmp_path, tiny_path, capsys):
     path.write_text(json.dumps(doc))
     assert cmd_dispatch(["sim", "--scenario", str(path), "--out", str(tmp_path)]) == 2
     assert "init.k_range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("exosystem", "v0", [0.0, 1.0, 2.0], "exosystem: v0 dimension must match S"),
+    ("init", "x_range", [0.5, -0.5], "init.x_range: low 0.5 is above high -0.5"),
+    (None, "domain_hint", [3.0, -3.0], "domain_hint: low 3.0 is above high -3.0"),
+    ("tracker", "frequencies", [0.8, 1.6],
+     "tracker.frequencies: [0.8, 1.6] give order 4, tracker.internal_model[0] has order 2"),
+    ("tracker", "frequencies", [0.8, 0.8], "tracker.frequencies: repeated mode frequencies"),
+], ids=["rotation-v0", "init-range", "domain-hint", "frequency-count", "repeated-frequency"])
+def test_schema_holes_exit_2(tmp_path, tiny_path, capsys, section, key, value, message):
+    # each was a traceback, a run-time numpy error or a failure after the run
+    doc = json.loads(tiny_path.read_text())
+    (doc if section is None else doc[section])[key] = value
+    path = tmp_path / "hole.json"
+    path.write_text(json.dumps(doc))
+    assert cmd_dispatch(["sim", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err

@@ -10,7 +10,7 @@ from oocsim.coordinator import (CoordinatorGains, check_gain_inequalities, check
 from oocsim.costs import ConvexityBounds
 from oocsim.digraph import Digraph, _block_operator, laplacian, spectral_data
 from oocsim.errors import InvalidSpectrum, XiUnderflow
-from oocsim.sim import LinearDriver, ModalSource, xi_v_source
+from oocsim.sim import LinearDriver, ModalSource, xi_source
 
 
 def test_select_gains_closed_form_small():
@@ -49,7 +49,7 @@ def rhs_at(g, cost_list, gains, yr, z=None, xi=None):
 
     yr' and z' are the product with `coordinator_linear`'s operator plus
     `coordinator_nonlinear`, which reads diag xi; xi' = -B xi comes from the
-    operator the xi/v driver advances xi with.
+    operator the xi driver advances xi with.
     """
     n = g.n
     z = np.zeros(n) if z is None else z
@@ -58,7 +58,7 @@ def rhs_at(g, cost_list, gains, yr, z=None, xi=None):
     op = _block_operator((2 * n, 2 * n), coordinator_linear(big_l, gains))
     dc = op @ np.concatenate([yr, z])
     coordinator_nonlinear(dc[:n], yr, xi.diagonal(), costs.build_gradient(cost_list))
-    driver = LinearDriver(big_l, np.zeros((0, 0)), np.zeros(0), 1e-3)
+    driver = LinearDriver(big_l, 1e-3)
     return dc[:n], dc[n:], -(driver.b @ xi)
 
 
@@ -102,8 +102,7 @@ def test_xi_underflow_raises():
     # and agent 2's xi_22 = R(-1)^k (1, 1/2, 3/4, 1/4) at the stages of step k,
     # R(-1) = 3/8; 0.25 R^20 = 7.5e-10 is the first stage value below 1e-9
     big_l, h = np.diag([1.0, 2.0]), 0.5
-    for source in (xi_v_source(big_l, np.zeros((0, 0)), np.zeros(0), h),
-                   LinearDriver(big_l, np.zeros((0, 0)), np.zeros(0), h)):
+    for source in (xi_source(big_l, h), LinearDriver(big_l, h)):
         assert type(source) in (ModalSource, LinearDriver)
         for _ in range(20):
             source.stages()

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import oocsim
 from oocsim import costs, digraph, sim
@@ -21,13 +20,13 @@ from oocsim.integrate import rk4_step
 from oocsim.sim import (DEFAULT_TOLERANCES, InitPolicy, LinearDriver, ModalSource, Scenario,
                         StateLayout, Trajectory, _eigenmodes, _log_step_factor, assemble,
                         initial_state, integrate, metrics, rk4_stage_factors, run, verify,
-                        xi_v_source)
+                        xi_source)
 from oocsim.tracker import FeedforwardTruth, InternalModelSpec, TrackerParams
 
 
 EPS = np.finfo(float).eps
-# the member states and the xi/v source's snapshots of a Trajectory
-RECORDS = ("raw", "xi_diag", "xi_rowsum", "v")
+# the member states and the xi source's snapshots of a Trajectory
+RECORDS = ("raw", "xi_diag", "xi_rowsum")
 
 
 def short(sc, horizon=2.0):
@@ -63,8 +62,8 @@ def test_assemble_example1_shape(example1_scenario):
     system = assemble(example1_scenario)
     assert system.layout.n == 5
     assert system.layout.s_dims == (2,) * 5
-    # yr, z, x1, x2, eta (s = 2 each), k, psi_hat; xi and v are the driver's
-    assert system.layout.dim == 5 + 5 + 5 + 5 + 10 + 5 + 10
+    # yr, z, x1, x2, eta (s = 2 each), k, psi_hat, v; xi is the source's
+    assert system.layout.dim == 5 + 5 + 5 + 5 + 10 + 5 + 10 + 2
 
 
 def test_assemble_example2_shape(example2_scenario):
@@ -162,18 +161,19 @@ def test_run_sample_count():
 
 def test_integrate_records_every_kth_step():
     def f(t, y, w):
-        return np.array([y[1], -y[0] + 0.1 * t + w[1][0]])
+        return np.array([y[1], -y[0] + 0.1 * t + w[0]])
 
     h = 0.05
     y0 = np.array([1.0, 0.5])
-    source_args = (laplacian(weighted_three_cycle(2.0)), np.array([[-1.0]]), np.array([0.5]), h)
+    source_args = (laplacian(weighted_three_cycle(2.0)), h)
     # the same steps by hand, from a second source of the same build
-    twin = xi_v_source(*source_args)
+    twin = xi_source(*source_args)
     states, snapshots = [y0], [tuple(x.copy() for x in twin.snapshot())]
     for kstep in range(7):
         states.append(rk4_step(f, kstep * h, states[-1], h, twin.stages()))
         snapshots.append(tuple(x.copy() for x in twin.snapshot()))
-    times, samples, records = integrate(f, y0, h, 7, 3, xi_v_source(*source_args))
+    times, samples, records = integrate(f, y0, h, 7, 3, xi_source(*source_args))
+    assert len(records) == 2
     assert times.tolist() == [0.0, 3 * h, 6 * h]
     assert np.array_equal(samples, np.array([states[0], states[3], states[6]]))
     for block, want in zip(records, zip(*snapshots)):
@@ -202,15 +202,17 @@ def test_initial_state_structure():
     x = rng.uniform(-0.5, 0.5, size=6)
     assert np.array_equal(y0[layout.slices["x1"]], x[0::2])
     assert np.array_equal(y0[layout.slices["x2"]], x[1::2])
-    # xi(0) = I and v(0) = v0 are the driver's, and the derivative's default input
+    # v(0) = v0 trails the member state
+    assert layout.slices["v"] == slice(layout.dim - 2, layout.dim)
+    assert np.array_equal(y0[layout.slices["v"]], sc.exo.v0)
+    # xi(0) = I is the driver's, and the derivative's default input
     system = assemble(sc)
-    driver = LinearDriver(system.spectral.laplacian, sc.exo.S, sc.exo.v0, sc.step)
-    assert np.array_equal(driver.w[:3, :3], np.eye(3))
-    xi_diag, xi_rowsum, v = driver.snapshot()
-    assert np.array_equal(xi_diag, np.ones(3)) and np.array_equal(v, sc.exo.v0)
-    assert np.array_equal(xi_rowsum, np.ones(3))
+    driver = LinearDriver(system.spectral.laplacian, sc.step)
+    assert np.array_equal(driver.w, np.eye(3))
+    xi_diag, xi_rowsum = driver.snapshot()
+    assert np.array_equal(xi_diag, np.ones(3)) and np.array_equal(xi_rowsum, np.ones(3))
     first = driver.stages()[0]
-    assert np.array_equal(first[0], np.ones(3)) and np.array_equal(first[1], sc.exo.v0)
+    assert np.array_equal(first, np.ones(3))
     assert np.array_equal(system.derivative(0.0, y0), system.derivative(0.0, y0, first))
 
 
@@ -244,14 +246,14 @@ def test_divergence_is_an_error():
 
 
 def member_trajectory(times, raw, layout):
-    """A Trajectory of given member states, with xi = I and v = 0 throughout."""
+    """A Trajectory of given member states, with xi = I throughout."""
     m, n = len(times), layout.n
     return Trajectory(times=times, raw=raw, layout=layout, rho=np.full(n, 1 / n),
-                      xi_diag=np.ones((m, n)), xi_rowsum=np.ones((m, n)), v=np.zeros((m, 2)))
+                      xi_diag=np.ones((m, n)), xi_rowsum=np.ones((m, n)))
 
 
 def test_metrics_constant_at_optimum():
-    layout = StateLayout(n=3, s_dims=(2, 2, 2))
+    layout = StateLayout(n=3, s_dims=(2, 2, 2), nv=2)
     m = 11
     raw = np.zeros((m, layout.dim))
     raw[:, layout.slices["x1"]] = 2.0  # x1 = s* = 2, x2 = 0
@@ -270,7 +272,7 @@ def test_metrics_settling_hand_values():
                     [0.01, 1.0, 0.0, 0.0],
                     [0.0, 1.0, 0.0, 0.0],
                     [0.0, 1.0, 0.05, 0.0]])
-    layout = StateLayout(n=4, s_dims=(2,) * 4)
+    layout = StateLayout(n=4, s_dims=(2,) * 4, nv=2)
     raw = np.zeros((6, layout.dim))
     raw[:, layout.slices["x1"]] = 2.0 + err
     traj = member_trajectory(np.arange(6) * 0.5, raw, layout)
@@ -326,12 +328,12 @@ def sparse_ring(n=100, chords=60):
 def test_operator_is_csr_only_for_large_sparse_matrices(example1_scenario, example2_scenario):
     for sc in (example1_scenario, example2_scenario):
         assert type(_operator(spectral_data(sc.graph).laplacian)) is np.ndarray
-        # example2's member operator has 90 rows at 2.6% fill, but only 5,850 entries
+        # example2's member operator has 92 rows at 2.5% fill, but only 6,164 entries
         assert type(assemble(sc).operator) is np.ndarray
     ring = sparse_ring()
     assert _operator(laplacian(ring.graph)).format == "csr"
     assert assemble(ring).operator.format == "csr"
-    # a 40-agent ring with s = 4: L stays dense, the 720 x 520 member operator does not
+    # a 40-agent ring with s = 4: L stays dense, the 722 x 522 member operator does not
     mid = scenario_from_dict(ring_doc(40, {"coeffs": [10.0, 18.0, 15.0, 6.0]}, chords=40))
     assert type(_operator(laplacian(mid.graph))) is np.ndarray
     assert assemble(mid).operator.format == "csr"
@@ -343,14 +345,14 @@ def test_operator_is_csr_only_for_large_sparse_matrices(example1_scenario, examp
     assert type(_operator(laplacian(complete))) is np.ndarray
 
 
-def paper_derivative(sc, system, t, y, w):
+def paper_derivative(sc, system, t, y, xi_diag):
     """The member derivative agent by agent, written straight from the paper's equations."""
-    keys = ("yr", "z", "x1", "x2", "eta", "k", "psi")
+    keys = ("yr", "z", "x1", "x2", "eta", "k", "psi", "v")
     sl, a, gains, gamma = system.layout.slices, sc.graph.weights, system.gains, sc.tracker.gamma
-    xi_diag, v = w
-    yr, z, x1, x2, eta, k, psi = (y[sl[key]] for key in keys)
+    yr, z, x1, x2, eta, k, psi, v = (y[sl[key]] for key in keys)
     out = np.zeros_like(y)
-    d_yr, d_z, d_x1, d_x2, d_eta, d_k, d_psi = (out[sl[key]] for key in keys)
+    d_yr, d_z, d_x1, d_x2, d_eta, d_k, d_psi, d_v = (out[sl[key]] for key in keys)
+    d_v[:] = sc.exo.S @ v
     start = 0
     for i, (cost, plant, spec) in enumerate(zip(sc.costs, sc.plants, sc.im_specs)):
         disagreement = sum(a[i, j] * (yr[i] - yr[j]) for j in range(sc.graph.n))
@@ -405,7 +407,7 @@ def test_derivative_matches_the_paper_agent_by_agent(case, request):
     rng = np.random.default_rng(7)
     for _ in range(3):
         y = rng.uniform(-1.0, 1.0, system.layout.dim)
-        w = (rng.uniform(0.1, 1.0, sc.graph.n), rng.uniform(-1.0, 1.0, sc.exo.dim))
+        w = rng.uniform(0.1, 1.0, sc.graph.n)
         got = system.derivative(0.3, y, w)
         want = paper_derivative(sc, system, 0.3, y, w)
         assert got.shape == want.shape
@@ -418,8 +420,7 @@ def test_tracing_call_contract(monkeypatch):
     sc = tiny_scenario(horizon=0.05, record_every=5)
     system = assemble(sc)
     y0 = initial_state(sc, system.layout)
-    assert np.array_equal(system.derivative(0.0, y0),
-                          system.derivative(0.0, y0, (np.ones(3), sc.exo.v0)))
+    assert np.array_equal(system.derivative(0.0, y0), system.derivative(0.0, y0, np.ones(3)))
     plain = run(sc, system)
     calls = {"rhs": 0, "steps": 0}
     derivative, step = system.derivative, sim.rk4_step
@@ -436,7 +437,7 @@ def test_tracing_call_contract(monkeypatch):
     monkeypatch.setattr(sim, "rk4_step", counted_step)
     assert same_records(run(sc, system), plain)
     assert calls == {"rhs": 4 * sc.n_steps, "steps": sc.n_steps}
-    # the loop talks to its xi/v source through two calls: stages() once per
+    # the loop talks to its xi source through two calls: stages() once per
     # step and snapshot() once per record row, whichever source run builds
     for build in SOURCES.values():
         source_calls = {"stages": 0, "snapshot": 0}
@@ -450,7 +451,7 @@ def test_tracing_call_contract(monkeypatch):
                 setattr(source, name, counted)
             return source
 
-        monkeypatch.setattr(sim, "xi_v_source", counted_source)
+        monkeypatch.setattr(sim, "xi_source", counted_source)
         traj = run(sc, system)
         assert source_calls == {"stages": sc.n_steps, "snapshot": len(traj.times)}
         assert len(traj.times) == sc.n_steps // sc.record_every + 1
@@ -502,10 +503,9 @@ def test_verify_builds_one_truth_per_distinct_spec(monkeypatch):
     assert shared_report == separate_report
 
 
-# both xi/v sources, built directly so that each is tested whatever xi_v_source picks
+# both xi sources, built directly so that each is tested whatever xi_source picks
 SOURCES = {
-    "modal": lambda big_l, s_exo, v0, h: ModalSource(_eigenmodes(-big_l), _eigenmodes(s_exo),
-                                                     v0, h),
+    "modal": lambda big_l, h: ModalSource(_eigenmodes(-big_l), h),
     "horner": LinearDriver,
 }
 
@@ -528,49 +528,43 @@ def rk4_alone(f, y0, h, n_steps, record_every):
 @pytest.mark.parametrize("preset", ["example1", "example2"])
 def test_driver_matches_xi_and_v_integrated_alone(preset, source, request):
     sc = request.getfixturevalue(f"{preset}_scenario")
-    big_l, s_exo, h, n = spectral_data(sc.graph).laplacian, sc.exo.S, sc.step, sc.graph.n
-    driver = SOURCES[source](big_l, s_exo, sc.exo.v0, h)
+    big_l, h, n = spectral_data(sc.graph).laplacian, sc.step, sc.graph.n
+    driver = SOURCES[source](big_l, h)
     inputs = []
 
     def member(t, y, w):
-        inputs.append((w[0].copy(), w[1].copy()))
+        inputs.append(w.copy())
         return np.zeros(1)
 
-    _, _, (xi_diag, xi_rowsum, v_record) = integrate(member, np.zeros(1), h, 500, 100, driver)
+    _, _, (xi_diag, xi_rowsum) = integrate(member, np.zeros(1), h, 500, 100, driver)
     # classic RK4 on xi and on v alone, keeping every stage value
     xi, xi_stages = rk4_alone(lambda x: -(big_l @ x), np.eye(n), h, 500, 100)
-    v, v_stages = rk4_alone(lambda v: s_exo @ v, sc.exo.v0, h, 500, 100)
-    # Horner form and the modes round differently in the last bits (measured
-    # <= 1.4e-15 of the block's largest entry for either source); a wrong
-    # coefficient is off by about h
+    v, _ = rk4_alone(lambda v: sc.exo.S @ v, sc.exo.v0, h, 500, 100)
+    # Horner form, the modes and the member operator round differently in
+    # the last bits (measured <= 1.4e-15 of the block's largest entry); a
+    # wrong coefficient is off by about h
     xi_tol = 1e-14 * np.abs(xi).max()
     v_tol = 1e-14 * np.abs(v).max()
     if source == "horner":  # the modal source never forms xi itself
-        assert np.abs(driver.w[:n, :n] - xi[-1]).max() <= xi_tol
-        assert np.abs(driver.w[n:, n] - v[-1]).max() <= v_tol
+        assert np.abs(driver.w - xi[-1]).max() <= xi_tol
     assert np.abs(xi_diag - xi.diagonal(axis1=1, axis2=2)).max() <= xi_tol
     assert np.abs(xi_rowsum - xi.sum(axis=2)).max() <= xi_tol
-    assert np.abs(v_record - v).max() <= v_tol
-    assert len(inputs) == len(xi_stages) == len(v_stages) == 4 * 500
-    for (xi_got, v_got), xi_want, v_want in zip(inputs, xi_stages, v_stages):
+    assert len(inputs) == len(xi_stages) == 4 * 500
+    for xi_got, xi_want in zip(inputs, xi_stages):
         assert np.abs(xi_got - xi_want.diagonal()).max() <= xi_tol
-        assert np.abs(v_got - v_want).max() <= v_tol
+    # v is part of the member state, which run steps with this source
+    traj = run(dataclasses.replace(sc, horizon=500 * h, record_every=100))
+    assert np.abs(traj.v - v).max() <= v_tol
 
 
 def test_driver_horner_steps_are_classic_rk4_in_exact_arithmetic():
-    # a weight-unbalanced 3-agent digraph and a 2-D rotation exosystem, in fractions
+    # a weight-unbalanced 3-agent digraph, in fractions
     g = Digraph.from_edges(3, [(1, 2, 2.0), (2, 3, 1.0), (3, 1, 3.0), (1, 3, 1.0)])
-    sigma = Fraction(4, 5)
-    big_l = np.array([[Fraction(x) for x in row] for row in laplacian(g)], dtype=object)
-    s_exo = np.array([[Fraction(0), Fraction(1)], [-sigma * sigma, Fraction(0)]], dtype=object)
-    b = np.zeros((5, 5), dtype=object)
-    b[:3, :3] = big_l
-    b[3:, 3:] = -s_exo
-    v0 = np.array([Fraction(0), Fraction(1)], dtype=object)
+    b = np.array([[Fraction(x) for x in row] for row in laplacian(g)], dtype=object)
     h = Fraction(1, 1000)
-    driver = LinearDriver(big_l, s_exo, v0, h)
+    driver = LinearDriver(b, h)
     w = driver.w.copy()
-    assert w.dtype == object and w[0, 0] == 1 and w[3, 3] == 0 and w[4, 3] == 1
+    assert w.dtype == object and w[0, 0] == 1 and w[1, 0] == 0
     for kstep in range(2):
         k1 = -(b @ w)
         y2 = w + (h / 2) * k1
@@ -580,9 +574,8 @@ def test_driver_horner_steps_are_classic_rk4_in_exact_arithmetic():
         y4 = w + h * k3
         k4 = -(b @ y4)
         inputs = driver.stages()
-        for (xi_diag, v), y in zip(inputs, (w, y2, y3, y4)):
-            assert list(xi_diag) == list(y[:3, :3].diagonal())
-            assert list(v) == list(y[3:, 3])
+        for xi_diag, y in zip(inputs, (w, y2, y3, y4)):
+            assert list(xi_diag) == list(y.diagonal())
         w = w + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         assert (driver.w == w).all()
         assert all(type(x) is Fraction for x in driver.w.ravel())
@@ -647,7 +640,7 @@ def test_defective_laplacian_gets_the_horner_driver(monkeypatch):
     sc = tiny_scenario(graph=weighted_three_cycle(4.0), horizon=5.0, gains=FIXED_GAINS)
     big_l = laplacian(sc.graph)
     assert _eigenmodes(-big_l) is None  # kappa_1(V) about 1e8
-    assert type(xi_v_source(big_l, sc.exo.S, sc.exo.v0, sc.step)) is LinearDriver
+    assert type(xi_source(big_l, sc.step)) is LinearDriver
     traj = run(sc)
     rep = verify(sc, traj)
     assert rep.z_conservation_drift < 1e-8
@@ -655,7 +648,7 @@ def test_defective_laplacian_gets_the_horner_driver(monkeypatch):
     assert same_records(traj, run(sc))
     # the modal source, let through, would break the row-sum bound there
     monkeypatch.setattr(sim, "_MODAL_MAX_COND", math.inf)
-    assert type(xi_v_source(big_l, sc.exo.S, sc.exo.v0, sc.step)) is ModalSource
+    assert type(xi_source(big_l, sc.step)) is ModalSource
     assert verify(sc, run(sc)).xi_rowsum_drift > 1e-9
 
 
@@ -663,73 +656,91 @@ def test_diagonalizable_scenarios_get_the_modal_source(example1_scenario, exampl
     ring = dataclasses.replace(sparse_ring(200, 60), horizon=0.02, record_every=5)
     near = tiny_scenario(graph=weighted_three_cycle(4.001), horizon=0.5, gains=FIXED_GAINS)
     for sc in (example1_scenario, example2_scenario, ring, near):
-        source = xi_v_source(laplacian(sc.graph), sc.exo.S, sc.exo.v0, sc.step)
-        assert type(source) is ModalSource
+        assert type(xi_source(laplacian(sc.graph), sc.step)) is ModalSource
     for sc in (ring, near):
         traj = run(sc)
         assert np.abs(traj.xi_rowsum - 1.0).max() < 1e-9
         assert same_records(traj, run(sc))
 
 
-def test_modal_source_names_a_non_finite_v_and_keeps_xi_finite():
-    exo = np.array([[1e300, 0.0], [0.0, 0.0]])
-    source = xi_v_source(laplacian(weighted_three_cycle(1.0)), exo, np.array([1.0, 0.0]), 0.1)
-    assert type(source) is ModalSource
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(Diverged, match=r"^xi/v driver: non-finite stage input at t=0$"):
-            source.stages()
-    # xi and v are separate products, so the inf in v reaches no xi input
-    assert all(np.isfinite(xi).all() for xi, _ in source._inputs)
+def test_an_overflowing_exosystem_fails_the_member_step():
+    # v is member state, so an overflowing v is the member RK4 step's
+    # Diverged; the xi source never reads S and stays modal
+    exo = Exosystem(S=np.array([[1e300, 0.0], [0.0, 0.0]]), v0=np.array([1.0, 0.0]))
+    sc = tiny_scenario(graph=weighted_three_cycle(1.0), exo=exo, frequencies=None,
+                       name="blowup")
+    assert type(xi_source(laplacian(sc.graph), sc.step)) is ModalSource
+    with pytest.raises(Diverged, match=r"^blowup: non-finite state after step at t=0$") as info:
+        run(sc)
+    assert info.value.t == 0.0
+
+
+def test_defective_exosystem_keeps_the_modal_source(example1_scenario, monkeypatch):
+    # a ramp disturbance: S = [[0, 1], [0, 0]] is a Jordan block, L is fine
+    v0 = np.array([0.3, -0.2])
+    exo = Exosystem(S=np.array([[0.0, 1.0], [0.0, 0.0]]), v0=v0)
+    sc = dataclasses.replace(example1_scenario, exo=exo, frequencies=None, horizon=2.0)
+    built = []
+
+    class Spy(ModalSource):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(sim, "ModalSource", Spy)
+    traj = run(sc)
+    assert len(built) == 1
+    # RK4 integrates the linear-in-t solution exactly, up to rounding
+    want = np.column_stack((v0[0] + v0[1] * traj.times, np.full(len(traj.times), v0[1])))
+    assert np.abs(traj.v - want).max() <= 1e-12
 
 
 def test_modal_source_matches_the_horner_driver_on_a_sparse_ring():
     sc = sparse_ring(200, 60)
     big_l = laplacian(sc.graph)
-    modal = xi_v_source(big_l, sc.exo.S, sc.exo.v0, sc.step)
-    horner = LinearDriver(big_l, sc.exo.S, sc.exo.v0, sc.step)
+    modal = xi_source(big_l, sc.step)
+    horner = LinearDriver(big_l, sc.step)
     assert type(modal) is ModalSource
     for kstep in range(300):
-        for (xi_got, v_got), (xi_want, v_want) in zip(modal.stages(), horner.stages()):
-            assert np.abs(xi_got - xi_want).max() <= 1e-12
-            assert np.abs(v_got - v_want).max() <= 1e-12
+        assert np.abs(np.subtract(modal.stages(), horner.stages())).max() <= 1e-12
 
 
 def test_csr_driver_matches_dense_driver(monkeypatch):
     sc = sparse_ring()
     big_l = laplacian(sc.graph)
-    sparse = LinearDriver(big_l, sc.exo.S, sc.exo.v0, sc.step)
+    sparse = LinearDriver(big_l, sc.step)
     monkeypatch.setattr(digraph, "_CSR_MIN_ROWS", 10 ** 9)  # every operator dense
-    dense = LinearDriver(big_l, sc.exo.S, sc.exo.v0, sc.step)
+    dense = LinearDriver(big_l, sc.step)
     assert sparse.b.format == "csr" and type(dense.b) is np.ndarray
-    assert np.array_equal(dense.b, scipy.linalg.block_diag(big_l, -sc.exo.S))
+    assert np.array_equal(dense.b, big_l)
     for kstep in range(500):
-        got, want = sparse.stages(), dense.stages()
-        for (xi_got, v_got), (xi_want, v_want) in zip(got, want):
-            assert np.abs(xi_got - xi_want).max() <= 1e-12
-            assert np.abs(v_got - v_want).max() <= 1e-12
+        assert np.abs(np.subtract(sparse.stages(), dense.stages())).max() <= 1e-12
     assert np.abs(sparse.w - dense.w).max() <= 1e-12
 
 
-def test_driver_divergence_names_the_driver_and_time():
-    # v' = 50 v at h = 0.1 grows by R(5) = 65.4 a step until W overflows
-    g = Digraph.from_edges(2, [(1, 2, 1.0), (2, 1, 1.0)])
+def test_driver_divergence_names_the_driver_and_time(monkeypatch):
+    # "L" = [[-50]]: xi' = 50 xi at h = 0.1 grows by R(5) = 65.4 a step until
+    # xi overflows, with every stage factor positive, so the floor holds; the
+    # Horner driver checks W after its step, the modal source its stage inputs
     h = 0.1
-    driver = LinearDriver(laplacian(g), np.array([[50.0]]), np.array([1.0]), h)
-    steps = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(Diverged, match=r"^xi/v driver: non-finite state after step "
-                                           r"at t=[\d.]+$") as info:
-            for steps in range(200):  # R(5)^170 overflows
-                driver.stages()
-    assert steps > 100 and info.value.t == steps * h
-    assert str(info.value).endswith(f"at t={steps * h:.6g}")
-    # run names the scenario; these plants do not read v, so the driver fails first
-    plants = [custom(lambda x1, x2, v, t: -x1 - x2, 1.0)] * 3
-    exo = Exosystem(S=np.array([[1e300, 0.0], [0.0, 0.0]]), v0=np.array([1.0, 0.0]))
-    sc = tiny_scenario(plants=plants, exo=exo, frequencies=None, name="blowup")
-    with pytest.raises(Diverged, match=r"^blowup: xi/v driver: .* at t=0$") as info:
+    for source, checked in (("horner", "state after step"), ("modal", "stage input")):
+        driver = SOURCES[source](np.array([[-50.0]]), h)
+        steps = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(Diverged, match=rf"^xi source: non-finite {checked} "
+                                               rf"at t=[\d.]+$") as info:
+                for steps in range(200):  # R(5)^170 overflows
+                    driver.stages()
+        assert steps > 100 and info.value.t == steps * h
+        assert str(info.value).endswith(f"at t={steps * h:.6g}")
+    # run names the scenario: the same growth on every agent's xi_i^i, which
+    # only divides the gradient term, so the source fails first
+    monkeypatch.setattr(sim, "xi_source", lambda big_l, h: LinearDriver(-50.0 * np.eye(3), h))
+    sc = tiny_scenario(step=h, horizon=20.0, gains=FIXED_GAINS, frequencies=None,
+                       name="blowup")
+    with pytest.raises(Diverged, match=r"^blowup: xi source: .* at t=[\d.]+$") as info:
         run(sc)
-    assert info.value.t == 0.0
+    assert info.value.t > 10.0
 
 
 @pytest.mark.parametrize("csr", [True, False], ids=["csr", "dense"])
@@ -740,25 +751,24 @@ def test_driver_finish_raises_on_any_non_finite_entry(csr, monkeypatch):
         monkeypatch.setattr(digraph, "_CSR_MIN_ROWS", 10 ** 9)  # every operator dense
     sc = sparse_ring(100, 0)  # a pure ring: B W reaches one neighbour per product
     n, h = sc.graph.n, sc.step
-    # a NaN in xi half the ring away from its column's diagonal, which three
-    # Horner products cannot carry to any diag xi, then an inf outside both
-    # blocks of W, which no product carries anywhere else
-    for row, col, value in ((n // 2, 0, math.nan), (n + 1, 0, math.inf)):
-        driver = LinearDriver(laplacian(sc.graph), sc.exo.S, sc.exo.v0, h)
+    # a NaN, then an inf, in xi half the ring away from its column's diagonal,
+    # which three Horner products cannot carry to any diag xi
+    for row, col, value in ((n // 2, 0, math.nan), (0, n // 2, math.inf)):
+        driver = LinearDriver(laplacian(sc.graph), h)
         assert (type(driver.b) is not np.ndarray) == csr
         driver.stages()  # finite: no error
         driver.w[row, col] = value
         with np.errstate(invalid="ignore"), \
-                pytest.raises(Diverged, match=rf"^xi/v driver: non-finite state after "
+                pytest.raises(Diverged, match=rf"^xi source: non-finite state after "
                                               rf"step at t={h:g}$") as info:
             driver.stages()
         assert info.value.t == h
         assert not np.isfinite(driver.w[row, col])
         # CSR products skip B's zeros, so every stage input of the failing step
         # was finite and only the check over all of W saw the entry; a dense
-        # product's 0 * NaN carries it down its whole column, diagonal included
-        finite_inputs = [np.isfinite(x).all() for stage in driver._inputs for x in stage]
-        assert all(finite_inputs) == csr
+        # product's 0 * NaN (or 0 * inf) carries a NaN down its whole column,
+        # diagonal included
+        assert np.isfinite(driver._inputs).all() == csr
 
 
 def test_unstable_xi_step_names_scenario_and_time():
@@ -779,7 +789,7 @@ def test_ring200_records_no_n_squared_array():
     n, total_s, nv = 200, 400, 2
     traj = run(sc)
     arrays = [value for value in vars(traj).values() if isinstance(value, np.ndarray)]
-    assert all(n * n not in a.shape and a[0].size <= 5 * n + 2 * total_s for a in arrays)
+    assert all(n * n not in a.shape and a[0].size <= 5 * n + 2 * total_s + nv for a in arrays)
     # per sample: yr, z, x1, x2, k, diag xi and xi row sums (n each), eta and psi_hat, v
     assert sum(getattr(traj, name).shape[1] for name in RECORDS) == 7 * n + 2 * total_s + nv
-    assert traj.raw.shape == (5, 5 * n + 2 * total_s)
+    assert traj.raw.shape == (5, 5 * n + 2 * total_s + nv)
