@@ -219,10 +219,13 @@ _SCAN_MIN_POINTS = 2001
 
 
 def convexity_bounds(cost_list) -> ConvexityBounds:
-    """Grid estimate of curvature bounds via central differences of the gradient.
+    """Curvature bounds: exact for quadratics, a grid estimate for every other cost.
 
-    The grid spans the union of the costs' domain hints.  Each cost's
-    gradient is evaluated once on the whole grid (see _grid_gradient).
+    A quadratic a (s - b)^2 has curvature 2a everywhere, so it is not
+    scanned.  Every other cost's curvature is estimated by central
+    differences of its gradient on one grid spanning the union of all the
+    costs' domain hints, quadratics' included; each such gradient is
+    evaluated once on the whole grid (see _grid_gradient).
     """
     lo = min(c.domain_hint[0] for c in cost_list)
     hi = max(c.domain_hint[1] for c in cost_list)
@@ -232,13 +235,17 @@ def convexity_bounds(cost_list) -> ConvexityBounds:
     varpi = math.inf
     iota_bar = 0.0
     for c in cost_list:
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = _grid_gradient(c, grid)
-            second = (g[2:] - g[:-2]) / (2.0 * h)
-        # numpy's min and max return NaN when any entry is NaN
-        low, high = float(second.min()), float(second.max())
-        if not (math.isfinite(low) and math.isfinite(high)):
-            raise NonConvexDetected(f"cost {c.kind}: curvature is not finite on [{lo}, {hi}]")
+        if c.kind == "quadratic":
+            low = high = 2.0 * float(c.params["a"])
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = _grid_gradient(c, grid)
+                second = (g[2:] - g[:-2]) / (2.0 * h)
+            # numpy's min and max return NaN when any entry is NaN
+            low, high = float(second.min()), float(second.max())
+            if not (math.isfinite(low) and math.isfinite(high)):
+                raise NonConvexDetected(
+                    f"cost {c.kind}: curvature is not finite on [{lo}, {hi}]")
         if low < 1e-9:
             raise NonConvexDetected(f"cost {c.kind} has curvature {low:.3e} on [{lo}, {hi}]")
         varpi = min(varpi, low)

@@ -11,7 +11,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import NotStronglyConnected
+from .errors import InvalidSpectrum, NotStronglyConnected
 
 @dataclass(frozen=True)
 class Digraph:
@@ -205,21 +205,24 @@ def is_strongly_connected(g: Digraph) -> bool:
 def spectral_data(g: Digraph) -> SpectralData:
     """L, rho, rho_min and lambda2 from one Laplacian and one connectivity check.
 
-    rho solves the augmented overdetermined system {L^T rho = 0, 1^T rho = 1}
-    in the least-squares sense; for a strongly connected graph the solution is
-    exact, unique and positive.  lambda2 is the second-smallest eigenvalue of
-    Lbar = (R L + L^T R)/2 with R = diag(rho).
+    rho is the left null vector of L normalized to 1^T rho = 1, found by one
+    square solve of (L^T + 1 1^T) rho = 1.  For a strongly connected graph
+    that matrix is nonsingular: if (L^T + 1 1^T) x = 0, multiplying by 1^T
+    gives n 1^T x = 0 because L 1 = 0, so L^T x = 0 and x is a multiple of
+    rho, which 1^T x = 0 makes zero.  lambda2 is the second-smallest
+    eigenvalue of Lbar = (R L + L^T R)/2 with R = diag(rho), where R L is
+    formed by scaling L's rows, not by a matrix product.  lambda2 needs at
+    least two nodes; a one-node graph raises InvalidSpectrum.
     """
+    if g.n < 2:
+        raise InvalidSpectrum(f"lambda2 needs a graph of at least 2 nodes, got n = {g.n}")
     if not is_strongly_connected(g):
         raise NotStronglyConnected("left eigenvector requires a strongly connected digraph")
     big_l = laplacian(g)
-    aug = np.vstack([big_l.T, np.ones(g.n)])
-    rhs = np.zeros(g.n + 1)
-    rhs[-1] = 1.0
-    rho, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
+    rho = np.linalg.solve(big_l.T + 1.0, np.ones(g.n))
     if np.any(rho <= 0):
         raise NotStronglyConnected("left eigenvector is not positive")
-    r = np.diag(rho)
-    lbar = 0.5 * (r @ big_l + big_l.T @ r)
+    rl = rho[:, None] * big_l
+    lbar = 0.5 * (rl + rl.T)
     return SpectralData(laplacian=big_l, rho=rho, rho_min=float(rho.min()),
                         lambda2=float(np.linalg.eigvalsh(lbar)[1]))

@@ -18,7 +18,7 @@ class BracketNotFound(OocError):
 
 
 class NonConvexDetected(OocError):
-    """Numerical curvature scan found a non-positive second derivative."""
+    """A cost's curvature (exact for a quadratic, scanned otherwise) is below 1e-9 or not finite."""
 
 
 class GradientNotVectorized(OocError):

@@ -74,6 +74,8 @@ def _parse_graph(section):
     n = _require(section, "n", "graph")
     if not _is_int(n) or n < 1:
         raise SchemaError(f"graph.n: expected a positive integer, got {n!r}")
+    if n < 2:
+        raise SchemaError(f"graph.n: a consensus needs at least 2 agents, got {n}")
     edges = _require(section, "edges", "graph")
     if not isinstance(edges, list):
         raise SchemaError("graph.edges: expected a list of [from, to, weight]")

@@ -41,6 +41,19 @@ def test_graph_command_output(capsys, tiny_path):
     assert "lambda2:" in out
 
 
+def test_one_agent_scenario_exits_2(capsys, tmp_path, tiny_path):
+    doc = json.loads(tiny_path.read_text())
+    doc["graph"] = {"n": 1, "edges": []}
+    for key in ("costs", "plants"):
+        doc[key] = doc[key][:1]
+    p = tmp_path / "one.json"
+    p.write_text(json.dumps(doc))
+    for command in (["sim", "--scenario", str(p), "--out", str(tmp_path)],
+                    ["graph", "--scenario", str(p)]):
+        assert cmd_dispatch(command) == 2
+        assert "graph.n: a consensus needs at least 2 agents, got 1" in capsys.readouterr().err
+
+
 def test_graph_command_disconnected(capsys, tmp_path, tiny_path):
     doc = json.loads(tiny_path.read_text())
     doc["graph"]["edges"] = [[1, 2, 1.0]]

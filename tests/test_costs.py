@@ -68,6 +68,12 @@ def test_nonconvex_detected():
                                  grad_fn=lambda s: -2.0 * s)
     with pytest.raises(NonConvexDetected):
         costs.convexity_bounds([concave])
+    # listed among quadratics, which skip the scan, it is still scanned
+    with pytest.raises(NonConvexDetected, match=r"^cost concave has curvature"):
+        costs.convexity_bounds([costs.quadratic(0.1, 1.0), concave, costs.quadratic(0.5, 2.0)])
+    # and a quadratic's exact 2a meets the same floor
+    with pytest.raises(NonConvexDetected, match=r"^cost quadratic has curvature 2\.000e-12"):
+        costs.convexity_bounds([costs.quadratic(0.1, 1.0), costs.quadratic(1e-12, 2.0)])
 
 
 def test_non_finite_curvature_is_detected():
@@ -119,8 +125,22 @@ def ring_sized_quadratics(n=200):
                                        ring_sized_quadratics()],
                          ids=["example1", "ring200_sized"])
 def test_quadratic_bounds_equal_the_pointwise_oracle(cost_list):
+    # quadratics are not scanned: their curvature is exactly 2a
     b = costs.convexity_bounds(cost_list)
-    assert (b.varpi, b.iota_bar) == pointwise_bounds(cost_list)
+    two_a = [2.0 * c.params["a"] for c in cost_list]
+    assert (b.varpi, b.iota_bar) == (min(two_a), max(two_a))
+    varpi, iota_bar = pointwise_bounds(cost_list)
+    assert b.varpi == pytest.approx(varpi, rel=1e-9, abs=0)
+    assert b.iota_bar == pytest.approx(iota_bar, rel=1e-9, abs=0)
+
+
+def test_mixed_list_scans_the_composite_on_the_union_of_domain_hints():
+    quad = costs.quadratic(0.5, 1.0, domain_hint=(-10.0, 10.0))
+    b = costs.convexity_bounds([costs.composite("ex2_f1", domain_hint=(-5.0, 5.0)), quad])
+    wide = costs.convexity_bounds([costs.composite("ex2_f1", domain_hint=(-10.0, 10.0))])
+    narrow = costs.convexity_bounds([costs.composite("ex2_f1", domain_hint=(-5.0, 5.0))])
+    assert (b.varpi, b.iota_bar) == (min(wide.varpi, 1.0), max(wide.iota_bar, 1.0))
+    assert b.iota_bar > 10 * narrow.iota_bar  # the (-10, 10) grid was scanned
 
 
 NON_QUADRATIC = [c for c in ALL_VARIANTS if c.kind != "quadratic"]

@@ -9,7 +9,7 @@ from scipy.sparse.csgraph import connected_components
 from oocsim import digraph
 from oocsim.digraph import (Digraph, _add_product, _matvec, _operator, is_strongly_connected,
                             laplacian, spectral_data)
-from oocsim.errors import NotStronglyConnected
+from oocsim.errors import InvalidSpectrum, NotStronglyConnected
 
 
 def cycle(n):
@@ -70,6 +70,41 @@ def test_left_eigenvector_fig3(fig3_graph):
 def test_left_eigenvector_requires_strong_connectivity():
     with pytest.raises(NotStronglyConnected):
         spectral_data(Digraph.from_edges(2, [(1, 2, 1.0)]))
+
+
+def test_spectral_data_needs_two_nodes():
+    with pytest.raises(InvalidSpectrum, match="at least 2 nodes"):
+        spectral_data(Digraph(n=1, weights=np.zeros((1, 1))))
+
+
+def ring_plus_chords(n, seed):
+    """Directed ring plus n seeded chords, all with random weights: weight-unbalanced."""
+    rng = np.random.default_rng(seed)
+    w = np.zeros((n, n))
+    w[(np.arange(n) + 1) % n, np.arange(n)] = rng.uniform(0.5, 2.0, size=n)
+    placed = 0
+    while placed < n:
+        i, j = rng.integers(0, n, size=2)
+        if i != j and w[i, j] == 0:
+            w[i, j] = rng.uniform(0.5, 2.0)
+            placed += 1
+    return Digraph(n=n, weights=w)
+
+
+@pytest.mark.parametrize("n", [20, 200])
+def test_rho_and_lambda2_match_the_dense_oracles_on_unbalanced_rings(n):
+    g = ring_plus_chords(n, seed=n)
+    sd = spectral_data(g)
+    big_l = laplacian(g)
+    assert not np.allclose(g.weights.sum(axis=0), g.weights.sum(axis=1))
+    # rho against the SVD null vector of L^T
+    null = np.linalg.svd(big_l.T)[2][-1]
+    np.testing.assert_allclose(sd.rho, null / null.sum(), rtol=0, atol=1e-12)
+    assert np.abs(sd.rho @ big_l).max() <= 1e-13
+    # lambda2 against Lbar formed with diag(rho) products
+    r = np.diag(sd.rho)
+    lambda2 = np.linalg.eigvalsh(0.5 * (r @ big_l + big_l.T @ r))[1]
+    assert sd.lambda2 == pytest.approx(lambda2, rel=1e-12, abs=0)
 
 
 def test_lambda2_complete_graph():
