@@ -11,12 +11,12 @@ The damping-spring equation is normalized by the mass up front: dividing
 through by m keeps the physical equation intact while making the control
 gain positive, as the problem setup requires.
 
-Each built-in drift is split into its terms linear in (x1, x2), mu1 x2 and
--(k1 x1 + mu1 x2)/m, which `plant_linear` gives to the member operator, and
-its nonlinear remainder, written once per kind:
+Each built-in drift is split into its terms linear in the member state,
+mu1 x2 + Aw v1 and -(k1 x1 + mu1 x2 + Aw v2)/m, which `plant_linear` gives
+to the member operator, and its nonlinear remainder, written once per kind:
 
-  vdp_like        Aw v1 - x1 x2 (1 + mu1 x1)
-  damping_spring  -(k2 x1^3 + mu2 x2^3 + Aw v2 (1 - v1^2))/m
+  vdp_like        -x1 x2 (1 + mu1 x1)
+  damping_spring  -(k2 x1^3 + mu2 x2^3 - Aw v2 v1^2)/m
 
 `plant_drift` evaluates the remainder; `Plant.f` is the full drift, the
 linear terms plus the remainder.
@@ -44,49 +44,51 @@ class Plant:
             raise ValueError("control gain b must be positive")
 
 
-def _vdp_remainder(mu1, a_w, x1, x2, v, t):
-    return a_w * v[0] - x1 * x2 * (1.0 + mu1 * x1)
+def _vdp_remainder(mu1, x1, x2, v, t):
+    return x1 * x2 * (-1.0 - mu1 * x1)
 
 
 def _spring_remainder(k2, mu2, a_w, x1, x2, v, t):
     # bound constants -k2/m, -mu2/m and -a_w/m
-    return k2 * (x1 * x1 * x1) + mu2 * (x2 * x2 * x2) + a_w * (v[1] * (1.0 - v[0] * v[0]))
+    return k2 * (x1 * x1 * x1) + mu2 * (x2 * x2 * x2) - a_w * (v[1] * (v[0] * v[0]))
 
 
 def _vdp_parts(params):
-    return (0.0, params["mu1"]), (params["mu1"], params["a_w"])
+    return (0.0, params["mu1"], params["a_w"]), (params["mu1"],)
 
 
 def _spring_parts(params):
     m = params["m"]
-    return ((-params["k1"] / m, -params["mu1"] / m),
+    return ((-params["k1"] / m, -params["mu1"] / m, -params["a_w"] / m),
             tuple(-params[name] / m for name in ("k2", "mu2", "a_w")))
 
 
-# kind -> (nonlinear remainder, parameters -> (the drift's coefficients on x1
-# and x2, the remainder's bound constants))
+# kind -> (nonlinear remainder, parameters -> (the drift's coefficients on x1,
+# x2 and its one linear v entry, the remainder's bound constants), the index
+# of that v entry: v1 for vdp_like, v2 for damping_spring)
 _KINDS = {
-    "vdp_like": (_vdp_remainder, _vdp_parts),
-    "damping_spring": (_spring_remainder, _spring_parts),
+    "vdp_like": (_vdp_remainder, _vdp_parts, 0),
+    "damping_spring": (_spring_remainder, _spring_parts, 1),
 }
 
 
-def _drift(lin1, lin2, remainder, x1, x2, v, t):
-    return lin1 * x1 + lin2 * x2 + remainder(x1, x2, v, t)
+def _drift(linear, j, remainder, x1, x2, v, t):
+    lin1, lin2, lin_v = linear
+    return lin1 * x1 + lin2 * x2 + lin_v * v[j] + remainder(x1, x2, v, t)
 
 
 def _built_in_drift(kind, params):
     """The full drift of a built-in kind: its linear terms plus its remainder."""
-    formula, parts = _KINDS[kind]
-    (lin1, lin2), constants = parts(params)
-    return partial(_drift, lin1, lin2, partial(formula, *constants))
+    formula, parts, j = _KINDS[kind]
+    linear, constants = parts(params)
+    return partial(_drift, linear, j, partial(formula, *constants))
 
 
 def _remainder(p: Plant):
     """p's drift less its linear terms; a custom plant's f has none taken out."""
     if p.kind not in _KINDS:
         return p.f
-    formula, parts = _KINDS[p.kind]
+    formula, parts, _ = _KINDS[p.kind]
     return partial(formula, *parts(p.params)[1])
 
 
@@ -119,7 +121,7 @@ def plant_drift(plants):
     """
     kind = plants[0].kind
     if kind in _KINDS and all(p.kind == kind for p in plants):
-        formula, parts = _KINDS[kind]
+        formula, parts, _ = _KINDS[kind]
         constants = np.array([parts(p.params)[1] for p in plants]).T
         return partial(formula, *constants)
     fns = [_remainder(p) for p in plants]
@@ -133,19 +135,32 @@ def plant_drift(plants):
 def plant_linear(slices, plants):
     """The plant's linear terms as COO parts (rows, cols, values) over the member state.
 
-    x1' = x2, and each built-in plant's drift terms that are linear in its own
-    (x1, x2): mu1 x2 for vdp_like, -(k1 x1 + mu1 x2)/m for damping_spring
-    (zero coefficients are left out).  The rest of x2' = f(x1, x2, v, t) + b u
-    is the remainder of `plant_drift` plus the tracker's b u.  slices maps "x1"
-    and "x2" to their slices of the member state.
+    x1' = x2, and each built-in plant's drift terms that are linear in the
+    member state: mu1 x2 + Aw v1 for vdp_like, -(k1 x1 + mu1 x2 + Aw v2)/m
+    for damping_spring (zero coefficients are left out).  The rest of
+    x2' = f(x1, x2, v, t) + b u is the remainder of `plant_drift` plus the
+    tracker's b u.  slices maps "x1" and "x2", and optionally "v", to their
+    slices of the member state; without "v" the terms in v are left out too,
+    so the parts cover the drift's terms in (x1, x2) alone.  Raises
+    Unsupported when a drift's v entry lies past the end of the "v" slice.
     """
     x1, x2 = slices["x1"].start, slices["x2"].start
-    coefs = np.array([_KINDS[p.kind][1](p.params)[0] if p.kind in _KINDS else (0.0, 0.0)
-                      for p in plants])
+    built_in = [_KINDS.get(p.kind) for p in plants]
+    coefs = np.array([(0.0, 0.0, 0.0) if kind is None else kind[1](p.params)[0]
+                      for p, kind in zip(plants, built_in)])
     parts = [_diagonal(x1, x2, np.ones(len(plants)))]
     for col, values in zip((x1, x2), coefs.T):
         agents = np.flatnonzero(values)
         parts.append((agents + x2, agents + col, values[agents]))
+    if "v" in slices:
+        v = slices["v"]
+        agents = np.flatnonzero(coefs[:, 2])
+        entries = np.array([built_in[i][2] for i in agents], dtype=int)
+        if entries.size and entries.max() >= v.stop - v.start:
+            i = int(agents[entries.argmax()])
+            raise Unsupported(f"plant {i + 1} ({plants[i].kind}) reads v{entries.max() + 1}, "
+                              f"past the exosystem's {v.stop - v.start}-entry state")
+        parts.append((agents + x2, entries + v.start, coefs[agents, 2]))
     return parts
 
 

@@ -13,29 +13,30 @@ fixed step, for determinism, and the source's numbers are classic RK4's on xi
 alone up to rounding in the last bits.  Either source talks to the RK4 loop,
 `integrate`, through two calls: `stages()` returns the step's four stage
 inputs, diag xi at t = k h, t + h/2, t + h/2 and t + h, as the rows of one
-(4, n) block that the next call overwrites (row views made once, so a step
+(4, n) block of a buffer the source refills (row views made once, so a step
 unpacks them for free), and moves the source to the end of that step;
 `snapshot()` returns (diag xi, xi row sums) at the current step, for the
 record.
 
 A member derivative call is one operator product plus the nonlinear terms.
 `assemble` stacks every linear term, -beta1 L yr - beta2 z, beta1 L yr,
-x1' = x2, the plant drift's terms linear in (x1, x2), M eta and v' = S v, the
+x1' = x2, the plant drift's terms linear in (x1, x2, v), M eta and v' = S v, the
 n rows of theta = x2 + gamma (x1 - yr), and one row of -theta per eta entry
 into one (dim + n + sum(s_i)) x dim operator, from each layer's COO parts
 (`coordinator_linear`, `plant_linear`, `tracker_linear`) and S's nonzeros.
 Each call multiplies it by y into a new array, adds the nonlinear terms in
 place (`coordinator_nonlinear`: -grad c(yr)/xi; `tracker_nonlinear`: u, k',
 psi_hat' = eta (-theta) and N u; the drift's nonlinear remainder, which reads
-v from y, plus b u in x2'), and returns the first dim entries.  The xi floor is not checked here:
-the source checks it once per step over its four stage inputs.
+v from y, plus b u in x2'), and returns the first dim entries.  The xi floor
+is not checked here: the source checks it over its stage inputs.
 
 The source is `ModalSource` unless L is defective or nearly so: from the
 eigenmodes of -L it computes RK4's own stage values per mode,
 e_k = R(h lambda)^k = exp(k log R(h lambda)) times RK4's stage polynomials,
-and reads diag xi off them with one small real product.  Otherwise it is the
-Horner `LinearDriver`, which applies RK4's step polynomial to xi in Horner
-form and recombines the Horner iterates' diagonals into the stage values.
+and reads diag xi off them with one real product per _BLOCK steps, checked
+once per block.  Otherwise it is the Horner `LinearDriver`, which applies
+RK4's step polynomial to xi in Horner form and recombines the Horner
+iterates' diagonals into the stage values.
 """
 
 import math
@@ -46,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from . import costs as costs_mod
-from .coordinator import (CoordinatorGains, check_xi_floor, coordinator_linear,
+from .coordinator import (XI_FLOOR, CoordinatorGains, check_xi_floor, coordinator_linear,
                           coordinator_nonlinear, select_gains)
 from .digraph import (Digraph, SpectralData, _add_product, _block_operator, _matvec, _operator,
                       spectral_data)
@@ -341,8 +342,12 @@ def _real_readout(lam, g):
     return np.stack((a.real, -a.imag), axis=1).reshape(2 * len(a), len(g))
 
 
+# steps of stage inputs `ModalSource` reads out per product
+_BLOCK = 32
+
+
 class ModalSource:
-    """RK4's own xi, each step read off the eigenmodes of -L.
+    """RK4's own xi, read off the eigenmodes of -L _BLOCK steps at a time.
 
     xi' = -L xi, xi(0) = I reads no other state, so RK4 on it alone is RK4 on
     the whole closed loop, and RK4 on a linear system acts on each eigenmode
@@ -351,16 +356,21 @@ class ModalSource:
     1 + z/2 + z^2/4 and 1 + z + z^2/2 + z^3/4 (`rk4_stage_factors`).  e_k is
     exp(k l), l = log R(z) from `_log_step_factor`, so no rounding piles up
     over the steps.  The member derivative reads diag xi, which is P e with
-    P = V o V^-T; with one mode kept per conjugate pair (`_real_readout`), one
-    (4, 2 m) by (2 m, n) real product gives all four stage inputs.  The
-    snapshot's xi row sums are V (e o V^-1 1).
+    P = V o V^-T; with one mode kept per conjugate pair (`_real_readout`),
+    one (4 K, 2 m) by (2 m, n) real product gives the stage inputs of K =
+    _BLOCK steps, k0 to k0 + K - 1, from e_k0 to e_(k0 + K - 1) times the
+    stage factors.  The snapshot's xi row sums are V (e o V^-1 1), read out
+    on their own at the current step.
 
     The numbers equal classic RK4's up to rounding, about kappa(V) eps; they
     differ from `LinearDriver`'s in the last bits.  Built by `xi_source` from
-    `_eigenmodes` of -L.  `stages()` raises Diverged, with the step's start
-    time, when a stage input is not finite, and XiUnderflow when a stage's
-    xi_i^i drops below the floor (`coordinator.check_xi_floor`, one check
-    over the step's four diag xi).
+    `_eigenmodes` of -L.  Each block is checked once, for finiteness and for
+    the xi floor; only a block that fails either check is checked again step
+    by step, as its steps are handed out.  So `stages()` raises Diverged,
+    with the step's start time, at the first step with a stage input that is
+    not finite, and XiUnderflow at the first step with a xi_i^i below the
+    floor (`coordinator.check_xi_floor`), whatever lies past that step in the
+    block.
     """
 
     def __init__(self, modes, h):
@@ -372,22 +382,48 @@ class ModalSource:
         z = h * lam
         self._ell = _log_step_factor(z)
         with np.errstate(over="ignore", invalid="ignore"):
-            self._factors = np.array((np.ones_like(z),) + rk4_stage_factors(z)[0])
-        self._modes = np.empty_like(self._factors)  # (4, m): stage values per mode
-        self._floats = self._modes.view(float)
-        self._inputs = np.empty((4, len(vecs)))  # the stage inputs, one row each
-        self._rows = tuple(self._inputs)
+            factors = np.array((np.ones_like(z),) + rk4_stage_factors(z)[0])
+        self._factors = factors[None]  # (1, 4, m), against e's (K, 1, m)
+        self._offsets = np.arange(_BLOCK)[:, None]
+        # (K, 4, m) stage values per mode, read as one (4 K, 2 m) real block
+        self._modes = np.empty((_BLOCK,) + factors.shape, dtype=complex)
+        self._floats = self._modes.reshape(4 * _BLOCK, -1).view(float)
+        # (K, 4, n) stage inputs: step j of the block is the (4, n) block
+        # self._inputs[j], handed out as the row views self._rows[j]
+        self._inputs = np.empty((_BLOCK, 4, len(vecs)))
+        self._flat = self._inputs.reshape(4 * _BLOCK, -1)
+        self._rows = [tuple(step) for step in self._inputs]
+        self._start = -_BLOCK  # the step the block starts at; none read out yet
+        self._checked = True   # the block passed its one check
+
+    def _read_block(self):
+        """The stage inputs of steps k to k + K - 1, and their one check."""
+        k = self._k
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.exp((k + self._offsets) * self._ell)
+            np.multiply(self._factors, e[:, None], out=self._modes)
+        np.matmul(self._floats, self._read_xi, out=self._flat)
+        self._start = k
+        self._checked = bool(np.isfinite(self._flat).all() and self._flat.min() >= XI_FLOOR)
 
     def stages(self):
-        """The four diag xi of the step from t = k h, as rows of one block; k moves to k + 1."""
-        np.multiply(self._factors, np.exp(self._k * self._ell), out=self._modes)
-        np.matmul(self._floats, self._read_xi, out=self._inputs)
-        t = self._k * self.h
-        if not np.isfinite(self._inputs).all():
-            raise Diverged(f"xi source: non-finite stage input at t={t:.6g}", t=t)
-        check_xi_floor(self._inputs, t, self.h)
+        """The four diag xi of the step from t = k h, as rows of one block; k moves to k + 1.
+
+        The rows stay valid until the source reads out its next block, _BLOCK
+        steps on.
+        """
+        j = self._k - self._start
+        if j == _BLOCK:
+            self._read_block()
+            j = 0
+        if not self._checked:
+            inputs = self._inputs[j]
+            t = self._k * self.h
+            if not np.isfinite(inputs).all():
+                raise Diverged(f"xi source: non-finite stage input at t={t:.6g}", t=t)
+            check_xi_floor(inputs, t, self.h)
         self._k += 1
-        return self._rows
+        return self._rows[j]
 
     def snapshot(self):
         """(diag xi, xi row sums) from e_k, k the steps finished so far."""

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,3 +43,72 @@ def test_order_four_richardson_ratio():
 def test_divergence_raises():
     with pytest.raises(Diverged):
         rk4_step(lambda t, y: y * y, 0.0, np.array([1e200]), 1.0)
+
+
+def test_divergence_raises_without_warnings():
+    # y * y overflows inside the step; the step silences that and reports it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Diverged, match=r"^non-finite state after step at t=0$") as info:
+            rk4_step(lambda t, y: y * y, 0.0, np.array([1e200]), 1.0)
+    assert info.value.t == 0.0
+
+
+def test_finite_state_with_overflowing_squares_passes():
+    # the quick check (a dot product of the state with itself) overflows
+    # here; the exact check finds every entry finite
+    y0 = np.array([1e200, -1e300, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = rk4_step(lambda t, y: np.zeros_like(y), 0.0, y0, 0.5)
+    assert np.array_equal(y, y0)
+
+
+def test_shared_returned_array_is_left_unchanged():
+    shared = np.array([1.0, -2.0, 0.5])
+    kept = shared.copy()
+    y = rk4_step(lambda t, y: shared, 0.0, np.zeros(3), 0.1)
+    assert np.array_equal(shared, kept)
+    assert np.array_equal(y, np.zeros(3) + (0.1 / 6.0) * (kept + 2.0 * kept + 2.0 * kept + kept))
+
+
+def classic_step(f, t, y, h, w):
+    """RK4 written out as one expression per stage, with stage inputs w."""
+    k1 = f(t, y, w[0])
+    k2 = f(t + 0.5 * h, y + (0.5 * h) * k1, w[1])
+    k3 = f(t + 0.5 * h, y + (0.5 * h) * k2, w[2])
+    k4 = f(t + h, y + h * k3, w[3])
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def test_step_is_the_classic_combination_bit_for_bit():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(6, 6))
+    w = tuple(rng.normal(size=6) for _ in range(4))
+    seen = []
+
+    def f(t, y, wj):
+        seen.append((t, y, y.copy()))  # the stage input f was given, and its value then
+        return a @ y + wj
+
+    for y in (rng.normal(size=6), rng.normal(size=6) * 1e3):
+        seen.clear()
+        got = rk4_step(f, 0.25, y, 0.05, w)
+        given = list(seen)
+        assert np.array_equal(got, classic_step(f, 0.25, y, 0.05, w))
+        # the same stage times and inputs, none written to after f saw it
+        assert [(t, x.tolist()) for t, x, _ in given] == [(t, x.tolist()) for t, x, _ in seen[4:]]
+        assert all(np.array_equal(x, copy) for _, x, copy in given)
+
+
+def test_matrix_state_steps_like_a_vector_state():
+    # an (n, n) state, as the tests step xi' = -L xi, column by column
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=(4, 4))
+    xi = rng.normal(size=(4, 4))
+    got = rk4_step(lambda t, x: a @ x, 0.0, xi, 0.1)
+    assert got.shape == (4, 4)
+    assert np.array_equal(got, classic_step(lambda t, x, _: a @ x, 0.0, xi, 0.1, (None,) * 4))
+    for j in range(4):
+        column = rk4_step(lambda t, x: a @ x, 0.0, xi[:, j].copy(), 0.1)
+        assert np.abs(got[:, j] - column).max() <= 1e-15 * np.abs(column).max()

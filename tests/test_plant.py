@@ -14,13 +14,13 @@ from oocsim.plant import (Exosystem, custom, damping_spring, feedforward_truth,
 
 def split_drift(plants, x1, x2, v):
     """The stacked drift as the member derivative forms it: the drift entries of
-    `plant_linear` applied to (x1, x2), plus the remainder of `plant_drift`."""
-    n = len(plants)
-    op = _block_operator((2 * n, 2 * n),
-                         plant_linear({"x1": slice(0, n), "x2": slice(n, 2 * n)}, plants))
+    `plant_linear` applied to (x1, x2, v), plus the remainder of `plant_drift`."""
+    n, nv = len(plants), len(v)
+    slices = {"x1": slice(0, n), "x2": slice(n, 2 * n), "v": slice(2 * n, 2 * n + nv)}
+    op = _block_operator((2 * n, 2 * n + nv), plant_linear(slices, plants))
     # rows 0..n-1 are x1' = x2, rows n..2n-1 the drift's linear terms
-    assert np.array_equal(op[:n], np.hstack([np.zeros((n, n)), np.eye(n)]))
-    return (op @ np.concatenate([x1, x2]))[n:] + plant_drift(plants)(x1, x2, v, 0.0)
+    assert np.array_equal(op[:n], np.hstack([np.zeros((n, n)), np.eye(n), np.zeros((n, nv))]))
+    return (op @ np.concatenate([x1, x2, v]))[n:] + plant_drift(plants)(x1, x2, v, 0.0)
 
 
 def drift_at(p, x, v):
@@ -71,11 +71,28 @@ def test_linear_entries_plus_remainder_are_the_drift(kind):
             scale = max(np.abs(terms).max(), abs(full))
             assert abs(got[i] - full) <= 1e-14 * scale
             assert abs(full - want) <= 1e-14 * scale
-    # the linear entries sit on each agent's own x1 and x2 only
+    # the linear entries sit on each agent's own x1 and x2 and, given a v
+    # slice, on the one v entry its drift reads: v1 (vdp_like), v2 (damping_spring)
     slices = {"x1": slice(0, 2), "x2": slice(2, 4)}
-    rows, cols, values = (np.concatenate(x) for x in zip(*plant_linear(slices, [p, p])[1:]))
-    assert sorted(zip(rows.tolist(), cols.tolist())) == (
-        [(2, 2), (3, 3)] if kind == "vdp_like" else [(2, 0), (2, 2), (3, 1), (3, 3)])
+    own = [(2, 2), (3, 3)] if kind == "vdp_like" else [(2, 0), (2, 2), (3, 1), (3, 3)]
+    v_col = 4 if kind == "vdp_like" else 5
+    for v_slice, want in ((None, own), (slice(4, 6), own + [(2, v_col), (3, v_col)])):
+        if v_slice is not None:
+            slices["v"] = v_slice
+        rows, cols, values = (np.concatenate(x) for x in zip(*plant_linear(slices, [p, p])[1:]))
+        assert sorted(zip(rows.tolist(), cols.tolist())) == sorted(want)
+
+
+def test_a_drift_reading_past_v_is_refused():
+    slices = {"x1": slice(0, 2), "x2": slice(2, 4), "v": slice(4, 5)}
+    spring = damping_spring(m=1.1, k1=2.2, k2=2.9, mu1=3.8, mu2=4.7, a_w=100.0)
+    vdp = vdp_like(1.0, 0.5, 1.2, 3.0)
+    with pytest.raises(Unsupported, match=r"^plant 2 \(damping_spring\) reads v2, "
+                                          r"past the exosystem's 1-entry state$"):
+        plant_linear(slices, [vdp, spring])
+    # vdp_like reads v1 alone, which a one-entry exosystem has
+    rows, cols, values = plant_linear(slices, [vdp, vdp])[-1]
+    assert rows.tolist() == [2, 3] and cols.tolist() == [4, 4] and values.tolist() == [1.5, 1.5]  # a_w = mu2 amplitude
 
 
 def test_custom_plants_have_no_linear_entries():

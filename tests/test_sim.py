@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,10 +12,11 @@ import pytest
 
 import oocsim
 from oocsim import costs, digraph, sim
-from oocsim.coordinator import CoordinatorGains
+from oocsim.coordinator import XI_FLOOR, CoordinatorGains, check_xi_floor
 from oocsim.digraph import Digraph, _operator, laplacian, spectral_data
 from oocsim.errors import Diverged, NonConvexDetected, NotStronglyConnected, XiUnderflow
-from oocsim.plant import Exosystem, custom, damping_spring, rotation_exosystem, vdp_like
+from oocsim.plant import (Exosystem, custom, damping_spring, plant_drift, rotation_exosystem,
+                          vdp_like)
 from oocsim.scenario import parse_scenario, scenario_from_dict
 from oocsim.integrate import rk4_step
 from oocsim.sim import (DEFAULT_TOLERANCES, InitPolicy, LinearDriver, ModalSource, Scenario,
@@ -414,6 +416,26 @@ def test_derivative_matches_the_paper_agent_by_agent(case, request):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("preset, kind, entry, coefficient", [
+    ("example1", "vdp_like", 0, lambda q: q["a_w"]),
+    ("example2", "damping_spring", 1, lambda q: -q["a_w"] / q["m"]),
+])
+def test_operator_holds_the_drifts_terms_in_v(preset, kind, entry, coefficient, request):
+    # every term linear in the member state is in the operator: the drift's
+    # Aw v1 (vdp_like) and -Aw v2 / m (damping_spring) too
+    sc = request.getfixturevalue(f"{preset}_scenario")
+    system = assemble(sc)
+    sl, n, nv = system.layout.slices, sc.graph.n, sc.exo.dim
+    assert {p.kind for p in sc.plants} == {kind}
+    want = np.zeros((n, nv))
+    want[:, entry] = [coefficient(p.params) for p in sc.plants]
+    assert np.array_equal(system.operator[sl["x2"], sl["v"]], want)
+    # so the nonlinear remainder has no term in v alone: it is 0 at x = 0
+    zeros = np.zeros(n)
+    for v in np.eye(nv):
+        assert not plant_drift(sc.plants)(zeros, zeros, v, 0.0).any()
+
+
 def test_tracing_call_contract(monkeypatch):
     # benchmark/tracing.py wraps System.derivative and sim.rk4_step with
     # positional-only counters and times derivative(t, y) with the default input
@@ -703,6 +725,64 @@ def test_modal_source_matches_the_horner_driver_on_a_sparse_ring():
     assert type(modal) is ModalSource
     for kstep in range(300):
         assert np.abs(np.subtract(modal.stages(), horner.stages())).max() <= 1e-12
+
+
+def modal_formula(big_l, h):
+    """(F, l) of the modal source of -L at step h: step k's (4, m) stage values
+    per mode are F exp(k l), F the stage factors and l = log R(h lambda)."""
+    z = h * _eigenmodes(-big_l)[0]
+    return np.array((np.ones_like(z),) + rk4_stage_factors(z)[0]), _log_step_factor(z)
+
+
+@pytest.mark.parametrize("preset", ["example1", "ring"])
+def test_modal_blocks_match_the_per_step_read_out(preset, example1_scenario):
+    sc = example1_scenario if preset == "example1" else sparse_ring(200, 60)
+    big_l, h = laplacian(sc.graph), sc.step
+    source = xi_source(big_l, h)
+    assert type(source) is ModalSource
+    factors, ell = modal_formula(big_l, h)
+    # 3 K + 5 steps cross three block boundaries and end mid-block
+    for k in range(3 * sim._BLOCK + 5):
+        e = np.exp(k * ell)
+        diag, rowsum = source.snapshot()
+        assert np.array_equal(diag, e.view(float) @ source._read_xi)
+        assert np.array_equal(rowsum, e.view(float) @ source._read_rowsum)
+        got = np.array(source.stages())
+        want = (factors * e).view(float) @ source._read_xi
+        # a taller product may sum in another order: at most 1e-15 relative
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), k
+
+
+@pytest.mark.parametrize("error, a", [(Diverged, -2550.0), (XiUnderflow, 5.5)],
+                         ids=["diverged", "underflow"])
+def test_modal_block_failures_keep_the_per_step_message_and_time(error, a):
+    # "L" = [[a]] at h = 0.1: z = -h a = 255 overflows and z = -0.55 decays
+    # past the floor, each first at step 37, inside the block of steps 32 to 63
+    big_l, h, fail = np.array([[a]]), 0.1, 37
+    assert fail % sim._BLOCK
+    source = ModalSource(_eigenmodes(-big_l), h)
+    factors, ell = modal_formula(big_l, h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inputs = [(factors * np.exp(k * ell)).view(float) @ source._read_xi
+                  for k in range(fail + 1)]
+    t = fail * h
+    if error is Diverged:
+        assert all(np.isfinite(x).all() for x in inputs[:fail])
+        assert not np.isfinite(inputs[fail]).all()
+        message = f"xi source: non-finite stage input at t={t:.6g}"
+        want_t = t
+    else:
+        assert all(x.min() >= XI_FLOOR for x in inputs[:fail]) and inputs[fail].min() < XI_FLOOR
+        with pytest.raises(XiUnderflow) as per_step:
+            check_xi_floor(inputs[fail], t, h)
+        message, want_t = str(per_step.value), per_step.value.t
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(fail):
+            source.stages()
+        with pytest.raises(error) as info:
+            source.stages()
+    assert str(info.value) == message and info.value.t == want_t
 
 
 def test_csr_driver_matches_dense_driver(monkeypatch):
