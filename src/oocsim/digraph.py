@@ -88,10 +88,9 @@ def _operator(a: np.ndarray):
     typed output, so every call first checks that the operator, x and the
     output are float64, that x and the output are C-contiguous and of the
     operator's shapes, and that they do not overlap; it raises ValueError
-    otherwise (`_matvec` checks its fixed operator once, when it is built,
-    and makes its own output).  CSR sums only the nonzeros, in its own
-    order, so it can differ from the dense product in the last bits.
-    scipy.sparse is imported in `_csr` only, so dense systems never load it.
+    otherwise.  CSR sums only the nonzeros, in its own order, so it can
+    differ from the dense product in the last bits.  scipy.sparse is
+    imported in `_csr` only, so dense systems never load it.
     """
     if a.shape[0] < _CSR_MIN_ROWS or np.count_nonzero(a) > _CSR_MAX_DENSITY * a.size:
         return a
@@ -171,28 +170,17 @@ def _matvec(op):
     """The function x -> op @ x for an `_operator` op and a vector x, as a new ndarray.
 
     The dense or CSR path is chosen here, once, so the products of the step
-    path pay no dispatch: dense gives op's own `@`, CSR scipy's kernel on a
-    zeroed output.  For CSR the fixed operator is checked here, once (float64,
-    else ValueError), and each call checks only x, as `_kernel` does.
+    path pay no dispatch: dense gives op's own `@`, CSR the guarded kernel
+    on a zeroed output.
     """
     if isinstance(op, np.ndarray):
         return op.__matmul__
-    if op.dtype != _FLOAT64:
-        raise ValueError(f"operator must be float64, got {op.dtype}")
     return partial(_csr_matvec, op)
 
 
 def _csr_matvec(op, x):
-    rows, cols = op.shape
-    if x.shape != (cols,):
-        raise ValueError(f"operator {op.shape} cannot map x {x.shape}")
-    if x.dtype != _FLOAT64:
-        raise ValueError(f"x must be float64, got {x.dtype}")
-    if not x.flags.c_contiguous:
-        raise ValueError(f"x must be C-contiguous, got strides {x.strides}")
-    out = np.zeros(rows)
-    _sparsetools.csr_matvec(rows, cols, op.indptr, op.indices, op.data, x, out)
-    return out
+    out = np.zeros(op.shape[0])
+    return _kernel(op, x, out, out)
 
 
 def is_strongly_connected(g: Digraph) -> bool:
