@@ -1,29 +1,20 @@
 """Fixed-step classical Runge-Kutta integration."""
 
-import math
-
 import numpy as np
 
 from .errors import Diverged
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def rk4_step(f, t, y, h, w=None):
     """One classical 4th-order step of y' = f(t, y); raises Diverged on non-finite output.
 
     With stage inputs w = (w1, w2, w3, w4), stage j calls f(t_j, y_j, w_j):
     w holds inputs the caller advances itself, at t, t + h/2, t + h/2, t + h.
 
-    The result is y + (h/6) (k1 + 2 k2 + 2 k3 + k4), rounded exactly as that
-    expression rounds, with stage inputs y + (h/2) k1, y + (h/2) k2 and
-    y + h k3; y may have any shape.  Each stage input and the result are new
-    arrays, built in place (addition and multiplication commute bit for bit),
-    and no array that f was given or returned is written to, so f may keep
-    its inputs or return a shared array.  The finite check is one dot product
-    of the result with itself, which is finite whenever every entry is and
-    the squares do not overflow; only when it is not finite does the exact
-    check `isfinite().all()` decide.  Overflow and invalid-value warnings are
-    silenced for the whole step: a non-finite result is reported as Diverged.
+    y may have any shape.  No array that f was given or returned is written
+    to, so f may keep its inputs or return a shared array.  Overflow and
+    invalid-value warnings are silenced for the whole step: a non-finite
+    result is reported as Diverged.
     """
     if w is None:
         g = f
@@ -33,24 +24,12 @@ def rk4_step(f, t, y, h, w=None):
             return g(t, y)
 
     w1, w2, w3, w4 = w
-    half = 0.5 * h
-    k1 = f(t, y, w1)
-    y2 = k1 * half
-    y2 += y
-    k2 = f(t + half, y2, w2)
-    y3 = k2 * half
-    y3 += y
-    k3 = f(t + half, y3, w3)
-    y4 = k3 * h
-    y4 += y
-    k4 = f(t + h, y4, w4)
-    out = k2 * 2.0
-    out += k1
-    out += k3 * 2.0
-    out += k4
-    out *= h / 6.0
-    out += y
-    flat = out.reshape(-1)
-    if not math.isfinite(flat.dot(flat)) and not np.isfinite(out).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = f(t, y, w1)
+        k2 = f(t + 0.5 * h, y + (0.5 * h) * k1, w2)
+        k3 = f(t + 0.5 * h, y + (0.5 * h) * k2, w3)
+        k4 = f(t + h, y + h * k3, w4)
+        out = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.isfinite(out).all():
         raise Diverged(f"non-finite state after step at t={t:.6g}", t=t)
     return out

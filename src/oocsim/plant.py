@@ -65,7 +65,8 @@ def _spring_parts(params):
 
 # kind -> (nonlinear remainder, parameters -> (the drift's coefficients on x1,
 # x2 and its one linear v entry, the remainder's bound constants), the index
-# of that v entry: v1 for vdp_like, v2 for damping_spring)
+# of that v entry, which is also the last v entry the drift reads: v1 for
+# vdp_like, v2 for damping_spring)
 _KINDS = {
     "vdp_like": (_vdp_remainder, _vdp_parts, 0),
     "damping_spring": (_spring_remainder, _spring_parts, 1),
@@ -139,28 +140,25 @@ def plant_linear(slices, plants):
     member state: mu1 x2 + Aw v1 for vdp_like, -(k1 x1 + mu1 x2 + Aw v2)/m
     for damping_spring (zero coefficients are left out).  The rest of
     x2' = f(x1, x2, v, t) + b u is the remainder of `plant_drift` plus the
-    tracker's b u.  slices maps "x1" and "x2", and optionally "v", to their
-    slices of the member state; without "v" the terms in v are left out too,
-    so the parts cover the drift's terms in (x1, x2) alone.  Raises
-    Unsupported when a drift's v entry lies past the end of the "v" slice.
+    tracker's b u.  slices maps "x1", "x2" and "v" to their slices of the
+    member state.  Raises Unsupported when a built-in drift reads past the
+    end of the "v" slice: vdp_like reads v1, damping_spring v1 and v2,
+    whatever their coefficients.
     """
-    x1, x2 = slices["x1"].start, slices["x2"].start
+    x1, x2, v = slices["x1"].start, slices["x2"].start, slices["v"]
     built_in = [_KINDS.get(p.kind) for p in plants]
+    reads = np.array([-1 if kind is None else kind[2] for kind in built_in])
+    if reads.max() >= v.stop - v.start:
+        i = int(reads.argmax())
+        raise Unsupported(f"plant {i + 1} ({plants[i].kind}) reads v{reads[i] + 1}, "
+                          f"past the exosystem's {v.stop - v.start}-entry state")
     coefs = np.array([(0.0, 0.0, 0.0) if kind is None else kind[1](p.params)[0]
                       for p, kind in zip(plants, built_in)])
+    agent = np.arange(len(plants))
     parts = [_diagonal(x1, x2, np.ones(len(plants)))]
-    for col, values in zip((x1, x2), coefs.T):
+    for cols, values in zip((agent + x1, agent + x2, reads + v.start), coefs.T):
         agents = np.flatnonzero(values)
-        parts.append((agents + x2, agents + col, values[agents]))
-    if "v" in slices:
-        v = slices["v"]
-        agents = np.flatnonzero(coefs[:, 2])
-        entries = np.array([built_in[i][2] for i in agents], dtype=int)
-        if entries.size and entries.max() >= v.stop - v.start:
-            i = int(agents[entries.argmax()])
-            raise Unsupported(f"plant {i + 1} ({plants[i].kind}) reads v{entries.max() + 1}, "
-                              f"past the exosystem's {v.stop - v.start}-entry state")
-        parts.append((agents + x2, entries + v.start, coefs[agents, 2]))
+        parts.append((agents + x2, cols[agents], values[agents]))
     return parts
 
 

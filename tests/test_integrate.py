@@ -55,8 +55,8 @@ def test_divergence_raises_without_warnings():
 
 
 def test_finite_state_with_overflowing_squares_passes():
-    # the quick check (a dot product of the state with itself) overflows
-    # here; the exact check finds every entry finite
+    # the squares of this state overflow; the finite check reads the
+    # entries, not a norm, so the step passes
     y0 = np.array([1e200, -1e300, 3.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")

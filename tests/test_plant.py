@@ -71,16 +71,13 @@ def test_linear_entries_plus_remainder_are_the_drift(kind):
             scale = max(np.abs(terms).max(), abs(full))
             assert abs(got[i] - full) <= 1e-14 * scale
             assert abs(full - want) <= 1e-14 * scale
-    # the linear entries sit on each agent's own x1 and x2 and, given a v
-    # slice, on the one v entry its drift reads: v1 (vdp_like), v2 (damping_spring)
-    slices = {"x1": slice(0, 2), "x2": slice(2, 4)}
+    # the linear entries sit on each agent's own x1 and x2 and on the one v
+    # entry its drift reads linearly: v1 (vdp_like), v2 (damping_spring)
+    slices = {"x1": slice(0, 2), "x2": slice(2, 4), "v": slice(4, 6)}
     own = [(2, 2), (3, 3)] if kind == "vdp_like" else [(2, 0), (2, 2), (3, 1), (3, 3)]
     v_col = 4 if kind == "vdp_like" else 5
-    for v_slice, want in ((None, own), (slice(4, 6), own + [(2, v_col), (3, v_col)])):
-        if v_slice is not None:
-            slices["v"] = v_slice
-        rows, cols, values = (np.concatenate(x) for x in zip(*plant_linear(slices, [p, p])[1:]))
-        assert sorted(zip(rows.tolist(), cols.tolist())) == sorted(want)
+    rows, cols, values = (np.concatenate(x) for x in zip(*plant_linear(slices, [p, p])[1:]))
+    assert sorted(zip(rows.tolist(), cols.tolist())) == sorted(own + [(2, v_col), (3, v_col)])
 
 
 def test_a_drift_reading_past_v_is_refused():
@@ -90,6 +87,10 @@ def test_a_drift_reading_past_v_is_refused():
     with pytest.raises(Unsupported, match=r"^plant 2 \(damping_spring\) reads v2, "
                                           r"past the exosystem's 1-entry state$"):
         plant_linear(slices, [vdp, spring])
+    # the remainder reads v1 and v2 even when Aw = 0 leaves no linear v term
+    still = damping_spring(m=1.1, k1=2.2, k2=2.9, mu1=3.8, mu2=4.7, a_w=0.0)
+    with pytest.raises(Unsupported, match=r"^plant 1 \(damping_spring\) reads v2, "):
+        plant_linear(slices, [still, vdp])
     # vdp_like reads v1 alone, which a one-entry exosystem has
     rows, cols, values = plant_linear(slices, [vdp, vdp])[-1]
     assert rows.tolist() == [2, 3] and cols.tolist() == [4, 4] and values.tolist() == [1.5, 1.5]  # a_w = mu2 amplitude
@@ -97,7 +98,7 @@ def test_a_drift_reading_past_v_is_refused():
 
 def test_custom_plants_have_no_linear_entries():
     p = custom(lambda x1, x2, v, t: 3.0 * x1 - x2 + v[0], b=1.0)
-    slices = {"x1": slice(0, 2), "x2": slice(2, 4)}
+    slices = {"x1": slice(0, 2), "x2": slice(2, 4), "v": slice(4, 5)}
     parts = plant_linear(slices, [p, p])
     assert sum(len(values) for _, _, values in parts) == 2  # x1' = x2 only
     x1, x2, v = np.array([1.0, 2.0]), np.array([0.5, -1.0]), np.array([0.25, 0.0])
