@@ -170,10 +170,12 @@ def _cmd_sweep(args):
     if attr not in {"horizon", "step", "seed"}:
         raise SchemaError(f"--attr: unsupported sweep field {attr!r}")
     if attr == "seed":
-        if not all(v.is_integer() and v >= 0 for v in values):
-            raise SchemaError(f"--values: seeds must be nonnegative integers, "
+        # as integers, not through float, which rounds above 2**53
+        seeds = [v.strip() for v in args.values.split(",")]
+        if not all(v.isdecimal() and int(v) < 2 ** 64 for v in seeds):
+            raise SchemaError(f"--values: seeds must be nonnegative integers below 2**64, "
                               f"got {args.values!r}")
-        values = [int(v) for v in values]
+        values = [int(v) for v in seeds]
     for val in values:
         try:
             replace(sc, **{attr: val})

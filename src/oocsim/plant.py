@@ -13,13 +13,16 @@ gain positive, as the problem setup requires.
 
 Each built-in drift is split into its terms linear in the member state,
 mu1 x2 + Aw v1 and -(k1 x1 + mu1 x2 + Aw v2)/m, which `plant_linear` gives
-to the member operator, and its nonlinear remainder, written once per kind:
+to the member operator, and its nonlinear remainder:
 
   vdp_like        -x1 x2 (1 + mu1 x1)
   damping_spring  -(k2 x1^3 + mu2 x2^3 - Aw v2 v1^2)/m
 
-`plant_drift` evaluates the remainder; `Plant.f` is the full drift, the
-linear terms plus the remainder.
+`Plant.f` is what `plant_linear` leaves out: a built-in plant's remainder, a
+custom plant's whole drift.  Each built-in kind is one `Kind` entry in
+`KINDS`, which the scenario parser, `plant_linear` and `plant_drift` read, so
+a new kind is one entry and its two formulas.  `feedforward_truth` keeps its
+own closed forms, as the oracle that `verify` checks runs against.
 """
 
 from dataclasses import dataclass
@@ -37,11 +40,24 @@ class Plant:
     kind: str
     params: dict
     b: float
-    f: Callable  # f(x1, x2, v, t) -> drift term added to b*u
+    f: Callable  # f(x1, x2, v, t) -> the drift less the terms `plant_linear` gives
 
     def __post_init__(self):
         if self.b <= 0:
             raise ValueError("control gain b must be positive")
+
+
+@dataclass(frozen=True)
+class Kind:
+    """A built-in plant kind, declared once."""
+
+    remainder: Callable   # (*constants, x1, x2, v, t) -> the drift's nonlinear remainder
+    split: Callable       # params -> (coefficients on x1, x2 and v[reads], constants)
+    reads: int            # the one linear v entry, also the last v entry the drift reads
+    keys: tuple           # scenario keys, in constructor order
+    perturbed: tuple      # the keys `uncertainty` perturbs, in draw order
+    admissible: Callable  # drawn {perturbed key: value} -> whether the draw is kept
+    build: Callable       # the constructor, called with the keys' values in order
 
 
 def _vdp_remainder(mu1, x1, x2, v, t):
@@ -53,51 +69,27 @@ def _spring_remainder(k2, mu2, a_w, x1, x2, v, t):
     return k2 * (x1 * x1 * x1) + mu2 * (x2 * x2 * x2) - a_w * (v[1] * (v[0] * v[0]))
 
 
-def _vdp_parts(params):
+def _vdp_split(params):
     return (0.0, params["mu1"], params["a_w"]), (params["mu1"],)
 
 
-def _spring_parts(params):
+def _spring_split(params):
     m = params["m"]
     return ((-params["k1"] / m, -params["mu1"] / m, -params["a_w"] / m),
             tuple(-params[name] / m for name in ("k2", "mu2", "a_w")))
 
 
-# kind -> (nonlinear remainder, parameters -> (the drift's coefficients on x1,
-# x2 and its one linear v entry, the remainder's bound constants), the index
-# of that v entry, which is also the last v entry the drift reads: v1 for
-# vdp_like, v2 for damping_spring)
-_KINDS = {
-    "vdp_like": (_vdp_remainder, _vdp_parts, 0),
-    "damping_spring": (_spring_remainder, _spring_parts, 1),
-}
-
-
-def _drift(linear, j, remainder, x1, x2, v, t):
-    lin1, lin2, lin_v = linear
-    return lin1 * x1 + lin2 * x2 + lin_v * v[j] + remainder(x1, x2, v, t)
-
-
-def _built_in_drift(kind, params):
-    """The full drift of a built-in kind: its linear terms plus its remainder."""
-    formula, parts, j = _KINDS[kind]
-    linear, constants = parts(params)
-    return partial(_drift, linear, j, partial(formula, *constants))
-
-
-def _remainder(p: Plant):
-    """p's drift less its linear terms; a custom plant's f has none taken out."""
-    if p.kind not in _KINDS:
-        return p.f
-    formula, parts, _ = _KINDS[p.kind]
-    return partial(formula, *parts(p.params)[1])
+def _built_in(name, params, b) -> Plant:
+    kind = KINDS[name]
+    return Plant(kind=name, params=params, b=b,
+                 f=partial(kind.remainder, *kind.split(params)[1]))
 
 
 def vdp_like(mu1, mu2, b, amplitude) -> Plant:
     """First worked example: van-der-Pol-like drift plus sinusoidal disturbance Aw v1."""
     params = {"mu1": mu1, "mu2": mu2, "b": b, "amplitude": amplitude,
               "a_w": mu2 * amplitude}
-    return Plant(kind="vdp_like", params=params, b=b, f=_built_in_drift("vdp_like", params))
+    return _built_in("vdp_like", params, b)
 
 
 def damping_spring(m, k1, k2, mu1, mu2, a_w) -> Plant:
@@ -105,12 +97,22 @@ def damping_spring(m, k1, k2, mu1, mu2, a_w) -> Plant:
     if m <= 0:
         raise ValueError("mass must be positive")
     params = {"m": m, "k1": k1, "k2": k2, "mu1": mu1, "mu2": mu2, "a_w": a_w}
-    return Plant(kind="damping_spring", params=params, b=1.0 / m,
-                 f=_built_in_drift("damping_spring", params))
+    return _built_in("damping_spring", params, 1.0 / m)
 
 
 def custom(f, b) -> Plant:
     return Plant(kind="custom", params={}, b=b, f=f)
+
+
+KINDS = {
+    "vdp_like": Kind(_vdp_remainder, _vdp_split, reads=0,
+                     keys=("mu1", "mu2", "b", "amplitude"), perturbed=("mu1", "mu2", "b"),
+                     admissible=lambda d: d["mu1"] > 0 and d["b"] > 0, build=vdp_like),
+    "damping_spring": Kind(_spring_remainder, _spring_split, reads=1,
+                           keys=("m", "k1", "k2", "mu1", "mu2", "a_w"),
+                           perturbed=("m", "k1", "k2", "mu1", "mu2"),
+                           admissible=lambda d: d["m"] > 0, build=damping_spring),
+}
 
 
 def plant_drift(plants):
@@ -118,14 +120,13 @@ def plant_drift(plants):
 
     The drift's linear terms are not in it: `plant_linear` gives them.  A set
     of one built-in kind evaluates that kind's remainder on arrays of its
-    bound constants; mixed or custom sets call each plant's own remainder.
+    bound constants; mixed or custom sets call each plant's own `f`.
     """
-    kind = plants[0].kind
-    if kind in _KINDS and all(p.kind == kind for p in plants):
-        formula, parts, _ = _KINDS[kind]
-        constants = np.array([parts(p.params)[1] for p in plants]).T
-        return partial(formula, *constants)
-    fns = [_remainder(p) for p in plants]
+    kind = KINDS.get(plants[0].kind)
+    if kind is not None and all(p.kind == plants[0].kind for p in plants):
+        constants = np.array([kind.split(p.params)[1] for p in plants]).T
+        return partial(kind.remainder, *constants)
+    fns = [p.f for p in plants]
 
     def drift(x1, x2, v, t):
         return np.array([f(a, b, v, t) for f, a, b in zip(fns, x1, x2)])
@@ -146,14 +147,14 @@ def plant_linear(slices, plants):
     whatever their coefficients.
     """
     x1, x2, v = slices["x1"].start, slices["x2"].start, slices["v"]
-    built_in = [_KINDS.get(p.kind) for p in plants]
-    reads = np.array([-1 if kind is None else kind[2] for kind in built_in])
+    kinds = [KINDS.get(p.kind) for p in plants]
+    reads = np.array([-1 if kind is None else kind.reads for kind in kinds])
     if reads.max() >= v.stop - v.start:
         i = int(reads.argmax())
         raise Unsupported(f"plant {i + 1} ({plants[i].kind}) reads v{reads[i] + 1}, "
                           f"past the exosystem's {v.stop - v.start}-entry state")
-    coefs = np.array([(0.0, 0.0, 0.0) if kind is None else kind[1](p.params)[0]
-                      for p, kind in zip(plants, built_in)])
+    coefs = np.array([(0.0, 0.0, 0.0) if kind is None else kind.split(p.params)[0]
+                      for p, kind in zip(plants, kinds)])
     agent = np.arange(len(plants))
     parts = [_diagonal(x1, x2, np.ones(len(plants)))]
     for cols, values in zip((agent + x1, agent + x2, reads + v.start), coefs.T):

@@ -126,43 +126,32 @@ def _parse_cost(entry, idx, domain_hint):
     raise SchemaError(f"{context}.kind: unknown cost kind {kind!r}")
 
 
-def _perturb(nominal, fraction, rng, reject=None, max_draws=1000):
-    """Uniform multiplicative perturbation within +-fraction, with rejection."""
+def _perturb(nominal, keys, fraction, rng, admissible, context, max_draws=1000):
+    """Uniform multiplicative perturbation of the keys within +-fraction, with rejection."""
     for _ in range(max_draws):
-        drawn = {k: v * (1.0 + rng.uniform(-fraction, fraction))
-                 for k, v in nominal.items()}
-        if reject is None or not reject(drawn):
+        drawn = {k: nominal[k] * (1.0 + rng.uniform(-fraction, fraction)) for k in keys}
+        if admissible(drawn):
             return drawn
-    raise SchemaError("plant uncertainty: rejection sampling failed to find "
+    raise SchemaError(f"{context}.uncertainty: rejection sampling failed to find "
                       "admissible parameters")
 
 
 def _parse_plant(entry, idx, rng):
     context = f"plants[{idx}]"
     kind = _require(entry, "kind", context)
-    if kind == "vdp_like":
-        _check_keys(entry, context, {"kind", "mu1", "mu2", "b", "amplitude", "uncertainty"})
-        nominal = {k: _number(_require(entry, k, context), f"{context}.{k}")
-                   for k in ("mu1", "mu2", "b")}
-        amplitude = _number(_require(entry, "amplitude", context), f"{context}.amplitude")
-        frac = _number(entry.get("uncertainty", 0.0), f"{context}.uncertainty")
-        if frac:
-            nominal = _perturb(nominal, frac, rng,
-                               reject=lambda d: d["mu1"] <= 0 or d["b"] <= 0)
-        return plant_mod.vdp_like(nominal["mu1"], nominal["mu2"], nominal["b"], amplitude)
-    if kind == "damping_spring":
-        _check_keys(entry, context,
-                    {"kind", "m", "k1", "k2", "mu1", "mu2", "a_w", "uncertainty"})
-        nominal = {k: _number(_require(entry, k, context), f"{context}.{k}")
-                   for k in ("m", "k1", "k2", "mu1", "mu2")}
-        a_w = _number(_require(entry, "a_w", context), f"{context}.a_w")
-        frac = _number(entry.get("uncertainty", 0.0), f"{context}.uncertainty")
-        if frac:
-            nominal = _perturb(nominal, frac, rng, reject=lambda d: d["m"] <= 0)
-        return plant_mod.damping_spring(nominal["m"], nominal["k1"], nominal["k2"],
-                                        nominal["mu1"], nominal["mu2"], a_w)
-    raise SchemaError(f"{context}.kind: unknown plant kind {kind!r} "
-                      "(custom plants are library-only)")
+    spec = plant_mod.KINDS.get(kind) if isinstance(kind, str) else None
+    if spec is None:
+        raise SchemaError(f"{context}.kind: unknown plant kind {kind!r} "
+                          "(custom plants are library-only)")
+    _check_keys(entry, context, {"kind", "uncertainty", *spec.keys})
+    values = {k: _number(_require(entry, k, context), f"{context}.{k}") for k in spec.keys}
+    frac = _number(entry.get("uncertainty", 0.0), f"{context}.uncertainty")
+    if frac:
+        values.update(_perturb(values, spec.perturbed, frac, rng, spec.admissible, context))
+    try:
+        return spec.build(*values.values())
+    except ValueError as exc:
+        raise SchemaError(f"{context}: {exc}") from None
 
 
 def _parse_exosystem(section):

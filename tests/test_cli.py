@@ -177,6 +177,13 @@ def test_sweep_command(tmp_path, tiny_path):
     assert cmd_dispatch(["sweep", "--scenario", str(tiny_path), "--out", str(out),
                          "--attr", "seed", "--values", "1.5"]) == 2
     assert cmd_dispatch(["sweep", "--scenario", str(tiny_path), "--out", str(out),
+                         "--attr", "seed", "--values", str(2 ** 64)]) == 2
+    # a seed past 2**53 runs as itself, not as its nearest float
+    assert cmd_dispatch(["sweep", "--scenario", str(tiny_path), "--out", str(out),
+                         "--attr", "seed", "--values", "9007199254740993"]) == 0
+    payload = json.loads((out / "sweep.json").read_text())
+    assert [entry["value"] for entry in payload] == [9007199254740993]
+    assert cmd_dispatch(["sweep", "--scenario", str(tiny_path), "--out", str(out),
                          "--attr", "step", "--values", "0.003"]) == 2  # 5 s is not whole steps
 
 
@@ -238,6 +245,20 @@ def test_init_ranges_are_drawn_after_yr_and_x(tmp_path, tiny_path, capsys):
     path.write_text(json.dumps(doc))
     assert cmd_dispatch(["sim", "--scenario", str(path), "--out", str(tmp_path)]) == 2
     assert "init.k_range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset, fields, message", [
+    ("example1", {"b": 0, "uncertainty": 0}, "plants[0]: control gain b must be positive"),
+    ("example2", {"m": 0}, "plants[0]: mass must be positive"),
+], ids=["gain", "mass"])
+def test_refused_plant_parameter_exits_2(tmp_path, capsys, preset, fields, message):
+    # each was a ValueError traceback and exit 1
+    doc = json.loads(resources.files("oocsim").joinpath(f"presets/{preset}.json").read_text())
+    doc["plants"][0].update(fields)
+    path = tmp_path / "plant.json"
+    path.write_text(json.dumps(doc))
+    assert cmd_dispatch(["graph", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("section, key, value, message", [

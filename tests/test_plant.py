@@ -10,6 +10,7 @@ from oocsim.errors import Unsupported
 from oocsim.integrate import rk4_step
 from oocsim.plant import (Exosystem, custom, damping_spring, feedforward_truth,
                           plant_drift, plant_linear, rotation_exosystem, vdp_like)
+from plant_equations import paper_drift
 
 
 def split_drift(plants, x1, x2, v):
@@ -43,34 +44,31 @@ def test_damping_spring_hand_value():
     assert abs(drift_at(p, (1.0, 0.0), np.zeros(2)) - (-(2.2 + 2.9) / 1.1)) < 1e-12
 
 
-def paper_drift(p, x1, x2, v):
-    """The drift straight from the plant equations in the module docstring."""
+def random_plant(kind, rng):
+    if kind == "vdp_like":
+        return vdp_like(*rng.uniform(0.1, 3.0, size=3), amplitude=rng.uniform(0.0, 10.0))
+    return damping_spring(*rng.uniform(0.1, 5.0, size=5), a_w=rng.uniform(0.0, 100.0))
+
+
+def linear_terms(p, x1, x2, v):
+    """The drift's terms linear in (x1, x2, v), from the plant equations."""
     q = p.params
     if p.kind == "vdp_like":
-        return -x1 * x2 + q["mu1"] * x2 * (1.0 - x1 ** 2) + q["a_w"] * v[0], [
-            x1 * x2, q["mu1"] * x2, q["mu1"] * x2 * x1 ** 2, q["a_w"] * v[0]]
-    terms = [q["k1"] * x1, q["k2"] * x1 ** 3, q["mu1"] * x2, q["mu2"] * x2 ** 3,
-             q["a_w"] * v[1] * (1.0 - v[0] ** 2)]
-    return -sum(terms) / q["m"], [t / q["m"] for t in terms]
+        return q["mu1"] * x2 + q["a_w"] * v[0]
+    return -(q["k1"] * x1 + q["mu1"] * x2 + q["a_w"] * v[1]) / q["m"]
 
 
 @pytest.mark.parametrize("kind", ["vdp_like", "damping_spring"])
 def test_linear_entries_plus_remainder_are_the_drift(kind):
     rng = np.random.default_rng(12)
     for _ in range(50):
-        if kind == "vdp_like":
-            p = vdp_like(*rng.uniform(0.1, 3.0, size=3), amplitude=rng.uniform(0.0, 10.0))
-        else:
-            p = damping_spring(*rng.uniform(0.1, 5.0, size=5), a_w=rng.uniform(0.0, 100.0))
+        p = random_plant(kind, rng)
         x1, x2 = rng.uniform(-3.0, 3.0, size=(2, 4))
         v = rng.uniform(-10.0, 10.0, size=2)
         got = split_drift([p] * 4, x1, x2, v)
         for i in range(4):
-            full = p.f(x1[i], x2[i], v, 0.0)
             want, terms = paper_drift(p, x1[i], x2[i], v)
-            scale = max(np.abs(terms).max(), abs(full))
-            assert abs(got[i] - full) <= 1e-14 * scale
-            assert abs(full - want) <= 1e-14 * scale
+            assert abs(got[i] - want) <= 1e-14 * max(np.abs(terms).max(), abs(want))
     # the linear entries sit on each agent's own x1 and x2 and on the one v
     # entry its drift reads linearly: v1 (vdp_like), v2 (damping_spring)
     slices = {"x1": slice(0, 2), "x2": slice(2, 4), "v": slice(4, 6)}
@@ -78,6 +76,18 @@ def test_linear_entries_plus_remainder_are_the_drift(kind):
     v_col = 4 if kind == "vdp_like" else 5
     rows, cols, values = (np.concatenate(x) for x in zip(*plant_linear(slices, [p, p])[1:]))
     assert sorted(zip(rows.tolist(), cols.tolist())) == sorted(own + [(2, v_col), (3, v_col)])
+
+
+@pytest.mark.parametrize("kind", ["vdp_like", "damping_spring"])
+def test_f_is_the_drift_less_its_linear_terms(kind):
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        p = random_plant(kind, rng)
+        x1, x2 = rng.uniform(-3.0, 3.0, size=2)
+        v = rng.uniform(-10.0, 10.0, size=2)
+        want, terms = paper_drift(p, x1, x2, v)
+        scale = max(np.abs(terms).max(), abs(want))
+        assert abs(p.f(x1, x2, v, 0.0) - (want - linear_terms(p, x1, x2, v))) <= 1e-14 * scale
 
 
 def test_a_drift_reading_past_v_is_refused():
@@ -97,7 +107,11 @@ def test_a_drift_reading_past_v_is_refused():
 
 
 def test_custom_plants_have_no_linear_entries():
-    p = custom(lambda x1, x2, v, t: 3.0 * x1 - x2 + v[0], b=1.0)
+    def f(x1, x2, v, t):
+        return 3.0 * x1 - x2 + v[0]
+
+    p = custom(f, b=1.0)
+    assert p.f is f  # the whole drift, as given
     slices = {"x1": slice(0, 2), "x2": slice(2, 4), "v": slice(4, 5)}
     parts = plant_linear(slices, [p, p])
     assert sum(len(values) for _, _, values in parts) == 2  # x1' = x2 only
@@ -117,10 +131,11 @@ def test_mixed_kind_set_matches_each_plant():
         v = rng.uniform(-2, 2, size=2)
         got = drift(x1, x2, v, 0.0)
         assert got.shape == (4,)
-        # with the linear entries, each plant's own full drift, within round-off
-        own = [p.f(a, b, v, 0.0) for p, a, b in zip(plants, x1, x2)]
-        np.testing.assert_allclose(split_drift(plants, x1, x2, v), own, rtol=1e-13,
-                                   atol=1e-13)
+        # with the linear entries, each plant's drift from its equations, within round-off
+        full = split_drift(plants, x1, x2, v)
+        for i, p in enumerate(plants):
+            want, terms = paper_drift(p, x1[i], x2[i], v)
+            assert abs(full[i] - want) <= 1e-14 * max(np.abs(terms).max(), abs(want))
         # and the stacked remainder of each kind, within round-off
         for kind in ("vdp_like", "damping_spring"):
             idx = [i for i, p in enumerate(plants) if p.kind == kind]
@@ -159,7 +174,7 @@ def test_feedforward_truth_cancels_drift():
         p2 = damping_spring(*rng.uniform(0.5, 3.0, size=5), a_w=rng.uniform(1, 10))
         for p in (p1, p2):
             u = feedforward_truth(p, s_star, v)
-            assert abs(p.f(s_star, 0.0, v, 0.0) + p.b * u) < 1e-12
+            assert abs(paper_drift(p, s_star, 0.0, v)[0] + p.b * u) < 1e-12
 
 
 def test_feedforward_truth_custom_unsupported():

@@ -1,5 +1,7 @@
 import copy
 import json
+import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -94,6 +96,62 @@ def test_uncertainty_is_seeded():
     assert [p.params for p in a.plants] != [p.params for p in c.plants]
     for p, q in zip(a.plants, scenario_from_dict(copy.deepcopy(doc)).plants):
         assert abs(p.params["mu1"] - 1.0) <= 0.2
+
+
+def preset_doc(name):
+    return json.loads(resources.files("oocsim").joinpath(f"presets/{name}.json").read_text())
+
+
+# the perturbed parameters drawn from rng([seed, 0]), bit for bit; the
+# benchmark's reference.json depends on this stream
+EXAMPLE1_DRAWS = [  # mu1, mu2, b
+    (1.0552781334406178, 1.1965839101925033, 0.8386917821786495),
+    (2.0053634734158035, 1.9171511611863643, 0.882406494418658),
+    (3.4600425880449395, 3.048579455859949, 1.0448817842233498),
+    (3.65657854014726, 4.089694437154453, 1.0934703089165017),
+    (4.397750205460104, 4.529528002360182, 0.9301841990828152),
+]
+SPRING_DRAWS = [  # m, k1, k2, mu1, mu2; two draws of a nonpositive m are rejected
+    (0.8793189027803637, 2.061738567729505, -0.06027144265741615, 6.474179526065044,
+     -0.747224519108212),
+    (0.8084214857843833, 2.520529314873818, 2.217275371479093, 4.53742457153192,
+     7.539458792256515),
+    (3.0794422938607844, 0.9167690772405733, 3.9032323773465833, 5.4014031660355855,
+     1.5504652128535914),
+    (1.7576843475418136, 2.5590011875273833, 4.731560675260769, -1.308678326440277,
+     6.159402090474108),
+    (0.9340972506531185, -0.6823255784616795, 3.7037505057092113, 6.88317469267219,
+     0.42550726485051305),
+]
+
+
+def test_uncertainty_draws_are_pinned():
+    sc = parse_scenario("example1")
+    assert [tuple(p.params[k] for k in ("mu1", "mu2", "b")) for p in sc.plants] == EXAMPLE1_DRAWS
+    doc = preset_doc("example2")
+    doc["seed"] = 3
+    for entry in doc["plants"]:
+        entry["uncertainty"] = 1.5
+    sc = scenario_from_dict(doc)
+    keys = ("m", "k1", "k2", "mu1", "mu2")
+    assert [tuple(p.params[k] for k in keys) for p in sc.plants] == SPRING_DRAWS
+
+
+@pytest.mark.parametrize("preset, fields, message", [
+    ("example1", {"b": 0.0, "uncertainty": 0.0}, "plants[0]: control gain b must be positive"),
+    ("example2", {"m": 0.0}, "plants[0]: mass must be positive"),
+    ("example1", {"mu1": -1.0}, "plants[0].uncertainty: rejection sampling failed to find "
+                                "admissible parameters"),
+    ("example1", {"kind": "custom"},
+     "plants[0].kind: unknown plant kind 'custom' (custom plants are library-only)"),
+    ("example1", {"kind": ["vdp_like"]},
+     "plants[0].kind: unknown plant kind ['vdp_like'] (custom plants are library-only)"),
+], ids=["gain", "mass", "rejection", "custom", "unhashable"])
+def test_refused_plant_parameters_name_the_plant(preset, fields, message):
+    doc = preset_doc(preset)
+    doc["plants"][0].update(fields)
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        scenario_from_dict(doc)
 
 
 def test_negative_weight_names_edge():

@@ -24,6 +24,7 @@ from oocsim.sim import (DEFAULT_TOLERANCES, InitPolicy, LinearDriver, ModalSourc
                         initial_state, integrate, metrics, rk4_stage_factors, run, verify,
                         xi_source)
 from oocsim.tracker import FeedforwardTruth, InternalModelSpec, TrackerParams
+from plant_equations import paper_drift
 
 
 EPS = np.finfo(float).eps
@@ -371,7 +372,10 @@ def paper_derivative(sc, system, t, y, xi_diag):
             d_eta[block] = spec.M @ eta[block] + spec.N_vec * u
             d_psi[block] = -eta[block] * theta
         d_x1[i] = x2[i]
-        d_x2[i] = plant.f(x1[i], x2[i], v, t) + plant.b * u
+        # a custom plant's f is its whole drift
+        drift = (plant.f(x1[i], x2[i], v, t) if plant.kind == "custom"
+                 else paper_drift(plant, x1[i], x2[i], v)[0])
+        d_x2[i] = drift + plant.b * u
         d_k[i] = rho * theta ** 2
     return out
 
