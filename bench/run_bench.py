@@ -10,7 +10,10 @@ Repeat r uses seed `--seed + r` on every checkout.
 The output JSON holds, per checkout and workload, each metric's min, median,
 quartiles and per-repeat values, plus each run's correctness and failed trajectories.
 With two checkouts it also counts, per metric, the repeats in which the
-second did better than the first.
+second did better than the first, and gives each metric a verdict, which it
+prints too: "gain" when the second won at least nine tenths of the repeats
+(ties count for neither) and its median is better than the first's by more
+than the distance between the first's quartiles, else "unresolved".
 """
 
 import argparse
@@ -65,6 +68,20 @@ def paired_wins(base, other):
     return wins
 
 
+def verdicts(base, other, wins, repeats):
+    """Per metric in wins: "gain" or "unresolved", with the numbers the rule reads."""
+    out = {}
+    for name, won in wins.items():
+        b, o = base["metrics"][name], other["metrics"][name]
+        sign = 1 if b["better"] == "higher" else -1
+        spread = b["quartiles"][1] - b["quartiles"][0]
+        gain = 10 * won >= 9 * repeats and sign * (o["median"] - b["median"]) > spread
+        out[name] = {"verdict": "gain" if gain else "unresolved", "wins": won,
+                     "base_median": b["median"], "other_median": o["median"],
+                     "base_quartile_spread": spread}
+    return out
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", action="append", required=True, metavar="LABEL=PATH",
@@ -107,10 +124,18 @@ def main(argv=None):
     labels = list(checkouts)
     if len(labels) == 2:
         base, other = labels
-        out["pairs"] = {w: {"base": base, "other": other, "repeats": args.repeats,
-                            "other_better": paired_wins(out["checkouts"][base][w],
-                                                        out["checkouts"][other][w])}
-                        for w in workloads}
+        out["pairs"] = {}
+        for w in workloads:
+            b, o = out["checkouts"][base][w], out["checkouts"][other][w]
+            wins = paired_wins(b, o)
+            out["pairs"][w] = {"base": base, "other": other, "repeats": args.repeats,
+                               "other_better": wins,
+                               "verdicts": verdicts(b, o, wins, args.repeats)}
+            for name, v in out["pairs"][w]["verdicts"].items():
+                print(f"{w} {name}: {v['verdict']} ({other} better in {v['wins']}/"
+                      f"{args.repeats} repeats, median {v['base_median']:.6g} -> "
+                      f"{v['other_median']:.6g}, {base} quartile spread "
+                      f"{v['base_quartile_spread']:.3g})", flush=True)
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=2)
         fh.write("\n")

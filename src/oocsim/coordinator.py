@@ -137,10 +137,12 @@ def coordinator_only_run(g: Digraph, cost_list, gains: CoordinatorGains, y0,
     big_l = laplacian(g)
     matvec = _matvec(_block_operator((2 * n, 2 * n), coordinator_linear(big_l, gains)))
     grad_vec = build_gradient(cost_list)
+    out = np.empty(2 * n)  # refilled by every call, as `rk4_step` allows
+    d_yr = out[:n]
 
     def rhs(t, c, w):
-        out = matvec(c)
-        coordinator_nonlinear(out[:n], c[:n], w, grad_vec)
+        matvec(c, out=out)
+        coordinator_nonlinear(d_yr, c[:n], w, grad_vec)
         return out
 
     c0 = np.concatenate([np.asarray(y0, dtype=float), np.zeros(n)])

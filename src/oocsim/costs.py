@@ -117,12 +117,18 @@ def _f5_val(s):
 
 
 def _f5_grad(xp, s):
-    q = s * s + 5.0
+    # cubes as products and q^-1.5 as 1/(q sqrt q): `s ** 3` and `q ** -1.5`
+    # call libm pow, which made this gradient about ten times dearer on the
+    # curvature scan's grid
+    s2 = s * s
+    s3 = s2 * s
+    q = s2 + 5.0
+    root = xp.sqrt(q)
     return (
-        1.2 * s * (xp.log(s * s + 0.5) + 1.0)
-        + 1.2 * s ** 3 / (s * s + 0.5)
-        + 0.6 * s / xp.sqrt(q)
-        - 0.3 * s ** 3 * q ** -1.5
+        1.2 * s * (xp.log(s2 + 0.5) + 1.0)
+        + 1.2 * s3 / (s2 + 0.5)
+        + 0.6 * s / root
+        - 0.3 * s3 / (q * root)
     )
 
 

@@ -78,7 +78,7 @@ def _operator(a: np.ndarray):
     """`a` as a scipy.sparse CSR array when it is large and sparse, else `a` itself.
 
     Operators on the step path are applied with `_add_product` and `_matvec`,
-    not `@`.  For a dense operator those run the same numpy calls as `@`.  For
+    not `@`.  For a dense operator those run `@`'s own numpy call.  For
     CSR they call scipy's private accumulating kernels
     `scipy.sparse._sparsetools.csr_matvec` and `csr_matvecs` (Y += A X)
     directly, on the caller's buffers: `@` allocates and zero-fills its
@@ -130,8 +130,9 @@ def _block_operator(shape, parts):
 def _kernel(op, x, base, out):
     """out = base + op @ x for a CSR op through scipy's kernel; returns out.
 
-    Checks the operator, x and out before it writes anything; base is then
-    copied into out unless it is out, and the kernel adds the product.
+    Checks the operator, x and out before it writes anything; base (an array,
+    or a number that fills out) is then copied into out unless it is out, and
+    the kernel adds the product.
     """
     rows, cols = op.shape
     if x.ndim > 2 or x.shape[:1] != (cols,) or out.shape != (rows,) + x.shape[1:]:
@@ -167,20 +168,20 @@ def _add_product(op, x, base, out):
 
 
 def _matvec(op):
-    """The function x -> op @ x for an `_operator` op and a vector x, as a new ndarray.
+    """The function (x, out=out) -> out = op @ x for an `_operator` op and a vector x.
 
     The dense or CSR path is chosen here, once, so the products of the step
-    path pay no dispatch: dense gives op's own `@`, CSR the guarded kernel
-    on a zeroed output.
+    path pay no dispatch and make no array: dense gives np.matmul into out,
+    CSR the guarded kernel, which zeroes out once its checks pass.  out must
+    not overlap x, which the CSR kernel reads while it writes out.
     """
     if isinstance(op, np.ndarray):
-        return op.__matmul__
+        return partial(np.matmul, op)
     return partial(_csr_matvec, op)
 
 
-def _csr_matvec(op, x):
-    out = np.zeros(op.shape[0])
-    return _kernel(op, x, out, out)
+def _csr_matvec(op, x, out):
+    return _kernel(op, x, 0.0, out)  # out is zeroed after the checks
 
 
 def is_strongly_connected(g: Digraph) -> bool:

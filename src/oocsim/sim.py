@@ -24,11 +24,14 @@ x1' = x2, the plant drift's terms linear in (x1, x2, v), M eta and v' = S v, the
 n rows of theta = x2 + gamma (x1 - yr), and one row of -theta per eta entry
 into one (dim + n + sum(s_i)) x dim operator, from each layer's COO parts
 (`coordinator_linear`, `plant_linear`, `tracker_linear`) and S's nonzeros.
-Each call multiplies it by y into a new array, adds the nonlinear terms in
-place (`coordinator_nonlinear`: -grad c(yr)/xi; `tracker_nonlinear`: u, k',
-psi_hat' = eta (-theta) and N u; the drift's nonlinear remainder, which reads
-v from y, plus b u in x2'), and returns the first dim entries.  The xi floor
-is not checked here: the source checks it over its stage inputs.
+The derivative owns two buffers, one for y and one for the operator's rows,
+and every slice view of them it uses is made once, by `assemble`.  Each call
+copies y in, writes the product into the output buffer, adds the nonlinear
+terms in place (`coordinator_nonlinear`: -grad c(yr)/xi; `tracker_nonlinear`:
+u, k', psi_hat' = eta (-theta) and N u; the drift's nonlinear remainder, which
+reads v from y, plus b u in x2'), and returns the output's first dim entries,
+valid until its next call.  The xi floor is not checked here: the source
+checks it over its stage inputs.
 
 The source is `ModalSource` unless L is defective or nearly so: from the
 eigenmodes of -L it computes RK4's own stage values per mode,
@@ -155,7 +158,11 @@ class System:
     """Assembled closed loop: derivative closure plus resolved parameters.
 
     derivative(t, y, w) takes the member state y and the stage input
-    w = diag xi, and returns a new array.  operator is its linear part,
+    w = diag xi, and returns a view of an output buffer the System owns: it
+    stays valid until the next call, which overwrites it, and y is copied in
+    and never kept.  So a System serves one integration at a time (`rk4_step`
+    folds each stage's result in before its next call); two Systems share no
+    buffer.  operator is its linear part,
     (dim + n + sum(s_i)) x dim: the first dim rows give every linear term of
     the member derivative, the next n rows the filtered error theta and the
     last sum(s_i) rows -theta of each eta entry's agent, which the ablated
@@ -461,8 +468,6 @@ def assemble(sc: Scenario) -> System:
     layout = StateLayout(n=n, s_dims=tuple(spec.s_dim for spec in sc.im_specs), nv=sc.exo.dim)
     dim = layout.dim
     sl = layout.slices
-    sl_x1, sl_x2, sl_eta, sl_k, sl_psi = sl["x1"], sl["x2"], sl["eta"], sl["k"], sl["psi"]
-    sl_v = sl["v"]
     v_rows, v_cols = np.nonzero(sc.exo.S)  # v' = S v
     # rows: the member derivative's linear part, theta's n rows, then -theta
     # per eta entry unless the internal model is ablated
@@ -471,18 +476,25 @@ def assemble(sc: Scenario) -> System:
                          coordinator_linear(spectral.laplacian, gains)
                          + plant_linear(sl, sc.plants)
                          + tracker_linear(sl, dim, sc.tracker.gamma, im)
-                         + [(v_rows + sl_v.start, v_cols + sl_v.start, sc.exo.S[v_rows, v_cols])])
+                         + [(v_rows + sl["v"].start, v_cols + sl["v"].start,
+                             sc.exo.S[v_rows, v_cols])])
     matvec = _matvec(op)
+    # the derivative's own buffers, y copied in and the product written out,
+    # and every view of them it reads or writes, made once
+    y_in, out = np.empty(dim), np.empty(rows)
+    yr, x1, x2, eta, k, psi, v = (y_in[sl[key]] for key in
+                                  ("yr", "x1", "x2", "eta", "k", "psi", "v"))
+    d_yr, d_x2, d_eta, d_k, d_psi = (out[sl[key]] for key in ("yr", "x2", "eta", "k", "psi"))
+    theta_rows, d_y = out[dim:], out[:dim]
 
     def derivative(t, y, w=np.ones(n)):  # w: diag xi, by default that of xi(0) = I
-        out = matvec(y)
-        coordinator_nonlinear(out[:n], y[:n], w, grad_vec)
-        u = tracker_nonlinear(out[dim:], y[sl_eta], y[sl_k], y[sl_psi], im,
-                              out[sl_eta], out[sl_k], out[sl_psi])
-        d_x2 = out[sl_x2]
-        d_x2 += drift(y[sl_x1], y[sl_x2], y[sl_v], t)
-        d_x2 += b * u
-        return out[:dim]
+        y_in[:] = y
+        matvec(y_in, out=out)
+        coordinator_nonlinear(d_yr, yr, w, grad_vec)
+        u = tracker_nonlinear(theta_rows, eta, k, psi, im, d_eta, d_k, d_psi)
+        np.add(d_x2, drift(x1, x2, v, t), out=d_x2)
+        np.add(d_x2, b * u, out=d_x2)
+        return d_y
 
     return System(layout=layout, spectral=spectral, gains=gains, derivative=derivative,
                   operator=op)

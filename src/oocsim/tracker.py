@@ -161,10 +161,9 @@ class TrackerParams:
 class StackedInternalModel:
     """All agents' internal models as one block-diagonal system over the stacked eta."""
 
-    M_entries: tuple    # block_diag(M_1, ..., M_n)'s nonzeros as COO (rows, cols, values)
-    N: np.ndarray       # N_1, ..., N_n concatenated
-    starts: np.ndarray  # offset of agent i's block in eta
-    owner: np.ndarray   # agent index of each entry of eta
+    M_entries: tuple   # block_diag(M_1, ..., M_n)'s nonzeros as COO (rows, cols, values)
+    N: np.ndarray      # N_1, ..., N_n concatenated
+    owner: np.ndarray  # agent index of each entry of eta
 
     @staticmethod
     def stack(im_specs):
@@ -184,7 +183,6 @@ class StackedInternalModel:
         return StackedInternalModel(
             M_entries=tuple(np.concatenate(x) for x in zip(*parts)),
             N=np.concatenate([im.N_vec for im in im_specs]),
-            starts=starts,
             owner=np.repeat(np.arange(len(s_dims)), s_dims))
 
 
@@ -219,10 +217,11 @@ def tracker_nonlinear(theta_rows, eta, k, psi, im, d_eta, d_k, d_psi):
     theta = x2 + gamma (x1 - yr) of each agent, then -theta of each eta
     entry's agent; d_eta holds M eta from its M block.  With rho(theta) =
     theta^4 + 1 and q = rho(theta) theta: d_k = q theta, u = psi_hat_i .
-    eta_i - k q, d_eta += N u and d_psi = eta (-theta).  With im=None the
-    internal model is ablated: u drops psi_hat . eta, and d_eta and d_psi are
-    left as they are.  theta^4 is (theta^2)^2: `theta ** 4` calls libm pow,
-    about 7x slower.
+    eta_i - k q, d_eta += N u and d_psi = eta (-theta).  psi_hat_i . eta_i is
+    one `np.bincount` of psi_hat eta over each entry's owner, which sums each
+    agent's entries in order.  With im=None the internal model is ablated: u
+    drops psi_hat . eta, and d_eta and d_psi are left as they are.  theta^4
+    is (theta^2)^2: `theta ** 4` calls libm pow, about 7x slower.
     """
     n = len(k)
     theta = theta_rows[:n]
@@ -234,7 +233,7 @@ def tracker_nonlinear(theta_rows, eta, k, psi, im, d_eta, d_k, d_psi):
     q *= k
     if im is None:
         return np.negative(q, out=q)
-    u = np.add.reduceat(psi * eta, im.starts)
+    u = np.bincount(im.owner, weights=psi * eta, minlength=n)
     u -= q
     d_eta += im.N * u[im.owner]
     np.multiply(eta, theta_rows[n:], out=d_psi)

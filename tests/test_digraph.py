@@ -211,7 +211,9 @@ def test_csr_kernel_matches_dense_product(index_dtype, x_shape):
     assert _add_product(op, x, in_place, in_place) is in_place  # out is base: no copy
     assert np.abs(in_place - want).max() <= tol
     if len(x_shape) == 1:
-        assert np.abs(_matvec(op)(x) - a @ x).max() <= 1e-14 * np.abs(a @ x).max()
+        out = np.full(80, np.nan)  # every entry is written, whatever it held
+        assert _matvec(op)(x, out=out) is out
+        assert np.abs(out - a @ x).max() <= 1e-14 * np.abs(a @ x).max()
 
 
 def test_dense_operator_runs_the_plain_numpy_calls():
@@ -222,8 +224,9 @@ def test_dense_operator_runs_the_plain_numpy_calls():
     out = np.empty((6, 3))
     assert _add_product(a, x, base, out) is out
     assert np.array_equal(out, np.add(base, a @ x))
-    v = rng.uniform(-1.0, 1.0, 6)
-    assert np.array_equal(_matvec(a)(v), a @ v)
+    v, out = rng.uniform(-1.0, 1.0, 6), np.empty(6)
+    assert _matvec(a)(v, out=out) is out
+    assert np.array_equal(out, a @ v)
 
 
 def test_csr_kernel_refuses_inputs_it_would_mishandle():
@@ -249,10 +252,12 @@ def test_csr_kernel_refuses_inputs_it_would_mishandle():
         assert np.array_equal(out, before), f"{name}: out written before the refusal"
     for xx, message in ((np.ones(81), shape), (np.ones(160)[::2], layout),
                         (np.ones(80, dtype=np.float32), dtype)):
+        out = np.ones(80)
         with pytest.raises(ValueError, match=message):
-            _matvec(op)(xx)
+            _matvec(op)(xx, out=out)
+        assert np.array_equal(out, np.ones(80)), "out written before the refusal"
     with pytest.raises(ValueError, match=dtype):
-        _matvec(op.astype(np.float32))(np.ones(80))
+        _matvec(op.astype(np.float32))(np.ones(80), out=np.zeros(80))
 
 
 def test_csr_kernel_writes_into_the_callers_buffer():

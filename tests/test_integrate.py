@@ -101,6 +101,31 @@ def test_step_is_the_classic_combination_bit_for_bit():
         assert all(np.array_equal(x, copy) for _, x, copy in given)
 
 
+def test_shared_output_buffer_steps_like_fresh_arrays():
+    # f writes every k into one buffer, as the member derivative does; the
+    # step folds each k in before its next call, so it equals the classic
+    # combination of fresh arrays bit for bit
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(6, 6))
+    w = tuple(rng.normal(size=6) for _ in range(4))
+    buf = np.empty(6)
+    seen = []
+
+    def shared(t, y, wj):
+        seen.append((y, y.copy()))  # the stage input f was given, and its value then
+        np.matmul(a, y, out=buf)
+        return np.add(buf, wj, out=buf)
+
+    for y in (rng.normal(size=6), rng.normal(size=6) * 1e3):
+        seen.clear()
+        got = rk4_step(shared, 0.25, y, 0.05, w)
+        assert np.array_equal(got, classic_step(lambda t, y, wj: a @ y + wj, 0.25, y, 0.05, w))
+        # no stage input was written after f saw it, and none is f's buffer
+        assert len(seen) == 4 and seen[0][0] is y
+        assert all(np.array_equal(x, copy) for x, copy in seen)
+        assert not any(np.may_share_memory(x, buf) for x, _ in seen + [(got, None)])
+
+
 def test_matrix_state_steps_like_a_vector_state():
     # an (n, n) state, as the tests step xi' = -L xi, column by column
     rng = np.random.default_rng(6)

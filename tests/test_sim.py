@@ -216,7 +216,9 @@ def test_initial_state_structure():
     assert np.array_equal(xi_diag, np.ones(3)) and np.array_equal(xi_rowsum, np.ones(3))
     first = driver.stages()[0]
     assert np.array_equal(first, np.ones(3))
-    assert np.array_equal(system.derivative(0.0, y0), system.derivative(0.0, y0, first))
+    # the derivative returns its own buffer, which the second call refills
+    default = system.derivative(0.0, y0).copy()
+    assert np.array_equal(default, system.derivative(0.0, y0, first))
 
 
 def test_conservation_on_recorded_samples():
@@ -406,6 +408,10 @@ def test_derivative_matches_the_paper_agent_by_agent(case, request):
         sc = {"mixed-orders": mixed_orders, "custom-plant": custom_plants,
               "mixed-kinds": mixed_kinds, "sparse-ring": sparse_ring}[case]()
     system = assemble(sc)
+    if case == "sparse-ring":
+        # the CSR kernel adds into the derivative's buffer, so the calls below
+        # also show that each call starts from a zeroed one
+        assert system.operator.format == "csr"
     # the member derivative's rows, theta's n rows and -theta per eta entry
     layout = system.layout
     eta_rows = 0 if sc.ablate_internal_model else layout.total_s
@@ -418,6 +424,29 @@ def test_derivative_matches_the_paper_agent_by_agent(case, request):
         want = paper_derivative(sc, system, 0.3, y, w)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_systems_share_no_buffer(example1_scenario):
+    sc = dataclasses.replace(example1_scenario, horizon=0.02)
+    first, second = assemble(sc), assemble(sc)
+    y0 = initial_state(sc, first.layout)
+    got = first.derivative(0.0, y0)
+    want = got.copy()
+    other = second.derivative(0.0, 2.0 * y0)
+    assert not np.may_share_memory(got, other)
+    assert np.array_equal(got, want)
+    # a result is valid until the System's own next call, which refills it
+    again = first.derivative(0.0, 2.0 * y0)
+    assert np.shares_memory(again, got) and np.array_equal(got, other)
+
+    def disturbed(t, x):  # the other System's call lands before the result is used
+        out = first.derivative(t, x)
+        second.derivative(t, 2.0 * x)
+        return out
+
+    alone = assemble(sc).derivative
+    assert np.array_equal(rk4_step(disturbed, 0.0, y0, sc.step),
+                          rk4_step(alone, 0.0, y0, sc.step))
 
 
 @pytest.mark.parametrize("preset, kind, entry, coefficient", [
@@ -446,7 +475,8 @@ def test_tracing_call_contract(monkeypatch):
     sc = tiny_scenario(horizon=0.05, record_every=5)
     system = assemble(sc)
     y0 = initial_state(sc, system.layout)
-    assert np.array_equal(system.derivative(0.0, y0), system.derivative(0.0, y0, np.ones(3)))
+    default = system.derivative(0.0, y0).copy()  # the next call refills the buffer
+    assert np.array_equal(default, system.derivative(0.0, y0, np.ones(3)))
     plain = run(sc, system)
     calls = {"rhs": 0, "steps": 0}
     derivative, step = system.derivative, sim.rk4_step

@@ -132,7 +132,6 @@ def test_stack_of_mixed_orders_is_block_diagonal():
     assert np.array_equal(m, scipy.linalg.block_diag(*[spec.M for spec in specs]))
     # nonzeros only, so a CSR operator built from them keeps M's sparsity
     assert np.count_nonzero(im.M_entries[2]) == len(im.M_entries[2]) == np.count_nonzero(m)
-    assert im.starts.tolist() == [0, 2, 6, 7]
     assert im.owner.tolist() == [0, 0, 1, 1, 1, 1, 2, 3, 3]
 
 
