@@ -12,8 +12,10 @@ The xi rows are linear and read no other state, so the xi source of `sim`
 (`sim.xi_source`: RK4 per eigenmode of -L, or the Horner `sim.LinearDriver`
 when L is defective or nearly so) advances them outside the per-agent state.
 Everything in yr' and z' but the gradient term is linear in (yr, z):
-`coordinator_linear` gives those entries of the member derivative's operator,
-and `coordinator_nonlinear` adds -grad c_i(yr_i)/xi_i^i, reading xi_i^i only.
+`coordinator_linear` gives those entries of the member derivative's main
+operator, which scatters the feature grad c_i(yr_i)/xi_i^i onto yr' with -1
+(`sim.assemble`), and of `coordinator_only_run`'s operator, after which
+`coordinator_nonlinear` subtracts it; either reads xi_i^i only.
 The floor xi_i^i >= XI_FLOOR is a property of the xi trajectory alone, so the
 xi source checks it once per RK4 step over all four stage inputs
 (`check_xi_floor`), not the member derivative at each stage.

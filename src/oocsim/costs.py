@@ -13,6 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .digraph import _diagonal
 from .errors import BracketNotFound, GradientNotVectorized, NonConvexDetected
 
 DEFAULT_DOMAIN = (-10.0, 10.0)
@@ -235,15 +236,17 @@ def convexity_bounds(cost_list) -> ConvexityBounds:
     """
     lo = min(c.domain_hint[0] for c in cost_list)
     hi = max(c.domain_hint[1] for c in cost_list)
-    npts = max(_SCAN_MIN_POINTS, int(math.ceil((hi - lo) / _SCAN_STEP)) + 1)
-    grid = np.linspace(lo, hi, npts)
-    h = grid[1] - grid[0]
+    grid = None  # made for the first cost that is scanned
     varpi = math.inf
     iota_bar = 0.0
     for c in cost_list:
         if c.kind == "quadratic":
             low = high = 2.0 * float(c.params["a"])
         else:
+            if grid is None:
+                npts = max(_SCAN_MIN_POINTS, int(math.ceil((hi - lo) / _SCAN_STEP)) + 1)
+                grid = np.linspace(lo, hi, npts)
+                h = grid[1] - grid[0]
             with np.errstate(over="ignore", invalid="ignore"):
                 g = _grid_gradient(c, grid)
                 second = (g[2:] - g[:-2]) / (2.0 * h)
@@ -257,6 +260,21 @@ def convexity_bounds(cost_list) -> ConvexityBounds:
         varpi = min(varpi, low)
         iota_bar = max(iota_bar, high)
     return ConvexityBounds(varpi=varpi, iota_bar=iota_bar)
+
+
+def gradient_linear(cost_list, row, col, one):
+    """An all-quadratic set's gradient 2a yr - 2ab as COO parts (rows, cols, values); else None.
+
+    Rows row.. row + n - 1 hold agent i's 2a_i on yr_i, at column col + i,
+    and -2a_i b_i on the constant 1 at column one.  So one product gives
+    the gradient, affine in yr; any other cost set takes `build_gradient`.
+    """
+    if not all(c.kind == "quadratic" for c in cost_list):
+        return None
+    n = len(cost_list)
+    a = np.array([2.0 * c.params["a"] for c in cost_list])
+    b = np.array([c.params["b"] for c in cost_list])
+    return [_diagonal(row, col, a), (np.arange(n) + row, np.full(n, one), -a * b)]
 
 
 def build_gradient(cost_list):

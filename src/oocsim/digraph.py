@@ -64,8 +64,9 @@ _CSR_MIN_ROWS = 64
 _CSR_MAX_DENSITY = 0.1
 # A `_block_operator` is not square, so its rule counts entries.  The dense
 # product falls behind the guarded CSR kernel (about 4 us a call) between 12,000
-# and 18,000 entries; both presets' member operators (2,914 and 6,164
-# entries) stay below, so dense systems never import scipy.sparse.
+# and 18,000 entries; the presets' member operators (at most 3,196 entries on
+# example1 and 5,963 on example2) stay below, so dense systems never import
+# scipy.sparse.
 _CSR_MIN_ENTRIES = 128 * 128
 
 # scipy's private CSR kernels, bound by `_csr` when it makes the first CSR
@@ -171,12 +172,13 @@ def _matvec(op):
     """The function (x, out=out) -> out = op @ x for an `_operator` op and a vector x.
 
     The dense or CSR path is chosen here, once, so the products of the step
-    path pay no dispatch and make no array: dense gives np.matmul into out,
-    CSR the guarded kernel, which zeroes out once its checks pass.  out must
-    not overlap x, which the CSR kernel reads while it writes out.
+    path pay no dispatch and make no array: dense gives np.dot into out (the
+    same BLAS gemv as np.matmul, at about 0.3 us less a call), CSR the
+    guarded kernel, which zeroes out once its checks pass.  out must not
+    overlap x, which the CSR kernel reads while it writes out.
     """
     if isinstance(op, np.ndarray):
-        return partial(np.matmul, op)
+        return partial(np.dot, op)
     return partial(_csr_matvec, op)
 
 

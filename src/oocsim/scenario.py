@@ -126,16 +126,6 @@ def _parse_cost(entry, idx, domain_hint):
     raise SchemaError(f"{context}.kind: unknown cost kind {kind!r}")
 
 
-def _perturb(nominal, keys, fraction, rng, admissible, context, max_draws=1000):
-    """Uniform multiplicative perturbation of the keys within +-fraction, with rejection."""
-    for _ in range(max_draws):
-        drawn = {k: nominal[k] * (1.0 + rng.uniform(-fraction, fraction)) for k in keys}
-        if admissible(drawn):
-            return drawn
-    raise SchemaError(f"{context}.uncertainty: rejection sampling failed to find "
-                      "admissible parameters")
-
-
 def _parse_plant(entry, idx, rng):
     context = f"plants[{idx}]"
     kind = _require(entry, "kind", context)
@@ -146,10 +136,10 @@ def _parse_plant(entry, idx, rng):
     _check_keys(entry, context, {"kind", "uncertainty", *spec.keys})
     values = {k: _number(_require(entry, k, context), f"{context}.{k}") for k in spec.keys}
     frac = _number(entry.get("uncertainty", 0.0), f"{context}.uncertainty")
-    if frac:
-        values.update(_perturb(values, spec.perturbed, frac, rng, spec.admissible, context))
     try:
-        return spec.build(*values.values())
+        return plant_mod.draw(kind, values, frac, rng)
+    except plant_mod.NoAdmissibleDraw as exc:
+        raise SchemaError(f"{context}.uncertainty: {exc}") from None
     except ValueError as exc:
         raise SchemaError(f"{context}: {exc}") from None
 

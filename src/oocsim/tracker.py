@@ -4,6 +4,14 @@ The controller side needs only a controllable Hurwitz pair (M, N) and the
 adaptive law; the mode matrix Phi, the Sylvester solution T and the true
 feedforward row Psi are verification-only artifacts kept in a separate
 truth structure that the control loop never reads.
+
+In the member derivative (`sim.assemble`) the tracker has a part in each of
+its two products.  `tracker_linear` gives the pre operator's rows of theta
+and of -theta per eta entry, and the main operator's M eta and N u, u being
+a feature after the member state.  Between the products `tracker_control`
+writes q = rho(theta) theta and u = psi_hat . eta - k q into the feature
+slot (8 numpy calls on length-n and length-sum(s_i) arrays); after the main
+product `tracker_rates` writes k' = q theta and psi_hat' = eta (-theta).
 """
 
 from dataclasses import dataclass
@@ -186,55 +194,59 @@ class StackedInternalModel:
             owner=np.repeat(np.arange(len(s_dims)), s_dims))
 
 
-def tracker_linear(slices, theta_row, gamma, im: StackedInternalModel):
-    """The tracker's linear rows as COO parts (rows, cols, values) over the member state.
+def tracker_linear(slices, gamma, im, theta_row, u_col):
+    """The tracker's linear terms as COO parts (rows, cols, values): (pre, main).
 
-    The n rows from theta_row give the filtered error theta = x2 + gamma x1 -
-    gamma yr, and the sum(s_i) rows after them -theta of the agent that owns
-    each eta entry, so psi_hat' = -eta theta is one multiply; eta's rows hold
-    M eta.  With im=None (the internal model ablated) eta' has no linear part
-    and the -theta rows are left out.  slices maps "yr", "x1", "x2" and "eta"
-    to their slices of the member state.
+    pre, over the member state: the n rows from theta_row give the filtered
+    error theta = x2 + gamma x1 - gamma yr, and the sum(s_i) rows after them
+    -theta of the agent that owns each eta entry, so psi_hat' = -eta theta
+    is one multiply.  main, over the member state and the features after
+    it: M eta on eta's rows and N u, agent i's control u_i sitting at column
+    u_col + i.  With im=None (the internal model ablated) eta' has no terms,
+    so main is empty and the -theta rows are left out.  slices maps "yr",
+    "x1", "x2" and "eta" to their slices of the member state.
     """
     n = slices["yr"].stop - slices["yr"].start
     terms = [(slices[key].start, coef) for key, coef in
              (("x2", 1.0), ("x1", gamma), ("yr", -gamma))]
-    parts = [_diagonal(theta_row, col, np.full(n, coef)) for col, coef in terms]
-    if im is not None:
-        rows, cols, values = im.M_entries
-        eta = slices["eta"].start
-        parts.append((rows + eta, cols + eta, values))
-        entries = np.arange(len(im.owner)) + theta_row + n
-        parts += [(entries, im.owner + col, np.full(len(entries), -coef))
-                  for col, coef in terms]
-    return parts
+    pre = [_diagonal(theta_row, col, np.full(n, coef)) for col, coef in terms]
+    if im is None:
+        return pre, []
+    rows, cols, values = im.M_entries
+    eta = slices["eta"].start
+    entries = np.arange(len(im.owner))
+    pre += [(entries + theta_row + n, im.owner + col, np.full(len(entries), -coef))
+            for col, coef in terms]
+    return pre, [(rows + eta, cols + eta, values), (entries + eta, im.owner + u_col, im.N)]
 
 
-def tracker_nonlinear(theta_rows, eta, k, psi, im, d_eta, d_k, d_psi):
-    """Control u of all agents; writes the nonlinear terms of eta', k' and psi_hat'.
+def tracker_control(theta, eta, k, psi, im, q, u):
+    """q = rho(theta) theta and the control u of every agent, written into q and u.
 
-    theta_rows is the output of the operator's rows from `tracker_linear`:
-    theta = x2 + gamma (x1 - yr) of each agent, then -theta of each eta
-    entry's agent; d_eta holds M eta from its M block.  With rho(theta) =
-    theta^4 + 1 and q = rho(theta) theta: d_k = q theta, u = psi_hat_i .
-    eta_i - k q, d_eta += N u and d_psi = eta (-theta).  psi_hat_i . eta_i is
-    one `np.bincount` of psi_hat eta over each entry's owner, which sums each
-    agent's entries in order.  With im=None the internal model is ablated: u
-    drops psi_hat . eta, and d_eta and d_psi are left as they are.  theta^4
-    is (theta^2)^2: `theta ** 4` calls libm pow, about 7x slower.
+    theta is each agent's filtered error, from the rows of `tracker_linear`.
+    With rho(theta) = theta^4 + 1: u = psi_hat_i . eta_i - k q, where
+    psi_hat_i . eta_i is one `np.bincount` of psi_hat eta over each entry's
+    owner, which sums each agent's entries in order.  With im=None the
+    internal model is ablated and u = -k q.  theta^4 is (theta^2)^2:
+    `theta ** 4` calls libm pow, about 7x slower.
     """
-    n = len(k)
-    theta = theta_rows[:n]
     theta2 = theta * theta
-    q = theta2 * theta2
+    np.multiply(theta2, theta2, out=q)
     q += 1.0
     q *= theta
-    np.multiply(q, theta, out=d_k)
-    q *= k
     if im is None:
-        return np.negative(q, out=q)
-    u = np.bincount(im.owner, weights=psi * eta, minlength=n)
-    u -= q
-    d_eta += im.N * u[im.owner]
-    np.multiply(eta, theta_rows[n:], out=d_psi)
-    return u
+        np.multiply(k, q, out=u)
+        np.negative(u, out=u)
+    else:
+        np.subtract(np.bincount(im.owner, weights=psi * eta, minlength=len(k)), k * q,
+                    out=u)
+
+
+def tracker_rates(theta, neg_theta, eta, q, d_k, d_psi):
+    """k' = q theta into d_k and, unless d_psi is None (ablated), psi_hat' = eta (-theta).
+
+    q is from `tracker_control`, neg_theta the -theta rows of `tracker_linear`.
+    """
+    np.multiply(q, theta, out=d_k)
+    if d_psi is not None:
+        np.multiply(eta, neg_theta, out=d_psi)

@@ -8,20 +8,26 @@ from hypothesis import strategies as st
 from oocsim.digraph import _block_operator
 from oocsim.errors import Unsupported
 from oocsim.integrate import rk4_step
-from oocsim.plant import (Exosystem, custom, damping_spring, feedforward_truth,
-                          plant_drift, plant_linear, rotation_exosystem, vdp_like)
+from oocsim.plant import (KINDS, Exosystem, custom, damping_spring, draw, feedforward_truth,
+                          plant_linear, plant_remainder, redraw, rotation_exosystem, vdp_like)
 from plant_equations import paper_drift
 
 
 def split_drift(plants, x1, x2, v):
-    """The stacked drift as the member derivative forms it: the drift entries of
-    `plant_linear` applied to (x1, x2, v), plus the remainder of `plant_drift`."""
+    """The stacked drift as the member derivative forms it: one product over
+    [x1 | x2 | v | u | features] with the entries of `plant_linear` and
+    `plant_remainder`, after the features are written; u = 0 leaves b u out."""
     n, nv = len(plants), len(v)
     slices = {"x1": slice(0, n), "x2": slice(n, 2 * n), "v": slice(2 * n, 2 * n + nv)}
-    op = _block_operator((2 * n, 2 * n + nv), plant_linear(slices, plants))
-    # rows 0..n-1 are x1' = x2, rows n..2n-1 the drift's linear terms
-    assert np.array_equal(op[:n], np.hstack([np.zeros((n, n)), np.eye(n), np.zeros((n, nv))]))
-    return (op @ np.concatenate([x1, x2, v]))[n:] + plant_drift(plants)(x1, x2, v, 0.0)
+    u_col = 2 * n + nv
+    parts, width, bind = plant_remainder(slices, plants, u_col + n)
+    op = _block_operator((2 * n, u_col + n + width), plant_linear(slices, plants, u_col) + parts)
+    # rows 0..n-1 are x1' = x2
+    assert np.array_equal(op[:n], np.hstack([np.zeros((n, n)), np.eye(n),
+                                             np.zeros((n, nv + n + width))]))
+    buf = np.concatenate([x1, x2, v, np.zeros(n + width)])
+    bind(buf)(0.0)
+    return (op @ buf)[n:]
 
 
 def drift_at(p, x, v):
@@ -74,7 +80,8 @@ def test_linear_entries_plus_remainder_are_the_drift(kind):
     slices = {"x1": slice(0, 2), "x2": slice(2, 4), "v": slice(4, 6)}
     own = [(2, 2), (3, 3)] if kind == "vdp_like" else [(2, 0), (2, 2), (3, 1), (3, 3)]
     v_col = 4 if kind == "vdp_like" else 5
-    rows, cols, values = (np.concatenate(x) for x in zip(*plant_linear(slices, [p, p])[1:]))
+    # parts 0 and 1 are x1' = x2 and b u
+    rows, cols, values = (np.concatenate(x) for x in zip(*plant_linear(slices, [p, p], 6)[2:]))
     assert sorted(zip(rows.tolist(), cols.tolist())) == sorted(own + [(2, v_col), (3, v_col)])
 
 
@@ -96,13 +103,13 @@ def test_a_drift_reading_past_v_is_refused():
     vdp = vdp_like(1.0, 0.5, 1.2, 3.0)
     with pytest.raises(Unsupported, match=r"^plant 2 \(damping_spring\) reads v2, "
                                           r"past the exosystem's 1-entry state$"):
-        plant_linear(slices, [vdp, spring])
+        plant_linear(slices, [vdp, spring], 5)
     # the remainder reads v1 and v2 even when Aw = 0 leaves no linear v term
     still = damping_spring(m=1.1, k1=2.2, k2=2.9, mu1=3.8, mu2=4.7, a_w=0.0)
     with pytest.raises(Unsupported, match=r"^plant 1 \(damping_spring\) reads v2, "):
-        plant_linear(slices, [still, vdp])
+        plant_linear(slices, [still, vdp], 5)
     # vdp_like reads v1 alone, which a one-entry exosystem has
-    rows, cols, values = plant_linear(slices, [vdp, vdp])[-1]
+    rows, cols, values = plant_linear(slices, [vdp, vdp], 5)[-1]
     assert rows.tolist() == [2, 3] and cols.tolist() == [4, 4] and values.tolist() == [1.5, 1.5]  # a_w = mu2 amplitude
 
 
@@ -113,10 +120,51 @@ def test_custom_plants_have_no_linear_entries():
     p = custom(f, b=1.0)
     assert p.f is f  # the whole drift, as given
     slices = {"x1": slice(0, 2), "x2": slice(2, 4), "v": slice(4, 5)}
-    parts = plant_linear(slices, [p, p])
-    assert sum(len(values) for _, _, values in parts) == 2  # x1' = x2 only
+    parts = plant_linear(slices, [p, p], 5)
+    assert sum(len(values) for _, _, values in parts) == 4  # x1' = x2 and b u only
+    # f is one feature per plant, with coefficient 1 on its own x2'
+    (rows, cols, values), = plant_remainder(slices, [p, p], 7)[0]
+    assert rows.tolist() == [2, 3] and cols.tolist() == [7, 8] and values.tolist() == [1.0, 1.0]
     x1, x2, v = np.array([1.0, 2.0]), np.array([0.5, -1.0]), np.array([0.25, 0.0])
-    assert plant_drift([p, p])(x1, x2, v, 0.0).tolist() == [2.75, 7.25]
+    assert split_drift([p, p], x1, x2, v).tolist() == [2.75, 7.25]
+
+
+@pytest.mark.parametrize("kind", ["vdp_like", "damping_spring"])
+def test_remainder_is_monomials_times_coefficients(kind):
+    # vdp_like: x1 x2 and x1^2 x2 with -1 and -mu1; damping_spring: x1^3 and
+    # x2^3 with -k2/m and -mu2/m, and the one shared v1^2 v2 with Aw/m
+    rng = np.random.default_rng(3)
+    p, q = random_plant(kind, rng), random_plant(kind, rng)
+    slices = {"x1": slice(0, 2), "x2": slice(2, 4), "v": slice(4, 6)}
+    parts, width, bind = plant_remainder(slices, [p, q], 8)
+    assert width == {"vdp_like": 4, "damping_spring": 5}[kind]
+    buf = np.zeros(8 + width)
+    buf[:6] = [1.5, -2.0, 0.5, 3.0, -0.75, 2.5]
+    bind(buf)(0.0)
+    want = {"vdp_like": [0.75, -6.0, 1.125, 12.0],
+            "damping_spring": [3.375, -8.0, 0.125, 27.0, 1.40625]}[kind]
+    assert buf[8:].tolist() == want
+    coefs = {"vdp_like": lambda r: [-1.0, -r["mu1"]],
+             "damping_spring": lambda r: [-r["k2"] / r["m"], -r["mu2"] / r["m"],
+                                          r["a_w"] / r["m"]]}[kind]
+    op = _block_operator((4, 8 + width), parts)
+    for i, plant in enumerate((p, q)):
+        row = op[2 + i, 8:]
+        assert np.count_nonzero(row) == KINDS[kind].per_agent + KINDS[kind].shared
+        assert sorted(row[row != 0].tolist()) == sorted(coefs(plant.params))
+    assert not op[:2].any() and not op[:, :8].any()
+
+
+def test_draw_repeats_the_parser_stream():
+    nominal = {"mu1": 1.0, "mu2": 2.0, "b": 1.0, "amplitude": 10.0}
+    p = draw("vdp_like", nominal, 0.2, np.random.default_rng([7, 0]))
+    assert p.nominal == nominal and p.uncertainty == 0.2
+    assert abs(p.params["mu1"] - 1.0) <= 0.2 and p.params["amplitude"] == 10.0
+    fixed = vdp_like(1.0, 2.0, 1.0, 10.0)
+    again = redraw([fixed, p], np.random.default_rng([7, 0]))
+    assert again[0] is fixed  # no uncertainty: kept, and nothing drawn
+    assert again[1].params == p.params
+    assert redraw([p], np.random.default_rng([8, 0]))[0].params != p.params
 
 
 def test_mixed_kind_set_matches_each_plant():
@@ -125,22 +173,20 @@ def test_mixed_kind_set_matches_each_plant():
               damping_spring(m=1.1, k1=2.2, k2=2.9, mu1=3.8, mu2=4.7, a_w=100.0),
               vdp_like(2.0, 1.5, 0.8, 1.0),
               damping_spring(m=1.3, k1=2.6, k2=2.7, mu1=3.4, mu2=4.1, a_w=100.0)]
-    drift = plant_drift(plants)
     for _ in range(20):
         x1, x2 = rng.uniform(-2, 2, size=(2, 4))
         v = rng.uniform(-2, 2, size=2)
-        got = drift(x1, x2, v, 0.0)
-        assert got.shape == (4,)
         # with the linear entries, each plant's drift from its equations, within round-off
         full = split_drift(plants, x1, x2, v)
+        assert full.shape == (4,)
         for i, p in enumerate(plants):
             want, terms = paper_drift(p, x1[i], x2[i], v)
             assert abs(full[i] - want) <= 1e-14 * max(np.abs(terms).max(), abs(want))
-        # and the stacked remainder of each kind, within round-off
+        # and each kind's plants alone, within round-off
         for kind in ("vdp_like", "damping_spring"):
             idx = [i for i, p in enumerate(plants) if p.kind == kind]
-            alone = plant_drift([plants[i] for i in idx])(x1[idx], x2[idx], v, 0.0)
-            np.testing.assert_allclose(got[idx], alone, rtol=1e-12, atol=1e-12)
+            alone = split_drift([plants[i] for i in idx], x1[idx], x2[idx], v)
+            np.testing.assert_allclose(full[idx], alone, rtol=1e-12, atol=1e-12)
 
 
 def test_gain_positive_enforced():

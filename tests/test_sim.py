@@ -1,10 +1,12 @@
 import dataclasses
+import json
 import math
 import os
 import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -13,16 +15,16 @@ import pytest
 import oocsim
 from oocsim import costs, digraph, sim
 from oocsim.coordinator import XI_FLOOR, CoordinatorGains, check_xi_floor
-from oocsim.digraph import Digraph, _operator, laplacian, spectral_data
+from oocsim.digraph import Digraph, _block_operator, _operator, laplacian, spectral_data
 from oocsim.errors import Diverged, NonConvexDetected, NotStronglyConnected, XiUnderflow
-from oocsim.plant import (Exosystem, custom, damping_spring, plant_drift, rotation_exosystem,
-                          vdp_like)
+from oocsim.plant import (Exosystem, custom, damping_spring, plant_remainder,
+                          rotation_exosystem, vdp_like)
 from oocsim.scenario import parse_scenario, scenario_from_dict
 from oocsim.integrate import rk4_step
 from oocsim.sim import (DEFAULT_TOLERANCES, InitPolicy, LinearDriver, ModalSource, Scenario,
                         StateLayout, Trajectory, _eigenmodes, _log_step_factor, assemble,
-                        initial_state, integrate, metrics, rk4_stage_factors, run, verify,
-                        xi_source)
+                        initial_state, integrate, metrics, reseed, rk4_stage_factors, run,
+                        sweep, verify, xi_source)
 from oocsim.tracker import FeedforwardTruth, InternalModelSpec, TrackerParams
 from plant_equations import paper_drift
 
@@ -323,25 +325,45 @@ def test_verify_report_fields():
                                            "k_monotone"]
 
 
-def sparse_ring(n=100, chords=60):
+def sparse_ring(n=100, chords=60, plant=None):
     """A ring with chords and one shared s = 2 internal model: both operators are CSR."""
     doc = ring_doc(n, {"coeffs": [2.0, 3.0]}, chords=chords)
     doc["init"] = {"x_range": [-0.5, 0.5], "yr_range": [-1.0, 1.0]}
+    if plant is not None:
+        doc["plants"] = [plant] * n
     return scenario_from_dict(doc)
+
+
+def spring_ring():
+    """`sparse_ring` with damping-spring plants: x1^3 and x2^3 per agent and the
+    one shared v1^2 v2 feature, through the CSR products."""
+    return sparse_ring(plant={"kind": "damping_spring", "m": 1.1, "k1": 2.2, "k2": 2.9,
+                              "mu1": 3.8, "mu2": 4.7, "a_w": 100.0})
+
+
+def ablated_ring():
+    return dataclasses.replace(sparse_ring(), ablate_internal_model=True)
+
+
+def operators(system):
+    return system.pre_operator, system.operator
 
 
 def test_operator_is_csr_only_for_large_sparse_matrices(example1_scenario, example2_scenario):
     for sc in (example1_scenario, example2_scenario):
         assert type(_operator(spectral_data(sc.graph).laplacian)) is np.ndarray
-        # example2's member operator has 92 rows at 2.5% fill, but only 6,164 entries
-        assert type(assemble(sc).operator) is np.ndarray
+        # example2's operators are 25 x 68 and 67 x 89, at most 5,963 entries
+        for op in operators(assemble(sc)):
+            assert type(op) is np.ndarray
     ring = sparse_ring()
     assert _operator(laplacian(ring.graph)).format == "csr"
-    assert assemble(ring).operator.format == "csr"
-    # a 40-agent ring with s = 4: L stays dense, the 722 x 522 member operator does not
+    assert [op.format for op in operators(assemble(ring))] == ["csr", "csr"]
+    # a 40-agent ring with s = 4: L stays dense, the 240 x 523 pre and the
+    # 522 x 683 main operator do not
     mid = scenario_from_dict(ring_doc(40, {"coeffs": [10.0, 18.0, 15.0, 6.0]}, chords=40))
     assert type(_operator(laplacian(mid.graph))) is np.ndarray
-    assert assemble(mid).operator.format == "csr"
+    assert [op.shape for op in operators(assemble(mid))] == [(240, 523), (522, 683)]
+    assert [op.format for op in operators(assemble(mid))] == ["csr", "csr"]
     # too few rows: a 63-agent ring stays dense, a 64-agent ring does not
     assert type(_operator(laplacian(sparse_ring(63, 0).graph))) is np.ndarray
     assert _operator(laplacian(sparse_ring(64, 0).graph)).format == "csr"
@@ -398,24 +420,39 @@ def mixed_kinds():
                                  vdp_like(2.0, 1.5, 0.8, 1.0)])
 
 
+def feature_count(sc):
+    """grad c / xi and u of each agent, then each built-in kind's monomials and
+    one feature per custom plant."""
+    n = sc.graph.n
+    kinds = {p.kind for p in sc.plants}
+    return (2 * n + 2 * n * len(kinds & {"vdp_like", "damping_spring"})
+            + ("damping_spring" in kinds) + sum(p.kind == "custom" for p in sc.plants))
+
+
 @pytest.mark.parametrize("case", ["example1", "example2", "example2-ablated", "mixed-orders",
-                                  "custom-plant", "mixed-kinds", "sparse-ring"])
+                                  "custom-plant", "mixed-kinds", "sparse-ring", "spring-ring",
+                                  "ablated-ring"])
 def test_derivative_matches_the_paper_agent_by_agent(case, request):
     if case.startswith("example"):
         sc = request.getfixturevalue(f"{case[:8]}_scenario")
         sc = dataclasses.replace(sc, ablate_internal_model=case.endswith("ablated"))
     else:
         sc = {"mixed-orders": mixed_orders, "custom-plant": custom_plants,
-              "mixed-kinds": mixed_kinds, "sparse-ring": sparse_ring}[case]()
+              "mixed-kinds": mixed_kinds, "sparse-ring": sparse_ring,
+              "spring-ring": spring_ring, "ablated-ring": ablated_ring}[case]()
     system = assemble(sc)
-    if case == "sparse-ring":
-        # the CSR kernel adds into the derivative's buffer, so the calls below
-        # also show that each call starts from a zeroed one
-        assert system.operator.format == "csr"
-    # the member derivative's rows, theta's n rows and -theta per eta entry
-    layout = system.layout
+    if case.endswith("ring"):
+        # the CSR kernel adds into the derivative's buffers, so the calls below
+        # also show that each call starts from zeroed ones
+        assert [op.format for op in operators(system)] == ["csr", "csr"]
+    # pre: theta's n rows, -theta per eta entry and, for quadratic costs, the
+    # gradient, over [y | 1]; main: every linear term and the features'
+    # scatter, over [y | 1 | features]
+    layout, n = system.layout, system.layout.n
     eta_rows = 0 if sc.ablate_internal_model else layout.total_s
-    assert system.operator.shape == (layout.dim + layout.n + eta_rows, layout.dim)
+    grad_rows = n if all(c.kind == "quadratic" for c in sc.costs) else 0
+    assert system.pre_operator.shape == (n + eta_rows + grad_rows, layout.dim + 1)
+    assert system.operator.shape == (layout.dim, layout.dim + 1 + feature_count(sc))
     rng = np.random.default_rng(7)
     for _ in range(3):
         y = rng.uniform(-1.0, 1.0, system.layout.dim)
@@ -463,10 +500,18 @@ def test_operator_holds_the_drifts_terms_in_v(preset, kind, entry, coefficient, 
     want = np.zeros((n, nv))
     want[:, entry] = [coefficient(p.params) for p in sc.plants]
     assert np.array_equal(system.operator[sl["x2"], sl["v"]], want)
-    # so the nonlinear remainder has no term in v alone: it is 0 at x = 0
-    zeros = np.zeros(n)
+    # and nothing else of the main operator reads v but v' = S v
+    assert not system.operator[:sl["x2"].start, sl["v"]].any()
+    assert not system.operator[sl["eta"].start:sl["v"].start, sl["v"]].any()
+    # so the nonlinear remainder has no term linear in v alone: it is 0 at x = 0, v = e_j
+    dim = system.layout.dim
+    parts, width, bind = plant_remainder(sl, sc.plants, dim)
+    op = _block_operator((dim, dim + width), parts)
     for v in np.eye(nv):
-        assert not plant_drift(sc.plants)(zeros, zeros, v, 0.0).any()
+        buf = np.zeros(dim + width)
+        buf[sl["v"]] = v
+        bind(buf)(0.0)
+        assert not (op @ buf).any()
 
 
 def test_tracing_call_contract(monkeypatch):
@@ -511,6 +556,41 @@ def test_tracing_call_contract(monkeypatch):
         traj = run(sc, system)
         assert source_calls == {"stages": sc.n_steps, "snapshot": len(traj.times)}
         assert len(traj.times) == sc.n_steps // sc.record_every + 1
+
+
+def test_seed_sweep_members_draw_their_own_plants(monkeypatch):
+    doc = json.loads(resources.files("oocsim").joinpath("presets/example1.json").read_text())
+    doc["sim"]["horizon"] = 0.01
+    doc["sim"]["record_every"] = 5
+    doc["init"] = {"x_range": [-0.5, 0.5], "yr_range": [-1.0, 1.0]}  # the preset's diverge
+    sc = scenario_from_dict(doc)
+    seeds = [7, 8, 105]
+    members = []
+
+    def captured(sub, system=None):
+        members.append(sub)
+        return run(sub, system)
+
+    monkeypatch.setattr(sim, "run", captured)
+    reports = sweep(sc, "seed", seeds)
+    assert [val for val, _ in reports] == seeds
+    for seed, sub in zip(seeds, members):
+        parsed = scenario_from_dict(dict(doc, seed=seed))
+        assert sub.seed == seed and sub.name == f"example1[seed={seed}]"
+        assert [p.params for p in sub.plants] == [p.params for p in parsed.plants]
+        assert [p.b for p in sub.plants] == [p.b for p in parsed.plants]
+        assert np.array_equal(initial_state(sub, assemble(sub).layout),
+                              initial_state(parsed, assemble(parsed).layout))
+    # the parent seed's plants stay the parent's; other seeds move them
+    assert [p.params for p in members[2].plants] == [p.params for p in sc.plants]
+    assert members[0].plants[0].params["mu1"] != sc.plants[0].params["mu1"]
+
+
+def test_reseed_keeps_plants_without_uncertainty(example2_scenario):
+    # example2's plants carry no uncertainty, so a seed member keeps them
+    sub = reseed(example2_scenario, 3)
+    assert sub.seed == 3
+    assert all(a is b for a, b in zip(sub.plants, example2_scenario.plants))
 
 
 def test_sparse_run_keeps_invariants_and_reruns_bit_identical():

@@ -8,8 +8,8 @@ from oocsim.errors import DegenerateRoots, NotHurwitz, SingularSystem
 from oocsim.digraph import _block_operator
 from oocsim.tracker import (FeedforwardTruth, InternalModelSpec, StackedInternalModel,
                             TrackerParams, companion_pair, phi_gamma, psi_true,
-                            solve_sylvester, sylvester_residual, tracker_linear,
-                            tracker_nonlinear)
+                            solve_sylvester, sylvester_residual, tracker_control,
+                            tracker_linear, tracker_rates)
 
 
 def test_companion_pair_order_two():
@@ -110,18 +110,23 @@ def stacked(n, coeffs=(2.0, 3.0)):
 def tracker_at(x1, x2, yr, eta, k, psi, gamma, im):
     """u and (eta', k', psi_hat') of all agents from the tracker's own layer functions.
 
-    The state (yr, x1, x2, eta) times the operator of `tracker_linear` gives
-    theta, -theta per eta entry and M eta; `tracker_nonlinear` adds the rest.
+    The state (yr, x1, x2, eta) times the pre operator of `tracker_linear`
+    gives theta and -theta per eta entry; `tracker_control` writes u into
+    its slot after the state, the main operator's product over both gives M
+    eta + N u, and `tracker_rates` writes k' and psi_hat'.
     """
     n, total_s = len(x1), len(eta)
     slices = {"yr": slice(0, n), "x1": slice(n, 2 * n), "x2": slice(2 * n, 3 * n),
               "eta": slice(3 * n, 3 * n + total_s)}
     dim = 3 * n + total_s
-    op = _block_operator((dim + n + total_s, dim), tracker_linear(slices, dim, gamma, im))
-    out = op @ np.concatenate([yr, x1, x2, eta])
-    deta, dk, dpsi = out[slices["eta"]], np.zeros(n), np.zeros(total_s)
-    u = tracker_nonlinear(out[dim:], eta, k, psi, im, deta, dk, dpsi)
-    return u, (deta, dk, dpsi)
+    pre_parts, main_parts = tracker_linear(slices, gamma, im, 0, dim)
+    buf = np.concatenate([yr, x1, x2, eta, np.zeros(n)])
+    pre = _block_operator((n + total_s, dim), pre_parts) @ buf[:dim]
+    q, dk, dpsi = np.empty(n), np.empty(n), np.empty(total_s)
+    tracker_control(pre[:n], eta, k, psi, im, q, buf[dim:])
+    deta = (_block_operator((dim, dim + n), main_parts) @ buf)[slices["eta"]]
+    tracker_rates(pre[:n], pre[n:], eta, q, dk, dpsi)
+    return buf[dim:], (deta, dk, dpsi)
 
 
 def test_stack_of_mixed_orders_is_block_diagonal():
@@ -165,6 +170,20 @@ def test_tracker_derivative_hand_values():
                                     np.zeros(2), np.zeros(1), np.zeros(2), 2.0, stacked(1))
     assert np.array_equal(deta0, np.zeros(2))
     assert dk0[0] == 68.0  # (2^4+1) * 2^2
+
+
+def test_ablated_tracker_hand_values():
+    # without the internal model u = -k q, eta' has no terms and psi_hat' is not written
+    slices = {"yr": slice(0, 2), "x1": slice(2, 4), "x2": slice(4, 6), "eta": slice(6, 6)}
+    pre_parts, main_parts = tracker_linear(slices, 2.0, None, 0, 6)
+    assert main_parts == []
+    pre = _block_operator((2, 6), pre_parts) @ np.array([0.0, 0.0, 0.0, 0.0, 1.0, -1.0])
+    assert pre.tolist() == [1.0, -1.0]  # theta of each agent, and no -theta rows
+    q, u, dk = np.empty(2), np.empty(2), np.empty(2)
+    tracker_control(pre, np.zeros(0), np.array([3.0, 0.5]), np.zeros(0), None, q, u)
+    assert q.tolist() == [2.0, -2.0] and u.tolist() == [-6.0, 1.0]
+    tracker_rates(pre, None, None, q, dk, None)
+    assert dk.tolist() == [2.0, 2.0]  # (1^4 + 1) 1^2
 
 
 def test_tracker_params_bounds():
