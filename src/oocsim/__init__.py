@@ -23,6 +23,6 @@ from .sim import (InitPolicy, Scenario, Trajectory, VerificationReport, ablate_c
                   assemble, metrics, run, sweep, verify)
 from .tracker import (FeedforwardTruth, InternalModelSpec, StackedInternalModel,
                       TrackerParams, companion_pair, phi_gamma, psi_true, solve_sylvester,
-                      tracker_control, tracker_linear, tracker_rates)
+                      tracker_linear)
 
 __version__ = "0.1.0"

@@ -63,9 +63,9 @@ def laplacian(g: Digraph) -> np.ndarray:
 _CSR_MIN_ROWS = 64
 _CSR_MAX_DENSITY = 0.1
 # A `_block_operator` is not square, so its rule counts entries.  The dense
-# product falls behind the guarded CSR kernel (about 4 us a call) between 12,000
-# and 18,000 entries; the presets' member operators (at most 3,196 entries on
-# example1 and 5,963 on example2) stay below, so dense systems never import
+# product fell behind the guarded CSR kernel (about 4 us a call) between 12,000
+# and 18,000 entries; the presets' member operators (at most 5,405 entries on
+# example1 and 10,452 on example2) stay below, so dense systems never import
 # scipy.sparse.
 _CSR_MIN_ENTRIES = 128 * 128
 
@@ -78,18 +78,19 @@ _FLOAT64 = np.dtype(np.float64)  # comparing to a dtype is faster than to a type
 def _operator(a: np.ndarray):
     """`a` as a scipy.sparse CSR array when it is large and sparse, else `a` itself.
 
-    Operators on the step path are applied with `_add_product` and `_matvec`,
-    not `@`.  For a dense operator those run `@`'s own numpy call.  For
+    Operators on the step path are applied with `_add_product`, `_matvec`
+    and `_bound_product`, not `@`.  For a dense operator those run `@`'s own numpy call.  For
     CSR they call scipy's private accumulating kernels
     `scipy.sparse._sparsetools.csr_matvec` and `csr_matvecs` (Y += A X)
     directly, on the caller's buffers: `@` allocates and zero-fills its
     result and runs a few µs of Python checks and dispatch per call, and
     adding a base to it then needs a second full pass.  The kernels check
     nothing and silently work on a hidden copy of a non-contiguous or wrongly
-    typed output, so every call first checks that the operator, x and the
-    output are float64, that x and the output are C-contiguous and of the
-    operator's shapes, and that they do not overlap; it raises ValueError
-    otherwise.  CSR sums only the nonzeros, in its own order, so it can
+    typed output, so the operator, x and the output are checked to be
+    float64, x and the output C-contiguous and of the operator's shapes, and
+    not overlapping, raising ValueError otherwise: at every call of
+    `_add_product` and `_matvec`, and once, when it binds its buffers, for
+    `_bound_product`.  CSR sums only the nonzeros, in its own order, so it can
     differ from the dense product in the last bits.  scipy.sparse is
     imported in `_csr` only, so dense systems never load it.
     """
@@ -128,12 +129,11 @@ def _block_operator(shape, parts):
     return a
 
 
-def _kernel(op, x, base, out):
-    """out = base + op @ x for a CSR op through scipy's kernel; returns out.
+def _check_product(op, x, out):
+    """Raise ValueError unless scipy's kernel can put op @ x into out as given.
 
-    Checks the operator, x and out before it writes anything; base (an array,
-    or a number that fills out) is then copied into out unless it is out, and
-    the kernel adds the product.
+    The operator, x and out must be float64, x and out C-contiguous and of
+    the operator's shapes; the kernels would otherwise work on a hidden copy.
     """
     rows, cols = op.shape
     if x.ndim > 2 or x.shape[:1] != (cols,) or out.shape != (rows,) + x.shape[1:]:
@@ -144,6 +144,17 @@ def _kernel(op, x, base, out):
     if not (x.flags.c_contiguous and out.flags.c_contiguous):
         raise ValueError(f"x and out must be C-contiguous, "
                          f"got strides {x.strides} and {out.strides}")
+
+
+def _kernel(op, x, base, out):
+    """out = base + op @ x for a CSR op through scipy's kernel; returns out.
+
+    Checks the operator, x and out before it writes anything
+    (`_check_product`); base (an array, or a number that fills out) is then
+    copied into out unless it is out, and the kernel adds the product.
+    """
+    _check_product(op, x, out)
+    rows, cols = op.shape
     if base is not out:
         np.copyto(out, base)
     if x.ndim == 1:
@@ -175,7 +186,8 @@ def _matvec(op):
     path pay no dispatch and make no array: dense gives np.dot into out (the
     same BLAS gemv as np.matmul, at about 0.3 us less a call), CSR the
     guarded kernel, which zeroes out once its checks pass.  out must not
-    overlap x, which the CSR kernel reads while it writes out.
+    overlap x, which the CSR kernel reads while it writes out.  For fixed
+    buffers, `_bound_product` checks once instead of at every call.
     """
     if isinstance(op, np.ndarray):
         return partial(np.dot, op)
@@ -184,6 +196,32 @@ def _matvec(op):
 
 def _csr_matvec(op, x, out):
     return _kernel(op, x, 0.0, out)  # out is zeroed after the checks
+
+
+def _bound_product(op, x, out):
+    """The function () -> out = op @ x on the fixed vectors x and out, checked once here.
+
+    Raises ValueError now, not at a call, when x or out is not a float64
+    C-contiguous vector of the operator's shapes, when the operator is not
+    float64, or when out overlaps x.  A call then runs the bare product:
+    np.dot into out for a dense op; for CSR, out is zeroed and scipy's
+    accumulating kernel adds op @ x to it.  Any array the function reads or
+    writes must stay the one bound here: the checks do not run again.
+    """
+    if x.ndim != 1:
+        raise ValueError(f"x must be a vector, got shape {x.shape}")
+    _check_product(op, x, out)
+    if np.may_share_memory(x, out):
+        raise ValueError("out must not overlap x")
+    if isinstance(op, np.ndarray):
+        return partial(np.dot, op, x, out)
+    kernel = partial(_sparsetools.csr_matvec, *op.shape, op.indptr, op.indices, op.data, x, out)
+
+    def product():
+        out.fill(0.0)
+        kernel()
+
+    return product
 
 
 def is_strongly_connected(g: Digraph) -> bool:

@@ -13,21 +13,27 @@ gain positive, as the problem setup requires.
 
 Each built-in drift is split into its terms linear in the member state,
 mu1 x2 + Aw v1 and -(k1 x1 + mu1 x2 + Aw v2)/m, and its nonlinear remainder,
-declared as monomials with one coefficient each per plant:
+declared as products of factors with one coefficient each per plant: x1 and
+x2 first meet the kind's partners p1 and p2, and then x1 and x2 again
+(`MONOMIALS`):
 
-  vdp_like        -x1 x2 - mu1 x1^2 x2              monomials x1 x2, x1^2 x2
-  damping_spring  -(k2 x1^3 + mu2 x2^3 - Aw v2 v1^2)/m   x1^3, x2^3, v1^2 v2
+  vdp_like        -x1 x2 - mu1 x1^2 x2       p1 = x2: x1 x2, x1 (x1 x2)
+  damping_spring  -(k2 x1^3 + mu2 x2^3 - Aw v2 v1^2)/m
+                                             p1 = x1, p2 = x2: x1 (x1 x1),
+                                             x2 (x2 x2), and v1 (v1 v2)
 
-The member derivative writes the monomials into its feature vector and
-scatters them, with their coefficients, onto x2' in the same product that
+The member derivative writes the first products in the same multiply as
+the tracker's degree-2 features and the second ones in one more, and
+scatters them, with their coefficients, onto x2' in the product that
 applies the linear terms (`plant_linear`, `plant_remainder`); a custom
 plant's f is one feature with coefficient 1.  `Plant.f` is what
 `plant_linear` leaves out: for a built-in plant the remainder, computed from
 the same declaration, for a custom plant its whole drift.  Each built-in
 kind is one `Kind` entry in `KINDS`, which the scenario parser, `draw`,
-`plant_linear` and `plant_remainder` read, so a new kind is one entry, its
-split and its monomials.  `feedforward_truth` keeps its own closed forms, as
-the oracle that `verify` checks runs against.
+`plant_linear` and `plant_remainder` read, so a new kind whose remainder
+is made of `MONOMIALS` is one entry: its partners and its split.
+`feedforward_truth` keeps its own closed forms, as the oracle that `verify`
+checks runs against.
 """
 
 from dataclasses import dataclass
@@ -59,10 +65,9 @@ class Plant:
 class Kind:
     """A built-in plant kind, declared once."""
 
-    features: Callable    # (x, v, rows, shared) -> write(t): the remainder's monomials
-    per_agent: int        # monomials of each agent's (x1, x2), one row of n each
-    shared: int           # monomials of v alone, shared by every agent
-    split: Callable       # params -> (coefficients on x1, x2 and v[reads], of the monomials)
+    partners: tuple       # the factors p1, p2 that x1 and x2 meet first: "x1", "x2" or None
+    shared: bool          # whether the remainder has the shared monomial v1^2 v2
+    split: Callable       # params -> (coefficients on x1, x2 and v[reads], on MONOMIALS)
     reads: int            # the one linear v entry, also the last v entry the drift reads
     keys: tuple           # scenario keys, in constructor order
     perturbed: tuple      # the keys `uncertainty` perturbs, in draw order
@@ -70,49 +75,29 @@ class Kind:
     params: Callable      # the keys' values in order -> (params, b); ValueError if refused
 
 
-# Each features(x, v, rows, shared) binds views made once and returns the
-# writer: x is the (2, n) block (x1, x2) of the member state, rows the
-# (per_agent, n) and shared the (shared,) slots of the feature vector.
-
-def _vdp_features(x, v, rows, shared):
-    (x1, x2), (x1x2, x1x1x2) = x, rows
-
-    def write(t):
-        np.multiply(x1, x2, out=x1x2)
-        np.multiply(x1, x1x2, out=x1x1x2)
-
-    return write
-
-
-def _spring_features(x, v, rows, shared):
-    # x1^3 and x2^3 as one cube of the (x1, x2) block
-    v1, v2 = v[0:1], v[1:2]
-
-    def write(t):
-        np.multiply(x, x, out=rows)
-        np.multiply(rows, x, out=rows)
-        np.multiply(v1, v1, out=shared)
-        np.multiply(shared, v2, out=shared)
-
-    return write
+# The remainder's monomials, each a product of two factors, with p1 and p2 a
+# kind's partners of x1 and x2 (0 for None); v1 v2 and v1^2 v2 exist only
+# for a kind with the shared monomial.
+MONOMIALS = ("x1 p1", "x2 p2", "x1 (x1 p1)", "x2 (x2 p2)", "v1 (v1 v2)")
 
 
 def _vdp_split(params):
-    return (0.0, params["mu1"], params["a_w"]), (-1.0, -params["mu1"])
+    return (0.0, params["mu1"], params["a_w"]), (-1.0, 0.0, -params["mu1"], 0.0, 0.0)
 
 
 def _spring_split(params):
     m = params["m"]
     return ((-params["k1"] / m, -params["mu1"] / m, -params["a_w"] / m),
-            (-params["k2"] / m, -params["mu2"] / m, params["a_w"] / m))
+            (0.0, 0.0, -params["k2"] / m, -params["mu2"] / m, params["a_w"] / m))
 
 
 def _remainder(kind, coefficients, x1, x2, v, t):
     """A built-in plant's remainder at one state, from its kind's monomials."""
-    rows, shared = np.empty((kind.per_agent, 1)), np.empty(kind.shared)
-    kind.features(np.array([[x1], [x2]], dtype=float), np.asarray(v, dtype=float),
-                  rows, shared)(t)
-    return float(np.dot(coefficients, np.concatenate([rows[:, 0], shared])))
+    factor = {"x1": x1, "x2": x2, None: 0.0}
+    p1, p2 = (factor[p] for p in kind.partners)
+    shared = v[0] * (v[0] * v[1]) if kind.shared else 0.0
+    monomials = (x1 * p1, x2 * p2, x1 * (x1 * p1), x2 * (x2 * p2), shared)
+    return float(np.dot(coefficients, monomials))
 
 
 def _built_in(name, params, b, nominal=None, uncertainty=0.0) -> Plant:
@@ -148,10 +133,10 @@ def custom(f, b) -> Plant:
 
 
 KINDS = {
-    "vdp_like": Kind(_vdp_features, per_agent=2, shared=0, split=_vdp_split, reads=0,
+    "vdp_like": Kind(partners=("x2", None), shared=False, split=_vdp_split, reads=0,
                      keys=("mu1", "mu2", "b", "amplitude"), perturbed=("mu1", "mu2", "b"),
                      admissible=lambda d: d["mu1"] > 0 and d["b"] > 0, params=_vdp_params),
-    "damping_spring": Kind(_spring_features, per_agent=2, shared=1, split=_spring_split,
+    "damping_spring": Kind(partners=("x1", "x2"), shared=True, split=_spring_split,
                            reads=1, keys=("m", "k1", "k2", "mu1", "mu2", "a_w"),
                            perturbed=("m", "k1", "k2", "mu1", "mu2"),
                            admissible=lambda d: d["m"] > 0, params=_spring_params),
@@ -197,18 +182,19 @@ def redraw(plants, rng):
             for p in plants]
 
 
-def plant_linear(slices, plants, u_col):
+def plant_linear(slices, plants, u):
     """The plant's linear terms as COO parts (rows, cols, values) of the member operator.
 
     x1' = x2, each built-in plant's drift terms that are linear in the
     member state: mu1 x2 + Aw v1 for vdp_like, -(k1 x1 + mu1 x2 + Aw v2)/m
-    for damping_spring (zero coefficients are left out), and b u from the
-    control u of each agent at columns u_col..u_col + n - 1.  The rest of
-    x2' = f(x1, x2, v, t) + b u is the remainder of `plant_remainder`.
-    slices maps "x1", "x2" and "v" to their slices of the member state.
-    Raises Unsupported when a built-in drift reads past the end of the "v"
-    slice: vdp_like reads v1, damping_spring v1 and v2, whatever their
-    coefficients.
+    for damping_spring (zero coefficients are left out), and b u.  u =
+    (cols, owners, signs) lists the control's terms: agent owners[t]'s u
+    holds signs[t] times the feature at column cols[t]
+    (`tracker.tracker_linear`).  The rest of x2' = f(x1, x2, v, t) + b u is
+    the remainder of `plant_remainder`.  slices maps "x1", "x2" and "v" to
+    their slices of the member state.  Raises Unsupported when a built-in
+    drift reads past the end of the "v" slice: vdp_like reads v1,
+    damping_spring v1 and v2, whatever their coefficients.
     """
     x1, x2, v = slices["x1"].start, slices["x2"].start, slices["v"]
     kinds = [KINDS.get(p.kind) for p in plants]
@@ -219,81 +205,82 @@ def plant_linear(slices, plants, u_col):
                           f"past the exosystem's {v.stop - v.start}-entry state")
     coefs = np.array([(0.0, 0.0, 0.0) if p.split is None else p.split[0] for p in plants])
     agent = np.arange(len(plants))
+    cols, owners, signs = u
     parts = [_diagonal(x1, x2, np.ones(len(plants))),
-             _diagonal(x2, u_col, np.array([p.b for p in plants]))]
+             (owners + x2, cols, np.array([p.b for p in plants])[owners] * signs)]
     for cols, values in zip((agent + x1, agent + x2, reads + v.start), coefs.T):
         agents = np.flatnonzero(values)
         parts.append((agents + x2, cols[agents], values[agents]))
     return parts
 
 
-def plant_remainder(slices, plants, col):
-    """The drifts' nonlinear remainders as features: (COO parts, width, bind).
+def plant_remainder(slices, plants, partner, product, col):
+    """The drifts' nonlinear remainders as features: (pre, main, width, bind).
 
-    Each built-in kind in the set gives its monomials of every agent, from
-    column col on, in the order of `KINDS`, and each custom plant one
-    feature, its f, after them: width columns in all.  The parts put each
-    plant's coefficients of its kind's monomials (nonzero ones only), and 1
-    for a custom plant's f, on its x2' row.  bind(buf) takes the buffer the
-    member state and the features sit in, at the offsets of slices and col,
-    and returns write(t), which fills the features from the state in it.
-    Mixed sets write each kind's monomials for every agent, and use those of
-    the plant's own kind.  Call `plant_linear` first: it refuses a drift that
-    reads past v.
+    The member derivative's first product multiplies each state entry j by
+    its partner, pre row partner + j, into feature column product + j.  pre
+    gives each built-in plant's partners p1 of x1 and p2 of x2 (its kind's
+    `partners`) and, when a kind in the set has the shared monomial, v2 as
+    the partner of v1, so that product writes x1 p1, x2 p2 and v1 v2.
+    bind(buf) takes the buffer the member state and the features sit in, at
+    the offsets of slices and the columns, and returns (multiplies, write):
+    the multiplies (a, b, out) write x1 (x1 p1) and x2 (x2 p2) from column
+    col on, when the set has a built-in plant, and then v1 (v1 v2); write(t)
+    puts each custom plant's f into one feature after those, or is None
+    without custom plants.  width counts the columns from col on.  main puts
+    each built-in plant's coefficients of `MONOMIALS` (nonzero ones only),
+    and 1 for a custom plant's f, on its x2' row.  The (x1, x2) slices must
+    be adjacent.  Call `plant_linear` first: it refuses a drift that reads
+    past v.
     """
     n = len(plants)
-    row = slices["x2"].start
-    by_kind = {}
-    for i, p in enumerate(plants):
-        by_kind.setdefault(p.kind, []).append(i)
-    blocks, parts, start = [], [], col
-    for name, kind in KINDS.items():
-        agents = by_kind.get(name)
-        if agents is None:
-            continue
-        coefs = np.array([plants[i].split[1] for i in agents])
-        agents = np.array(agents)
-        # monomial j < per_agent of agent i sits at start + j n + i, shared
-        # monomial j at start + per_agent n + j - per_agent for every agent
-        for j, values in enumerate(coefs.T):
-            cols = (start + j * n + agents if j < kind.per_agent
-                    else np.full(len(agents), start + (n - 1) * kind.per_agent + j))
-            keep = np.flatnonzero(values)
-            parts.append((agents[keep] + row, cols[keep], values[keep]))
-        blocks.append((kind, start))
-        start += kind.per_agent * n + kind.shared
-    customs = [i for i, p in enumerate(plants) if p.kind not in KINDS]
+    x1, x2, v = (slices[key].start for key in ("x1", "x2", "v"))
+    kinds = [KINDS.get(p.kind) for p in plants]
+    built = np.array([i for i, kind in enumerate(kinds) if kind is not None], dtype=int)
+    customs = [i for i, kind in enumerate(kinds) if kind is None]
+    shared = any(kinds[i].shared for i in built)
+    cubes = 2 * n if len(built) else 0  # the columns of x1 (x1 p1) and x2 (x2 p2)
+    starts = {"x1": x1, "x2": x2, None: -1}
+    source = np.array([[starts[p] for p in kinds[i].partners] for i in built],
+                      dtype=int).reshape(-1, 2)
+    pre = []
+    for own, src in zip((x1, x2), source.T):
+        has = src >= 0
+        pre.append((partner + own + built[has], src[has] + built[has], np.ones(has.sum())))
+    if shared:
+        pre.append((np.array([partner + v]), np.array([v + 1]), np.ones(1)))
+    coefs = np.array([plants[i].split[1] for i in built]).reshape(-1, len(MONOMIALS))
+    columns = (product + x1 + built, product + x2 + built, col + built, col + n + built,
+               np.full(len(built), col + cubes))
+    main = []
+    for cols, values in zip(columns, coefs.T):
+        keep = np.flatnonzero(values)
+        main.append((built[keep] + x2, cols[keep], values[keep]))
+    first_custom = col + cubes + shared
     if customs:
-        parts.append((np.array(customs) + row, start + np.arange(len(customs)),
-                      np.ones(len(customs))))
+        main.append((np.array(customs) + x2, first_custom + np.arange(len(customs)),
+                     np.ones(len(customs))))
 
     def bind(buf):
-        x = buf[slices["x1"].start:slices["x2"].stop].reshape(2, n)
-        v = buf[slices["v"]]
-        writers = []
-        for kind, c in blocks:
-            shared = c + kind.per_agent * n
-            writers.append(kind.features(x, v, buf[c:shared].reshape(-1, n),
-                                         buf[shared:shared + kind.shared]))
-        if customs:
-            fns = [(i, plants[i].f, start + c) for c, i in enumerate(customs)]
-            x1, x2 = x
-
-            def write_customs(t):
-                for i, f, c in fns:
-                    buf[c] = f(x1[i], x2[i], v, t)
-
-            writers.append(write_customs)
-        if len(writers) == 1:
-            return writers[0]
+        multiplies = []
+        if cubes:
+            multiplies.append((buf[x1:x2 + n], buf[product + x1:product + x2 + n],
+                               buf[col:col + cubes]))
+        if shared:
+            multiplies.append((buf[v:v + 1], buf[product + v:product + v + 1],
+                               buf[col + cubes:col + cubes + 1]))
+        if not customs:
+            return multiplies, None
+        fns = [(i, plants[i].f, first_custom + c) for c, i in enumerate(customs)]
+        x1s, x2s, vs = buf[x1:x1 + n], buf[x2:x2 + n], buf[slices["v"]]
 
         def write(t):
-            for writer in writers:
-                writer(t)
+            for i, f, c in fns:
+                buf[c] = f(x1s[i], x2s[i], vs, t)
 
-        return write
+        return multiplies, write
 
-    return parts, start + len(customs) - col, bind
+    return pre, main, cubes + shared + len(customs), bind
 
 
 def feedforward_truth(p: Plant, s_star, v) -> float:

@@ -18,32 +18,44 @@ unpacks them for free), and moves the source to the end of that step;
 `snapshot()` returns (diag xi, xi row sums) at the current step, for the
 record.
 
-A member derivative call is two operator products around one feature vector.
-The derivative owns an input buffer laid out as [y | 1 | phi]: the member
-state, a constant 1, and the features phi = (grad c(yr)/xi, u, the plant
-remainders' monomials).  The pre operator, over [y | 1], gives theta = x2 +
-gamma (x1 - yr) (n rows), -theta per eta entry (sum(s_i) rows, none when the
-internal model is ablated) and, for an all-quadratic cost set, the gradient
-2a yr - 2ab from the constant slot (`costs.gradient_linear`); other cost
-sets take `build_gradient`'s scalar loop.  Each nonlinear term is then
-written with out= into its slot of phi: grad c/xi, the control u =
-psi_hat . eta - k q per agent (`tracker_control`, one `np.bincount`), and
-each plant kind's monomials (`plant_remainder`).  The main operator, dim x
-(dim + 1 + p) over the whole buffer, holds every linear term, -beta1 L yr -
-beta2 z, beta1 L yr, x1' = x2, the drift's terms linear in (x1, x2, v), M eta
-and v' = S v, and the scatter of the features: -1 from grad c/xi on yr', b
-from u on x2', N from u on eta' and the remainder coefficients on x2'.  Its
-product writes the output buffer, and then k' = q theta and psi_hat' = eta
-(-theta) are written into it (`tracker_rates`).  `assemble` builds both
-operators from the layers' COO parts (`coordinator_linear`,
-`costs.gradient_linear`, `plant_linear`, `plant_remainder`,
-`tracker_linear`, S's nonzeros), one `_block_operator` call each, and makes
-every slice view of the buffers once.  So a call is about 16 numpy calls on
-example1: 7.7 us on a 2-core host with one BLAS thread, against 12.2 us for
-one product plus about 27 calls of in-place terms (12.8 against 16.9 us on
-example2, 19.5 against 21.1 us on ring200).  It returns the output buffer,
-valid until its next call.  The xi floor is not checked here: the source
-checks it over its stage inputs.
+A member derivative call is two operator products around a few multiplies.
+Every nonlinear term is a product of factors linear in the member state:
+with rho(theta) = theta^4 + 1, the control u = psi_hat . eta - k theta -
+k theta^5, the gain rate k' = theta^2 + theta^6, psi_hat' = -theta eta, the
+plants' monomials (x1 x2 and x1^2 x2; x1^3, x2^3 and v1^2 v2), and grad c/xi
+for quadratic costs.  The derivative owns an input buffer laid out as
+[y | 1 | features].  A call copies y in, and then:
+- the pre operator, over [y | 1], writes the partner of every state entry
+  from x1 to v (`tracker_linear` and `plant_remainder`: x2 or x1 for x1,
+  x2 for x2 of a damping_spring, -theta for eta, theta = x2 + gamma
+  (x1 - yr) for k, eta for psi_hat, v2 for v1) and, for an all-quadratic
+  cost set, the gradient 2a yr - 2ab (`costs.gradient_linear`);
+- grad c/xi is one divide (other cost sets take `build_gradient`'s scalar
+  loop first);
+- one multiply of the state from x1 to v by its partners writes x1 p1,
+  x2 p2, -theta eta, k theta, psi_hat eta and v1 v2 at once; then theta^2,
+  theta^4 = theta^2 theta^2, [theta^6; k theta^5] = [theta^2; k theta]
+  theta^4 (one broadcast) and x1 (x1 p1), x2 (x2 p2) (and v1 (v1 v2)) are
+  one multiply each, all in place into views made once;
+- the main operator, dim x (dim + 1 + p) over the whole buffer, writes
+  the output: every linear term, -beta1 L yr - beta2 z, beta1 L yr, x1' = x2,
+  the drift's terms linear in (x1, x2, v), M eta and v' = S v, and the
+  scatter of the features: -1 from grad c/xi onto yr', b and N of the
+  owning agent from each term of u onto x2' and eta' (so each agent's sum
+  psi_hat . eta is taken here), theta^2 and theta^6 onto k', -theta eta
+  onto psi_hat', and the remainder coefficients onto x2'.
+`assemble` builds both operators from the layers' COO parts
+(`coordinator_linear`, `costs.gradient_linear`, `plant_linear`,
+`plant_remainder`, `tracker_linear`, S's nonzeros), one `_block_operator`
+call each, and binds both products to the buffers once
+(`digraph._bound_product`, which checks them there, so a CSR product is a
+zero fill and scipy's bare kernel).  So a call is 9 numpy calls on example1
+and makes no array: about 5.7 us on a 2-core host with one BLAS thread,
+against about 8 us for the 16 calls of one feature vector with the control
+u summed by `np.bincount` (about 10 against 13.5 us on example2, 16 against
+20.7 us on ring200).  It returns the output buffer, valid until its next
+call.  The xi floor is not checked here: the source checks it over its
+stage inputs.
 
 The source is `ModalSource` unless L is defective or nearly so: from the
 eigenmodes of -L it computes RK4's own stage values per mode,
@@ -64,13 +76,12 @@ import numpy as np
 from . import costs as costs_mod
 from .coordinator import (XI_FLOOR, CoordinatorGains, check_xi_floor, coordinator_linear,
                           select_gains)
-from .digraph import (Digraph, SpectralData, _add_product, _block_operator, _diagonal, _matvec,
-                      _operator, spectral_data)
+from .digraph import (Digraph, SpectralData, _add_product, _block_operator, _bound_product,
+                      _diagonal, _operator, spectral_data)
 from .errors import Diverged, XiUnderflow
 from .integrate import rk4_step
 from .plant import Exosystem, feedforward_truth, plant_linear, plant_remainder, redraw
-from .tracker import (FeedforwardTruth, StackedInternalModel, TrackerParams, tracker_control,
-                      tracker_linear, tracker_rates)
+from .tracker import FeedforwardTruth, StackedInternalModel, TrackerParams, tracker_linear
 
 DEFAULT_TOLERANCES = {
     "final_output_error": 5e-2,
@@ -174,13 +185,15 @@ class System:
     until the next call, which overwrites it, and y is copied in and never
     kept.  So a System serves one integration at a time (`rk4_step` folds
     each stage's result in before its next call); two Systems share no
-    buffer.  pre_operator, (n + sum(s_i) + n) x (dim + 1) over [y | 1], gives
-    theta, -theta per eta entry (not when the internal model is ablated) and
-    an all-quadratic set's gradient (not for other cost sets); operator,
+    buffer.  pre_operator, (dim - 2n + g) x (dim + 1) over [y | 1], gives
+    the partner of each state entry from x1 to v (zero rows where an entry
+    has none: eta and psi_hat when the internal model is ablated) and an
+    all-quadratic set's gradient in its g = n last rows (g = 0 for other
+    cost sets); operator,
     dim x (dim + 1 + p) over [y | 1 | features], gives the derivative from
-    every linear term and the features' scatter.  Each operator is a CSR
-    array when it is large and sparse (`digraph._block_operator`), else
-    dense.
+    every linear term and the features' scatter, k' and psi_hat' included.
+    Each operator is a CSR array when it is large and sparse
+    (`digraph._block_operator`), else dense.
     """
 
     layout: StateLayout
@@ -479,45 +492,55 @@ def assemble(sc: Scenario) -> System:
     layout = StateLayout(n=n, s_dims=tuple(spec.s_dim for spec in sc.im_specs), nv=sc.exo.dim)
     dim = layout.dim
     sl = layout.slices
-    # the input buffer is [y | 1 | features]: grad c / xi and u of each
-    # agent, then the plant remainders' features
-    one, grad_col, u_col = dim, dim + 1, dim + 1 + n
-    remainder, width, bind = plant_remainder(sl, sc.plants, u_col + n)
-    # the pre rows: theta, -theta per eta entry unless the internal model is
-    # ablated, then an all-quadratic set's gradient
-    theta_pre, tracker_main = tracker_linear(sl, sc.tracker.gamma, im, 0, u_col)
-    theta_rows = n + (0 if im is None else layout.total_s)
-    grad_pre = costs_mod.gradient_linear(sc.costs, theta_rows, sl["yr"].start, one)
-    pre = _block_operator((theta_rows + (0 if grad_pre is None else n), one + 1),
-                          theta_pre + (grad_pre or []))
+    # The first product's factors are the state from x1 to v and, in the pre
+    # rows of the same index less x1's, each entry's partner.  The input buffer
+    # is [y | 1 | features]: theta^2, then each state entry times its partner
+    # (entry j at column product + j), grad c / xi, [theta^6 | k theta^5],
+    # then the plant remainders' higher monomials and custom drifts.
+    window = slice(sl["x1"].start, dim)
+    width = window.stop - window.start
+    one, theta2 = dim, dim + 1
+    partner, product = -window.start, theta2 + n - window.start
+    grad_col = theta2 + n + width
+    high = grad_col + n
+    tracker_pre, tracker_main, u, tracker_bind = tracker_linear(
+        sl, sc.tracker.gamma, im, partner, product, theta2, high)
+    plant_main = plant_linear(sl, sc.plants, u)  # refuses a drift that reads past v
+    plant_pre, remainder, plant_width, plant_bind = plant_remainder(
+        sl, sc.plants, partner, product, high + 2 * n)
+    grad_pre = costs_mod.gradient_linear(sc.costs, width, sl["yr"].start, one)
+    pre = _block_operator((width + (0 if grad_pre is None else n), one + 1),
+                          tracker_pre + plant_pre + (grad_pre or []))
     v_rows, v_cols = np.nonzero(sc.exo.S)  # v' = S v
-    main = _block_operator((dim, u_col + n + width),
+    main = _block_operator((dim, high + 2 * n + plant_width),
                            coordinator_linear(spectral.laplacian, gains)
                            + [_diagonal(sl["yr"].start, grad_col, np.full(n, -1.0))]
-                           + plant_linear(sl, sc.plants, u_col) + remainder + tracker_main
+                           + plant_main + remainder + tracker_main
                            + [(v_rows + sl["v"].start, v_cols + sl["v"].start,
                                sc.exo.S[v_rows, v_cols])])
-    pre_matvec, main_matvec = _matvec(pre), _matvec(main)
     # the derivative's own buffers and every view of them it reads or
     # writes, made once
-    buf, pre_out, out, q = (np.empty(size) for size in (main.shape[1], pre.shape[0], dim, n))
+    buf, pre_out, out = (np.empty(size) for size in (main.shape[1], pre.shape[0], dim))
     buf[one] = 1.0
-    head, y_in = buf[:one + 1], buf[:dim]
-    yr, eta, k, psi = (buf[sl[key]] for key in ("yr", "eta", "k", "psi"))
-    theta, neg_theta, grad_rows = pre_out[:n], pre_out[n:theta_rows], pre_out[theta_rows:]
-    phi_grad, phi_u = buf[grad_col:u_col], buf[u_col:u_col + n]
-    d_k, d_psi = out[sl["k"]], None if im is None else out[sl["psi"]]
+    y_in, yr = buf[:dim], buf[sl["yr"]]
+    pre_product = _bound_product(pre, buf[:one + 1], pre_out)
+    main_product = _bound_product(main, buf, out)
+    grad_rows, phi_grad = pre_out[width:], buf[grad_col:high]
     grad_vec = None if grad_pre is not None else costs_mod.build_gradient(sc.costs)
-    write_remainder = bind(buf)
+    plant_multiplies, write_customs = plant_bind(buf)
+    multiplies = tuple([(buf[window], pre_out[:width], buf[product + window.start:grad_col])]
+                       + tracker_bind(pre_out, buf) + plant_multiplies)
+    multiply = np.multiply
 
     def derivative(t, y, w=np.ones(n)):  # w: diag xi, by default that of xi(0) = I
         y_in[:] = y
-        pre_matvec(head, out=pre_out)
+        pre_product()
         np.divide(grad_rows if grad_vec is None else grad_vec(yr), w, out=phi_grad)
-        tracker_control(theta, eta, k, psi, im, q, phi_u)
-        write_remainder(t)
-        main_matvec(buf, out=out)
-        tracker_rates(theta, neg_theta, eta, q, d_k, d_psi)
+        for a, b, product_out in multiplies:
+            multiply(a, b, out=product_out)
+        if write_customs is not None:
+            write_customs(t)
+        main_product()
         return out
 
     return System(layout=layout, spectral=spectral, gains=gains, derivative=derivative,

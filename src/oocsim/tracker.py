@@ -5,13 +5,14 @@ adaptive law; the mode matrix Phi, the Sylvester solution T and the true
 feedforward row Psi are verification-only artifacts kept in a separate
 truth structure that the control loop never reads.
 
-In the member derivative (`sim.assemble`) the tracker has a part in each of
-its two products.  `tracker_linear` gives the pre operator's rows of theta
-and of -theta per eta entry, and the main operator's M eta and N u, u being
-a feature after the member state.  Between the products `tracker_control`
-writes q = rho(theta) theta and u = psi_hat . eta - k q into the feature
-slot (8 numpy calls on length-n and length-sum(s_i) arrays); after the main
-product `tracker_rates` writes k' = q theta and psi_hat' = eta (-theta).
+In the member derivative (`sim.assemble`) every tracker term is a product
+of factors linear in the member state: with rho(theta) = theta^4 + 1,
+u = psi_hat . eta - k theta - k theta^5, k' = theta^2 + theta^6 and
+psi_hat' = -theta eta.  `tracker_linear` gives the pre operator's factor
+rows (theta, -theta per eta entry, eta), the three multiplies that write
+theta^2, theta^4 and [theta^6; k theta^5], and the main operator's entries,
+which sum the features into u, eta', k' and psi_hat'; no per-agent sum is
+taken outside that product.
 """
 
 from dataclasses import dataclass
@@ -194,59 +195,70 @@ class StackedInternalModel:
             owner=np.repeat(np.arange(len(s_dims)), s_dims))
 
 
-def tracker_linear(slices, gamma, im, theta_row, u_col):
-    """The tracker's linear terms as COO parts (rows, cols, values): (pre, main).
+def tracker_linear(slices, gamma, im, partner, product, theta2, high):
+    """The tracker's terms as COO parts (rows, cols, values), and its writer: (pre, main, u, bind).
 
-    pre, over the member state: the n rows from theta_row give the filtered
-    error theta = x2 + gamma x1 - gamma yr, and the sum(s_i) rows after them
-    -theta of the agent that owns each eta entry, so psi_hat' = -eta theta
-    is one multiply.  main, over the member state and the features after
-    it: M eta on eta's rows and N u, agent i's control u_i sitting at column
-    u_col + i.  With im=None (the internal model ablated) eta' has no terms,
-    so main is empty and the -theta rows are left out.  slices maps "yr",
-    "x1", "x2" and "eta" to their slices of the member state.
+    The member derivative's first product multiplies each state entry j by
+    its partner, pre row partner + j, into feature column product + j.  pre
+    gives the partners of the tracker's entries: the filtered error
+    theta = x2 + gamma x1 - gamma yr for k, -theta of the owning agent for
+    each eta entry, and eta itself for psi_hat, so that product writes
+    k theta, -theta eta and psi_hat eta.  bind(pre_out, buf) returns the
+    multiplies (a, b, out) that write the rest, from the pre product's
+    output and the feature buffer buf: theta^2 at column theta2, theta^4
+    into a scratch of its own, and [theta^6; k theta^5] = [theta^2; k theta]
+    theta^4 at columns high .. high + 2n, one broadcast over a (2, n) view
+    whose rows are theta2 and k theta's columns; theta2 must come first, at
+    least that far from the end of buf.
+
+    With rho(theta) = theta^4 + 1, the control u = psi_hat . eta - k rho
+    theta, the gain rate k' = rho theta^2 and psi_hat' = -theta eta are then
+    sums of these features.  u = (cols, owners, signs) lists the terms of
+    the control: every psi_hat eta (+), k theta (-) and k theta^5 (-), with
+    the agent whose u each enters, so the main operator sums u per agent.
+    main holds M eta, N of each term's agent onto its eta' rows, -theta eta
+    onto psi_hat', and theta^2 and theta^6 onto k'.  With im=None (the
+    internal model ablated) eta and psi_hat get no partners and no rates,
+    and u = -k theta - k theta^5.  slices maps "yr", "x1", "x2", "eta", "k"
+    and "psi" to their slices of the member state.
     """
-    n = slices["yr"].stop - slices["yr"].start
+    k, eta, psi = (slices[key].start for key in ("k", "eta", "psi"))
+    n = slices["k"].stop - k
+    agents = np.arange(n)
     terms = [(slices[key].start, coef) for key, coef in
              (("x2", 1.0), ("x1", gamma), ("yr", -gamma))]
-    pre = [_diagonal(theta_row, col, np.full(n, coef)) for col, coef in terms]
-    if im is None:
-        return pre, []
-    rows, cols, values = im.M_entries
-    eta = slices["eta"].start
-    entries = np.arange(len(im.owner))
-    pre += [(entries + theta_row + n, im.owner + col, np.full(len(entries), -coef))
-            for col, coef in terms]
-    return pre, [(rows + eta, cols + eta, values), (entries + eta, im.owner + u_col, im.N)]
+    pre = [_diagonal(partner + k, col, np.full(n, coef)) for col, coef in terms]
+    main = [_diagonal(k, theta2, np.ones(n)), _diagonal(k, high, np.ones(n))]
+    u = [(product + k + agents, agents, np.full(n, -1.0)),
+         (high + n + agents, agents, np.full(n, -1.0))]
+    if im is not None:
+        entries = np.arange(len(im.owner))
+        pre += [(entries + partner + eta, im.owner + col, np.full(len(entries), -coef))
+                for col, coef in terms]
+        pre.append(_diagonal(partner + psi, eta, np.ones(len(entries))))
+        u.insert(0, (product + psi + entries, im.owner, np.ones(len(entries))))
+    cols, owners, signs = (np.concatenate(x) for x in zip(*u))
+    if im is not None:
+        rows, m_cols, values = im.M_entries
+        # N u: each term meets the eta entries of its agent where N is nonzero;
+        # im.owner is sorted, so each agent's entries are one run
+        reached = np.flatnonzero(im.N)
+        lo = np.searchsorted(im.owner[reached], owners, "left")
+        count = np.searchsorted(im.owner[reached], owners, "right") - lo
+        term = np.repeat(np.arange(len(owners)), count)
+        entry = reached[np.repeat(lo - np.cumsum(count) + count, count)
+                        + np.arange(count.sum())]
+        main += [(rows + eta, m_cols + eta, values),
+                 (entry + eta, cols[term], signs[term] * im.N[entry]),
+                 _diagonal(psi, product + eta, np.ones(len(entries)))]
 
+    def bind(pre_out, buf):
+        theta = pre_out[partner + k:partner + k + n]
+        theta4 = np.empty(n)
+        square = buf[theta2:theta2 + n]
+        step = product + k - theta2
+        pair = buf[theta2:theta2 + 2 * step].reshape(2, step)[:, :n]
+        return [(theta, theta, square), (square, square, theta4),
+                (pair, theta4, buf[high:high + 2 * n].reshape(2, n))]
 
-def tracker_control(theta, eta, k, psi, im, q, u):
-    """q = rho(theta) theta and the control u of every agent, written into q and u.
-
-    theta is each agent's filtered error, from the rows of `tracker_linear`.
-    With rho(theta) = theta^4 + 1: u = psi_hat_i . eta_i - k q, where
-    psi_hat_i . eta_i is one `np.bincount` of psi_hat eta over each entry's
-    owner, which sums each agent's entries in order.  With im=None the
-    internal model is ablated and u = -k q.  theta^4 is (theta^2)^2:
-    `theta ** 4` calls libm pow, about 7x slower.
-    """
-    theta2 = theta * theta
-    np.multiply(theta2, theta2, out=q)
-    q += 1.0
-    q *= theta
-    if im is None:
-        np.multiply(k, q, out=u)
-        np.negative(u, out=u)
-    else:
-        np.subtract(np.bincount(im.owner, weights=psi * eta, minlength=len(k)), k * q,
-                    out=u)
-
-
-def tracker_rates(theta, neg_theta, eta, q, d_k, d_psi):
-    """k' = q theta into d_k and, unless d_psi is None (ablated), psi_hat' = eta (-theta).
-
-    q is from `tracker_control`, neg_theta the -theta rows of `tracker_linear`.
-    """
-    np.multiply(q, theta, out=d_k)
-    if d_psi is not None:
-        np.multiply(eta, neg_theta, out=d_psi)
+    return pre, main, (cols, owners, signs), bind

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from oocsim import digraph
-from oocsim.digraph import (Digraph, _add_product, _matvec, _operator, is_strongly_connected,
-                            laplacian, spectral_data)
+from oocsim.digraph import (Digraph, _add_product, _bound_product, _matvec, _operator,
+                            is_strongly_connected, laplacian, spectral_data)
 from oocsim.errors import InvalidSpectrum, NotStronglyConnected
 
 
@@ -258,6 +258,33 @@ def test_csr_kernel_refuses_inputs_it_would_mishandle():
         assert np.array_equal(out, np.ones(80)), "out written before the refusal"
     with pytest.raises(ValueError, match=dtype):
         _matvec(op.astype(np.float32))(np.ones(80), out=np.zeros(80))
+
+
+def test_bound_product_checks_its_buffers_once_at_bind_time():
+    a, op = sparse_operator()
+    x = np.random.default_rng(4).uniform(-1.0, 1.0, 80)
+    for operator in (a, op):
+        out = np.full(80, np.nan)
+        product = _bound_product(operator, x, out)
+        product()
+        product()  # the CSR kernel accumulates, so each call zeroes out first
+        assert np.abs(out - a @ x).max() <= 1e-14 * np.abs(a @ x).max()
+    shared = np.zeros(120)
+    bad_binds = {  # name: (x, out, the refusal's message)
+        "non-contiguous x": (np.ones(160)[::2], np.zeros(80), "C-contiguous"),
+        "non-contiguous out": (x, np.zeros(160)[::2], "C-contiguous"),
+        "float32 x": (x.astype(np.float32), np.zeros(80), "must be float64"),
+        "float32 out": (x, np.zeros(80, dtype=np.float32), "must be float64"),
+        "x of the wrong length": (np.ones(81), np.zeros(80), "cannot map"),
+        "x with columns": (np.ones((80, 2)), np.zeros((80, 2)), "must be a vector"),
+        "out overlapping x": (shared[:80], shared[40:], "overlap"),
+    }
+    for operator in (a, op):
+        for name, (xx, out, message) in bad_binds.items():
+            with pytest.raises(ValueError, match=message):
+                _bound_product(operator, xx, out)
+        with pytest.raises(ValueError, match="must be float64"):
+            _bound_product(operator.astype(np.float32), x, np.zeros(80))
 
 
 def test_csr_kernel_writes_into_the_callers_buffer():

@@ -8,9 +8,26 @@ from hypothesis import strategies as st
 from oocsim.digraph import _block_operator
 from oocsim.errors import Unsupported
 from oocsim.integrate import rk4_step
-from oocsim.plant import (KINDS, Exosystem, custom, damping_spring, draw, feedforward_truth,
-                          plant_linear, plant_remainder, redraw, rotation_exosystem, vdp_like)
+from oocsim.plant import (Exosystem, custom, damping_spring, draw, feedforward_truth, plant_linear,
+                          plant_remainder, redraw, rotation_exosystem, vdp_like)
 from plant_equations import paper_drift
+
+
+def one_term(n, col):
+    """u as one term per agent: agent i's u is the feature at column col + i."""
+    return col + np.arange(n), np.arange(n), np.ones(n)
+
+
+def write_features(buf, pre, bind, state, product):
+    """Each state entry times its partner from `plant_remainder`'s pre rows,
+    into columns product.., then bind's multiplies and custom drifts."""
+    partners = _block_operator((state, state), pre) @ buf[:state]
+    np.multiply(buf[:state], partners, out=buf[product:product + state])
+    multiplies, write = bind(buf)
+    for a, b, out in multiplies:
+        np.multiply(a, b, out=out)
+    if write is not None:
+        write(0.0)
 
 
 def split_drift(plants, x1, x2, v):
@@ -19,14 +36,16 @@ def split_drift(plants, x1, x2, v):
     `plant_remainder`, after the features are written; u = 0 leaves b u out."""
     n, nv = len(plants), len(v)
     slices = {"x1": slice(0, n), "x2": slice(n, 2 * n), "v": slice(2 * n, 2 * n + nv)}
-    u_col = 2 * n + nv
-    parts, width, bind = plant_remainder(slices, plants, u_col + n)
-    op = _block_operator((2 * n, u_col + n + width), plant_linear(slices, plants, u_col) + parts)
+    state = 2 * n + nv
+    product = state + n  # after u, each state entry times its partner
+    pre, main, width, bind = plant_remainder(slices, plants, 0, product, product + state)
+    cols = product + state + width
+    op = _block_operator((2 * n, cols), plant_linear(slices, plants, one_term(n, state)) + main)
     # rows 0..n-1 are x1' = x2
     assert np.array_equal(op[:n], np.hstack([np.zeros((n, n)), np.eye(n),
-                                             np.zeros((n, nv + n + width))]))
-    buf = np.concatenate([x1, x2, v, np.zeros(n + width)])
-    bind(buf)(0.0)
+                                             np.zeros((n, cols - 2 * n))]))
+    buf = np.concatenate([x1, x2, v, np.zeros(cols - state)])
+    write_features(buf, pre, bind, state, product)
     return (op @ buf)[n:]
 
 
@@ -81,7 +100,8 @@ def test_linear_entries_plus_remainder_are_the_drift(kind):
     own = [(2, 2), (3, 3)] if kind == "vdp_like" else [(2, 0), (2, 2), (3, 1), (3, 3)]
     v_col = 4 if kind == "vdp_like" else 5
     # parts 0 and 1 are x1' = x2 and b u
-    rows, cols, values = (np.concatenate(x) for x in zip(*plant_linear(slices, [p, p], 6)[2:]))
+    linear = plant_linear(slices, [p, p], one_term(2, 6))
+    rows, cols, values = (np.concatenate(x) for x in zip(*linear[2:]))
     assert sorted(zip(rows.tolist(), cols.tolist())) == sorted(own + [(2, v_col), (3, v_col)])
 
 
@@ -103,13 +123,13 @@ def test_a_drift_reading_past_v_is_refused():
     vdp = vdp_like(1.0, 0.5, 1.2, 3.0)
     with pytest.raises(Unsupported, match=r"^plant 2 \(damping_spring\) reads v2, "
                                           r"past the exosystem's 1-entry state$"):
-        plant_linear(slices, [vdp, spring], 5)
+        plant_linear(slices, [vdp, spring], one_term(2, 5))
     # the remainder reads v1 and v2 even when Aw = 0 leaves no linear v term
     still = damping_spring(m=1.1, k1=2.2, k2=2.9, mu1=3.8, mu2=4.7, a_w=0.0)
     with pytest.raises(Unsupported, match=r"^plant 1 \(damping_spring\) reads v2, "):
-        plant_linear(slices, [still, vdp], 5)
+        plant_linear(slices, [still, vdp], one_term(2, 5))
     # vdp_like reads v1 alone, which a one-entry exosystem has
-    rows, cols, values = plant_linear(slices, [vdp, vdp], 5)[-1]
+    rows, cols, values = plant_linear(slices, [vdp, vdp], one_term(2, 5))[-1]
     assert rows.tolist() == [2, 3] and cols.tolist() == [4, 4] and values.tolist() == [1.5, 1.5]  # a_w = mu2 amplitude
 
 
@@ -120,11 +140,14 @@ def test_custom_plants_have_no_linear_entries():
     p = custom(f, b=1.0)
     assert p.f is f  # the whole drift, as given
     slices = {"x1": slice(0, 2), "x2": slice(2, 4), "v": slice(4, 5)}
-    parts = plant_linear(slices, [p, p], 5)
+    parts = plant_linear(slices, [p, p], one_term(2, 5))
     assert sum(len(values) for _, _, values in parts) == 4  # x1' = x2 and b u only
-    # f is one feature per plant, with coefficient 1 on its own x2'
-    (rows, cols, values), = plant_remainder(slices, [p, p], 7)[0]
+    # f is one feature per plant, with coefficient 1 on its own x2', and no
+    # partner meets x1 or x2
+    pre, main, width, _ = plant_remainder(slices, [p, p], 0, 5, 7)
+    rows, cols, values = (np.concatenate(x) for x in zip(*main))
     assert rows.tolist() == [2, 3] and cols.tolist() == [7, 8] and values.tolist() == [1.0, 1.0]
+    assert width == 2 and not any(len(values) for _, _, values in pre)
     x1, x2, v = np.array([1.0, 2.0]), np.array([0.5, -1.0]), np.array([0.25, 0.0])
     assert split_drift([p, p], x1, x2, v).tolist() == [2.75, 7.25]
 
@@ -136,23 +159,26 @@ def test_remainder_is_monomials_times_coefficients(kind):
     rng = np.random.default_rng(3)
     p, q = random_plant(kind, rng), random_plant(kind, rng)
     slices = {"x1": slice(0, 2), "x2": slice(2, 4), "v": slice(4, 6)}
-    parts, width, bind = plant_remainder(slices, [p, q], 8)
+    # each state entry times its partner at columns 6..11, the rest from 12
+    pre, main, width, bind = plant_remainder(slices, [p, q], 0, 6, 12)
     assert width == {"vdp_like": 4, "damping_spring": 5}[kind]
-    buf = np.zeros(8 + width)
+    buf = np.zeros(12 + width)
     buf[:6] = [1.5, -2.0, 0.5, 3.0, -0.75, 2.5]
-    bind(buf)(0.0)
-    want = {"vdp_like": [0.75, -6.0, 1.125, 12.0],
+    write_features(buf, pre, bind, 6, 6)
+    first = {"vdp_like": [0.75, -6.0, 0.0, 0.0, 0.0, 0.0],
+             "damping_spring": [2.25, 4.0, 0.25, 9.0, -1.875, 0.0]}[kind]
+    assert buf[6:12].tolist() == first
+    want = {"vdp_like": [1.125, 12.0, 0.0, 0.0],
             "damping_spring": [3.375, -8.0, 0.125, 27.0, 1.40625]}[kind]
-    assert buf[8:].tolist() == want
+    assert buf[12:].tolist() == want
     coefs = {"vdp_like": lambda r: [-1.0, -r["mu1"]],
              "damping_spring": lambda r: [-r["k2"] / r["m"], -r["mu2"] / r["m"],
                                           r["a_w"] / r["m"]]}[kind]
-    op = _block_operator((4, 8 + width), parts)
+    op = _block_operator((4, 12 + width), main)
     for i, plant in enumerate((p, q)):
-        row = op[2 + i, 8:]
-        assert np.count_nonzero(row) == KINDS[kind].per_agent + KINDS[kind].shared
+        row = op[2 + i, 6:]
         assert sorted(row[row != 0].tolist()) == sorted(coefs(plant.params))
-    assert not op[:2].any() and not op[:, :8].any()
+    assert not op[:2].any() and not op[:, :6].any()
 
 
 def test_draw_repeats_the_parser_stream():

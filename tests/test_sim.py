@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from importlib import resources
@@ -352,17 +353,17 @@ def operators(system):
 def test_operator_is_csr_only_for_large_sparse_matrices(example1_scenario, example2_scenario):
     for sc in (example1_scenario, example2_scenario):
         assert type(_operator(spectral_data(sc.graph).laplacian)) is np.ndarray
-        # example2's operators are 25 x 68 and 67 x 89, at most 5,963 entries
+        # example2's operators are 57 x 68 and 67 x 156, at most 10,452 entries
         for op in operators(assemble(sc)):
             assert type(op) is np.ndarray
     ring = sparse_ring()
     assert _operator(laplacian(ring.graph)).format == "csr"
     assert [op.format for op in operators(assemble(ring))] == ["csr", "csr"]
-    # a 40-agent ring with s = 4: L stays dense, the 240 x 523 pre and the
-    # 522 x 683 main operator do not
+    # a 40-agent ring with s = 4: L stays dense, the 482 x 523 pre and the
+    # 522 x 1,205 main operator do not
     mid = scenario_from_dict(ring_doc(40, {"coeffs": [10.0, 18.0, 15.0, 6.0]}, chords=40))
     assert type(_operator(laplacian(mid.graph))) is np.ndarray
-    assert [op.shape for op in operators(assemble(mid))] == [(240, 523), (522, 683)]
+    assert [op.shape for op in operators(assemble(mid))] == [(482, 523), (522, 1205)]
     assert [op.format for op in operators(assemble(mid))] == ["csr", "csr"]
     # too few rows: a 63-agent ring stays dense, a 64-agent ring does not
     assert type(_operator(laplacian(sparse_ring(63, 0).graph))) is np.ndarray
@@ -420,12 +421,14 @@ def mixed_kinds():
                                  vdp_like(2.0, 1.5, 0.8, 1.0)])
 
 
-def feature_count(sc):
-    """grad c / xi and u of each agent, then each built-in kind's monomials and
-    one feature per custom plant."""
+def feature_count(sc, dim):
+    """theta^2, each state entry from x1 to v times its partner, grad c / xi and
+    [theta^6 | k theta^5] of each agent, then x1 (x1 p1) and x2 (x2 p2) of each
+    agent when a plant is built in, the one shared v1^2 v2 of a damping_spring
+    set and one feature per custom plant."""
     n = sc.graph.n
     kinds = {p.kind for p in sc.plants}
-    return (2 * n + 2 * n * len(kinds & {"vdp_like", "damping_spring"})
+    return (n + (dim - 2 * n) + 3 * n + 2 * n * bool(kinds & {"vdp_like", "damping_spring"})
             + ("damping_spring" in kinds) + sum(p.kind == "custom" for p in sc.plants))
 
 
@@ -445,14 +448,14 @@ def test_derivative_matches_the_paper_agent_by_agent(case, request):
         # the CSR kernel adds into the derivative's buffers, so the calls below
         # also show that each call starts from zeroed ones
         assert [op.format for op in operators(system)] == ["csr", "csr"]
-    # pre: theta's n rows, -theta per eta entry and, for quadratic costs, the
-    # gradient, over [y | 1]; main: every linear term and the features'
-    # scatter, over [y | 1 | features]
+    # pre: the partner of each state entry from x1 to v and, for quadratic
+    # costs, the gradient, over [y | 1]; main: every linear term and the
+    # features' scatter, over [y | 1 | features]
     layout, n = system.layout, system.layout.n
-    eta_rows = 0 if sc.ablate_internal_model else layout.total_s
     grad_rows = n if all(c.kind == "quadratic" for c in sc.costs) else 0
-    assert system.pre_operator.shape == (n + eta_rows + grad_rows, layout.dim + 1)
-    assert system.operator.shape == (layout.dim, layout.dim + 1 + feature_count(sc))
+    assert system.pre_operator.shape == (layout.dim - 2 * n + grad_rows, layout.dim + 1)
+    assert system.operator.shape == (layout.dim,
+                                     layout.dim + 1 + feature_count(sc, layout.dim))
     rng = np.random.default_rng(7)
     for _ in range(3):
         y = rng.uniform(-1.0, 1.0, system.layout.dim)
@@ -461,6 +464,41 @@ def test_derivative_matches_the_paper_agent_by_agent(case, request):
         want = paper_derivative(sc, system, 0.3, y, w)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def most_numpy_data_during(call):
+    """The most numpy data alive at any call or return event inside call(), in bytes.
+
+    tracemalloc counts only arrays made after it starts, filtered to numpy's
+    data domain; a profile hook takes a snapshot at every Python and C call
+    and return, so a temporary that lives through any of them shows.
+    """
+    only_numpy = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    most = 0
+
+    def watch(frame, event, arg):
+        nonlocal most
+        snapshot = tracemalloc.take_snapshot().filter_traces(only_numpy)
+        most = max(most, sum(trace.size for trace in snapshot.traces))
+
+    tracemalloc.start()
+    sys.setprofile(watch)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+        tracemalloc.stop()
+    return most
+
+
+@pytest.mark.parametrize("case", ["example1", "sparse-ring"])
+def test_derivative_call_makes_no_numpy_data(case, request):
+    sc = request.getfixturevalue("example1_scenario") if case == "example1" else sparse_ring()
+    system = assemble(sc)
+    y, w = initial_state(sc, system.layout), np.full(sc.graph.n, 0.5)
+    assert most_numpy_data_during(lambda: system.derivative(0.3, y, w)) == 0
+    # the watch does see a temporary that lives through a call
+    assert most_numpy_data_during(lambda: (y + y).fill(0.0)) == y.nbytes
 
 
 def test_systems_share_no_buffer(example1_scenario):
@@ -504,13 +542,17 @@ def test_operator_holds_the_drifts_terms_in_v(preset, kind, entry, coefficient, 
     assert not system.operator[:sl["x2"].start, sl["v"]].any()
     assert not system.operator[sl["eta"].start:sl["v"].start, sl["v"]].any()
     # so the nonlinear remainder has no term linear in v alone: it is 0 at x = 0, v = e_j
-    dim = system.layout.dim
-    parts, width, bind = plant_remainder(sl, sc.plants, dim)
-    op = _block_operator((dim, dim + width), parts)
+    dim, x1 = system.layout.dim, sl["x1"].start
+    # features: each state entry from x1 on times its partner, then the rest
+    pre, parts, width, bind = plant_remainder(sl, sc.plants, -x1, dim - x1, 2 * dim - x1)
+    partners = _block_operator((dim - x1, dim), pre)
+    op = _block_operator((dim, 2 * dim - x1 + width), parts)
     for v in np.eye(nv):
-        buf = np.zeros(dim + width)
+        buf = np.zeros(2 * dim - x1 + width)
         buf[sl["v"]] = v
-        bind(buf)(0.0)
+        np.multiply(buf[x1:dim], partners @ buf[:dim], out=buf[dim:2 * dim - x1])
+        for a, b, out in bind(buf)[0]:
+            np.multiply(a, b, out=out)
         assert not (op @ buf).any()
 
 

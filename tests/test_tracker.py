@@ -8,8 +8,7 @@ from oocsim.errors import DegenerateRoots, NotHurwitz, SingularSystem
 from oocsim.digraph import _block_operator
 from oocsim.tracker import (FeedforwardTruth, InternalModelSpec, StackedInternalModel,
                             TrackerParams, companion_pair, phi_gamma, psi_true,
-                            solve_sylvester, sylvester_residual, tracker_control,
-                            tracker_linear, tracker_rates)
+                            solve_sylvester, sylvester_residual, tracker_linear)
 
 
 def test_companion_pair_order_two():
@@ -110,23 +109,34 @@ def stacked(n, coeffs=(2.0, 3.0)):
 def tracker_at(x1, x2, yr, eta, k, psi, gamma, im):
     """u and (eta', k', psi_hat') of all agents from the tracker's own layer functions.
 
-    The state (yr, x1, x2, eta) times the pre operator of `tracker_linear`
-    gives theta and -theta per eta entry; `tracker_control` writes u into
-    its slot after the state, the main operator's product over both gives M
-    eta + N u, and `tracker_rates` writes k' and psi_hat'.
+    The state is (yr, x1, x2, eta, k, psi_hat), followed by the features.
+    The pre operator of `tracker_linear` gives the partners of eta, k and
+    psi_hat; one multiply of (eta, k, psi_hat) by them writes -theta eta,
+    k theta and psi_hat eta, bind's multiplies write theta^2, theta^4 and
+    [theta^6; k theta^5], and the main operator's product over the state and
+    the features gives eta', k' and psi_hat'.  u sums the control's terms
+    per agent, as b u does on x2'.
     """
     n, total_s = len(x1), len(eta)
-    slices = {"yr": slice(0, n), "x1": slice(n, 2 * n), "x2": slice(2 * n, 3 * n),
-              "eta": slice(3 * n, 3 * n + total_s)}
-    dim = 3 * n + total_s
-    pre_parts, main_parts = tracker_linear(slices, gamma, im, 0, dim)
-    buf = np.concatenate([yr, x1, x2, eta, np.zeros(n)])
-    pre = _block_operator((n + total_s, dim), pre_parts) @ buf[:dim]
-    q, dk, dpsi = np.empty(n), np.empty(n), np.empty(total_s)
-    tracker_control(pre[:n], eta, k, psi, im, q, buf[dim:])
-    deta = (_block_operator((dim, dim + n), main_parts) @ buf)[slices["eta"]]
-    tracker_rates(pre[:n], pre[n:], eta, q, dk, dpsi)
-    return buf[dim:], (deta, dk, dpsi)
+    keys, sizes = ("yr", "x1", "x2", "eta", "k", "psi"), (n, n, n, total_s, n, total_s)
+    starts = np.cumsum((0,) + sizes).tolist()
+    slices = {key: slice(a, a + size) for key, a, size in zip(keys, starts, sizes)}
+    dim = starts[-1]
+    window = slice(slices["eta"].start, dim)
+    width = dim - window.start
+    # features: theta^2, each of eta, k and psi_hat times its partner, then
+    # [theta^6 | k theta^5]
+    partner, product, high = -window.start, dim + n - window.start, dim + n + width
+    pre_parts, main_parts, (cols, owners, signs), bind = tracker_linear(
+        slices, gamma, im, partner, product, dim, high)
+    buf = np.concatenate([yr, x1, x2, eta, k, psi, np.zeros(n + width + 2 * n)])
+    pre_out = _block_operator((width, dim), pre_parts) @ buf[:dim]
+    np.multiply(buf[window], pre_out, out=buf[dim + n:high])
+    for a, b, out in bind(pre_out, buf):
+        np.multiply(a, b, out=out)
+    rates = _block_operator((dim, len(buf)), main_parts) @ buf
+    u = _block_operator((n, len(buf)), [(owners, cols, signs)]) @ buf
+    return u, tuple(rates[slices[key]] for key in ("eta", "k", "psi"))
 
 
 def test_stack_of_mixed_orders_is_block_diagonal():
@@ -173,17 +183,27 @@ def test_tracker_derivative_hand_values():
 
 
 def test_ablated_tracker_hand_values():
-    # without the internal model u = -k q, eta' has no terms and psi_hat' is not written
-    slices = {"yr": slice(0, 2), "x1": slice(2, 4), "x2": slice(4, 6), "eta": slice(6, 6)}
-    pre_parts, main_parts = tracker_linear(slices, 2.0, None, 0, 6)
-    assert main_parts == []
-    pre = _block_operator((2, 6), pre_parts) @ np.array([0.0, 0.0, 0.0, 0.0, 1.0, -1.0])
-    assert pre.tolist() == [1.0, -1.0]  # theta of each agent, and no -theta rows
-    q, u, dk = np.empty(2), np.empty(2), np.empty(2)
-    tracker_control(pre, np.zeros(0), np.array([3.0, 0.5]), np.zeros(0), None, q, u)
-    assert q.tolist() == [2.0, -2.0] and u.tolist() == [-6.0, 1.0]
-    tracker_rates(pre, None, None, q, dk, None)
+    # without the internal model u = -k rho(theta) theta, and eta and psi_hat
+    # get no partners and no rates
+    slices = {"yr": slice(0, 2), "x1": slice(2, 4), "x2": slice(4, 6), "eta": slice(6, 8),
+              "k": slice(8, 10), "psi": slice(10, 12)}
+    pre_parts, main_parts, (_, owners, signs), _ = tracker_linear(slices, 2.0, None, -6, 7, 12, 20)
+    assert len(pre_parts) == 3  # theta's x2, x1 and yr terms, the partners of k
+    assert not any(np.isin(rows, np.r_[6:8, 10:12]).any() for rows, _, _ in main_parts)
+    assert owners.tolist() == [0, 1, 0, 1] and signs.tolist() == [-1.0] * 4
+    u, (deta, dk, dpsi) = tracker_at(np.zeros(2), np.array([1.0, -1.0]), np.zeros(2),
+                                     np.ones(2), np.array([3.0, 0.5]), np.ones(2), 2.0, None)
+    assert u.tolist() == [-6.0, 1.0]
     assert dk.tolist() == [2.0, 2.0]  # (1^4 + 1) 1^2
+    assert not deta.any() and not dpsi.any()
+
+
+def test_gain_rate_and_ablated_control_hand_values():
+    # k' = theta^2 + theta^6 and, ablated, u = -k theta - k theta^5, at theta = x2
+    u, (_, dk, _) = tracker_at(np.zeros(3), np.array([0.5, -2.0, 3.0]), np.zeros(3),
+                               np.zeros(3), np.array([2.0, 1.0, 0.5]), np.zeros(3), 2.0, None)
+    assert dk.tolist() == [0.265625, 68.0, 738.0]
+    assert u.tolist() == [-1.0625, 34.0, -123.0]
 
 
 def test_tracker_params_bounds():
