@@ -235,27 +235,31 @@ def plant_remainder(slices, plants, partner, product, col):
     """
     n = len(plants)
     x1, x2, v = (slices[key].start for key in ("x1", "x2", "v"))
-    kinds = [KINDS.get(p.kind) for p in plants]
-    built = np.array([i for i, kind in enumerate(kinds) if kind is not None], dtype=int)
-    customs = [i for i, kind in enumerate(kinds) if kind is None]
-    shared = any(kinds[i].shared for i in built)
-    cubes = 2 * n if len(built) else 0  # the columns of x1 (x1 p1) and x2 (x2 p2)
-    starts = {"x1": x1, "x2": x2, None: -1}
-    source = np.array([[starts[p] for p in kinds[i].partners] for i in built],
-                      dtype=int).reshape(-1, 2)
-    pre = []
-    for own, src in zip((x1, x2), source.T):
-        has = src >= 0
-        pre.append((partner + own + built[has], src[has] + built[has], np.ones(has.sum())))
+    by_kind = {}
+    for i, p in enumerate(plants):
+        by_kind.setdefault(p.kind, []).append(i)
+    customs = [i for i, p in enumerate(plants) if p.kind not in KINDS]
+    cubes = 2 * n if len(customs) < n else 0  # the columns of x1 (x1 p1) and x2 (x2 p2)
+    shared = any(KINDS[name].shared for name in by_kind if name in KINDS)
+    pre, main = [], []
+    for name, kind in KINDS.items():
+        agents = by_kind.get(name)
+        if agents is None:
+            continue
+        coefs = np.array([plants[i].split[1] for i in agents])
+        agents = np.array(agents)
+        for own, p in zip((x1, x2), kind.partners):
+            if p is not None:
+                pre.append((partner + own + agents, slices[p].start + agents,
+                            np.ones(len(agents))))
+        # each agent's coefficients of MONOMIALS, nonzero ones only
+        cols = np.concatenate([product + x1 + agents, product + x2 + agents, col + agents,
+                               col + n + agents, np.full(len(agents), col + cubes)])
+        values = coefs.T.ravel()
+        keep = np.flatnonzero(values)
+        main.append((np.tile(agents + x2, len(MONOMIALS))[keep], cols[keep], values[keep]))
     if shared:
         pre.append((np.array([partner + v]), np.array([v + 1]), np.ones(1)))
-    coefs = np.array([plants[i].split[1] for i in built]).reshape(-1, len(MONOMIALS))
-    columns = (product + x1 + built, product + x2 + built, col + built, col + n + built,
-               np.full(len(built), col + cubes))
-    main = []
-    for cols, values in zip(columns, coefs.T):
-        keep = np.flatnonzero(values)
-        main.append((built[keep] + x2, cols[keep], values[keep]))
     first_custom = col + cubes + shared
     if customs:
         main.append((np.array(customs) + x2, first_custom + np.arange(len(customs)),

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .digraph import _diagonal
 from .errors import DegenerateRoots, NotHurwitz, SingularSystem, SingularT
 
 _HURWITZ_MARGIN = -1e-9
@@ -224,33 +223,38 @@ def tracker_linear(slices, gamma, im, partner, product, theta2, high):
     """
     k, eta, psi = (slices[key].start for key in ("k", "eta", "psi"))
     n = slices["k"].stop - k
-    agents = np.arange(n)
+    agents, ones = np.arange(n), np.ones(n)
     terms = [(slices[key].start, coef) for key, coef in
              (("x2", 1.0), ("x1", gamma), ("yr", -gamma))]
-    pre = [_diagonal(partner + k, col, np.full(n, coef)) for col, coef in terms]
-    main = [_diagonal(k, theta2, np.ones(n)), _diagonal(k, high, np.ones(n))]
-    u = [(product + k + agents, agents, np.full(n, -1.0)),
-         (high + n + agents, agents, np.full(n, -1.0))]
+    pre = [(partner + k + agents, col + agents, np.full(n, coef)) for col, coef in terms]
+    main = [(k + agents, theta2 + agents, ones), (k + agents, high + agents, ones)]
+    cols, owners = [product + k + agents, high + n + agents], [agents, agents]
+    positive = 0  # the psi_hat eta terms lead
     if im is not None:
-        entries = np.arange(len(im.owner))
-        pre += [(entries + partner + eta, im.owner + col, np.full(len(entries), -coef))
+        positive = len(im.owner)
+        entries = np.arange(positive)
+        pre += [(partner + eta + entries, im.owner + col, np.full(positive, -coef))
                 for col, coef in terms]
-        pre.append(_diagonal(partner + psi, eta, np.ones(len(entries))))
-        u.insert(0, (product + psi + entries, im.owner, np.ones(len(entries))))
-    cols, owners, signs = (np.concatenate(x) for x in zip(*u))
+        pre.append((partner + psi + entries, eta + entries, np.ones(positive)))
+        cols.insert(0, product + psi + entries)
+        owners.insert(0, im.owner)
+    cols, owners = np.concatenate(cols), np.concatenate(owners)
+    signs = np.full(len(cols), -1.0)
+    signs[:positive] = 1.0
     if im is not None:
         rows, m_cols, values = im.M_entries
-        # N u: each term meets the eta entries of its agent where N is nonzero;
-        # im.owner is sorted, so each agent's entries are one run
-        reached = np.flatnonzero(im.N)
-        lo = np.searchsorted(im.owner[reached], owners, "left")
-        count = np.searchsorted(im.owner[reached], owners, "right") - lo
-        term = np.repeat(np.arange(len(owners)), count)
-        entry = reached[np.repeat(lo - np.cumsum(count) + count, count)
-                        + np.arange(count.sum())]
         main += [(rows + eta, m_cols + eta, values),
-                 (entry + eta, cols[term], signs[term] * im.N[entry]),
-                 _diagonal(psi, product + eta, np.ones(len(entries)))]
+                 (psi + entries, product + eta + entries, np.ones(positive))]
+        # N u: each term reaches the eta entries of its agent where N is
+        # nonzero, which are one run per agent since im.owner is sorted
+        reached = np.flatnonzero(im.N)
+        first, stop = (np.searchsorted(im.owner[reached], agents, side)
+                       for side in ("left", "right"))
+        count = stop - first
+        for j in range(count.max(initial=0)):  # the j-th reached entry of each agent
+            has = count[owners] > j
+            entry = reached[first[owners[has]] + j]
+            main.append((entry + eta, cols[has], signs[has] * im.N[entry]))
 
     def bind(pre_out, buf):
         theta = pre_out[partner + k:partner + k + n]

@@ -21,7 +21,7 @@ def one_term(n, col):
 def write_features(buf, pre, bind, state, product):
     """Each state entry times its partner from `plant_remainder`'s pre rows,
     into columns product.., then bind's multiplies and custom drifts."""
-    partners = _block_operator((state, state), pre) @ buf[:state]
+    partners = _block_operator((state, state), pre) @ buf[:state] if pre else 0.0
     np.multiply(buf[:state], partners, out=buf[product:product + state])
     multiplies, write = bind(buf)
     for a, b, out in multiplies:
@@ -147,7 +147,7 @@ def test_custom_plants_have_no_linear_entries():
     pre, main, width, _ = plant_remainder(slices, [p, p], 0, 5, 7)
     rows, cols, values = (np.concatenate(x) for x in zip(*main))
     assert rows.tolist() == [2, 3] and cols.tolist() == [7, 8] and values.tolist() == [1.0, 1.0]
-    assert width == 2 and not any(len(values) for _, _, values in pre)
+    assert width == 2 and pre == []
     x1, x2, v = np.array([1.0, 2.0]), np.array([0.5, -1.0]), np.array([0.25, 0.0])
     assert split_drift([p, p], x1, x2, v).tolist() == [2.75, 7.25]
 
