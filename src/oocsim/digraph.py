@@ -79,8 +79,8 @@ def _operator(a: np.ndarray):
     """`a` as a scipy.sparse CSR array when it is large and sparse, else `a` itself.
 
     Operators on the step path are applied with `_add_product`, `_matvec`
-    and `_bound_product`, not `@`.  For a dense operator those run `@`'s own numpy call.  For
-    CSR they call scipy's private accumulating kernels
+    and `_bound_product`, not `@`.  For a dense operator those run `@`'s own
+    numpy call.  For CSR they call scipy's private accumulating kernels
     `scipy.sparse._sparsetools.csr_matvec` and `csr_matvecs` (Y += A X)
     directly, on the caller's buffers: `@` allocates and zero-fills its
     result and runs a few µs of Python checks and dispatch per call, and

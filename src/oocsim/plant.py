@@ -205,9 +205,9 @@ def plant_linear(slices, plants, u):
                           f"past the exosystem's {v.stop - v.start}-entry state")
     coefs = np.array([(0.0, 0.0, 0.0) if p.split is None else p.split[0] for p in plants])
     agent = np.arange(len(plants))
-    cols, owners, signs = u
+    terms, owners, signs = u
     parts = [_diagonal(x1, x2, np.ones(len(plants))),
-             (owners + x2, cols, np.array([p.b for p in plants])[owners] * signs)]
+             (owners + x2, terms, np.array([p.b for p in plants])[owners] * signs)]
     for cols, values in zip((agent + x1, agent + x2, reads + v.start), coefs.T):
         agents = np.flatnonzero(values)
         parts.append((agents + x2, cols[agents], values[agents]))

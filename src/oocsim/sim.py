@@ -50,11 +50,10 @@ for quadratic costs.  The derivative owns an input buffer laid out as
 call each, and binds both products to the buffers once
 (`digraph._bound_product`, which checks them there, so a CSR product is a
 zero fill and scipy's bare kernel).  So a call is 9 numpy calls on example1
-and makes no array: about 5.7 us on a 2-core host with one BLAS thread,
-against about 8 us for the 16 calls of one feature vector with the control
-u summed by `np.bincount` (about 10 against 13.5 us on example2, 16 against
-20.7 us on ring200).  It returns the output buffer, valid until its next
-call.  The xi floor is not checked here: the source checks it over its
+and makes no array: 5.6 us on a 2-core host with one BLAS thread, against
+8.0 us for the 16 calls of one feature vector with the control u summed by
+`np.bincount` (9.6 against 13.2 us on example2, 15.3 against 20.6 us on
+ring200).  It returns the output buffer, valid until its next call.  The xi floor is not checked here: the source checks it over its
 stage inputs.
 
 The source is `ModalSource` unless L is defective or nearly so: from the
