@@ -7,6 +7,10 @@ Each repeat runs `benchmark/run.py --trace 0` once per workload on every
 checkout, so the checkouts alternate and share the host's slow and fast
 stretches; odd repeats run them in the order given, even ones in reverse.
 Repeat r uses seed `--seed + r` on every checkout.
+After the repeats, each checkout runs `benchmark/run.py --trace 1` once per
+workload at seed `--seed`, and the output keeps that run's correctness
+(with the exact-count gate on the traced calls) and its per-layer metrics
+under "trace".
 The output JSON holds, per checkout and workload, each metric's min, median,
 quartiles and per-repeat values, plus each run's correctness and failed trajectories.
 With two checkouts it also counts, per metric, the repeats in which the
@@ -27,11 +31,11 @@ from pathlib import Path
 WORKLOADS = ("example1_verify", "example2_seed_sweep", "ring200_closed_loop")
 
 
-def run_once(checkout, workload, seed, seconds):
+def run_once(checkout, workload, seed, seconds, trace=0):
     """One `benchmark/run.py` run; returns its final JSON line."""
     proc = subprocess.run(
         [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if not lines or not lines[-1].startswith("{"):
@@ -112,6 +116,14 @@ def main(argv=None):
                       f"wall_s {m['wall_s']['value']:.6g}, correct {result['correct']}",
                       flush=True)
 
+    traced = {label: {} for label in checkouts}
+    for w in workloads:
+        for label, path in checkouts.items():
+            result = run_once(path, w, args.seed, args.seconds, trace=1)
+            traced[label][w] = {"correct": result["correct"], "failed": result["failed"],
+                                "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
+            print(f"trace {w} {label}: correct {result['correct']}", flush=True)
+
     out = {
         "command": f"benchmark/run.py --trace 0 --seconds {args.seconds:g}",
         "seeds": [args.seed + r for r in range(args.repeats)],
@@ -120,6 +132,8 @@ def main(argv=None):
         "host": {"python": platform.python_version(), "machine": platform.machine()},
         "checkouts": {label: {w: summarise(raw[label][w], better) for w in workloads}
                       for label in checkouts},
+        "trace": {"command": f"benchmark/run.py --trace 1 --seconds {args.seconds:g}",
+                  "seed": args.seed, "runs": traced},
     }
     labels = list(checkouts)
     if len(labels) == 2:

@@ -21,13 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import costs as costs_mod
 from .coordinator import coordinator_only_run
 from .digraph import is_strongly_connected, spectral_data
 from .errors import OocError, SchemaError
 from .scenario import parse_scenario
 from .sim import (Trajectory, ablate_compare, assemble, initial_state, metrics,
-                  named_failures, run, sweep, verify)
+                  named_failures, optimum, run, sweep, verify)
 
 _FMT = "%.17g"  # round-trip exact for 64-bit floats
 
@@ -80,7 +79,7 @@ def _cmd_sim(args):
     out = _out_dir(args)
     traj = run(sc)
     write_trajectory(traj, out / "trajectory.csv", sc.tracker.gamma)
-    s_star = costs_mod.global_optimum(sc.costs)
+    s_star = optimum(sc)
     summary = metrics(traj, s_star)
     summary["s_star"] = s_star
     _write_json(summary, out / "metrics.json")
@@ -97,7 +96,7 @@ def _cmd_coordinator(args):
     with named_failures(sc.name):
         traj = coordinator_only_run(sc.graph, sc.costs, gains, y0,
                                     sc.horizon, sc.step, sc.record_every)
-    s_star = costs_mod.global_optimum(sc.costs)
+    s_star = optimum(sc)
     rho = system.spectral.rho
     xii = traj.xi_diag
     _write_csv(out / "coordinator.csv",

@@ -13,15 +13,28 @@ import numpy as np
 
 from .errors import InvalidSpectrum, NotStronglyConnected
 
+
+def _frozen(a):
+    """A read-only float64 copy of a."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Digraph:
-    """Directed graph on n nodes; weights[i, j] > 0 iff node i receives from j."""
+    """Directed graph on n nodes; weights[i, j] > 0 iff node i receives from j.
+
+    weights is a read-only float copy of the array given, so a graph never
+    changes once built (`sim.plan` shares set-up between scenarios that hold
+    the same graph object) and the caller's array stays writable.
+    """
 
     n: int
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = _frozen(self.weights)
         if self.n < 1:
             raise ValueError("node count must be >= 1")
         if w.shape != (self.n, self.n):
@@ -45,7 +58,10 @@ class Digraph:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Laplacian plus the left-eigenvector quantities of a strongly connected digraph."""
+    """Laplacian plus the left-eigenvector quantities of a strongly connected digraph.
+
+    `spectral_data` makes laplacian and rho read-only.
+    """
 
     laplacian: np.ndarray
     rho: np.ndarray
@@ -265,5 +281,6 @@ def spectral_data(g: Digraph) -> SpectralData:
         raise NotStronglyConnected("left eigenvector is not positive")
     rl = rho[:, None] * big_l
     lbar = 0.5 * (rl + rl.T)
+    big_l.flags.writeable = rho.flags.writeable = False  # `sim.plan` shares them
     return SpectralData(laplacian=big_l, rho=rho, rho_min=float(rho.min()),
                         lambda2=float(np.linalg.eigvalsh(lbar)[1]))

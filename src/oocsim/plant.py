@@ -42,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .digraph import _diagonal
+from .digraph import _diagonal, _frozen
 from .errors import Unsupported
 
 
@@ -303,14 +303,18 @@ def feedforward_truth(p: Plant, s_star, v) -> float:
 
 @dataclass(frozen=True)
 class Exosystem:
-    """Autonomous linear disturbance generator v' = S v."""
+    """Autonomous linear disturbance generator v' = S v.
+
+    S and v0 are read-only float copies of the arrays given, as
+    `Digraph.weights` is.
+    """
 
     S: np.ndarray
     v0: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.S, dtype=float)
-        v0 = np.asarray(self.v0, dtype=float)
+        s = _frozen(self.S)
+        v0 = _frozen(self.v0)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ValueError("S must be square")
         if v0.shape != (s.shape[0],):

@@ -44,12 +44,12 @@ for quadratic costs.  The derivative owns an input buffer laid out as
   owning agent from each term of u onto x2' and eta' (so each agent's sum
   psi_hat . eta is taken here), theta^2 and theta^6 onto k', -theta eta
   onto psi_hat', and the remainder coefficients onto x2'.
-`assemble` builds both operators from the layers' COO parts
+`Plan` builds both operators from the layers' COO parts
 (`coordinator_linear`, `costs.gradient_linear`, `plant_linear`,
 `plant_remainder`, `tracker_linear`, S's nonzeros), one `_block_operator`
-call each, and binds both products to the buffers once
-(`digraph._bound_product`, which checks them there, so a CSR product is a
-zero fill and scipy's bare kernel).  So a call is 9 numpy calls on example1
+call each, and `Plan.bind` binds both products to a System's own buffers
+once (`digraph._bound_product`, which checks them there, so a CSR product
+is a zero fill and scipy's bare kernel).  So a call is 9 numpy calls on example1
 and makes no array: 5.6 us on a 2-core host with one BLAS thread, against
 8.0 us for the 16 calls of one feature vector with the control u summed by
 `np.bincount` (9.6 against 13.2 us on example2, 15.3 against 20.6 us on
@@ -63,6 +63,24 @@ and reads diag xi off them with one real product per _BLOCK steps, checked
 once per block.  Otherwise it is the Horner `LinearDriver`, which applies
 RK4's step polynomial to xi in Horner form and recombines the Horner
 iterates' diagonals into the stage values.
+
+Set-up is shared between runs made of the same objects.  `assemble(sc)` is
+`plan(sc).bind()`: the `Plan` holds what depends only on the scenario's
+structure, and `bind` makes a System's buffers and derivative.  `plan`
+keeps the last plan in one slot, keyed by the identity (not the value) of
+the parts each piece reads: the graph, the fixed gains and each cost for
+the `Structure` (spectral data, curvature bounds and gains, and s* at the
+first `verify`); with each plant, each internal-model spec, the exosystem,
+the tracker and the ablation flag for the operators; L (the Structure's
+own array) and h for the xi sources' `SourceParts` (the eig at the first
+`xi_source` call, in `run`; the read-out once per h).  So the members of a
+seed sweep share everything when their plants carry no uncertainty and all
+but the operators when `reseed` draws new ones, while two parses of one
+document share nothing.  Every call still returns fresh stepping state
+(a System's buffers, a source's block buffers or Horner iterates) over
+read-only shared parts; the scenario arrays a key relies on
+(`Digraph.weights`, `Exosystem.S` and `v0`, `InternalModelSpec.M` and
+`N_vec`) are read-only copies.  `release_plan` empties the slot.
 """
 
 import math
@@ -184,11 +202,12 @@ class System:
     until the next call, which overwrites it, and y is copied in and never
     kept.  So a System serves one integration at a time (`rk4_step` folds
     each stage's result in before its next call); two Systems share no
-    buffer.  pre_operator, (dim - 2n + g) x (dim + 1) over [y | 1], gives
-    the partner of each state entry from x1 to v (zero rows where an entry
-    has none: eta and psi_hat when the internal model is ablated) and an
-    all-quadratic set's gradient in its g = n last rows (g = 0 for other
-    cost sets); operator,
+    buffer, but the Systems of one `Plan` share its operators, spectral
+    data and gains, which nothing writes.  pre_operator,
+    (dim - 2n + g) x (dim + 1) over [y | 1], gives the partner of each state
+    entry from x1 to v (zero rows where an entry has none: eta and psi_hat
+    when the internal model is ablated) and an all-quadratic set's gradient
+    in its g = n last rows (g = 0 for other cost sets); operator,
     dim x (dim + 1 + p) over [y | 1 | features], gives the derivative from
     every linear term and the features' scatter, k' and psi_hat' included.
     Each operator is a CSR array when it is large and sparse
@@ -212,13 +231,15 @@ class LinearDriver:
     L, exact ones included.  xi reads no other state, so RK4 on xi alone is
     RK4 on the whole closed loop.
 
-    The constructor builds B = L through `digraph._operator` (CSR when large
-    and sparse, else dense).  For this linear W = xi, RK4's step of h is the
-    polynomial I - hB + (hB)^2/2 - (hB)^3/6 + (hB)^4/24, applied here in
-    Horner form with A_k = -(h/k) B, built once at construction: `stages()`
-    computes T4 = W + A4 W, T3 = W + A3 T4 and T2 = W + A2 T3 into three
-    buffers, reads the stage inputs off them, and then does W += A1 T2, all
-    through `digraph._add_product`.  For a CSR B each iterate is copy then
+    B = L is held through `digraph._operator` (CSR when large and sparse,
+    else dense).  For this linear W = xi, RK4's step of h is the polynomial
+    I - hB + (hB)^2/2 - (hB)^3/6 + (hB)^4/24, applied here in Horner form
+    with A_k = -(h/k) B: `horner_steps`, built at construction unless given
+    as steps (`SourceParts` shares them between the drivers of one L and
+    h, which only read them; W and the iterates are each driver's own).
+    `stages()` computes T4 = W + A4 W, T3 = W + A3 T4 and T2 = W + A2 T3
+    into three buffers, reads the stage inputs off them, and then does
+    W += A1 T2, all through `digraph._add_product`.  For a CSR B each iterate is copy then
     accumulate: W is copied into T_k and scipy's kernel adds A_k T_{k+1} to
     it in place, so no product array is made (a dense B runs
     np.add(W, A_k @ T, out=T_k)).  RK4's stage values are exact linear
@@ -241,13 +262,12 @@ class LinearDriver:
     # rows: Y2, Y3, Y4; columns: W, T4, T3, T2
     _RECOMBINE = ((-1, 2, 0, 0), (0, -2, 3, 0), (1, 0, -6, 6))
 
-    def __init__(self, big_l, h):
+    def __init__(self, big_l, h, steps=None):
         n = len(big_l)
         self.h = h
         self._k = 0  # steps finished
         dtype = np.result_type(big_l.dtype, float)
-        self.b = _operator(big_l)
-        a1, a2, a3, a4 = (-(h / k) * self.b for k in (1, 2, 3, 4))
+        self.b, (a1, a2, a3, a4) = horner_steps(big_l, h) if steps is None else steps
         bufs = np.zeros((4, n, n), dtype=dtype)
         self.w, t4, t3, t2 = bufs
         np.fill_diagonal(self.w, 1)
@@ -285,6 +305,15 @@ class LinearDriver:
     def snapshot(self):
         """(diag xi, xi row sums) of the current W; diag xi is a view."""
         return self.w.diagonal(), self.w.sum(axis=1)
+
+
+def horner_steps(big_l, h):
+    """(B, (A_1, A_2, A_3, A_4)) of `LinearDriver`: B = L as `digraph._operator`, A_k = -(h/k) B.
+
+    A driver only reads them, so drivers of one L and h may share them.
+    """
+    b = _operator(big_l)
+    return b, tuple(-(h / k) * b for k in (1, 2, 3, 4))
 
 
 # RK4 grows every mode with |z| = |h lambda| past this radius (|R(z)| >= 1.118
@@ -341,26 +370,34 @@ def _log_step_factor(z):
     return ell
 
 
-def _eigenmodes(a):
-    """Eigenmodes (lambda, V, W) of a real square a = V diag(lambda) V^-1, W = V^-1.
+def _eigendecomposition(a):
+    """(modes, kappa): eigenmodes (lambda, V, W) of a real square a = V diag(lambda) V^-1.
 
-    A real matrix's complex eigenvalues come in conjugate pairs with conjugate
-    vectors, so only the modes with Im lambda >= 0 are returned: V's columns
-    and W's rows of those, all complex.  None when eig fails, V is singular
-    or kappa_1(V) = |V|_1 |V^-1|_1 exceeds _MODAL_MAX_COND (a defective or
-    nearly defective a); NaN fails the bound too.
+    W = V^-1.  A real matrix's complex eigenvalues come in conjugate pairs
+    with conjugate vectors, so only the modes with Im lambda >= 0 are kept:
+    V's columns and W's rows of those, all complex.  kappa is
+    kappa_1(V) = |V|_1 |V^-1|_1 of the whole V.  (None, NaN) when eig fails
+    or V is singular.
     """
     try:
         lam, vecs = np.linalg.eig(a)
         inv = np.linalg.inv(vecs)
     except np.linalg.LinAlgError:
-        return None
+        return None, math.nan
     norm1 = [np.abs(m).sum(axis=0).max(initial=0.0) for m in (vecs, inv)]
-    if not norm1[0] * norm1[1] <= _MODAL_MAX_COND:
-        return None
     keep = lam.imag >= 0
-    return (lam[keep].astype(complex, copy=False), vecs[:, keep].astype(complex, copy=False),
-            inv[keep].astype(complex, copy=False))
+    return ((lam[keep].astype(complex, copy=False), vecs[:, keep].astype(complex, copy=False),
+             inv[keep].astype(complex, copy=False)), norm1[0] * norm1[1])
+
+
+def _eigenmodes(a):
+    """The kept eigenmodes of `_eigendecomposition`; None when kappa exceeds _MODAL_MAX_COND.
+
+    None means a defective or nearly defective a, or a failed eig; NaN fails
+    the bound too.
+    """
+    modes, kappa = _eigendecomposition(a)
+    return modes if kappa <= _MODAL_MAX_COND else None
 
 
 def _real_readout(lam, g):
@@ -396,8 +433,10 @@ class ModalSource:
     on their own at the current step.
 
     The numbers equal classic RK4's up to rounding, about kappa(V) eps; they
-    differ from `LinearDriver`'s in the last bits.  Built by `xi_source` from
-    `_eigenmodes` of -L.  Each block is checked once, for finiteness and for
+    differ from `LinearDriver`'s in the last bits.  Built from `_eigenmodes`
+    of -L and h, over the read-only `modal_readout` of the two, which
+    `xi_source` shares between the sources of one L and h (`SourceParts`).
+    Each block is checked once, for finiteness and for
     the xi floor; only a block that fails either check is checked again step
     by step, as its steps are handed out.  So `stages()` raises Diverged,
     with the step's start time, at the first step with a stage input that is
@@ -406,24 +445,19 @@ class ModalSource:
     block.
     """
 
-    def __init__(self, modes, h):
-        lam, vecs, inv = modes
+    def __init__(self, modes, h, readout=None):
         self.h = h
         self._k = 0
-        self._read_xi = _real_readout(lam, vecs * inv.T)
-        self._read_rowsum = _real_readout(lam, vecs * inv.sum(axis=1))
-        z = h * lam
-        self._ell = _log_step_factor(z)
-        with np.errstate(over="ignore", invalid="ignore"):
-            factors = np.array((np.ones_like(z),) + rk4_stage_factors(z)[0])
-        self._factors = factors[None]  # (1, 4, m), against e's (K, 1, m)
+        if readout is None:
+            readout = modal_readout(modes, h)
+        self._read_xi, self._read_rowsum, self._ell, self._factors = readout
         self._offsets = np.arange(_BLOCK)[:, None]
         # (K, 4, m) stage values per mode, read as one (4 K, 2 m) real block
-        self._modes = np.empty((_BLOCK,) + factors.shape, dtype=complex)
+        self._modes = np.empty((_BLOCK,) + self._factors.shape[1:], dtype=complex)
         self._floats = self._modes.reshape(4 * _BLOCK, -1).view(float)
         # (K, 4, n) stage inputs: step j of the block is the (4, n) block
         # self._inputs[j], handed out as the row views self._rows[j]
-        self._inputs = np.empty((_BLOCK, 4, len(vecs)))
+        self._inputs = np.empty((_BLOCK, 4, self._read_xi.shape[1]))
         self._flat = self._inputs.reshape(4 * _BLOCK, -1)
         self._rows = [tuple(step) for step in self._inputs]
         self._start = -_BLOCK  # the step the block starts at; none read out yet
@@ -464,86 +498,244 @@ class ModalSource:
         return e @ self._read_xi, e @ self._read_rowsum
 
 
+def modal_readout(modes, h):
+    """What a `ModalSource` of modes at step h reads and never writes, as read-only arrays.
+
+    (xi read-out, row-sum read-out, l, stage factors): the (2 m, n)
+    matrices `_real_readout` makes of P = V o V^-T and of V (V^-1 1),
+    l = log R(z) per mode, and the (1, 4, m) factors 1, 1 + z/2,
+    1 + z/2 + z^2/4, 1 + z + z^2/2 + z^3/4, against a block's (K, 1, m) e,
+    with z = h lambda.
+    """
+    lam, vecs, inv = modes
+    z = h * lam
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = np.array((np.ones_like(z),) + rk4_stage_factors(z)[0])
+    readout = (_real_readout(lam, vecs * inv.T), _real_readout(lam, vecs * inv.sum(axis=1)),
+               _log_step_factor(z), factors[None])
+    for a in readout:
+        a.flags.writeable = False
+    return readout
+
+
+class SourceParts:
+    """What every xi source of one L reads and never writes, each part made at first need.
+
+    The eigendecomposition of -L (`_eigendecomposition`) is computed at the
+    first `source` call and kept; its kappa is held against _MODAL_MAX_COND
+    at every call, so a rejected eig (the Horner case) is never retried.
+    Per h it keeps the modal read-out (`modal_readout`) or the Horner steps
+    (`horner_steps`).  Each source it returns has stepping state of its own.
+    """
+
+    def __init__(self, big_l):
+        self.big_l = big_l
+        self._eig = None  # (modes, kappa)
+        self._per_h = {}  # (h, modal) -> modal read-out or Horner steps
+
+    def source(self, h):
+        """A fresh xi source at step h: `ModalSource` where kappa allows, else `LinearDriver`."""
+        if self._eig is None:
+            self._eig = _eigendecomposition(-self.big_l)
+        modes, kappa = self._eig
+        modal = kappa <= _MODAL_MAX_COND
+        parts = self._per_h.get((h, modal))
+        if parts is None:
+            parts = modal_readout(modes, h) if modal else horner_steps(self.big_l, h)
+            self._per_h[h, modal] = parts
+        return ModalSource(modes, h, parts) if modal else LinearDriver(self.big_l, h, parts)
+
+
 def xi_source(big_l, h):
-    """The source of xi for a run at step h: modal where it can be, else Horner.
+    """A fresh source of xi for a run at step h: modal where it can be, else Horner.
 
     `ModalSource` when -L passes `_eigenmodes`' check, else `LinearDriver`
     (a defective or ill-conditioned L).  Both give the same RK4 numbers up to
-    rounding.
+    rounding.  When big_l is the very array (by identity) of the plan in
+    `plan`'s slot, the sources share that plan's `SourceParts`: the eig runs
+    at the first call and the read-out once per h; else every part is made
+    for this source alone.
     """
-    modes = _eigenmodes(-big_l)
-    return LinearDriver(big_l, h) if modes is None else ModalSource(modes, h)
+    last = _last_plan
+    if last is not None and last.structure.spectral.laplacian is big_l:
+        return last.structure.sources.source(h)
+    return SourceParts(big_l).source(h)
+
+
+def _same(a, b):
+    """Whether sequences a and b hold the same objects, in order."""
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
+class Structure:
+    """What a scenario's graph, costs and fixed gains alone decide.
+
+    Built once per plan chain: spectral data, the curvature bounds and the
+    resolved gains now, and at first need s* (`optimum`) and the xi sources'
+    `SourceParts` of L.  Keyed by the identity of sc.graph, sc.gains and each
+    of sc.costs.
+    """
+
+    def __init__(self, sc):
+        self.key = self._key(sc)
+        self.costs = tuple(sc.costs)
+        self.spectral = spectral_data(sc.graph)  # raises NotStronglyConnected
+        # also the NonConvexDetected check, so it runs when the gains are fixed too
+        bounds = costs_mod.convexity_bounds(sc.costs)
+        if sc.gains is not None:
+            self.gains = sc.gains
+        else:
+            self.gains = select_gains(bounds, self.spectral.rho_min, self.spectral.lambda2)
+        self.sources = SourceParts(self.spectral.laplacian)
+        self._s_star = None
+
+    @staticmethod
+    def _key(sc):
+        return (sc.graph, sc.gains, *sc.costs)
+
+    def matches(self, sc):
+        return _same(self.key, self._key(sc))
+
+    def optimum(self):
+        """s* of the costs (`costs.global_optimum`), computed at the first call."""
+        if self._s_star is None:
+            self._s_star = costs_mod.global_optimum(self.costs)
+        return self._s_star
+
+
+class Plan:
+    """A scenario's member derivative short of its buffers; `bind` gives each run its own.
+
+    It holds everything that depends only on the scenario's structure: the
+    `Structure` (spectral data, gains, s*, the xi sources' parts), the
+    layout, both operators, the partner window and the layers' bind
+    functions.  Keyed by the identity of its structure's parts and of each
+    plant, each internal-model spec, exo, tracker and the ablation flag.
+    """
+
+    def __init__(self, sc, structure):
+        self.structure = structure
+        self.key = self._key(sc)
+        n = sc.graph.n
+        im = None if sc.ablate_internal_model else StackedInternalModel.stack(sc.im_specs)
+        layout = StateLayout(n=n, s_dims=tuple(spec.s_dim for spec in sc.im_specs),
+                             nv=sc.exo.dim)
+        dim = layout.dim
+        sl = layout.slices
+        # The first product's factors are the state from x1 to v and, in the
+        # pre rows of the same index less x1's, each entry's partner.  The
+        # input buffer is [y | 1 | features]: theta^2, then each state entry
+        # times its partner (entry j at column product + j), grad c / xi,
+        # [theta^6 | k theta^5], then the plant remainders' higher monomials
+        # and custom drifts.
+        window = slice(sl["x1"].start, dim)
+        width = window.stop - window.start
+        one, theta2 = dim, dim + 1
+        partner, product = -window.start, theta2 + n - window.start
+        grad_col = theta2 + n + width
+        high = grad_col + n
+        tracker_pre, tracker_main, u, self._tracker_bind = tracker_linear(
+            sl, sc.tracker.gamma, im, partner, product, theta2, high)
+        plant_main = plant_linear(sl, sc.plants, u)  # refuses a drift that reads past v
+        plant_pre, remainder, plant_width, self._plant_bind = plant_remainder(
+            sl, sc.plants, partner, product, high + 2 * n)
+        grad_pre = costs_mod.gradient_linear(sc.costs, width, sl["yr"].start, one)
+        self.pre = _block_operator((width + (0 if grad_pre is None else n), one + 1),
+                                   tracker_pre + plant_pre + (grad_pre or []))
+        v_rows, v_cols = np.nonzero(sc.exo.S)  # v' = S v
+        self.main = _block_operator(
+            (dim, high + 2 * n + plant_width),
+            coordinator_linear(structure.spectral.laplacian, structure.gains)
+            + [_diagonal(sl["yr"].start, grad_col, np.full(n, -1.0))]
+            + plant_main + remainder + tracker_main
+            + [(v_rows + sl["v"].start, v_cols + sl["v"].start, sc.exo.S[v_rows, v_cols])])
+        self.layout = layout
+        self._columns = (window, width, one, product, grad_col, high)
+        self._grad_vec = None if grad_pre is not None else costs_mod.build_gradient(sc.costs)
+
+    @staticmethod
+    def _key(sc):
+        return (sc.exo, sc.tracker, sc.ablate_internal_model, *sc.plants, *sc.im_specs)
+
+    def matches(self, sc):
+        return self.structure.matches(sc) and _same(self.key, self._key(sc))
+
+    def bind(self) -> System:
+        """A new System: fresh buffers, and a derivative bound to them, over the operators."""
+        layout, pre, main, grad_vec = self.layout, self.pre, self.main, self._grad_vec
+        n, dim, sl = layout.n, layout.dim, layout.slices
+        window, width, one, product, grad_col, high = self._columns
+        # the derivative's own buffers and every view of them it reads or
+        # writes, made once
+        buf, pre_out, out = (np.empty(size) for size in (main.shape[1], pre.shape[0], dim))
+        buf[one] = 1.0
+        y_in, yr = buf[:dim], buf[sl["yr"]]
+        pre_product = _bound_product(pre, buf[:one + 1], pre_out)
+        main_product = _bound_product(main, buf, out)
+        grad_rows, phi_grad = pre_out[width:], buf[grad_col:high]
+        plant_multiplies, write_customs = self._plant_bind(buf)
+        multiplies = tuple([(buf[window], pre_out[:width], buf[product + window.start:grad_col])]
+                           + self._tracker_bind(pre_out, buf) + plant_multiplies)
+        multiply = np.multiply
+
+        def derivative(t, y, w=np.ones(n)):  # w: diag xi, by default that of xi(0) = I
+            y_in[:] = y
+            pre_product()
+            np.divide(grad_rows if grad_vec is None else grad_vec(yr), w, out=phi_grad)
+            for a, b, product_out in multiplies:
+                multiply(a, b, out=product_out)
+            if write_customs is not None:
+                write_customs(t)
+            main_product()
+            return out
+
+        structure = self.structure
+        return System(layout=layout, spectral=structure.spectral, gains=structure.gains,
+                      derivative=derivative, pre_operator=pre, operator=main)
+
+
+# The plan of the scenario assembled last; `plan` reuses it, or its Structure,
+# for a scenario made of the same objects.
+_last_plan = None
+
+
+def plan(sc: Scenario) -> Plan:
+    """The plan of sc: the one in the slot when sc is made of the same objects, else a new one.
+
+    The slot holds one plan, the last one built.  A scenario whose graph,
+    fixed gains and costs are the slot's objects (by identity) shares its
+    `Structure`; one whose plants, internal-model specs, exosystem, tracker
+    and ablation flag are the slot's too shares the whole plan.  So the
+    members of a seed sweep share everything when their plants have no
+    uncertainty, and everything but the operators when `reseed` draws them
+    again; two parses of one document share nothing.  The old plan is let
+    go before a new one is built.
+    """
+    global _last_plan
+    last, _last_plan = _last_plan, None
+    if last is not None and last.matches(sc):
+        _last_plan = last
+        return last
+    structure = last.structure if last is not None and last.structure.matches(sc) else None
+    last = None  # let the old operators go before the new ones are built
+    _last_plan = Plan(sc, structure or Structure(sc))
+    return _last_plan
+
+
+def release_plan():
+    """Empty `plan`'s slot, so the next scenario builds its set-up afresh."""
+    global _last_plan
+    _last_plan = None
 
 
 def assemble(sc: Scenario) -> System:
-    """Build the single derivative function for the full coupled ODE."""
-    g = sc.graph
-    n = g.n
-    spectral = spectral_data(g)  # raises NotStronglyConnected
-    # also the NonConvexDetected check, so it runs when the gains are fixed too
-    bounds = costs_mod.convexity_bounds(sc.costs)
-    if sc.gains is not None:
-        gains = sc.gains
-    else:
-        gains = select_gains(bounds, spectral.rho_min, spectral.lambda2)
+    """A new System of sc: `plan(sc).bind()`.
 
-    im = None if sc.ablate_internal_model else StackedInternalModel.stack(sc.im_specs)
-    layout = StateLayout(n=n, s_dims=tuple(spec.s_dim for spec in sc.im_specs), nv=sc.exo.dim)
-    dim = layout.dim
-    sl = layout.slices
-    # The first product's factors are the state from x1 to v and, in the pre
-    # rows of the same index less x1's, each entry's partner.  The input buffer
-    # is [y | 1 | features]: theta^2, then each state entry times its partner
-    # (entry j at column product + j), grad c / xi, [theta^6 | k theta^5],
-    # then the plant remainders' higher monomials and custom drifts.
-    window = slice(sl["x1"].start, dim)
-    width = window.stop - window.start
-    one, theta2 = dim, dim + 1
-    partner, product = -window.start, theta2 + n - window.start
-    grad_col = theta2 + n + width
-    high = grad_col + n
-    tracker_pre, tracker_main, u, tracker_bind = tracker_linear(
-        sl, sc.tracker.gamma, im, partner, product, theta2, high)
-    plant_main = plant_linear(sl, sc.plants, u)  # refuses a drift that reads past v
-    plant_pre, remainder, plant_width, plant_bind = plant_remainder(
-        sl, sc.plants, partner, product, high + 2 * n)
-    grad_pre = costs_mod.gradient_linear(sc.costs, width, sl["yr"].start, one)
-    pre = _block_operator((width + (0 if grad_pre is None else n), one + 1),
-                          tracker_pre + plant_pre + (grad_pre or []))
-    v_rows, v_cols = np.nonzero(sc.exo.S)  # v' = S v
-    main = _block_operator((dim, high + 2 * n + plant_width),
-                           coordinator_linear(spectral.laplacian, gains)
-                           + [_diagonal(sl["yr"].start, grad_col, np.full(n, -1.0))]
-                           + plant_main + remainder + tracker_main
-                           + [(v_rows + sl["v"].start, v_cols + sl["v"].start,
-                               sc.exo.S[v_rows, v_cols])])
-    # the derivative's own buffers and every view of them it reads or
-    # writes, made once
-    buf, pre_out, out = (np.empty(size) for size in (main.shape[1], pre.shape[0], dim))
-    buf[one] = 1.0
-    y_in, yr = buf[:dim], buf[sl["yr"]]
-    pre_product = _bound_product(pre, buf[:one + 1], pre_out)
-    main_product = _bound_product(main, buf, out)
-    grad_rows, phi_grad = pre_out[width:], buf[grad_col:high]
-    grad_vec = None if grad_pre is not None else costs_mod.build_gradient(sc.costs)
-    plant_multiplies, write_customs = plant_bind(buf)
-    multiplies = tuple([(buf[window], pre_out[:width], buf[product + window.start:grad_col])]
-                       + tracker_bind(pre_out, buf) + plant_multiplies)
-    multiply = np.multiply
-
-    def derivative(t, y, w=np.ones(n)):  # w: diag xi, by default that of xi(0) = I
-        y_in[:] = y
-        pre_product()
-        np.divide(grad_rows if grad_vec is None else grad_vec(yr), w, out=phi_grad)
-        for a, b, product_out in multiplies:
-            multiply(a, b, out=product_out)
-        if write_customs is not None:
-            write_customs(t)
-        main_product()
-        return out
-
-    return System(layout=layout, spectral=spectral, gains=gains, derivative=derivative,
-                  pre_operator=pre, operator=main)
+    Each call returns fresh buffers and a derivative of its own, over the
+    operators and gains of the plan it shares with every scenario made of
+    the same objects (`plan`).
+    """
+    return plan(sc).bind()
 
 
 def initial_state(sc: Scenario, layout: StateLayout) -> np.ndarray:
@@ -673,7 +865,12 @@ def named_failures(name):
 
 
 def run(sc: Scenario, system: Optional[System] = None) -> Trajectory:
-    """Integrate the closed loop from t = 0 to the horizon at the fixed step."""
+    """Integrate the closed loop from t = 0 to the horizon at the fixed step.
+
+    system defaults to `assemble(sc)`.  The xi source comes from one call of
+    `xi_source` on the system's L, so it shares the eig and read-out of the
+    slot's plan when that L is the plan's.
+    """
     if system is None:
         system = assemble(sc)
     y0 = initial_state(sc, system.layout)
@@ -749,9 +946,25 @@ class VerificationReport:
         return d
 
 
+def optimum(sc: Scenario) -> float:
+    """s* of sc's costs (`costs.global_optimum`).
+
+    Shared through the slot's plan (`plan`) when sc's costs are its objects,
+    by identity: then the bisection runs once, at the first call.
+    """
+    last = _last_plan
+    if last is not None and _same(last.structure.costs, sc.costs):
+        return last.structure.optimum()
+    return costs_mod.global_optimum(sc.costs)
+
+
 def verify(sc: Scenario, traj: Trajectory) -> VerificationReport:
-    """Compare a finished run against the independent oracles."""
-    s_star = costs_mod.global_optimum(sc.costs)
+    """Compare a finished run against the independent oracles.
+
+    s* comes from `optimum`, so the members of a sweep that share a plan
+    find it once, in the first member's verify.
+    """
+    s_star = optimum(sc)
     rho = traj.rho
     final_output_error = float(np.abs(traj.y[-1] - s_star).max())
     xi_error = float(np.abs(traj.xi_diag[-1] - rho).max())
@@ -821,7 +1034,7 @@ def ablate_compare(sc: Scenario):
     ablated = replace(sc, ablate_internal_model=True, name=sc.name + "[no-im]")
     traj_with = run(base)
     traj_without = run(ablated)
-    s_star = costs_mod.global_optimum(sc.costs)
+    s_star = optimum(sc)
     err_with = float(np.abs(traj_with.y[-1] - s_star).max())
     err_without = float(np.abs(traj_without.y[-1] - s_star).max())
     return {
@@ -845,7 +1058,13 @@ def reseed(sc: Scenario, seed) -> Scenario:
 def sweep(sc: Scenario, attr: str, values):
     """Vary one scalar scenario field over a grid; collect verification reports.
 
-    A seed member is `reseed(sc, seed)`, so it draws its own plants.
+    A seed member is `reseed(sc, seed)`, so it draws its own plants.  Each
+    member runs as a run of its own (`run`, then `verify`), and members
+    share their set-up through `plan`'s slot: all of it when no field they
+    vary is read by it (seeds of plants without uncertainty, horizons, steps),
+    all but the operators when `reseed` draws new plants.  The xi sources'
+    eig runs once, in the first member's run, and its read-out once per step
+    h; s* once, in the first member's verify.
     """
     reports = []
     for val in values:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .digraph import _frozen
 from .errors import DegenerateRoots, NotHurwitz, SingularSystem, SingularT
 
 _HURWITZ_MARGIN = -1e-9
@@ -124,11 +125,19 @@ def psi_true(t, gamma=None):
 
 @dataclass(frozen=True)
 class InternalModelSpec:
-    """Controller-side internal model data: the controllable Hurwitz pair."""
+    """Controller-side internal model data: the controllable Hurwitz pair.
+
+    M and N_vec are read-only float copies of the arrays given, as
+    `Digraph.weights` is.
+    """
 
     s_dim: int
     M: np.ndarray
     N_vec: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "M", _frozen(self.M))
+        object.__setattr__(self, "N_vec", _frozen(self.N_vec))
 
     @staticmethod
     def from_coeffs(char_coeffs):
