@@ -6,8 +6,7 @@ decentralized adaptive tracker with an internal model drives each uncertain
 second-order plant onto its reference despite persistent disturbances.
 """
 
-from .coordinator import (CoordinatorGains, coordinator_linear, coordinator_nonlinear,
-                          coordinator_only_run, select_gains)
+from .coordinator import CoordinatorGains, coordinator_linear, coordinator_only_run, select_gains
 from .costs import (CostFunction, composite, convexity_bounds, exp_sum,
                     global_optimum, quadratic)
 from .digraph import Digraph, SpectralData, is_strongly_connected, laplacian, spectral_data

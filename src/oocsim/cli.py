@@ -25,7 +25,7 @@ from .coordinator import coordinator_only_run
 from .digraph import is_strongly_connected, spectral_data
 from .errors import OocError, SchemaError
 from .scenario import parse_scenario
-from .sim import (Trajectory, ablate_compare, assemble, initial_state, metrics,
+from .sim import (StateLayout, Structure, Trajectory, ablate_compare, initial_state, metrics,
                   named_failures, optimum, run, sweep, verify)
 
 _FMT = "%.17g"  # round-trip exact for 64-bit floats
@@ -90,14 +90,13 @@ def _cmd_sim(args):
 def _cmd_coordinator(args):
     sc = parse_scenario(args.scenario)
     out = _out_dir(args)
-    system = assemble(sc)
-    y0 = initial_state(sc, system.layout)[system.layout.slices["yr"]]
-    gains = system.gains
+    structure, layout = Structure(sc), StateLayout.of(sc)
+    gains, rho = structure.gains, structure.spectral.rho
+    y0 = initial_state(sc, layout)[layout.slices["yr"]]
     with named_failures(sc.name):
         traj = coordinator_only_run(sc.graph, sc.costs, gains, y0,
                                     sc.horizon, sc.step, sc.record_every)
     s_star = optimum(sc)
-    rho = system.spectral.rho
     xii = traj.xi_diag
     _write_csv(out / "coordinator.csv",
                [("t", traj.times)] + _per_agent("yr", traj.y_r) + _per_agent("z", traj.z)

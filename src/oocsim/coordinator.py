@@ -12,10 +12,10 @@ The xi rows are linear and read no other state, so the xi source of `sim`
 (`sim.xi_source`: RK4 per eigenmode of -L, or the Horner `sim.LinearDriver`
 when L is defective or nearly so) advances them outside the per-agent state.
 Everything in yr' and z' but the gradient term is linear in (yr, z):
-`coordinator_linear` gives those entries of the member derivative's main
-operator, which scatters the feature grad c_i(yr_i)/xi_i^i onto yr' with -1
-(`sim.assemble`), and of `coordinator_only_run`'s operator, after which
-`coordinator_nonlinear` subtracts it; either reads xi_i^i only.
+`coordinator_linear` gives those entries of a derivative's main operator,
+and the -1 that scatters the feature grad c_i(yr_i)/xi_i^i onto yr'; one
+builder binds it over the member state (`sim.bind_derivative`) or over
+(yr, z) alone (`sim.coordinator_derivative`), and either reads xi_i^i only.
 The floor xi_i^i >= XI_FLOOR is a property of the xi trajectory alone, so the
 xi source checks it once per RK4 step over all four stage inputs
 (`check_xi_floor`), not the member derivative at each stage.
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import ConvexityBounds, build_gradient
-from .digraph import Digraph, _block_operator, _diagonal, _matvec, laplacian
+from .costs import ConvexityBounds
+from .digraph import Digraph, _diagonal, laplacian
 from .errors import InvalidSpectrum, XiUnderflow
 
 XI_FLOOR = 1e-9
@@ -71,28 +71,19 @@ def check_gain_inequalities(gains, bounds, rho_min, lambda2):
     return m1, m2, m3
 
 
-def coordinator_linear(big_l, gains: CoordinatorGains):
-    """The linear part of (yr', z') as COO parts (rows, cols, values) over c = (yr, z).
+def coordinator_linear(big_l, gains: CoordinatorGains, grad_col):
+    """(yr', z') as COO parts (rows, cols, values) of a main operator.
 
-    yr' holds -beta1 L yr - beta2 z and z' holds beta1 L yr.  yr and z lead the
-    member state too, so these are also its first 2n rows and columns.  The
-    entries come from L's nonzeros, so the operator built from them keeps L's
-    sparsity.
+    Over a buffer that leads with (yr, z) and holds grad c / xi at columns
+    grad_col.., yr' is -beta1 L yr - beta2 z - grad c / xi and z' is
+    beta1 L yr.  The entries come from L's nonzeros, so the operator built
+    from them keeps L's sparsity.
     """
     n = len(big_l)
     rows, cols = np.nonzero(big_l)
     weights = gains.beta1 * big_l[rows, cols]
     return [(rows, cols, -weights), _diagonal(0, n, np.full(n, -gains.beta2)),
-            (rows + n, cols, weights)]
-
-
-def coordinator_nonlinear(d_yr, yr, xi_diag, grad_vec):
-    """yr' -= grad c(yr) / xi_i^i, in place on d_yr, which holds yr's linear part.
-
-    xi_diag holds each agent's xi_i^i at the stage; the xi source of `sim`
-    advances xi and has checked it against XI_FLOOR (`check_xi_floor`).
-    """
-    d_yr -= grad_vec(yr) / xi_diag
+            (rows + n, cols, weights), _diagonal(0, grad_col, np.full(n, -1.0))]
 
 
 def check_xi_floor(xi_stages, t, h):
@@ -127,28 +118,19 @@ def coordinator_only_run(g: Digraph, cost_list, gains: CoordinatorGains, y0,
                          horizon, step, record_every=100) -> CoordinatorTrajectory:
     """Integrate only the coordinator layer with RK4 and a decimated record.
 
-    The state is (yr, z); its derivative is one product with the operator of
-    `coordinator_linear` plus `coordinator_nonlinear`, which the xi source
-    feeds its xi_i^i at every RK4 stage; the source checks the xi floor once
-    per step, as in `sim.run`, and its snapshots, which `sim.integrate`
-    records, give xi_diag and xi_rowsum.
+    The state is (yr, z) and its derivative `sim.coordinator_derivative`,
+    which the xi source feeds xi_i^i at every RK4 stage; the source checks
+    the xi floor once per step, as in `sim.run`, and its snapshots give
+    xi_diag and xi_rowsum.  A timing a scenario refuses raises ValueError
+    (`sim.step_count`).
     """
-    from .sim import integrate, xi_source  # sim imports this module
+    from .sim import coordinator_derivative, integrate, step_count, xi_source  # sim imports this
 
+    n_steps = step_count(horizon, step, record_every)
     n = g.n
     big_l = laplacian(g)
-    matvec = _matvec(_block_operator((2 * n, 2 * n), coordinator_linear(big_l, gains)))
-    grad_vec = build_gradient(cost_list)
-    out = np.empty(2 * n)  # refilled by every call, as `rk4_step` allows
-    d_yr = out[:n]
-
-    def rhs(t, c, w):
-        matvec(c, out=out)
-        coordinator_nonlinear(d_yr, c[:n], w, grad_vec)
-        return out
-
     c0 = np.concatenate([np.asarray(y0, dtype=float), np.zeros(n)])
-    times, arr, (xi_diag, xi_rowsum) = integrate(
-        rhs, c0, step, int(round(horizon / step)), record_every, xi_source(big_l, step))
+    f, source = coordinator_derivative(big_l, gains, cost_list), xi_source(big_l, step)
+    times, arr, (xi_diag, xi_rowsum) = integrate(f, c0, step, n_steps, record_every, source)
     return CoordinatorTrajectory(times=times, y_r=arr[:, :n], z=arr[:, n:],
                                  xi_diag=xi_diag, xi_rowsum=xi_rowsum)

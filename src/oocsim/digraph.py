@@ -78,11 +78,11 @@ def laplacian(g: Digraph) -> np.ndarray:
 # at least this many rows and at most this share of nonzero entries.
 _CSR_MIN_ROWS = 64
 _CSR_MAX_DENSITY = 0.1
-# A `_block_operator` is not square, so its rule counts entries.  The dense
-# product fell behind the guarded CSR kernel (about 4 us a call) between 12,000
-# and 18,000 entries; the presets' member operators (at most 5,405 entries on
-# example1 and 10,452 on example2) stay below, so dense systems never import
-# scipy.sparse.
+# A `_block_operator` is not square, so its rule counts entries.  Bound once
+# (`_bound_product`), CSR would already beat the dense product on the presets'
+# member operators (at most 5,405 entries on example1 and 10,452 on example2),
+# but they stay below the rule so that dense systems never import scipy.sparse
+# and its memory.
 _CSR_MIN_ENTRIES = 128 * 128
 
 # scipy's private CSR kernels, bound by `_csr` when it makes the first CSR
@@ -94,20 +94,17 @@ _FLOAT64 = np.dtype(np.float64)  # comparing to a dtype is faster than to a type
 def _operator(a: np.ndarray):
     """`a` as a scipy.sparse CSR array when it is large and sparse, else `a` itself.
 
-    Operators on the step path are applied with `_add_product`, `_matvec`
-    and `_bound_product`, not `@`.  For a dense operator those run `@`'s own
+    Operators on the step path are applied with `_add_product` and
+    `_bound_product`, not `@`.  For a dense operator those run `@`'s own
     numpy call.  For CSR they call scipy's private accumulating kernels
     `scipy.sparse._sparsetools.csr_matvec` and `csr_matvecs` (Y += A X)
     directly, on the caller's buffers: `@` allocates and zero-fills its
     result and runs a few µs of Python checks and dispatch per call, and
     adding a base to it then needs a second full pass.  The kernels check
-    nothing and silently work on a hidden copy of a non-contiguous or wrongly
-    typed output, so the operator, x and the output are checked to be
-    float64, x and the output C-contiguous and of the operator's shapes, and
-    not overlapping, raising ValueError otherwise: at every call of
-    `_add_product` and `_matvec`, and once, when it binds its buffers, for
-    `_bound_product`.  CSR sums only the nonzeros, in its own order, so it can
-    differ from the dense product in the last bits.  scipy.sparse is
+    nothing, so `_check_product` and an overlap test check their inputs: at
+    every call of `_add_product`, and once, when it binds its buffers, for
+    `_bound_product`.  CSR sums only the nonzeros, in its own order, so it
+    can differ from the dense product in the last bits.  scipy.sparse is
     imported in `_csr` only, so dense systems never load it.
     """
     if a.shape[0] < _CSR_MIN_ROWS or np.count_nonzero(a) > _CSR_MAX_DENSITY * a.size:
@@ -166,18 +163,15 @@ def _kernel(op, x, base, out):
     """out = base + op @ x for a CSR op through scipy's kernel; returns out.
 
     Checks the operator, x and out before it writes anything
-    (`_check_product`); base (an array, or a number that fills out) is then
-    copied into out unless it is out, and the kernel adds the product.
+    (`_check_product`); base is then copied into out unless it is out, and
+    the kernel adds the product, with a vector x as one column.
     """
     _check_product(op, x, out)
-    rows, cols = op.shape
     if base is not out:
         np.copyto(out, base)
-    if x.ndim == 1:
-        _sparsetools.csr_matvec(rows, cols, op.indptr, op.indices, op.data, x, out)
-    else:
-        _sparsetools.csr_matvecs(rows, cols, x.shape[1], op.indptr, op.indices, op.data,
-                                 x.ravel(), out.ravel())
+    columns = x.reshape(len(x), -1)
+    _sparsetools.csr_matvecs(*op.shape, columns.shape[1], op.indptr, op.indices, op.data,
+                             columns.ravel(), out.ravel())
     return out
 
 
@@ -195,25 +189,6 @@ def _add_product(op, x, base, out):
     return _kernel(op, x, base, out)
 
 
-def _matvec(op):
-    """The function (x, out=out) -> out = op @ x for an `_operator` op and a vector x.
-
-    The dense or CSR path is chosen here, once, so the products of the step
-    path pay no dispatch and make no array: dense gives np.dot into out (the
-    same BLAS gemv as np.matmul, at about 0.3 us less a call), CSR the
-    guarded kernel, which zeroes out once its checks pass.  out must not
-    overlap x, which the CSR kernel reads while it writes out.  For fixed
-    buffers, `_bound_product` checks once instead of at every call.
-    """
-    if isinstance(op, np.ndarray):
-        return partial(np.dot, op)
-    return partial(_csr_matvec, op)
-
-
-def _csr_matvec(op, x, out):
-    return _kernel(op, x, 0.0, out)  # out is zeroed after the checks
-
-
 def _bound_product(op, x, out):
     """The function () -> out = op @ x on the fixed vectors x and out, checked once here.
 
@@ -229,6 +204,8 @@ def _bound_product(op, x, out):
     _check_product(op, x, out)
     if np.may_share_memory(x, out):
         raise ValueError("out must not overlap x")
+    if not len(out):  # an operator without rows writes nothing: no call at all
+        return lambda: None
     if isinstance(op, np.ndarray):
         return partial(np.dot, op, x, out)
     kernel = partial(_sparsetools.csr_matvec, *op.shape, op.indptr, op.indices, op.data, x, out)

@@ -47,14 +47,13 @@ for quadratic costs.  The derivative owns an input buffer laid out as
 `Plan` builds both operators from the layers' COO parts
 (`coordinator_linear`, `costs.gradient_linear`, `plant_linear`,
 `plant_remainder`, `tracker_linear`, S's nonzeros), one `_block_operator`
-call each, and `Plan.bind` binds both products to a System's own buffers
-once (`digraph._bound_product`, which checks them there, so a CSR product
-is a zero fill and scipy's bare kernel).  So a call is 9 numpy calls on example1
-and makes no array: 5.6 us on a 2-core host with one BLAS thread, against
-8.0 us for the 16 calls of one feature vector with the control u summed by
-`np.bincount` (9.6 against 13.2 us on example2, 15.3 against 20.6 us on
-ring200).  It returns the output buffer, valid until its next call.  The xi floor is not checked here: the source checks it over its
-stage inputs.
+call each, and `Plan.bind` has `bind_derivative` bind both products to a
+System's own buffers once (`digraph._bound_product`, which checks them
+there, so a CSR product is a zero fill and scipy's bare kernel).  So a
+call is 9 numpy calls on example1 and makes no array (README has the
+timings), and returns the output buffer, valid until its next call.  The
+xi floor is not checked here: the source checks it over its stage inputs.
+`coordinator_derivative` is the same builder over (yr, z) alone.
 
 The source is `ModalSource` unless L is defective or nearly so: from the
 eigenmodes of -L it computes RK4's own stage values per mode,
@@ -94,7 +93,7 @@ from . import costs as costs_mod
 from .coordinator import (XI_FLOOR, CoordinatorGains, check_xi_floor, coordinator_linear,
                           select_gains)
 from .digraph import (Digraph, SpectralData, _add_product, _block_operator, _bound_product,
-                      _diagonal, _operator, spectral_data)
+                      _operator, spectral_data)
 from .errors import Diverged, XiUnderflow
 from .integrate import rk4_step
 from .plant import Exosystem, feedforward_truth, plant_linear, plant_remainder, redraw
@@ -122,6 +121,25 @@ class InitPolicy:
     psi_range: Optional[tuple] = None
 
 
+def step_count(horizon, step, record_every):
+    """The whole number (at least 10) of steps in horizon; ValueError on a timing a run refuses.
+
+    `Scenario` and `coordinator_only_run` both check their timing here.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    if not (math.isfinite(horizon) and math.isfinite(step)):
+        raise ValueError("horizon and step must be finite")
+    if horizon < 10 * step:
+        raise ValueError("horizon must be at least 10 steps")
+    n_steps = int(round(horizon / step))
+    if abs(n_steps * step - horizon) > 1e-9 * horizon:
+        raise ValueError(f"horizon {horizon} is not a whole number of steps of {step}")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
+    return n_steps
+
+
 @dataclass(frozen=True)
 class Scenario:
     graph: Digraph
@@ -146,21 +164,11 @@ class Scenario:
         n = self.graph.n
         if len(self.costs) != n or len(self.plants) != n or len(self.im_specs) != n:
             raise ValueError("costs, plants and im_specs must have one entry per agent")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if not (math.isfinite(self.horizon) and math.isfinite(self.step)):
-            raise ValueError("horizon and step must be finite")
-        if self.horizon < 10 * self.step:
-            raise ValueError("horizon must be at least 10 steps")
-        if abs(self.n_steps * self.step - self.horizon) > 1e-9 * self.horizon:
-            raise ValueError(f"horizon {self.horizon} is not a whole number of "
-                             f"steps of {self.step}")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        step_count(self.horizon, self.step, self.record_every)
 
     @property
     def n_steps(self):
-        return int(round(self.horizon / self.step))
+        return step_count(self.horizon, self.step, self.record_every)
 
     def tolerance(self, key):
         return self.tolerances.get(key, DEFAULT_TOLERANCES[key])
@@ -191,6 +199,11 @@ class StateLayout:
         object.__setattr__(self, "slices", names)
         object.__setattr__(self, "dim", off)
         object.__setattr__(self, "total_s", total_s)
+
+    @classmethod
+    def of(cls, sc):
+        """The layout of sc's member state."""
+        return cls(sc.graph.n, tuple(spec.s_dim for spec in sc.im_specs), sc.exo.dim)
 
 
 @dataclass
@@ -618,8 +631,7 @@ class Plan:
         self.key = self._key(sc)
         n = sc.graph.n
         im = None if sc.ablate_internal_model else StackedInternalModel.stack(sc.im_specs)
-        layout = StateLayout(n=n, s_dims=tuple(spec.s_dim for spec in sc.im_specs),
-                             nv=sc.exo.dim)
+        layout = StateLayout.of(sc)
         dim = layout.dim
         sl = layout.slices
         # The first product's factors are the state from x1 to v and, in the
@@ -645,12 +657,11 @@ class Plan:
         v_rows, v_cols = np.nonzero(sc.exo.S)  # v' = S v
         self.main = _block_operator(
             (dim, high + 2 * n + plant_width),
-            coordinator_linear(structure.spectral.laplacian, structure.gains)
-            + [_diagonal(sl["yr"].start, grad_col, np.full(n, -1.0))]
+            coordinator_linear(structure.spectral.laplacian, structure.gains, grad_col)
             + plant_main + remainder + tracker_main
             + [(v_rows + sl["v"].start, v_cols + sl["v"].start, sc.exo.S[v_rows, v_cols])])
         self.layout = layout
-        self._columns = (window, width, one, product, grad_col, high)
+        self._columns = (window, width, product, grad_col)
         self._grad_vec = None if grad_pre is not None else costs_mod.build_gradient(sc.costs)
 
     @staticmethod
@@ -662,36 +673,67 @@ class Plan:
 
     def bind(self) -> System:
         """A new System: fresh buffers, and a derivative bound to them, over the operators."""
-        layout, pre, main, grad_vec = self.layout, self.pre, self.main, self._grad_vec
-        n, dim, sl = layout.n, layout.dim, layout.slices
-        window, width, one, product, grad_col, high = self._columns
-        # the derivative's own buffers and every view of them it reads or
-        # writes, made once
-        buf, pre_out, out = (np.empty(size) for size in (main.shape[1], pre.shape[0], dim))
-        buf[one] = 1.0
-        y_in, yr = buf[:dim], buf[sl["yr"]]
-        pre_product = _bound_product(pre, buf[:one + 1], pre_out)
-        main_product = _bound_product(main, buf, out)
-        grad_rows, phi_grad = pre_out[width:], buf[grad_col:high]
-        plant_multiplies, write_customs = self._plant_bind(buf)
-        multiplies = tuple([(buf[window], pre_out[:width], buf[product + window.start:grad_col])]
-                           + self._tracker_bind(pre_out, buf) + plant_multiplies)
-        multiply = np.multiply
+        window, width, product, grad_col = self._columns
 
-        def derivative(t, y, w=np.ones(n)):  # w: diag xi, by default that of xi(0) = I
-            y_in[:] = y
-            pre_product()
-            np.divide(grad_rows if grad_vec is None else grad_vec(yr), w, out=phi_grad)
-            for a, b, product_out in multiplies:
-                multiply(a, b, out=product_out)
-            if write_customs is not None:
-                write_customs(t)
-            main_product()
-            return out
+        def layers(buf, pre_out):
+            plant_multiplies, write_customs = self._plant_bind(buf)
+            return tuple([(buf[window], pre_out[:width], buf[product + window.start:grad_col])]
+                         + self._tracker_bind(pre_out, buf) + plant_multiplies), write_customs
 
+        derivative = bind_derivative(self.pre, self.main, self.layout.n, grad_col,
+                                     self._grad_vec, layers)
         structure = self.structure
-        return System(layout=layout, spectral=structure.spectral, gains=structure.gains,
-                      derivative=derivative, pre_operator=pre, operator=main)
+        return System(layout=self.layout, spectral=structure.spectral, gains=structure.gains,
+                      derivative=derivative, pre_operator=self.pre, operator=self.main)
+
+
+def bind_derivative(pre, main, n, grad_col, grad_vec=None, layers=None):
+    """The derivative f(t, y, w) of the module docstring over pre and main, on its own buffers.
+
+    y leads with yr (n entries) and w is diag xi.  grad c / xi goes to
+    columns grad_col.. of the input buffer, from pre's last n rows, or
+    grad_vec(yr) when given.  layers(buf, pre_out), called once, gives the
+    multiplies as (a, b, out) views and the custom features' writer or None.
+    """
+    dim = main.shape[0]
+    # its own buffers and every view of them it reads or writes, made once
+    buf, pre_out, out = (np.empty(size) for size in (main.shape[1], pre.shape[0], dim))
+    buf[dim] = 1.0
+    y_in, yr = buf[:dim], buf[:n]
+    pre_product = _bound_product(pre, buf[:dim + 1], pre_out)
+    main_product = _bound_product(main, buf, out)
+    grad_rows, phi_grad = pre_out[len(pre_out) - n:], buf[grad_col:grad_col + n]
+    multiplies, write_customs = ((), None) if layers is None else layers(buf, pre_out)
+    multiply = np.multiply
+
+    def derivative(t, y, w=np.ones(n)):  # w: diag xi, by default that of xi(0) = I
+        y_in[:] = y
+        pre_product()
+        np.divide(grad_rows if grad_vec is None else grad_vec(yr), w, out=phi_grad)
+        for a, b, product_out in multiplies:
+            multiply(a, b, out=product_out)
+        if write_customs is not None:
+            write_customs(t)
+        main_product()
+        return out
+
+    return derivative
+
+
+def coordinator_derivative(big_l, gains, cost_list):
+    """`bind_derivative` over c = (yr, z) alone, with no multiplies: f(t, c, w) -> c'.
+
+    pre holds an all-quadratic set's gradient (`costs.gradient_linear`),
+    else no rows and `build_gradient`; main holds `coordinator_linear`.  It
+    reads only L, so one agent runs too.
+    """
+    n = len(big_l)
+    one, grad_col = 2 * n, 2 * n + 1
+    grad_pre = costs_mod.gradient_linear(cost_list, 0, 0, one)
+    pre = np.zeros((0, one + 1)) if grad_pre is None else _block_operator((n, one + 1), grad_pre)
+    main = _block_operator((2 * n, grad_col + n), coordinator_linear(big_l, gains, grad_col))
+    grad_vec = None if grad_pre is not None else costs_mod.build_gradient(cost_list)
+    return bind_derivative(pre, main, n, grad_col, grad_vec)
 
 
 # The plan of the scenario assembled last; `plan` reuses it, or its Structure,

@@ -1,11 +1,14 @@
 import csv
+import dataclasses
 import json
 from importlib import resources
 
 import numpy as np
 import pytest
 
+from oocsim import sim
 from oocsim.cli import cmd_dispatch, write_trajectory
+from oocsim.digraph import spectral_data
 from oocsim.scenario import parse_scenario, scenario_from_dict
 from oocsim.sim import assemble, initial_state, run
 
@@ -124,6 +127,35 @@ def test_coordinator_command(tmp_path, tiny_path, capsys):
     summary = json.loads((out / "coordinator_metrics.json").read_text())
     assert summary["final_reference_error"] < 1e-3
     assert summary["xi_error"] < 1e-3
+
+
+def read_columns(path):
+    """A CSV as a dict of float columns by header name."""
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    return {name: np.array([float(row[name]) for row in rows]) for name in rows[0]}
+
+
+def test_coordinator_command_builds_no_member_plan(tmp_path, tiny_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("oocsim coordinator built a member plan")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "Plan", refuse)
+        assert cmd_dispatch(["coordinator", "--scenario", str(tiny_path),
+                             "--out", str(tmp_path / "c")]) == 0
+    assert cmd_dispatch(["sim", "--scenario", str(tiny_path), "--out", str(tmp_path / "s")]) == 0
+    alone = read_columns(tmp_path / "c" / "coordinator.csv")
+    member = read_columns(tmp_path / "s" / "trajectory.csv")
+    for i in (1, 2):
+        assert alone[f"yr_{i}"][0] == member[f"yr_{i}"][0]  # the same y_r(0) draw
+    summary = json.loads((tmp_path / "c" / "coordinator_metrics.json").read_text())
+    sc = parse_scenario(str(tiny_path))
+    assert summary["gains"] == dataclasses.asdict(assemble(sc).gains)
+    assert summary["s_star"] == json.loads((tmp_path / "s" / "metrics.json").read_text())["s_star"]
+    rho = spectral_data(sc.graph).rho
+    xii = np.array([member[f"xii_{i}"][-1] for i in (1, 2)])
+    assert summary["xi_error"] == float(np.abs(xii - rho).max())
 
 
 def test_coordinator_failure_names_the_scenario(tmp_path, tiny_path, capsys):

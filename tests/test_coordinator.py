@@ -1,16 +1,19 @@
+import json
+import math
 import re
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from oocsim import costs
 from oocsim.coordinator import (CoordinatorGains, check_gain_inequalities, check_xi_floor,
-                                coordinator_linear, coordinator_nonlinear, coordinator_only_run,
-                                select_gains)
+                                coordinator_only_run, select_gains)
 from oocsim.costs import ConvexityBounds
-from oocsim.digraph import Digraph, _block_operator, laplacian, spectral_data
+from oocsim.digraph import Digraph, laplacian, spectral_data
 from oocsim.errors import InvalidSpectrum, XiUnderflow
-from oocsim.sim import LinearDriver, ModalSource, xi_source
+from oocsim.scenario import scenario_from_dict
+from oocsim.sim import LinearDriver, ModalSource, coordinator_derivative, plan, run, xi_source
 
 
 def test_select_gains_closed_form_small():
@@ -47,17 +50,16 @@ def single_agent():
 def rhs_at(g, cost_list, gains, yr, z=None, xi=None):
     """(yr', z', xi') at one state; z defaults to 0 and xi to the identity.
 
-    yr' and z' are the product with `coordinator_linear`'s operator plus
-    `coordinator_nonlinear`, which reads diag xi; xi' = -B xi comes from the
-    operator the xi driver advances xi with.
+    yr' and z' come from the coordinator-only derivative
+    (`sim.coordinator_derivative`), which reads diag xi; xi' = -B xi comes
+    from the operator the xi driver advances xi with.
     """
     n = g.n
     z = np.zeros(n) if z is None else z
     xi = np.eye(n) if xi is None else xi
     big_l = laplacian(g)
-    op = _block_operator((2 * n, 2 * n), coordinator_linear(big_l, gains))
-    dc = op @ np.concatenate([yr, z])
-    coordinator_nonlinear(dc[:n], yr, xi.diagonal(), costs.build_gradient(cost_list))
+    derivative = coordinator_derivative(big_l, gains, cost_list)
+    dc = derivative(0.0, np.concatenate([yr, z]), xi.diagonal())
     driver = LinearDriver(big_l, 1e-3)
     return dc[:n], dc[n:], -(driver.b @ xi)
 
@@ -177,3 +179,56 @@ def test_exponential_rate_evidence(fig3_graph):
     # optimality condition at convergence
     agg = sum(c.grad(traj.y_r[-1, i]) for i, c in enumerate(cost_list))
     assert abs(agg) < 1e-6
+
+
+def test_composite_costs_take_the_gradient_loop(fig3_graph):
+    # ex2 composites have no pre rows: the derivative runs `build_gradient`
+    cost_list = [costs.composite(f"ex2_f{i}") for i in range(1, 6)]
+    gains = CoordinatorGains(beta1=20.0, beta2=2.0, delta=1.0)
+    yr, z = np.array([-1.0, 0.5, 2.0, 0.0, 1.5]), np.array([0.1, -0.2, 0.3, 0.0, -0.2])
+    xi = np.diag([0.5, 0.25, 1.0, 2.0, 0.75])
+    dyr, dz, _ = rhs_at(fig3_graph, cost_list, gains, yr, z, xi)
+    big_l = laplacian(fig3_graph)
+    grads = np.array([c.grad(s) for c, s in zip(cost_list, yr)])
+    want = -grads / xi.diagonal() - gains.beta1 * big_l @ yr - gains.beta2 * z
+    assert np.abs(dyr - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.abs(dz - gains.beta1 * big_l @ yr).max() <= 1e-14 * np.abs(dz).max()
+
+
+@pytest.mark.parametrize("horizon, step, record_every, message", [
+    (1.0, 0.3, 1, "at least 10 steps"),                  # stopped at t = 0.9
+    (1.0, 0.07, 1, "not a whole number of steps"),       # 14.29 steps
+    (1.0, 1e-2, 0, "record_every must be >= 1"),         # divided by zero
+    (-1.0, -1e-2, 1, "step must be positive"),           # negative dimensions
+    (math.inf, 1e-2, 1, "must be finite"),
+])
+def test_run_refuses_a_timing_a_scenario_refuses(fig3_graph, horizon, step, record_every,
+                                                  message):
+    cost_list = [costs.quadratic(0.1, float(i)) for i in range(1, 6)]
+    gains = CoordinatorGains(beta1=20.0, beta2=2.0, delta=1.0)
+    with pytest.raises(ValueError, match=message):
+        coordinator_only_run(fig3_graph, cost_list, gains, np.zeros(5), horizon, step,
+                             record_every)
+
+
+def preset_doc(name):
+    """The preset at a 2 s horizon, from the narrow initial ranges."""
+    doc = json.loads(resources.files("oocsim").joinpath(f"presets/{name}.json").read_text())
+    doc["sim"].update(horizon=2.0)
+    doc["init"] = {"x_range": [-0.5, 0.5], "yr_range": [-1.0, 1.0]}
+    return doc
+
+
+@pytest.mark.parametrize("preset", ["example1", "example2"])
+def test_coordinator_only_run_is_the_member_runs_coordinator(preset):
+    # example1's quadratic costs take the pre product's gradient, example2's
+    # composites `build_gradient`
+    sc = scenario_from_dict(preset_doc(preset))
+    member = run(sc)
+    alone = coordinator_only_run(sc.graph, sc.costs, plan(sc).structure.gains, member.yr[0],
+                                 sc.horizon, sc.step, sc.record_every)
+    assert np.array_equal(alone.times, member.times)
+    for got, want in ((alone.y_r, member.yr), (alone.z, member.z),
+                      (alone.xi_diag, member.xi_diag)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

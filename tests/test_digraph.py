@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from oocsim import digraph
-from oocsim.digraph import (Digraph, _add_product, _bound_product, _matvec, _operator,
+from oocsim.digraph import (Digraph, _add_product, _bound_product, _operator,
                             is_strongly_connected, laplacian, spectral_data)
 from oocsim.errors import InvalidSpectrum, NotStronglyConnected
 
@@ -210,10 +210,6 @@ def test_csr_kernel_matches_dense_product(index_dtype, x_shape):
     in_place = base.copy()
     assert _add_product(op, x, in_place, in_place) is in_place  # out is base: no copy
     assert np.abs(in_place - want).max() <= tol
-    if len(x_shape) == 1:
-        out = np.full(80, np.nan)  # every entry is written, whatever it held
-        assert _matvec(op)(x, out=out) is out
-        assert np.abs(out - a @ x).max() <= 1e-14 * np.abs(a @ x).max()
 
 
 def test_dense_operator_runs_the_plain_numpy_calls():
@@ -225,7 +221,7 @@ def test_dense_operator_runs_the_plain_numpy_calls():
     assert _add_product(a, x, base, out) is out
     assert np.array_equal(out, np.add(base, a @ x))
     v, out = rng.uniform(-1.0, 1.0, 6), np.empty(6)
-    assert _matvec(a)(v, out=out) is out
+    _bound_product(a, v, out)()
     assert np.array_equal(out, a @ v)
 
 
@@ -250,14 +246,6 @@ def test_csr_kernel_refuses_inputs_it_would_mishandle():
         with pytest.raises(ValueError, match=message):
             _add_product(op, xx, bb, out)
         assert np.array_equal(out, before), f"{name}: out written before the refusal"
-    for xx, message in ((np.ones(81), shape), (np.ones(160)[::2], layout),
-                        (np.ones(80, dtype=np.float32), dtype)):
-        out = np.ones(80)
-        with pytest.raises(ValueError, match=message):
-            _matvec(op)(xx, out=out)
-        assert np.array_equal(out, np.ones(80)), "out written before the refusal"
-    with pytest.raises(ValueError, match=dtype):
-        _matvec(op.astype(np.float32))(np.ones(80), out=np.zeros(80))
 
 
 def test_bound_product_checks_its_buffers_once_at_bind_time():
@@ -296,3 +284,8 @@ def test_csr_kernel_writes_into_the_callers_buffer():
     assert result is out and np.shares_memory(result, bufs)
     assert np.abs(bufs[1] - (x + a @ x)).max() <= 1e-14 * np.abs(x + a @ x).max()
     assert not bufs[0].any() and not bufs[2].any()
+
+
+def test_bound_product_of_an_operator_without_rows_does_nothing():
+    product = _bound_product(np.zeros((0, 5)), np.ones(5), np.empty(0))
+    assert product() is None
