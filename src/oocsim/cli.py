@@ -21,12 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import costs as costs_mod
 from .coordinator import coordinator_only_run
 from .digraph import is_strongly_connected, spectral_data
 from .errors import OocError, SchemaError
 from .scenario import parse_scenario
 from .sim import (StateLayout, Structure, Trajectory, ablate_compare, initial_state, metrics,
-                  named_failures, optimum, run, sweep, verify)
+                  named_failures, run, sweep, verify)
 
 _FMT = "%.17g"  # round-trip exact for 64-bit floats
 
@@ -79,7 +80,7 @@ def _cmd_sim(args):
     out = _out_dir(args)
     traj = run(sc)
     write_trajectory(traj, out / "trajectory.csv", sc.tracker.gamma)
-    s_star = optimum(sc)
+    s_star = costs_mod.global_optimum(sc.costs)
     summary = metrics(traj, s_star)
     summary["s_star"] = s_star
     _write_json(summary, out / "metrics.json")
@@ -96,7 +97,7 @@ def _cmd_coordinator(args):
     with named_failures(sc.name):
         traj = coordinator_only_run(sc.graph, sc.costs, gains, y0,
                                     sc.horizon, sc.step, sc.record_every)
-    s_star = optimum(sc)
+    s_star = structure.optimum()
     xii = traj.xi_diag
     _write_csv(out / "coordinator.csv",
                [("t", traj.times)] + _per_agent("yr", traj.y_r) + _per_agent("z", traj.z)

@@ -26,8 +26,8 @@ class Digraph:
     """Directed graph on n nodes; weights[i, j] > 0 iff node i receives from j.
 
     weights is a read-only float copy of the array given, so a graph never
-    changes once built (`sim.plan` shares set-up between scenarios that hold
-    the same graph object) and the caller's array stays writable.
+    changes once built (a sweep's members share it and the set-up built
+    from it) and the caller's array stays writable.
     """
 
     n: int
@@ -258,6 +258,6 @@ def spectral_data(g: Digraph) -> SpectralData:
         raise NotStronglyConnected("left eigenvector is not positive")
     rl = rho[:, None] * big_l
     lbar = 0.5 * (rl + rl.T)
-    big_l.flags.writeable = rho.flags.writeable = False  # `sim.plan` shares them
+    big_l.flags.writeable = rho.flags.writeable = False  # the Systems of one plan share them
     return SpectralData(laplacian=big_l, rho=rho, rho_min=float(rho.min()),
                         lambda2=float(np.linalg.eigvalsh(lbar)[1]))

@@ -8,15 +8,15 @@ psi_hat and the nv entries of v form one flat member state of
 5n + 2 sum(s_i) + nv entries.  xi is n x n, linear and reads no other state,
 so a xi source advances it and feeds the member derivative diag xi at each
 RK4 stage.  `assemble` builds only the member derivative; `run` builds the
-source in one call, `xi_source(L, h)`.  Both advance with classical RK4 at a
-fixed step, for determinism, and the source's numbers are classic RK4's on xi
-alone up to rounding in the last bits.  Either source talks to the RK4 loop,
-`integrate`, through two calls: `stages()` returns the step's four stage
-inputs, diag xi at t = k h, t + h/2, t + h/2 and t + h, as the rows of one
-(4, n) block of a buffer the source refills (row views made once, so a step
-unpacks them for free), and moves the source to the end of that step;
-`snapshot()` returns (diag xi, xi row sums) at the current step, for the
-record.
+source in one call of the System's `SourceParts`.  Both advance with
+classical RK4 at a fixed step, for determinism, and the source's numbers are
+classic RK4's on xi alone up to rounding in the last bits.  Either source
+talks to the RK4 loop, `integrate`, through two calls: `stages()` returns
+the step's four stage inputs, diag xi at t = k h, t + h/2, t + h/2 and
+t + h, as the rows of one (4, n) block of a buffer the source refills (row
+views made once, so a step unpacks them for free), and moves the source to
+the end of that step; `snapshot()` returns (diag xi, xi row sums) at the
+current step, for the record.
 
 A member derivative call is two operator products around a few multiplies.
 Every nonlinear term is a product of factors linear in the member state:
@@ -63,23 +63,16 @@ once per block.  Otherwise it is the Horner `LinearDriver`, which applies
 RK4's step polynomial to xi in Horner form and recombines the Horner
 iterates' diagonals into the stage values.
 
-Set-up is shared between runs made of the same objects.  `assemble(sc)` is
-`plan(sc).bind()`: the `Plan` holds what depends only on the scenario's
-structure, and `bind` makes a System's buffers and derivative.  `plan`
-keeps the last plan in one slot, keyed by the identity (not the value) of
-the parts each piece reads: the graph, the fixed gains and each cost for
-the `Structure` (spectral data, curvature bounds and gains, and s* at the
-first `verify`); with each plant, each internal-model spec, the exosystem,
-the tracker and the ablation flag for the operators; L (the Structure's
-own array) and h for the xi sources' `SourceParts` (the eig at the first
-`xi_source` call, in `run`; the read-out once per h).  So the members of a
-seed sweep share everything when their plants carry no uncertainty and all
-but the operators when `reseed` draws new ones, while two parses of one
-document share nothing.  Every call still returns fresh stepping state
-(a System's buffers, a source's block buffers or Horner iterates) over
-read-only shared parts; the scenario arrays a key relies on
-(`Digraph.weights`, `Exosystem.S` and `v0`, `InternalModelSpec.M` and
-`N_vec`) are read-only copies.  `release_plan` empties the slot.
+Only `sweep` shares set-up.  `assemble(sc)` builds a `Plan` over a
+`Structure` and binds it: the `Structure` holds what the graph, costs and
+fixed gains decide (spectral data, gains, s* and the xi sources'
+`SourceParts`), the `Plan` the operators, and `Plan.bind` makes a System's
+buffers and derivative.  Outside a sweep nothing keeps them once the
+caller lets the System go.  A sweep holds one Structure for all its
+members and one Plan while their plants are the same objects (a seed sweep
+of uncertain plants draws new ones), and hands each member its plan
+through `_member`.  Every System still gets fresh stepping state (buffers,
+a source's block buffers or Horner iterates) over read-only shared parts.
 """
 
 import math
@@ -216,7 +209,8 @@ class System:
     kept.  So a System serves one integration at a time (`rk4_step` folds
     each stage's result in before its next call); two Systems share no
     buffer, but the Systems of one `Plan` share its operators, spectral
-    data and gains, which nothing writes.  pre_operator,
+    data, gains and xi sources' parts (`sources`, which `run` builds its
+    source from), which nothing writes.  pre_operator,
     (dim - 2n + g) x (dim + 1) over [y | 1], gives the partner of each state
     entry from x1 to v (zero rows where an entry has none: eta and psi_hat
     when the internal model is ablated) and an all-quadratic set's gradient
@@ -233,6 +227,7 @@ class System:
     derivative: callable
     pre_operator: object
     operator: object
+    sources: "SourceParts"
 
 
 class LinearDriver:
@@ -447,8 +442,8 @@ class ModalSource:
 
     The numbers equal classic RK4's up to rounding, about kappa(V) eps; they
     differ from `LinearDriver`'s in the last bits.  Built from `_eigenmodes`
-    of -L and h, over the read-only `modal_readout` of the two, which
-    `xi_source` shares between the sources of one L and h (`SourceParts`).
+    of -L and h, over the read-only `modal_readout` of the two, which the
+    sources one `SourceParts` makes at one h share.
     Each block is checked once, for finiteness and for
     the xi floor; only a block that fails either check is checked again step
     by step, as its steps are handed out.  So `stages()` raises Diverged,
@@ -560,37 +555,24 @@ class SourceParts:
 
 
 def xi_source(big_l, h):
-    """A fresh source of xi for a run at step h: modal where it can be, else Horner.
+    """A fresh source of xi at step h over parts of its own: modal where it can be, else Horner.
 
     `ModalSource` when -L passes `_eigenmodes`' check, else `LinearDriver`
     (a defective or ill-conditioned L).  Both give the same RK4 numbers up to
-    rounding.  When big_l is the very array (by identity) of the plan in
-    `plan`'s slot, the sources share that plan's `SourceParts`: the eig runs
-    at the first call and the read-out once per h; else every part is made
-    for this source alone.
+    rounding.  `run` takes its source from its System's `sources` instead.
     """
-    last = _last_plan
-    if last is not None and last.structure.spectral.laplacian is big_l:
-        return last.structure.sources.source(h)
     return SourceParts(big_l).source(h)
-
-
-def _same(a, b):
-    """Whether sequences a and b hold the same objects, in order."""
-    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
 
 
 class Structure:
     """What a scenario's graph, costs and fixed gains alone decide.
 
-    Built once per plan chain: spectral data, the curvature bounds and the
-    resolved gains now, and at first need s* (`optimum`) and the xi sources'
-    `SourceParts` of L.  Keyed by the identity of sc.graph, sc.gains and each
-    of sc.costs.
+    Spectral data, the curvature bounds and the resolved gains now, and at
+    first need s* (`optimum`) and, through the `SourceParts` of L, the xi
+    sources' eig and read-outs.  A sweep shares one between its members.
     """
 
     def __init__(self, sc):
-        self.key = self._key(sc)
         self.costs = tuple(sc.costs)
         self.spectral = spectral_data(sc.graph)  # raises NotStronglyConnected
         # also the NonConvexDetected check, so it runs when the gains are fixed too
@@ -601,13 +583,6 @@ class Structure:
             self.gains = select_gains(bounds, self.spectral.rho_min, self.spectral.lambda2)
         self.sources = SourceParts(self.spectral.laplacian)
         self._s_star = None
-
-    @staticmethod
-    def _key(sc):
-        return (sc.graph, sc.gains, *sc.costs)
-
-    def matches(self, sc):
-        return _same(self.key, self._key(sc))
 
     def optimum(self):
         """s* of the costs (`costs.global_optimum`), computed at the first call."""
@@ -622,13 +597,11 @@ class Plan:
     It holds everything that depends only on the scenario's structure: the
     `Structure` (spectral data, gains, s*, the xi sources' parts), the
     layout, both operators, the partner window and the layers' bind
-    functions.  Keyed by the identity of its structure's parts and of each
-    plant, each internal-model spec, exo, tracker and the ablation flag.
+    functions.
     """
 
     def __init__(self, sc, structure):
         self.structure = structure
-        self.key = self._key(sc)
         n = sc.graph.n
         im = None if sc.ablate_internal_model else StackedInternalModel.stack(sc.im_specs)
         layout = StateLayout.of(sc)
@@ -664,13 +637,6 @@ class Plan:
         self._columns = (window, width, product, grad_col)
         self._grad_vec = None if grad_pre is not None else costs_mod.build_gradient(sc.costs)
 
-    @staticmethod
-    def _key(sc):
-        return (sc.exo, sc.tracker, sc.ablate_internal_model, *sc.plants, *sc.im_specs)
-
-    def matches(self, sc):
-        return self.structure.matches(sc) and _same(self.key, self._key(sc))
-
     def bind(self) -> System:
         """A new System: fresh buffers, and a derivative bound to them, over the operators."""
         window, width, product, grad_col = self._columns
@@ -684,7 +650,8 @@ class Plan:
                                      self._grad_vec, layers)
         structure = self.structure
         return System(layout=self.layout, spectral=structure.spectral, gains=structure.gains,
-                      derivative=derivative, pre_operator=self.pre, operator=self.main)
+                      derivative=derivative, pre_operator=self.pre, operator=self.main,
+                      sources=structure.sources)
 
 
 def bind_derivative(pre, main, n, grad_col, grad_vec=None, layers=None):
@@ -736,48 +703,26 @@ def coordinator_derivative(big_l, gains, cost_list):
     return bind_derivative(pre, main, n, grad_col, grad_vec)
 
 
-# The plan of the scenario assembled last; `plan` reuses it, or its Structure,
-# for a scenario made of the same objects.
-_last_plan = None
+# (member scenario, Plan) while `sweep` runs that member, else None
+_member = None
 
 
-def plan(sc: Scenario) -> Plan:
-    """The plan of sc: the one in the slot when sc is made of the same objects, else a new one.
-
-    The slot holds one plan, the last one built.  A scenario whose graph,
-    fixed gains and costs are the slot's objects (by identity) shares its
-    `Structure`; one whose plants, internal-model specs, exosystem, tracker
-    and ablation flag are the slot's too shares the whole plan.  So the
-    members of a seed sweep share everything when their plants have no
-    uncertainty, and everything but the operators when `reseed` draws them
-    again; two parses of one document share nothing.  The old plan is let
-    go before a new one is built.
-    """
-    global _last_plan
-    last, _last_plan = _last_plan, None
-    if last is not None and last.matches(sc):
-        _last_plan = last
-        return last
-    structure = last.structure if last is not None and last.structure.matches(sc) else None
-    last = None  # let the old operators go before the new ones are built
-    _last_plan = Plan(sc, structure or Structure(sc))
-    return _last_plan
-
-
-def release_plan():
-    """Empty `plan`'s slot, so the next scenario builds its set-up afresh."""
-    global _last_plan
-    _last_plan = None
+def _handed_plan(sc):
+    """The plan `sweep` hands sc while sc is the member it runs, else None."""
+    member = _member
+    return member[1] if member is not None and member[0] is sc else None
 
 
 def assemble(sc: Scenario) -> System:
-    """A new System of sc: `plan(sc).bind()`.
+    """A new System of sc, with fresh buffers and a derivative of its own.
 
-    Each call returns fresh buffers and a derivative of its own, over the
-    operators and gains of the plan it shares with every scenario made of
-    the same objects (`plan`).
+    Its plan is built for it and kept by nothing else, unless sc is the
+    member a `sweep` runs: then it binds the plan the sweep shares.
     """
-    return plan(sc).bind()
+    plan = _handed_plan(sc)
+    if plan is None:
+        plan = Plan(sc, Structure(sc))
+    return plan.bind()
 
 
 def initial_state(sc: Scenario, layout: StateLayout) -> np.ndarray:
@@ -909,14 +854,14 @@ def named_failures(name):
 def run(sc: Scenario, system: Optional[System] = None) -> Trajectory:
     """Integrate the closed loop from t = 0 to the horizon at the fixed step.
 
-    system defaults to `assemble(sc)`.  The xi source comes from one call of
-    `xi_source` on the system's L, so it shares the eig and read-out of the
-    slot's plan when that L is the plan's.
+    system defaults to `assemble(sc)`.  The xi source comes from the
+    system's `sources`, so it shares the eig and read-out of every System
+    of its plan.
     """
     if system is None:
         system = assemble(sc)
     y0 = initial_state(sc, system.layout)
-    source = xi_source(system.spectral.laplacian, sc.step)
+    source = system.sources.source(sc.step)
     with named_failures(sc.name):
         times, raw, (xi_diag, xi_rowsum) = integrate(
             system.derivative, y0, sc.step, sc.n_steps, sc.record_every, source)
@@ -988,25 +933,14 @@ class VerificationReport:
         return d
 
 
-def optimum(sc: Scenario) -> float:
-    """s* of sc's costs (`costs.global_optimum`).
-
-    Shared through the slot's plan (`plan`) when sc's costs are its objects,
-    by identity: then the bisection runs once, at the first call.
-    """
-    last = _last_plan
-    if last is not None and _same(last.structure.costs, sc.costs):
-        return last.structure.optimum()
-    return costs_mod.global_optimum(sc.costs)
-
-
 def verify(sc: Scenario, traj: Trajectory) -> VerificationReport:
     """Compare a finished run against the independent oracles.
 
-    s* comes from `optimum`, so the members of a sweep that share a plan
-    find it once, in the first member's verify.
+    s* is `costs.global_optimum` of sc's costs; a sweep's members take it
+    from the Structure they share, so the first member's verify finds it.
     """
-    s_star = optimum(sc)
+    plan = _handed_plan(sc)
+    s_star = costs_mod.global_optimum(sc.costs) if plan is None else plan.structure.optimum()
     rho = traj.rho
     final_output_error = float(np.abs(traj.y[-1] - s_star).max())
     xi_error = float(np.abs(traj.xi_diag[-1] - rho).max())
@@ -1076,7 +1010,7 @@ def ablate_compare(sc: Scenario):
     ablated = replace(sc, ablate_internal_model=True, name=sc.name + "[no-im]")
     traj_with = run(base)
     traj_without = run(ablated)
-    s_star = optimum(sc)
+    s_star = costs_mod.global_optimum(sc.costs)
     err_with = float(np.abs(traj_with.y[-1] - s_star).max())
     err_without = float(np.abs(traj_without.y[-1] - s_star).max())
     return {
@@ -1097,21 +1031,39 @@ def reseed(sc: Scenario, seed) -> Scenario:
     return replace(sc, seed=seed, plants=redraw(sc.plants, np.random.default_rng([seed, 0])))
 
 
+# the scenario fields no part of a plan reads: a sweep over one shares its set-up
+_SHARED_SWEEPS = ("seed", "horizon", "step", "record_every")
+
+
 def sweep(sc: Scenario, attr: str, values):
     """Vary one scalar scenario field over a grid; collect verification reports.
 
     A seed member is `reseed(sc, seed)`, so it draws its own plants.  Each
-    member runs as a run of its own (`run`, then `verify`), and members
-    share their set-up through `plan`'s slot: all of it when no field they
-    vary is read by it (seeds of plants without uncertainty, horizons, steps),
-    all but the operators when `reseed` draws new plants.  The xi sources'
-    eig runs once, in the first member's run, and its read-out once per step
-    h; s* once, in the first member's verify.
+    member runs as a run of its own (`run`, then `verify`).  Over a field of
+    _SHARED_SWEEPS the members share one `Structure`, so the spectral data,
+    curvature bounds, gains, the xi sources' eig and s* are found once and
+    the read-out once per step h, and one `Plan` while their plants are the
+    same objects; a new plan (`reseed` draws new uncertain plants) lets the
+    last go first.  The member being run gets its plan through `_member`,
+    which `assemble` and `verify` read for that member scenario alone and
+    which is emptied when the sweep returns or raises.
     """
+    global _member
     reports = []
-    for val in values:
-        sub = reseed(sc, val) if attr == "seed" else replace(sc, **{attr: val})
-        sub = replace(sub, name=f"{sc.name}[{attr}={val}]")
-        traj = run(sub)
-        reports.append((val, verify(sub, traj)))
+    structure = plan = plants = None
+    try:
+        for val in values:
+            sub = reseed(sc, val) if attr == "seed" else replace(sc, **{attr: val})
+            sub = replace(sub, name=f"{sc.name}[{attr}={val}]")
+            if attr in _SHARED_SWEEPS:
+                if plan is None or any(a is not b for a, b in zip(plants, sub.plants)):
+                    _member = plan = None
+                    if structure is None:
+                        structure = Structure(sub)
+                    plan, plants = Plan(sub, structure), sub.plants
+                _member = sub, plan
+            traj = run(sub)
+            reports.append((val, verify(sub, traj)))
+    finally:
+        _member = None
     return reports

@@ -7,17 +7,7 @@ import pytest
 
 from oocsim.digraph import Digraph
 from oocsim.scenario import parse_scenario
-from oocsim.sim import ablate_compare, assemble, release_plan, run
-
-
-@pytest.fixture(autouse=True)
-def empty_plan_slot():
-    """Start every test with `sim.plan`'s slot empty.
-
-    So a test that patches a set-up function (`convexity_bounds`, say) is
-    never served a plan that another test built before the patch.
-    """
-    release_plan()
+from oocsim.sim import ablate_compare, run
 
 
 @pytest.fixture(scope="session")

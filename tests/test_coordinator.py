@@ -13,7 +13,8 @@ from oocsim.costs import ConvexityBounds
 from oocsim.digraph import Digraph, laplacian, spectral_data
 from oocsim.errors import InvalidSpectrum, XiUnderflow
 from oocsim.scenario import scenario_from_dict
-from oocsim.sim import LinearDriver, ModalSource, coordinator_derivative, plan, run, xi_source
+from oocsim.sim import (LinearDriver, ModalSource, assemble, coordinator_derivative, run,
+                        xi_source)
 
 
 def test_select_gains_closed_form_small():
@@ -225,7 +226,7 @@ def test_coordinator_only_run_is_the_member_runs_coordinator(preset):
     # composites `build_gradient`
     sc = scenario_from_dict(preset_doc(preset))
     member = run(sc)
-    alone = coordinator_only_run(sc.graph, sc.costs, plan(sc).structure.gains, member.yr[0],
+    alone = coordinator_only_run(sc.graph, sc.costs, assemble(sc).gains, member.yr[0],
                                  sc.horizon, sc.step, sc.record_every)
     assert np.array_equal(alone.times, member.times)
     for got, want in ((alone.y_r, member.yr), (alone.z, member.z),

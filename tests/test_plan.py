@@ -1,7 +1,9 @@
-"""Shared set-up: `sim.plan`, its slot, and the scenario arrays its identity keys rely on."""
+"""Shared set-up: what a sweep shares, what nothing keeps, and the read-only arrays it relies on."""
 
 import dataclasses
+import gc
 import json
+import weakref
 from importlib import resources
 
 import numpy as np
@@ -9,10 +11,11 @@ import pytest
 
 from oocsim import costs, sim
 from oocsim.digraph import Digraph
+from oocsim.errors import Diverged
 from oocsim.plant import Exosystem
 from oocsim.scenario import scenario_from_dict
-from oocsim.sim import (LinearDriver, ModalSource, assemble, initial_state, plan, reseed, run,
-                        sweep, verify, xi_source)
+from oocsim.sim import (LinearDriver, ModalSource, assemble, initial_state, reseed, run, sweep,
+                        verify, xi_source)
 from oocsim.tracker import InternalModelSpec
 
 SEEDS = [3, 7, 105]
@@ -64,8 +67,14 @@ def counting(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, counted)
 
 
-@pytest.mark.parametrize("case", ["example2", "example1"])
+# (document, swept field, values) of each sweep whose shared set-up is counted
+SWEEPS = {"example2": ("example2", "seed", SEEDS), "example1": ("example1", "seed", SEEDS),
+          "example2-step": ("example2", "step", [1e-3, 5e-4])}
+
+
+@pytest.mark.parametrize("case", SWEEPS)
 def test_a_sweep_runs_the_shared_set_up_once(case, monkeypatch):
+    doc, attr, values = SWEEPS[case]
     calls = {}
     counting(monkeypatch, sim, "_eigendecomposition", calls)
     counting(monkeypatch, sim, "spectral_data", calls)
@@ -79,46 +88,78 @@ def test_a_sweep_runs_the_shared_set_up_once(case, monkeypatch):
         return systems[-1]
 
     monkeypatch.setattr(sim, "assemble", kept)
-    sweep(scenario_from_dict(DOCS[case]()), "seed", SEEDS)
+    sweep(scenario_from_dict(DOCS[doc]()), attr, values)
     assert calls == {"_eigendecomposition": 1, "spectral_data": 1, "convexity_bounds": 1,
                      "global_optimum": 1}
     # one System per member, each with a derivative and buffers of its own
-    assert len(systems) == len(SEEDS)
-    assert len({id(s.derivative) for s in systems}) == len(SEEDS)
+    assert len(systems) == len(values)
+    assert len({id(s.derivative) for s in systems}) == len(values)
     y0 = np.zeros(systems[0].layout.dim)
-    assert len({id(s.derivative(0.0, y0)) for s in systems}) == len(SEEDS)
-    # example2's plants carry no uncertainty, so its members share the operators
-    shared = case == "example2"
+    assert len({id(s.derivative(0.0, y0)) for s in systems}) == len(values)
+    # example2's plants carry no uncertainty and a step sweep draws none, so
+    # those members share the operators; example1's seed members do not
+    shared = case != "example1"
     assert (systems[0].operator is systems[1].operator) == shared
     assert systems[0].spectral is systems[1].spectral
 
 
-def test_plans_are_keyed_by_identity():
-    doc = preset_doc("example2", 0.05)
-    first, second = scenario_from_dict(doc), scenario_from_dict(doc)
-    a = plan(first)
-    assert plan(first) is a
-    # what the plan shares, nothing may write
-    assert not a.structure.spectral.laplacian.flags.writeable
-    assert plan(reseed(first, 3)) is a
-    assert plan(dataclasses.replace(first, horizon=0.1, step=5e-4)) is a
-    # two parses of one document share nothing
-    b = plan(second)
-    assert b is not a and b.structure is not a.structure
-    # the slot holds one plan: the first parse builds anew
-    assert plan(first) is not a
-    # new plants share the structure, not the operators
-    ex1 = scenario_from_dict(preset_doc("example1", 0.05))
-    c = plan(ex1)
-    d = plan(reseed(ex1, 3))
-    assert d is not c and d.structure is c.structure
-    assert d.main is not c.main
+def test_a_sweep_over_a_field_the_set_up_reads_shares_nothing():
+    sc = scenario_from_dict(preset_doc("example2", 0.05))
+    reports = sweep(sc, "ablate_internal_model", [False, True])
+    for val, rep in reports:
+        alone = dataclasses.replace(sc, ablate_internal_model=val)
+        assert rep.to_dict() == verify(alone, run(alone)).to_dict()
+    assert reports[0][1].to_dict() != reports[1][1].to_dict()
+
+
+def test_nothing_outlives_a_run_or_a_sweep(monkeypatch):
+    sc = scenario_from_dict(preset_doc("example2", 0.05))
+    # outside a sweep, every System has a set-up of its own
+    a, b = assemble(sc), assemble(sc)
+    assert a.operator is not b.operator and a.spectral is not b.spectral
+    # what the Systems of one plan share, nothing may write
+    assert not a.spectral.laplacian.flags.writeable
+    system = assemble(sc)
+    operator = weakref.ref(system.operator)
+    run(sc, system)
+    del a, b, system
+    gc.collect()
+    assert operator() is None
+    # a sweep's operators go when it returns
+    operators = []
+    build = sim.assemble
+
+    def kept(member):
+        system = build(member)
+        operators.append(weakref.ref(system.operator))
+        return system
+
+    monkeypatch.setattr(sim, "assemble", kept)
+    sweep(sc, "seed", SEEDS)
+    gc.collect()
+    assert len(operators) == len(SEEDS) and all(ref() is None for ref in operators)
+    assert sim._member is None
+    # and when its second member diverges
+    operators.clear()
+    integrate = sim.integrate
+
+    def second_diverges(*args):
+        if len(operators) == 2:
+            raise Diverged("non-finite state", t=0.0)
+        return integrate(*args)
+
+    monkeypatch.setattr(sim, "integrate", second_diverges)
+    with pytest.raises(Diverged, match=r"\[seed=7\]: non-finite state"):
+        sweep(sc, "seed", SEEDS)
+    assert sim._member is None
+    gc.collect()
+    assert len(operators) == 2 and all(ref() is None for ref in operators)
 
 
 def test_sources_share_the_plan_read_out_but_not_their_state():
     sc = scenario_from_dict(preset_doc("example2", 0.05))
-    big_l = assemble(sc).spectral.laplacian
-    a, b = xi_source(big_l, sc.step), xi_source(big_l, sc.step)
+    parts = assemble(sc).sources
+    a, b = parts.source(sc.step), parts.source(sc.step)
     assert type(a) is ModalSource and a is not b
     assert a._read_xi is b._read_xi and a._ell is b._ell
     first = np.array(a.stages())
@@ -126,9 +167,9 @@ def test_sources_share_the_plan_read_out_but_not_their_state():
         a.stages()
     # b starts from t = 0 whatever a did
     assert np.array_equal(np.array(b.stages()), first)
-    # another step gets its own factors; an equal L that is another array shares nothing
-    assert xi_source(big_l, sc.step / 2)._ell is not a._ell
-    assert xi_source(big_l.copy(), sc.step)._read_xi is not a._read_xi
+    # another step gets its own factors; a source built alone shares nothing
+    assert parts.source(sc.step / 2)._ell is not a._ell
+    assert xi_source(parts.big_l, sc.step)._read_xi is not a._read_xi
 
 
 def test_initial_state_does_not_come_from_the_plan():

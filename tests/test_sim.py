@@ -585,8 +585,8 @@ def test_tracing_call_contract(monkeypatch):
     for build in SOURCES.values():
         source_calls = {"stages": 0, "snapshot": 0}
 
-        def counted_source(*args, build=build):
-            source = build(*args)
+        def counted_source(parts, h, build=build):
+            source = build(parts.big_l, h)
             for name in source_calls:
                 def counted(method=getattr(source, name), name=name):
                     source_calls[name] += 1
@@ -594,7 +594,7 @@ def test_tracing_call_contract(monkeypatch):
                 setattr(source, name, counted)
             return source
 
-        monkeypatch.setattr(sim, "xi_source", counted_source)
+        monkeypatch.setattr(sim.SourceParts, "source", counted_source)
         traj = run(sc, system)
         assert source_calls == {"stages": sc.n_steps, "snapshot": len(traj.times)}
         assert len(traj.times) == sc.n_steps // sc.record_every + 1
@@ -971,7 +971,8 @@ def test_driver_divergence_names_the_driver_and_time(monkeypatch):
         assert str(info.value).endswith(f"at t={steps * h:.6g}")
     # run names the scenario: the same growth on every agent's xi_i^i, which
     # only divides the gradient term, so the source fails first
-    monkeypatch.setattr(sim, "xi_source", lambda big_l, h: LinearDriver(-50.0 * np.eye(3), h))
+    monkeypatch.setattr(sim.SourceParts, "source",
+                        lambda parts, h: LinearDriver(-50.0 * np.eye(3), h))
     sc = tiny_scenario(step=h, horizon=20.0, gains=FIXED_GAINS, frequencies=None,
                        name="blowup")
     with pytest.raises(Diverged, match=r"^blowup: xi source: .* at t=[\d.]+$") as info:
