@@ -88,23 +88,21 @@ _CSR_MIN_ENTRIES = 128 * 128
 # scipy's private CSR kernels, bound by `_csr` when it makes the first CSR
 # array, so a CSR operator always finds them
 _sparsetools = None
-_FLOAT64 = np.dtype(np.float64)  # comparing to a dtype is faster than to a type
 
 
 def _operator(a: np.ndarray):
     """`a` as a scipy.sparse CSR array when it is large and sparse, else `a` itself.
 
-    Operators on the step path are applied with `_add_product` and
-    `_bound_product`, not `@`.  For a dense operator those run `@`'s own
-    numpy call.  For CSR they call scipy's private accumulating kernels
+    Operators on the step path are applied with `_bound_product`, not `@`.
+    For a dense operator it runs np.dot into the caller's buffer.  For CSR
+    it calls scipy's private accumulating kernels
     `scipy.sparse._sparsetools.csr_matvec` and `csr_matvecs` (Y += A X)
     directly, on the caller's buffers: `@` allocates and zero-fills its
     result and runs a few µs of Python checks and dispatch per call, and
     adding a base to it then needs a second full pass.  The kernels check
-    nothing, so `_check_product` and an overlap test check their inputs: at
-    every call of `_add_product`, and once, when it binds its buffers, for
-    `_bound_product`.  CSR sums only the nonzeros, in its own order, so it
-    can differ from the dense product in the last bits.  scipy.sparse is
+    nothing, so `_bound_product` checks their inputs once, when it binds
+    its buffers.  CSR sums only the nonzeros, in its own order, so it can
+    differ from the dense product in the last bits.  scipy.sparse is
     imported in `_csr` only, so dense systems never load it.
     """
     if a.shape[0] < _CSR_MIN_ROWS or np.count_nonzero(a) > _CSR_MAX_DENSITY * a.size:
@@ -142,77 +140,56 @@ def _block_operator(shape, parts):
     return a
 
 
-def _check_product(op, x, out):
-    """Raise ValueError unless scipy's kernel can put op @ x into out as given.
+def _bound_product(op, x, out, base=None):
+    """The function () -> out = op @ x, or base + op @ x, on fixed arrays, checked once here.
 
-    The operator, x and out must be float64, x and out C-contiguous and of
-    the operator's shapes; the kernels would otherwise work on a hidden copy.
+    x is a vector or a block of columns.  Raises ValueError now, not at a
+    call, when x, out and base do not fit the operator's shapes, when x or
+    out is not C-contiguous, when out overlaps x, or when the dtypes do not
+    suit the product: float64 for CSR (scipy's kernel), and for a dense
+    operator op, x, out and base of one dtype (exact fractions run too).
+    A call then runs the bare product.  Dense: np.dot into out, or, with a
+    base, into a scratch array made here and then np.add(base, scratch,
+    out=out).  CSR: out is zeroed, or base is copied into it (no copy when
+    out is base), and scipy's accumulating kernel adds op @ x: csr_matvec
+    for a vector, csr_matvecs for columns.  Any array the function reads or
+    writes must stay the one bound here: the checks do not run again.
     """
+    arrays = (op, x, out) if base is None else (op, x, out, base)
     rows, cols = op.shape
     if x.ndim > 2 or x.shape[:1] != (cols,) or out.shape != (rows,) + x.shape[1:]:
         raise ValueError(f"operator {op.shape} cannot map x {x.shape} into out {out.shape}")
-    if op.dtype != _FLOAT64 or x.dtype != _FLOAT64 or out.dtype != _FLOAT64:
-        raise ValueError(f"operator, x and out must be float64, "
-                         f"got {op.dtype}, {x.dtype} and {out.dtype}")
+    if base is not None and base.shape != out.shape:
+        raise ValueError(f"base {base.shape} must have out's shape {out.shape}")
+    dense = isinstance(op, np.ndarray)
+    dtypes = {a.dtype for a in arrays}
+    if dtypes != {np.dtype(np.float64)} and (not dense or len(dtypes) > 1):
+        raise ValueError(f"operator, x and out must be float64, or of one dtype for a dense "
+                         f"operator, got {', '.join(str(a.dtype) for a in arrays)}")
     if not (x.flags.c_contiguous and out.flags.c_contiguous):
         raise ValueError(f"x and out must be C-contiguous, "
                          f"got strides {x.strides} and {out.strides}")
-
-
-def _kernel(op, x, base, out):
-    """out = base + op @ x for a CSR op through scipy's kernel; returns out.
-
-    Checks the operator, x and out before it writes anything
-    (`_check_product`); base is then copied into out unless it is out, and
-    the kernel adds the product, with a vector x as one column.
-    """
-    _check_product(op, x, out)
-    if base is not out:
-        np.copyto(out, base)
-    columns = x.reshape(len(x), -1)
-    _sparsetools.csr_matvecs(*op.shape, columns.shape[1], op.indptr, op.indices, op.data,
-                             columns.ravel(), out.ravel())
-    return out
-
-
-def _add_product(op, x, base, out):
-    """out = base + op @ x for an `_operator` op; returns out.
-
-    Dense: np.add(base, op @ x, out=out).  CSR: base goes into out (no copy
-    when out is base) and the kernel adds the product to it in place; out
-    must not overlap x, which the kernel reads while it writes out.
-    """
-    if isinstance(op, np.ndarray):
-        return np.add(base, op @ x, out=out)
-    if np.may_share_memory(x, out):
-        raise ValueError("out must not overlap x")
-    return _kernel(op, x, base, out)
-
-
-def _bound_product(op, x, out):
-    """The function () -> out = op @ x on the fixed vectors x and out, checked once here.
-
-    Raises ValueError now, not at a call, when x or out is not a float64
-    C-contiguous vector of the operator's shapes, when the operator is not
-    float64, or when out overlaps x.  A call then runs the bare product:
-    np.dot into out for a dense op; for CSR, out is zeroed and scipy's
-    accumulating kernel adds op @ x to it.  Any array the function reads or
-    writes must stay the one bound here: the checks do not run again.
-    """
-    if x.ndim != 1:
-        raise ValueError(f"x must be a vector, got shape {x.shape}")
-    _check_product(op, x, out)
     if np.may_share_memory(x, out):
         raise ValueError("out must not overlap x")
     if not len(out):  # an operator without rows writes nothing: no call at all
         return lambda: None
-    if isinstance(op, np.ndarray):
-        return partial(np.dot, op, x, out)
-    kernel = partial(_sparsetools.csr_matvec, *op.shape, op.indptr, op.indices, op.data, x, out)
+    if dense:
+        if base is None:
+            return partial(np.dot, op, x, out)
+        scratch = np.empty_like(out)
+        first, second = partial(np.dot, op, x, scratch), partial(np.add, base, scratch, out)
+    else:
+        csr = (op.indptr, op.indices, op.data)
+        second = (partial(_sparsetools.csr_matvec, rows, cols, *csr, x, out) if x.ndim == 1
+                  else partial(_sparsetools.csr_matvecs, rows, cols, x.shape[1], *csr,
+                               x.ravel(), out.ravel()))
+        if base is out:
+            return second
+        first = partial(out.fill, 0.0) if base is None else partial(np.copyto, out, base)
 
     def product():
-        out.fill(0.0)
-        kernel()
+        first()
+        second()
 
     return product
 

@@ -120,7 +120,10 @@ def _parse_cost(entry, idx, domain_hint):
                   for k in ("c1", "k1", "c2", "k2")], **kwargs)
         if kind == "composite":
             _check_keys(entry, context, {"kind", "name"})
-            return costs_mod.composite(_require(entry, "name", context), **kwargs)
+            name = _require(entry, "name", context)
+            if not isinstance(name, str):
+                raise SchemaError(f"{context}.name: expected a string, got {name!r}")
+            return costs_mod.composite(name, **kwargs)
     except ValueError as exc:
         raise SchemaError(f"{context}: {exc}") from None
     raise SchemaError(f"{context}.kind: unknown cost kind {kind!r}")
@@ -164,12 +167,13 @@ def _parse_exosystem(section):
         s = _require(section, "S", "exosystem")
         if "sigma" in section:
             raise SchemaError("exosystem: sigma is only valid with kind 'rotation'")
+        if not (isinstance(s, list) and s and all(isinstance(row, list) and len(row) == len(s[0])
+                                                  for row in s)):
+            raise SchemaError("exosystem.S: expected a list of equal-length lists of numbers")
+        s = np.array([[_number(x, "exosystem.S") for x in row] for row in s])
+        if v0 is None:
+            raise SchemaError("exosystem.v0: required for kind 'matrix'")
         try:
-            s = np.array(s, dtype=float)
-            if not np.isfinite(s).all():
-                raise SchemaError("exosystem.S: expected finite numbers")
-            if v0 is None:
-                raise SchemaError("exosystem.v0: required for kind 'matrix'")
             return plant_mod.Exosystem(S=s, v0=v0)
         except ValueError as exc:
             raise SchemaError(f"exosystem: {exc}") from None

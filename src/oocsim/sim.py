@@ -60,8 +60,10 @@ eigenmodes of -L it computes RK4's own stage values per mode,
 e_k = R(h lambda)^k = exp(k log R(h lambda)) times RK4's stage polynomials,
 and reads diag xi off them with one real product per _BLOCK steps, checked
 once per block.  Otherwise it is the Horner `LinearDriver`, which applies
-RK4's step polynomial to xi in Horner form and recombines the Horner
-iterates' diagonals into the stage values.
+RK4's step polynomial to xi in Horner form, as four n x n products bound to
+its buffers once (`digraph._bound_product` over n columns, the member
+derivative's primitive), and recombines the Horner iterates' diagonals into
+the stage values.
 
 Only `sweep` shares set-up.  `assemble(sc)` builds a `Plan` over a
 `Structure` and binds it: the `Structure` holds what the graph, costs and
@@ -85,8 +87,8 @@ import numpy as np
 from . import costs as costs_mod
 from .coordinator import (XI_FLOOR, CoordinatorGains, check_xi_floor, coordinator_linear,
                           select_gains)
-from .digraph import (Digraph, SpectralData, _add_product, _block_operator, _bound_product,
-                      _operator, spectral_data)
+from .digraph import (Digraph, SpectralData, _block_operator, _bound_product, _operator,
+                      spectral_data)
 from .errors import Diverged, XiUnderflow
 from .integrate import rk4_step
 from .plant import Exosystem, feedforward_truth, plant_linear, plant_remainder, redraw
@@ -247,11 +249,13 @@ class LinearDriver:
     h, which only read them; W and the iterates are each driver's own).
     `stages()` computes T4 = W + A4 W, T3 = W + A3 T4 and T2 = W + A2 T3
     into three buffers, reads the stage inputs off them, and then does
-    W += A1 T2, all through `digraph._add_product`.  For a CSR B each iterate is copy then
-    accumulate: W is copied into T_k and scipy's kernel adds A_k T_{k+1} to
-    it in place, so no product array is made (a dense B runs
-    np.add(W, A_k @ T, out=T_k)).  RK4's stage values are exact linear
-    combinations of these iterates:
+    W += A1 T2: four products that `__init__` binds to W and the three
+    buffers once (`digraph._bound_product`, over n columns).  For a CSR B
+    each iterate is copy then accumulate: W is copied into T_k and scipy's
+    kernel adds A_k T_{k+1} to it in place; a dense B runs np.dot into a
+    scratch array bound with the product and adds W to it.  So a step makes
+    no array.  RK4's stage values are exact linear combinations of these
+    iterates:
 
         Y2 = 2 T4 - W,    Y3 = 3 T3 - 2 T4,    Y4 = W - 6 T3 + 6 T2.
 
@@ -274,14 +278,15 @@ class LinearDriver:
         n = len(big_l)
         self.h = h
         self._k = 0  # steps finished
-        dtype = np.result_type(big_l.dtype, float)
         self.b, (a1, a2, a3, a4) = horner_steps(big_l, h) if steps is None else steps
+        dtype = self.b.dtype
         bufs = np.zeros((4, n, n), dtype=dtype)
         self.w, t4, t3, t2 = bufs
         np.fill_diagonal(self.w, 1)
-        # (A_k, T_{k+1}, T_k): T_k = W + A_k T_{k+1}, with T5 = W
-        self._horner = ((a4, self.w, t4), (a3, t4, t3), (a2, t3, t2))
-        self._last = (a1, t2)
+        # T_k = W + A_k T_{k+1}, with T5 = W; then W += A1 T2
+        self._horner = tuple(_bound_product(a, x, out, self.w)
+                             for a, x, out in ((a4, self.w, t4), (a3, t4, t3), (a2, t3, t2)))
+        self._advance = _bound_product(a1, t2, self.w, self.w)
         self._diagonals = bufs.diagonal(axis1=1, axis2=2)  # rows W, T4, T3, T2
         self._inputs = np.empty((4, n), dtype=dtype)  # the stage inputs, one row each
         self._rows = tuple(self._inputs)
@@ -297,12 +302,12 @@ class LinearDriver:
         """
         w = self.w
         t = self._k * self.h
-        for op, x, out in self._horner:
-            _add_product(op, x, w, out)
+        for product in self._horner:
+            product()
         self._inputs[0] = self._diagonals[0]
         np.matmul(self._recombine, self._diagonals, out=self._inputs[1:])
         check_xi_floor(self._inputs, t, self.h)
-        _add_product(*self._last, w, w)
+        self._advance()
         self._k += 1
         # into a preallocated buffer, so no W-sized temporary; astype is a
         # no-op on a float W and converts an exact one
@@ -318,9 +323,10 @@ class LinearDriver:
 def horner_steps(big_l, h):
     """(B, (A_1, A_2, A_3, A_4)) of `LinearDriver`: B = L as `digraph._operator`, A_k = -(h/k) B.
 
-    A driver only reads them, so drivers of one L and h may share them.
+    B takes the dtype of L, at least float, and the driver's buffers take
+    B's.  A driver only reads them, so drivers of one L and h may share them.
     """
-    b = _operator(big_l)
+    b = _operator(np.asarray(big_l, dtype=np.result_type(big_l.dtype, float)))
     return b, tuple(-(h / k) * b for k in (1, 2, 3, 4))
 
 

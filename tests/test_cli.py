@@ -300,9 +300,15 @@ def test_refused_plant_parameter_exits_2(tmp_path, capsys, preset, fields, messa
     ("tracker", "frequencies", [0.8, 1.6],
      "tracker.frequencies: [0.8, 1.6] give order 4, tracker.internal_model[0] has order 2"),
     ("tracker", "frequencies", [0.8, 0.8], "tracker.frequencies: repeated mode frequencies"),
-], ids=["rotation-v0", "init-range", "domain-hint", "frequency-count", "repeated-frequency"])
+    ("costs", 0, {"kind": "composite", "name": ["ex2_f1"]},
+     "costs[0].name: expected a string, got ['ex2_f1']"),
+    (None, "exosystem", {"kind": "matrix", "S": [["0", 1.0], [-1.0, False]], "v0": [0.0, 1.0]},
+     "exosystem.S: expected a number, got '0'"),
+], ids=["rotation-v0", "init-range", "domain-hint", "frequency-count", "repeated-frequency",
+        "composite-name", "exosystem-S"])
 def test_schema_holes_exit_2(tmp_path, tiny_path, capsys, section, key, value, message):
-    # each was a traceback, a run-time numpy error or a failure after the run
+    # each was a traceback, a run-time numpy error, a failure after the run
+    # or, for the string and boolean entries of S, a run
     doc = json.loads(tiny_path.read_text())
     (doc if section is None else doc[section])[key] = value
     path = tmp_path / "hole.json"

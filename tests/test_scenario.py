@@ -154,6 +154,17 @@ def test_refused_plant_parameters_name_the_plant(preset, fields, message):
         scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize("name", [["ex2_f1"], {"ex2_f1": 1}, 1],
+                         ids=["unhashable-list", "unhashable-dict", "number"])
+def test_refused_composite_cost_name_names_the_cost(name):
+    # a list or dict name was a TypeError from the composite table's lookup
+    doc = preset_doc("example2")
+    doc["costs"][0]["name"] = name
+    message = f"costs[0].name: expected a string, got {name!r}"
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        scenario_from_dict(doc)
+
+
 def test_negative_weight_names_edge():
     doc = minimal_doc()
     doc["graph"]["edges"][1] = [2, 1, -0.5]
@@ -244,6 +255,19 @@ def test_exosystem_kind_exclusive_fields():
     assert sc.exo.is_conservative()
     doc["exosystem"]["S"][0][1] = float("nan")
     with pytest.raises(SchemaError, match="exosystem.S"):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("s, message", [
+    ([["0", 1.0], [-1.0, 0.0]], "exosystem.S: expected a number, got '0'"),
+    ([[0.0, 1.0], [-1.0, False]], "exosystem.S: expected a number, got False"),
+    ([[0.0, 1.0], [-1.0]], "exosystem.S: expected a list of equal-length lists of numbers"),
+    ([[0.0, 1.0, 2.0], [-1.0, 0.0, 1.0]], "exosystem: S must be square"),
+], ids=["string", "boolean", "ragged", "non-square"])
+def test_exosystem_matrix_takes_numbers_only(s, message):
+    doc = minimal_doc()
+    doc["exosystem"] = {"kind": "matrix", "S": s, "v0": [1.0, 0.0]}
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
         scenario_from_dict(doc)
 
 

@@ -467,11 +467,14 @@ def test_derivative_matches_the_paper_agent_by_agent(case, request):
 
 
 def most_numpy_data_during(call):
-    """The most numpy data alive at any call or return event inside call(), in bytes.
+    """The most numpy data alive at any call, return or opcode event inside call(), in bytes.
 
     tracemalloc counts only arrays made after it starts, filtered to numpy's
     data domain; a profile hook takes a snapshot at every Python and C call
-    and return, so a temporary that lives through any of them shows.
+    and return, and a trace hook at every opcode of Python code, so a
+    temporary that lives through any of them shows (a ufunc call raises no
+    call event, but the operand it is given lives through the opcodes that
+    load the rest of its arguments).
     """
     only_numpy = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
     most = 0
@@ -481,11 +484,18 @@ def most_numpy_data_during(call):
         snapshot = tracemalloc.take_snapshot().filter_traces(only_numpy)
         most = max(most, sum(trace.size for trace in snapshot.traces))
 
+    def each_opcode(frame, event, arg):
+        frame.f_trace_opcodes = True
+        watch(frame, event, arg)
+        return each_opcode
+
     tracemalloc.start()
     sys.setprofile(watch)
+    sys.settrace(each_opcode)
     try:
         call()
     finally:
+        sys.settrace(None)
         sys.setprofile(None)
         tracemalloc.stop()
     return most
@@ -499,6 +509,19 @@ def test_derivative_call_makes_no_numpy_data(case, request):
     assert most_numpy_data_during(lambda: system.derivative(0.3, y, w)) == 0
     # the watch does see a temporary that lives through a call
     assert most_numpy_data_during(lambda: (y + y).fill(0.0)) == y.nbytes
+
+
+@pytest.mark.parametrize("csr", [True, False], ids=["csr", "dense"])
+def test_driver_step_makes_no_numpy_data(csr, monkeypatch):
+    # the four Horner products are bound to W and the iterates once, so a
+    # dense B's product goes into a scratch array made with the driver
+    if not csr:
+        monkeypatch.setattr(digraph, "_CSR_MIN_ROWS", 10 ** 9)  # every operator dense
+    sc = sparse_ring()
+    driver = LinearDriver(laplacian(sc.graph), sc.step)
+    assert (type(driver.b) is not np.ndarray) == csr
+    driver.stages()
+    assert most_numpy_data_during(driver.stages) == 0
 
 
 def test_systems_share_no_buffer(example1_scenario):
@@ -733,6 +756,15 @@ def test_driver_matches_xi_and_v_integrated_alone(preset, source, request):
     # v is part of the member state, which run steps with this source
     traj = run(dataclasses.replace(sc, horizon=500 * h, record_every=100))
     assert np.abs(traj.v - v).max() <= v_tol
+
+
+def test_driver_runs_an_integer_or_float32_laplacian_in_float64():
+    big_l = laplacian(weighted_three_cycle(2.0))  # whole numbers, exact in either dtype
+    want = LinearDriver(big_l, 1e-3).stages()
+    for dtype in (np.int64, np.float32):
+        driver = LinearDriver(big_l.astype(dtype), 1e-3)
+        assert driver.w.dtype == driver.b.dtype == np.float64
+        assert np.array_equal(driver.stages(), want)
 
 
 def test_driver_horner_steps_are_classic_rk4_in_exact_arithmetic():
