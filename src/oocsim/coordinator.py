@@ -9,8 +9,9 @@ Per agent i the coordinator runs
 The self-component xi_i^i stays positive and converges to rho_i, which
 cancels the graph imbalance without knowing the left eigenvector a priori.
 The xi rows are linear and read no other state, so the xi source of `sim`
-(`sim.xi_source`: RK4 per eigenmode of -L, or the Horner `sim.LinearDriver`
-when L is defective or nearly so) advances them outside the per-agent state.
+(`sim.xi_source`: RK4 per eigenmode of -L, with one small real block for
+the modes of a defective or nearly defective L) advances them outside the
+per-agent state.
 Everything in yr' and z' but the gradient term is linear in (yr, z):
 `coordinator_linear` gives those entries of a derivative's main operator,
 and the -1 that scatters the feature grad c_i(yr_i)/xi_i^i onto yr'; one

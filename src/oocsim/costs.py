@@ -165,12 +165,6 @@ class ConvexityBounds:
             raise ValueError("require 0 < varpi <= iota_bar")
 
 
-def check_gradient(c: CostFunction, s: float, h=1e-6) -> float:
-    """Absolute difference between the analytic gradient and a central finite difference."""
-    fd = (c.value_fn(s + h) - c.value_fn(s - h)) / (2.0 * h)
-    return abs(c.grad_fn(s) - fd)
-
-
 def global_optimum(cost_list, tol=1e-10, max_expand=200) -> float:
     """Root of the monotone aggregate gradient, by doubling expansion plus bisection."""
 

@@ -74,40 +74,18 @@ def laplacian(g: Digraph) -> np.ndarray:
     return np.diag(g.weights.sum(axis=1)) - g.weights
 
 
-# A matrix the RHS multiplies by at every RK4 stage is held as CSR when it has
-# at least this many rows and at most this share of nonzero entries.
-_CSR_MIN_ROWS = 64
-_CSR_MAX_DENSITY = 0.1
-# A `_block_operator` is not square, so its rule counts entries.  Bound once
+# An operator with at least _CSR_MIN_ENTRIES entries, at most _CSR_MAX_DENSITY
+# of them nonzero, is held as CSR (`_block_operator`).  Bound once
 # (`_bound_product`), CSR would already beat the dense product on the presets'
 # member operators (at most 5,405 entries on example1 and 10,452 on example2),
 # but they stay below the rule so that dense systems never import scipy.sparse
 # and its memory.
 _CSR_MIN_ENTRIES = 128 * 128
+_CSR_MAX_DENSITY = 0.1
 
 # scipy's private CSR kernels, bound by `_csr` when it makes the first CSR
 # array, so a CSR operator always finds them
 _sparsetools = None
-
-
-def _operator(a: np.ndarray):
-    """`a` as a scipy.sparse CSR array when it is large and sparse, else `a` itself.
-
-    Operators on the step path are applied with `_bound_product`, not `@`.
-    For a dense operator it runs np.dot into the caller's buffer.  For CSR
-    it calls scipy's private accumulating kernels
-    `scipy.sparse._sparsetools.csr_matvec` and `csr_matvecs` (Y += A X)
-    directly, on the caller's buffers: `@` allocates and zero-fills its
-    result and runs a few µs of Python checks and dispatch per call, and
-    adding a base to it then needs a second full pass.  The kernels check
-    nothing, so `_bound_product` checks their inputs once, when it binds
-    its buffers.  CSR sums only the nonzeros, in its own order, so it can
-    differ from the dense product in the last bits.  scipy.sparse is
-    imported in `_csr` only, so dense systems never load it.
-    """
-    if a.shape[0] < _CSR_MIN_ROWS or np.count_nonzero(a) > _CSR_MAX_DENSITY * a.size:
-        return a
-    return _csr(a)
 
 
 def _csr(arg, shape=None):
@@ -140,32 +118,25 @@ def _block_operator(shape, parts):
     return a
 
 
-def _bound_product(op, x, out, base=None):
-    """The function () -> out = op @ x, or base + op @ x, on fixed arrays, checked once here.
+def _bound_product(op, x, out):
+    """The function () -> out = op @ x on fixed vectors, checked once here.
 
-    x is a vector or a block of columns.  Raises ValueError now, not at a
-    call, when x, out and base do not fit the operator's shapes, when x or
-    out is not C-contiguous, when out overlaps x, or when the dtypes do not
-    suit the product: float64 for CSR (scipy's kernel), and for a dense
-    operator op, x, out and base of one dtype (exact fractions run too).
-    A call then runs the bare product.  Dense: np.dot into out, or, with a
-    base, into a scratch array made here and then np.add(base, scratch,
-    out=out).  CSR: out is zeroed, or base is copied into it (no copy when
-    out is base), and scipy's accumulating kernel adds op @ x: csr_matvec
-    for a vector, csr_matvecs for columns.  Any array the function reads or
-    writes must stay the one bound here: the checks do not run again.
+    Raises ValueError now, not at a call, when x and out do not fit the
+    operator's shape, when op, x or out is not float64, when x or out is not
+    C-contiguous, or when out overlaps x.  A call then runs the bare
+    product: dense, np.dot into out; CSR, out is zeroed and scipy's private
+    accumulating kernel `csr_matvec` (Y += A X) adds op @ x, with none of
+    the few µs of checks and dispatch, or the fresh result, of `@`.  The
+    kernel checks nothing, so any array the function reads or writes must
+    stay the one bound here.  CSR sums only the nonzeros, in its own order,
+    so it can differ from the dense product in the last bits.
     """
-    arrays = (op, x, out) if base is None else (op, x, out, base)
     rows, cols = op.shape
-    if x.ndim > 2 or x.shape[:1] != (cols,) or out.shape != (rows,) + x.shape[1:]:
+    if x.shape != (cols,) or out.shape != (rows,):
         raise ValueError(f"operator {op.shape} cannot map x {x.shape} into out {out.shape}")
-    if base is not None and base.shape != out.shape:
-        raise ValueError(f"base {base.shape} must have out's shape {out.shape}")
-    dense = isinstance(op, np.ndarray)
-    dtypes = {a.dtype for a in arrays}
-    if dtypes != {np.dtype(np.float64)} and (not dense or len(dtypes) > 1):
-        raise ValueError(f"operator, x and out must be float64, or of one dtype for a dense "
-                         f"operator, got {', '.join(str(a.dtype) for a in arrays)}")
+    if any(a.dtype != np.float64 for a in (op, x, out)):
+        raise ValueError(f"operator, x and out must be float64, "
+                         f"got {', '.join(str(a.dtype) for a in (op, x, out))}")
     if not (x.flags.c_contiguous and out.flags.c_contiguous):
         raise ValueError(f"x and out must be C-contiguous, "
                          f"got strides {x.strides} and {out.strides}")
@@ -173,23 +144,14 @@ def _bound_product(op, x, out, base=None):
         raise ValueError("out must not overlap x")
     if not len(out):  # an operator without rows writes nothing: no call at all
         return lambda: None
-    if dense:
-        if base is None:
-            return partial(np.dot, op, x, out)
-        scratch = np.empty_like(out)
-        first, second = partial(np.dot, op, x, scratch), partial(np.add, base, scratch, out)
-    else:
-        csr = (op.indptr, op.indices, op.data)
-        second = (partial(_sparsetools.csr_matvec, rows, cols, *csr, x, out) if x.ndim == 1
-                  else partial(_sparsetools.csr_matvecs, rows, cols, x.shape[1], *csr,
-                               x.ravel(), out.ravel()))
-        if base is out:
-            return second
-        first = partial(out.fill, 0.0) if base is None else partial(np.copyto, out, base)
+    if isinstance(op, np.ndarray):
+        return partial(np.dot, op, x, out)
+    zero = partial(out.fill, 0.0)
+    matvec = partial(_sparsetools.csr_matvec, rows, cols, op.indptr, op.indices, op.data, x, out)
 
     def product():
-        first()
-        second()
+        zero()
+        matvec()
 
     return product
 

@@ -25,19 +25,17 @@ x2 first meet the kind's partners p1 and p2, and then x1 and x2 again
 The member derivative writes the first products in the same multiply as
 the tracker's degree-2 features and the second ones in one more, and
 scatters them, with their coefficients, onto x2' in the product that
-applies the linear terms (`plant_linear`, `plant_remainder`); a custom
-plant's f is one feature with coefficient 1.  `Plant.f` is what
-`plant_linear` leaves out: for a built-in plant the remainder, computed from
-the same declaration, for a custom plant its whole drift.  Each built-in
-kind is one `Kind` entry in `KINDS`, which the scenario parser, `draw`,
-`plant_linear` and `plant_remainder` read, so a new kind whose remainder
-is made of `MONOMIALS` is one entry: its partners and its split.
+applies the linear terms (`plant_linear`, `plant_remainder`).  A custom
+plant's whole drift is its `Plant.f`, one feature with coefficient 1; a
+built-in plant has no f, since its split is all the derivative reads.  Each
+built-in kind is one `Kind` entry in `KINDS`, which the scenario parser,
+`draw`, `plant_linear` and `plant_remainder` read, so a new kind whose
+remainder is made of `MONOMIALS` is one entry: its partners and its split.
 `feedforward_truth` keeps its own closed forms, as the oracle that `verify`
 checks runs against.
 """
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,7 +49,7 @@ class Plant:
     kind: str
     params: dict
     b: float
-    f: Callable  # f(x1, x2, v, t) -> the drift less the terms `plant_linear` gives
+    f: Optional[Callable] = None    # a custom plant's drift f(x1, x2, v, t); None if built-in
     split: Optional[tuple] = None   # a built-in plant's `Kind.split` of its params
     nominal: Optional[dict] = None  # the scenario's values, before `draw` perturbed them
     uncertainty: float = 0.0        # the fraction `draw` perturbed them by
@@ -91,20 +89,9 @@ def _spring_split(params):
             (0.0, 0.0, -params["k2"] / m, -params["mu2"] / m, params["a_w"] / m))
 
 
-def _remainder(kind, coefficients, x1, x2, v, t):
-    """A built-in plant's remainder at one state, from its kind's monomials."""
-    factor = {"x1": x1, "x2": x2, None: 0.0}
-    p1, p2 = (factor[p] for p in kind.partners)
-    shared = v[0] * (v[0] * v[1]) if kind.shared else 0.0
-    monomials = (x1 * p1, x2 * p2, x1 * (x1 * p1), x2 * (x2 * p2), shared)
-    return float(np.dot(coefficients, monomials))
-
-
 def _built_in(name, params, b, nominal=None, uncertainty=0.0) -> Plant:
-    kind = KINDS[name]
-    split = kind.split(params)
-    return Plant(name, params, b, partial(_remainder, kind, split[1]), split, nominal,
-                 uncertainty)
+    return Plant(name, params, b, split=KINDS[name].split(params), nominal=nominal,
+                 uncertainty=uncertainty)
 
 
 def _vdp_params(mu1, mu2, b, amplitude):

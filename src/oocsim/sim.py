@@ -10,13 +10,13 @@ so a xi source advances it and feeds the member derivative diag xi at each
 RK4 stage.  `assemble` builds only the member derivative; `run` builds the
 source in one call of the System's `SourceParts`.  Both advance with
 classical RK4 at a fixed step, for determinism, and the source's numbers are
-classic RK4's on xi alone up to rounding in the last bits.  Either source
-talks to the RK4 loop, `integrate`, through two calls: `stages()` returns
-the step's four stage inputs, diag xi at t = k h, t + h/2, t + h/2 and
-t + h, as the rows of one (4, n) block of a buffer the source refills (row
-views made once, so a step unpacks them for free), and moves the source to
-the end of that step; `snapshot()` returns (diag xi, xi row sums) at the
-current step, for the record.
+classic RK4's on xi alone up to rounding in the last bits.  The source talks
+to the RK4 loop, `integrate`, through two calls: `stages()` returns the
+step's four stage inputs, diag xi at t = k h, t + h/2, t + h/2 and t + h, as
+the rows of one (4, n) block of a buffer the source refills (row views made
+once, so a step unpacks them for free), and moves the source to the end of
+that step; `snapshot()` returns (diag xi, xi row sums) at the current step,
+for the record.
 
 A member derivative call is two operator products around a few multiplies.
 Every nonlinear term is a product of factors linear in the member state:
@@ -55,15 +55,14 @@ timings), and returns the output buffer, valid until its next call.  The
 xi floor is not checked here: the source checks it over its stage inputs.
 `coordinator_derivative` is the same builder over (yr, z) alone.
 
-The source is `ModalSource` unless L is defective or nearly so: from the
-eigenmodes of -L it computes RK4's own stage values per mode,
-e_k = R(h lambda)^k = exp(k log R(h lambda)) times RK4's stage polynomials,
-and reads diag xi off them with one real product per _BLOCK steps, checked
-once per block.  Otherwise it is the Horner `LinearDriver`, which applies
-RK4's step polynomial to xi in Horner form, as four n x n products bound to
-its buffers once (`digraph._bound_product` over n columns, the member
-derivative's primitive), and recombines the Horner iterates' diagonals into
-the stage values.
+The source is `ModalSource`, for every L: it splits -L once into
+eigenmodes and, for the ill-conditioned ones (a defective or nearly
+defective L), one small real block from a sorted Schur form
+(`_split_modes`).  From the eigenmodes it computes RK4's own stage values
+per mode, e_k = R(h lambda)^k = exp(k log R(h lambda)) times RK4's stage
+polynomials, and from the block RK4's step and stage matrices; it reads
+diag xi off both with one real product and one small contraction per
+_BLOCK steps, checked once per block.
 
 Only `sweep` shares set-up.  `assemble(sc)` builds a `Plan` over a
 `Structure` and binds it: the `Structure` holds what the graph, costs and
@@ -74,7 +73,7 @@ caller lets the System go.  A sweep holds one Structure for all its
 members and one Plan while their plants are the same objects (a seed sweep
 of uncertain plants draws new ones), and hands each member its plan
 through `_member`.  Every System still gets fresh stepping state (buffers,
-a source's block buffers or Horner iterates) over read-only shared parts.
+a source's block buffers) over read-only shared parts.
 """
 
 import math
@@ -87,8 +86,7 @@ import numpy as np
 from . import costs as costs_mod
 from .coordinator import (XI_FLOOR, CoordinatorGains, check_xi_floor, coordinator_linear,
                           select_gains)
-from .digraph import (Digraph, SpectralData, _block_operator, _bound_product, _operator,
-                      spectral_data)
+from .digraph import Digraph, SpectralData, _block_operator, _bound_product, spectral_data
 from .errors import Diverged, XiUnderflow
 from .integrate import rk4_step
 from .plant import Exosystem, feedforward_truth, plant_linear, plant_remainder, redraw
@@ -232,115 +230,28 @@ class System:
     sources: "SourceParts"
 
 
-class LinearDriver:
-    """RK4 for xi' = -L xi, xi(0) = I, on xi alone.
-
-    The fallback xi source: `xi_source` picks it when -L has no
-    well-conditioned eigenvectors (`_eigenmodes`), for which `ModalSource`
-    would lose accuracy; the tests also build it directly.  It works for any
-    L, exact ones included.  xi reads no other state, so RK4 on xi alone is
-    RK4 on the whole closed loop.
-
-    B = L is held through `digraph._operator` (CSR when large and sparse,
-    else dense).  For this linear W = xi, RK4's step of h is the polynomial
-    I - hB + (hB)^2/2 - (hB)^3/6 + (hB)^4/24, applied here in Horner form
-    with A_k = -(h/k) B: `horner_steps`, built at construction unless given
-    as steps (`SourceParts` shares them between the drivers of one L and
-    h, which only read them; W and the iterates are each driver's own).
-    `stages()` computes T4 = W + A4 W, T3 = W + A3 T4 and T2 = W + A2 T3
-    into three buffers, reads the stage inputs off them, and then does
-    W += A1 T2: four products that `__init__` binds to W and the three
-    buffers once (`digraph._bound_product`, over n columns).  For a CSR B
-    each iterate is copy then accumulate: W is copied into T_k and scipy's
-    kernel adds A_k T_{k+1} to it in place; a dense B runs np.dot into a
-    scratch array bound with the product and adds W to it.  So a step makes
-    no array.  RK4's stage values are exact linear combinations of these
-    iterates:
-
-        Y2 = 2 T4 - W,    Y3 = 3 T3 - 2 T4,    Y4 = W - 6 T3 + 6 T2.
-
-    The member derivative reads only diag xi of each stage, so stages 2 to 4
-    get theirs from one (3, 4) product over the diagonals of W, T4, T3 and
-    T2, read through one view of the four buffers; the n^2 stage values
-    themselves are never formed.  Stage 1's input is a copy of diag W, so no
-    input is a view into W.  The numbers equal classic RK4's up to rounding
-    in the last bits.  `stages()` checks the xi floor once over the step's
-    four diag xi (`coordinator.check_xi_floor`) and, after its step, all of
-    W, both at the step's start t.  B and the buffers take the dtype of L (at
-    least float), so L and h of exact fractions run the same steps in exact
-    arithmetic.
-    """
-
-    # rows: Y2, Y3, Y4; columns: W, T4, T3, T2
-    _RECOMBINE = ((-1, 2, 0, 0), (0, -2, 3, 0), (1, 0, -6, 6))
-
-    def __init__(self, big_l, h, steps=None):
-        n = len(big_l)
-        self.h = h
-        self._k = 0  # steps finished
-        self.b, (a1, a2, a3, a4) = horner_steps(big_l, h) if steps is None else steps
-        dtype = self.b.dtype
-        bufs = np.zeros((4, n, n), dtype=dtype)
-        self.w, t4, t3, t2 = bufs
-        np.fill_diagonal(self.w, 1)
-        # T_k = W + A_k T_{k+1}, with T5 = W; then W += A1 T2
-        self._horner = tuple(_bound_product(a, x, out, self.w)
-                             for a, x, out in ((a4, self.w, t4), (a3, t4, t3), (a2, t3, t2)))
-        self._advance = _bound_product(a1, t2, self.w, self.w)
-        self._diagonals = bufs.diagonal(axis1=1, axis2=2)  # rows W, T4, T3, T2
-        self._inputs = np.empty((4, n), dtype=dtype)  # the stage inputs, one row each
-        self._rows = tuple(self._inputs)
-        self._recombine = np.array(self._RECOMBINE, dtype=dtype)
-        self._finite = np.empty(self.w.shape, dtype=bool)
-
-    def stages(self):
-        """The four diag xi of the step from t = k h, as rows of one block; W moves to its end.
-
-        Raises XiUnderflow (`coordinator.check_xi_floor`) when a stage's
-        xi_i^i drops below the floor, and Diverged when W is not finite
-        after the step, each with t.
-        """
-        w = self.w
-        t = self._k * self.h
-        for product in self._horner:
-            product()
-        self._inputs[0] = self._diagonals[0]
-        np.matmul(self._recombine, self._diagonals, out=self._inputs[1:])
-        check_xi_floor(self._inputs, t, self.h)
-        self._advance()
-        self._k += 1
-        # into a preallocated buffer, so no W-sized temporary; astype is a
-        # no-op on a float W and converts an exact one
-        if not np.isfinite(w.astype(float, copy=False), out=self._finite).all():
-            raise Diverged(f"xi source: non-finite state after step at t={t:.6g}", t=t)
-        return self._rows
-
-    def snapshot(self):
-        """(diag xi, xi row sums) of the current W; diag xi is a view."""
-        return self.w.diagonal(), self.w.sum(axis=1)
-
-
-def horner_steps(big_l, h):
-    """(B, (A_1, A_2, A_3, A_4)) of `LinearDriver`: B = L as `digraph._operator`, A_k = -(h/k) B.
-
-    B takes the dtype of L, at least float, and the driver's buffers take
-    B's.  A driver only reads them, so drivers of one L and h may share them.
-    """
-    b = _operator(np.asarray(big_l, dtype=np.result_type(big_l.dtype, float)))
-    return b, tuple(-(h / k) * b for k in (1, 2, 3, 4))
-
-
 # RK4 grows every mode with |z| = |h lambda| past this radius (|R(z)| >= 1.118
 # on |z| = 3), so its log R(z) needs no care there; inside it the tail series
 # of _log_step_factor has converged to the last bit after this many terms.
 _LOG_SERIES_RADIUS = 3.0
 _LOG_TAIL_TERMS = 40
-# The modal source takes eigenvectors V only with kappa_1(V) = |V|_1 |V^-1|_1
-# up to this bound.  Its stage inputs and xi row sums err by up to about
-# 2e-16 kappa_1(V) (CHANGES.md holds the measured table), so up to 2e-11
-# here, against 1e-9 for the row sums and 1e-10 for the benchmark's reference
-# check; a defective Laplacian reads 1e8 and more, ring200's 3e3 to 5e3.
-_MODAL_MAX_COND = 1e5
+# The modal source takes a mode split P (`_split_modes`) only with
+# kappa_1(P) = |P|_1 |P^-1|_1 up to this bound.  Its stage inputs and xi row
+# sums err by up to about 2e-16 kappa_1(P) (CHANGES.md holds the measured
+# tables), so up to 1e-10 here, against 1e-9 for the row sums; ring200's
+# diagonalizable seeds read 3e3 to 5e4, its split defective ones up to 1.9e5.
+_MODAL_MAX_COND = 5e5
+# A mode whose own condition number 1/s_i exceeds this goes into the block.
+# On ring200 seeds 0-269 every mode of a diagonalizable L reads at most
+# 2.7e3; each defective L has 2 to 4 modes at 4.2e7 and more, the rest at
+# most 5.5e3.
+_MODE_MAX_COND = 1e5
+# Ill-conditioned eigenvalues closer than _CLUSTER_GAP max |lambda| are one
+# cluster.  Its disc reaches _DISC_FLOOR max |lambda| past twice its spread,
+# wide enough to catch the Schur form's own copy of a defective eigenvalue
+# (1e-9 missed one on ring200 seed 205).
+_CLUSTER_GAP = 1e-3
+_DISC_FLOOR = 1e-5
 
 
 def rk4_stage_factors(z):
@@ -384,41 +295,96 @@ def _log_step_factor(z):
     return ell
 
 
-def _eigendecomposition(a):
-    """(modes, kappa): eigenmodes (lambda, V, W) of a real square a = V diag(lambda) V^-1.
+def _norm1(a):
+    """The 1-norm of a: its largest column sum of |a_ij|, 0 for no columns."""
+    return np.abs(a).sum(axis=0).max(initial=0.0)
 
-    W = V^-1.  A real matrix's complex eigenvalues come in conjugate pairs
-    with conjugate vectors, so only the modes with Im lambda >= 0 are kept:
-    V's columns and W's rows of those, all complex.  kappa is
-    kappa_1(V) = |V|_1 |V^-1|_1 of the whole V.  (None, NaN) when eig fails
-    or V is singular.
+
+def _cluster_discs(points, scale):
+    """(centers, radii): one disc around each cluster of points, for `_split_modes`.
+
+    Points closer than _CLUSTER_GAP scale are one cluster, and so is every
+    chain of them.  A cluster's disc is centred on its mean and reaches
+    twice its farthest point's distance plus _DISC_FLOOR scale.
     """
+    near = np.abs(points[:, None] - points) <= _CLUSTER_GAP * scale
+    label = np.arange(len(points))
+    while True:  # each point takes the least label among its neighbours' until none moves
+        least = np.where(near, label, len(points)).min(axis=1)
+        if np.array_equal(least, label):
+            break
+        label = least
+    clusters = [points[label == c] for c in np.unique(label)]
+    centers = np.array([c.mean() for c in clusters])
+    radii = np.array([2 * np.abs(c - c.mean()).max() for c in clusters]) + _DISC_FLOOR * scale
+    return centers, radii
+
+
+def _split_modes(a):
+    """(modes, block, kappa): a real square a = -L as P diag(Lambda, T) P^-1.
+
+    P = [V_good | Q]: the eigenvectors of the well-conditioned modes, and
+    an orthonormal basis Q of the invariant subspace of the rest, on which
+    a acts as the real m x m block T (block diagonalization, Bavely and
+    Stewart 1979).  A mode is ill-conditioned when 1/s_i = |v_i|_2 |w_i|_2
+    (w_i the row of V^-1) exceeds _MODE_MAX_COND; those eigenvalues and
+    their conjugates are grouped into discs (`_cluster_discs`), and one real
+    Schur form of a, sorted so that the eigenvalues in a disc lead, gives
+    Q and T as its first m columns and its leading m x m block.  With no
+    such mode, m = 0 and P = V from one eig and inverse.
+
+    modes is (lambda, V_good, W_good) of the good modes with Im lambda >= 0
+    (a real matrix's complex modes come in conjugate pairs, so one stands
+    for both), all complex, W_good their rows of P^-1; block is
+    (T, Q, W_c), W_c the real rows of P^-1 on Q, or None when m = 0; kappa
+    is kappa_1(P) = |P|_1 |P^-1|_1.  When eig, an inverse or the reorder
+    fails, or kappa exceeds _MODAL_MAX_COND, every mode goes into the block:
+    P is the orthonormal Schur basis Z of a, T the whole Schur form.  a is
+    read as float64.
+    """
+    a = np.asarray(a, dtype=float)
+    n = len(a)
     try:
         lam, vecs = np.linalg.eig(a)
         inv = np.linalg.inv(vecs)
+        bad = ~(np.linalg.norm(vecs, axis=0) * np.linalg.norm(inv, axis=1) <= _MODE_MAX_COND)
+        m = 0
+        if bad.any():
+            from scipy.linalg import schur  # here, so that m = 0 never loads it
+            centers, radii = _cluster_discs(np.concatenate((lam[bad], lam[bad].conj())),
+                                            np.abs(lam).max())
+
+            def in_disc(x):
+                return (np.abs(x - centers) <= radii).any(axis=-1)
+
+            inside = in_disc(lam[:, None])
+            t, q, m = schur(a, sort=lambda re, im: bool(in_disc(complex(re, im))))
+            if m != inside.sum():
+                raise np.linalg.LinAlgError("the Schur reorder and eig disagree on the discs")
+            lam = lam[~inside]
+            vecs = np.concatenate((vecs[:, ~inside], q[:, :m]), axis=1)
+            inv = np.linalg.inv(vecs)
+        kappa = _norm1(vecs) * _norm1(inv)
+        if not kappa <= _MODAL_MAX_COND:
+            raise np.linalg.LinAlgError(f"kappa_1(P) = {kappa:.3g}")
     except np.linalg.LinAlgError:
-        return None, math.nan
-    norm1 = [np.abs(m).sum(axis=0).max(initial=0.0) for m in (vecs, inv)]
-    keep = lam.imag >= 0
-    return ((lam[keep].astype(complex, copy=False), vecs[:, keep].astype(complex, copy=False),
-             inv[keep].astype(complex, copy=False)), norm1[0] * norm1[1])
-
-
-def _eigenmodes(a):
-    """The kept eigenmodes of `_eigendecomposition`; None when kappa exceeds _MODAL_MAX_COND.
-
-    None means a defective or nearly defective a, or a failed eig; NaN fails
-    the bound too.
-    """
-    modes, kappa = _eigendecomposition(a)
-    return modes if kappa <= _MODAL_MAX_COND else None
+        from scipy.linalg import schur
+        t, q = schur(a)
+        m, lam, vecs, inv = n, np.empty(0), q, q.T
+        kappa = _norm1(vecs) * _norm1(inv)
+    good, keep = n - m, lam.imag >= 0
+    modes = (lam[keep].astype(complex, copy=False),
+             vecs[:, :good][:, keep].astype(complex, copy=False),
+             inv[:good][keep].astype(complex, copy=False))
+    block = None if m == 0 else (t[:m, :m], q[:, :m], inv[good:].real)
+    return modes, block, kappa
 
 
 def _real_readout(lam, g):
     """The real (2 m, r) matrix R with x.view(float) @ R = Re(G x) summed over pairs.
 
-    G (r x m) maps values x of the modes `_eigenmodes` keeps to an output.  A
-    kept complex mode stands for its conjugate too, so it counts twice: R's
+    G (r x m) maps values x of the modes `_split_modes` keeps to an output.
+    A kept complex mode stands for its conjugate too, so it counts twice: R's
     rows are w Re G and -w Im G of each mode in turn, w = 2 for a complex
     mode and 1 for a real one.
     """
@@ -431,44 +397,48 @@ _BLOCK = 32
 
 
 class ModalSource:
-    """RK4's own xi, read off the eigenmodes of -L _BLOCK steps at a time.
+    """RK4's own xi, read off the modes of -L _BLOCK steps at a time.
 
     xi' = -L xi, xi(0) = I reads no other state, so RK4 on it alone is RK4 on
-    the whole closed loop, and RK4 on a linear system acts on each eigenmode
-    on its own: with -L = V Lambda V^-1 and z = h lambda per mode, step k
-    starts from e_k = R(z)^k and its stage values are e_k times 1, 1 + z/2,
+    the whole closed loop, and RK4 on a linear system acts on each invariant
+    subspace on its own.  `_split_modes` gives -L = P diag(Lambda, T) P^-1:
+    eigenmodes, and an m x m block T for the ill-conditioned ones (m = 0 on
+    a well-conditioned L).  With z = h lambda per mode, step k starts from
+    e_k = R(z)^k and its stage values are e_k times 1, 1 + z/2,
     1 + z/2 + z^2/4 and 1 + z + z^2/2 + z^3/4 (`rk4_stage_factors`).  e_k is
     exp(k l), l = log R(z) from `_log_step_factor`, so no rounding piles up
-    over the steps.  The member derivative reads diag xi, which is P e with
-    P = V o V^-T; with one mode kept per conjugate pair (`_real_readout`),
-    one (4 K, 2 m) by (2 m, n) real product gives the stage inputs of K =
-    _BLOCK steps, k0 to k0 + K - 1, from e_k0 to e_(k0 + K - 1) times the
-    stage factors.  The snapshot's xi row sums are V (e o V^-1 1), read out
-    on their own at the current step.
+    over the steps.  The member derivative reads diag xi, which is
+    (V o W^T) e over the modes; with one mode kept per conjugate pair
+    (`_real_readout`), one (4 K, 2 g) by (2 g, n) real product over the g
+    kept modes gives the stage inputs of K = _BLOCK steps, k0 to
+    k0 + K - 1, from e_k0 to e_(k0 + K - 1) times the stage factors.  The
+    block adds its own part of diag xi, sum_b G_j[i, b] (R^k W_c)[b, i] at
+    stage j, with G_j and R from one RK4 step of Y' = T Y
+    (`modal_readout`), into the same K steps before their check.  The snapshot's xi row sums are V (e o W 1) plus
+    Q (R^k W_c 1), read out on their own at the current step.
 
-    The numbers equal classic RK4's up to rounding, about kappa(V) eps; they
-    differ from `LinearDriver`'s in the last bits.  Built from `_eigenmodes`
-    of -L and h, over the read-only `modal_readout` of the two, which the
-    sources one `SourceParts` makes at one h share.
-    Each block is checked once, for finiteness and for
-    the xi floor; only a block that fails either check is checked again step
-    by step, as its steps are handed out.  So `stages()` raises Diverged,
-    with the step's start time, at the first step with a stage input that is
-    not finite, and XiUnderflow at the first step with a xi_i^i below the
-    floor (`coordinator.check_xi_floor`), whatever lies past that step in the
+    The numbers equal classic RK4's up to rounding, about kappa_1(P) eps.
+    Built from `_split_modes` of -L and h, over the read-only
+    `modal_readout` of the two, which the sources one `SourceParts` makes at
+    one h share.  Each block is checked once, for finiteness and for the xi
+    floor; only a block that fails either check is checked again step by
+    step, as its steps are handed out.  So `stages()` raises Diverged, with
+    the step's start time, at the first step with a stage input that is not
+    finite, and XiUnderflow at the first step with a xi_i^i below the floor
+    (`coordinator.check_xi_floor`), whatever lies past that step in the
     block.
     """
 
-    def __init__(self, modes, h, readout=None):
+    def __init__(self, split, h, readout=None):
         self.h = h
         self._k = 0
         if readout is None:
-            readout = modal_readout(modes, h)
-        self._read_xi, self._read_rowsum, self._ell, self._factors = readout
+            readout = modal_readout(split, h)
+        self._read_xi, self._read_rowsum, self._ell, self._factors, self._block = readout
         self._offsets = np.arange(_BLOCK)[:, None]
-        # (K, 4, m) stage values per mode, read as one (4 K, 2 m) real block
+        # (K, 4, g) stage values per mode, read as one (4 K, 2 g) real block
         self._modes = np.empty((_BLOCK,) + self._factors.shape[1:], dtype=complex)
-        self._floats = self._modes.reshape(4 * _BLOCK, -1).view(float)
+        self._floats = self._modes.reshape(4 * _BLOCK, self._factors.shape[2]).view(float)
         # (K, 4, n) stage inputs: step j of the block is the (4, n) block
         # self._inputs[j], handed out as the row views self._rows[j]
         self._inputs = np.empty((_BLOCK, 4, self._read_xi.shape[1]))
@@ -476,6 +446,11 @@ class ModalSource:
         self._rows = [tuple(step) for step in self._inputs]
         self._start = -_BLOCK  # the step the block starts at; none read out yet
         self._checked = True   # the block passed its one check
+        if self._block is not None:
+            # R^k W_c at steps start to start + K; the last is the next block's first
+            w_c = self._block[3]
+            self._states = np.empty((_BLOCK + 1,) + w_c.shape)
+            self._states[_BLOCK] = w_c
 
     def _read_block(self):
         """The stage inputs of steps k to k + K - 1, and their one check."""
@@ -484,6 +459,11 @@ class ModalSource:
             e = np.exp((k + self._offsets) * self._ell)
             np.multiply(self._factors, e[:, None], out=self._modes)
         np.matmul(self._floats, self._read_xi, out=self._flat)
+        if self._block is not None:
+            stage_maps, powers = self._block[:2]
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.matmul(powers, self._states[_BLOCK].copy(), out=self._states)
+                self._inputs += np.einsum("sib,jbi->jsi", stage_maps, self._states[:_BLOCK])
         self._start = k
         self._checked = bool(np.isfinite(self._flat).all() and self._flat.min() >= XI_FLOOR)
 
@@ -507,65 +487,81 @@ class ModalSource:
         return self._rows[j]
 
     def snapshot(self):
-        """(diag xi, xi row sums) from e_k, k the steps finished so far."""
+        """(diag xi, xi row sums) from e_k and R^k W_c, k the steps finished so far."""
         e = np.exp(self._k * self._ell).view(float)
-        return e @ self._read_xi, e @ self._read_rowsum
+        diag, rowsum = e @ self._read_xi, e @ self._read_rowsum
+        if self._block is not None:
+            q, state = self._block[2], self._states[self._k - self._start]
+            diag += np.einsum("ib,bi->i", q, state)
+            rowsum += q @ state.sum(axis=1)
+        return diag, rowsum
 
 
-def modal_readout(modes, h):
-    """What a `ModalSource` of modes at step h reads and never writes, as read-only arrays.
+def modal_readout(split, h):
+    """What a `ModalSource` of a `_split_modes` split at step h reads and never writes.
 
-    (xi read-out, row-sum read-out, l, stage factors): the (2 m, n)
-    matrices `_real_readout` makes of P = V o V^-T and of V (V^-1 1),
-    l = log R(z) per mode, and the (1, 4, m) factors 1, 1 + z/2,
-    1 + z/2 + z^2/4, 1 + z + z^2/2 + z^3/4, against a block's (K, 1, m) e,
-    with z = h lambda.
+    (xi read-out, row-sum read-out, l, stage factors, block read-out), all
+    read-only arrays: the (2 g, n) matrices `_real_readout` makes of
+    V o W^T and of V (W 1) over the g kept modes, l = log R(z) per mode, the
+    (1, 4, g) factors 1,
+    1 + z/2, 1 + z/2 + z^2/4, 1 + z + z^2/2 + z^3/4, against a block's
+    (K, 1, m) e, with z = h lambda; and None when m = 0, else the block's
+    (G, powers, Q, W_c).  One classic RK4 step of Y' = T Y from Y = I gives
+    the stage values F_j (I, Y2, Y3, Y4) and the step R, the matrix forms of
+    `rk4_stage_factors` (which serves numbers only); G is the (4, n, m)
+    stack of Q F_j, and powers the (K + 1, m, m) stack of R^0 to R^K.
     """
+    modes, block, _ = split
     lam, vecs, inv = modes
     z = h * lam
     with np.errstate(over="ignore", invalid="ignore"):
         factors = np.array((np.ones_like(z),) + rk4_stage_factors(z)[0])
     readout = (_real_readout(lam, vecs * inv.T), _real_readout(lam, vecs * inv.sum(axis=1)),
                _log_step_factor(z), factors[None])
-    for a in readout:
+    if block is not None:
+        t, q, w_c = block
+        eye = np.eye(len(t))
+        ht = h * t
+        y2 = eye + ht / 2
+        y3 = eye + ht @ y2 / 2
+        y4 = eye + ht @ y3
+        r = eye + (ht + 2 * (ht @ y2) + 2 * (ht @ y3) + ht @ y4) / 6
+        powers = [eye]
+        for _ in range(_BLOCK):
+            powers.append(r @ powers[-1])
+        block = (q @ np.array((eye, y2, y3, y4)), np.array(powers), q, w_c)
+    for a in readout + (block or ()):
         a.flags.writeable = False
-    return readout
+    return readout + (block,)
 
 
 class SourceParts:
     """What every xi source of one L reads and never writes, each part made at first need.
 
-    The eigendecomposition of -L (`_eigendecomposition`) is computed at the
-    first `source` call and kept; its kappa is held against _MODAL_MAX_COND
-    at every call, so a rejected eig (the Horner case) is never retried.
-    Per h it keeps the modal read-out (`modal_readout`) or the Horner steps
-    (`horner_steps`).  Each source it returns has stepping state of its own.
+    The mode split of -L (`_split_modes`) is made at the first `source`
+    call and kept; per h it keeps the read-out (`modal_readout`).  Each
+    source it returns has stepping state of its own.
     """
 
     def __init__(self, big_l):
         self.big_l = big_l
-        self._eig = None  # (modes, kappa)
-        self._per_h = {}  # (h, modal) -> modal read-out or Horner steps
+        self._split = None  # (modes, block, kappa), at the first source
+        self._per_h = {}    # h -> read-out
 
     def source(self, h):
-        """A fresh xi source at step h: `ModalSource` where kappa allows, else `LinearDriver`."""
-        if self._eig is None:
-            self._eig = _eigendecomposition(-self.big_l)
-        modes, kappa = self._eig
-        modal = kappa <= _MODAL_MAX_COND
-        parts = self._per_h.get((h, modal))
-        if parts is None:
-            parts = modal_readout(modes, h) if modal else horner_steps(self.big_l, h)
-            self._per_h[h, modal] = parts
-        return ModalSource(modes, h, parts) if modal else LinearDriver(self.big_l, h, parts)
+        """A fresh `ModalSource` at step h."""
+        if self._split is None:
+            self._split = _split_modes(-self.big_l)
+        readout = self._per_h.get(h)
+        if readout is None:
+            readout = self._per_h[h] = modal_readout(self._split, h)
+        return ModalSource(self._split, h, readout)
 
 
 def xi_source(big_l, h):
-    """A fresh source of xi at step h over parts of its own: modal where it can be, else Horner.
+    """A fresh `ModalSource` of xi at step h over parts of its own.
 
-    `ModalSource` when -L passes `_eigenmodes`' check, else `LinearDriver`
-    (a defective or ill-conditioned L).  Both give the same RK4 numbers up to
-    rounding.  `run` takes its source from its System's `sources` instead.
+    `run` takes its source from its System's `sources` instead.
     """
     return SourceParts(big_l).source(h)
 

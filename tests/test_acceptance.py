@@ -15,6 +15,7 @@ from oocsim.integrate import rk4_step
 from oocsim.sim import run
 from oocsim.tracker import (companion_pair, phi_gamma, solve_sylvester,
                             sylvester_residual)
+from test_costs import check_gradient
 
 PSI_TRUE = np.array([1.36, 3.0])
 
@@ -133,7 +134,7 @@ def test_criterion_9_numerics(example1_scenario):
                 + [costs.exp_sum(0.25, -0.2, 0.5, 0.5)]
                 + [costs.composite(f"ex2_f{i}") for i in range(1, 6)])
     grid = np.linspace(-4.5, 4.5, 61)
-    fd = max(costs.check_gradient(c, s) for c in variants for s in grid)
+    fd = max(check_gradient(c, s) for c in variants for s in grid)
 
     def integrate(h):
         y = np.array([1.0, 0.0])

@@ -13,8 +13,8 @@ from oocsim.costs import ConvexityBounds
 from oocsim.digraph import Digraph, laplacian, spectral_data
 from oocsim.errors import InvalidSpectrum, XiUnderflow
 from oocsim.scenario import scenario_from_dict
-from oocsim.sim import (LinearDriver, ModalSource, assemble, coordinator_derivative, run,
-                        xi_source)
+from oocsim import sim
+from oocsim.sim import assemble, coordinator_derivative, run, xi_source
 
 
 def test_select_gains_closed_form_small():
@@ -52,8 +52,8 @@ def rhs_at(g, cost_list, gains, yr, z=None, xi=None):
     """(yr', z', xi') at one state; z defaults to 0 and xi to the identity.
 
     yr' and z' come from the coordinator-only derivative
-    (`sim.coordinator_derivative`), which reads diag xi; xi' = -B xi comes
-    from the operator the xi driver advances xi with.
+    (`sim.coordinator_derivative`), which reads diag xi; xi' = -L xi is the
+    system the xi source advances.
     """
     n = g.n
     z = np.zeros(n) if z is None else z
@@ -61,8 +61,7 @@ def rhs_at(g, cost_list, gains, yr, z=None, xi=None):
     big_l = laplacian(g)
     derivative = coordinator_derivative(big_l, gains, cost_list)
     dc = derivative(0.0, np.concatenate([yr, z]), xi.diagonal())
-    driver = LinearDriver(big_l, 1e-3)
-    return dc[:n], dc[n:], -(driver.b @ xi)
+    return dc[:n], dc[n:], -(big_l @ xi)
 
 
 def test_derivative_single_agent_gradient_flow():
@@ -100,13 +99,17 @@ def test_derivative_zero_disagreement():
     assert np.abs(dyr).max() < 1e-15
 
 
-def test_xi_underflow_raises():
+def test_xi_underflow_raises(monkeypatch):
     # xi' = -L xi with L = diag(1, 2) and h = 0.5: per agent z = -0.5 and -1,
     # and agent 2's xi_22 = R(-1)^k (1, 1/2, 3/4, 1/4) at the stages of step k,
-    # R(-1) = 3/8; 0.25 R^20 = 7.5e-10 is the first stage value below 1e-9
+    # R(-1) = 3/8; 0.25 R^20 = 7.5e-10 is the first stage value below 1e-9;
+    # the same as two modes and as a 2 x 2 block
     big_l, h = np.diag([1.0, 2.0]), 0.5
-    for source in (xi_source(big_l, h), LinearDriver(big_l, h)):
-        assert type(source) in (ModalSource, LinearDriver)
+    modes = xi_source(big_l, h)
+    monkeypatch.setattr(sim, "_MODAL_MAX_COND", 0.0)  # every mode in the block
+    block = xi_source(big_l, h)
+    assert modes._block is None and block._block is not None
+    for source in (modes, block):
         for _ in range(20):
             source.stages()
         with pytest.raises(XiUnderflow, match=r"^agent 2: xi_i\^i = 7\.5\d\de-10 below floor "

@@ -161,16 +161,22 @@ def test_array_gradient_matches_scalar_gradient(c):
     np.testing.assert_allclose(c.grad_array_fn(grid), scalar, rtol=0, atol=1e-12)
 
 
+def check_gradient(c, s, h=1e-6):
+    """Absolute difference between the analytic gradient and a central finite difference."""
+    fd = (c.value_fn(s + h) - c.value_fn(s - h)) / (2.0 * h)
+    return abs(c.grad_fn(s) - fd)
+
+
 def test_check_gradient_examples():
-    assert costs.check_gradient(costs.quadratic(0.1, 3.0), 0.0) < 1e-8
-    assert costs.check_gradient(costs.composite("ex2_f3"), 1.0) < 1e-6
-    assert costs.check_gradient(costs.composite("ex2_f5"), -2.0) < 1e-6
+    assert check_gradient(costs.quadratic(0.1, 3.0), 0.0) < 1e-8
+    assert check_gradient(costs.composite("ex2_f3"), 1.0) < 1e-6
+    assert check_gradient(costs.composite("ex2_f5"), -2.0) < 1e-6
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(ALL_VARIANTS), st.floats(min_value=-4.5, max_value=4.5))
 def test_gradient_matches_finite_difference(c, s):
-    assert costs.check_gradient(c, s) < 1e-6
+    assert check_gradient(c, s) < 1e-6
 
 
 @settings(max_examples=100, deadline=None)

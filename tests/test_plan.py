@@ -14,8 +14,8 @@ from oocsim.digraph import Digraph
 from oocsim.errors import Diverged
 from oocsim.plant import Exosystem
 from oocsim.scenario import scenario_from_dict
-from oocsim.sim import (LinearDriver, ModalSource, assemble, initial_state, reseed, run, sweep,
-                        verify, xi_source)
+from oocsim.sim import (ModalSource, assemble, initial_state, reseed, run, sweep, verify,
+                        xi_source)
 from oocsim.tracker import InternalModelSpec
 
 SEEDS = [3, 7, 105]
@@ -29,7 +29,7 @@ def preset_doc(name, horizon):
     return doc
 
 
-def horner_doc():
+def jordan_doc():
     """Three agents on the weighted 3-cycle (1, 1, 4), whose L has a Jordan block."""
     doc = preset_doc("example1", 0.05)
     doc["graph"] = {"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0], [3, 1, 4.0]]}
@@ -41,7 +41,7 @@ def horner_doc():
 
 DOCS = {"example2": lambda: preset_doc("example2", 0.05),
         "example1": lambda: preset_doc("example1", 0.05),
-        "horner": horner_doc}
+        "jordan": jordan_doc}
 
 
 @pytest.mark.parametrize("case", DOCS)
@@ -52,9 +52,9 @@ def test_sweep_members_equal_their_runs_from_a_fresh_parse(case):
         alone = scenario_from_dict(dict(doc, seed=seed))
         assert val == seed
         assert rep.to_dict() == verify(alone, run(alone)).to_dict()
-    if case == "horner":
+    if case == "jordan":  # the source holds the double eigenvalue in a 2 x 2 block
         sc = scenario_from_dict(doc)
-        assert type(xi_source(assemble(sc).spectral.laplacian, sc.step)) is LinearDriver
+        assert xi_source(assemble(sc).spectral.laplacian, sc.step)._block[0].shape == (4, 3, 2)
 
 
 def counting(monkeypatch, module, name, calls):
@@ -76,7 +76,7 @@ SWEEPS = {"example2": ("example2", "seed", SEEDS), "example1": ("example1", "see
 def test_a_sweep_runs_the_shared_set_up_once(case, monkeypatch):
     doc, attr, values = SWEEPS[case]
     calls = {}
-    counting(monkeypatch, sim, "_eigendecomposition", calls)
+    counting(monkeypatch, sim, "_split_modes", calls)
     counting(monkeypatch, sim, "spectral_data", calls)
     counting(monkeypatch, costs, "convexity_bounds", calls)
     counting(monkeypatch, costs, "global_optimum", calls)
@@ -89,7 +89,7 @@ def test_a_sweep_runs_the_shared_set_up_once(case, monkeypatch):
 
     monkeypatch.setattr(sim, "assemble", kept)
     sweep(scenario_from_dict(DOCS[doc]()), attr, values)
-    assert calls == {"_eigendecomposition": 1, "spectral_data": 1, "convexity_bounds": 1,
+    assert calls == {"_split_modes": 1, "spectral_data": 1, "convexity_bounds": 1,
                      "global_optimum": 1}
     # one System per member, each with a derivative and buffers of its own
     assert len(systems) == len(values)

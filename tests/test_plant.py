@@ -75,14 +75,6 @@ def random_plant(kind, rng):
     return damping_spring(*rng.uniform(0.1, 5.0, size=5), a_w=rng.uniform(0.0, 100.0))
 
 
-def linear_terms(p, x1, x2, v):
-    """The drift's terms linear in (x1, x2, v), from the plant equations."""
-    q = p.params
-    if p.kind == "vdp_like":
-        return q["mu1"] * x2 + q["a_w"] * v[0]
-    return -(q["k1"] * x1 + q["mu1"] * x2 + q["a_w"] * v[1]) / q["m"]
-
-
 @pytest.mark.parametrize("kind", ["vdp_like", "damping_spring"])
 def test_linear_entries_plus_remainder_are_the_drift(kind):
     rng = np.random.default_rng(12)
@@ -103,18 +95,6 @@ def test_linear_entries_plus_remainder_are_the_drift(kind):
     linear = plant_linear(slices, [p, p], one_term(2, 6))
     rows, cols, values = (np.concatenate(x) for x in zip(*linear[2:]))
     assert sorted(zip(rows.tolist(), cols.tolist())) == sorted(own + [(2, v_col), (3, v_col)])
-
-
-@pytest.mark.parametrize("kind", ["vdp_like", "damping_spring"])
-def test_f_is_the_drift_less_its_linear_terms(kind):
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        p = random_plant(kind, rng)
-        x1, x2 = rng.uniform(-3.0, 3.0, size=2)
-        v = rng.uniform(-10.0, 10.0, size=2)
-        want, terms = paper_drift(p, x1, x2, v)
-        scale = max(np.abs(terms).max(), abs(want))
-        assert abs(p.f(x1, x2, v, 0.0) - (want - linear_terms(p, x1, x2, v))) <= 1e-14 * scale
 
 
 def test_a_drift_reading_past_v_is_refused():

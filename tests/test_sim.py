@@ -14,18 +14,18 @@ import numpy as np
 import pytest
 
 import oocsim
-from oocsim import costs, digraph, sim
+from oocsim import costs, sim
 from oocsim.coordinator import XI_FLOOR, CoordinatorGains, check_xi_floor
-from oocsim.digraph import Digraph, _block_operator, _operator, laplacian, spectral_data
+from oocsim.digraph import Digraph, _block_operator, laplacian, spectral_data
 from oocsim.errors import Diverged, NonConvexDetected, NotStronglyConnected, XiUnderflow
 from oocsim.plant import (Exosystem, custom, damping_spring, plant_remainder,
                           rotation_exosystem, vdp_like)
 from oocsim.scenario import parse_scenario, scenario_from_dict
 from oocsim.integrate import rk4_step
-from oocsim.sim import (DEFAULT_TOLERANCES, InitPolicy, LinearDriver, ModalSource, Scenario,
-                        StateLayout, Trajectory, _eigenmodes, _log_step_factor, assemble,
-                        initial_state, integrate, metrics, reseed, rk4_stage_factors, run,
-                        sweep, verify, xi_source)
+from oocsim.sim import (DEFAULT_TOLERANCES, InitPolicy, ModalSource, Scenario, StateLayout,
+                        Trajectory, _log_step_factor, _split_modes, assemble, initial_state,
+                        integrate, metrics, reseed, rk4_stage_factors, run, sweep, verify,
+                        xi_source)
 from oocsim.tracker import FeedforwardTruth, InternalModelSpec, TrackerParams
 from plant_equations import paper_drift
 
@@ -211,17 +211,15 @@ def test_initial_state_structure():
     # v(0) = v0 trails the member state
     assert layout.slices["v"] == slice(layout.dim - 2, layout.dim)
     assert np.array_equal(y0[layout.slices["v"]], sc.exo.v0)
-    # xi(0) = I is the driver's, and the derivative's default input
+    # xi(0) = I: the source starts there up to the modes' rounding, and its
+    # diagonal is the derivative's default input
     system = assemble(sc)
-    driver = LinearDriver(system.spectral.laplacian, sc.step)
-    assert np.array_equal(driver.w, np.eye(3))
-    xi_diag, xi_rowsum = driver.snapshot()
-    assert np.array_equal(xi_diag, np.ones(3)) and np.array_equal(xi_rowsum, np.ones(3))
-    first = driver.stages()[0]
-    assert np.array_equal(first, np.ones(3))
+    source = xi_source(system.spectral.laplacian, sc.step)
+    xi_diag, xi_rowsum = source.snapshot()
+    assert np.abs(np.array([xi_diag, xi_rowsum, source.stages()[0]]) - 1.0).max() <= 4 * EPS
     # the derivative returns its own buffer, which the second call refills
     default = system.derivative(0.0, y0).copy()
-    assert np.array_equal(default, system.derivative(0.0, y0, first))
+    assert np.array_equal(default, system.derivative(0.0, y0, np.ones(3)))
 
 
 def test_conservation_on_recorded_samples():
@@ -352,25 +350,15 @@ def operators(system):
 
 def test_operator_is_csr_only_for_large_sparse_matrices(example1_scenario, example2_scenario):
     for sc in (example1_scenario, example2_scenario):
-        assert type(_operator(spectral_data(sc.graph).laplacian)) is np.ndarray
         # example2's operators are 57 x 68 and 67 x 156, at most 10,452 entries
         for op in operators(assemble(sc)):
             assert type(op) is np.ndarray
-    ring = sparse_ring()
-    assert _operator(laplacian(ring.graph)).format == "csr"
-    assert [op.format for op in operators(assemble(ring))] == ["csr", "csr"]
-    # a 40-agent ring with s = 4: L stays dense, the 482 x 523 pre and the
-    # 522 x 1,205 main operator do not
+    assert [op.format for op in operators(assemble(sparse_ring()))] == ["csr", "csr"]
+    # a 40-agent ring with s = 4: the 482 x 523 pre and the 522 x 1,205 main
+    # operator are CSR
     mid = scenario_from_dict(ring_doc(40, {"coeffs": [10.0, 18.0, 15.0, 6.0]}, chords=40))
-    assert type(_operator(laplacian(mid.graph))) is np.ndarray
     assert [op.shape for op in operators(assemble(mid))] == [(482, 523), (522, 1205)]
     assert [op.format for op in operators(assemble(mid))] == ["csr", "csr"]
-    # too few rows: a 63-agent ring stays dense, a 64-agent ring does not
-    assert type(_operator(laplacian(sparse_ring(63, 0).graph))) is np.ndarray
-    assert _operator(laplacian(sparse_ring(64, 0).graph)).format == "csr"
-    # too full: the complete graph on 64 nodes
-    complete = Digraph(n=64, weights=np.ones((64, 64)) - np.eye(64))
-    assert type(_operator(laplacian(complete))) is np.ndarray
 
 
 def paper_derivative(sc, system, t, y, xi_diag):
@@ -511,19 +499,6 @@ def test_derivative_call_makes_no_numpy_data(case, request):
     assert most_numpy_data_during(lambda: (y + y).fill(0.0)) == y.nbytes
 
 
-@pytest.mark.parametrize("csr", [True, False], ids=["csr", "dense"])
-def test_driver_step_makes_no_numpy_data(csr, monkeypatch):
-    # the four Horner products are bound to W and the iterates once, so a
-    # dense B's product goes into a scratch array made with the driver
-    if not csr:
-        monkeypatch.setattr(digraph, "_CSR_MIN_ROWS", 10 ** 9)  # every operator dense
-    sc = sparse_ring()
-    driver = LinearDriver(laplacian(sc.graph), sc.step)
-    assert (type(driver.b) is not np.ndarray) == csr
-    driver.stages()
-    assert most_numpy_data_during(driver.stages) == 0
-
-
 def test_systems_share_no_buffer(example1_scenario):
     sc = dataclasses.replace(example1_scenario, horizon=0.02)
     first, second = assemble(sc), assemble(sc)
@@ -604,12 +579,15 @@ def test_tracing_call_contract(monkeypatch):
     assert same_records(run(sc, system), plain)
     assert calls == {"rhs": 4 * sc.n_steps, "steps": sc.n_steps}
     # the loop talks to its xi source through two calls: stages() once per
-    # step and snapshot() once per record row, whichever source run builds
-    for build in SOURCES.values():
+    # step and snapshot() once per record row, with the eigenmodes or with
+    # every mode in the block
+    build = sim.SourceParts.source
+    for bound in (math.inf, 0.0):
+        monkeypatch.setattr(sim, "_MODAL_MAX_COND", bound)
         source_calls = {"stages": 0, "snapshot": 0}
 
-        def counted_source(parts, h, build=build):
-            source = build(parts.big_l, h)
+        def counted_source(parts, h):
+            source = build(sim.SourceParts(parts.big_l), h)
             for name in source_calls:
                 def counted(method=getattr(source, name), name=name):
                     source_calls[name] += 1
@@ -704,11 +682,9 @@ def test_verify_builds_one_truth_per_distinct_spec(monkeypatch):
     assert shared_report == separate_report
 
 
-# both xi sources, built directly so that each is tested whatever xi_source picks
-SOURCES = {
-    "modal": lambda big_l, h: ModalSource(_eigenmodes(-big_l), h),
-    "horner": LinearDriver,
-}
+def block_size(source):
+    """m, the size of a source's real block (0 when it has none)."""
+    return 0 if source._block is None else source._block[0].shape[2]
 
 
 def rk4_alone(f, y0, h, n_steps, record_every):
@@ -725,12 +701,18 @@ def rk4_alone(f, y0, h, n_steps, record_every):
     return np.array(states[::record_every]), stages
 
 
-@pytest.mark.parametrize("source", SOURCES)
-@pytest.mark.parametrize("preset", ["example1", "example2"])
-def test_driver_matches_xi_and_v_integrated_alone(preset, source, request):
-    sc = request.getfixturevalue(f"{preset}_scenario")
+@pytest.mark.parametrize("source", ["modal", "block"])
+@pytest.mark.parametrize("preset", ["example1", "example2", "jordan"])
+def test_driver_matches_xi_and_v_integrated_alone(preset, source, request, monkeypatch):
+    if preset == "jordan":  # the double eigenvalue 3 of L is a Jordan block: m = 2
+        sc = tiny_scenario(graph=weighted_three_cycle(4.0), gains=FIXED_GAINS)
+    else:
+        sc = request.getfixturevalue(f"{preset}_scenario")
     big_l, h, n = spectral_data(sc.graph).laplacian, sc.step, sc.graph.n
-    driver = SOURCES[source](big_l, h)
+    if source == "block":  # no split passes the bound: every mode goes into the block
+        monkeypatch.setattr(sim, "_MODAL_MAX_COND", 0.0)
+    driver = xi_source(big_l, h)
+    assert block_size(driver) == {"modal": 2 if preset == "jordan" else 0, "block": n}[source]
     inputs = []
 
     def member(t, y, w):
@@ -741,13 +723,11 @@ def test_driver_matches_xi_and_v_integrated_alone(preset, source, request):
     # classic RK4 on xi and on v alone, keeping every stage value
     xi, xi_stages = rk4_alone(lambda x: -(big_l @ x), np.eye(n), h, 500, 100)
     v, _ = rk4_alone(lambda v: sc.exo.S @ v, sc.exo.v0, h, 500, 100)
-    # Horner form, the modes and the member operator round differently in
-    # the last bits (measured <= 1.4e-15 of the block's largest entry); a
-    # wrong coefficient is off by about h
+    # the modes, the block and the member operator round differently in the
+    # last bits (measured <= 1.4e-15 of the block's largest entry); a wrong
+    # coefficient is off by about h
     xi_tol = 1e-14 * np.abs(xi).max()
     v_tol = 1e-14 * np.abs(v).max()
-    if source == "horner":  # the modal source never forms xi itself
-        assert np.abs(driver.w - xi[-1]).max() <= xi_tol
     assert np.abs(xi_diag - xi.diagonal(axis1=1, axis2=2)).max() <= xi_tol
     assert np.abs(xi_rowsum - xi.sum(axis=2)).max() <= xi_tol
     assert len(inputs) == len(xi_stages) == 4 * 500
@@ -759,36 +739,16 @@ def test_driver_matches_xi_and_v_integrated_alone(preset, source, request):
 
 
 def test_driver_runs_an_integer_or_float32_laplacian_in_float64():
-    big_l = laplacian(weighted_three_cycle(2.0))  # whole numbers, exact in either dtype
-    want = LinearDriver(big_l, 1e-3).stages()
-    for dtype in (np.int64, np.float32):
-        driver = LinearDriver(big_l.astype(dtype), 1e-3)
-        assert driver.w.dtype == driver.b.dtype == np.float64
-        assert np.array_equal(driver.stages(), want)
-
-
-def test_driver_horner_steps_are_classic_rk4_in_exact_arithmetic():
-    # a weight-unbalanced 3-agent digraph, in fractions
-    g = Digraph.from_edges(3, [(1, 2, 2.0), (2, 3, 1.0), (3, 1, 3.0), (1, 3, 1.0)])
-    b = np.array([[Fraction(x) for x in row] for row in laplacian(g)], dtype=object)
-    h = Fraction(1, 1000)
-    driver = LinearDriver(b, h)
-    w = driver.w.copy()
-    assert w.dtype == object and w[0, 0] == 1 and w[1, 0] == 0
-    for kstep in range(2):
-        k1 = -(b @ w)
-        y2 = w + (h / 2) * k1
-        k2 = -(b @ y2)
-        y3 = w + (h / 2) * k2
-        k3 = -(b @ y3)
-        y4 = w + h * k3
-        k4 = -(b @ y4)
-        inputs = driver.stages()
-        for xi_diag, y in zip(inputs, (w, y2, y3, y4)):
-            assert list(xi_diag) == list(y.diagonal())
-        w = w + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        assert (driver.w == w).all()
-        assert all(type(x) is Fraction for x in driver.w.ravel())
+    # whole numbers, exact in either dtype; at 4 the modes and a block of 2
+    for last, m in ((2.0, 0), (4.0, 2)):
+        big_l = laplacian(weighted_three_cycle(last))
+        for dtype in (np.int64, np.float32):
+            want, source = xi_source(big_l, 1e-3), xi_source(big_l.astype(dtype), 1e-3)
+            assert block_size(source) == block_size(want) == m
+            for _ in range(2 * sim._BLOCK):
+                got = np.array(source.stages())
+                assert got.dtype == np.float64 and np.array_equal(got, want.stages())
+            assert np.array_equal(source.snapshot(), want.snapshot())
 
 
 def test_rk4_stage_factors_are_classic_rk4_in_exact_arithmetic():
@@ -846,19 +806,22 @@ def weighted_three_cycle(last):
     return Digraph.from_edges(3, [(1, 2, 1.0), (2, 3, 1.0), (3, 1, last)])
 
 
-def test_defective_laplacian_gets_the_horner_driver(monkeypatch):
+def test_defective_laplacian_gets_a_cluster_block(monkeypatch):
     sc = tiny_scenario(graph=weighted_three_cycle(4.0), horizon=5.0, gains=FIXED_GAINS)
     big_l = laplacian(sc.graph)
-    assert _eigenmodes(-big_l) is None  # kappa_1(V) about 1e8
-    assert type(xi_source(big_l, sc.step)) is LinearDriver
+    # eig's two copies of the double eigenvalue -3 of -L have 1/s_i about 1e8:
+    # they are the block, the simple 0 the one mode
+    (lam, _, _), block, kappa = _split_modes(-big_l)
+    assert len(block[0]) == 2 and np.abs(lam).max() < 1e-12 and kappa < 10
     traj = run(sc)
     rep = verify(sc, traj)
     assert rep.z_conservation_drift < 1e-8
     assert rep.xi_rowsum_drift < 1e-9
     assert same_records(traj, run(sc))
-    # the modal source, let through, would break the row-sum bound there
+    # the eigenmodes alone, let through, would break the row-sum bound there
+    monkeypatch.setattr(sim, "_MODE_MAX_COND", math.inf)
     monkeypatch.setattr(sim, "_MODAL_MAX_COND", math.inf)
-    assert type(xi_source(big_l, sc.step)) is ModalSource
+    assert _split_modes(-big_l)[1] is None
     assert verify(sc, run(sc)).xi_rowsum_drift > 1e-9
 
 
@@ -866,7 +829,7 @@ def test_diagonalizable_scenarios_get_the_modal_source(example1_scenario, exampl
     ring = dataclasses.replace(sparse_ring(200, 60), horizon=0.02, record_every=5)
     near = tiny_scenario(graph=weighted_three_cycle(4.001), horizon=0.5, gains=FIXED_GAINS)
     for sc in (example1_scenario, example2_scenario, ring, near):
-        assert type(xi_source(laplacian(sc.graph), sc.step)) is ModalSource
+        assert _split_modes(-laplacian(sc.graph))[1] is None  # eigenmodes alone: m = 0
     for sc in (ring, near):
         traj = run(sc)
         assert np.abs(traj.xi_rowsum - 1.0).max() < 1e-9
@@ -905,20 +868,21 @@ def test_defective_exosystem_keeps_the_modal_source(example1_scenario, monkeypat
     assert np.abs(traj.v - want).max() <= 1e-12
 
 
-def test_modal_source_matches_the_horner_driver_on_a_sparse_ring():
+def test_modal_source_matches_the_all_modes_block_on_a_sparse_ring(monkeypatch):
     sc = sparse_ring(200, 60)
     big_l = laplacian(sc.graph)
     modal = xi_source(big_l, sc.step)
-    horner = LinearDriver(big_l, sc.step)
-    assert type(modal) is ModalSource
+    monkeypatch.setattr(sim, "_MODAL_MAX_COND", 0.0)  # every mode in the block
+    schur = xi_source(big_l, sc.step)
+    assert block_size(modal) == 0 and block_size(schur) == 200
     for kstep in range(300):
-        assert np.abs(np.subtract(modal.stages(), horner.stages())).max() <= 1e-12
+        assert np.abs(np.subtract(modal.stages(), schur.stages())).max() <= 1e-12
 
 
 def modal_formula(big_l, h):
     """(F, l) of the modal source of -L at step h: step k's (4, m) stage values
     per mode are F exp(k l), F the stage factors and l = log R(h lambda)."""
-    z = h * _eigenmodes(-big_l)[0]
+    z = h * _split_modes(-big_l)[0][0]
     return np.array((np.ones_like(z),) + rk4_stage_factors(z)[0]), _log_step_factor(z)
 
 
@@ -948,7 +912,7 @@ def test_modal_block_failures_keep_the_per_step_message_and_time(error, a):
     # past the floor, each first at step 37, inside the block of steps 32 to 63
     big_l, h, fail = np.array([[a]]), 0.1, 37
     assert fail % sim._BLOCK
-    source = ModalSource(_eigenmodes(-big_l), h)
+    source = xi_source(big_l, h)
     factors, ell = modal_formula(big_l, h)
     with np.errstate(over="ignore", invalid="ignore"):
         inputs = [(factors * np.exp(k * ell)).view(float) @ source._read_xi
@@ -973,30 +937,20 @@ def test_modal_block_failures_keep_the_per_step_message_and_time(error, a):
     assert str(info.value) == message and info.value.t == want_t
 
 
-def test_csr_driver_matches_dense_driver(monkeypatch):
-    sc = sparse_ring()
-    big_l = laplacian(sc.graph)
-    sparse = LinearDriver(big_l, sc.step)
-    monkeypatch.setattr(digraph, "_CSR_MIN_ROWS", 10 ** 9)  # every operator dense
-    dense = LinearDriver(big_l, sc.step)
-    assert sparse.b.format == "csr" and type(dense.b) is np.ndarray
-    assert np.array_equal(dense.b, big_l)
-    for kstep in range(500):
-        assert np.abs(np.subtract(sparse.stages(), dense.stages())).max() <= 1e-12
-    assert np.abs(sparse.w - dense.w).max() <= 1e-12
-
-
 def test_driver_divergence_names_the_driver_and_time(monkeypatch):
     # "L" = [[-50]]: xi' = 50 xi at h = 0.1 grows by R(5) = 65.4 a step until
     # xi overflows, with every stage factor positive, so the floor holds; the
-    # Horner driver checks W after its step, the modal source its stage inputs
+    # source checks its stage inputs, as a mode or as a 1 x 1 block
     h = 0.1
-    for source, checked in (("horner", "state after step"), ("modal", "stage input")):
-        driver = SOURCES[source](np.array([[-50.0]]), h)
+    for bound in (math.inf, 0.0):
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "_MODAL_MAX_COND", bound)
+            driver = xi_source(np.array([[-50.0]]), h)
+        assert block_size(driver) == (bound == 0.0)
         steps = 0
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(Diverged, match=rf"^xi source: non-finite {checked} "
-                                               rf"at t=[\d.]+$") as info:
+            with pytest.raises(Diverged, match=r"^xi source: non-finite stage input "
+                                               r"at t=[\d.]+$") as info:
                 for steps in range(200):  # R(5)^170 overflows
                     driver.stages()
         assert steps > 100 and info.value.t == steps * h
@@ -1004,40 +958,12 @@ def test_driver_divergence_names_the_driver_and_time(monkeypatch):
     # run names the scenario: the same growth on every agent's xi_i^i, which
     # only divides the gradient term, so the source fails first
     monkeypatch.setattr(sim.SourceParts, "source",
-                        lambda parts, h: LinearDriver(-50.0 * np.eye(3), h))
+                        lambda parts, h: ModalSource(_split_modes(50.0 * np.eye(3)), h))
     sc = tiny_scenario(step=h, horizon=20.0, gains=FIXED_GAINS, frequencies=None,
                        name="blowup")
     with pytest.raises(Diverged, match=r"^blowup: xi source: .* at t=[\d.]+$") as info:
         run(sc)
     assert info.value.t > 10.0
-
-
-@pytest.mark.parametrize("csr", [True, False], ids=["csr", "dense"])
-def test_driver_finish_raises_on_any_non_finite_entry(csr, monkeypatch):
-    # the check at the end of each Horner step reads all of W, not only the
-    # entries the stage inputs are read from
-    if not csr:
-        monkeypatch.setattr(digraph, "_CSR_MIN_ROWS", 10 ** 9)  # every operator dense
-    sc = sparse_ring(100, 0)  # a pure ring: B W reaches one neighbour per product
-    n, h = sc.graph.n, sc.step
-    # a NaN, then an inf, in xi half the ring away from its column's diagonal,
-    # which three Horner products cannot carry to any diag xi
-    for row, col, value in ((n // 2, 0, math.nan), (0, n // 2, math.inf)):
-        driver = LinearDriver(laplacian(sc.graph), h)
-        assert (type(driver.b) is not np.ndarray) == csr
-        driver.stages()  # finite: no error
-        driver.w[row, col] = value
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(Diverged, match=rf"^xi source: non-finite state after "
-                                              rf"step at t={h:g}$") as info:
-            driver.stages()
-        assert info.value.t == h
-        assert not np.isfinite(driver.w[row, col])
-        # CSR products skip B's zeros, so every stage input of the failing step
-        # was finite and only the check over all of W saw the entry; a dense
-        # product's 0 * NaN (or 0 * inf) carries a NaN down its whole column,
-        # diagonal included
-        assert np.isfinite(driver._inputs).all() == csr
 
 
 def test_unstable_xi_step_names_scenario_and_time():
