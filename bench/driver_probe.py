@@ -8,34 +8,25 @@ sweep's first member) and builds the source the way `run` does, with
 `sim.xi_source(L, h)`.  That is `ModalSource`, which splits -L into
 eigenmodes plus one real m x m block for the ill-conditioned modes of a
 defective or nearly defective L (`sim._split_modes`); the probe prints the
-block size m and kappa_1(P) of the split (m = 0 on a well-conditioned L).  A
-checkout from before the split has no `_split_modes` and prints neither; its
-`xi_source` picks the Horner driver for such an L.  It prints which source
-was chosen and its construction time (the split and the read-out; the min
-over `--blocks` builds), then advances it by 100 steps and prints the µs per
-source step (`stages()`, which returns a step's four stage inputs and moves
-the source to the step's end), the µs per member derivative call and the µs
-per member RK4 step (`rk4_step` with its four derivative calls, fed the tuple
-that `stages()` returned), each the min over `--blocks` blocks of `--calls`
-calls, and the source's share of a whole step,
-source / (source + member RK4 step).  The modal source reads out its stage
-inputs `sim._BLOCK` steps at a time, so it is timed over `--calls` rounded up
-to a multiple of that block: each timed block holds the same number of
-read-outs, and the µs per source step is amortized over them (the Horner
-driver of older checkouts, and a checkout without `_BLOCK`, read out every
-step).  `run` builds the source, so its construction lands in the
-benchmark's `steps_per_s` (the integrate phase), not in `setup_s`.
-Checkouts where the source also advanced the exosystem v are probed beside
-later ones: one with `xi_v_source` gets `xi_v_source(L, S, v0, h)`, and its
-stage inputs are (diag xi, v) pairs instead of rows of diag xi, which the
-derivative takes either way.  A source that still ends its step with a
-separate `finish(t)` call gets `finish(0.0)` after each `stages()`, so a
-checkout from before the two-call source can be probed too; older
-checkouts, with neither `xi_source` nor `xi_v_source`, need the older copy
-of this script.  `benchmark/run.py`'s per-layer metrics cannot see the
-source: it runs between the traced `rk4_step` calls.  Like
-`benchmark/run.py`, it fixes one BLAS thread before numpy loads.  The last
-line of standard output is one JSON object holding every number.
+block size m and kappa_1(P) of the split (m = 0 on a well-conditioned L).
+It prints the source's construction time (the split and the read-out; the
+min over `--blocks` builds), then advances it by 100 steps and prints the
+µs per source step (`stages()`, which returns a step's four stage inputs
+and moves the source to the step's end), the µs per member derivative call
+and the µs per member RK4 step (`rk4_step` with its four derivative calls,
+fed the tuple that `stages()` returned), each the min over `--blocks`
+blocks of `--calls` calls, and the source's share of a whole step,
+source / (source + member RK4 step).  The source reads out its stage
+inputs `sim._BLOCK` steps at a time, so it is timed over `--calls` rounded
+up to a multiple of that block: each timed block holds the same number of
+read-outs, and the µs per source step is amortized over them.  `run`
+builds the source, so its construction lands in the benchmark's
+`steps_per_s` (the integrate phase), not in `setup_s`.  The checkout must
+have `sim.xi_source`, `sim._split_modes` and `sim._BLOCK`.
+`benchmark/run.py`'s per-layer metrics cannot see the source: it runs
+between the traced `rk4_step` calls.  Like `benchmark/run.py`, it fixes one
+BLAS thread before numpy loads.  The last line of standard output is one
+JSON object holding every number.
 """
 
 import os
@@ -72,30 +63,15 @@ def probe(sim_mod, rk4_step, scenario_from_dict, wl, blocks, calls):
     system = sim_mod.assemble(sc)
     h = sc.step
     big_l = system.spectral.laplacian
-    if hasattr(sim_mod, "xi_source"):
-        build, args = sim_mod.xi_source, (big_l, h)
-    else:
-        build, args = sim_mod.xi_v_source, (big_l, sc.exo.S, sc.exo.v0, h)
-    m = kappa = None
-    if hasattr(sim_mod, "_split_modes"):
-        _, block, kappa = sim_mod._split_modes(-big_l)
-        m = 0 if block is None else len(block[0])
-    driver = build(*args)
-    build_ms = min_block_us(lambda: build(*args), blocks, 1) / 1e3
-    finish = getattr(driver, "finish", None)
-
-    def driver_step():
-        w = driver.stages()
-        if finish is not None:
-            finish(0.0)
-        return w
-
+    _, block, kappa = sim_mod._split_modes(-big_l)
+    m = 0 if block is None else len(block[0])
+    driver = sim_mod.xi_source(big_l, h)
+    build_ms = min_block_us(lambda: sim_mod.xi_source(big_l, h), blocks, 1) / 1e3
     for _ in range(WARMUP_STEPS):
-        w = driver_step()
+        w = driver.stages()
     y0 = sim_mod.initial_state(sc, system.layout)
-    # steps per read-out: the Horner driver, and older modal sources, one
-    per_read = getattr(sim_mod, "_BLOCK", 1) if type(driver).__name__ == "ModalSource" else 1
-    driver_us = min_block_us(driver_step, blocks, -(-calls // per_read) * per_read)
+    per_read = sim_mod._BLOCK
+    driver_us = min_block_us(driver.stages, blocks, -(-calls // per_read) * per_read)
     member_us = min_block_us(lambda: rk4_step(system.derivative, 0.0, y0, h, w),
                              blocks, calls)
     return {"n": sc.graph.n,
@@ -132,9 +108,8 @@ def main(argv=None):
         res = probe(sim_mod, rk4_step, scenario_from_dict, generate(args.seed),
                     args.blocks, args.calls)
         out["workloads"][name] = res
-        split = ("" if res["block_size"] is None else
-                 f" (block m {res['block_size']}, kappa_1(P) {res['kappa_1']:.3g})")
-        print(f"{name}: n {res['n']}, {res['source']}{split} built in {res['build_ms']:.2f} ms, "
+        print(f"{name}: n {res['n']}, {res['source']} (block m {res['block_size']}, "
+              f"kappa_1(P) {res['kappa_1']:.3g}) built in {res['build_ms']:.2f} ms, "
               f"source step {res['driver_step_us']:.1f} us "
               f"(amortized over {res['steps_per_read_out']}-step read-outs), "
               f"derivative call {res['derivative_us']:.1f} us, member RK4 step "

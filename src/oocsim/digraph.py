@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from scipy.sparse import _sparsetools, csr_array
 
 from .errors import InvalidSpectrum, NotStronglyConnected
 
@@ -74,28 +75,6 @@ def laplacian(g: Digraph) -> np.ndarray:
     return np.diag(g.weights.sum(axis=1)) - g.weights
 
 
-# An operator with at least _CSR_MIN_ENTRIES entries, at most _CSR_MAX_DENSITY
-# of them nonzero, is held as CSR (`_block_operator`).  Bound once
-# (`_bound_product`), CSR would already beat the dense product on the presets'
-# member operators (at most 5,405 entries on example1 and 10,452 on example2),
-# but they stay below the rule so that dense systems never import scipy.sparse
-# and its memory.
-_CSR_MIN_ENTRIES = 128 * 128
-_CSR_MAX_DENSITY = 0.1
-
-# scipy's private CSR kernels, bound by `_csr` when it makes the first CSR
-# array, so a CSR operator always finds them
-_sparsetools = None
-
-
-def _csr(arg, shape=None):
-    """scipy.sparse.csr_array(arg, shape), binding the private kernels on first use."""
-    global _sparsetools
-    import scipy.sparse
-    from scipy.sparse import _sparsetools
-    return scipy.sparse.csr_array(arg, shape=shape)
-
-
 def _diagonal(row, col, values):
     """The COO part (rows, cols, values) of a diagonal block whose first entry is at (row, col)."""
     idx = np.arange(len(values))
@@ -103,34 +82,44 @@ def _diagonal(row, col, values):
 
 
 def _block_operator(shape, parts):
-    """One operator of `shape` from COO parts (rows, cols, values); entries that meet add.
+    """One CSR operator of `shape` from COO parts (rows, cols, values); entries that meet add.
 
-    With at least _CSR_MIN_ENTRIES entries, at most _CSR_MAX_DENSITY of them
-    given, it is a CSR array from one `csr_array` call on the stacked parts, so
-    it is never formed densely; else a dense ndarray.
+    scipy's private kernel `coo_tocsr` lays the stacked parts out row by
+    row, each row's entries in the order given, so the operator is never
+    formed densely and nothing is sorted.  Entries that meet stay separate
+    entries of the CSR arrays, and every product (`_bound_product`, `@`)
+    and `.toarray()` adds them.  No parts give an operator without entries.
+    Raises ValueError when the parts' lengths differ or an entry lies
+    outside `shape`: the kernel checks nothing, and would write past its
+    arrays.
     """
-    rows, cols, values = (np.concatenate(x) for x in zip(*parts))
-    size = shape[0] * shape[1]
-    if size >= _CSR_MIN_ENTRIES and len(values) <= _CSR_MAX_DENSITY * size:
-        return _csr((values, (rows, cols)), shape)
-    a = np.zeros(shape)
-    np.add.at(a, (rows, cols), values)
-    return a
+    rows, cols, values = (np.concatenate(x) for x in zip(*parts)) if parts else [np.empty(0)] * 3
+    rows, cols, nnz = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False), len(values)
+    if not len(rows) == len(cols) == nnz or nnz and (
+            min(rows.min(), cols.min()) < 0 or rows.max() >= shape[0] or cols.max() >= shape[1]):
+        raise ValueError(f"COO parts of lengths {len(rows)}, {len(cols)} and {nnz} "
+                         f"do not fit a {shape} operator")
+    indptr, indices, data = np.empty(shape[0] + 1, np.intp), np.empty(nnz, np.intp), np.empty(nnz)
+    _sparsetools.coo_tocsr(*shape, nnz, rows, cols, values.astype(float, copy=False),
+                           indptr, indices, data)
+    return csr_array((data, indices, indptr), shape=shape)
 
 
 def _bound_product(op, x, out):
-    """The function () -> out = op @ x on fixed vectors, checked once here.
+    """The function () -> out = op @ x for a CSR op on fixed vectors, checked once here.
 
-    Raises ValueError now, not at a call, when x and out do not fit the
-    operator's shape, when op, x or out is not float64, when x or out is not
-    C-contiguous, or when out overlaps x.  A call then runs the bare
-    product: dense, np.dot into out; CSR, out is zeroed and scipy's private
-    accumulating kernel `csr_matvec` (Y += A X) adds op @ x, with none of
-    the few µs of checks and dispatch, or the fresh result, of `@`.  The
-    kernel checks nothing, so any array the function reads or writes must
-    stay the one bound here.  CSR sums only the nonzeros, in its own order,
-    so it can differ from the dense product in the last bits.
+    Raises ValueError now, not at a call, when op is not CSR, when x and
+    out do not fit its shape, when op, x or out is not float64, when x or
+    out is not C-contiguous, or when out overlaps x.  A call then zeroes
+    out and runs scipy's private accumulating kernel `csr_matvec`
+    (Y += A X), with none of the few µs of checks and dispatch, or the
+    fresh result, of `@`; for an operator without rows both do nothing.
+    The kernel checks nothing, so any array the function reads or writes
+    must stay the one bound here.  It sums each row's entries in their
+    stored order, so it can differ from a dense product in the last bits.
     """
+    if getattr(op, "format", None) != "csr":
+        raise ValueError(f"operator must be a CSR array, got {type(op).__name__}")
     rows, cols = op.shape
     if x.shape != (cols,) or out.shape != (rows,):
         raise ValueError(f"operator {op.shape} cannot map x {x.shape} into out {out.shape}")
@@ -142,10 +131,6 @@ def _bound_product(op, x, out):
                          f"got strides {x.strides} and {out.strides}")
     if np.may_share_memory(x, out):
         raise ValueError("out must not overlap x")
-    if not len(out):  # an operator without rows writes nothing: no call at all
-        return lambda: None
-    if isinstance(op, np.ndarray):
-        return partial(np.dot, op, x, out)
     zero = partial(out.fill, 0.0)
     matvec = partial(_sparsetools.csr_matvec, rows, cols, op.indptr, op.indices, op.data, x, out)
 

@@ -278,6 +278,8 @@ _TOP_KEYS = {"name", "seed", "graph", "costs", "plants", "exosystem", "coordinat
 def scenario_from_dict(doc, name_hint="scenario") -> Scenario:
     _check_keys(doc, "scenario", _TOP_KEYS)
     name = doc.get("name", name_hint)
+    if not isinstance(name, str):
+        raise SchemaError(f"name: expected a string, got {name!r}")
     seed = _require(doc, "seed", "scenario")
     if not _is_int(seed) or not (0 <= seed < 2 ** 64):
         raise SchemaError("seed: expected a 64-bit unsigned integer")
@@ -288,6 +290,9 @@ def scenario_from_dict(doc, name_hint="scenario") -> Scenario:
     domain_hint = doc.get("domain_hint")
     if domain_hint is not None:
         domain_hint = _pair(domain_hint, "domain_hint")
+        if domain_hint[0] == domain_hint[1]:  # an init range may be one value, a domain not
+            raise SchemaError(f"domain_hint: low equals high {domain_hint[1]}, "
+                              "expected an interval of positive width")
 
     cost_entries = _require(doc, "costs", "scenario")
     if not isinstance(cost_entries, list) or len(cost_entries) != n:

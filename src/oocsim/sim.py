@@ -44,15 +44,16 @@ for quadratic costs.  The derivative owns an input buffer laid out as
   owning agent from each term of u onto x2' and eta' (so each agent's sum
   psi_hat . eta is taken here), theta^2 and theta^6 onto k', -theta eta
   onto psi_hat', and the remainder coefficients onto x2'.
-`Plan` builds both operators from the layers' COO parts
+`Plan` builds both operators as CSR arrays from the layers' COO parts
 (`coordinator_linear`, `costs.gradient_linear`, `plant_linear`,
 `plant_remainder`, `tracker_linear`, S's nonzeros), one `_block_operator`
 call each, and `Plan.bind` has `bind_derivative` bind both products to a
 System's own buffers once (`digraph._bound_product`, which checks them
-there, so a CSR product is a zero fill and scipy's bare kernel).  So a
-call is 9 numpy calls on example1 and makes no array (README has the
-timings), and returns the output buffer, valid until its next call.  The
-xi floor is not checked here: the source checks it over its stage inputs.
+there, so a product is a zero fill and scipy's bare kernel).  So a call
+is 11 calls on example1, 9 of numpy and 2 of the kernel, makes no array
+(README has the timings), and returns the output buffer, valid until its
+next call.  The xi floor is not checked here: the source checks it over
+its stage inputs.
 `coordinator_derivative` is the same builder over (yr, z) alone.
 
 The source is `ModalSource`, for every L: it splits -L once into
@@ -217,8 +218,7 @@ class System:
     in its g = n last rows (g = 0 for other cost sets); operator,
     dim x (dim + 1 + p) over [y | 1 | features], gives the derivative from
     every linear term and the features' scatter, k' and psi_hat' included.
-    Each operator is a CSR array when it is large and sparse
-    (`digraph._block_operator`), else dense.
+    Both operators are CSR arrays (`digraph._block_operator`).
     """
 
     layout: StateLayout
@@ -693,13 +693,14 @@ def coordinator_derivative(big_l, gains, cost_list):
     """`bind_derivative` over c = (yr, z) alone, with no multiplies: f(t, c, w) -> c'.
 
     pre holds an all-quadratic set's gradient (`costs.gradient_linear`),
-    else no rows and `build_gradient`; main holds `coordinator_linear`.  It
-    reads only L, so one agent runs too.
+    else no rows and `build_gradient`; main holds `coordinator_linear`; both
+    are CSR, as the member operators are.  It reads only L, so one agent
+    runs too.
     """
     n = len(big_l)
     one, grad_col = 2 * n, 2 * n + 1
     grad_pre = costs_mod.gradient_linear(cost_list, 0, 0, one)
-    pre = np.zeros((0, one + 1)) if grad_pre is None else _block_operator((n, one + 1), grad_pre)
+    pre = _block_operator((0 if grad_pre is None else n, one + 1), grad_pre or [])
     main = _block_operator((2 * n, grad_col + n), coordinator_linear(big_l, gains, grad_col))
     grad_vec = None if grad_pre is not None else costs_mod.build_gradient(cost_list)
     return bind_derivative(pre, main, n, grad_col, grad_vec)

@@ -304,8 +304,12 @@ def test_refused_plant_parameter_exits_2(tmp_path, capsys, preset, fields, messa
      "costs[0].name: expected a string, got ['ex2_f1']"),
     (None, "exosystem", {"kind": "matrix", "S": [["0", 1.0], [-1.0, False]], "v0": [0.0, 1.0]},
      "exosystem.S: expected a number, got '0'"),
+    (None, "name", ["x"], "name: expected a string, got ['x']"),
+    (None, "name", 5, "name: expected a string, got 5"),
+    (None, "domain_hint", [1.0, 1.0],
+     "domain_hint: low equals high 1.0, expected an interval of positive width"),
 ], ids=["rotation-v0", "init-range", "domain-hint", "frequency-count", "repeated-frequency",
-        "composite-name", "exosystem-S"])
+        "composite-name", "exosystem-S", "name-list", "name-number", "domain-hint-width"])
 def test_schema_holes_exit_2(tmp_path, tiny_path, capsys, section, key, value, message):
     # each was a traceback, a run-time numpy error, a failure after the run
     # or, for the string and boolean entries of S, a run

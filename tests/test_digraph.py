@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from oocsim import digraph
-from oocsim.digraph import (Digraph, _bound_product, _csr, is_strongly_connected, laplacian,
-                            spectral_data)
+from oocsim.digraph import (Digraph, _block_operator, _bound_product, _diagonal,
+                            is_strongly_connected, laplacian, spectral_data)
 from oocsim.errors import InvalidSpectrum, NotStronglyConnected
 
 
@@ -183,10 +183,11 @@ def test_strong_connectivity_matches_csgraph_oracle(g):
 
 
 def sparse_operator(index_dtype=np.int32, n=80, seed=0):
-    """A random n x n matrix with about 5% nonzeros, and the same as `_csr` makes it."""
+    """A random n x n matrix with about 5% nonzeros, and the same as `_block_operator` makes it."""
     rng = np.random.default_rng(seed)
     a = np.where(rng.random((n, n)) < 0.05, rng.uniform(-2.0, 2.0, (n, n)), 0.0)
-    op = _csr(a)
+    rows, cols = np.nonzero(a)
+    op = _block_operator((n, n), [(rows, cols, a[rows, cols])])
     assert op.format == "csr"
     op.indices = op.indices.astype(index_dtype)
     op.indptr = op.indptr.astype(index_dtype)
@@ -208,14 +209,6 @@ def test_csr_kernel_matches_dense_product(index_dtype, x_shape):
     assert np.abs(out - want).max() <= 1e-14 * np.abs(want).max()
 
 
-def test_dense_operator_runs_the_plain_numpy_calls():
-    rng = np.random.default_rng(2)
-    a = rng.uniform(-1.0, 1.0, (6, 6))
-    v, out = rng.uniform(-1.0, 1.0, 6), np.empty(6)
-    _bound_product(a, v, out)()
-    assert np.array_equal(out, a @ v)
-
-
 def test_csr_kernel_refuses_inputs_it_would_mishandle():
     a, op = sparse_operator()
     x = np.ones(80)
@@ -230,24 +223,25 @@ def test_csr_kernel_refuses_inputs_it_would_mishandle():
         "non-contiguous out": (x, np.zeros(160)[::2], layout),
         "out overlapping x": (x, x, "overlap"),
     }
-    for operator in (a, op):
-        for name, (xx, out, message) in bad_binds.items():
-            before = out.copy()
-            with pytest.raises(ValueError, match=message):
-                _bound_product(operator, xx, out)
-            assert np.array_equal(out, before), f"{name}: out written before the refusal"
+    for name, (xx, out, message) in bad_binds.items():
+        before = out.copy()
+        with pytest.raises(ValueError, match=message):
+            _bound_product(op, xx, out)
+        assert np.array_equal(out, before), f"{name}: out written before the refusal"
+    for other in (a, op.tocsc()):  # a dense or CSC operator the kernel would misread
+        with pytest.raises(ValueError, match="must be a CSR array"):
+            _bound_product(other, x, np.zeros(80))
 
 
 def test_bound_product_checks_its_buffers_once_at_bind_time():
     a, op = sparse_operator()
     rng = np.random.default_rng(4)
     x = rng.uniform(-1.0, 1.0, 80)
-    for operator in (a, op):
-        out = np.full(80, np.nan)
-        product = _bound_product(operator, x, out)
-        product()
-        product()  # the CSR kernel accumulates, so each call zeroes out first
-        assert np.abs(out - a @ x).max() <= 1e-14 * np.abs(a @ x).max()
+    out = np.full(80, np.nan)
+    product = _bound_product(op, x, out)
+    product()
+    product()  # the CSR kernel accumulates, so each call zeroes out first
+    assert np.abs(out - a @ x).max() <= 1e-14 * np.abs(a @ x).max()
     shared = np.zeros(120)
     bad_binds = {  # name: (x, out, the refusal's message)
         "non-contiguous x": (np.ones(160)[::2], np.zeros(80), "C-contiguous"),
@@ -257,12 +251,11 @@ def test_bound_product_checks_its_buffers_once_at_bind_time():
         "x of the wrong length": (np.ones(81), np.zeros(80), "cannot map"),
         "out overlapping x": (shared[:80], shared[40:], "overlap"),
     }
-    for operator in (a, op):
-        for name, (xx, out, message) in bad_binds.items():
-            with pytest.raises(ValueError, match=message):
-                _bound_product(operator, xx, out)
-        with pytest.raises(ValueError, match="must be float64"):
-            _bound_product(operator.astype(np.float32), x, np.zeros(80))
+    for name, (xx, out, message) in bad_binds.items():
+        with pytest.raises(ValueError, match=message):
+            _bound_product(op, xx, out)
+    with pytest.raises(ValueError, match="must be float64"):
+        _bound_product(op.astype(np.float32), x, np.zeros(80))
 
 
 def test_csr_kernel_writes_into_the_callers_buffer():
@@ -276,5 +269,34 @@ def test_csr_kernel_writes_into_the_callers_buffer():
 
 
 def test_bound_product_of_an_operator_without_rows_does_nothing():
-    product = _bound_product(np.zeros((0, 5)), np.ones(5), np.empty(0))
+    product = _bound_product(_block_operator((0, 5), []), np.ones(5), np.empty(0))
     assert product() is None
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_block_operator_adds_entries_that_meet(index_dtype):
+    # (1, 2) repeats within the first part and (0, 0) and (3, 4) across parts;
+    # the CSR arrays keep each as its own entry, and every read adds them
+    shape = (4, 6)
+    parts = [([1, 1, 0, 1], [2, 2, 0, 5], [0.5, 0.25, 1.0, -2.0]),
+             ([0, 3, 2], [0, 4, 1], [3.0, -1.5, 4.0]),
+             _diagonal(2, 3, [0.125, 7.0])]
+    parts = [(np.asarray(r, index_dtype), np.asarray(c, index_dtype), np.asarray(v, float))
+             for r, c, v in parts]
+    want = np.zeros(shape)
+    for rows, cols, values in parts:
+        np.add.at(want, (rows, cols), values)
+    op = _block_operator(shape, parts)
+    assert op.format == "csr" and op.nnz == 9
+    assert np.array_equal(op.toarray(), want)
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, shape[1])
+    out = np.full(shape[0], np.nan)
+    _bound_product(op, x, out)()
+    assert np.abs(out - want @ x).max() <= 1e-15 * np.abs(want @ x).max()
+    # the kernel would write past its arrays: an entry outside the shape, or
+    # parts of unequal lengths, is refused before it runs
+    for rows, cols, values in (([4], [0], [1.0]), ([0], [6], [1.0]), ([-1], [0], [1.0]),
+                               ([0, 1], [0], [1.0, 2.0]), ([0], [0], [1.0, 2.0])):
+        with pytest.raises(ValueError, match="do not fit a"):
+            _block_operator(shape, [(np.asarray(rows, index_dtype), np.asarray(cols, index_dtype),
+                                     np.asarray(values))])

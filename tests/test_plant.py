@@ -40,7 +40,8 @@ def split_drift(plants, x1, x2, v):
     product = state + n  # after u, each state entry times its partner
     pre, main, width, bind = plant_remainder(slices, plants, 0, product, product + state)
     cols = product + state + width
-    op = _block_operator((2 * n, cols), plant_linear(slices, plants, one_term(n, state)) + main)
+    op = _block_operator((2 * n, cols),
+                         plant_linear(slices, plants, one_term(n, state)) + main).toarray()
     # rows 0..n-1 are x1' = x2
     assert np.array_equal(op[:n], np.hstack([np.zeros((n, n)), np.eye(n),
                                              np.zeros((n, cols - 2 * n))]))
@@ -154,7 +155,7 @@ def test_remainder_is_monomials_times_coefficients(kind):
     coefs = {"vdp_like": lambda r: [-1.0, -r["mu1"]],
              "damping_spring": lambda r: [-r["k2"] / r["m"], -r["mu2"] / r["m"],
                                           r["a_w"] / r["m"]]}[kind]
-    op = _block_operator((4, 12 + width), main)
+    op = _block_operator((4, 12 + width), main).toarray()
     for i, plant in enumerate((p, q)):
         row = op[2 + i, 6:]
         assert sorted(row[row != 0].tolist()) == sorted(coefs(plant.params))

@@ -165,6 +165,27 @@ def test_refused_composite_cost_name_names_the_cost(name):
         scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize("name", [["x"], 5, None], ids=["list", "number", "null"])
+def test_refused_scenario_name(name):
+    # each parsed and reached file names and messages
+    doc = minimal_doc()
+    doc["name"] = name
+    message = f"name: expected a string, got {name!r}"
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        scenario_from_dict(doc)
+
+
+def test_zero_width_domain_hint_refused_but_one_valued_init_range_kept():
+    # a [1, 1] domain parsed, and assembly then found a curvature grid of spacing 0
+    doc = minimal_doc()
+    doc["domain_hint"] = [1.0, 1.0]
+    with pytest.raises(SchemaError, match=r"^domain_hint: low equals high 1\.0, "):
+        scenario_from_dict(doc)
+    doc = minimal_doc()
+    doc["init"] = {"x_range": [0.25, 0.25]}  # equal ends fix the value
+    assert scenario_from_dict(doc).init.x_range == (0.25, 0.25)
+
+
 def test_negative_weight_names_edge():
     doc = minimal_doc()
     doc["graph"]["edges"][1] = [2, 1, -0.5]

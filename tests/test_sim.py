@@ -1,19 +1,15 @@
 import dataclasses
 import json
 import math
-import os
-import subprocess
 import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import oocsim
 from oocsim import costs, sim
 from oocsim.coordinator import XI_FLOOR, CoordinatorGains, check_xi_floor
 from oocsim.digraph import Digraph, _block_operator, laplacian, spectral_data
@@ -348,12 +344,25 @@ def operators(system):
     return system.pre_operator, system.operator
 
 
-def test_operator_is_csr_only_for_large_sparse_matrices(example1_scenario, example2_scenario):
-    for sc in (example1_scenario, example2_scenario):
-        # example2's operators are 57 x 68 and 67 x 156, at most 10,452 entries
-        for op in operators(assemble(sc)):
-            assert type(op) is np.ndarray
-    assert [op.format for op in operators(assemble(sparse_ring()))] == ["csr", "csr"]
+def test_every_operator_is_csr(example1_scenario, example2_scenario, monkeypatch):
+    # the member operators of each System and both of the coordinator-only run's
+    bound, bind = [], sim.bind_derivative
+    monkeypatch.setattr(sim, "bind_derivative",
+                        lambda pre, main, *args: bound.append((pre, main)) or bind(pre, main, *args))
+    scenarios = [dataclasses.replace(sc, ablate_internal_model=ablated)
+                 for sc in (example1_scenario, example2_scenario) for ablated in (False, True)]
+    for sc in scenarios + [sparse_ring(), spring_ring(), ablated_ring()]:
+        system = assemble(sc)
+        n = sc.graph.n
+        bound.clear()
+        sim.coordinator_derivative(system.spectral.laplacian, system.gains, sc.costs)
+        (pre, main), = bound
+        # pre has no rows unless the costs are all quadratic
+        quadratic = all(c.kind == "quadratic" for c in sc.costs)
+        assert (pre.shape, main.shape) == ((n if quadratic else 0, 2 * n + 1), (2 * n, 3 * n + 1))
+        assert [op.format for op in operators(system) + (pre, main)] == ["csr"] * 4
+    # example2's operators are 57 x 68 and 67 x 156
+    assert [op.shape for op in operators(assemble(example2_scenario))] == [(57, 68), (67, 156)]
     # a 40-agent ring with s = 4: the 482 x 523 pre and the 522 x 1,205 main
     # operator are CSR
     mid = scenario_from_dict(ring_doc(40, {"coeffs": [10.0, 18.0, 15.0, 6.0]}, chords=40))
@@ -535,10 +544,11 @@ def test_operator_holds_the_drifts_terms_in_v(preset, kind, entry, coefficient, 
     assert {p.kind for p in sc.plants} == {kind}
     want = np.zeros((n, nv))
     want[:, entry] = [coefficient(p.params) for p in sc.plants]
-    assert np.array_equal(system.operator[sl["x2"], sl["v"]], want)
+    main = system.operator.toarray()
+    assert np.array_equal(main[sl["x2"], sl["v"]], want)
     # and nothing else of the main operator reads v but v' = S v
-    assert not system.operator[:sl["x2"].start, sl["v"]].any()
-    assert not system.operator[sl["eta"].start:sl["v"].start, sl["v"]].any()
+    assert not main[:sl["x2"].start, sl["v"]].any()
+    assert not main[sl["eta"].start:sl["v"].start, sl["v"]].any()
     # so the nonlinear remainder has no term linear in v alone: it is 0 at x = 0, v = e_j
     dim, x1 = system.layout.dim, sl["x1"].start
     # features: each state entry from x1 on times its partner, then the rest
@@ -644,22 +654,6 @@ def test_sparse_run_keeps_invariants_and_reruns_bit_identical():
     assert rep.xi_rowsum_drift < 1e-9
     assert np.abs(first.xi_rowsum - 1.0).max() < 1e-9
     assert same_records(first, run(sc))
-
-
-def test_dense_systems_never_import_scipy_sparse():
-    # the lazy import keeps small workloads' peak memory where it was
-    code = ("import dataclasses, sys\n"
-            "from oocsim.scenario import parse_scenario\n"
-            "from oocsim.sim import run\n"
-            "for name in ('example1', 'example2'):\n"
-            "    run(dataclasses.replace(parse_scenario(name), horizon=0.05))\n"
-            "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse was imported'\n")
-    src = str(Path(oocsim.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_builds_one_truth_per_distinct_spec(monkeypatch):

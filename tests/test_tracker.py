@@ -143,7 +143,7 @@ def test_stack_of_mixed_orders_is_block_diagonal():
     specs = [InternalModelSpec.from_coeffs(c)
              for c in ([2.0, 3.0], [1.0, 4.0, 6.0, 4.0], [5.0], [2.0, 3.0])]
     im = StackedInternalModel.stack(specs)
-    m = _block_operator((9, 9), [im.M_entries])
+    m = _block_operator((9, 9), [im.M_entries]).toarray()
     assert np.array_equal(m, scipy.linalg.block_diag(*[spec.M for spec in specs]))
     # nonzeros only, so a CSR operator built from them keeps M's sparsity
     assert np.count_nonzero(im.M_entries[2]) == len(im.M_entries[2]) == np.count_nonzero(m)
