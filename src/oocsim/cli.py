@@ -36,31 +36,40 @@ def _fmt(x):
     return _FMT % x
 
 
-def _write_csv(path, columns):
-    """Write (name, 1-D array) columns as a CSV with a header row."""
-    names = [name for name, _ in columns]
-    data = np.column_stack([col for _, col in columns])
-    np.savetxt(path, data, fmt=_FMT, delimiter=",", header=",".join(names), comments="")
+def _write_csv(path, names, table):
+    """Write a 2-D table as a CSV with a header row of names."""
+    np.savetxt(path, table, fmt=_FMT, delimiter=",", header=",".join(names), comments="")
 
 
-def _per_agent(name, block):
-    """Columns name_1 .. name_n of an (m, n) block."""
-    return [(f"{name}_{i}", block[:, i - 1]) for i in range(1, block.shape[1] + 1)]
+def _names(name, count):
+    """name_1 .. name_count."""
+    return [f"{name}_{i}" for i in range(1, count + 1)]
+
+
+_AGENT_BLOCKS = ("y", "x2", "yr", "z", "xii", "theta", "k")
 
 
 def write_trajectory(traj: Trajectory, path, gamma):
-    """Write the trajectory CSV: t, per-agent blocks, then shared columns."""
+    """Write the trajectory CSV: t, each agent's entries and psi rows, then shared columns.
+
+    The table is built from whole blocks and put in column order by one index.
+    """
     if traj.times.size == 0:
         raise ValueError("refusing to write an empty trajectory")
-    blocks = [("y", traj.y), ("x2", traj.x2), ("yr", traj.yr), ("z", traj.z),
-              ("xii", traj.xi_diag), ("theta", traj.theta(gamma)), ("k", traj.k)]
-    columns = [("t", traj.times)]
-    for i in range(traj.layout.n):
-        columns += [(f"{name}_{i + 1}", block[:, i]) for name, block in blocks]
-        columns += _per_agent(f"psi_{i + 1}", traj.psi_rows(i))
-    columns += _per_agent("v", traj.v)
-    columns += [("rho_z", traj.rho_z), ("exo_norm", traj.exo_norm)]
-    _write_csv(path, columns)
+    n, s_dims = traj.layout.n, traj.layout.s_dims
+    table = np.column_stack([traj.times, traj.y, traj.x2, traj.yr, traj.z, traj.xi_diag,
+                             traj.theta(gamma), traj.k, traj.psi, traj.v, traj.rho_z,
+                             traj.exo_norm])
+    # agent i's entry of block b sits at column 1 + b n + i, its psi rows from psi[i] on
+    psi = 1 + len(_AGENT_BLOCKS) * n + np.cumsum((0,) + s_dims)
+    order, names = [0], ["t"]
+    for i in range(n):
+        order += range(1 + i, psi[0], n)
+        order += range(psi[i], psi[i + 1])
+        names += [f"{name}_{i + 1}" for name in _AGENT_BLOCKS] + _names(f"psi_{i + 1}", s_dims[i])
+    order += range(psi[-1], table.shape[1])
+    names += _names("v", traj.v.shape[1]) + ["rho_z", "exo_norm"]
+    _write_csv(path, names, table[:, order])
 
 
 def _write_json(payload, path):
@@ -99,9 +108,10 @@ def _cmd_coordinator(args):
                                     sc.horizon, sc.step, sc.record_every)
     s_star = structure.optimum()
     xii = traj.xi_diag
+    n = sc.graph.n
     _write_csv(out / "coordinator.csv",
-               [("t", traj.times)] + _per_agent("yr", traj.y_r) + _per_agent("z", traj.z)
-               + _per_agent("xii", xii) + [("rho_z", traj.z @ rho)])
+               ["t"] + _names("yr", n) + _names("z", n) + _names("xii", n) + ["rho_z"],
+               np.column_stack([traj.times, traj.y_r, traj.z, xii, traj.z @ rho]))
     summary = {
         "s_star": s_star,
         "final_reference_error": float(np.abs(traj.y_r[-1] - s_star).max()),

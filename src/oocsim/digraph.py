@@ -7,7 +7,7 @@ its second-smallest eigenvalue lambda2 measures connectivity strength.
 """
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.sparse import _sparsetools, csr_array
@@ -61,13 +61,23 @@ class Digraph:
 class SpectralData:
     """Laplacian plus the left-eigenvector quantities of a strongly connected digraph.
 
-    `spectral_data` makes laplacian and rho read-only.
+    `spectral_data` makes laplacian and rho read-only.  lambda2 is computed
+    when first read and kept: only the gain rule and `oocsim graph` read it,
+    so a run with fixed gains never factors Lbar.
     """
 
     laplacian: np.ndarray
     rho: np.ndarray
     rho_min: float
-    lambda2: float
+
+    @cached_property
+    def lambda2(self) -> float:
+        """The second-smallest eigenvalue of Lbar = (R L + L^T R)/2, R = diag(rho).
+
+        R L is formed by scaling L's rows, not by a matrix product.
+        """
+        rl = self.rho[:, None] * self.laplacian
+        return float(np.linalg.eigvalsh(0.5 * (rl + rl.T))[1])
 
 
 def laplacian(g: Digraph) -> np.ndarray:
@@ -161,16 +171,15 @@ def is_strongly_connected(g: Digraph) -> bool:
 
 
 def spectral_data(g: Digraph) -> SpectralData:
-    """L, rho, rho_min and lambda2 from one Laplacian and one connectivity check.
+    """L, rho and rho_min from one Laplacian and one connectivity check; lambda2 on demand.
 
     rho is the left null vector of L normalized to 1^T rho = 1, found by one
     square solve of (L^T + 1 1^T) rho = 1.  For a strongly connected graph
     that matrix is nonsingular: if (L^T + 1 1^T) x = 0, multiplying by 1^T
     gives n 1^T x = 0 because L 1 = 0, so L^T x = 0 and x is a multiple of
-    rho, which 1^T x = 0 makes zero.  lambda2 is the second-smallest
-    eigenvalue of Lbar = (R L + L^T R)/2 with R = diag(rho), where R L is
-    formed by scaling L's rows, not by a matrix product.  lambda2 needs at
-    least two nodes; a one-node graph raises InvalidSpectrum.
+    rho, which 1^T x = 0 makes zero.  lambda2 (`SpectralData.lambda2`) is
+    computed when first read.  It needs at least two nodes, so a one-node
+    graph raises InvalidSpectrum here.
     """
     if g.n < 2:
         raise InvalidSpectrum(f"lambda2 needs a graph of at least 2 nodes, got n = {g.n}")
@@ -180,8 +189,5 @@ def spectral_data(g: Digraph) -> SpectralData:
     rho = np.linalg.solve(big_l.T + 1.0, np.ones(g.n))
     if np.any(rho <= 0):
         raise NotStronglyConnected("left eigenvector is not positive")
-    rl = rho[:, None] * big_l
-    lbar = 0.5 * (rl + rl.T)
     big_l.flags.writeable = rho.flags.writeable = False  # the Systems of one plan share them
-    return SpectralData(laplacian=big_l, rho=rho, rho_min=float(rho.min()),
-                        lambda2=float(np.linalg.eigvalsh(lbar)[1]))
+    return SpectralData(laplacian=big_l, rho=rho, rho_min=float(rho.min()))

@@ -139,7 +139,9 @@ def draw(name, nominal, uncertainty, rng, max_draws=1000) -> Plant:
 
     nominal maps the kind's keys, in constructor order, to the scenario's
     values.  Each try draws one uniform factor in [1 - uncertainty,
-    1 + uncertainty] per perturbed key from rng, in the kind's order, and the
+    1 + uncertainty] per perturbed key from rng, in the kind's order, with
+    one vector call (numpy's Generator draws a vector's entries in order,
+    each as one scalar call would, so the stream is the same), and the
     first admissible try is kept; no uncertainty draws nothing.  The plant
     records nominal and uncertainty, so `redraw` repeats the draw from
     another stream.  Raises NoAdmissibleDraw when no try of max_draws is
@@ -149,8 +151,8 @@ def draw(name, nominal, uncertainty, rng, max_draws=1000) -> Plant:
     values = dict(nominal)
     if uncertainty:
         for _ in range(max_draws):
-            drawn = {k: nominal[k] * (1.0 + rng.uniform(-uncertainty, uncertainty))
-                     for k in kind.perturbed}
+            factors = rng.uniform(-uncertainty, uncertainty, len(kind.perturbed)).tolist()
+            drawn = {k: nominal[k] * (1.0 + d) for k, d in zip(kind.perturbed, factors)}
             if kind.admissible(drawn):
                 break
         else:

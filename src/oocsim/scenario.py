@@ -33,10 +33,15 @@ def _require(section, key, context):
     return section[key]
 
 
-def _check_keys(section, context, allowed):
+def _object(section, context):
     if not isinstance(section, dict):
         raise SchemaError(f"{context}: expected an object, got {type(section).__name__}")
-    unknown = set(section) - set(allowed)
+    return section
+
+
+def _check_keys(section, context, allowed):
+    """Refuse a section that is not an object or has a key outside the set allowed."""
+    unknown = _object(section, context).keys() - allowed
     if unknown:
         raise SchemaError(f"{context}: unknown key(s) {sorted(unknown)}")
 
@@ -105,7 +110,7 @@ def _parse_graph(section):
 
 def _parse_cost(entry, idx, domain_hint):
     context = f"costs[{idx}]"
-    kind = _require(entry, "kind", context)
+    kind = _require(_object(entry, context), "kind", context)
     kwargs = {} if domain_hint is None else {"domain_hint": domain_hint}
     try:
         if kind == "quadratic":
@@ -129,16 +134,23 @@ def _parse_cost(entry, idx, domain_hint):
     raise SchemaError(f"{context}.kind: unknown cost kind {kind!r}")
 
 
+# each built-in plant kind's allowed entry keys, built once for all its entries
+_PLANT_KEYS = {name: frozenset({"kind", "uncertainty", *spec.keys})
+               for name, spec in plant_mod.KINDS.items()}
+
+
 def _parse_plant(entry, idx, rng):
     context = f"plants[{idx}]"
-    kind = _require(entry, "kind", context)
+    kind = _require(_object(entry, context), "kind", context)
     spec = plant_mod.KINDS.get(kind) if isinstance(kind, str) else None
     if spec is None:
         raise SchemaError(f"{context}.kind: unknown plant kind {kind!r} "
                           "(custom plants are library-only)")
-    _check_keys(entry, context, {"kind", "uncertainty", *spec.keys})
+    _check_keys(entry, context, _PLANT_KEYS[kind])
     values = {k: _number(_require(entry, k, context), f"{context}.{k}") for k in spec.keys}
     frac = _number(entry.get("uncertainty", 0.0), f"{context}.uncertainty")
+    if frac < 0:
+        raise SchemaError(f"{context}.uncertainty: must be nonnegative")
     try:
         return plant_mod.draw(kind, values, frac, rng)
     except plant_mod.NoAdmissibleDraw as exc:

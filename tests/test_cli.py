@@ -38,6 +38,10 @@ def tiny_path(tmp_path_factory):
 def test_graph_command_output(capsys, tiny_path):
     assert cmd_dispatch(["graph", "--scenario", str(tiny_path)]) == 0
     out = capsys.readouterr().out
+    # lambda2 of Lbar = (R L + L^T R)/2, formed as spectral_data always has
+    spectral = spectral_data(parse_scenario(tiny_path).graph)
+    rl = spectral.rho[:, None] * spectral.laplacian
+    assert f"lambda2: {float(np.linalg.eigvalsh(0.5 * (rl + rl.T))[1]):.17g}\n" in out
     assert "nodes: 2" in out
     assert "strongly_connected: True" in out
     assert "rho_sum: 1" in out
@@ -93,6 +97,36 @@ def test_csv_round_trip_exact(tmp_path, tiny_path):
         assert np.array_equal(data[f"y_{i}"], traj.y[:, i - 1])
         assert np.array_equal(data[f"k_{i}"], traj.k[:, i - 1])
     assert np.array_equal(data["t"], traj.times)
+
+
+def oracle_csv(traj, gamma):
+    """The trajectory CSV's text built column by column, in its documented order."""
+    columns = [("t", traj.times)]
+    blocks = [("y", traj.y), ("x2", traj.x2), ("yr", traj.yr), ("z", traj.z),
+              ("xii", traj.xi_diag), ("theta", traj.theta(gamma)), ("k", traj.k)]
+    start = 0
+    for i, s_dim in enumerate(traj.layout.s_dims):
+        columns += [(f"{name}_{i + 1}", block[:, i]) for name, block in blocks]
+        columns += [(f"psi_{i + 1}_{j + 1}", traj.psi[:, start + j]) for j in range(s_dim)]
+        start += s_dim
+    columns += [(f"v_{j + 1}", traj.v[:, j]) for j in range(traj.v.shape[1])]
+    columns += [("rho_z", traj.rho_z), ("exo_norm", traj.exo_norm)]
+    rows = [",".join("%.17g" % col[r] for _, col in columns) for r in range(len(traj.times))]
+    return "\n".join([",".join(name for name, _ in columns)] + rows) + "\n"
+
+
+def test_csv_matches_a_column_by_column_oracle(tmp_path, tiny_path):
+    # agents whose internal models have unequal orders put psi rows of unequal widths
+    doc = json.loads(tiny_path.read_text())
+    doc["tracker"] = {"internal_model": [{"coeffs": [2.0, 3.0]},
+                                         {"coeffs": [1.0, 4.0, 6.0, 4.0]}]}
+    doc["sim"]["horizon"] = 0.5
+    sc = scenario_from_dict(doc)
+    traj = run(sc)
+    assert traj.layout.s_dims == (2, 4)
+    path = tmp_path / "traj.csv"
+    write_trajectory(traj, path, sc.tracker.gamma)
+    assert path.read_text() == oracle_csv(traj, sc.tracker.gamma)
 
 
 def test_verify_command(tmp_path, tiny_path, capsys):
@@ -282,7 +316,8 @@ def test_init_ranges_are_drawn_after_yr_and_x(tmp_path, tiny_path, capsys):
 @pytest.mark.parametrize("preset, fields, message", [
     ("example1", {"b": 0, "uncertainty": 0}, "plants[0]: control gain b must be positive"),
     ("example2", {"m": 0}, "plants[0]: mass must be positive"),
-], ids=["gain", "mass"])
+    ("example1", {"uncertainty": -0.1}, "plants[0].uncertainty: must be nonnegative"),
+], ids=["gain", "mass", "negative-uncertainty"])
 def test_refused_plant_parameter_exits_2(tmp_path, capsys, preset, fields, message):
     # each was a ValueError traceback and exit 1
     doc = json.loads(resources.files("oocsim").joinpath(f"presets/{preset}.json").read_text())
@@ -308,8 +343,13 @@ def test_refused_plant_parameter_exits_2(tmp_path, capsys, preset, fields, messa
     (None, "name", 5, "name: expected a string, got 5"),
     (None, "domain_hint", [1.0, 1.0],
      "domain_hint: low equals high 1.0, expected an interval of positive width"),
+    ("plants", 0, ["vdp_like"], "plants[0]: expected an object, got list"),
+    ("plants", 1, "vdp_like", "plants[1]: expected an object, got str"),
+    ("costs", 0, 5, "costs[0]: expected an object, got int"),
+    ("costs", 1, ["kind"], "costs[1]: expected an object, got list"),
 ], ids=["rotation-v0", "init-range", "domain-hint", "frequency-count", "repeated-frequency",
-        "composite-name", "exosystem-S", "name-list", "name-number", "domain-hint-width"])
+        "composite-name", "exosystem-S", "name-list", "name-number", "domain-hint-width",
+        "plant-list", "plant-string", "cost-number", "cost-list"])
 def test_schema_holes_exit_2(tmp_path, tiny_path, capsys, section, key, value, message):
     # each was a traceback, a run-time numpy error, a failure after the run
     # or, for the string and boolean entries of S, a run

@@ -9,13 +9,14 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from oocsim import costs, sim
+from oocsim import costs, digraph, sim
+from oocsim.coordinator import select_gains
 from oocsim.digraph import Digraph
 from oocsim.errors import Diverged
 from oocsim.plant import Exosystem
 from oocsim.scenario import scenario_from_dict
-from oocsim.sim import (ModalSource, assemble, initial_state, reseed, run, sweep, verify,
-                        xi_source)
+from oocsim.sim import (ModalSource, Structure, assemble, initial_state, reseed, run, sweep,
+                        verify, xi_source)
 from oocsim.tracker import InternalModelSpec
 
 SEEDS = [3, 7, 105]
@@ -181,6 +182,45 @@ def test_initial_state_does_not_come_from_the_plan():
         alone = scenario_from_dict(dict(doc, seed=seed))
         assert np.array_equal(initial_state(member, assemble(member).layout),
                               initial_state(alone, layout))
+
+
+def test_fixed_gains_never_factor_lbar(monkeypatch):
+    # lambda2 is read by the gain rule alone, so a run with fixed gains skips eigvalsh
+    def refused(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(digraph.np.linalg, "eigvalsh", refused)
+    for name in ("example1", "example2"):
+        sc = scenario_from_dict(preset_doc(name, 0.05))
+        assert sc.gains is not None
+        system = assemble(sc)
+        verify(sc, run(sc, system=system))
+        sweep(sc, "seed", SEEDS[:2])
+
+
+def test_auto_gains_compute_lambda2_once_per_structure(monkeypatch):
+    doc = preset_doc("example1", 0.05)
+    doc["coordinator"] = {"gains": "auto"}
+    sc = scenario_from_dict(doc)
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def counted(a):
+        calls.append(a)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(digraph.np.linalg, "eigvalsh", counted)
+    structure = Structure(sc)
+    spectral = structure.spectral
+    assert spectral.lambda2 == spectral.lambda2
+    assert len(calls) == 1
+    # Lbar formed apart from SpectralData, by the same row scaling; equal bit for bit
+    rl = spectral.rho[:, None] * spectral.laplacian
+    lambda2 = float(eigvalsh(0.5 * (rl + rl.T))[1])
+    assert spectral.lambda2 == lambda2
+    assert structure.gains == select_gains(costs.convexity_bounds(sc.costs),
+                                           spectral.rho_min, lambda2)
+    assert Structure(sc).gains == structure.gains
+    assert len(calls) == 2  # a new Structure computes its own
 
 
 FROZEN = {

@@ -146,10 +146,23 @@ def test_uncertainty_draws_are_pinned():
      "plants[0].kind: unknown plant kind 'custom' (custom plants are library-only)"),
     ("example1", {"kind": ["vdp_like"]},
      "plants[0].kind: unknown plant kind ['vdp_like'] (custom plants are library-only)"),
-], ids=["gain", "mass", "rejection", "custom", "unhashable"])
+    ("example1", {"uncertainty": -0.1}, "plants[0].uncertainty: must be nonnegative"),
+], ids=["gain", "mass", "rejection", "custom", "unhashable", "negative-uncertainty"])
 def test_refused_plant_parameters_name_the_plant(preset, fields, message):
     doc = preset_doc(preset)
     doc["plants"][0].update(fields)
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("section", ["plants", "costs"])
+@pytest.mark.parametrize("entry", [["kind"], "kind", 5, None],
+                         ids=["list", "string", "number", "null"])
+def test_non_object_plant_or_cost_entry_names_the_entry(section, entry):
+    # each was a bare TypeError from the key lookup, or a missing-key message
+    doc = minimal_doc()
+    doc[section][1] = entry
+    message = f"{section}[1]: expected an object, got {type(entry).__name__}"
     with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
         scenario_from_dict(doc)
 
