@@ -5,10 +5,11 @@
 For each workload of `benchmark/workloads.py` on the checkout at PATH (default:
 the checkout holding this script), it assembles the workload's scenario (the
 sweep's first member) and builds the source the way `run` does, with
-`sim.xi_source(L, h)`.  That is `ModalSource`, which splits -L into
-eigenmodes plus one real m x m block for the ill-conditioned modes of a
-defective or nearly defective L (`sim._split_modes`); the probe prints the
-block size m and kappa_1(P) of the split (m = 0 on a well-conditioned L).
+`sim.SourceParts(L).source(h)`.  That is `ModalSource`, which splits -L
+into eigenmodes plus one real m x m block for the ill-conditioned modes of
+a defective or nearly defective L (`sim._split_modes`); the probe prints
+the block size m, read off the split's block T, and kappa_1(P) of the split
+(m = 0 on a well-conditioned L).
 It prints the source's construction time (the split and the read-out; the
 min over `--blocks` builds), then advances it by 100 steps and prints the
 µs per source step (`stages()`, which returns a step's four stage inputs
@@ -22,7 +23,9 @@ up to a multiple of that block: each timed block holds the same number of
 read-outs, and the µs per source step is amortized over them.  `run`
 builds the source, so its construction lands in the benchmark's
 `steps_per_s` (the integrate phase), not in `setup_s`.  The checkout must
-have `sim.xi_source`, `sim._split_modes` and `sim._BLOCK`.
+have `sim.SourceParts`, `sim._split_modes`, `sim._BLOCK`,
+`sim.assemble` and `sim.initial_state`; a checkout whose split gives no
+block at m = 0 (None) is read as m = 0.
 `benchmark/run.py`'s per-layer metrics cannot see the source: it runs
 between the traced `rk4_step` calls.  Like `benchmark/run.py`, it fixes one
 BLAS thread before numpy loads.  The last line of standard output is one
@@ -64,9 +67,13 @@ def probe(sim_mod, rk4_step, scenario_from_dict, wl, blocks, calls):
     h = sc.step
     big_l = system.spectral.laplacian
     _, block, kappa = sim_mod._split_modes(-big_l)
-    m = 0 if block is None else len(block[0])
-    driver = sim_mod.xi_source(big_l, h)
-    build_ms = min_block_us(lambda: sim_mod.xi_source(big_l, h), blocks, 1) / 1e3
+    m = len(block[0]) if block else 0  # block: (T, Q, W_c), T m x m
+
+    def build():
+        return sim_mod.SourceParts(big_l).source(h)
+
+    driver = build()
+    build_ms = min_block_us(build, blocks, 1) / 1e3
     for _ in range(WARMUP_STEPS):
         w = driver.stages()
     y0 = sim_mod.initial_state(sc, system.layout)

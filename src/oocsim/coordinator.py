@@ -9,9 +9,10 @@ Per agent i the coordinator runs
 The self-component xi_i^i stays positive and converges to rho_i, which
 cancels the graph imbalance without knowing the left eigenvector a priori.
 The xi rows are linear and read no other state, so the xi source of `sim`
-(`sim.xi_source`: RK4 per eigenmode of -L, with one small real block for
-the modes of a defective or nearly defective L) advances them outside the
-per-agent state.
+(`sim.ModalSource`, built by `sim.SourceParts`: RK4 per eigenmode of -L,
+with one small real block for the modes of a defective or nearly defective
+L, empty on a well-conditioned one) advances them outside the per-agent
+state.
 Everything in yr' and z' but the gradient term is linear in (yr, z):
 `coordinator_linear` gives those entries of a derivative's main operator,
 and the -1 that scatters the feature grad c_i(yr_i)/xi_i^i onto yr'; one
@@ -125,13 +126,13 @@ def coordinator_only_run(g: Digraph, cost_list, gains: CoordinatorGains, y0,
     xi_diag and xi_rowsum.  A timing a scenario refuses raises ValueError
     (`sim.step_count`).
     """
-    from .sim import coordinator_derivative, integrate, step_count, xi_source  # sim imports this
+    from .sim import SourceParts, coordinator_derivative, integrate, step_count  # sim imports this
 
     n_steps = step_count(horizon, step, record_every)
     n = g.n
     big_l = laplacian(g)
     c0 = np.concatenate([np.asarray(y0, dtype=float), np.zeros(n)])
-    f, source = coordinator_derivative(big_l, gains, cost_list), xi_source(big_l, step)
+    f, source = coordinator_derivative(big_l, gains, cost_list), SourceParts(big_l).source(step)
     times, arr, (xi_diag, xi_rowsum) = integrate(f, c0, step, n_steps, record_every, source)
     return CoordinatorTrajectory(times=times, y_r=arr[:, :n], z=arr[:, n:],
                                  xi_diag=xi_diag, xi_rowsum=xi_rowsum)

@@ -272,22 +272,15 @@ def gradient_linear(cost_list, row, col, one):
 
 
 def build_gradient(cost_list):
-    """Vectorized aggregate gradient yr -> array of per-agent gradients.
+    """Aggregate gradient yr -> array of per-agent gradients, for any cost set.
 
-    All-quadratic cost sets get a closed-form vector path; mixed sets fall
-    back to a per-agent loop over the scalar closures, fed Python floats.
-    When a closure overflows (`math.exp` raises OverflowError), every entry
-    is inf, so the RK4 step's finite check reports the divergence.
+    A per-agent loop over the scalar closures, fed Python floats.  The
+    derivatives call it only for a set that is not all quadratic; an
+    all-quadratic set's gradient comes from the pre product
+    (`gradient_linear`).  When a closure
+    overflows (`math.exp` raises OverflowError), every entry is inf, so the
+    RK4 step's finite check reports the divergence.
     """
-    if all(c.kind == "quadratic" for c in cost_list):
-        a = np.array([2.0 * c.params["a"] for c in cost_list])
-        b = np.array([c.params["b"] for c in cost_list])
-
-        def grad_vec(yr):
-            return a * (yr - b)
-
-        return grad_vec
-
     fns = [c.grad_fn for c in cost_list]
 
     def grad_vec(yr):

@@ -51,18 +51,25 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _number(value, context, positive=False):
+def _number(value, *name, positive=False):
+    """value as a finite float; the name parts are joined with '.' only to refuse it."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{context}: expected a number, got {value!r}")
+        raise SchemaError(f"{'.'.join(name)}: expected a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the float range
         number = math.inf
     if not math.isfinite(number):
-        raise SchemaError(f"{context}: expected a finite number, got {value!r}")
+        raise SchemaError(f"{'.'.join(name)}: expected a finite number, got {value!r}")
     if positive and number <= 0:
-        raise SchemaError(f"{context}: must be positive, got {value}")
+        raise SchemaError(f"{'.'.join(name)}: must be positive, got {value}")
     return number
+
+
+def _field(section, key, context, default=None, positive=False):
+    """section[key] as a number named context.key (`_number`); required unless given a default."""
+    value = _require(section, key, context) if default is None else section.get(key, default)
+    return _number(value, context, key, positive=positive)
 
 
 def _pair(value, context):
@@ -115,14 +122,12 @@ def _parse_cost(entry, idx, domain_hint):
     try:
         if kind == "quadratic":
             _check_keys(entry, context, {"kind", "a", "b"})
-            return costs_mod.quadratic(_number(_require(entry, "a", context), context + ".a"),
-                                       _number(_require(entry, "b", context), context + ".b"),
+            return costs_mod.quadratic(_field(entry, "a", context), _field(entry, "b", context),
                                        **kwargs)
         if kind == "exp_sum":
             _check_keys(entry, context, {"kind", "c1", "k1", "c2", "k2"})
             return costs_mod.exp_sum(
-                *[_number(_require(entry, k, context), f"{context}.{k}")
-                  for k in ("c1", "k1", "c2", "k2")], **kwargs)
+                *[_field(entry, k, context) for k in ("c1", "k1", "c2", "k2")], **kwargs)
         if kind == "composite":
             _check_keys(entry, context, {"kind", "name"})
             name = _require(entry, "name", context)
@@ -147,8 +152,8 @@ def _parse_plant(entry, idx, rng):
         raise SchemaError(f"{context}.kind: unknown plant kind {kind!r} "
                           "(custom plants are library-only)")
     _check_keys(entry, context, _PLANT_KEYS[kind])
-    values = {k: _number(_require(entry, k, context), f"{context}.{k}") for k in spec.keys}
-    frac = _number(entry.get("uncertainty", 0.0), f"{context}.uncertainty")
+    values = {k: _field(entry, k, context) for k in spec.keys}
+    frac = _field(entry, "uncertainty", context, 0.0)
     if frac < 0:
         raise SchemaError(f"{context}.uncertainty: must be nonnegative")
     try:
@@ -168,7 +173,7 @@ def _parse_exosystem(section):
             raise SchemaError("exosystem.v0: expected a list of numbers")
         v0 = np.array([_number(x, "exosystem.v0") for x in v0])
     if kind == "rotation":
-        sigma = _number(_require(section, "sigma", "exosystem"), "exosystem.sigma")
+        sigma = _field(section, "sigma", "exosystem")
         if "S" in section:
             raise SchemaError("exosystem: S is only valid with kind 'matrix'")
         try:
@@ -198,11 +203,9 @@ def _parse_gains(section):
     if gains == "auto":
         return None
     _check_keys(gains, "coordinator.gains", {"beta1", "beta2", "delta"})
-    beta1 = _number(_require(gains, "beta1", "coordinator.gains"),
-                    "coordinator.gains.beta1", positive=True)
-    beta2 = _number(_require(gains, "beta2", "coordinator.gains"),
-                    "coordinator.gains.beta2", positive=True)
-    delta = _number(gains.get("delta", 1.0), "coordinator.gains.delta", positive=True)
+    beta1 = _field(gains, "beta1", "coordinator.gains", positive=True)
+    beta2 = _field(gains, "beta2", "coordinator.gains", positive=True)
+    delta = _field(gains, "delta", "coordinator.gains", 1.0, positive=True)
     return CoordinatorGains(beta1=beta1, beta2=beta2, delta=delta)
 
 
@@ -211,8 +214,10 @@ def _parse_internal_model(entry, context):
     coeffs = _require(entry, "coeffs", context)
     if not isinstance(coeffs, list) or not coeffs:
         raise SchemaError(f"{context}.coeffs: expected a nonempty list")
+    # outside the try, whose handler would put context in front of the name again
+    coeffs = [_number(c, context, "coeffs") for c in coeffs]
     try:
-        return InternalModelSpec.from_coeffs([_number(c, f"{context}.coeffs") for c in coeffs])
+        return InternalModelSpec.from_coeffs(coeffs)
     except (ValueError, OocError) as exc:
         raise SchemaError(f"{context}: {exc}") from None
 
@@ -224,7 +229,7 @@ def _parse_tracker(section, n):
     if rho != "quartic_plus_one":
         raise SchemaError(f"tracker.rho: the only shape is 'quartic_plus_one', got {rho!r}")
     try:
-        params = TrackerParams(gamma=_number(section.get("gamma", 2.0), "tracker.gamma"))
+        params = TrackerParams(gamma=_field(section, "gamma", "tracker", 2.0))
     except ValueError as exc:
         raise SchemaError(f"tracker: {exc}") from None
 
@@ -272,8 +277,8 @@ def _parse_init(section):
 
 def _parse_sim(section):
     _check_keys(section, "sim", {"horizon", "step", "record_every", "ablate_internal_model"})
-    horizon = _number(section.get("horizon", 100.0), "sim.horizon", positive=True)
-    step = _number(section.get("step", 1e-3), "sim.step", positive=True)
+    horizon = _field(section, "horizon", "sim", 100.0, positive=True)
+    step = _field(section, "step", "sim", 1e-3, positive=True)
     record_every = section.get("record_every", 100)
     if not _is_int(record_every) or record_every < 1:
         raise SchemaError("sim.record_every: expected a positive integer")
@@ -327,7 +332,7 @@ def scenario_from_dict(doc, name_hint="scenario") -> Scenario:
 
     tolerances = doc.get("tolerances", {})
     _check_keys(tolerances, "tolerances", set(DEFAULT_TOLERANCES))
-    tolerances = {k: _number(v, f"tolerances.{k}", positive=True)
+    tolerances = {k: _number(v, "tolerances", k, positive=True)
                   for k, v in tolerances.items()}
 
     try:

@@ -56,14 +56,14 @@ next call.  The xi floor is not checked here: the source checks it over
 its stage inputs.
 `coordinator_derivative` is the same builder over (yr, z) alone.
 
-The source is `ModalSource`, for every L: it splits -L once into
-eigenmodes and, for the ill-conditioned ones (a defective or nearly
-defective L), one small real block from a sorted Schur form
-(`_split_modes`).  From the eigenmodes it computes RK4's own stage values
-per mode, e_k = R(h lambda)^k = exp(k log R(h lambda)) times RK4's stage
-polynomials, and from the block RK4's step and stage matrices; it reads
-diag xi off both with one real product and one small contraction per
-_BLOCK steps, checked once per block.
+The source is `ModalSource`, for every L, built by `SourceParts.source`
+alone.  It splits -L once into eigenmodes and one real m x m block, from a
+sorted Schur form, for the ill-conditioned modes (`_split_modes`; m = 0 on
+a well-conditioned L).  From the eigenmodes it computes RK4's own stage
+values per mode, e_k = R(h lambda)^k = exp(k log R(h lambda)) times RK4's
+stage polynomials, and from the block RK4's step and stage matrices; it
+reads diag xi off both with one real product and one small contraction
+per _BLOCK steps, checked once per block.  An empty block adds zeros.
 
 Only `sweep` shares set-up.  `assemble(sc)` builds a `Plan` over a
 `Structure` and binds it: the `Structure` holds what the graph, costs and
@@ -83,6 +83,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import schur
 
 from . import costs as costs_mod
 from .coordinator import (XI_FLOOR, CoordinatorGains, check_xi_floor, coordinator_linear,
@@ -336,8 +337,9 @@ def _split_modes(a):
     modes is (lambda, V_good, W_good) of the good modes with Im lambda >= 0
     (a real matrix's complex modes come in conjugate pairs, so one stands
     for both), all complex, W_good their rows of P^-1; block is
-    (T, Q, W_c), W_c the real rows of P^-1 on Q, or None when m = 0; kappa
-    is kappa_1(P) = |P|_1 |P^-1|_1.  When eig, an inverse or the reorder
+    (T, Q, W_c), W_c the real rows of P^-1 on Q, of shapes (m, m), (n, m)
+    and (m, n), so (0, 0), (n, 0) and (0, n) when m = 0; kappa is
+    kappa_1(P) = |P|_1 |P^-1|_1.  When eig, an inverse or the reorder
     fails, or kappa exceeds _MODAL_MAX_COND, every mode goes into the block:
     P is the orthonormal Schur basis Z of a, T the whole Schur form.  a is
     read as float64.
@@ -348,9 +350,8 @@ def _split_modes(a):
         lam, vecs = np.linalg.eig(a)
         inv = np.linalg.inv(vecs)
         bad = ~(np.linalg.norm(vecs, axis=0) * np.linalg.norm(inv, axis=1) <= _MODE_MAX_COND)
-        m = 0
+        m, t, q = 0, np.empty((0, 0)), np.empty((n, 0))
         if bad.any():
-            from scipy.linalg import schur  # here, so that m = 0 never loads it
             centers, radii = _cluster_discs(np.concatenate((lam[bad], lam[bad].conj())),
                                             np.abs(lam).max())
 
@@ -368,7 +369,6 @@ def _split_modes(a):
         if not kappa <= _MODAL_MAX_COND:
             raise np.linalg.LinAlgError(f"kappa_1(P) = {kappa:.3g}")
     except np.linalg.LinAlgError:
-        from scipy.linalg import schur
         t, q = schur(a)
         m, lam, vecs, inv = n, np.empty(0), q, q.T
         kappa = _norm1(vecs) * _norm1(inv)
@@ -376,8 +376,7 @@ def _split_modes(a):
     modes = (lam[keep].astype(complex, copy=False),
              vecs[:, :good][:, keep].astype(complex, copy=False),
              inv[:good][keep].astype(complex, copy=False))
-    block = None if m == 0 else (t[:m, :m], q[:, :m], inv[good:].real)
-    return modes, block, kappa
+    return modes, (t[:m, :m], q[:, :m], inv[good:].real), kappa
 
 
 def _real_readout(lam, g):
@@ -414,26 +413,26 @@ class ModalSource:
     k0 + K - 1, from e_k0 to e_(k0 + K - 1) times the stage factors.  The
     block adds its own part of diag xi, sum_b G_j[i, b] (R^k W_c)[b, i] at
     stage j, with G_j and R from one RK4 step of Y' = T Y
-    (`modal_readout`), into the same K steps before their check.  The snapshot's xi row sums are V (e o W 1) plus
-    Q (R^k W_c 1), read out on their own at the current step.
+    (`modal_readout`), into the same K steps before their check; at m = 0
+    that part is exact zeros.  The snapshot's xi row sums are V (e o W 1)
+    plus Q (R^k W_c 1), read out on their own at the current step.
 
     The numbers equal classic RK4's up to rounding, about kappa_1(P) eps.
-    Built from `_split_modes` of -L and h, over the read-only
-    `modal_readout` of the two, which the sources one `SourceParts` makes at
-    one h share.  Each block is checked once, for finiteness and for the xi
-    floor; only a block that fails either check is checked again step by
-    step, as its steps are handed out.  So `stages()` raises Diverged, with
-    the step's start time, at the first step with a stage input that is not
-    finite, and XiUnderflow at the first step with a xi_i^i below the floor
+    Built at step h over readout, the read-only `modal_readout` of a split
+    of -L at h, which the sources one `SourceParts` makes at one h share;
+    `SourceParts.source` is the one way a run builds it.  Each block is
+    checked once, for finiteness and for the xi floor; only a block that
+    fails either check is checked again step by step, as its steps are
+    handed out.  So `stages()` raises Diverged, with the step's start time,
+    at the first step with a stage input that is not finite, and
+    XiUnderflow at the first step with a xi_i^i below the floor
     (`coordinator.check_xi_floor`), whatever lies past that step in the
     block.
     """
 
-    def __init__(self, split, h, readout=None):
+    def __init__(self, h, readout):
         self.h = h
         self._k = 0
-        if readout is None:
-            readout = modal_readout(split, h)
         self._read_xi, self._read_rowsum, self._ell, self._factors, self._block = readout
         self._offsets = np.arange(_BLOCK)[:, None]
         # (K, 4, g) stage values per mode, read as one (4 K, 2 g) real block
@@ -446,24 +445,21 @@ class ModalSource:
         self._rows = [tuple(step) for step in self._inputs]
         self._start = -_BLOCK  # the step the block starts at; none read out yet
         self._checked = True   # the block passed its one check
-        if self._block is not None:
-            # R^k W_c at steps start to start + K; the last is the next block's first
-            w_c = self._block[3]
-            self._states = np.empty((_BLOCK + 1,) + w_c.shape)
-            self._states[_BLOCK] = w_c
+        # R^k W_c at steps start to start + K; the last is the next block's first
+        w_c = self._block[3]
+        self._states = np.empty((_BLOCK + 1,) + w_c.shape)
+        self._states[_BLOCK] = w_c
 
     def _read_block(self):
         """The stage inputs of steps k to k + K - 1, and their one check."""
         k = self._k
+        stage_maps, powers = self._block[:2]
         with np.errstate(over="ignore", invalid="ignore"):
             e = np.exp((k + self._offsets) * self._ell)
             np.multiply(self._factors, e[:, None], out=self._modes)
-        np.matmul(self._floats, self._read_xi, out=self._flat)
-        if self._block is not None:
-            stage_maps, powers = self._block[:2]
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.matmul(powers, self._states[_BLOCK].copy(), out=self._states)
-                self._inputs += np.einsum("sib,jbi->jsi", stage_maps, self._states[:_BLOCK])
+            np.matmul(self._floats, self._read_xi, out=self._flat)
+            np.matmul(powers, self._states[_BLOCK].copy(), out=self._states)
+            self._inputs += np.einsum("sib,jbi->jsi", stage_maps, self._states[:_BLOCK])
         self._start = k
         self._checked = bool(np.isfinite(self._flat).all() and self._flat.min() >= XI_FLOOR)
 
@@ -490,10 +486,9 @@ class ModalSource:
         """(diag xi, xi row sums) from e_k and R^k W_c, k the steps finished so far."""
         e = np.exp(self._k * self._ell).view(float)
         diag, rowsum = e @ self._read_xi, e @ self._read_rowsum
-        if self._block is not None:
-            q, state = self._block[2], self._states[self._k - self._start]
-            diag += np.einsum("ib,bi->i", q, state)
-            rowsum += q @ state.sum(axis=1)
+        q, state = self._block[2], self._states[self._k - self._start]
+        diag += np.einsum("ib,bi->i", q, state)
+        rowsum += q @ state.sum(axis=1)
         return diag, rowsum
 
 
@@ -505,11 +500,11 @@ def modal_readout(split, h):
     V o W^T and of V (W 1) over the g kept modes, l = log R(z) per mode, the
     (1, 4, g) factors 1,
     1 + z/2, 1 + z/2 + z^2/4, 1 + z + z^2/2 + z^3/4, against a block's
-    (K, 1, m) e, with z = h lambda; and None when m = 0, else the block's
-    (G, powers, Q, W_c).  One classic RK4 step of Y' = T Y from Y = I gives
-    the stage values F_j (I, Y2, Y3, Y4) and the step R, the matrix forms of
-    `rk4_stage_factors` (which serves numbers only); G is the (4, n, m)
-    stack of Q F_j, and powers the (K + 1, m, m) stack of R^0 to R^K.
+    (K, 1, m) e, with z = h lambda; and the block's (G, powers, Q, W_c).
+    One classic RK4 step of Y' = T Y from Y = I gives the stage values F_j
+    (I, Y2, Y3, Y4) and the step R, the matrix forms of `rk4_stage_factors`
+    (which serves numbers only); G is the (4, n, m) stack of Q F_j, and
+    powers the (K + 1, m, m) stack of R^0 to R^K, all empty when m = 0.
     """
     modes, block, _ = split
     lam, vecs, inv = modes
@@ -518,19 +513,18 @@ def modal_readout(split, h):
         factors = np.array((np.ones_like(z),) + rk4_stage_factors(z)[0])
     readout = (_real_readout(lam, vecs * inv.T), _real_readout(lam, vecs * inv.sum(axis=1)),
                _log_step_factor(z), factors[None])
-    if block is not None:
-        t, q, w_c = block
-        eye = np.eye(len(t))
-        ht = h * t
-        y2 = eye + ht / 2
-        y3 = eye + ht @ y2 / 2
-        y4 = eye + ht @ y3
-        r = eye + (ht + 2 * (ht @ y2) + 2 * (ht @ y3) + ht @ y4) / 6
-        powers = [eye]
-        for _ in range(_BLOCK):
-            powers.append(r @ powers[-1])
-        block = (q @ np.array((eye, y2, y3, y4)), np.array(powers), q, w_c)
-    for a in readout + (block or ()):
+    t, q, w_c = block
+    eye = np.eye(len(t))
+    ht = h * t
+    y2 = eye + ht / 2
+    y3 = eye + ht @ y2 / 2
+    y4 = eye + ht @ y3
+    r = eye + (ht + 2 * (ht @ y2) + 2 * (ht @ y3) + ht @ y4) / 6
+    powers = [eye]
+    for _ in range(_BLOCK):
+        powers.append(r @ powers[-1])
+    block = (q @ np.array((eye, y2, y3, y4)), np.array(powers), q, w_c)
+    for a in readout + block:
         a.flags.writeable = False
     return readout + (block,)
 
@@ -540,7 +534,8 @@ class SourceParts:
 
     The mode split of -L (`_split_modes`) is made at the first `source`
     call and kept; per h it keeps the read-out (`modal_readout`).  Each
-    source it returns has stepping state of its own.
+    source it returns has stepping state of its own.  `source` is the one
+    way to build a xi source: a lone one is `SourceParts(L).source(h)`.
     """
 
     def __init__(self, big_l):
@@ -555,15 +550,7 @@ class SourceParts:
         readout = self._per_h.get(h)
         if readout is None:
             readout = self._per_h[h] = modal_readout(self._split, h)
-        return ModalSource(self._split, h, readout)
-
-
-def xi_source(big_l, h):
-    """A fresh `ModalSource` of xi at step h over parts of its own.
-
-    `run` takes its source from its System's `sources` instead.
-    """
-    return SourceParts(big_l).source(h)
+        return ModalSource(h, readout)
 
 
 class Structure:

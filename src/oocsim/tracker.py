@@ -72,6 +72,8 @@ def phi_gamma(frequencies):
     this yields Phi = [[0, 1], [-sigma^2, 0]] and Gamma = [1, 0].
     """
     freqs = [float(w) for w in frequencies]
+    if not freqs:
+        raise ValueError("expected at least one frequency")
     if any(w < 0 for w in freqs):
         raise ValueError("frequencies must be nonnegative")
     if len(set(freqs)) != len(freqs):

@@ -347,9 +347,14 @@ def test_refused_plant_parameter_exits_2(tmp_path, capsys, preset, fields, messa
     ("plants", 1, "vdp_like", "plants[1]: expected an object, got str"),
     ("costs", 0, 5, "costs[0]: expected an object, got int"),
     ("costs", 1, ["kind"], "costs[1]: expected an object, got list"),
+    ("tracker", "frequencies", [], "tracker.frequencies: expected at least one frequency"),
+    # the whole line, so the coefficient's name is not wrapped in its spec's again
+    ("tracker", "internal_model", {"coeffs": [1.0, "x"]},
+     "error: tracker.internal_model[0].coeffs: expected a number, got 'x'\n"),
 ], ids=["rotation-v0", "init-range", "domain-hint", "frequency-count", "repeated-frequency",
         "composite-name", "exosystem-S", "name-list", "name-number", "domain-hint-width",
-        "plant-list", "plant-string", "cost-number", "cost-list"])
+        "plant-list", "plant-string", "cost-number", "cost-list", "no-frequency",
+        "internal-model-coefficient"])
 def test_schema_holes_exit_2(tmp_path, tiny_path, capsys, section, key, value, message):
     # each was a traceback, a run-time numpy error, a failure after the run
     # or, for the string and boolean entries of S, a run

@@ -14,7 +14,7 @@ from oocsim.digraph import Digraph, laplacian, spectral_data
 from oocsim.errors import InvalidSpectrum, XiUnderflow
 from oocsim.scenario import scenario_from_dict
 from oocsim import sim
-from oocsim.sim import assemble, coordinator_derivative, run, xi_source
+from oocsim.sim import SourceParts, assemble, coordinator_derivative, run
 
 
 def test_select_gains_closed_form_small():
@@ -105,10 +105,10 @@ def test_xi_underflow_raises(monkeypatch):
     # R(-1) = 3/8; 0.25 R^20 = 7.5e-10 is the first stage value below 1e-9;
     # the same as two modes and as a 2 x 2 block
     big_l, h = np.diag([1.0, 2.0]), 0.5
-    modes = xi_source(big_l, h)
+    modes = SourceParts(big_l).source(h)
     monkeypatch.setattr(sim, "_MODAL_MAX_COND", 0.0)  # every mode in the block
-    block = xi_source(big_l, h)
-    assert modes._block is None and block._block is not None
+    block = SourceParts(big_l).source(h)
+    assert modes._block[0].shape == (4, 2, 0) and block._block[0].shape == (4, 2, 2)
     for source in (modes, block):
         for _ in range(20):
             source.stages()

@@ -15,8 +15,8 @@ from oocsim.digraph import Digraph
 from oocsim.errors import Diverged
 from oocsim.plant import Exosystem
 from oocsim.scenario import scenario_from_dict
-from oocsim.sim import (ModalSource, Structure, assemble, initial_state, reseed, run, sweep,
-                        verify, xi_source)
+from oocsim.sim import (ModalSource, SourceParts, Structure, assemble, initial_state, reseed,
+                        run, sweep, verify)
 from oocsim.tracker import InternalModelSpec
 
 SEEDS = [3, 7, 105]
@@ -55,7 +55,8 @@ def test_sweep_members_equal_their_runs_from_a_fresh_parse(case):
         assert rep.to_dict() == verify(alone, run(alone)).to_dict()
     if case == "jordan":  # the source holds the double eigenvalue in a 2 x 2 block
         sc = scenario_from_dict(doc)
-        assert xi_source(assemble(sc).spectral.laplacian, sc.step)._block[0].shape == (4, 3, 2)
+        source = SourceParts(assemble(sc).spectral.laplacian).source(sc.step)
+        assert source._block[0].shape == (4, 3, 2)
 
 
 def counting(monkeypatch, module, name, calls):
@@ -170,7 +171,7 @@ def test_sources_share_the_plan_read_out_but_not_their_state():
     assert np.array_equal(np.array(b.stages()), first)
     # another step gets its own factors; a source built alone shares nothing
     assert parts.source(sc.step / 2)._ell is not a._ell
-    assert xi_source(parts.big_l, sc.step)._read_xi is not a._read_xi
+    assert SourceParts(parts.big_l).source(sc.step)._read_xi is not a._read_xi
 
 
 def test_initial_state_does_not_come_from_the_plan():

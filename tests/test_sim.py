@@ -18,10 +18,10 @@ from oocsim.plant import (Exosystem, custom, damping_spring, plant_remainder,
                           rotation_exosystem, vdp_like)
 from oocsim.scenario import parse_scenario, scenario_from_dict
 from oocsim.integrate import rk4_step
-from oocsim.sim import (DEFAULT_TOLERANCES, InitPolicy, ModalSource, Scenario, StateLayout,
-                        Trajectory, _log_step_factor, _split_modes, assemble, initial_state,
-                        integrate, metrics, reseed, rk4_stage_factors, run, sweep, verify,
-                        xi_source)
+from oocsim.sim import (DEFAULT_TOLERANCES, InitPolicy, ModalSource, Scenario, SourceParts,
+                        StateLayout, Trajectory, _log_step_factor, _split_modes, assemble,
+                        initial_state, integrate, metrics, modal_readout, reseed,
+                        rk4_stage_factors, run, sweep, verify)
 from oocsim.tracker import FeedforwardTruth, InternalModelSpec, TrackerParams
 from plant_equations import paper_drift
 
@@ -167,14 +167,14 @@ def test_integrate_records_every_kth_step():
 
     h = 0.05
     y0 = np.array([1.0, 0.5])
-    source_args = (laplacian(weighted_three_cycle(2.0)), h)
+    big_l = laplacian(weighted_three_cycle(2.0))
     # the same steps by hand, from a second source of the same build
-    twin = xi_source(*source_args)
+    twin = SourceParts(big_l).source(h)
     states, snapshots = [y0], [tuple(x.copy() for x in twin.snapshot())]
     for kstep in range(7):
         states.append(rk4_step(f, kstep * h, states[-1], h, twin.stages()))
         snapshots.append(tuple(x.copy() for x in twin.snapshot()))
-    times, samples, records = integrate(f, y0, h, 7, 3, xi_source(*source_args))
+    times, samples, records = integrate(f, y0, h, 7, 3, SourceParts(big_l).source(h))
     assert len(records) == 2
     assert times.tolist() == [0.0, 3 * h, 6 * h]
     assert np.array_equal(samples, np.array([states[0], states[3], states[6]]))
@@ -210,7 +210,7 @@ def test_initial_state_structure():
     # xi(0) = I: the source starts there up to the modes' rounding, and its
     # diagonal is the derivative's default input
     system = assemble(sc)
-    source = xi_source(system.spectral.laplacian, sc.step)
+    source = SourceParts(system.spectral.laplacian).source(sc.step)
     xi_diag, xi_rowsum = source.snapshot()
     assert np.abs(np.array([xi_diag, xi_rowsum, source.stages()[0]]) - 1.0).max() <= 4 * EPS
     # the derivative returns its own buffer, which the second call refills
@@ -677,8 +677,8 @@ def test_verify_builds_one_truth_per_distinct_spec(monkeypatch):
 
 
 def block_size(source):
-    """m, the size of a source's real block (0 when it has none)."""
-    return 0 if source._block is None else source._block[0].shape[2]
+    """m, the size of a source's real block (0 when it is empty)."""
+    return source._block[0].shape[2]
 
 
 def rk4_alone(f, y0, h, n_steps, record_every):
@@ -705,7 +705,7 @@ def test_driver_matches_xi_and_v_integrated_alone(preset, source, request, monke
     big_l, h, n = spectral_data(sc.graph).laplacian, sc.step, sc.graph.n
     if source == "block":  # no split passes the bound: every mode goes into the block
         monkeypatch.setattr(sim, "_MODAL_MAX_COND", 0.0)
-    driver = xi_source(big_l, h)
+    driver = SourceParts(big_l).source(h)
     assert block_size(driver) == {"modal": 2 if preset == "jordan" else 0, "block": n}[source]
     inputs = []
 
@@ -737,7 +737,8 @@ def test_driver_runs_an_integer_or_float32_laplacian_in_float64():
     for last, m in ((2.0, 0), (4.0, 2)):
         big_l = laplacian(weighted_three_cycle(last))
         for dtype in (np.int64, np.float32):
-            want, source = xi_source(big_l, 1e-3), xi_source(big_l.astype(dtype), 1e-3)
+            want = SourceParts(big_l).source(1e-3)
+            source = SourceParts(big_l.astype(dtype)).source(1e-3)
             assert block_size(source) == block_size(want) == m
             for _ in range(2 * sim._BLOCK):
                 got = np.array(source.stages())
@@ -815,7 +816,7 @@ def test_defective_laplacian_gets_a_cluster_block(monkeypatch):
     # the eigenmodes alone, let through, would break the row-sum bound there
     monkeypatch.setattr(sim, "_MODE_MAX_COND", math.inf)
     monkeypatch.setattr(sim, "_MODAL_MAX_COND", math.inf)
-    assert _split_modes(-big_l)[1] is None
+    assert [a.shape for a in _split_modes(-big_l)[1]] == [(0, 0), (3, 0), (0, 3)]  # m = 0
     assert verify(sc, run(sc)).xi_rowsum_drift > 1e-9
 
 
@@ -823,7 +824,8 @@ def test_diagonalizable_scenarios_get_the_modal_source(example1_scenario, exampl
     ring = dataclasses.replace(sparse_ring(200, 60), horizon=0.02, record_every=5)
     near = tiny_scenario(graph=weighted_three_cycle(4.001), horizon=0.5, gains=FIXED_GAINS)
     for sc in (example1_scenario, example2_scenario, ring, near):
-        assert _split_modes(-laplacian(sc.graph))[1] is None  # eigenmodes alone: m = 0
+        n = sc.graph.n  # eigenmodes alone: m = 0
+        assert [a.shape for a in _split_modes(-laplacian(sc.graph))[1]] == [(0, 0), (n, 0), (0, n)]
     for sc in (ring, near):
         traj = run(sc)
         assert np.abs(traj.xi_rowsum - 1.0).max() < 1e-9
@@ -836,7 +838,7 @@ def test_an_overflowing_exosystem_fails_the_member_step():
     exo = Exosystem(S=np.array([[1e300, 0.0], [0.0, 0.0]]), v0=np.array([1.0, 0.0]))
     sc = tiny_scenario(graph=weighted_three_cycle(1.0), exo=exo, frequencies=None,
                        name="blowup")
-    assert type(xi_source(laplacian(sc.graph), sc.step)) is ModalSource
+    assert type(SourceParts(laplacian(sc.graph)).source(sc.step)) is ModalSource
     with pytest.raises(Diverged, match=r"^blowup: non-finite state after step at t=0$") as info:
         run(sc)
     assert info.value.t == 0.0
@@ -865,9 +867,9 @@ def test_defective_exosystem_keeps_the_modal_source(example1_scenario, monkeypat
 def test_modal_source_matches_the_all_modes_block_on_a_sparse_ring(monkeypatch):
     sc = sparse_ring(200, 60)
     big_l = laplacian(sc.graph)
-    modal = xi_source(big_l, sc.step)
+    modal = SourceParts(big_l).source(sc.step)
     monkeypatch.setattr(sim, "_MODAL_MAX_COND", 0.0)  # every mode in the block
-    schur = xi_source(big_l, sc.step)
+    schur = SourceParts(big_l).source(sc.step)
     assert block_size(modal) == 0 and block_size(schur) == 200
     for kstep in range(300):
         assert np.abs(np.subtract(modal.stages(), schur.stages())).max() <= 1e-12
@@ -884,7 +886,7 @@ def modal_formula(big_l, h):
 def test_modal_blocks_match_the_per_step_read_out(preset, example1_scenario):
     sc = example1_scenario if preset == "example1" else sparse_ring(200, 60)
     big_l, h = laplacian(sc.graph), sc.step
-    source = xi_source(big_l, h)
+    source = SourceParts(big_l).source(h)
     assert type(source) is ModalSource
     factors, ell = modal_formula(big_l, h)
     # 3 K + 5 steps cross three block boundaries and end mid-block
@@ -906,7 +908,7 @@ def test_modal_block_failures_keep_the_per_step_message_and_time(error, a):
     # past the floor, each first at step 37, inside the block of steps 32 to 63
     big_l, h, fail = np.array([[a]]), 0.1, 37
     assert fail % sim._BLOCK
-    source = xi_source(big_l, h)
+    source = SourceParts(big_l).source(h)
     factors, ell = modal_formula(big_l, h)
     with np.errstate(over="ignore", invalid="ignore"):
         inputs = [(factors * np.exp(k * ell)).view(float) @ source._read_xi
@@ -939,7 +941,7 @@ def test_driver_divergence_names_the_driver_and_time(monkeypatch):
     for bound in (math.inf, 0.0):
         with monkeypatch.context() as patch:
             patch.setattr(sim, "_MODAL_MAX_COND", bound)
-            driver = xi_source(np.array([[-50.0]]), h)
+            driver = SourceParts(np.array([[-50.0]])).source(h)
         assert block_size(driver) == (bound == 0.0)
         steps = 0
         with np.errstate(over="ignore", invalid="ignore"):
@@ -951,8 +953,9 @@ def test_driver_divergence_names_the_driver_and_time(monkeypatch):
         assert str(info.value).endswith(f"at t={steps * h:.6g}")
     # run names the scenario: the same growth on every agent's xi_i^i, which
     # only divides the gradient term, so the source fails first
+    growing = _split_modes(50.0 * np.eye(3))
     monkeypatch.setattr(sim.SourceParts, "source",
-                        lambda parts, h: ModalSource(_split_modes(50.0 * np.eye(3)), h))
+                        lambda parts, h: ModalSource(h, modal_readout(growing, h)))
     sc = tiny_scenario(step=h, horizon=20.0, gains=FIXED_GAINS, frequencies=None,
                        name="blowup")
     with pytest.raises(Diverged, match=r"^blowup: xi source: .* at t=[\d.]+$") as info:
