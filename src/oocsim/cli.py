@@ -4,7 +4,8 @@ Subcommands:
 
   sim          full closed-loop run; trajectory CSV plus metrics JSON
   coordinator  upper (reference-generation) layer only
-  graph        print the connectivity oracle values for the scenario graph
+  graph        print the connectivity oracle values for the scenario graph and
+               the xi source's mode split (block size m and kappa_1(P))
   verify       full run plus a verification report; exit 1 if any check fails
   ablate       paired run with and without the internal model
   sweep        vary one scalar scenario field over a grid
@@ -26,8 +27,8 @@ from .coordinator import coordinator_only_run
 from .digraph import is_strongly_connected, spectral_data
 from .errors import OocError, SchemaError
 from .scenario import parse_scenario
-from .sim import (StateLayout, Structure, Trajectory, ablate_compare, initial_state, metrics,
-                  named_failures, run, sweep, verify)
+from .sim import (SourceParts, StateLayout, Structure, Trajectory, ablate_compare,
+                  initial_state, metrics, named_failures, run, sweep, verify)
 
 _FMT = "%.17g"  # round-trip exact for 64-bit floats
 
@@ -134,6 +135,9 @@ def _cmd_graph(args):
         print("rho: " + " ".join(_fmt(x) for x in spectral.rho))
         print(f"rho_sum: {_fmt(spectral.rho.sum())}")
         print(f"lambda2: {_fmt(spectral.lambda2)}")
+        _, (t, _, _), kappa = SourceParts(spectral.laplacian).split()
+        print(f"xi_block_size: {len(t)}")
+        print(f"xi_split_kappa: {_fmt(kappa)}")
     return 0 if connected else 1
 
 
@@ -215,7 +219,8 @@ def build_parser():
 
     add("sim", _cmd_sim, "run the closed loop and write trajectory CSV + metrics")
     add("coordinator", _cmd_coordinator, "run the reference-generation layer only")
-    add("graph", _cmd_graph, "print graph connectivity and spectral oracles", out=False)
+    add("graph", _cmd_graph, "print graph connectivity, spectral oracles and the xi split",
+        out=False)
     add("verify", _cmd_verify, "run and check against the verification oracles")
     add("ablate", _cmd_ablate, "paired run with and without the internal model")
     p_sweep = add("sweep", _cmd_sweep, "vary one scalar field over a grid")

@@ -316,8 +316,8 @@ class Exosystem:
         return self.S.shape[0]
 
     def is_conservative(self):
-        """Skew-symmetric S preserves the norm of v."""
-        return np.allclose(self.S, -self.S.T, atol=1e-12)
+        """Skew-symmetric S, to 1e-12 in every entry of S + S^T, preserves the norm of v."""
+        return bool(np.abs(self.S + self.S.T).max(initial=0.0) <= 1e-12)
 
 
 def rotation_exosystem(sigma, v0=None) -> Exosystem:

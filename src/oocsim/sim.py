@@ -57,13 +57,16 @@ its stage inputs.
 `coordinator_derivative` is the same builder over (yr, z) alone.
 
 The source is `ModalSource`, for every L, built by `SourceParts.source`
-alone.  It splits -L once into eigenmodes and one real m x m block, from a
-sorted Schur form, for the ill-conditioned modes (`_split_modes`; m = 0 on
-a well-conditioned L).  From the eigenmodes it computes RK4's own stage
+alone.  It splits -L once, with one eig that gives left and right vectors
+and no inverse, into eigenmodes and one real m x m block, from a sorted
+Schur form, for the ill-conditioned modes (`_split_modes`; m = 0 on a
+well-conditioned L).  From the eigenmodes it computes RK4's own stage
 values per mode, e_k = R(h lambda)^k = exp(k log R(h lambda)) times RK4's
-stage polynomials, and from the block RK4's step and stage matrices; it
-reads diag xi off both with one real product and one small contraction
-per _BLOCK steps, checked once per block.  An empty block adds zeros.
+stage polynomials, and from the block RK4's step and stage matrices.  Per
+_BLOCK steps it reads diag xi off the modes with one real product and off
+the block with one product over its states and one batched product over
+the agents, the same three calls at every m, checked once per block.  An
+empty block adds zeros.
 
 Only `sweep` shares set-up.  `assemble(sc)` builds a `Plan` over a
 `Structure` and binds it: the `Structure` holds what the graph, costs and
@@ -83,7 +86,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import schur
+from scipy.linalg import eig, schur
 
 from . import costs as costs_mod
 from .coordinator import (XI_FLOOR, CoordinatorGains, check_xi_floor, coordinator_linear,
@@ -301,24 +304,58 @@ def _norm1(a):
     return np.abs(a).sum(axis=0).max(initial=0.0)
 
 
-def _cluster_discs(points, scale):
-    """(centers, radii): one disc around each cluster of points, for `_split_modes`.
+def _cluster_labels(points, scale):
+    """One label per point, the same across a cluster: points closer than _CLUSTER_GAP scale.
 
-    Points closer than _CLUSTER_GAP scale are one cluster, and so is every
-    chain of them.  A cluster's disc is centred on its mean and reaches
-    twice its farthest point's distance plus _DISC_FLOOR scale.
+    Every chain of such points is one cluster, labelled by its least index.
     """
     near = np.abs(points[:, None] - points) <= _CLUSTER_GAP * scale
     label = np.arange(len(points))
     while True:  # each point takes the least label among its neighbours' until none moves
         least = np.where(near, label, len(points)).min(axis=1)
         if np.array_equal(least, label):
-            break
+            return label
         label = least
+
+
+def _cluster_discs(points, scale):
+    """(centers, radii): one disc around each cluster of points, for `_split_modes`.
+
+    A cluster's disc (`_cluster_labels`) is centred on its mean and reaches
+    twice its farthest point's distance plus _DISC_FLOOR scale.
+    """
+    label = _cluster_labels(points, scale)
     clusters = [points[label == c] for c in np.unique(label)]
     centers = np.array([c.mean() for c in clusters])
     radii = np.array([2 * np.abs(c - c.mean()).max() for c in clusters]) + _DISC_FLOOR * scale
     return centers, radii
+
+
+def _dual_rows(lam, left, right, scale):
+    """(W, 1/s): the rows of V^-1 from eig's left vectors, and each mode's condition number.
+
+    left and right hold unit-norm columns u_i and v_i, so row i of V^-1 is
+    u_i^H / (u_i^H v_i) and 1/s_i = 1/|u_i^H v_i|; W is written over left.
+    That holds only between
+    distinct eigenvalues: a repeated one's left and right vectors need not
+    be biorthogonal, so the rows W_C of each cluster C of eigenvalues
+    (`_cluster_labels`) solve (U_C^H V_C) W_C = U_C^H instead, and 1/s_i is
+    the norm of row i there.
+    """
+    w = np.conjugate(left, out=left).T  # the rows u_i^H, in left's memory
+    d = (left * right).sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w /= d[:, None]
+        cond = 1 / np.abs(d)
+    label = _cluster_labels(lam, scale)
+    for c in np.flatnonzero(np.bincount(label) > 1):
+        idx = np.flatnonzero(label == c)
+        try:  # the same solve as from U_C^H, each row scaled by 1/d_i
+            w[idx] = np.linalg.solve(w[idx] @ right[:, idx], w[idx])
+        except np.linalg.LinAlgError:  # a defective cluster: no rows, and into the block
+            w[idx] = np.inf
+        cond[idx] = np.linalg.norm(w[idx], axis=1)
+    return w, cond
 
 
 def _split_modes(a):
@@ -327,56 +364,66 @@ def _split_modes(a):
     P = [V_good | Q]: the eigenvectors of the well-conditioned modes, and
     an orthonormal basis Q of the invariant subspace of the rest, on which
     a acts as the real m x m block T (block diagonalization, Bavely and
-    Stewart 1979).  A mode is ill-conditioned when 1/s_i = |v_i|_2 |w_i|_2
-    (w_i the row of V^-1) exceeds _MODE_MAX_COND; those eigenvalues and
-    their conjugates are grouped into discs (`_cluster_discs`), and one real
-    Schur form of a, sorted so that the eigenvalues in a disc lead, gives
-    Q and T as its first m columns and its leading m x m block.  With no
-    such mode, m = 0 and P = V from one eig and inverse.
+    Stewart 1979).  One eig with left vectors gives the modes, the rows
+    W of V^-1 and each mode's condition number 1/s_i (`_dual_rows`); a mode
+    is ill-conditioned when 1/s_i exceeds _MODE_MAX_COND.  Those eigenvalues
+    and their conjugates are grouped into discs (`_cluster_discs`), and one
+    real Schur form of a, sorted so that the eigenvalues in a disc lead,
+    gives Q and T as its first m columns and its leading m x m block.  The
+    good modes' rows W_good of P^-1 are their rows of V^-1, since their left
+    vectors are orthogonal to Q; Q's rows are W_c = Q^T - (Q^T V_good) W_good,
+    which gives W_c V_good = 0 and W_c Q = I.  W_good Q is zero only to
+    rounding times the condition of the modes nearest the block's (3e-11 on
+    ring200), so one Newton step on that part, W_good - (W_good Q) W_c, and
+    W_c again make it second order.  So no inverse is taken.  With no
+    ill-conditioned mode, m = 0 and P = V.
 
     modes is (lambda, V_good, W_good) of the good modes with Im lambda >= 0
     (a real matrix's complex modes come in conjugate pairs, so one stands
-    for both), all complex, W_good their rows of P^-1; block is
-    (T, Q, W_c), W_c the real rows of P^-1 on Q, of shapes (m, m), (n, m)
+    for both), all complex; block is (T, Q, W_c), of shapes (m, m), (n, m)
     and (m, n), so (0, 0), (n, 0) and (0, n) when m = 0; kappa is
-    kappa_1(P) = |P|_1 |P^-1|_1.  When eig, an inverse or the reorder
-    fails, or kappa exceeds _MODAL_MAX_COND, every mode goes into the block:
-    P is the orthonormal Schur basis Z of a, T the whole Schur form.  a is
-    read as float64.
+    kappa_1(P) = |P|_1 |P^-1|_1.  When eig or the reorder fails, or kappa
+    exceeds _MODAL_MAX_COND, every mode goes into the block: P is the
+    orthonormal Schur basis Z of a, T the whole Schur form.  a is read as
+    float64.
     """
     a = np.asarray(a, dtype=float)
     n = len(a)
     try:
-        lam, vecs = np.linalg.eig(a)
-        inv = np.linalg.inv(vecs)
-        bad = ~(np.linalg.norm(vecs, axis=0) * np.linalg.norm(inv, axis=1) <= _MODE_MAX_COND)
-        m, t, q = 0, np.empty((0, 0)), np.empty((n, 0))
+        lam, left, vecs = eig(a, left=True, check_finite=False)
+        scale = np.abs(lam).max()
+        inv, cond = _dual_rows(lam, left, vecs, scale)
+        bad = ~(cond <= _MODE_MAX_COND)
+        m, t, q, w_c = 0, np.empty((0, 0)), np.empty((n, 0)), np.empty((0, n))
         if bad.any():
-            centers, radii = _cluster_discs(np.concatenate((lam[bad], lam[bad].conj())),
-                                            np.abs(lam).max())
+            centers, radii = _cluster_discs(np.concatenate((lam[bad], lam[bad].conj())), scale)
 
             def in_disc(x):
                 return (np.abs(x - centers) <= radii).any(axis=-1)
 
-            inside = in_disc(lam[:, None])
+            good = ~in_disc(lam[:, None])
             t, q, m = schur(a, sort=lambda re, im: bool(in_disc(complex(re, im))))
-            if m != inside.sum():
+            if m != n - good.sum():
                 raise np.linalg.LinAlgError("the Schur reorder and eig disagree on the discs")
-            lam = lam[~inside]
-            vecs = np.concatenate((vecs[:, ~inside], q[:, :m]), axis=1)
-            inv = np.linalg.inv(vecs)
-        kappa = _norm1(vecs) * _norm1(inv)
+            q = q[:, :m]
+            lam, vecs, inv = lam[good], vecs[:, good], inv[good]
+            w_c = (q.T - (q.T @ vecs) @ inv).real
+            inv = inv - (inv @ q) @ w_c  # the Newton step on W_good Q
+            w_c = (q.T - (q.T @ vecs) @ inv).real
+        # kappa_1(P) from the column sums of P = [V_good | Q] and P^-1 = [W_good; W_c]
+        inv_sums = np.abs(inv).sum(axis=0) + np.abs(w_c).sum(axis=0)
+        kappa = max(_norm1(vecs), _norm1(q)) * inv_sums.max(initial=0.0)
         if not kappa <= _MODAL_MAX_COND:
             raise np.linalg.LinAlgError(f"kappa_1(P) = {kappa:.3g}")
     except np.linalg.LinAlgError:
         t, q = schur(a)
-        m, lam, vecs, inv = n, np.empty(0), q, q.T
-        kappa = _norm1(vecs) * _norm1(inv)
-    good, keep = n - m, lam.imag >= 0
+        m, lam, vecs, inv, w_c = n, np.empty(0), np.empty((n, 0)), np.empty((0, n)), q.T
+        kappa = _norm1(q) * _norm1(w_c)
+    keep = lam.imag >= 0
     modes = (lam[keep].astype(complex, copy=False),
-             vecs[:, :good][:, keep].astype(complex, copy=False),
-             inv[:good][keep].astype(complex, copy=False))
-    return modes, (t[:m, :m], q[:, :m], inv[good:].real), kappa
+             vecs[:, keep].astype(complex, copy=False),
+             inv[keep].astype(complex, copy=False))
+    return modes, (t[:m, :m], q, w_c), kappa
 
 
 def _real_readout(lam, g):
@@ -413,9 +460,14 @@ class ModalSource:
     k0 + K - 1, from e_k0 to e_(k0 + K - 1) times the stage factors.  The
     block adds its own part of diag xi, sum_b G_j[i, b] (R^k W_c)[b, i] at
     stage j, with G_j and R from one RK4 step of Y' = T Y
-    (`modal_readout`), into the same K steps before their check; at m = 0
-    that part is exact zeros.  The snapshot's xi row sums are V (e o W 1)
-    plus Q (R^k W_c 1), read out on their own at the current step.
+    (`modal_readout`), into the same K steps before their check: one
+    product of B^T, B = R^k0 W_c, by the stacked (R^j)^T writes the
+    agent-major (n, K + 1, m) states, one batched product over the agents,
+    (K, m) by (m, 4) each, their stage inputs, and one add puts those in.
+    These calls serve every m: at m = 0 they add exact zeros, so the numbers
+    are the modes' alone, bit for bit, and at m = n they carry all of xi.
+    The snapshot's xi row sums are V (e o W 1) plus Q (R^k W_c 1), read out
+    on their own at the current step.  m is the block's size.
 
     The numbers equal classic RK4's up to rounding, about kappa_1(P) eps.
     Built at step h over readout, the read-only `modal_readout` of a split
@@ -445,10 +497,17 @@ class ModalSource:
         self._rows = [tuple(step) for step in self._inputs]
         self._start = -_BLOCK  # the step the block starts at; none read out yet
         self._checked = True   # the block passed its one check
-        # R^k W_c at steps start to start + K; the last is the next block's first
-        w_c = self._block[3]
-        self._states = np.empty((_BLOCK + 1,) + w_c.shape)
-        self._states[_BLOCK] = w_c
+        # agent-major block states: [i, j] is column i of R^j B, B = R^start W_c,
+        # at j = 0 to K; [:, K] is the next block's B
+        q, w_c = self._block[2:]
+        n, self.m = q.shape
+        self._states = np.empty((n, _BLOCK + 1, self.m))
+        self._states[:, _BLOCK] = w_c.T
+        self._state_rows = self._states.reshape(n, (_BLOCK + 1) * self.m)
+        # the block's part of the stage inputs, laid out as they are and
+        # written through its agent-major (n, K, 4) view
+        self._block_inputs = np.empty_like(self._inputs)
+        self._block_by_agent = self._block_inputs.transpose(2, 0, 1)
 
     def _read_block(self):
         """The stage inputs of steps k to k + K - 1, and their one check."""
@@ -458,8 +517,9 @@ class ModalSource:
             e = np.exp((k + self._offsets) * self._ell)
             np.multiply(self._factors, e[:, None], out=self._modes)
             np.matmul(self._floats, self._read_xi, out=self._flat)
-            np.matmul(powers, self._states[_BLOCK].copy(), out=self._states)
-            self._inputs += np.einsum("sib,jbi->jsi", stage_maps, self._states[:_BLOCK])
+            np.matmul(self._states[:, _BLOCK].copy(), powers, out=self._state_rows)
+            np.matmul(self._states[:, :_BLOCK], stage_maps, out=self._block_by_agent)
+            self._inputs += self._block_inputs
         self._start = k
         self._checked = bool(np.isfinite(self._flat).all() and self._flat.min() >= XI_FLOOR)
 
@@ -486,9 +546,9 @@ class ModalSource:
         """(diag xi, xi row sums) from e_k and R^k W_c, k the steps finished so far."""
         e = np.exp(self._k * self._ell).view(float)
         diag, rowsum = e @ self._read_xi, e @ self._read_rowsum
-        q, state = self._block[2], self._states[self._k - self._start]
-        diag += np.einsum("ib,bi->i", q, state)
-        rowsum += q @ state.sum(axis=1)
+        q, state = self._block[2], self._states[:, self._k - self._start]
+        diag += (q * state).sum(axis=1)
+        rowsum += q @ state.sum(axis=0)
         return diag, rowsum
 
 
@@ -503,8 +563,9 @@ def modal_readout(split, h):
     (K, 1, m) e, with z = h lambda; and the block's (G, powers, Q, W_c).
     One classic RK4 step of Y' = T Y from Y = I gives the stage values F_j
     (I, Y2, Y3, Y4) and the step R, the matrix forms of `rk4_stage_factors`
-    (which serves numbers only); G is the (4, n, m) stack of Q F_j, and
-    powers the (K + 1, m, m) stack of R^0 to R^K, all empty when m = 0.
+    (which serves numbers only); G is the agent-major (n, m, 4) stack of
+    Q F_j, G[i, :, j] row i of Q F_j, and powers the (m, (K + 1) m) row of
+    the transposes of R^0 to R^K, all empty when m = 0.
     """
     modes, block, _ = split
     lam, vecs, inv = modes
@@ -523,7 +584,9 @@ def modal_readout(split, h):
     powers = [eye]
     for _ in range(_BLOCK):
         powers.append(r @ powers[-1])
-    block = (q @ np.array((eye, y2, y3, y4)), np.array(powers), q, w_c)
+    m = len(t)
+    block = (np.stack((q, q @ y2, q @ y3, q @ y4), axis=2),
+             np.array(powers).transpose(2, 0, 1).reshape(m, (_BLOCK + 1) * m), q, w_c)
     for a in readout + block:
         a.flags.writeable = False
     return readout + (block,)
@@ -540,16 +603,20 @@ class SourceParts:
 
     def __init__(self, big_l):
         self.big_l = big_l
-        self._split = None  # (modes, block, kappa), at the first source
+        self._split = None  # (modes, block, kappa), at the first need
         self._per_h = {}    # h -> read-out
+
+    def split(self):
+        """The mode split (modes, block, kappa) of -L, made at the first call."""
+        if self._split is None:
+            self._split = _split_modes(-self.big_l)
+        return self._split
 
     def source(self, h):
         """A fresh `ModalSource` at step h."""
-        if self._split is None:
-            self._split = _split_modes(-self.big_l)
         readout = self._per_h.get(h)
         if readout is None:
-            readout = self._per_h[h] = modal_readout(self._split, h)
+            readout = self._per_h[h] = modal_readout(self.split(), h)
         return ModalSource(h, readout)
 
 

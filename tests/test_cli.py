@@ -10,7 +10,7 @@ from oocsim import sim
 from oocsim.cli import cmd_dispatch, write_trajectory
 from oocsim.digraph import spectral_data
 from oocsim.scenario import parse_scenario, scenario_from_dict
-from oocsim.sim import assemble, initial_state, run
+from oocsim.sim import SourceParts, assemble, initial_state, run
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +46,24 @@ def test_graph_command_output(capsys, tiny_path):
     assert "strongly_connected: True" in out
     assert "rho_sum: 1" in out
     assert "lambda2:" in out
+    # the xi source's split of -L: no block, and kappa_1(P) of its eigenmodes
+    _, _, kappa = SourceParts(spectral.laplacian).split()
+    assert out.endswith(f"xi_block_size: 0\nxi_split_kappa: {kappa:.17g}\n")
+
+
+def test_graph_command_prints_the_xi_block(capsys, tmp_path, tiny_path):
+    # the cycle 1 -> 2 -> 3 -> 1 weighted (1, 1, 4): L's double eigenvalue 3 is
+    # a Jordan block, which the split holds in a 2 x 2 block
+    doc = json.loads(tiny_path.read_text())
+    doc["graph"] = {"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0], [3, 1, 4.0]]}
+    for key in ("costs", "plants"):
+        doc[key] = doc[key] + doc[key][:1]
+    p = tmp_path / "jordan.json"
+    p.write_text(json.dumps(doc))
+    assert cmd_dispatch(["graph", "--scenario", str(p)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == "xi_block_size: 2"
+    assert 1 <= float(lines[-1].removeprefix("xi_split_kappa: ")) < 10
 
 
 def test_one_agent_scenario_exits_2(capsys, tmp_path, tiny_path):

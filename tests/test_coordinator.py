@@ -108,7 +108,7 @@ def test_xi_underflow_raises(monkeypatch):
     modes = SourceParts(big_l).source(h)
     monkeypatch.setattr(sim, "_MODAL_MAX_COND", 0.0)  # every mode in the block
     block = SourceParts(big_l).source(h)
-    assert modes._block[0].shape == (4, 2, 0) and block._block[0].shape == (4, 2, 2)
+    assert modes.m == 0 and block.m == 2
     for source in (modes, block):
         for _ in range(20):
             source.stages()

@@ -211,6 +211,15 @@ def test_exosystem_hand_values():
     assert e2.is_conservative()
 
 
+def test_exosystem_is_conservative_only_when_skew_to_1e_12():
+    # S + S^T of 8e-7 is well inside numpy's default relative closeness
+    assert not Exosystem(S=np.array([[0.0, 0.8], [-0.8000008, 0.0]]),
+                         v0=np.zeros(2)).is_conservative()
+    # a diagonal entry d of S is 2 d in S + S^T
+    assert not Exosystem(S=np.array([[0.0, 1.0], [-1.0, 6e-13]]), v0=np.zeros(2)).is_conservative()
+    assert Exosystem(S=np.array([[0.0, 1.0], [-1.0, 5e-13]]), v0=np.zeros(2)).is_conservative()
+
+
 def test_feedforward_truth_vdp():
     p = vdp_like(mu1=1.0, mu2=1.0, b=1.0, amplitude=10.0)  # a_w = 10
     assert feedforward_truth(p, 3.0, np.array([0.0, 10.0])) == 0.0

@@ -294,6 +294,18 @@ def test_metrics_finite_on_real_run():
     assert all(s >= 0.0 for s in out["settling_time"])
 
 
+def test_exo_energy_drift_is_measured_only_for_a_skew_s(example1_scenario):
+    # skew only to 8e-7, v's norm drifts by about 5e-6 over example1's first 3 s,
+    # against the 1e-8 of a norm-preserving S: it is not measured
+    nearly = Exosystem(S=np.array([[0.0, 0.8], [-0.8000008, 0.0]]), v0=np.array([0.0, 1.0]))
+    sc = tiny_scenario(exo=nearly, frequencies=None, horizon=0.1)
+    assert verify(sc, run(sc)).exo_energy_drift is None
+    # the presets' rotation S is still gated
+    assert example1_scenario.exo.is_conservative()
+    sc = dataclasses.replace(example1_scenario, horizon=0.1)
+    assert verify(sc, run(sc)).exo_energy_drift < 1e-8
+
+
 def test_verify_report_fields():
     sc = tiny_scenario(horizon=5.0)
     traj = run(sc)
@@ -676,11 +688,6 @@ def test_verify_builds_one_truth_per_distinct_spec(monkeypatch):
     assert shared_report == separate_report
 
 
-def block_size(source):
-    """m, the size of a source's real block (0 when it is empty)."""
-    return source._block[0].shape[2]
-
-
 def rk4_alone(f, y0, h, n_steps, record_every):
     """Classic RK4 on y' = f(y) alone: every record_every-th state and every stage value."""
     stages = []
@@ -706,7 +713,7 @@ def test_driver_matches_xi_and_v_integrated_alone(preset, source, request, monke
     if source == "block":  # no split passes the bound: every mode goes into the block
         monkeypatch.setattr(sim, "_MODAL_MAX_COND", 0.0)
     driver = SourceParts(big_l).source(h)
-    assert block_size(driver) == {"modal": 2 if preset == "jordan" else 0, "block": n}[source]
+    assert driver.m == {"modal": 2 if preset == "jordan" else 0, "block": n}[source]
     inputs = []
 
     def member(t, y, w):
@@ -739,7 +746,7 @@ def test_driver_runs_an_integer_or_float32_laplacian_in_float64():
         for dtype in (np.int64, np.float32):
             want = SourceParts(big_l).source(1e-3)
             source = SourceParts(big_l.astype(dtype)).source(1e-3)
-            assert block_size(source) == block_size(want) == m
+            assert source.m == want.m == m
             for _ in range(2 * sim._BLOCK):
                 got = np.array(source.stages())
                 assert got.dtype == np.float64 and np.array_equal(got, want.stages())
@@ -870,7 +877,7 @@ def test_modal_source_matches_the_all_modes_block_on_a_sparse_ring(monkeypatch):
     modal = SourceParts(big_l).source(sc.step)
     monkeypatch.setattr(sim, "_MODAL_MAX_COND", 0.0)  # every mode in the block
     schur = SourceParts(big_l).source(sc.step)
-    assert block_size(modal) == 0 and block_size(schur) == 200
+    assert modal.m == 0 and schur.m == 200
     for kstep in range(300):
         assert np.abs(np.subtract(modal.stages(), schur.stages())).max() <= 1e-12
 
@@ -942,7 +949,7 @@ def test_driver_divergence_names_the_driver_and_time(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(sim, "_MODAL_MAX_COND", bound)
             driver = SourceParts(np.array([[-50.0]])).source(h)
-        assert block_size(driver) == (bound == 0.0)
+        assert driver.m == (bound == 0.0)
         steps = 0
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(Diverged, match=r"^xi source: non-finite stage input "
