@@ -23,9 +23,11 @@ up to a multiple of that block: each timed block holds the same number of
 read-outs, and the µs per source step is amortized over them.  `run`
 builds the source, so its construction lands in the benchmark's
 `steps_per_s` (the integrate phase), not in `setup_s`.  The checkout must
-have `sim.SourceParts`, `sim._split_modes`, `sim._BLOCK`,
-`sim.assemble` and `sim.initial_state`; a checkout whose split gives no
-block at m = 0 (None) is read as m = 0.
+have `sim.SourceParts`, `sim._split_modes`, `sim._BLOCK`, `sim.assemble`,
+`sim.initial_state`, `sim.rk4_step` (taking the stage inputs w) and
+`scenario.scenario_from_dict`, and `benchmark/workloads.py` its
+`GENERATORS`; a checkout whose split gives no block at m = 0 (None) is
+read as m = 0.
 `benchmark/run.py`'s per-layer metrics cannot see the source: it runs
 between the traced `rk4_step` calls.  Like `benchmark/run.py`, it fixes one
 BLAS thread before numpy loads.  The last line of standard output is one
@@ -105,8 +107,8 @@ def main(argv=None):
     root = Path(args.checkout).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "benchmark")]
     from oocsim import sim as sim_mod
-    from oocsim.integrate import rk4_step
     from oocsim.scenario import scenario_from_dict
+    from oocsim.sim import rk4_step
     from workloads import GENERATORS
 
     out = {"checkout": str(root), "seed": args.seed, "blocks": args.blocks,

@@ -14,12 +14,11 @@ from .errors import (BracketNotFound, DegenerateRoots, Diverged, GradientNotVect
                      InvalidSpectrum, NonConvexDetected, NotHurwitz, NotStronglyConnected,
                      OocError, SchemaError, SingularSystem, SingularT, Unsupported,
                      XiUnderflow)
-from .integrate import rk4_step
 from .plant import (Exosystem, Plant, damping_spring, feedforward_truth, plant_linear,
                     plant_remainder, rotation_exosystem, vdp_like)
 from .scenario import parse_scenario
 from .sim import (InitPolicy, Scenario, Trajectory, VerificationReport, ablate_compare,
-                  assemble, metrics, run, sweep, verify)
+                  assemble, metrics, rk4_step, run, sweep, verify)
 from .tracker import (FeedforwardTruth, InternalModelSpec, StackedInternalModel,
                       TrackerParams, companion_pair, phi_gamma, psi_true, solve_sylvester,
                       tracker_linear)

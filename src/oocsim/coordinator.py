@@ -18,9 +18,12 @@ Everything in yr' and z' but the gradient term is linear in (yr, z):
 and the -1 that scatters the feature grad c_i(yr_i)/xi_i^i onto yr'; one
 builder binds it over the member state (`sim.bind_derivative`) or over
 (yr, z) alone (`sim.coordinator_derivative`), and either reads xi_i^i only.
-The floor xi_i^i >= XI_FLOOR is a property of the xi trajectory alone, so the
-xi source checks it once per RK4 step over all four stage inputs
-(`check_xi_floor`), not the member derivative at each stage.
+The floor xi_i^i >= `sim.XI_FLOOR` is a property of the xi trajectory alone,
+so the xi source checks it once per RK4 step over all four stage inputs
+(`sim.check_xi_floor`), not the member derivative at each stage.  This module
+keeps the coordinator's gains, its linear parts and its own run
+(`coordinator_only_run`); the RK4 step, its loop and its stage checks are
+`sim`'s.
 """
 
 from dataclasses import dataclass
@@ -29,9 +32,7 @@ import numpy as np
 
 from .costs import ConvexityBounds
 from .digraph import Digraph, _diagonal, laplacian
-from .errors import InvalidSpectrum, XiUnderflow
-
-XI_FLOOR = 1e-9
+from .errors import InvalidSpectrum
 
 
 @dataclass(frozen=True)
@@ -86,25 +87,6 @@ def coordinator_linear(big_l, gains: CoordinatorGains, grad_col):
     weights = gains.beta1 * big_l[rows, cols]
     return [(rows, cols, -weights), _diagonal(0, n, np.full(n, -gains.beta2)),
             (rows + n, cols, weights), _diagonal(0, grad_col, np.full(n, -1.0))]
-
-
-def check_xi_floor(xi_stages, t, h):
-    """Raise XiUnderflow if xi_i^i < XI_FLOOR at a stage of the RK4 step from t.
-
-    xi_stages is the step's (4, n) block of diag xi, one row per stage at
-    t, t + h/2, t + h/2 and t + h.  One min over the block passes a step that
-    holds the floor; otherwise the error names the first stage in that order
-    that drops below it, the 1-based agent with the smallest xi_i^i there and
-    that stage's time.  A NaN passes: the finite checks report it.
-    """
-    if not xi_stages.min() < XI_FLOOR:
-        return
-    stage = int((xi_stages < XI_FLOOR).any(axis=1).argmax())
-    xi_diag = xi_stages[stage]
-    i = int(xi_diag.argmin())
-    t = (t, t + 0.5 * h, t + 0.5 * h, t + h)[stage]
-    raise XiUnderflow(f"agent {i + 1}: xi_i^i = {xi_diag[i]:.3e} below floor "
-                      f"{XI_FLOOR:g} at t={t:.6g}", t=t)
 
 
 @dataclass

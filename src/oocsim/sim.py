@@ -10,8 +10,11 @@ so a xi source advances it and feeds the member derivative diag xi at each
 RK4 stage.  `assemble` builds only the member derivative; `run` builds the
 source in one call of the System's `SourceParts`.  Both advance with
 classical RK4 at a fixed step, for determinism, and the source's numbers are
-classic RK4's on xi alone up to rounding in the last bits.  The source talks
-to the RK4 loop, `integrate`, through two calls: `stages()` returns the
+classic RK4's on xi alone up to rounding in the last bits.  This module is
+the one that knows an RK4 step's layout, stage times t, t + h/2, t + h/2
+and t + h and the 1-2-2-1 sum: the step (`rk4_step`), its loop
+(`integrate`), the source's stages and their floor check (`check_xi_floor`).
+The source talks to `integrate` through two calls: `stages()` returns the
 step's four stage inputs, diag xi at t = k h, t + h/2, t + h/2 and t + h, as
 the rows of one (4, n) block of a buffer the source refills (row views made
 once, so a step unpacks them for free), and moves the source to the end of
@@ -89,11 +92,9 @@ import numpy as np
 from scipy.linalg import eig, schur
 
 from . import costs as costs_mod
-from .coordinator import (XI_FLOOR, CoordinatorGains, check_xi_floor, coordinator_linear,
-                          select_gains)
+from .coordinator import CoordinatorGains, coordinator_linear, select_gains
 from .digraph import Digraph, SpectralData, _block_operator, _bound_product, spectral_data
 from .errors import Diverged, XiUnderflow
-from .integrate import rk4_step
 from .plant import Exosystem, feedforward_truth, plant_linear, plant_remainder, redraw
 from .tracker import FeedforwardTruth, StackedInternalModel, TrackerParams, tracker_linear
 
@@ -240,10 +241,13 @@ class System:
 _LOG_SERIES_RADIUS = 3.0
 _LOG_TAIL_TERMS = 40
 # The modal source takes a mode split P (`_split_modes`) only with
-# kappa_1(P) = |P|_1 |P^-1|_1 up to this bound.  Its stage inputs and xi row
-# sums err by up to about 2e-16 kappa_1(P) (CHANGES.md holds the measured
-# tables), so up to 1e-10 here, against 1e-9 for the row sums; ring200's
-# diagonalizable seeds read 3e3 to 5e4, its split defective ones up to 1.9e5.
+# kappa_1(P) = |P|_1 |P^-1|_1 up to this bound; ring200's diagonalizable
+# seeds read 3e3 to 5e4, its split defective ones up to 1.9e5.  Its stage
+# inputs and xi row sums err by up to about 3.2e-15 kappa_1(P): ring200 seed
+# 93 (m = 0, kappa_1(P) = 2.29e4) is 7.27e-11 from classic RK4 over 300
+# steps, the largest gap of seeds 0-269 (CHANGES.md holds the measured
+# tables).  At this bound that ratio reaches 1.6e-9, past the 1e-9
+# tolerance on the row sums.
 _MODAL_MAX_COND = 5e5
 # A mode whose own condition number 1/s_i exceeds this goes into the block.
 # On ring200 seeds 0-269 every mode of a diagonalizable L reads at most
@@ -440,6 +444,27 @@ def _real_readout(lam, g):
 
 # steps of stage inputs `ModalSource` reads out per product
 _BLOCK = 32
+# the least xi_i^i a run accepts: 1/xi_i^i scales agent i's gradient
+XI_FLOOR = 1e-9
+
+
+def check_xi_floor(xi_stages, t, h):
+    """Raise XiUnderflow if xi_i^i < XI_FLOOR at a stage of the RK4 step from t.
+
+    xi_stages is the step's (4, n) block of diag xi, one row per stage at
+    t, t + h/2, t + h/2 and t + h.  One min over the block passes a step that
+    holds the floor; otherwise the error names the first stage in that order
+    that drops below it, the 1-based agent with the smallest xi_i^i there and
+    that stage's time.  A NaN passes: the finite checks report it.
+    """
+    if not xi_stages.min() < XI_FLOOR:
+        return
+    stage = int((xi_stages < XI_FLOOR).any(axis=1).argmax())
+    xi_diag = xi_stages[stage]
+    i = int(xi_diag.argmin())
+    t = (t, t + 0.5 * h, t + 0.5 * h, t + h)[stage]
+    raise XiUnderflow(f"agent {i + 1}: xi_i^i = {xi_diag[i]:.3e} below floor "
+                      f"{XI_FLOOR:g} at t={t:.6g}", t=t)
 
 
 class ModalSource:
@@ -478,8 +503,7 @@ class ModalSource:
     handed out.  So `stages()` raises Diverged, with the step's start time,
     at the first step with a stage input that is not finite, and
     XiUnderflow at the first step with a xi_i^i below the floor
-    (`coordinator.check_xi_floor`), whatever lies past that step in the
-    block.
+    (`check_xi_floor`), whatever lies past that step in the block.
     """
 
     def __init__(self, h, readout):
@@ -869,6 +893,38 @@ class Trajectory:
     def psi_rows(self, agent):
         start = int(np.cumsum((0,) + self.layout.s_dims)[agent])
         return self._block("psi")[:, start:start + self.layout.s_dims[agent]]
+
+
+def rk4_step(f, t, y, h, w):
+    """One classical 4th-order step of y' = f(t, y, w); raises Diverged on non-finite output.
+
+    Stage j calls f(t_j, y_j, w_j) with w = (w1, w2, w3, w4), inputs the
+    caller advances itself (a xi source's `stages()`), at t, t + h/2, t + h/2
+    and t + h.
+
+    y may have any shape.  Each stage's k is folded into a running sum before
+    f is called again, acc = k1, then += 2 k2, += 2 k3 and += k4, which rounds
+    as k1 + 2 k2 + 2 k3 + k4 does from the left.  So f may return one buffer
+    that it overwrites on every call.  No array that f returned is written to,
+    and each stage input is a new array that is never written after f has
+    seen it, so f may keep its inputs.  Overflow and invalid-value warnings
+    are silenced for the whole step: a non-finite result is reported as
+    Diverged.
+    """
+    w1, w2, w3, w4 = w
+    half = 0.5 * h
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = np.array(f(t, y, w1))
+        k = f(t + half, y + half * acc, w2)
+        acc += 2.0 * k
+        k = f(t + half, y + half * k, w3)
+        acc += 2.0 * k
+        k = f(t + h, y + h * k, w4)
+        acc += k
+        out = y + (h / 6.0) * acc
+    if not np.isfinite(out).all():
+        raise Diverged(f"non-finite state after step at t={t:.6g}", t=t)
+    return out
 
 
 def integrate(f, y0, h, n_steps, record_every, source):

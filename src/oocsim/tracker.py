@@ -18,12 +18,13 @@ taken outside that product.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .digraph import _frozen
 from .errors import DegenerateRoots, NotHurwitz, SingularSystem, SingularT
 
 _HURWITZ_MARGIN = -1e-9
+# psi_true refuses a T with a larger condition number
+_MAX_T_COND = 1e12
 
 
 def _companion(bottom_row):
@@ -41,6 +42,9 @@ def companion_pair(s_dim, char_coeffs):
     M's characteristic polynomial is lambda^s + c_s lambda^{s-1} + ... + c_1,
     so the bottom row is -char_coeffs and N is the last unit vector.
     Raises NotHurwitz unless every eigenvalue has real part < -1e-9.
+    The pair is controllable whatever the coefficients: its controllability
+    matrix [N, M N, ..., M^(s-1) N] is anti-triangular with ones on the
+    anti-diagonal, so its determinant is +-1.
     """
     coeffs = np.asarray(char_coeffs, dtype=float)
     if coeffs.shape != (s_dim,):
@@ -51,17 +55,7 @@ def companion_pair(s_dim, char_coeffs):
         raise NotHurwitz(f"max eigenvalue real part {eigs.real.max():.3e}")
     n_vec = np.zeros(s_dim)
     n_vec[-1] = 1.0
-    _assert_controllable(m, n_vec)
     return m, n_vec
-
-
-def _assert_controllable(m, n_vec):
-    s = m.shape[0]
-    ctrb = np.column_stack([np.linalg.matrix_power(m, k) @ n_vec for k in range(s)])
-    _, r, _ = scipy.linalg.qr(ctrb, pivoting=True)
-    rank = int(np.sum(np.abs(np.diag(r)) > 1e-9 * max(1.0, abs(r[0, 0]))))
-    if rank != s:
-        raise ValueError(f"(M, N) not controllable: rank {rank} < {s}")
 
 
 def phi_gamma(frequencies):
@@ -115,14 +109,18 @@ def sylvester_residual(t, m, n_vec, phi, gamma):
 
 
 def psi_true(t, gamma=None):
-    """Psi = Gamma T^{-1}; Gamma defaults to the first unit row."""
+    """Psi = Gamma T^{-1}, solved as T^T Psi^T = Gamma^T; Gamma defaults to the first unit row.
+
+    Raises SingularT when T is singular to working precision, by a test of
+    its condition number that, unlike det T, does not depend on T's scale.
+    """
     s = t.shape[0]
     if gamma is None:
         gamma = np.zeros(s)
         gamma[0] = 1.0
-    if abs(np.linalg.det(t)) < 1e-12:
+    if not np.linalg.cond(t) <= _MAX_T_COND:
         raise SingularT("Sylvester solution is not invertible")
-    return gamma @ np.linalg.inv(t)
+    return np.linalg.solve(t.T, gamma)
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from oocsim import costs
-from oocsim.coordinator import (CoordinatorGains, check_gain_inequalities, check_xi_floor,
-                                coordinator_only_run, select_gains)
+from oocsim.coordinator import (CoordinatorGains, check_gain_inequalities, coordinator_only_run,
+                                select_gains)
 from oocsim.costs import ConvexityBounds
 from oocsim.digraph import Digraph, laplacian, spectral_data
 from oocsim.errors import InvalidSpectrum, XiUnderflow
 from oocsim.scenario import scenario_from_dict
 from oocsim import sim
-from oocsim.sim import SourceParts, assemble, coordinator_derivative, run
+from oocsim.sim import SourceParts, assemble, check_xi_floor, coordinator_derivative, run
 
 
 def test_select_gains_closed_form_small():

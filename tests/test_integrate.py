@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from oocsim.errors import Diverged
-from oocsim.integrate import rk4_step
+from oocsim.sim import rk4_step
+from stepping import plain_step
 
 
 def rotation(t, y):
@@ -13,14 +14,14 @@ def rotation(t, y):
 
 
 def test_single_step_matches_rotation():
-    y = rk4_step(rotation, 0.0, np.array([1.0, 0.0]), 0.1)
+    y = plain_step(rotation, 0.0, np.array([1.0, 0.0]), 0.1)
     exact = np.array([math.cos(0.1), -math.sin(0.1)])
     assert np.abs(y - exact).max() < 1e-6
 
 
 def test_zero_dynamics_identity():
     y0 = np.array([1.0, -2.0, 3.0])
-    y = rk4_step(lambda t, y: np.zeros_like(y), 0.0, y0, 0.5)
+    y = plain_step(lambda t, y: np.zeros_like(y), 0.0, y0, 0.5)
     assert np.array_equal(y, y0)
 
 
@@ -28,7 +29,7 @@ def integrate(h, t_end):
     y = np.array([1.0, 0.0])
     steps = int(round(t_end / h))
     for k in range(steps):
-        y = rk4_step(rotation, k * h, y, h)
+        y = plain_step(rotation, k * h, y, h)
     return y
 
 
@@ -42,7 +43,7 @@ def test_order_four_richardson_ratio():
 
 def test_divergence_raises():
     with pytest.raises(Diverged):
-        rk4_step(lambda t, y: y * y, 0.0, np.array([1e200]), 1.0)
+        plain_step(lambda t, y: y * y, 0.0, np.array([1e200]), 1.0)
 
 
 def test_divergence_raises_without_warnings():
@@ -50,7 +51,7 @@ def test_divergence_raises_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(Diverged, match=r"^non-finite state after step at t=0$") as info:
-            rk4_step(lambda t, y: y * y, 0.0, np.array([1e200]), 1.0)
+            plain_step(lambda t, y: y * y, 0.0, np.array([1e200]), 1.0)
     assert info.value.t == 0.0
 
 
@@ -60,14 +61,14 @@ def test_finite_state_with_overflowing_squares_passes():
     y0 = np.array([1e200, -1e300, 3.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        y = rk4_step(lambda t, y: np.zeros_like(y), 0.0, y0, 0.5)
+        y = plain_step(lambda t, y: np.zeros_like(y), 0.0, y0, 0.5)
     assert np.array_equal(y, y0)
 
 
 def test_shared_returned_array_is_left_unchanged():
     shared = np.array([1.0, -2.0, 0.5])
     kept = shared.copy()
-    y = rk4_step(lambda t, y: shared, 0.0, np.zeros(3), 0.1)
+    y = plain_step(lambda t, y: shared, 0.0, np.zeros(3), 0.1)
     assert np.array_equal(shared, kept)
     assert np.array_equal(y, np.zeros(3) + (0.1 / 6.0) * (kept + 2.0 * kept + 2.0 * kept + kept))
 
@@ -131,9 +132,9 @@ def test_matrix_state_steps_like_a_vector_state():
     rng = np.random.default_rng(6)
     a = rng.normal(size=(4, 4))
     xi = rng.normal(size=(4, 4))
-    got = rk4_step(lambda t, x: a @ x, 0.0, xi, 0.1)
+    got = plain_step(lambda t, x: a @ x, 0.0, xi, 0.1)
     assert got.shape == (4, 4)
     assert np.array_equal(got, classic_step(lambda t, x, _: a @ x, 0.0, xi, 0.1, (None,) * 4))
     for j in range(4):
-        column = rk4_step(lambda t, x: a @ x, 0.0, xi[:, j].copy(), 0.1)
+        column = plain_step(lambda t, x: a @ x, 0.0, xi[:, j].copy(), 0.1)
         assert np.abs(got[:, j] - column).max() <= 1e-15 * np.abs(column).max()

@@ -83,6 +83,18 @@ def test_minimal_doc_parses():
     assert sc.horizon == 100.0
 
 
+@pytest.mark.parametrize("coeffs", [[1e5, 5e4, 1e4, 1e3, 50.0],  # (lambda + 10)^5
+                                    [810000.0, 108000.0, 5400.0, 120.0],  # (lambda + 30)^4
+                                    [1e6, 3e4, 300.0]])  # (lambda + 100)^3
+def test_fast_internal_models_parse(coeffs):
+    # a companion pair is controllable whatever its poles, however fast
+    doc = minimal_doc()
+    doc["tracker"]["internal_model"] = {"coeffs": coeffs}
+    spec = scenario_from_dict(doc).im_specs[0]
+    assert spec.s_dim == len(coeffs)
+    assert np.array_equal(spec.M[-1], -np.array(coeffs))
+
+
 def test_uncertainty_is_seeded():
     doc = minimal_doc()
     for p in doc["plants"]:

@@ -11,19 +11,19 @@ import numpy as np
 import pytest
 
 from oocsim import costs, sim
-from oocsim.coordinator import XI_FLOOR, CoordinatorGains, check_xi_floor
+from oocsim.coordinator import CoordinatorGains
 from oocsim.digraph import Digraph, _block_operator, laplacian, spectral_data
 from oocsim.errors import Diverged, NonConvexDetected, NotStronglyConnected, XiUnderflow
 from oocsim.plant import (Exosystem, custom, damping_spring, plant_remainder,
                           rotation_exosystem, vdp_like)
 from oocsim.scenario import parse_scenario, scenario_from_dict
-from oocsim.integrate import rk4_step
-from oocsim.sim import (DEFAULT_TOLERANCES, InitPolicy, ModalSource, Scenario, SourceParts,
-                        StateLayout, Trajectory, _log_step_factor, _split_modes, assemble,
-                        initial_state, integrate, metrics, modal_readout, reseed,
-                        rk4_stage_factors, run, sweep, verify)
+from oocsim.sim import (DEFAULT_TOLERANCES, XI_FLOOR, InitPolicy, ModalSource, Scenario,
+                        SourceParts, StateLayout, Trajectory, _log_step_factor, _split_modes,
+                        assemble, check_xi_floor, initial_state, integrate, metrics,
+                        modal_readout, reseed, rk4_stage_factors, rk4_step, run, sweep, verify)
 from oocsim.tracker import FeedforwardTruth, InternalModelSpec, TrackerParams
 from plant_equations import paper_drift
+from stepping import plain_step
 
 
 EPS = np.finfo(float).eps
@@ -539,8 +539,8 @@ def test_systems_share_no_buffer(example1_scenario):
         return out
 
     alone = assemble(sc).derivative
-    assert np.array_equal(rk4_step(disturbed, 0.0, y0, sc.step),
-                          rk4_step(alone, 0.0, y0, sc.step))
+    assert np.array_equal(plain_step(disturbed, 0.0, y0, sc.step),
+                          plain_step(alone, 0.0, y0, sc.step))
 
 
 @pytest.mark.parametrize("preset, kind, entry, coefficient", [
@@ -698,7 +698,7 @@ def rk4_alone(f, y0, h, n_steps, record_every):
 
     states = [y0]
     for kstep in range(n_steps):
-        states.append(rk4_step(g, kstep * h, states[-1], h))
+        states.append(plain_step(g, kstep * h, states[-1], h))
     return np.array(states[::record_every]), stages
 
 

@@ -4,11 +4,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oocsim.errors import DegenerateRoots, NotHurwitz, SingularSystem
+from oocsim.errors import DegenerateRoots, NotHurwitz, SingularSystem, SingularT
 from oocsim.digraph import _block_operator
+from oocsim.scenario import scenario_from_dict
+from oocsim.sim import run, verify
 from oocsim.tracker import (FeedforwardTruth, InternalModelSpec, StackedInternalModel,
                             TrackerParams, companion_pair, phi_gamma, psi_true,
                             solve_sylvester, sylvester_residual, tracker_linear)
+from test_scenario import minimal_doc
 
 
 def test_companion_pair_order_two():
@@ -82,6 +85,23 @@ def test_psi_true_examples():
     t1 = solve_sylvester(m, n_vec, phi1, gamma1)
     assert np.abs(psi_true(t1, gamma1) - np.array([1.0, 3.0])).max() < 1e-10
     assert np.array_equal(psi_true(np.eye(3)), [1.0, 0.0, 0.0])
+    with pytest.raises(SingularT):
+        psi_true(np.diag([1.0, 0.0]))
+
+
+def test_verify_takes_a_well_conditioned_t_of_small_scale():
+    # (lambda + 10)^4 against frequencies 1 and 3: kappa(T) = 17.7, det T = 6.8e-17
+    doc = minimal_doc()
+    doc["coordinator"] = {"gains": {"beta1": 20.0, "beta2": 2.0}}
+    doc["tracker"] = {"internal_model": {"coeffs": [1e4, 4e3, 600.0, 40.0]},
+                      "frequencies": [1.0, 3.0], "check_psi": True}
+    doc["sim"] = {"horizon": 0.05, "step": 1e-3, "record_every": 10}
+    sc = scenario_from_dict(doc)
+    report = verify(sc, run(sc))
+    assert max(report.sylvester_residuals) <= 1e-10
+    truth = FeedforwardTruth.build(sc.im_specs[0], [1.0, 3.0])
+    _, gamma = phi_gamma([1.0, 3.0])
+    assert np.abs(truth.Psi @ truth.T - gamma).max() <= 1e-10
 
 
 @settings(max_examples=100, deadline=None)

@@ -177,7 +177,8 @@ def test_read_out_at_m0_is_the_einsum_read_out_bit_for_bit(seed):
     assert np.array_equal(snapshots, want_snapshots)
 
 
-@pytest.mark.parametrize("seed, m", [(25, 2), (28, 3), (217, 4), (7, 20)])
+# seed 93 has no block but the census's largest gap from classic RK4 (7.3e-11)
+@pytest.mark.parametrize("seed, m", [(25, 2), (28, 3), (217, 4), (7, 20), (93, 0)])
 def test_block_read_out_is_classic_rk4(seed, m, monkeypatch):
     if m == 20:  # a ring of 20 with every mode in the block
         big_l = ring_laplacian(seed, n=20)
