@@ -15,8 +15,10 @@ min over `--blocks` builds), then advances it by 100 steps and prints the
 µs per source step (`stages()`, which returns a step's four stage inputs
 and moves the source to the step's end), the µs per member derivative call
 and the µs per member RK4 step (`rk4_step` with its four derivative calls,
-fed the tuple that `stages()` returned), each the min over `--blocks`
-blocks of `--calls` calls, and the source's share of a whole step,
+fed the tuple that `stages()` returned, inside the one
+`np.errstate(over="ignore", invalid="ignore")` that `integrate` holds around
+its whole loop, so it times what a run executes), each the min over
+`--blocks` blocks of `--calls` calls, and the source's share of a whole step,
 source / (source + member RK4 step).  The source reads out its stage
 inputs `sim._BLOCK` steps at a time, so it is timed over `--calls` rounded
 up to a multiple of that block: each timed block holds the same number of
@@ -24,7 +26,8 @@ read-outs, and the µs per source step is amortized over them.  `run`
 builds the source, so its construction lands in the benchmark's
 `steps_per_s` (the integrate phase), not in `setup_s`.  The checkout must
 have `sim.SourceParts`, `sim._split_modes`, `sim._BLOCK`, `sim.assemble`,
-`sim.initial_state`, `sim.rk4_step` (taking the stage inputs w) and
+`sim.initial_state`, `sim.rk4_step` (taking the stage inputs w; a step
+that enters its own error state is timed with that cost) and
 `scenario.scenario_from_dict`, and `benchmark/workloads.py` its
 `GENERATORS`; a checkout whose split gives no block at m = 0 (None) is
 read as m = 0.
@@ -46,6 +49,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 perf = time.perf_counter
 WARMUP_STEPS = 100
 
@@ -61,7 +66,7 @@ def min_block_us(fn, blocks, calls):
     return best
 
 
-def probe(sim_mod, rk4_step, scenario_from_dict, wl, blocks, calls):
+def probe(sim_mod, scenario_from_dict, wl, blocks, calls):
     sc = scenario_from_dict(wl.doc)
     if wl.member_seeds:
         sc = replace(sc, seed=wl.member_seeds[0])
@@ -81,8 +86,9 @@ def probe(sim_mod, rk4_step, scenario_from_dict, wl, blocks, calls):
     y0 = sim_mod.initial_state(sc, system.layout)
     per_read = sim_mod._BLOCK
     driver_us = min_block_us(driver.stages, blocks, -(-calls // per_read) * per_read)
-    member_us = min_block_us(lambda: rk4_step(system.derivative, 0.0, y0, h, w),
-                             blocks, calls)
+    with np.errstate(over="ignore", invalid="ignore"):
+        member_us = min_block_us(lambda: sim_mod.rk4_step(system.derivative, 0.0, y0, h, w),
+                                 blocks, calls)
     return {"n": sc.graph.n,
             "source": type(driver).__name__,
             "block_size": m,
@@ -108,14 +114,12 @@ def main(argv=None):
     sys.path[:0] = [str(root / "src"), str(root / "benchmark")]
     from oocsim import sim as sim_mod
     from oocsim.scenario import scenario_from_dict
-    from oocsim.sim import rk4_step
     from workloads import GENERATORS
 
     out = {"checkout": str(root), "seed": args.seed, "blocks": args.blocks,
            "calls": args.calls, "workloads": {}}
     for name, generate in GENERATORS.items():
-        res = probe(sim_mod, rk4_step, scenario_from_dict, generate(args.seed),
-                    args.blocks, args.calls)
+        res = probe(sim_mod, scenario_from_dict, generate(args.seed), args.blocks, args.calls)
         out["workloads"][name] = res
         print(f"{name}: n {res['n']}, {res['source']} (block m {res['block_size']}, "
               f"kappa_1(P) {res['kappa_1']:.3g}) built in {res['build_ms']:.2f} ms, "

@@ -18,7 +18,7 @@ from .plant import (Exosystem, Plant, damping_spring, feedforward_truth, plant_l
                     plant_remainder, rotation_exosystem, vdp_like)
 from .scenario import parse_scenario
 from .sim import (InitPolicy, Scenario, Trajectory, VerificationReport, ablate_compare,
-                  assemble, metrics, rk4_step, run, sweep, verify)
+                  assemble, metrics, run, sweep, verify)
 from .tracker import (FeedforwardTruth, InternalModelSpec, StackedInternalModel,
                       TrackerParams, companion_pair, phi_gamma, psi_true, solve_sylvester,
                       tracker_linear)

@@ -116,17 +116,18 @@ def _block_operator(shape, parts):
 
 
 def _bound_product(op, x, out):
-    """The function () -> out = op @ x for a CSR op on fixed vectors, checked once here.
+    """The function () -> out += op @ x for a CSR op on fixed vectors, checked once here.
 
     Raises ValueError now, not at a call, when op is not CSR, when x and
     out do not fit its shape, when op, x or out is not float64, when x or
-    out is not C-contiguous, or when out overlaps x.  A call then zeroes
-    out and runs scipy's private accumulating kernel `csr_matvec`
-    (Y += A X), with none of the few µs of checks and dispatch, or the
-    fresh result, of `@`; for an operator without rows both do nothing.
-    The kernel checks nothing, so any array the function reads or writes
-    must stay the one bound here.  It sums each row's entries in their
-    stored order, so it can differ from a dense product in the last bits.
+    out is not C-contiguous, or when out overlaps x.  It is scipy's private
+    accumulating kernel `csr_matvec` (Y += A X) with its arguments bound,
+    so its caller zeroes out first, and it has none of the few µs of checks
+    and dispatch, or the fresh result, of `@`; for an operator without rows
+    it does nothing.  The kernel checks nothing, so any array the function
+    reads or writes must stay the one bound here.  It sums each row's
+    entries in their stored order, so it can differ from a dense product in
+    the last bits.
     """
     if getattr(op, "format", None) != "csr":
         raise ValueError(f"operator must be a CSR array, got {type(op).__name__}")
@@ -141,14 +142,7 @@ def _bound_product(op, x, out):
                          f"got strides {x.strides} and {out.strides}")
     if np.may_share_memory(x, out):
         raise ValueError("out must not overlap x")
-    zero = partial(out.fill, 0.0)
-    matvec = partial(_sparsetools.csr_matvec, rows, cols, op.indptr, op.indices, op.data, x, out)
-
-    def product():
-        zero()
-        matvec()
-
-    return product
+    return partial(_sparsetools.csr_matvec, rows, cols, op.indptr, op.indices, op.data, x, out)
 
 
 def is_strongly_connected(g: Digraph) -> bool:

@@ -52,11 +52,12 @@ for quadratic costs.  The derivative owns an input buffer laid out as
 `plant_remainder`, `tracker_linear`, S's nonzeros), one `_block_operator`
 call each, and `Plan.bind` has `bind_derivative` bind both products to a
 System's own buffers once (`digraph._bound_product`, which checks them
-there, so a product is a zero fill and scipy's bare kernel).  So a call
-is 11 calls on example1, 9 of numpy and 2 of the kernel, makes no array
-(README has the timings), and returns the output buffer, valid until its
-next call.  The xi floor is not checked here: the source checks it over
-its stage inputs.
+there, so a product is scipy's bare accumulating kernel), and both add
+into one array that a call zeroes with one fill.  So a call is 10 calls on
+example1, 8 of numpy and 2 of the kernel, runs no Python frame but its
+own, makes no array (README has the timings), and returns the output
+buffer, valid until its next call.  The xi floor is not checked here: the
+source checks it over its stage inputs.
 `coordinator_derivative` is the same builder over (yr, z) alone.
 
 The source is `ModalSource`, for every L, built by `SourceParts.source`
@@ -211,8 +212,8 @@ class System:
 
     derivative(t, y, w) takes the member state y and the stage input
     w = diag xi, and returns an output buffer the System owns: it stays valid
-    until the next call, which overwrites it, and y is copied in and never
-    kept.  So a System serves one integration at a time (`rk4_step` folds
+    until the next call, which zeroes and refills it, and y is copied in and
+    never kept.  So a System serves one integration at a time (`rk4_step` folds
     each stage's result in before its next call); two Systems share no
     buffer, but the Systems of one `Plan` share its operators, spectral
     data, gains and xi sources' parts (`sources`, which `run` builds its
@@ -741,24 +742,28 @@ def bind_derivative(pre, main, n, grad_col, grad_vec=None, layers=None):
     columns grad_col.. of the input buffer, from pre's last n rows, or
     grad_vec(yr) when given.  layers(buf, pre_out), called once, gives the
     multiplies as (a, b, out) views and the custom features' writer or None.
+    Both bound products accumulate, into one array [pre_out | out] that a
+    call zeroes with one fill.
     """
     dim = main.shape[0]
     # its own buffers and every view of them it reads or writes, made once
-    buf, pre_out, out = (np.empty(size) for size in (main.shape[1], pre.shape[0], dim))
+    buf, products = np.empty(main.shape[1]), np.empty(pre.shape[0] + dim)
     buf[dim] = 1.0
     y_in, yr = buf[:dim], buf[:n]
+    pre_out, out, zero = products[:pre.shape[0]], products[pre.shape[0]:], products.fill
     pre_product = _bound_product(pre, buf[:dim + 1], pre_out)
     main_product = _bound_product(main, buf, out)
     grad_rows, phi_grad = pre_out[len(pre_out) - n:], buf[grad_col:grad_col + n]
     multiplies, write_customs = ((), None) if layers is None else layers(buf, pre_out)
-    multiply = np.multiply
+    divide, multiply = np.divide, np.multiply
 
     def derivative(t, y, w=np.ones(n)):  # w: diag xi, by default that of xi(0) = I
         y_in[:] = y
+        zero(0.0)
         pre_product()
-        np.divide(grad_rows if grad_vec is None else grad_vec(yr), w, out=phi_grad)
+        divide(grad_rows if grad_vec is None else grad_vec(yr), w, phi_grad)
         for a, b, product_out in multiplies:
-            multiply(a, b, out=product_out)
+            multiply(a, b, product_out)
         if write_customs is not None:
             write_customs(t)
         main_product()
@@ -907,21 +912,20 @@ def rk4_step(f, t, y, h, w):
     as k1 + 2 k2 + 2 k3 + k4 does from the left.  So f may return one buffer
     that it overwrites on every call.  No array that f returned is written to,
     and each stage input is a new array that is never written after f has
-    seen it, so f may keep its inputs.  Overflow and invalid-value warnings
-    are silenced for the whole step: a non-finite result is reported as
-    Diverged.
+    seen it, so f may keep its inputs.  The step leaves numpy's error state
+    alone: `integrate` silences overflow and invalid-value warnings once for
+    its whole loop, and a non-finite result is reported as Diverged.
     """
     w1, w2, w3, w4 = w
     half = 0.5 * h
-    with np.errstate(over="ignore", invalid="ignore"):
-        acc = np.array(f(t, y, w1))
-        k = f(t + half, y + half * acc, w2)
-        acc += 2.0 * k
-        k = f(t + half, y + half * k, w3)
-        acc += 2.0 * k
-        k = f(t + h, y + h * k, w4)
-        acc += k
-        out = y + (h / 6.0) * acc
+    acc = np.array(f(t, y, w1))
+    k = f(t + half, y + half * acc, w2)
+    acc += 2.0 * k
+    k = f(t + half, y + half * k, w3)
+    acc += 2.0 * k
+    k = f(t + h, y + h * k, w4)
+    acc += k
+    out = y + (h / 6.0) * acc
     if not np.isfinite(out).all():
         raise Diverged(f"non-finite state after step at t={t:.6g}", t=t)
     return out
@@ -937,7 +941,8 @@ def integrate(f, y0, h, n_steps, record_every, source):
     kept: when n_steps is not a multiple of record_every, the last steps are
     integrated but not recorded, so the record, and whatever is read off its
     last row, ends at t = (n_steps // record_every) record_every h, before
-    the horizon (150 steps recorded every 100 end at t = 100 h).
+    the horizon (150 steps recorded every 100 end at t = 100 h).  Overflow
+    and invalid-value warnings are silenced once for the whole loop.
     """
     m = n_steps // record_every + 1
     first = (y0,) + source.snapshot()
@@ -1118,12 +1123,12 @@ def _feedforward_reproduction_error(sc, traj, truths, s_star):
 
 
 def ablate_compare(sc: Scenario):
-    """Paired run with and without the internal model, same seed."""
+    """Paired run with and without the internal model, same seed, over one `Structure`."""
     base = replace(sc, ablate_internal_model=False, name=sc.name + "[with-im]")
     ablated = replace(sc, ablate_internal_model=True, name=sc.name + "[no-im]")
-    traj_with = run(base)
-    traj_without = run(ablated)
-    s_star = costs_mod.global_optimum(sc.costs)
+    structure = Structure(base)
+    traj_with, traj_without = (run(arm, Plan(arm, structure).bind()) for arm in (base, ablated))
+    s_star = structure.optimum()
     err_with = float(np.abs(traj_with.y[-1] - s_star).max())
     err_without = float(np.abs(traj_without.y[-1] - s_star).max())
     return {

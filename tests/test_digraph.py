@@ -204,9 +204,11 @@ def test_csr_kernel_matches_dense_product(index_dtype, x_shape):
     want = a @ x
     out = np.full(x_shape, np.nan)
     product = _bound_product(op, x, out)
+    out.fill(0.0)  # the kernel accumulates, so its caller zeroes out
     product()
-    product()  # out is zeroed first, so a second call does not accumulate
     assert np.abs(out - want).max() <= 1e-14 * np.abs(want).max()
+    product()  # a second call without zeroing adds the product again
+    assert np.abs(out - 2.0 * want).max() <= 1e-14 * np.abs(2.0 * want).max()
 
 
 def test_csr_kernel_refuses_inputs_it_would_mishandle():
@@ -239,9 +241,12 @@ def test_bound_product_checks_its_buffers_once_at_bind_time():
     x = rng.uniform(-1.0, 1.0, 80)
     out = np.full(80, np.nan)
     product = _bound_product(op, x, out)
-    product()
-    product()  # the CSR kernel accumulates, so each call zeroes out first
-    assert np.abs(out - a @ x).max() <= 1e-14 * np.abs(a @ x).max()
+    for _ in range(2):  # the CSR kernel accumulates, so out is zeroed before each call
+        out.fill(0.0)
+        product()
+        assert np.abs(out - a @ x).max() <= 1e-14 * np.abs(a @ x).max()
+    product()  # without zeroing, a call adds to what out holds
+    assert np.abs(out - 2.0 * (a @ x)).max() <= 1e-14 * np.abs(2.0 * (a @ x)).max()
     shared = np.zeros(120)
     bad_binds = {  # name: (x, out, the refusal's message)
         "non-contiguous x": (np.ones(160)[::2], np.zeros(80), "C-contiguous"),
@@ -290,9 +295,12 @@ def test_block_operator_adds_entries_that_meet(index_dtype):
     assert op.format == "csr" and op.nnz == 9
     assert np.array_equal(op.toarray(), want)
     x = np.random.default_rng(5).uniform(-1.0, 1.0, shape[1])
-    out = np.full(shape[0], np.nan)
-    _bound_product(op, x, out)()
+    out = np.zeros(shape[0])  # the kernel accumulates into a zeroed out
+    product = _bound_product(op, x, out)
+    product()
     assert np.abs(out - want @ x).max() <= 1e-15 * np.abs(want @ x).max()
+    product()  # a second call without zeroing adds the product again
+    assert np.abs(out - 2.0 * (want @ x)).max() <= 1e-15 * np.abs(2.0 * (want @ x)).max()
     # the kernel would write past its arrays: an entry outside the shape, or
     # parts of unequal lengths, is refused before it runs
     for rows, cols, values in (([4], [0], [1.0]), ([0], [6], [1.0]), ([-1], [0], [1.0]),

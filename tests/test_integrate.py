@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oocsim import sim
 from oocsim.errors import Diverged
 from oocsim.sim import rk4_step
 from stepping import plain_step
@@ -47,11 +48,13 @@ def test_divergence_raises():
 
 
 def test_divergence_raises_without_warnings():
-    # y * y overflows inside the step; the step silences that and reports it
+    # y * y overflows inside the first step; the run's loop silences that
+    # and the step reports it
+    source = sim.SourceParts(np.zeros((1, 1))).source(1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(Diverged, match=r"^non-finite state after step at t=0$") as info:
-            plain_step(lambda t, y: y * y, 0.0, np.array([1e200]), 1.0)
+            sim.integrate(lambda t, y, w: y * y, np.array([1e200]), 1.0, 1, 1, source)
     assert info.value.t == 0.0
 
 

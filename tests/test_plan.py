@@ -114,6 +114,25 @@ def test_a_sweep_over_a_field_the_set_up_reads_shares_nothing():
     assert reports[0][1].to_dict() != reports[1][1].to_dict()
 
 
+def test_ablate_compare_runs_the_shared_set_up_once(monkeypatch):
+    sc = scenario_from_dict(preset_doc("example2", 0.05))
+    calls = {}
+    counting(monkeypatch, sim, "_split_modes", calls)
+    counting(monkeypatch, sim, "spectral_data", calls)
+    counting(monkeypatch, costs, "convexity_bounds", calls)
+    counting(monkeypatch, costs, "global_optimum", calls)
+    comparison, traj_with, traj_without = sim.ablate_compare(sc)
+    assert calls == {"_split_modes": 1, "spectral_data": 1, "convexity_bounds": 1,
+                     "global_optimum": 1}
+    # each arm is the run its scenario makes alone, and s* is the costs' own
+    monkeypatch.undo()
+    for traj, ablate in ((traj_with, False), (traj_without, True)):
+        alone = run(dataclasses.replace(sc, ablate_internal_model=ablate))
+        assert all(np.array_equal(getattr(traj, key), getattr(alone, key))
+                   for key in ("times", "raw", "xi_diag", "xi_rowsum"))
+    assert comparison["s_star"] == costs.global_optimum(sc.costs)
+
+
 def test_nothing_outlives_a_run_or_a_sweep(monkeypatch):
     sc = scenario_from_dict(preset_doc("example2", 0.05))
     # outside a sweep, every System has a set-up of its own
