@@ -104,7 +104,7 @@ def _cmd_coordinator(args):
     structure, layout = Structure(sc), StateLayout.of(sc)
     gains, rho = structure.gains, structure.spectral.rho
     y0 = initial_state(sc, layout)[layout.slices["yr"]]
-    with named_failures(sc.name):
+    with named_failures(sc.name, layout):
         traj = coordinator_only_run(sc.graph, sc.costs, gains, y0,
                                     sc.horizon, sc.step, sc.record_every)
     s_star = structure.optimum()

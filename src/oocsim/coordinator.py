@@ -83,7 +83,9 @@ def coordinator_linear(big_l, gains: CoordinatorGains, grad_col):
     from them keeps L's sparsity.
     """
     n = len(big_l)
-    rows, cols = np.nonzero(big_l)
+    # L's nonzeros in row-major order, as np.nonzero(big_l) gives them; the
+    # flat scan of a boolean mask is far cheaper than nonzero on floats
+    rows, cols = np.divmod(np.flatnonzero(big_l != 0), n)
     weights = gains.beta1 * big_l[rows, cols]
     return [(rows, cols, -weights), _diagonal(0, n, np.full(n, -gains.beta2)),
             (rows + n, cols, weights), _diagonal(0, grad_col, np.full(n, -1.0))]

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .digraph import _diagonal
+from .digraph import _diagonal, _table
 from .errors import BracketNotFound, GradientNotVectorized, NonConvexDetected
 
 DEFAULT_DOMAIN = (-10.0, 10.0)
@@ -263,11 +263,12 @@ def gradient_linear(cost_list, row, col, one):
     and -2a_i b_i on the constant 1 at column one.  So one product gives
     the gradient, affine in yr; any other cost set takes `build_gradient`.
     """
-    if not all(c.kind == "quadratic" for c in cost_list):
+    ab = [(c.params["a"], c.params["b"]) for c in cost_list if c.kind == "quadratic"]
+    if len(ab) < len(cost_list):
         return None
     n = len(cost_list)
-    a = np.array([2.0 * c.params["a"] for c in cost_list])
-    b = np.array([c.params["b"] for c in cost_list])
+    a, b = _table(ab, 2).T
+    a = 2.0 * a
     return [_diagonal(row, col, a), (np.arange(n) + row, np.full(n, one), -a * b)]
 
 

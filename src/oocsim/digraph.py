@@ -8,6 +8,7 @@ its second-smallest eigenvalue lambda2 measures connectivity strength.
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import chain
 
 import numpy as np
 from scipy.sparse import _sparsetools, csr_array
@@ -89,6 +90,11 @@ def _diagonal(row, col, values):
     """The COO part (rows, cols, values) of a diagonal block whose first entry is at (row, col)."""
     idx = np.arange(len(values))
     return idx + row, idx + col, values
+
+
+def _table(rows, width):
+    """Equal-width rows of numbers as one float (len(rows), width) array, in one flat read."""
+    return np.fromiter(chain.from_iterable(rows), float, width * len(rows)).reshape(-1, width)
 
 
 def _block_operator(shape, parts):

@@ -62,4 +62,12 @@ class Unsupported(OocError):
 
 
 class Diverged(_TimedError):
-    """Integration produced a non-finite state."""
+    """Integration produced a non-finite state.
+
+    entry is the flat index of the state's first non-finite entry when the
+    RK4 step found one, else None.
+    """
+
+    def __init__(self, message, t=None, entry=None):
+        super().__init__(message, t)
+        self.entry = entry

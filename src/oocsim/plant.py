@@ -40,7 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .digraph import _diagonal, _frozen
+from .digraph import _diagonal, _frozen, _table
 from .errors import Unsupported
 
 
@@ -68,8 +68,8 @@ class Kind:
     split: Callable       # params -> (coefficients on x1, x2 and v[reads], on MONOMIALS)
     reads: int            # the one linear v entry, also the last v entry the drift reads
     keys: tuple           # scenario keys, in constructor order
-    perturbed: tuple      # the keys `uncertainty` perturbs, in draw order
-    admissible: Callable  # drawn {perturbed key: value} -> whether the draw is kept
+    perturbed: int        # how many leading keys `uncertainty` perturbs, in draw order
+    admissible: Callable  # the keys' values in order, drawn -> whether the draw is kept
     params: Callable      # the keys' values in order -> (params, b); ValueError if refused
 
 
@@ -89,9 +89,8 @@ def _spring_split(params):
             (0.0, 0.0, -params["k2"] / m, -params["mu2"] / m, params["a_w"] / m))
 
 
-def _built_in(name, params, b, nominal=None, uncertainty=0.0) -> Plant:
-    return Plant(name, params, b, split=KINDS[name].split(params), nominal=nominal,
-                 uncertainty=uncertainty)
+def _built_in(name, params, b) -> Plant:
+    return Plant(name, params, b, split=KINDS[name].split(params))
 
 
 def _vdp_params(mu1, mu2, b, amplitude):
@@ -121,53 +120,100 @@ def custom(f, b) -> Plant:
 
 KINDS = {
     "vdp_like": Kind(partners=("x2", None), shared=False, split=_vdp_split, reads=0,
-                     keys=("mu1", "mu2", "b", "amplitude"), perturbed=("mu1", "mu2", "b"),
-                     admissible=lambda d: d["mu1"] > 0 and d["b"] > 0, params=_vdp_params),
+                     keys=("mu1", "mu2", "b", "amplitude"), perturbed=3,
+                     admissible=lambda mu1, mu2, b, amplitude: mu1 > 0 and b > 0,
+                     params=_vdp_params),
     "damping_spring": Kind(partners=("x1", "x2"), shared=True, split=_spring_split,
-                           reads=1, keys=("m", "k1", "k2", "mu1", "mu2", "a_w"),
-                           perturbed=("m", "k1", "k2", "mu1", "mu2"),
-                           admissible=lambda d: d["m"] > 0, params=_spring_params),
+                           reads=1, keys=("m", "k1", "k2", "mu1", "mu2", "a_w"), perturbed=5,
+                           admissible=lambda m, *rest: m > 0, params=_spring_params),
 }
+
+
+# per built-in kind, the v entry its plants' rows in `plant_linear` read
+_READS = {name: float(kind.reads) for name, kind in KINDS.items()}
 
 
 class NoAdmissibleDraw(ValueError):
     """Rejection sampling found no admissible perturbed parameters."""
 
 
+class Uniforms:
+    """rng.random()'s doubles in [0, 1), drawn `block` at a time and handed out in order.
+
+    `take(k)` returns the next k doubles.  When fewer are left, it draws
+    max(block, k) more behind them, so a taker sees rng.random()'s stream in
+    order whatever the block.  block = 0 draws just what each take asks for;
+    a larger block draws ahead, past what may ever be taken, so such a
+    stream must be its rng's only reader.
+    """
+
+    def __init__(self, rng, block=0):
+        self._rng, self._block = rng, block
+        self._buf, self._at = [], 0
+
+    def take(self, k):
+        at, buf = self._at, self._buf
+        if at + k > len(buf):
+            buf = self._buf = buf[at:] + self._rng.random(max(self._block, k)).tolist()
+            at = 0
+        self._at = at + k
+        return buf[at:at + k]
+
+
+# a plant draws at most this many doubles per try
+_MOST_PERTURBED = max(kind.perturbed for kind in KINDS.values())
+
+
+def draw_stream(rng, count):
+    """The one stream that count plants draw from in order; a block holds one try of each."""
+    return Uniforms(rng, count * _MOST_PERTURBED)
+
+
 def draw(name, nominal, uncertainty, rng, max_draws=1000) -> Plant:
     """The built-in plant `name` with its perturbed keys drawn within +-uncertainty.
 
-    nominal maps the kind's keys, in constructor order, to the scenario's
-    values.  Each try draws one uniform factor in [1 - uncertainty,
-    1 + uncertainty] per perturbed key from rng, in the kind's order, with
-    one vector call (numpy's Generator draws a vector's entries in order,
-    each as one scalar call would, so the stream is the same), and the
-    first admissible try is kept; no uncertainty draws nothing.  The plant
-    records nominal and uncertainty, so `redraw` repeats the draw from
-    another stream.  Raises NoAdmissibleDraw when no try of max_draws is
-    admissible, and ValueError when the constructor refuses the values.
+    nominal maps the kind's keys to the scenario's values.  rng is a numpy
+    Generator or a `Uniforms` stream over one (`draw_stream`).  Each try
+    takes one double r per perturbed key, in the kind's order, and scales
+    the key by 1 + d with d = low + (high - low) r, low = -uncertainty and
+    high = uncertainty, which is how `Generator.uniform(low, high)` forms
+    its doubles from the same r; the first admissible try is kept, and no
+    uncertainty draws nothing.  A Generator gives each try exactly its
+    doubles, so per-plant calls on one Generator draw what the scenario
+    parser's buffered stream draws.  The plant records nominal and
+    uncertainty, so `redraw` repeats the draw from another stream.  Raises
+    NoAdmissibleDraw when no try of max_draws is admissible, and ValueError
+    when the constructor refuses the values.
     """
     kind = KINDS[name]
-    values = dict(nominal)
+    values = [nominal[key] for key in kind.keys]
     if uncertainty:
+        uniforms = rng if isinstance(rng, Uniforms) else Uniforms(rng)
+        low = -uncertainty
+        span = uncertainty - low
+        count = kind.perturbed
+        fixed = values[count:]
         for _ in range(max_draws):
-            factors = rng.uniform(-uncertainty, uncertainty, len(kind.perturbed)).tolist()
-            drawn = {k: nominal[k] * (1.0 + d) for k, d in zip(kind.perturbed, factors)}
-            if kind.admissible(drawn):
+            drawn = [x * (1.0 + (low + span * r)) for x, r in zip(values, uniforms.take(count))]
+            if kind.admissible(*drawn, *fixed):
                 break
         else:
             raise NoAdmissibleDraw("rejection sampling failed to find admissible parameters")
-        values.update(drawn)
-    return _built_in(name, *kind.params(*values.values()), nominal, uncertainty)
+        values = drawn + fixed
+    params, b = kind.params(*values)
+    return Plant(name, params, b, split=kind.split(params), nominal=nominal,
+                 uncertainty=uncertainty)
 
 
 def redraw(plants, rng):
     """The plants drawn again from rng, in order, as the scenario parser draws them.
 
-    A plant without uncertainty, a custom one included, is kept as it is and
-    draws nothing.
+    They share one buffered stream (`draw_stream`) over rng, which is theirs
+    alone.  A plant without uncertainty, a custom one included, is kept as it
+    is and draws nothing.
     """
-    return [draw(p.kind, p.nominal, p.uncertainty, rng) if p.uncertainty else p
+    uniforms = draw_stream(rng, len(plants))
+    return [draw(p.kind, p.nominal, p.uncertainty, uniforms) if p.uncertainty else p
             for p in plants]
 
 
@@ -186,17 +232,18 @@ def plant_linear(slices, plants, u):
     damping_spring v1 and v2, whatever their coefficients.
     """
     x1, x2, v = slices["x1"].start, slices["x2"].start, slices["v"]
-    kinds = [KINDS.get(p.kind) for p in plants]
-    reads = np.array([-1 if kind is None else kind.reads for kind in kinds])
+    # one row per plant: b, the last v entry its drift reads (-1 for a
+    # custom plant) and its coefficients on x1, x2 and that v entry
+    table = _table([(p.b, -1.0, 0.0, 0.0, 0.0) if p.split is None
+                    else (p.b, _READS[p.kind]) + p.split[0] for p in plants], 5)
+    b, reads, coefs = table[:, 0], table[:, 1].astype(np.intp), table[:, 2:]
     if reads.max() >= v.stop - v.start:
         i = int(reads.argmax())
         raise Unsupported(f"plant {i + 1} ({plants[i].kind}) reads v{reads[i] + 1}, "
                           f"past the exosystem's {v.stop - v.start}-entry state")
-    coefs = np.array([(0.0, 0.0, 0.0) if p.split is None else p.split[0] for p in plants])
     agent = np.arange(len(plants))
     terms, owners, signs = u
-    parts = [_diagonal(x1, x2, np.ones(len(plants))),
-             (owners + x2, terms, np.array([p.b for p in plants])[owners] * signs)]
+    parts = [_diagonal(x1, x2, np.ones(len(plants))), (owners + x2, terms, b[owners] * signs)]
     for cols, values in zip((agent + x1, agent + x2, reads + v.start), coefs.T):
         agents = np.flatnonzero(values)
         parts.append((agents + x2, cols[agents], values[agents]))
@@ -224,19 +271,22 @@ def plant_remainder(slices, plants, partner, product, col):
     """
     n = len(plants)
     x1, x2, v = (slices[key].start for key in ("x1", "x2", "v"))
-    by_kind = {}
+    # one pass groups the built-in plants by kind, each with its
+    # coefficients of MONOMIALS, and lists the custom ones
+    by_kind, customs = {name: ([], []) for name in KINDS}, []
     for i, p in enumerate(plants):
-        by_kind.setdefault(p.kind, []).append(i)
-    customs = [i for i, p in enumerate(plants) if p.kind not in KINDS]
+        if p.split is None:
+            customs.append(i)
+        else:
+            agents, coefs = by_kind[p.kind]
+            agents.append(i)
+            coefs.append(p.split[1])
     cubes = 2 * n if len(customs) < n else 0  # the columns of x1 (x1 p1) and x2 (x2 p2)
-    shared = any(KINDS[name].shared for name in by_kind if name in KINDS)
+    groups = [(KINDS[name], np.array(agents), _table(coefs, len(MONOMIALS)))
+              for name, (agents, coefs) in by_kind.items() if agents]
+    shared = any(kind.shared for kind, _, _ in groups)
     pre, main = [], []
-    for name, kind in KINDS.items():
-        agents = by_kind.get(name)
-        if agents is None:
-            continue
-        coefs = np.array([plants[i].split[1] for i in agents])
-        agents = np.array(agents)
+    for kind, agents, coefs in groups:
         for own, p in zip((x1, x2), kind.partners):
             if p is not None:
                 pre.append((partner + own + agents, slices[p].start + agents,

@@ -4,7 +4,11 @@ A scenario file is a JSON document with sections graph, costs, plants,
 exosystem, coordinator, tracker, init, sim, plus a name, a seed and optional
 tolerances.  Unknown keys anywhere are rejected with a field-level message.
 All randomness (plant parameter perturbations, initial conditions) flows from
-the single seed.
+the single seed: the plants draw from rng([seed, 0]), through one buffered
+stream that all of them share (`plant.draw_stream`, which `sim.reseed` reads
+the same way), and the initial state from rng([seed, 1]).  A list entry
+(plants[i], costs[i], graph.edges[i]) is named only to refuse it, so an
+accepted entry builds no message for it.
 """
 
 import json
@@ -72,6 +76,36 @@ def _field(section, key, context, default=None, positive=False):
     return _number(value, context, key, positive=positive)
 
 
+def _entry_kind(entry, section, idx):
+    """entry["kind"] of the list entry section[idx], which is named only to refuse it."""
+    if isinstance(entry, dict) and "kind" in entry:
+        return entry["kind"]
+    context = f"{section}[{idx}]"
+    return _require(_object(entry, context), "kind", context)
+
+
+def _check_entry_keys(entry, section, idx, allowed):
+    """`_check_keys` of the list entry section[idx], which is named only to refuse it."""
+    if not entry.keys() <= allowed:
+        _check_keys(entry, f"{section}[{idx}]", allowed)
+
+
+def _entry_fields(entry, keys, section, idx):
+    """The list entry section[idx]'s values at keys, each as `_field` takes it.
+
+    Finite floats, all JSON numbers with a fraction or exponent, are taken
+    as they are; anything else goes to `_field`, which converts an integer
+    or refuses the first bad key, in order, with the entry named.
+    """
+    values = []
+    for key in keys:
+        value = entry.get(key)
+        if type(value) is not float or not math.isfinite(value):
+            return [_field(entry, key, f"{section}[{idx}]") for key in keys]
+        values.append(value)
+    return values
+
+
 def _pair(value, context):
     if not isinstance(value, list) or len(value) != 2:
         raise SchemaError(f"{context}: expected [low, high]")
@@ -97,13 +131,14 @@ def _parse_graph(section):
         if not isinstance(e, list) or len(e) != 3:
             raise SchemaError(f"graph.edges[{idx}]: expected [from, to, weight]")
         src, dst, wt = e
-        if not (_is_int(src) and _is_int(dst)):
+        if not (type(src) is int and type(dst) is int or _is_int(src) and _is_int(dst)):
             raise SchemaError(f"graph.edges[{idx}]: node ids must be integers")
         first = first_index.setdefault((src, dst), idx)
         if first != idx:
             raise SchemaError(f"graph.edges[{idx}]: edge ({src}, {dst}) repeats "
                               f"graph.edges[{first}]")
-        wt = _number(wt, f"graph.edges[{idx}].weight")
+        if type(wt) is not float or not math.isfinite(wt):
+            wt = _number(wt, f"graph.edges[{idx}].weight")
         if wt <= 0:
             raise SchemaError(f"graph.edges[{idx}]: edge ({src}, {dst}) has "
                               f"non-positive weight {wt}")
@@ -115,28 +150,31 @@ def _parse_graph(section):
         raise SchemaError(f"graph: {exc}") from None
 
 
+# each cost kind's allowed entry keys, and the numbers its constructor takes, in order
+_COST_KEYS = {"quadratic": frozenset({"kind", "a", "b"}),
+              "exp_sum": frozenset({"kind", "c1", "k1", "c2", "k2"}),
+              "composite": frozenset({"kind", "name"})}
+_COST_NUMBERS = {"quadratic": ("a", "b"), "exp_sum": ("c1", "k1", "c2", "k2")}
+
+
 def _parse_cost(entry, idx, domain_hint):
-    context = f"costs[{idx}]"
-    kind = _require(_object(entry, context), "kind", context)
+    kind = _entry_kind(entry, "costs", idx)
+    allowed = _COST_KEYS.get(kind) if isinstance(kind, str) else None
+    if allowed is None:
+        raise SchemaError(f"costs[{idx}].kind: unknown cost kind {kind!r}")
+    _check_entry_keys(entry, "costs", idx, allowed)
     kwargs = {} if domain_hint is None else {"domain_hint": domain_hint}
     try:
-        if kind == "quadratic":
-            _check_keys(entry, context, {"kind", "a", "b"})
-            return costs_mod.quadratic(_field(entry, "a", context), _field(entry, "b", context),
-                                       **kwargs)
-        if kind == "exp_sum":
-            _check_keys(entry, context, {"kind", "c1", "k1", "c2", "k2"})
-            return costs_mod.exp_sum(
-                *[_field(entry, k, context) for k in ("c1", "k1", "c2", "k2")], **kwargs)
         if kind == "composite":
-            _check_keys(entry, context, {"kind", "name"})
-            name = _require(entry, "name", context)
+            name = entry.get("name")
             if not isinstance(name, str):
-                raise SchemaError(f"{context}.name: expected a string, got {name!r}")
+                name = _require(entry, "name", f"costs[{idx}]")  # a missing name is refused here
+                raise SchemaError(f"costs[{idx}].name: expected a string, got {name!r}")
             return costs_mod.composite(name, **kwargs)
+        build = costs_mod.quadratic if kind == "quadratic" else costs_mod.exp_sum
+        return build(*_entry_fields(entry, _COST_NUMBERS[kind], "costs", idx), **kwargs)
     except ValueError as exc:
-        raise SchemaError(f"{context}: {exc}") from None
-    raise SchemaError(f"{context}.kind: unknown cost kind {kind!r}")
+        raise SchemaError(f"costs[{idx}]: {exc}") from None
 
 
 # each built-in plant kind's allowed entry keys, built once for all its entries
@@ -144,24 +182,25 @@ _PLANT_KEYS = {name: frozenset({"kind", "uncertainty", *spec.keys})
                for name, spec in plant_mod.KINDS.items()}
 
 
-def _parse_plant(entry, idx, rng):
-    context = f"plants[{idx}]"
-    kind = _require(_object(entry, context), "kind", context)
+def _parse_plant(entry, idx, uniforms):
+    kind = _entry_kind(entry, "plants", idx)
     spec = plant_mod.KINDS.get(kind) if isinstance(kind, str) else None
     if spec is None:
-        raise SchemaError(f"{context}.kind: unknown plant kind {kind!r} "
+        raise SchemaError(f"plants[{idx}].kind: unknown plant kind {kind!r} "
                           "(custom plants are library-only)")
-    _check_keys(entry, context, _PLANT_KEYS[kind])
-    values = {k: _field(entry, k, context) for k in spec.keys}
-    frac = _field(entry, "uncertainty", context, 0.0)
+    _check_entry_keys(entry, "plants", idx, _PLANT_KEYS[kind])
+    values = _entry_fields(entry, spec.keys, "plants", idx)
+    frac = entry.get("uncertainty", 0.0)
+    if type(frac) is not float or not math.isfinite(frac):
+        frac = _field(entry, "uncertainty", f"plants[{idx}]", 0.0)
     if frac < 0:
-        raise SchemaError(f"{context}.uncertainty: must be nonnegative")
+        raise SchemaError(f"plants[{idx}].uncertainty: must be nonnegative")
     try:
-        return plant_mod.draw(kind, values, frac, rng)
+        return plant_mod.draw(kind, dict(zip(spec.keys, values)), frac, uniforms)
     except plant_mod.NoAdmissibleDraw as exc:
-        raise SchemaError(f"{context}.uncertainty: {exc}") from None
+        raise SchemaError(f"plants[{idx}].uncertainty: {exc}") from None
     except ValueError as exc:
-        raise SchemaError(f"{context}: {exc}") from None
+        raise SchemaError(f"plants[{idx}]: {exc}") from None
 
 
 def _parse_exosystem(section):
@@ -316,12 +355,13 @@ def scenario_from_dict(doc, name_hint="scenario") -> Scenario:
         raise SchemaError(f"costs: expected a list of {n} entries")
     cost_list = [_parse_cost(e, i, domain_hint) for i, e in enumerate(cost_entries)]
 
-    # uncertainty draws use a dedicated stream so init draws stay stable
-    rng = np.random.default_rng([seed, 0])
     plant_entries = _require(doc, "plants", "scenario")
     if not isinstance(plant_entries, list) or len(plant_entries) != n:
         raise SchemaError(f"plants: expected a list of {n} entries")
-    plants = [_parse_plant(e, i, rng) for i, e in enumerate(plant_entries)]
+    # all uncertainty draws come from one buffered stream of their own, so
+    # the init draws stay stable
+    uniforms = plant_mod.draw_stream(np.random.default_rng([seed, 0]), n)
+    plants = [_parse_plant(e, i, uniforms) for i, e in enumerate(plant_entries)]
 
     exo = _parse_exosystem(_require(doc, "exosystem", "scenario"))
     gains = _parse_gains(doc.get("coordinator", {"gains": "auto"}))

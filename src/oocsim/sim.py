@@ -205,6 +205,16 @@ class StateLayout:
         """The layout of sc's member state."""
         return cls(sc.graph.n, tuple(spec.s_dim for spec in sc.im_specs), sc.exo.dim)
 
+    def entry_name(self, i):
+        """Where flat entry i of the member state sits: "x2 of agent 3", or "v2" in v."""
+        key, block = next((key, s) for key, s in self.slices.items() if s.start <= i < s.stop)
+        i -= block.start
+        if key == "v":
+            return f"v{i + 1}"
+        if key in ("eta", "psi"):  # s_i entries for agent i
+            i = int(np.searchsorted(np.cumsum(self.s_dims), i, side="right"))
+        return f"{key} of agent {i + 1}"
+
 
 @dataclass
 class System:
@@ -914,7 +924,9 @@ def rk4_step(f, t, y, h, w):
     and each stage input is a new array that is never written after f has
     seen it, so f may keep its inputs.  The step leaves numpy's error state
     alone: `integrate` silences overflow and invalid-value warnings once for
-    its whole loop, and a non-finite result is reported as Diverged.
+    its whole loop, and a non-finite result is reported as Diverged, with
+    the flat index of its first non-finite entry as the Diverged's entry and
+    in its message.
     """
     w1, w2, w3, w4 = w
     half = 0.5 * h
@@ -927,8 +939,13 @@ def rk4_step(f, t, y, h, w):
     acc += k
     out = y + (h / 6.0) * acc
     if not np.isfinite(out).all():
-        raise Diverged(f"non-finite state after step at t={t:.6g}", t=t)
+        entry = int(np.flatnonzero(~np.isfinite(out))[0])
+        raise Diverged(_non_finite(t, f"entry {entry}"), t=t, entry=entry)
     return out
+
+
+def _non_finite(t, where):
+    return f"non-finite state after step at t={t:.6g}: first in {where}"
 
 
 def integrate(f, y0, h, n_steps, record_every, source):
@@ -961,12 +978,22 @@ def integrate(f, y0, h, n_steps, record_every, source):
 
 
 @contextmanager
-def named_failures(name):
-    """Re-raise a Diverged or XiUnderflow from inside with the scenario name in front."""
+def named_failures(name, layout):
+    """Re-raise a Diverged or XiUnderflow from inside with the scenario name in front.
+
+    layout is the `StateLayout` of the state the run steps, or of one that
+    leads with it, as the member layout leads with (yr, z).  A Diverged
+    that carries its first non-finite entry names it by state block and
+    agent (`StateLayout.entry_name`).
+    """
     try:
         yield
-    except (Diverged, XiUnderflow) as exc:
-        raise type(exc)(f"{name}: {exc}", t=exc.t) from None
+    except XiUnderflow as exc:
+        raise XiUnderflow(f"{name}: {exc}", t=exc.t) from None
+    except Diverged as exc:
+        named = exc.entry is not None
+        message = _non_finite(exc.t, layout.entry_name(exc.entry)) if named else str(exc)
+        raise Diverged(f"{name}: {message}", t=exc.t, entry=exc.entry) from None
 
 
 def run(sc: Scenario, system: Optional[System] = None) -> Trajectory:
@@ -980,7 +1007,7 @@ def run(sc: Scenario, system: Optional[System] = None) -> Trajectory:
         system = assemble(sc)
     y0 = initial_state(sc, system.layout)
     source = system.sources.source(sc.step)
-    with named_failures(sc.name):
+    with named_failures(sc.name, system.layout):
         times, raw, (xi_diag, xi_rowsum) = integrate(
             system.derivative, y0, sc.step, sc.n_steps, sc.record_every, source)
     return Trajectory(times=times, raw=raw, layout=system.layout, rho=system.spectral.rho,
@@ -1142,9 +1169,9 @@ def ablate_compare(sc: Scenario):
 def reseed(sc: Scenario, seed) -> Scenario:
     """sc at another seed, its uncertain plants drawn again as parsing at that seed draws them.
 
-    The draws come from rng([seed, 0]), plant by plant, each from its
-    nominal values and uncertainty (`plant.redraw`); the initial state
-    follows the seed through `initial_state`.
+    The draws come from rng([seed, 0]) through one buffered stream, plant
+    by plant, each from its nominal values and uncertainty (`plant.redraw`);
+    the initial state follows the seed through `initial_state`.
     """
     return replace(sc, seed=seed, plants=redraw(sc.plants, np.random.default_rng([seed, 0])))
 

@@ -234,8 +234,10 @@ def test_overflowing_gradient_is_a_named_divergence(tmp_path, capsys):
     doc["costs"][0] = {"kind": "exp_sum", "c1": 1, "k1": 60, "c2": 1, "k2": -60}
     p = tmp_path / "steep.json"
     p.write_text(json.dumps(doc))
-    assert cmd_dispatch(["verify", "--scenario", str(p), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == "error: steep: non-finite state after step at t=0\n"
+    for command in ("verify", "coordinator"):
+        assert cmd_dispatch([command, "--scenario", str(p), "--out", str(tmp_path / command)]) == 1
+        assert capsys.readouterr().err == ("error: steep: non-finite state after step at t=0: "
+                                           "first in yr of agent 1\n")
 
 
 def test_ablate_command(tmp_path, tiny_path, capsys):

@@ -53,9 +53,10 @@ def test_divergence_raises_without_warnings():
     source = sim.SourceParts(np.zeros((1, 1))).source(1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(Diverged, match=r"^non-finite state after step at t=0$") as info:
+        with pytest.raises(Diverged, match=r"^non-finite state after step at t=0: "
+                                           r"first in entry 0$") as info:
             sim.integrate(lambda t, y, w: y * y, np.array([1e200]), 1.0, 1, 1, source)
-    assert info.value.t == 0.0
+    assert info.value.t == 0.0 and info.value.entry == 0
 
 
 def test_finite_state_with_overflowing_squares_passes():

@@ -172,6 +172,17 @@ def test_draw_repeats_the_parser_stream():
     assert again[0] is fixed  # no uncertainty: kept, and nothing drawn
     assert again[1].params == p.params
     assert redraw([p], np.random.default_rng([8, 0]))[0].params != p.params
+    # 200 plants, every fifth vdp_like at 0.2 and the rest damping_spring at
+    # 1.5, where refused tries run `redraw`'s one buffered stream past its
+    # first block: each plant still gets the doubles per-plant draws on a
+    # plain generator give it
+    spring = {"m": 1.1, "k1": 2.2, "k2": 2.9, "mu1": 3.8, "mu2": 4.7, "a_w": 100.0}
+    rng = np.random.default_rng([7, 0])
+    plants = [draw("damping_spring", spring, 1.5, rng) if i % 5 else
+              draw("vdp_like", nominal, 0.2, rng) for i in range(200)]
+    again = redraw(plants, np.random.default_rng([7, 0]))
+    assert [(q.params, q.b, q.split) for q in again] == [(q.params, q.b, q.split)
+                                                         for q in plants]
 
 
 def test_mixed_kind_set_matches_each_plant():

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from oocsim.errors import SchemaError
+from oocsim.plant import KINDS, draw
 from oocsim.scenario import PRESETS, parse_scenario, scenario_from_dict
+from oocsim.sim import reseed
 
 
 def minimal_doc():
@@ -95,6 +97,32 @@ def test_fast_internal_models_parse(coeffs):
     assert np.array_equal(spec.M[-1], -np.array(coeffs))
 
 
+def long_doc(n=200):
+    """n agents on a two-way ring (2n edges); every fifth plant is vdp_like at
+    uncertainty 0.2, the rest damping_spring at 1.5, where a try that draws
+    a nonpositive m is refused."""
+    vdp = {"kind": "vdp_like", "mu1": 1.0, "mu2": 1.0, "b": 1.0, "amplitude": 10.0,
+           "uncertainty": 0.2}
+    spring = {"kind": "damping_spring", "m": 1.1, "k1": 2.2, "k2": 2.9, "mu1": 3.8,
+              "mu2": 4.7, "a_w": 100.0, "uncertainty": 1.5}
+    ring = [[i, i % n + 1, 1.0] for i in range(1, n + 1)]
+    return dict(minimal_doc(), seed=5,
+                graph={"n": n, "edges": ring + [[dst, src, 0.5] for src, dst, _ in ring]},
+                costs=[{"kind": "quadratic", "a": 0.5, "b": float(i)} for i in range(n)],
+                plants=[dict(spring if i % 5 else vdp) for i in range(n)])
+
+
+class Counted:
+    """A Generator's `random`, counting the doubles drawn."""
+
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, 0
+
+    def random(self, size):
+        self.drawn += size
+        return self.rng.random(size)
+
+
 def test_uncertainty_is_seeded():
     doc = minimal_doc()
     for p in doc["plants"]:
@@ -147,6 +175,21 @@ def test_uncertainty_draws_are_pinned():
     sc = scenario_from_dict(doc)
     keys = ("m", "k1", "k2", "mu1", "mu2")
     assert [tuple(p.params[k] for k in keys) for p in sc.plants] == SPRING_DRAWS
+    # 200 plants draw from the parser's one buffered stream what per-plant
+    # draws on a plain generator give them, float for float, though the
+    # refused tries at 1.5 take more doubles than its first block holds
+    doc = long_doc()
+    sc = scenario_from_dict(doc)
+    rng = Counted(np.random.default_rng([doc["seed"], 0]))
+    want = [draw(e["kind"], {k: e[k] for k in KINDS[e["kind"]].keys}, e["uncertainty"], rng)
+            for e in doc["plants"]]
+    assert rng.drawn > len(want) * max(kind.perturbed for kind in KINDS.values())
+    assert [(p.params, p.b, p.split) for p in sc.plants] == [(p.params, p.b, p.split)
+                                                              for p in want]
+    # and a reseed draws what a fresh parse at its seed draws
+    again = scenario_from_dict(dict(doc, seed=9))
+    assert [(p.params, p.b, p.split) for p in reseed(sc, 9).plants] == [
+        (p.params, p.b, p.split) for p in again.plants]
 
 
 @pytest.mark.parametrize("preset, fields, message", [
@@ -196,6 +239,26 @@ def test_refused_scenario_name(name):
     doc = minimal_doc()
     doc["name"] = name
     message = f"name: expected a string, got {name!r}"
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("section, idx, value, message", [
+    ("graph.edges", 350, True, "graph.edges[350].weight: expected a number, got True"),
+    ("graph.edges", 350, float("nan"), "graph.edges[350].weight: expected a finite number, "
+                                       "got nan"),
+    ("graph.edges", 350, 0.0, "graph.edges[350]: edge (152, 151) has non-positive weight 0.0"),
+    ("graph.edges", 399, [201, 1, 0.5], "graph: edge (201, 1) out of range for n=200"),
+    ("plants", 150, {"mu1": "1"}, "plants[150].mu1: expected a number, got '1'"),
+    ("costs", 199, {"a": float("nan")}, "costs[199].a: expected a finite number, got nan"),
+], ids=["true-weight", "nan-weight", "zero-weight", "last-edge-node", "string-mu1", "nan-a"])
+def test_entries_deep_in_a_long_section_are_named(section, idx, value, message):
+    doc = long_doc()
+    if section == "graph.edges":
+        edges = doc["graph"]["edges"]
+        edges[idx] = value if isinstance(value, list) else edges[idx][:2] + [value]
+    else:
+        doc[section][idx].update(value)
     with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
         scenario_from_dict(doc)
 

@@ -846,9 +846,35 @@ def test_an_overflowing_exosystem_fails_the_member_step():
     sc = tiny_scenario(graph=weighted_three_cycle(1.0), exo=exo, frequencies=None,
                        name="blowup")
     assert type(SourceParts(laplacian(sc.graph)).source(sc.step)) is ModalSource
-    with pytest.raises(Diverged, match=r"^blowup: non-finite state after step at t=0$") as info:
+    with pytest.raises(Diverged, match=r"^blowup: non-finite state after step at t=0: "
+                                       r"first in x1 of agent 1$") as info:
         run(sc)
     assert info.value.t == 0.0
+
+
+def test_a_divergence_names_the_agent_block_it_starts_in():
+    # agent 3's drift is infinite past t = 0.0015, which only the last stage
+    # of the step from t = 0.001 reads: its x2 goes non-finite and x1,
+    # which reads x2 one stage later, stays finite, as do the other blocks
+    sc = tiny_scenario(plants=[vdp_like(mu1=1.0, mu2=0.2, b=1.0, amplitude=1.0)] * 2
+                       + [custom(lambda x1, x2, v, t: math.inf if t > 0.0015 else 0.0, 1.0)],
+                       frequencies=None, name="bad3")
+    with pytest.raises(Diverged, match=r"^bad3: non-finite state after step at t=0\.001: "
+                                       r"first in x2 of agent 3$") as info:
+        run(sc)
+    assert info.value.t == 0.001 and info.value.entry == StateLayout.of(sc).slices["x2"].start + 2
+
+
+def test_entry_names_follow_the_layout():
+    layout = StateLayout(n=3, s_dims=(1, 3, 2), nv=2)
+    names = [layout.entry_name(i) for i in range(layout.dim)]
+    assert names == (["yr of agent 1", "yr of agent 2", "yr of agent 3",
+                      "z of agent 1", "z of agent 2", "z of agent 3",
+                      "x1 of agent 1", "x1 of agent 2", "x1 of agent 3",
+                      "x2 of agent 1", "x2 of agent 2", "x2 of agent 3"]
+                     + [f"eta of agent {a}" for a in (1, 2, 2, 2, 3, 3)]
+                     + ["k of agent 1", "k of agent 2", "k of agent 3"]
+                     + [f"psi of agent {a}" for a in (1, 2, 2, 2, 3, 3)] + ["v1", "v2"])
 
 
 def test_defective_exosystem_keeps_the_modal_source(example1_scenario, monkeypatch):
