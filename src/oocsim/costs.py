@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .digraph import _diagonal, _table
+from .digraph import _diagonal, _instance, _table
 from .errors import BracketNotFound, GradientNotVectorized, NonConvexDetected
 
 DEFAULT_DOMAIN = (-10.0, 10.0)
@@ -49,17 +49,19 @@ def _bind_grad(formula, *params):
     return partial(formula, math, *params), partial(formula, np, *params)
 
 
+def _cost(kind, params, value_fn, grad_fn, domain_hint, grad_array_fn=None) -> CostFunction:
+    """CostFunction(kind, params, value_fn, grad_fn, domain_hint, grad_array_fn), by `_instance`."""
+    return _instance(CostFunction, {"kind": kind, "params": params, "value_fn": value_fn,
+                                    "grad_fn": grad_fn, "domain_hint": domain_hint,
+                                    "grad_array_fn": grad_array_fn})
+
+
 def quadratic(a, b, domain_hint=DEFAULT_DOMAIN) -> CostFunction:
     """c(s) = a (s - b)^2 with a > 0."""
     if a <= 0:
         raise ValueError("quadratic coefficient must be positive")
-    return CostFunction(
-        kind="quadratic",
-        params={"a": a, "b": b},
-        value_fn=lambda s: a * (s - b) ** 2,
-        grad_fn=lambda s: 2.0 * a * (s - b),
-        domain_hint=domain_hint,
-    )
+    return _cost("quadratic", {"a": a, "b": b}, lambda s: a * (s - b) ** 2,
+                 lambda s: 2.0 * a * (s - b), domain_hint)
 
 
 def _exp_sum_grad(xp, c1, k1, c2, k2, s):
@@ -69,14 +71,9 @@ def _exp_sum_grad(xp, c1, k1, c2, k2, s):
 def exp_sum(c1, k1, c2, k2, domain_hint=DEFAULT_DOMAIN) -> CostFunction:
     """c(s) = c1 e^{k1 s} + c2 e^{k2 s}."""
     grad, grad_array = _bind_grad(_exp_sum_grad, c1, k1, c2, k2)
-    return CostFunction(
-        kind="exp_sum",
-        params={"c1": c1, "k1": k1, "c2": c2, "k2": k2},
-        value_fn=lambda s: c1 * math.exp(k1 * s) + c2 * math.exp(k2 * s),
-        grad_fn=grad,
-        domain_hint=domain_hint,
-        grad_array_fn=grad_array,
-    )
+    return _cost("exp_sum", {"c1": c1, "k1": k1, "c2": c2, "k2": k2},
+                 lambda s: c1 * math.exp(k1 * s) + c2 * math.exp(k2 * s), grad, domain_hint,
+                 grad_array)
 
 
 # The five composite costs of the second worked example, addressable by name.
@@ -149,8 +146,7 @@ def composite(name, domain_hint=(-5.0, 5.0)) -> CostFunction:
     except KeyError:
         raise ValueError(f"unknown composite cost {name!r}") from None
     grad, grad_array = _bind_grad(formula)
-    return CostFunction(kind=name, params={}, value_fn=val, grad_fn=grad,
-                        domain_hint=domain_hint, grad_array_fn=grad_array)
+    return _cost(name, {}, val, grad, domain_hint, grad_array)
 
 
 @dataclass(frozen=True)
@@ -165,11 +161,48 @@ class ConvexityBounds:
             raise ValueError("require 0 < varpi <= iota_bar")
 
 
-def global_optimum(cost_list, tol=1e-10, max_expand=200) -> float:
-    """Root of the monotone aggregate gradient, by doubling expansion plus bisection."""
+# Below this many costs, a loop over the costs costs less than an array pass's
+# fixed numpy calls: in `global_optimum` the two crossed between 8 and 12
+# quadratic costs, in `convexity_bounds` near 20, with the pass under 1 us
+# dearer from 10 on (one BLAS thread, 2-core x86_64 host).
+_FEWEST_FOR_ARRAY_PASS = 10
 
-    def agg(s):
-        return sum(c.grad_fn(s) for c in cost_list)
+
+def _quadratic_table(cost_list, fewest=0):
+    """An all-quadratic set's coefficients as two arrays (a, b), in list order.
+
+    None for any other set, or for one of fewer than `fewest` costs.
+    """
+    if len(cost_list) < fewest:
+        return None
+    ab = [(c.params["a"], c.params["b"]) for c in cost_list if c.kind == "quadratic"]
+    if len(ab) < len(cost_list):
+        return None
+    return _table(ab, 2).T
+
+
+def global_optimum(cost_list, tol=1e-10, max_expand=200) -> float:
+    """Root of the monotone aggregate gradient, by doubling expansion plus bisection.
+
+    The aggregate is Python's sum of the per-cost gradients in list order.
+    An all-quadratic set of at least `_FEWEST_FOR_ARRAY_PASS` costs forms
+    every 2a (s - b) in one array pass into one buffer, the products its
+    gradient closures form, so s* is the closures' bit for bit.
+    """
+    table = _quadratic_table(cost_list, _FEWEST_FOR_ARRAY_PASS)
+    if table is None:
+        fns = [c.grad_fn for c in cost_list]
+
+        def agg(s):
+            return sum([f(s) for f in fns])
+    else:
+        a2, b = 2.0 * table[0], table[1]
+        terms, subtract, multiply = np.empty(len(b)), np.subtract, np.multiply
+
+        def agg(s):
+            subtract(s, b, terms)
+            multiply(a2, terms, terms)
+            return sum(terms.tolist())
 
     lo, hi = -1.0, 1.0
     for _ in range(max_expand):
@@ -226,8 +259,16 @@ def convexity_bounds(cost_list) -> ConvexityBounds:
     scanned.  Every other cost's curvature is estimated by central
     differences of its gradient on one grid spanning the union of all the
     costs' domain hints, quadratics' included; each such gradient is
-    evaluated once on the whole grid (see _grid_gradient).
+    evaluated once on the whole grid (see _grid_gradient).  An
+    all-quadratic set of at least `_FEWEST_FOR_ARRAY_PASS` costs takes its
+    bounds from all its 2a in one array pass; one below the curvature floor
+    is named by the loop.
     """
+    table = _quadratic_table(cost_list, _FEWEST_FOR_ARRAY_PASS)
+    if table is not None:
+        curvature = 2.0 * table[0]
+        if curvature.min() >= 1e-9:
+            return ConvexityBounds(varpi=float(curvature.min()), iota_bar=float(curvature.max()))
     lo = min(c.domain_hint[0] for c in cost_list)
     hi = max(c.domain_hint[1] for c in cost_list)
     grid = None  # made for the first cost that is scanned
@@ -263,11 +304,11 @@ def gradient_linear(cost_list, row, col, one):
     and -2a_i b_i on the constant 1 at column one.  So one product gives
     the gradient, affine in yr; any other cost set takes `build_gradient`.
     """
-    ab = [(c.params["a"], c.params["b"]) for c in cost_list if c.kind == "quadratic"]
-    if len(ab) < len(cost_list):
+    table = _quadratic_table(cost_list)
+    if table is None:
         return None
     n = len(cost_list)
-    a, b = _table(ab, 2).T
+    a, b = table
     a = 2.0 * a
     return [_diagonal(row, col, a), (np.arange(n) + row, np.full(n, one), -a * b)]
 

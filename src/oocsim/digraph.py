@@ -23,6 +23,18 @@ def _frozen(a):
     return a
 
 
+def _instance(cls, fields):
+    """An instance of cls whose attributes are the dict fields, made without cls's __init__.
+
+    For a frozen dataclass it is what cls(**fields) builds, in one dict
+    update in place of a frozen __setattr__ call per field, and it is just
+    as frozen; no __post_init__ runs, so the caller makes cls's checks itself.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class Digraph:
     """Directed graph on n nodes; weights[i, j] > 0 iff node i receives from j.
@@ -97,6 +109,11 @@ def _table(rows, width):
     return np.fromiter(chain.from_iterable(rows), float, width * len(rows)).reshape(-1, width)
 
 
+# the attributes scipy's constructor gives a CSR array, of which `_block_operator`
+# replaces the arrays and the shape
+_CSR_ATTRIBUTES = vars(csr_array((0, 0)))
+
+
 def _block_operator(shape, parts):
     """One CSR operator of `shape` from COO parts (rows, cols, values); entries that meet add.
 
@@ -107,7 +124,9 @@ def _block_operator(shape, parts):
     and `.toarray()` adds them.  No parts give an operator without entries.
     Raises ValueError when the parts' lengths differ or an entry lies
     outside `shape`: the kernel checks nothing, and would write past its
-    arrays.
+    arrays.  Those checks are the only ones made: the CSR array is set up
+    directly, as its constructor would set it up, without the constructor's
+    checks of the kernel's output.
     """
     rows, cols, values = (np.concatenate(x) for x in zip(*parts)) if parts else [np.empty(0)] * 3
     rows, cols, nnz = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False), len(values)
@@ -118,7 +137,10 @@ def _block_operator(shape, parts):
     indptr, indices, data = np.empty(shape[0] + 1, np.intp), np.empty(nnz, np.intp), np.empty(nnz)
     _sparsetools.coo_tocsr(*shape, nnz, rows, cols, values.astype(float, copy=False),
                            indptr, indices, data)
-    return csr_array((data, indices, indptr), shape=shape)
+    # what csr_array((data, indices, indptr), shape=shape) builds, without its
+    # checks and index scans of what the kernel has just written
+    return _instance(csr_array, {**_CSR_ATTRIBUTES, "_shape": (int(shape[0]), int(shape[1])),
+                                 "indptr": indptr, "indices": indices, "data": data})
 
 
 def _bound_product(op, x, out):

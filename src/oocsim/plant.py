@@ -30,17 +30,20 @@ plant's whole drift is its `Plant.f`, one feature with coefficient 1; a
 built-in plant has no f, since its split is all the derivative reads.  Each
 built-in kind is one `Kind` entry in `KINDS`, which the scenario parser,
 `draw`, `plant_linear` and `plant_remainder` read, so a new kind whose
-remainder is made of `MONOMIALS` is one entry: its partners and its split.
+remainder is made of `MONOMIALS` is one entry: its partners and its build
+(params, b and split from the scenario values).
 `feedforward_truth` keeps its own closed forms, as the oracle that `verify`
 checks runs against.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, Optional
 
 import numpy as np
 
-from .digraph import _diagonal, _frozen, _table
+from .digraph import _diagonal, _frozen, _instance, _table
 from .errors import Unsupported
 
 
@@ -50,13 +53,24 @@ class Plant:
     params: dict
     b: float
     f: Optional[Callable] = None    # a custom plant's drift f(x1, x2, v, t); None if built-in
-    split: Optional[tuple] = None   # a built-in plant's `Kind.split` of its params
+    split: Optional[tuple] = None   # a built-in plant's split, from its `Kind.build`
     nominal: Optional[dict] = None  # the scenario's values, before `draw` perturbed them
     uncertainty: float = 0.0        # the fraction `draw` perturbed them by
 
     def __post_init__(self):
-        if self.b <= 0:
-            raise ValueError("control gain b must be positive")
+        _check_gain(self.b)
+
+
+def _check_gain(b):
+    if b <= 0:
+        raise ValueError("control gain b must be positive")
+
+
+def _plant(kind, params, b, f=None, split=None, nominal=None, uncertainty=0.0) -> Plant:
+    """Plant(kind, params, b, f, split, nominal, uncertainty), checked, built by `_instance`."""
+    _check_gain(b)
+    return _instance(Plant, {"kind": kind, "params": params, "b": b, "f": f, "split": split,
+                             "nominal": nominal, "uncertainty": uncertainty})
 
 
 @dataclass(frozen=True)
@@ -65,12 +79,13 @@ class Kind:
 
     partners: tuple       # the factors p1, p2 that x1 and x2 meet first: "x1", "x2" or None
     shared: bool          # whether the remainder has the shared monomial v1^2 v2
-    split: Callable       # params -> (coefficients on x1, x2 and v[reads], on MONOMIALS)
     reads: int            # the one linear v entry, also the last v entry the drift reads
     keys: tuple           # scenario keys, in constructor order
     perturbed: int        # how many leading keys `uncertainty` perturbs, in draw order
-    admissible: Callable  # the keys' values in order, drawn -> whether the draw is kept
-    params: Callable      # the keys' values in order -> (params, b); ValueError if refused
+    admissible: Callable  # the keys' values in order, drawn -> whether the draw is kept;
+                          # elementwise on columns of values too
+    build: Callable       # the keys' values in order -> (params, b, split); ValueError if
+                          # refused.  split: (coefficients on x1, x2 and v[reads], on MONOMIALS)
 
 
 # The remainder's monomials, each a product of two factors, with p1 and p2 a
@@ -79,58 +94,48 @@ class Kind:
 MONOMIALS = ("x1 p1", "x2 p2", "x1 (x1 p1)", "x2 (x2 p2)", "v1 (v1 v2)")
 
 
-def _vdp_split(params):
-    return (0.0, params["mu1"], params["a_w"]), (-1.0, 0.0, -params["mu1"], 0.0, 0.0)
+def _vdp(mu1, mu2, b, amplitude):
+    a_w = mu2 * amplitude
+    return ({"mu1": mu1, "mu2": mu2, "b": b, "amplitude": amplitude, "a_w": a_w}, b,
+            ((0.0, mu1, a_w), (-1.0, 0.0, -mu1, 0.0, 0.0)))
 
 
-def _spring_split(params):
-    m = params["m"]
-    return ((-params["k1"] / m, -params["mu1"] / m, -params["a_w"] / m),
-            (0.0, 0.0, -params["k2"] / m, -params["mu2"] / m, params["a_w"] / m))
-
-
-def _built_in(name, params, b) -> Plant:
-    return Plant(name, params, b, split=KINDS[name].split(params))
-
-
-def _vdp_params(mu1, mu2, b, amplitude):
-    return {"mu1": mu1, "mu2": mu2, "b": b, "amplitude": amplitude,
-            "a_w": mu2 * amplitude}, b
-
-
-def _spring_params(m, k1, k2, mu1, mu2, a_w):
+def _spring(m, k1, k2, mu1, mu2, a_w):
     if m <= 0:
         raise ValueError("mass must be positive")
-    return {"m": m, "k1": k1, "k2": k2, "mu1": mu1, "mu2": mu2, "a_w": a_w}, 1.0 / m
+    return ({"m": m, "k1": k1, "k2": k2, "mu1": mu1, "mu2": mu2, "a_w": a_w}, 1.0 / m,
+            ((-k1 / m, -mu1 / m, -a_w / m), (0.0, 0.0, -k2 / m, -mu2 / m, a_w / m)))
 
 
 def vdp_like(mu1, mu2, b, amplitude) -> Plant:
     """First worked example: van-der-Pol-like drift plus sinusoidal disturbance Aw v1."""
-    return _built_in("vdp_like", *_vdp_params(mu1, mu2, b, amplitude))
+    return _build("vdp_like", (mu1, mu2, b, amplitude), None, 0.0)
 
 
 def damping_spring(m, k1, k2, mu1, mu2, a_w) -> Plant:
     """Second worked example, normalized by the mass (b = 1/m)."""
-    return _built_in("damping_spring", *_spring_params(m, k1, k2, mu1, mu2, a_w))
+    return _build("damping_spring", (m, k1, k2, mu1, mu2, a_w), None, 0.0)
 
 
 def custom(f, b) -> Plant:
-    return Plant(kind="custom", params={}, b=b, f=f)
+    return _plant("custom", {}, b, f)
 
 
 KINDS = {
-    "vdp_like": Kind(partners=("x2", None), shared=False, split=_vdp_split, reads=0,
+    "vdp_like": Kind(partners=("x2", None), shared=False, reads=0,
                      keys=("mu1", "mu2", "b", "amplitude"), perturbed=3,
-                     admissible=lambda mu1, mu2, b, amplitude: mu1 > 0 and b > 0,
-                     params=_vdp_params),
-    "damping_spring": Kind(partners=("x1", "x2"), shared=True, split=_spring_split,
-                           reads=1, keys=("m", "k1", "k2", "mu1", "mu2", "a_w"), perturbed=5,
-                           admissible=lambda m, *rest: m > 0, params=_spring_params),
+                     admissible=lambda mu1, mu2, b, amplitude: (mu1 > 0) & (b > 0),
+                     build=_vdp),
+    "damping_spring": Kind(partners=("x1", "x2"), shared=True, reads=1,
+                           keys=("m", "k1", "k2", "mu1", "mu2", "a_w"), perturbed=5,
+                           admissible=lambda m, *rest: m > 0, build=_spring),
 }
 
 
 # per built-in kind, the v entry its plants' rows in `plant_linear` read
 _READS = {name: float(kind.reads) for name, kind in KINDS.items()}
+# per built-in kind, nominal -> the values at its keys, in order
+_VALUES = {name: itemgetter(*kind.keys) for name, kind in KINDS.items()}
 
 
 class NoAdmissibleDraw(ValueError):
@@ -140,33 +145,48 @@ class NoAdmissibleDraw(ValueError):
 class Uniforms:
     """rng.random()'s doubles in [0, 1), drawn `block` at a time and handed out in order.
 
-    `take(k)` returns the next k doubles.  When fewer are left, it draws
-    max(block, k) more behind them, so a taker sees rng.random()'s stream in
-    order whatever the block.  block = 0 draws just what each take asks for;
-    a larger block draws ahead, past what may ever be taken, so such a
-    stream must be its rng's only reader.
+    `ahead(k)` shows the next k doubles and `take(k)` hands them out.  When
+    fewer are left, either draws max(block, k) more behind them, so a taker
+    sees rng.random()'s stream in order whatever the block.  block = 0 draws
+    just what each call asks for; a larger block draws ahead, past what may
+    ever be taken, so such a stream must be its rng's only reader.
     """
 
     def __init__(self, rng, block=0):
         self._rng, self._block = rng, block
-        self._buf, self._at = [], 0
+        self._buf, self._at = np.empty(0), 0
 
-    def take(self, k):
+    def ahead(self, k):
+        """The next k doubles, which stay in the stream."""
         at, buf = self._at, self._buf
         if at + k > len(buf):
-            buf = self._buf = buf[at:] + self._rng.random(max(self._block, k)).tolist()
-            at = 0
-        self._at = at + k
+            more = self._rng.random(max(self._block, k))
+            buf = self._buf = np.concatenate((buf[at:], more)) if at < len(buf) else more
+            at = self._at = 0
         return buf[at:at + k]
+
+    def take(self, k):
+        """The next k doubles, as `ahead` shows them, and the stream moved past them."""
+        taken = self.ahead(k)
+        self._at += k
+        return taken
 
 
 # a plant draws at most this many doubles per try
 _MOST_PERTURBED = max(kind.perturbed for kind in KINDS.values())
+# per built-in kind, a column of the offsets of a try's doubles from its first
+_TRY_OFFSETS = {name: np.arange(kind.perturbed)[:, None] for name, kind in KINDS.items()}
 
 
 def draw_stream(rng, count):
     """The one stream that count plants draw from in order; a block holds one try of each."""
     return Uniforms(rng, count * _MOST_PERTURBED)
+
+
+def _build(name, values, nominal, uncertainty) -> Plant:
+    """The built-in plant `name` at values, its kind's keys' values in order."""
+    params, b, split = KINDS[name].build(*values)
+    return _plant(name, params, b, None, split, nominal, uncertainty)
 
 
 def draw(name, nominal, uncertainty, rng, max_draws=1000) -> Plant:
@@ -180,13 +200,13 @@ def draw(name, nominal, uncertainty, rng, max_draws=1000) -> Plant:
     its doubles from the same r; the first admissible try is kept, and no
     uncertainty draws nothing.  A Generator gives each try exactly its
     doubles, so per-plant calls on one Generator draw what the scenario
-    parser's buffered stream draws.  The plant records nominal and
-    uncertainty, so `redraw` repeats the draw from another stream.  Raises
-    NoAdmissibleDraw when no try of max_draws is admissible, and ValueError
-    when the constructor refuses the values.
+    parser's buffered stream draws (`draw_all`).  The plant records nominal
+    and uncertainty, so `redraw` repeats the draw from another stream.
+    Raises NoAdmissibleDraw when no try of max_draws is admissible, and
+    ValueError when the constructor refuses the values.
     """
     kind = KINDS[name]
-    values = [nominal[key] for key in kind.keys]
+    values = _VALUES[name](nominal)
     if uncertainty:
         uniforms = rng if isinstance(rng, Uniforms) else Uniforms(rng)
         low = -uncertainty
@@ -194,27 +214,88 @@ def draw(name, nominal, uncertainty, rng, max_draws=1000) -> Plant:
         count = kind.perturbed
         fixed = values[count:]
         for _ in range(max_draws):
-            drawn = [x * (1.0 + (low + span * r)) for x, r in zip(values, uniforms.take(count))]
+            drawn = [x * (1.0 + (low + span * r))
+                     for x, r in zip(values, uniforms.take(count).tolist())]
             if kind.admissible(*drawn, *fixed):
                 break
         else:
             raise NoAdmissibleDraw("rejection sampling failed to find admissible parameters")
-        values = drawn + fixed
-    params, b = kind.params(*values)
-    return Plant(name, params, b, split=kind.split(params), nominal=nominal,
-                 uncertainty=uncertainty)
+        values = (*drawn, *fixed)
+    return _build(name, values, nominal, uncertainty)
+
+
+def _first_tries(names, nominals, uncertainties, uniforms):
+    """The values `draw` keeps for the leading plants whose first try it keeps.
+
+    Every plant with uncertainty takes its kind's `perturbed` doubles from
+    uniforms in turn, as its first try in `draw` takes them, and one pass
+    per kind scales its plants' tries, in `draw`'s arithmetic, so float for
+    float, and asks the kind's admissible of them all at once; a plant
+    without uncertainty keeps its nominal values.  The plants end before
+    the first whose try is refused, and uniforms is left at that plant's
+    first try, so `draw` carries on from there.  Returns each leading
+    plant's values, its kind's keys' in order.
+    """
+    counts = [KINDS[name].perturbed if frac else 0 for name, frac in zip(names, uncertainties)]
+    starts = list(accumulate(counts, initial=0))
+    r = uniforms.ahead(starts[-1])
+    rows = [_VALUES[name](nominal) for name, nominal in zip(names, nominals)]
+    values, end = list(rows), len(names)
+    for name in set(names):
+        kind, count = KINDS[name], KINDS[name].perturbed
+        idx = [i for i, (other, drawn) in enumerate(zip(names, counts)) if other == name and drawn]
+        if not idx:
+            continue
+        table = _table([rows[i] for i in idx], len(kind.keys))
+        # table.T holds one column per plant, as high and tries do
+        columns, high = table.T, np.array([uncertainties[i] for i in idx])
+        low = -high
+        tries = r[_TRY_OFFSETS[name] + np.array([starts[i] for i in idx])]
+        columns[:count] *= 1.0 + (low + (high - low) * tries)
+        kept = kind.admissible(*columns)
+        if not kept.all():
+            end = min(end, idx[int(kept.argmin())])
+        for i, row in zip(idx, table.tolist()):
+            values[i] = row
+    uniforms.take(starts[end])
+    return values[:end]
+
+
+# Below this many plants with uncertainty, per-plant `draw` calls cost less than
+# the vector pass's fixed numpy calls: the two crossed near 12 of ring200's
+# vdp_like plants at uncertainty 0.2 (one BLAS thread, 2-core x86_64 host).
+_FEWEST_FOR_VECTOR_PASS = 12
+
+
+def draw_all(names, nominals, uncertainties, uniforms):
+    """Plant by plant, in order, what `draw(name, nominal, uncertainty, uniforms)` gives.
+
+    With at least `_FEWEST_FOR_VECTOR_PASS` plants with uncertainty, the
+    leading plants whose first try is kept come from one vector pass per
+    kind (`_first_tries`); from the first refused one on, and in a smaller
+    set throughout, each plant is one `draw` call.  A generator: a plant's
+    error is raised when the caller reaches it.
+    """
+    drawing = sum(map(bool, uncertainties))
+    leading = (_first_tries(names, nominals, uncertainties, uniforms)
+               if drawing >= _FEWEST_FOR_VECTOR_PASS else [])
+    yield from map(_build, names, leading, nominals, uncertainties)
+    for name, nominal, frac in zip(names[len(leading):], nominals[len(leading):],
+                                   uncertainties[len(leading):]):
+        yield draw(name, nominal, frac, uniforms)
 
 
 def redraw(plants, rng):
     """The plants drawn again from rng, in order, as the scenario parser draws them.
 
     They share one buffered stream (`draw_stream`) over rng, which is theirs
-    alone.  A plant without uncertainty, a custom one included, is kept as it
-    is and draws nothing.
+    alone (`draw_all`).  A plant without uncertainty, a custom one included,
+    is kept as it is and draws nothing.
     """
-    uniforms = draw_stream(rng, len(plants))
-    return [draw(p.kind, p.nominal, p.uncertainty, uniforms) if p.uncertainty else p
-            for p in plants]
+    uncertain = [p for p in plants if p.uncertainty]
+    drawn = draw_all([p.kind for p in uncertain], [p.nominal for p in uncertain],
+                     [p.uncertainty for p in uncertain], draw_stream(rng, len(plants)))
+    return [next(drawn) if p.uncertainty else p for p in plants]
 
 
 def plant_linear(slices, plants, u):

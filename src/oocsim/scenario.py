@@ -14,7 +14,9 @@ accepted entry builds no message for it.
 import json
 import logging
 import math
+import operator
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +108,46 @@ def _entry_fields(entry, keys, section, idx):
     return values
 
 
+# Below this many entries, checking a list entry by entry costs less than the
+# plain passes' fixed calls: on ring200's entries the two crossed near 12 costs
+# and near 16 plants (one BLAS thread, 2-core x86_64 host).
+_FEWEST_FOR_PLAIN_PASS = 16
+
+
+def _plain_entries(entries, allowed, numbers):
+    """Each list entry's kind, and its values at that kind's number keys, when all are plain.
+
+    Plain means what the per-entry checks take as it is: every entry is an
+    object whose kind is a key of allowed, with no key outside that kind's
+    allowed keys and a finite float at each key numbers[kind] gets (a
+    getter of a tuple).  Each check is one pass over the whole list or over
+    one kind's entries, so a plain list is checked at a cost per kind, not
+    per entry.  Returns (kinds, values), or None for a list of fewer than
+    `_FEWEST_FOR_PLAIN_PASS` entries and at the first check that fails; the
+    caller then checks entry by entry, which converts an integer or names
+    the fault.
+    """
+    if len(entries) < _FEWEST_FOR_PLAIN_PASS or set(map(type, entries)) != {dict}:
+        return None
+    kinds = [entry.get("kind") for entry in entries]
+    if set(map(type, kinds)) != {str} or not allowed.keys() >= set(kinds):
+        return None
+    one_kind = len(set(kinds)) == 1
+    for kind in set(kinds):
+        group = entries if one_kind else [e for k, e in zip(kinds, entries) if k == kind]
+        if not allowed[kind].issuperset(chain.from_iterable(group)):  # every entry's keys
+            return None
+    try:
+        values = (list(map(numbers[kinds[0]], entries)) if one_kind
+                  else [numbers[kind](entry) for kind, entry in zip(kinds, entries)])
+    except KeyError:
+        return None
+    if not (set(map(type, chain.from_iterable(values))) <= {float}
+            and all(map(math.isfinite, chain.from_iterable(values)))):
+        return None
+    return kinds, values
+
+
 def _pair(value, context):
     if not isinstance(value, list) or len(value) != 2:
         raise SchemaError(f"{context}: expected [low, high]")
@@ -155,15 +197,19 @@ _COST_KEYS = {"quadratic": frozenset({"kind", "a", "b"}),
               "exp_sum": frozenset({"kind", "c1", "k1", "c2", "k2"}),
               "composite": frozenset({"kind", "name"})}
 _COST_NUMBERS = {"quadratic": ("a", "b"), "exp_sum": ("c1", "k1", "c2", "k2")}
+_COST_BUILDERS = {"quadratic": costs_mod.quadratic, "exp_sum": costs_mod.exp_sum}
+# each cost kind's entry -> those numbers (a composite has none: its name is a string)
+_COST_GETTERS = {"composite": lambda entry: (),
+                 **{kind: operator.itemgetter(*keys) for kind, keys in _COST_NUMBERS.items()}}
 
 
-def _parse_cost(entry, idx, domain_hint):
+def _parse_cost(entry, idx, kwargs):
+    """The cost of the entry costs[idx], with kwargs (its domain hint, if any), checked."""
     kind = _entry_kind(entry, "costs", idx)
     allowed = _COST_KEYS.get(kind) if isinstance(kind, str) else None
     if allowed is None:
         raise SchemaError(f"costs[{idx}].kind: unknown cost kind {kind!r}")
     _check_entry_keys(entry, "costs", idx, allowed)
-    kwargs = {} if domain_hint is None else {"domain_hint": domain_hint}
     try:
         if kind == "composite":
             name = entry.get("name")
@@ -171,18 +217,41 @@ def _parse_cost(entry, idx, domain_hint):
                 name = _require(entry, "name", f"costs[{idx}]")  # a missing name is refused here
                 raise SchemaError(f"costs[{idx}].name: expected a string, got {name!r}")
             return costs_mod.composite(name, **kwargs)
-        build = costs_mod.quadratic if kind == "quadratic" else costs_mod.exp_sum
-        return build(*_entry_fields(entry, _COST_NUMBERS[kind], "costs", idx), **kwargs)
+        return _COST_BUILDERS[kind](*_entry_fields(entry, _COST_NUMBERS[kind], "costs", idx),
+                                    **kwargs)
     except ValueError as exc:
         raise SchemaError(f"costs[{idx}]: {exc}") from None
+
+
+def _parse_costs(entries, domain_hint):
+    """The costs of entries, each with domain_hint (None: its kind's own).
+
+    A plain list (`_plain_entries`) whose composite names are strings is
+    built straight from its values; any other list, or one whose values a
+    constructor refuses, goes entry by entry (`_parse_cost`), which names
+    the first fault.
+    """
+    kwargs = {} if domain_hint is None else {"domain_hint": domain_hint}
+    plain = _plain_entries(entries, _COST_KEYS, _COST_GETTERS)
+    if plain is not None and all(type(entry.get("name")) is str
+                                 for kind, entry in zip(plain[0], entries) if kind == "composite"):
+        try:
+            return [costs_mod.composite(entry["name"], **kwargs) if kind == "composite"
+                    else _COST_BUILDERS[kind](*values, **kwargs)
+                    for kind, values, entry in zip(*plain, entries)]
+        except ValueError:
+            pass  # refused: named entry by entry below
+    return [_parse_cost(entry, idx, kwargs) for idx, entry in enumerate(entries)]
 
 
 # each built-in plant kind's allowed entry keys, built once for all its entries
 _PLANT_KEYS = {name: frozenset({"kind", "uncertainty", *spec.keys})
                for name, spec in plant_mod.KINDS.items()}
+_PLANT_GETTERS = {name: operator.itemgetter(*spec.keys) for name, spec in plant_mod.KINDS.items()}
 
 
-def _parse_plant(entry, idx, uniforms):
+def _plant_entry(entry, idx):
+    """The entry plants[idx] as (kind, its nominal values by key, uncertainty), checked."""
     kind = _entry_kind(entry, "plants", idx)
     spec = plant_mod.KINDS.get(kind) if isinstance(kind, str) else None
     if spec is None:
@@ -195,12 +264,42 @@ def _parse_plant(entry, idx, uniforms):
         frac = _field(entry, "uncertainty", f"plants[{idx}]", 0.0)
     if frac < 0:
         raise SchemaError(f"plants[{idx}].uncertainty: must be nonnegative")
+    return kind, dict(zip(spec.keys, values)), frac
+
+
+def _plain_uncertainties(entries):
+    """Each plant entry's uncertainty (0.0 if left out) if all are finite floats >= 0, else None."""
+    fracs = [entry.get("uncertainty", 0.0) for entry in entries]
+    if set(map(type, fracs)) == {float} and all(map(math.isfinite, fracs)) and min(fracs) >= 0:
+        return fracs
+    return None
+
+
+def _parse_plants(entries, uniforms):
+    """The plants of entries, drawn in order from uniforms.
+
+    A plain list (`_plain_entries`) whose uncertainties are plain as well
+    (`_plain_uncertainties`) is checked in a few passes and drawn by
+    `plant.draw_all`.  Any other goes entry by entry, each checked
+    (`_plant_entry`) before it draws, so the first fault in order is named.
+    """
+    plain = _plain_entries(entries, _PLANT_KEYS, _PLANT_GETTERS)
+    fracs = plain and _plain_uncertainties(entries)
+    if fracs:
+        kinds, rows = plain
+        nominals = [dict(zip(plant_mod.KINDS[kind].keys, row)) for kind, row in zip(kinds, rows)]
+        drawn = plant_mod.draw_all(kinds, nominals, fracs, uniforms)
+    else:
+        drawn = (plant_mod.draw(*_plant_entry(e, i), uniforms) for i, e in enumerate(entries))
+    plants = []  # the plant being drawn is plants[len(plants)]
     try:
-        return plant_mod.draw(kind, dict(zip(spec.keys, values)), frac, uniforms)
+        for p in drawn:
+            plants.append(p)
     except plant_mod.NoAdmissibleDraw as exc:
-        raise SchemaError(f"plants[{idx}].uncertainty: {exc}") from None
+        raise SchemaError(f"plants[{len(plants)}].uncertainty: {exc}") from None
     except ValueError as exc:
-        raise SchemaError(f"plants[{idx}]: {exc}") from None
+        raise SchemaError(f"plants[{len(plants)}]: {exc}") from None
+    return plants
 
 
 def _parse_exosystem(section):
@@ -353,7 +452,7 @@ def scenario_from_dict(doc, name_hint="scenario") -> Scenario:
     cost_entries = _require(doc, "costs", "scenario")
     if not isinstance(cost_entries, list) or len(cost_entries) != n:
         raise SchemaError(f"costs: expected a list of {n} entries")
-    cost_list = [_parse_cost(e, i, domain_hint) for i, e in enumerate(cost_entries)]
+    cost_list = _parse_costs(cost_entries, domain_hint)
 
     plant_entries = _require(doc, "plants", "scenario")
     if not isinstance(plant_entries, list) or len(plant_entries) != n:
@@ -361,7 +460,7 @@ def scenario_from_dict(doc, name_hint="scenario") -> Scenario:
     # all uncertainty draws come from one buffered stream of their own, so
     # the init draws stay stable
     uniforms = plant_mod.draw_stream(np.random.default_rng([seed, 0]), n)
-    plants = [_parse_plant(e, i, uniforms) for i, e in enumerate(plant_entries)]
+    plants = _parse_plants(plant_entries, uniforms)
 
     exo = _parse_exosystem(_require(doc, "exosystem", "scenario"))
     gains = _parse_gains(doc.get("coordinator", {"gains": "auto"}))

@@ -38,6 +38,19 @@ def test_global_optimum_single_vertex():
     assert abs(costs.global_optimum([costs.quadratic(0.1, 7.0)]) - 7.0) < 1e-12
 
 
+@pytest.mark.parametrize("seed, n", [(0, 200), (1, 200), (2, costs._FEWEST_FOR_ARRAY_PASS)])
+def test_quadratic_optimum_is_the_closure_sum_bit_for_bit(seed, n):
+    # an all-quadratic set sums its gradients from one array pass; the same
+    # costs under another kind take the closure sum, and s* is the same double
+    rng = np.random.default_rng(seed)
+    cs = [costs.quadratic(float(a), float(b))
+          for a, b in zip(rng.uniform(1e-3, 50.0, n), rng.uniform(-8.0, 8.0, n))]
+    closures = [dataclasses.replace(c, kind="quadratic_closure") for c in cs]
+    s_star = costs.global_optimum(cs)
+    assert s_star.hex() == costs.global_optimum(closures).hex()
+    assert abs(sum(c.grad(s_star) for c in cs)) < 1e-10
+
+
 def test_global_optimum_composites():
     cs = [costs.composite(f"ex2_f{i}") for i in range(1, 6)]
     s_star = costs.global_optimum(cs)
@@ -51,9 +64,11 @@ def test_convexity_bounds_quadratics():
 
 
 def test_convexity_bounds_mixed_quadratics():
-    b = costs.convexity_bounds([costs.quadratic(0.1, 1.0), costs.quadratic(0.5, 2.0)])
-    assert abs(b.varpi - 0.2) < 1e-6
-    assert abs(b.iota_bar - 1.0) < 1e-6
+    # at n = 200 the bounds come from one array pass over the 2a, as exact
+    for n in (2, 200):
+        b = costs.convexity_bounds([costs.quadratic(0.1 if i % 2 else 0.5, float(i))
+                                    for i in range(n)])
+        assert (b.varpi, b.iota_bar) == (0.2, 1.0)
 
 
 def test_convexity_bounds_composites():
@@ -71,9 +86,12 @@ def test_nonconvex_detected():
     # listed among quadratics, which skip the scan, it is still scanned
     with pytest.raises(NonConvexDetected, match=r"^cost concave has curvature"):
         costs.convexity_bounds([costs.quadratic(0.1, 1.0), concave, costs.quadratic(0.5, 2.0)])
-    # and a quadratic's exact 2a meets the same floor
-    with pytest.raises(NonConvexDetected, match=r"^cost quadratic has curvature 2\.000e-12"):
-        costs.convexity_bounds([costs.quadratic(0.1, 1.0), costs.quadratic(1e-12, 2.0)])
+    # and a quadratic's exact 2a meets the same floor, in a set of any size
+    for n in (2, 200):
+        cs = [costs.quadratic(0.1, 1.0)] * n
+        cs[n // 2] = costs.quadratic(1e-12, 2.0)
+        with pytest.raises(NonConvexDetected, match=r"^cost quadratic has curvature 2\.000e-12"):
+            costs.convexity_bounds(cs)
 
 
 def test_non_finite_curvature_is_detected():

@@ -4,6 +4,7 @@ import scipy.linalg
 import scipy.sparse._sparsetools
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from oocsim import digraph
@@ -276,6 +277,24 @@ def test_csr_kernel_writes_into_the_callers_buffer():
 def test_bound_product_of_an_operator_without_rows_does_nothing():
     product = _bound_product(_block_operator((0, 5), []), np.ones(5), np.empty(0))
     assert product() is None
+
+
+@pytest.mark.parametrize("shape, nnz", [((67, 156), 196), ((1802, 4405), 5602), ((0, 5), 0)])
+def test_block_operator_is_what_the_checked_constructor_builds(shape, nnz):
+    # the CSR array is set up without scipy's constructor, whose checks and
+    # index scans it skips; it must be the array that constructor builds
+    rng = np.random.default_rng(nnz)
+    rows, cols = rng.integers(0, max(shape[0], 1), nnz), rng.integers(0, shape[1], nnz)
+    op = _block_operator(shape, [(rows, cols, rng.uniform(-1.0, 1.0, nnz))] if nnz else [])
+    checked = csr_array((op.data, op.indices, op.indptr), shape=shape)
+    assert type(op) is type(checked) and vars(op).keys() == vars(checked).keys()
+    assert op.shape == checked.shape and type(op.shape[0]) is int
+    for name in ("data", "indices", "indptr"):
+        assert getattr(op, name).dtype == getattr(checked, name).dtype
+        assert np.array_equal(getattr(op, name), getattr(checked, name))
+    full = op.copy()
+    full.check_format(full_check=True)  # scipy's own check of every index
+    assert np.array_equal(full.toarray(), checked.toarray())
 
 
 @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])

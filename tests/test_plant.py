@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from oocsim.digraph import _block_operator
 from oocsim.errors import Unsupported
-from oocsim.plant import (Exosystem, custom, damping_spring, draw, feedforward_truth, plant_linear,
-                          plant_remainder, redraw, rotation_exosystem, vdp_like)
+from oocsim.plant import (Exosystem, NoAdmissibleDraw, custom, damping_spring, draw,
+                          feedforward_truth, plant_linear, plant_remainder, redraw,
+                          rotation_exosystem, vdp_like)
 from plant_equations import paper_drift
 from stepping import plain_step
 
@@ -162,6 +163,17 @@ def test_remainder_is_monomials_times_coefficients(kind):
     assert not op[:2].any() and not op[:, :6].any()
 
 
+def first_try_refused(name, nominal, uncertainty, rng):
+    """Whether `draw`'s first try from rng's next doubles is refused; rng is left as it is."""
+    probe = np.random.default_rng()
+    probe.bit_generator.state = rng.bit_generator.state
+    try:
+        draw(name, nominal, uncertainty, probe, max_draws=1)
+    except NoAdmissibleDraw:
+        return True
+    return False
+
+
 def test_draw_repeats_the_parser_stream():
     nominal = {"mu1": 1.0, "mu2": 2.0, "b": 1.0, "amplitude": 10.0}
     p = draw("vdp_like", nominal, 0.2, np.random.default_rng([7, 0]))
@@ -183,6 +195,24 @@ def test_draw_repeats_the_parser_stream():
     again = redraw(plants, np.random.default_rng([7, 0]))
     assert [(q.params, q.b, q.split) for q in again] == [(q.params, q.b, q.split)
                                                          for q in plants]
+    assert all(q.nominal is p.nominal for p, q in zip(plants, again))
+    # a refused first try at the first plant of a kind's run, and at the last,
+    # among sixteen that draw, enough for the vector pass, and one without
+    # uncertainty, which `redraw` keeps and which draws nothing
+    wide, narrow = (("vdp_like", nominal, 1.5), ("damping_spring", spring, 0.3))
+    for seed, specs, refused in ((26, [wide] * 8 + [narrow] * 8, 0),
+                                 (13, [narrow] * 8 + [wide] * 8, 15)):
+        rng = np.random.default_rng([seed, 0])
+        plants, refusals = [], []
+        for name, values, frac in specs:
+            refusals.append(first_try_refused(name, values, frac, rng))
+            plants.append(draw(name, values, frac, rng))
+        assert [i for i, no in enumerate(refusals) if no] == [refused]
+        plants[1:1] = [fixed]
+        again = redraw(plants, np.random.default_rng([seed, 0]))
+        assert again[1] is fixed
+        assert [(q.params, q.b, q.split) for q in again] == [(q.params, q.b, q.split)
+                                                             for q in plants]
 
 
 def test_mixed_kind_set_matches_each_plant():

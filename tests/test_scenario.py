@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import re
 from importlib import resources
@@ -6,8 +7,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from oocsim import costs
 from oocsim.errors import SchemaError
-from oocsim.plant import KINDS, draw
+from oocsim.plant import KINDS, custom, damping_spring, draw, vdp_like
 from oocsim.scenario import PRESETS, parse_scenario, scenario_from_dict
 from oocsim.sim import reseed
 
@@ -190,6 +192,92 @@ def test_uncertainty_draws_are_pinned():
     again = scenario_from_dict(dict(doc, seed=9))
     assert [(p.params, p.b, p.split) for p in reseed(sc, 9).plants] == [
         (p.params, p.b, p.split) for p in again.plants]
+    # a refused first try at the first entry of a kind's run, and at the
+    # last: the parser's one pass per kind ends there and per-plant draws
+    # carry on, still float for float
+    for seed, plants, refused in REFUSED_FIRST_TRIES:
+        doc = dict(long_doc(len(plants)), seed=seed, plants=plants)
+        want, tries = per_plant_draws(doc)
+        assert [i for i, t in enumerate(tries) if t > 1] == [refused]
+        assert [(p.params, p.b, p.split, p.nominal, p.uncertainty)
+                for p in scenario_from_dict(doc).plants] == want
+
+
+@pytest.mark.parametrize("section, key, given", [
+    ("costs", "a", 1), ("plants", "b", 1), ("plants", "uncertainty", 0),
+    ("plants", "uncertainty", None)], ids=["int-cost", "int-plant", "int-uncertainty",
+                                         "no-uncertainty"])
+def test_entry_by_entry_parse_agrees_with_the_plain_one(section, key, given):
+    # an integer is not plain, so its section is checked entry by entry,
+    # which converts it; a left-out uncertainty is plain, and 0.0.  Either
+    # way the objects are the all-float document's
+    floats, other = long_doc(20), long_doc(20)
+    for entry, changed in zip(floats[section], other[section]):
+        if key in entry:
+            entry[key] = 0.0 if given is None else float(given)
+            if given is None:
+                del changed[key]
+            else:
+                changed[key] = given
+    want, got = scenario_from_dict(floats), scenario_from_dict(other)
+    # repr tells an integer from its float
+    assert repr([(p.params, p.b, p.split, p.nominal, p.uncertainty) for p in got.plants]) == repr(
+        [(p.params, p.b, p.split, p.nominal, p.uncertainty) for p in want.plants])
+    assert repr([(c.kind, c.params) for c in got.costs]) == repr(
+        [(c.kind, c.params) for c in want.costs])
+
+
+VDP_WIDE = {"kind": "vdp_like", "mu1": 1.0, "mu2": 1.0, "b": 1.0, "amplitude": 10.0,
+            "uncertainty": 1.5}
+SPRING_NARROW = {"kind": "damping_spring", "m": 1.1, "k1": 2.2, "k2": 2.9, "mu1": 3.8,
+                 "mu2": 4.7, "a_w": 100.0, "uncertainty": 0.3}
+# (seed, plant entries, the one plant whose first try is refused); sixteen
+# plants draw, enough for the parser's plain passes and its vector pass
+REFUSED_FIRST_TRIES = [(26, [VDP_WIDE] * 8 + [SPRING_NARROW] * 8, 0),
+                       (13, [SPRING_NARROW] * 8 + [VDP_WIDE] * 8, 15)]
+
+
+def per_plant_draws(doc):
+    """Each plant of doc as per-plant `draw` calls on rng([seed, 0]) make it, and its tries."""
+    rng = Counted(np.random.default_rng([doc["seed"], 0]))
+    want, tries = [], []
+    for entry in doc["plants"]:
+        kind, before = KINDS[entry["kind"]], rng.drawn
+        nominal = {key: entry[key] for key in kind.keys}
+        p = draw(entry["kind"], nominal, entry["uncertainty"], rng)
+        want.append((p.params, p.b, p.split, p.nominal, p.uncertainty))
+        tries.append((rng.drawn - before) // kind.perturbed)
+    return want, tries
+
+
+def test_every_plant_and_cost_is_frozen():
+    # each construction path builds its objects without the dataclass's
+    # __init__; they must be what __init__ builds, and as frozen
+    parsed = [scenario_from_dict(long_doc()), parse_scenario("example2")]
+    parsed += [scenario_from_dict(dict(long_doc(len(plants)), seed=seed, plants=plants))
+               for seed, plants, _ in REFUSED_FIRST_TRIES]
+    rng = np.random.default_rng(2)
+    nominal = {"mu1": 1.0, "mu2": 1.0, "b": 1.0, "amplitude": 10.0}
+    plants = [p for sc in parsed for p in sc.plants] + reseed(parsed[0], 3).plants + [
+        draw("vdp_like", nominal, 0.2, rng), draw("vdp_like", nominal, 0.0, rng),
+        vdp_like(1.0, 2.0, 1.0, 10.0), damping_spring(1.1, 2.2, 2.9, 3.8, 4.7, 100.0),
+        custom(lambda x1, x2, v, t: 0.0, 2.0)]
+    cost_list = [c for sc in parsed for c in sc.costs] + [
+        costs.quadratic(0.5, 1.0), costs.exp_sum(0.25, -0.2, 0.5, 0.5), costs.composite("ex2_f3")]
+    for obj in plants + cost_list:
+        names = [f.name for f in dataclasses.fields(obj)]
+        assert list(vars(obj)) == names
+        assert obj == type(obj)(**{name: getattr(obj, name) for name in names})
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, name)
+    assert {p.kind for p in plants} == {"vdp_like", "damping_spring", "custom"}
+    assert {c.kind for c in cost_list} >= {"quadratic", "exp_sum", "ex2_f1", "ex2_f3"}
+    for p in plants:
+        with pytest.raises(ValueError, match="^control gain b must be positive$"):
+            dataclasses.replace(p, b=-1.0)
 
 
 @pytest.mark.parametrize("preset, fields, message", [
@@ -251,7 +339,14 @@ def test_refused_scenario_name(name):
     ("graph.edges", 399, [201, 1, 0.5], "graph: edge (201, 1) out of range for n=200"),
     ("plants", 150, {"mu1": "1"}, "plants[150].mu1: expected a number, got '1'"),
     ("costs", 199, {"a": float("nan")}, "costs[199].a: expected a finite number, got nan"),
-], ids=["true-weight", "nan-weight", "zero-weight", "last-edge-node", "string-mu1", "nan-a"])
+    ("costs", 150, {"a": -1.0}, "costs[150]: quadratic coefficient must be positive"),
+    ("plants", 199, {"m": 0.0, "uncertainty": 0.0}, "plants[199]: mass must be positive"),
+    ("plants", 155, {"mu1": -1.0}, "plants[155].uncertainty: rejection sampling failed to "
+                                   "find admissible parameters"),
+    ("costs", 150, {"c": 1.0}, "costs[150]: unknown key(s) ['c']"),
+    ("plants", 151, {"m2": 1.0}, "plants[151]: unknown key(s) ['m2']"),
+], ids=["true-weight", "nan-weight", "zero-weight", "last-edge-node", "string-mu1", "nan-a",
+        "negative-a", "zero-mass", "rejection", "unknown-cost-key", "unknown-plant-key"])
 def test_entries_deep_in_a_long_section_are_named(section, idx, value, message):
     doc = long_doc()
     if section == "graph.edges":
@@ -259,6 +354,23 @@ def test_entries_deep_in_a_long_section_are_named(section, idx, value, message):
         edges[idx] = value if isinstance(value, list) else edges[idx][:2] + [value]
     else:
         doc[section][idx].update(value)
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("later, integer", [
+    ({"m": 0.0, "uncertainty": 0.0}, False), ({"m": 0.0, "uncertainty": 0.0}, True),
+    ({"mu1": "1"}, True)], ids=["plain", "entry-by-entry", "schema-fault"])
+def test_the_first_faulty_plant_is_named(later, integer):
+    # plants[155] draws no admissible try and plants[171] is refused later:
+    # each entry is checked and drawn before the next, on the plain path and
+    # on the entry-by-entry one that an integer at plants[11] takes
+    doc = long_doc()
+    doc["plants"][155].update(mu1=-1.0)
+    doc["plants"][171].update(later)
+    if integer:
+        doc["plants"][11]["k1"] = 2
+    message = "plants[155].uncertainty: rejection sampling failed to find admissible parameters"
     with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
         scenario_from_dict(doc)
 
