@@ -1,8 +1,9 @@
 """Local convex cost functions, gradients, and the global-optimum oracle.
 
 Each cost is scalar and strongly convex on its domain hint.  The global
-optimum s* is the unique root of the monotone aggregate gradient
-s -> sum_i grad_i(s), found by bracketed bisection so the oracle stays
+optimum s* is an all-quadratic set's weighted mean of the b_i in closed
+form, and any other set's unique root of the monotone aggregate gradient
+s -> sum_i grad_i(s), found by bracketed bisection, so the oracle stays
 independent of any gradient-flow code path.
 """
 
@@ -161,57 +162,45 @@ class ConvexityBounds:
             raise ValueError("require 0 < varpi <= iota_bar")
 
 
-# Below this many costs, a loop over the costs costs less than an array pass's
-# fixed numpy calls: in `global_optimum` the two crossed between 8 and 12
-# quadratic costs, in `convexity_bounds` near 20, with the pass under 1 us
-# dearer from 10 on (one BLAS thread, 2-core x86_64 host).
-_FEWEST_FOR_ARRAY_PASS = 10
-
-
-def _quadratic_table(cost_list, fewest=0):
-    """An all-quadratic set's coefficients as two arrays (a, b), in list order.
-
-    None for any other set, or for one of fewer than `fewest` costs.
-    """
-    if len(cost_list) < fewest:
-        return None
+def _quadratic_table(cost_list):
+    """An all-quadratic set's coefficients as two arrays (a, b), in list order; else None."""
     ab = [(c.params["a"], c.params["b"]) for c in cost_list if c.kind == "quadratic"]
     if len(ab) < len(cost_list):
         return None
     return _table(ab, 2).T
 
 
-def global_optimum(cost_list, tol=1e-10, max_expand=200) -> float:
-    """Root of the monotone aggregate gradient, by doubling expansion plus bisection.
+# The bisection doubles each end of its bracket at most this many times, and
+# stalls when |sum grad(s*)| reaches this fraction of max(1, sum |grad(s*)|).
+_MAX_EXPAND = 200
+_STALL_TOL = 1e-10
 
-    The aggregate is Python's sum of the per-cost gradients in list order.
-    An all-quadratic set of at least `_FEWEST_FOR_ARRAY_PASS` costs forms
-    every 2a (s - b) in one array pass into one buffer, the products its
-    gradient closures form, so s* is the closures' bit for bit.
+
+def global_optimum(cost_list) -> float:
+    """The minimizer s* of sum_i c_i.
+
+    An all-quadratic set's s* is sum a_i b_i / sum a_i, each sum exactly
+    rounded (`math.fsum`).  Any other set's is the root of the monotone
+    aggregate gradient, Python's sum of the per-cost gradients in list order,
+    by doubling expansion plus bisection.
     """
-    table = _quadratic_table(cost_list, _FEWEST_FOR_ARRAY_PASS)
-    if table is None:
-        fns = [c.grad_fn for c in cost_list]
+    table = _quadratic_table(cost_list)
+    if table is not None:
+        a, b = table
+        return math.fsum((a * b).tolist()) / math.fsum(a.tolist())
+    fns = [c.grad_fn for c in cost_list]
 
-        def agg(s):
-            return sum([f(s) for f in fns])
-    else:
-        a2, b = 2.0 * table[0], table[1]
-        terms, subtract, multiply = np.empty(len(b)), np.subtract, np.multiply
-
-        def agg(s):
-            subtract(s, b, terms)
-            multiply(a2, terms, terms)
-            return sum(terms.tolist())
+    def agg(s):
+        return sum([f(s) for f in fns])
 
     lo, hi = -1.0, 1.0
-    for _ in range(max_expand):
+    for _ in range(_MAX_EXPAND):
         if agg(lo) < 0:
             break
         lo *= 2.0
     else:
         raise BracketNotFound("aggregate gradient never negative; costs non-convex?")
-    for _ in range(max_expand):
+    for _ in range(_MAX_EXPAND):
         if agg(hi) > 0:
             break
         hi *= 2.0
@@ -227,8 +216,10 @@ def global_optimum(cost_list, tol=1e-10, max_expand=200) -> float:
         if hi - lo < 1e-15 * max(1.0, abs(mid)):
             break
     s_star = 0.5 * (lo + hi)
-    if abs(agg(s_star)) >= tol:
-        raise BracketNotFound(f"bisection stalled; |sum grad| = {abs(agg(s_star)):.3e}")
+    grads = [f(s_star) for f in fns]
+    residual = abs(sum(grads))
+    if residual >= _STALL_TOL * max(1.0, sum(map(abs, grads))):
+        raise BracketNotFound(f"bisection stalled; |sum grad| = {residual:.3e}")
     return s_star
 
 
@@ -260,11 +251,10 @@ def convexity_bounds(cost_list) -> ConvexityBounds:
     differences of its gradient on one grid spanning the union of all the
     costs' domain hints, quadratics' included; each such gradient is
     evaluated once on the whole grid (see _grid_gradient).  An
-    all-quadratic set of at least `_FEWEST_FOR_ARRAY_PASS` costs takes its
-    bounds from all its 2a in one array pass; one below the curvature floor
-    is named by the loop.
+    all-quadratic set takes its bounds from all its 2a in one array pass;
+    one below the curvature floor is named by the loop.
     """
-    table = _quadratic_table(cost_list, _FEWEST_FOR_ARRAY_PASS)
+    table = _quadratic_table(cost_list)
     if table is not None:
         curvature = 2.0 * table[0]
         if curvature.min() >= 1e-9:

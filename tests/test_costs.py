@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oocsim import costs
-from oocsim.errors import GradientNotVectorized, NonConvexDetected
+from oocsim.errors import BracketNotFound, GradientNotVectorized, NonConvexDetected
 from oocsim.scenario import parse_scenario
 
 ALL_VARIANTS = (
@@ -38,17 +38,47 @@ def test_global_optimum_single_vertex():
     assert abs(costs.global_optimum([costs.quadratic(0.1, 7.0)]) - 7.0) < 1e-12
 
 
-@pytest.mark.parametrize("seed, n", [(0, 200), (1, 200), (2, costs._FEWEST_FOR_ARRAY_PASS)])
-def test_quadratic_optimum_is_the_closure_sum_bit_for_bit(seed, n):
-    # an all-quadratic set sums its gradients from one array pass; the same
-    # costs under another kind take the closure sum, and s* is the same double
+@pytest.mark.parametrize("seed, n", [(0, 200), (1, 200), (2, 10), (3, 5)])
+def test_quadratic_optimum_is_the_closure_bisections(seed, n):
+    # an all-quadratic set's s* is sum a b / sum a in closed form; the same
+    # costs under another kind take the bisection of the closures' gradient sum
     rng = np.random.default_rng(seed)
     cs = [costs.quadratic(float(a), float(b))
           for a, b in zip(rng.uniform(1e-3, 50.0, n), rng.uniform(-8.0, 8.0, n))]
     closures = [dataclasses.replace(c, kind="quadratic_closure") for c in cs]
     s_star = costs.global_optimum(cs)
-    assert s_star.hex() == costs.global_optimum(closures).hex()
+    scale = max(1.0, max(abs(c.params["b"]) for c in cs))
+    assert abs(s_star - costs.global_optimum(closures)) <= 4 * np.finfo(float).eps * scale
     assert abs(sum(c.grad(s_star) for c in cs)) < 1e-10
+
+
+def stiff_exp_sums():
+    rng = np.random.default_rng(0)
+    return [costs.exp_sum(float(c1), 1.0, float(c2), -1.0)
+            for c1, c2 in 1e5 * rng.uniform(0.5, 1.0, size=(5, 2))]
+
+
+def stiff_quadratic_closures():
+    rng = np.random.default_rng(1)
+    return [dataclasses.replace(costs.quadratic(float(a), float(b)), kind="quadratic_closure")
+            for a, b in zip(1e4 * rng.uniform(0.5, 1.0, 200), rng.uniform(-8.0, 8.0, 200))]
+
+
+@pytest.mark.parametrize("cost_list", [stiff_exp_sums(), stiff_quadratic_closures()],
+                         ids=["exp_sum", "quadratic_closure"])
+def test_stall_check_is_relative_to_the_gradients(cost_list):
+    # |sum grad(s*)| passes 1e-10 on these strongly convex sets, whose
+    # gradients at s* reach 1e4 and more; it stays within 1e-10 of their sum
+    s_star = costs.global_optimum(cost_list)
+    grads = [c.grad(s_star) for c in cost_list]
+    assert abs(sum(grads)) > 1e-10
+    assert abs(sum(grads)) <= 1e-10 * sum(map(abs, grads))
+
+
+def test_one_signed_gradient_has_no_bracket():
+    # e^s is positive everywhere, so no bracket holds the root
+    with pytest.raises(BracketNotFound, match="never negative"):
+        costs.global_optimum([costs.exp_sum(1.0, 1.0, 0.0, 0.0)])
 
 
 def test_global_optimum_composites():
@@ -64,7 +94,7 @@ def test_convexity_bounds_quadratics():
 
 
 def test_convexity_bounds_mixed_quadratics():
-    # at n = 200 the bounds come from one array pass over the 2a, as exact
+    # the bounds are the least and greatest 2a, exact at any size
     for n in (2, 200):
         b = costs.convexity_bounds([costs.quadratic(0.1 if i % 2 else 0.5, float(i))
                                     for i in range(n)])
